@@ -35,7 +35,7 @@ def main():
     print(f"n={args.n} k={args.k} c={args.c}  T={problem.geom.half_length:.6f}  "
           f"d={params.d:.6f}  grid={args.grid}  newton tol={tol:.1e}")
     report = continuation_run(problem, t_schedule=schedule, init=init,
-                              opts=NewtonOptions(tol=tol, jacobian_check=False))
+                              opts=NewtonOptions(tol=tol))
     print(f"{'t':>8} {'sup|u|':>10} {'sup|du|':>10} {'sup|d2u|':>12} {'(1-t)sup|d2u|':>14} {'iters':>6}")
     for s in report.states:
         print(f"{s.t:8.4f} {s.monitors[0]:10.5f} {s.monitors[1]:10.5f} "

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .example1 import ExampleParams, solve_profile
-from .geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
+from .geometry import CylinderGeometry, RadialProfile, radial_eigen_rows
 from .solver import DirichletProblem
 from .symfun import SymFuncSpec
 
@@ -63,11 +63,7 @@ def radial_curvature_value(spec, t, du, d2u):
     """f_t of the radial eigenvalues built from pointwise derivative values."""
     du = np.atleast_1d(np.asarray(du, dtype=float))
     d2u = np.atleast_1d(np.asarray(d2u, dtype=float))
-    axis, sphere = radial_w_eigenvalues(spec.n, du, d2u)
-    rows = np.concatenate(
-        [axis[:, None], np.repeat(sphere[:, None], spec.n - 1, axis=1)], axis=1
-    )
-    return spec.value_t_many(t, rows)
+    return spec.value_t_many(t, radial_eigen_rows(spec.n, du, d2u))
 
 
 def subsolution_benchmark(n=4, k=2, half_length=1.0, node_count=401,

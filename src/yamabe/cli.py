@@ -327,7 +327,7 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
                "subsolution", "init", "newton", "uniformity_factor", "out", "seed", "verbose"}
 
 
-def _build_solve_problem(config, resolved):
+def _build_solve_problem(config):
     n = _as_int(_need(config, "n", "config"), "n", lo=3)
     spec = _function_spec({"n": n, **_need(config, "function", "config")})
     grid_size = _as_int(config.get("grid_size", 401), "grid_size", lo=5)
@@ -434,12 +434,12 @@ def _build_solve_problem(config, resolved):
         geom=geom, spec=spec, psi=psi, psi_z=psi_z,
         phi_left=phi_left, phi_right=phi_right, subsolution=sub_profile,
     )
-    return problem, init_profile, ell
+    return problem, init_profile, grid_size
 
 
 def cmd_solve(config):
     _check_keys(config, _SOLVE_KEYS, "config")
-    problem, init_profile, ell = _build_solve_problem(config, None)
+    problem, init_profile, grid_size = _build_solve_problem(config)
 
     schedule = config.get("t_schedule")
     if schedule is not None:
@@ -457,7 +457,7 @@ def cmd_solve(config):
         "n": problem.geom.n,
         "function": dict(_need(config, "function", "config")),
         "half_length": config["half_length"] if config["half_length"] == "example1" else float(config["half_length"]),
-        "grid_size": _as_int(config.get("grid_size", 401), "grid_size", lo=5),
+        "grid_size": grid_size,
         "t_schedule": list(schedule) if schedule is not None else list(solver.DEFAULT_T_SCHEDULE),
         "psi": dict(config["psi"]),
         "phi": config.get("phi", "subsolution") if isinstance(config.get("phi", "subsolution"), str) else dict(config["phi"]),

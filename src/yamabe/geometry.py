@@ -36,6 +36,7 @@ __all__ = [
     "stencil_weights",
     "w_eigen_radial",
     "radial_w_eigenvalues",
+    "radial_eigen_rows",
     "conformal_schouten",
 ]
 
@@ -151,11 +152,6 @@ class RadialProfile:
         object.__setattr__(self, "u", u)
 
     @classmethod
-    def from_function(cls, grid, func):
-        grid = np.asarray(grid, dtype=float)
-        return cls(grid, np.asarray(func(grid), dtype=float))
-
-    @classmethod
     def uniform(cls, half_length, node_count, func_or_values):
         grid = np.linspace(-half_length, half_length, node_count)
         if callable(func_or_values):
@@ -202,20 +198,23 @@ def radial_w_eigenvalues(n, du, d2u):
     return axis, sphere
 
 
+def radial_eigen_rows(n, du, d2u):
+    """Unsorted per-node eigenvalue rows (axis, sphere x (n-1)) of W[u]."""
+    axis, sphere = radial_w_eigenvalues(n, du, d2u)
+    return np.concatenate([axis[:, None], np.repeat(sphere[:, None], n - 1, axis=1)], axis=1)
+
+
 def w_eigen_radial(geom, profile, spec=None, t=None):
     """Eigenvalue field of W[u] for a radial profile on the cylinder."""
     tol = 1e-12 * max(1.0, geom.half_length)
     if profile.grid[0] < -geom.half_length - tol or profile.grid[-1] > geom.half_length + tol:
         raise ValueError("profile grid exceeds the cylinder")
-    axis, sphere = radial_w_eigenvalues(geom.n, profile.du, profile.d2u)
-    eigs = np.concatenate(
-        [axis[:, None], np.repeat(sphere[:, None], geom.n - 1, axis=1)], axis=1
-    )
-    eigs = np.sort(eigs, axis=1)
+    rows = radial_eigen_rows(geom.n, profile.du, profile.d2u)
+    eigs = np.sort(rows, axis=1)
     flags = None
     if spec is not None and t is not None:
         flags = spec.margin_scores_t(t, eigs) > spec.margin
-    return WEigenField(eigs=eigs, axis=axis, sphere=sphere, in_gamma_t=flags)
+    return WEigenField(eigs=eigs, axis=rows[:, 0], sphere=rows[:, 1], in_gamma_t=flags)
 
 
 def conformal_schouten(du, hess, base):

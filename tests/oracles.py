@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths it validates: elementary
 symmetric polynomials come from subset enumeration, gradients from central
-differences, cone distances from dense direction sampling, and the stopping
-time of the radial problem from integrating the second-order equation itself
-(never its first integral).
+differences, Jacobian columns from bumping one nodal value of the residual,
+cone distances from dense direction sampling, and the stopping time of the
+radial problem from integrating the second-order equation itself (never its
+first integral).
 """
 
 import itertools
@@ -12,6 +13,9 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from yamabe._errors import ConeViolationError
+from yamabe.solver import residual
 
 
 def sigma_by_enumeration(values, k):
@@ -31,6 +35,43 @@ def gradient_by_differences(func, x, step=1e-6):
         e[i] = h
         out[i] = (func(x + e) - func(x - e)) / (2 * h)
     return out
+
+
+def banded_to_dense(ab):
+    """Expand tridiagonal (3, m) solve_banded storage to a dense matrix."""
+    m = ab.shape[1]
+    dense = np.zeros((m, m))
+    dense[np.arange(m), np.arange(m)] = ab[1]
+    dense[np.arange(m - 1), np.arange(1, m)] = ab[0, 1:]
+    dense[np.arange(1, m), np.arange(m - 1)] = ab[2, :-1]
+    return dense
+
+
+def fd_jacobian_column(problem, t, profile, j):
+    """Richardson-extrapolated central-difference column j of the residual.
+
+    Bumping u_j alone puts an eps/h^2 rounding into every second difference,
+    so the base step scales with the local spacing squared; it shrinks
+    tenfold while a bumped profile leaves the cone.
+    """
+    grid, u = profile.grid, profile.u
+    h_loc = min(grid[j] - grid[j - 1], grid[j + 1] - grid[j])
+    step = 1e-4 * h_loc ** 2 * (1.0 + abs(u[j]))
+
+    def central(s):
+        s = (u[j] + s) - u[j]  # exactly representable
+        bump = np.zeros(u.size)
+        bump[j] = s
+        plus = residual(problem, t, profile.with_values(u + bump))
+        minus = residual(problem, t, profile.with_values(u - bump))
+        return (plus - minus) / (2 * s)
+
+    for _ in range(8):
+        try:
+            return (4.0 * central(0.5 * step) - central(step)) / 3.0
+        except ConeViolationError:
+            step *= 0.1
+    raise AssertionError(f"could not finite-difference column {j} inside the cone")
 
 
 def matrix_derivative_by_differences(func, w, step=1e-7):

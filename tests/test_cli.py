@@ -183,6 +183,23 @@ class TestSolveCommand:
         sup = [v / (1 - t) for t, v in table]
         assert sup[-1] > sup[0]  # curvature grows towards t = 1
 
+    def test_criterion_9_data_runs_with_jacobian_check(self, tmp_path):
+        cfg = write_config(tmp_path / "s.json", {
+            "n": 5,
+            "function": {"kind": "sigma_k_root", "k": 4},
+            "half_length": "example1",
+            "grid_size": 1001,
+            "psi": {"family": "example1_rhs", "c": -0.5},
+            "phi": {"left": -0.5, "right": -0.5},
+            "init": {"family": "example1_profile", "c": -0.5},
+            "newton": {"tol": 1.2e-4},
+            "out": str(tmp_path / "out"),
+        })
+        assert run_cli(["solve", cfg]) == 0
+        monitors = (tmp_path / "out" / "monitors.csv").read_text().splitlines()
+        rows = [l for l in monitors if not l.startswith("#")]
+        assert len(rows) == 1 + 13
+
     def test_failed_subsolution_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {
             "n": 4,

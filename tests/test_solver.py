@@ -1,14 +1,17 @@
 """Tests of the damped Newton solver and the t-continuation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from yamabe import solver
 from yamabe._errors import (
     ConeViolationError,
     ContinuationError,
     NonconvergenceError,
+    NumericalError,
 )
 from yamabe.benchmarks import (
     example_boundary_problem,
@@ -20,16 +23,16 @@ from yamabe.solver import (
     DEFAULT_T_SCHEDULE,
     DirichletProblem,
     NewtonOptions,
-    banded_to_dense,
     check_subsolution,
     continuation_run,
     estimate_monitors,
-    fd_jacobian_column,
     jacobian,
     newton_solve,
     residual,
 )
 from yamabe.symfun import SymFuncSpec
+
+from oracles import banded_to_dense, fd_jacobian_column
 
 
 class TestProblemValidation:
@@ -137,6 +140,64 @@ class TestJacobian:
         dense = banded_to_dense(jacobian(problem, 0.5, exact))
         assert dense[0, 0] == 1.0 and np.all(dense[0, 1:] == 0.0)
         assert dense[-1, -1] == 1.0 and np.all(dense[-1, :-1] == 0.0)
+
+
+def _swap_bands(ab, problem, profile):
+    ab[0, 2:], ab[2, :-2] = ab[2, :-2].copy(), ab[0, 2:].copy()
+
+
+def _wrong_boundary_row(ab, problem, profile):
+    ab[1, -1] = 2.0
+
+
+def _drop_psi_z(ab, problem, profile):
+    ab[1, 1:-1] += problem.psi_z(profile.grid[1:-1], profile.u[1:-1])
+
+
+def _perturb_one_diagonal_entry(ab, problem, profile):
+    ab[1, ab.shape[1] // 3] *= 1.0 + 1e-6
+
+
+class TestJacobianCheck:
+    @pytest.mark.parametrize("corrupt", [
+        _swap_bands, _wrong_boundary_row, _drop_psi_z, _perturb_one_diagonal_entry,
+    ])
+    def test_wrong_jacobian_is_caught(self, corrupt, monkeypatch):
+        if corrupt is _drop_psi_z:
+            # psi_z vanishes on the subsolution benchmark
+            problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
+            t = 0.0
+        else:
+            problem = subsolution_benchmark(node_count=401)
+            init, t = problem.subsolution, 0.5
+        original = solver.jacobian
+
+        def corrupted(problem, t, profile):
+            ab = original(problem, t, profile)
+            corrupt(ab, problem, profile)
+            return ab
+
+        monkeypatch.setattr(solver, "jacobian", corrupted)
+        with pytest.raises(NumericalError, match="deviates from the directional"):
+            newton_solve(problem, t, init)
+
+    def test_fine_grid_continuation_passes(self):
+        # a draw the dense column check rejected as a false alarm
+        problem = subsolution_benchmark(amplitude=0.357, theta=0.537, node_count=4001)
+        report = continuation_run(problem, opts=NewtonOptions(tol=1e-7))
+        assert len(report.states) == len(DEFAULT_T_SCHEDULE)
+        assert all(s.converged for s in report.states)
+
+    def test_memory_stays_linear_in_grid_size(self):
+        # the m x m float64 array a dense check needs is 128 MB at m = 4001
+        problem = subsolution_benchmark(node_count=4001)
+        tracemalloc.start()
+        try:
+            newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestNewton:
