@@ -28,6 +28,8 @@ __all__ = [
     "linear_profile",
     "constant_profile",
     "radial_curvature_value",
+    "subsolution_scaled_psi",
+    "example1_rhs_psi",
     "subsolution_benchmark",
     "manufactured_problem",
     "example_boundary_problem",
@@ -66,21 +68,12 @@ def radial_curvature_value(spec, t, du, d2u):
     return spec.value_t_many(t, radial_eigen_rows(spec.n, du, d2u))
 
 
-def subsolution_benchmark(n=4, k=2, half_length=1.0, node_count=401,
-                          amplitude=0.3, theta=0.5):
-    """Problem with psi = theta * f(W[underline u]) for a convex profile.
-
-    The profile is then a strict subsolution with margin (1-theta) f, and the
-    boundary data match it.  psi is independent of z, built from the analytic
-    derivatives of the profile with linear interpolation in x.
+def subsolution_scaled_psi(spec, funcs, half_length, theta):
+    """(psi, psi_z) with psi = theta * f(W[u]) for u given as (u, u', u'') callables,
+    sampled on 4001 points of [-L, L] and interpolated linearly in x; no z dependence.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    geom = CylinderGeometry(n=n, half_length=half_length)
-    spec = SymFuncSpec("sigma_k_root", n=n, k=k)
-    f, df, d2f = cosh_profile(amplitude)
     dense = np.linspace(-half_length, half_length, 4001)
-    f_values = theta * radial_curvature_value(spec, 1.0, df(dense), d2f(dense))
+    f_values = theta * radial_curvature_value(spec, 1.0, funcs[1](dense), funcs[2](dense))
 
     def psi(x, z):
         return np.interp(np.asarray(x, dtype=float), dense, f_values) * np.ones_like(np.asarray(z, dtype=float))
@@ -88,9 +81,39 @@ def subsolution_benchmark(n=4, k=2, half_length=1.0, node_count=401,
     def psi_z(x, z):
         return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
 
+    return psi, psi_z
+
+
+def example1_rhs_psi(params):
+    """psi(x, z) = (n/(k 2^k) C(n-1,k-1))^(1/k) e^(-2z) and psi_z = -2 psi."""
+    root = params.rhs_root
+
+    def psi(x, z):
+        return root * np.exp(-2.0 * np.asarray(z, dtype=float)) \
+            * np.ones_like(np.asarray(x, dtype=float))
+
+    def psi_z(x, z):
+        return -2.0 * psi(x, z)
+
+    return psi, psi_z
+
+
+def subsolution_benchmark(n=4, k=2, half_length=1.0, node_count=401,
+                          amplitude=0.3, theta=0.5):
+    """Problem with psi = theta * f(W[underline u]) for a convex profile.
+
+    The profile is then a strict subsolution with margin (1-theta) f, and the
+    boundary data match it (see subsolution_scaled_psi).
+    """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    geom = CylinderGeometry(n=n, half_length=half_length)
+    spec = SymFuncSpec("sigma_k_root", n=n, k=k)
+    funcs = cosh_profile(amplitude)
+    psi, psi_z = subsolution_scaled_psi(spec, funcs, half_length, theta)
     grid = np.linspace(-half_length, half_length, node_count)
-    sub = RadialProfile(grid, f(grid))
-    phi = float(f(np.array([half_length]))[0]) if np.ndim(f(half_length)) else float(f(half_length))
+    sub = RadialProfile(grid, funcs[0](grid))
+    phi = float(funcs[0](half_length))
     return DirichletProblem(
         geom=geom, spec=spec, psi=psi, psi_z=psi_z,
         phi_left=phi, phi_right=phi, subsolution=sub,
@@ -130,25 +153,16 @@ def manufactured_problem(t, n=4, k=2, half_length=1.0, node_count=401,
 def example_boundary_problem(n, k, c, node_count=401):
     """Dirichlet data of the explicit non-smooth solution.
 
-    psi(x, z) = (n/(k 2^k) C(n-1,k-1))^(1/k) e^(-2z), phi = c, and the half
-    length is the blow-up time of the closed-form construction.  Returns
-    (problem, params, init profile); the init is the exact t = 1 profile
-    sampled on the grid, which lies inside every interpolated cone.
+    psi is example1_rhs_psi, phi = c, and the half length is the blow-up
+    time of the closed-form construction.  Returns (problem, params, init
+    profile); the init is the exact t = 1 profile sampled on the grid, which
+    lies inside every interpolated cone.
     """
     params = ExampleParams.from_c(n, k, c)
     solution = solve_profile(params, node_count=node_count)
     geom = CylinderGeometry(n=n, half_length=solution.t_max)
     spec = SymFuncSpec("sigma_k_root", n=n, k=k)
-    root = params.rhs_root
-
-    def psi(x, z):
-        return root * np.exp(-2.0 * np.asarray(z, dtype=float)) \
-            * np.ones_like(np.asarray(x, dtype=float))
-
-    def psi_z(x, z):
-        return -2.0 * root * np.exp(-2.0 * np.asarray(z, dtype=float)) \
-            * np.ones_like(np.asarray(x, dtype=float))
-
+    psi, psi_z = example1_rhs_psi(params)
     problem = DirichletProblem(
         geom=geom, spec=spec, psi=psi, psi_z=psi_z,
         phi_left=c, phi_right=c,

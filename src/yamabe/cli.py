@@ -366,28 +366,12 @@ def _build_solve_problem(config):
         theta = _as_real(psi_cfg.get("theta", 0.5), "psi.theta")
         if not 0.0 < theta < 1.0:
             raise ConfigError("psi.theta must lie in (0, 1)")
-        dense = np.linspace(-ell, ell, 4001)
-        f_values = theta * benchmarks.radial_curvature_value(
-            spec, 1.0, sub_funcs[1](dense), sub_funcs[2](dense))
-
-        def psi(x, z):
-            return np.interp(np.asarray(x, dtype=float), dense, f_values) \
-                * np.ones_like(np.asarray(z, dtype=float))
-
-        def psi_z(x, z):
-            return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
+        psi, psi_z = benchmarks.subsolution_scaled_psi(spec, sub_funcs, ell, theta)
     elif psi_family == "example1_rhs":
         c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
         if example_params is None:
             example_params = example1.ExampleParams.from_c(n, spec.k, c)
-        root = example_params.rhs_root
-
-        def psi(x, z):
-            return root * np.exp(-2.0 * np.asarray(z, dtype=float)) \
-                * np.ones_like(np.asarray(x, dtype=float))
-
-        def psi_z(x, z):
-            return -2.0 * psi(x, z)
+        psi, psi_z = benchmarks.example1_rhs_psi(example_params)
     elif psi_family == "constant":
         value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
         if value <= 0:
@@ -496,9 +480,8 @@ def cmd_solve(config):
 
     _write_monitors_csv(out / "monitors.csv", resolved, states)
     for i, s in enumerate(states):
-        res_col = solver.residual(problem, s.t, s.profile)
-        _write_profile_csv(out / f"profile_{i:03d}_t{s.t:.6f}.csv", resolved, s.profile, res_col,
-                           extra_comments=[f"# t {_fmt(s.t)}"])
+        _write_profile_csv(out / f"profile_{i:03d}_t{s.t:.6f}.csv", resolved, s.profile,
+                           s.residual, extra_comments=[f"# t {_fmt(s.t)}"])
 
     extra = {"failed_t": failed_t}
     if states:

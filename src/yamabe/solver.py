@@ -12,6 +12,10 @@ the chain rule in (u_i, u'_i, u''_i).  On every solve it is checked once
 against a Richardson finite difference of the residual along one smooth
 probe direction, in O(m) memory and with a fixed relative tolerance.
 
+Newton evaluates each state once: one residual call supplies the residual
+vector and the minimum cone margin (a trial outside the cone raises there),
+and the returned state carries them with the norm of every accepted step.
+
 Continuation walks an ascending t schedule, warm-starting each solve from the
 previous profile, and records per-t monitors: sup norms of u and its first
 two differences, the residual norm, a distance-like cone margin and the
@@ -119,7 +123,6 @@ class NewtonOptions:
     max_iter: int = 50
     max_backtracks: int = 50
     jacobian_check: bool = True
-    record_increments: bool = False
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,16 @@ class ContinuationState:
 
     t: float
     profile: RadialProfile
-    residual_norm: float
+    residual: np.ndarray     # per-node residual vector of the profile
     monitors: tuple          # (sup|u|, sup|u'|, sup|u''|)
-    cone_margin: float
+    cone_margin: float       # minimum interior margin score at t
     newton_iters: int
     converged: bool
-    increment_norms: tuple | None = None
+    increment_norms: tuple   # alpha * sup|delta| of each accepted Newton step
+
+    @property
+    def residual_norm(self):
+        return float(np.abs(self.residual).max())
 
 
 def estimate_monitors(profile):
@@ -152,17 +159,14 @@ def _grid_for(problem, profile):
     return profile.grid
 
 
-def _interior_eigen_rows(problem, profile):
-    """Unsorted per-node eigenvalue rows (axis, sphere x (n-1)) at interior nodes."""
-    return radial_eigen_rows(problem.geom.n, profile.du[1:-1], profile.d2u[1:-1])
-
-
-def _interior_margins(problem, t, profile):
-    return problem.spec.margin_scores_t(t, _interior_eigen_rows(problem, profile))
+def _inside_cone(problem, t, profile):
+    rows = radial_eigen_rows(problem.geom.n, profile.du[1:-1], profile.d2u[1:-1])
+    return problem.spec.margin_scores_t(t, rows).min() > problem.spec.margin
 
 
 def _residual(problem, t, grid, u, du, d2u):
-    """Residual from nodal values and their stencil derivatives."""
+    """Residual vector and minimum cone margin score from nodal values and
+    their stencil derivatives; raises when a node leaves the cone."""
     rows = radial_eigen_rows(problem.geom.n, du[1:-1], d2u[1:-1])
     scores = problem.spec.margin_scores_t(t, rows)
     bad = np.nonzero(scores <= problem.spec.margin)[0]
@@ -178,13 +182,13 @@ def _residual(problem, t, grid, u, du, d2u):
     out[-1] = u[-1] - problem.phi_right
     out[1:-1] = problem.spec.value_t_many(t, rows) \
         - np.asarray(problem.psi(grid[1:-1], u[1:-1]), dtype=float)
-    return out
+    return out, float(scores.min())
 
 
 def residual(problem, t, profile):
     """Per-node residual vector; raises when a node leaves the cone."""
     grid = _grid_for(problem, profile)
-    return _residual(problem, t, grid, profile.u, profile.du, profile.d2u)
+    return _residual(problem, t, grid, profile.u, profile.du, profile.d2u)[0]
 
 
 def jacobian(problem, t, profile):
@@ -201,11 +205,10 @@ def jacobian(problem, t, profile):
     """
     grid = _grid_for(problem, profile)
     m = grid.size
-    rows = _interior_eigen_rows(problem, profile)
-    g = problem.spec.grad_t_many(t, rows)
+    du = profile.du[1:-1]
+    g = problem.spec.grad_t_many(t, radial_eigen_rows(problem.geom.n, du, profile.d2u[1:-1]))
     g_axis = g[:, 0]
     g_sphere = g[:, 1:].sum(axis=1)
-    du = profile.du[1:-1]
     psi_z = np.asarray(problem.psi_z(grid[1:-1], profile.u[1:-1]), dtype=float)
     c1 = _interior_first_weights(grid)
     c2 = _interior_second_weights(grid)
@@ -245,10 +248,10 @@ def _check_jacobian(problem, t, profile, ab):
     jv[1:] += ab[2, :-1] * v[:-1]
 
     def central(s):
-        plus = _residual(problem, t, grid, profile.u + s * v, profile.du + s * dv,
-                         profile.d2u + s * d2v)
-        minus = _residual(problem, t, grid, profile.u - s * v, profile.du - s * dv,
-                          profile.d2u - s * d2v)
+        plus, _ = _residual(problem, t, grid, profile.u + s * v, profile.du + s * dv,
+                            profile.d2u + s * d2v)
+        minus, _ = _residual(problem, t, grid, profile.u - s * v, profile.du - s * dv,
+                             profile.d2u - s * d2v)
         return (plus - minus) / (2.0 * s)
 
     step = 1e-6
@@ -268,17 +271,16 @@ def _check_jacobian(problem, t, profile, ab):
         )
 
 
-def _state_from(problem, t, profile, res_norm, iters, converged, increments=None):
-    margins = _interior_margins(problem, t, profile)
+def _state_from(t, profile, res, margin, iters, converged, increments):
     return ContinuationState(
         t=t,
         profile=profile,
-        residual_norm=float(res_norm),
+        residual=res,
         monitors=estimate_monitors(profile),
-        cone_margin=float(margins.min()),
+        cone_margin=margin,
         newton_iters=iters,
         converged=converged,
-        increment_norms=tuple(increments) if increments is not None else None,
+        increment_norms=tuple(increments),
     )
 
 
@@ -287,24 +289,19 @@ def newton_solve(problem, t, init, opts=None):
 
     A trial step is accepted only when every interior node keeps a positive
     cone margin and the residual sup norm decreases; the step is halved up to
-    max_backtracks times otherwise.  Raises StepFailureError when no damped
-    step is acceptable and NonconvergenceError when the iteration budget runs
-    out; both carry the best state reached.
+    max_backtracks times otherwise.  Raises ConeViolationError when the
+    initial profile leaves the cone, StepFailureError when no damped step is
+    acceptable and NonconvergenceError when the iteration budget runs out;
+    the last two carry the best state reached.
     """
     opts = opts or NewtonOptions()
     grid = _grid_for(problem, init)
-    margins = _interior_margins(problem, t, init)
-    if margins.min() <= problem.spec.margin:
-        node = int(np.argmin(margins)) + 1
-        raise ConeViolationError(
-            f"initial profile violates the cone at node {node}", node=node
-        )
     profile = init
-    res = residual(problem, t, profile)
+    res, margin = _residual(problem, t, grid, init.u, init.du, init.d2u)
     norm = float(np.abs(res).max())
-    increments = [] if opts.record_increments else None
+    increments = []
     if norm <= opts.tol:
-        return _state_from(problem, t, profile, norm, 0, True, increments)
+        return _state_from(t, profile, res, margin, 0, True, increments)
 
     checked = not opts.jacobian_check
     for iteration in range(1, opts.max_iter + 1):
@@ -317,15 +314,17 @@ def newton_solve(problem, t, init, opts=None):
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(
                 f"singular Jacobian at t={t}",
-                state=_state_from(problem, t, profile, norm, iteration - 1, False, increments),
+                state=_state_from(t, profile, res, margin, iteration - 1, False, increments),
             ) from exc
 
         alpha = 1.0
         for _ in range(opts.max_backtracks + 1):
             trial = profile.with_values(profile.u + alpha * delta)
-            trial_margins = _interior_margins(problem, t, trial)
-            if trial_margins.min() > problem.spec.margin:
-                trial_res = residual(problem, t, trial)
+            try:
+                trial_res, trial_margin = _residual(problem, t, grid, trial.u, trial.du, trial.d2u)
+            except ConeViolationError:
+                pass
+            else:
                 trial_norm = float(np.abs(trial_res).max())
                 if trial_norm < norm or trial_norm <= opts.tol:
                     break
@@ -333,19 +332,18 @@ def newton_solve(problem, t, init, opts=None):
         else:
             raise StepFailureError(
                 f"no acceptable damped step at t={t} (residual {norm:.3e})",
-                state=_state_from(problem, t, profile, norm, iteration - 1, False, increments),
+                state=_state_from(t, profile, res, margin, iteration - 1, False, increments),
             )
 
-        if increments is not None:
-            increments.append(float(alpha * np.abs(delta).max()))
-        profile, res, norm = trial, trial_res, trial_norm
+        increments.append(float(alpha * np.abs(delta).max()))
+        profile, res, margin, norm = trial, trial_res, trial_margin, trial_norm
         if norm <= opts.tol:
-            return _state_from(problem, t, profile, norm, iteration, True, increments)
+            return _state_from(t, profile, res, margin, iteration, True, increments)
 
     raise NonconvergenceError(
         f"Newton did not reach tol={opts.tol:.1e} in {opts.max_iter} iterations "
         f"at t={t} (residual {norm:.3e})",
-        state=_state_from(problem, t, profile, norm, opts.max_iter, False, increments),
+        state=_state_from(t, profile, res, margin, opts.max_iter, False, increments),
     )
 
 
@@ -405,19 +403,19 @@ def _restore_feasibility(problem, t, profile, anchor):
     every interpolated cone; the smallest blend restoring a positive margin
     wins.
     """
-    if _interior_margins(problem, t, profile).min() > problem.spec.margin:
+    if _inside_cone(problem, t, profile):
         return profile
     if anchor is None:
         return profile
     ladder = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
     for i, theta in enumerate(ladder):
         blend = profile.with_values((1.0 - theta) * profile.u + theta * anchor.u)
-        if _interior_margins(problem, t, blend).min() > problem.spec.margin:
+        if _inside_cone(problem, t, blend):
             # take one more rung for headroom; the blend at the first feasible
             # theta can sit arbitrarily close to the cone boundary
             for theta2 in ladder[i + 1:i + 2]:
                 blend2 = profile.with_values((1.0 - theta2) * profile.u + theta2 * anchor.u)
-                if _interior_margins(problem, t, blend2).min() > problem.spec.margin:
+                if _inside_cone(problem, t, blend2):
                     return blend2
             return blend
     return profile

@@ -112,6 +112,21 @@ def sigma_gradient(lam, k):
     return _esp_gradient(v, k)[0]
 
 
+def _cone_scores(values, order):
+    """min over j <= order of sigma_j(lam) / sigma_j(|lam|), per row of (m, n).
+
+    Zero rows score -inf (the origin is not in the open cone); rows with a
+    vanishing sigma_j(|lam|) (too few nonzero entries) score at most zero.
+    """
+    e = _esp(values, order)
+    scale = _esp(np.abs(values), order)
+    scores = np.where(np.abs(values).max(axis=1) > 0.0, np.inf, -np.inf)
+    tiny = np.finfo(float).tiny
+    for j in range(1, order + 1):
+        scores = np.minimum(scores, e[:, j] / np.maximum(scale[:, j], tiny))
+    return scores
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue tuples
 # ---------------------------------------------------------------------------
@@ -275,20 +290,8 @@ class SymFuncSpec(_InterpolationFamily):
     # -- membership scores ---------------------------------------------------
 
     def margin_scores(self, values):
-        """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row.
-
-        Zero rows score -inf (the origin is not in the open cone); rows where
-        some sigma_j(|lam|) vanishes (not enough nonzero entries) score at
-        most zero.
-        """
-        values = np.asarray(values, dtype=float)
-        e = _esp(values, self.k)
-        scale = _esp(np.abs(values), self.k)
-        scores = np.where(np.abs(values).max(axis=1) > 0.0, np.inf, -np.inf)
-        tiny = np.finfo(float).tiny
-        for j in range(1, self.k + 1):
-            scores = np.minimum(scores, e[:, j] / np.maximum(scale[:, j], tiny))
-        return scores
+        """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row (see _cone_scores)."""
+        return _cone_scores(np.asarray(values, dtype=float), self.k)
 
     def _require_inside(self, values):
         scores = self.margin_scores(values)
@@ -494,13 +497,7 @@ class ProjectedCone:
             values = values[None, :]
         if self.order == 0:
             return np.full(values.shape[0], np.inf)
-        e = _esp(values, self.order)
-        scale = _esp(np.abs(values), self.order)
-        scores = np.where(np.abs(values).max(axis=1) > 0.0, np.inf, -np.inf)
-        tiny = np.finfo(float).tiny
-        for j in range(1, self.order + 1):
-            scores = np.minimum(scores, e[:, j] / np.maximum(scale[:, j], tiny))
-        return scores
+        return _cone_scores(values, self.order)
 
     def contains(self, lam_p, margin=None):
         tol = self.parent.margin if margin is None else margin

@@ -3,8 +3,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,9 +258,14 @@ class TestEntryPoint:
             "n": 4, "k": 2, "c": 0.0, "grid_size": 101,
             "out": str(tmp_path / "out"),
         })
+        # pytest's pythonpath setting reaches only this process, not the child
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        inherited = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
         proc = subprocess.run(
             [sys.executable, "-m", "yamabe.cli", "example1", cfg],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from yamabe import solver
 from yamabe._errors import (
@@ -18,7 +19,7 @@ from yamabe.benchmarks import (
     manufactured_problem,
     subsolution_benchmark,
 )
-from yamabe.geometry import CylinderGeometry, RadialProfile
+from yamabe.geometry import CylinderGeometry, RadialProfile, radial_eigen_rows
 from yamabe.solver import (
     DEFAULT_T_SCHEDULE,
     DirichletProblem,
@@ -204,7 +205,7 @@ class TestNewton:
     def test_manufactured_convergence_and_contraction(self):
         problem, exact = manufactured_problem(0.5, node_count=201)
         init = exact.with_values(exact.u + 1e-3 * np.cos(np.pi * exact.grid / 2))
-        state = newton_solve(problem, 0.5, init, NewtonOptions(record_increments=True))
+        state = newton_solve(problem, 0.5, init)
         assert state.converged
         assert np.abs(state.profile.u - exact.u).max() <= 5e-6  # O(h^2)
         if len(state.increment_norms) >= 2:
@@ -230,6 +231,65 @@ class TestNewton:
             newton_solve(problem, 0.5, init, NewtonOptions(tol=1e-16, max_iter=2))
         assert err.value.state is not None
         assert err.value.state.residual_norm < 1.0
+
+
+class TestStateEvaluation:
+    """Each Newton state is evaluated once; the state carries what it found."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        problem = subsolution_benchmark(node_count=401)
+        return problem, newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
+
+    def test_state_residual_is_the_residual_of_its_profile(self, solved):
+        problem, state = solved
+        assert state.converged
+        assert np.array_equal(state.residual, residual(problem, 0.5, state.profile))
+        assert state.residual_norm == np.abs(state.residual).max()
+
+    def test_state_cone_margin_is_the_minimum_margin_score(self, solved):
+        problem, state = solved
+        prof = state.profile
+        rows = radial_eigen_rows(problem.geom.n, prof.du[1:-1], prof.d2u[1:-1])
+        assert state.cone_margin == problem.spec.margin_scores_t(0.5, rows).min()
+
+    def test_increment_norms_always_recorded(self, solved):
+        _, state = solved
+        assert isinstance(state.increment_norms, tuple)
+        assert len(state.increment_norms) == state.newton_iters >= 1
+
+    def test_one_margin_evaluation_per_state(self, monkeypatch):
+        problem = subsolution_benchmark(node_count=401)
+        calls = {"margins": 0, "residual": 0}
+        margin_scores_t = SymFuncSpec.margin_scores_t
+        evaluate = solver._residual
+
+        def counted_margins(self, t, lam):
+            calls["margins"] += 1
+            return margin_scores_t(self, t, lam)
+
+        def counted_residual(*args):
+            calls["residual"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(SymFuncSpec, "margin_scores_t", counted_margins)
+        monkeypatch.setattr(solver, "_residual", counted_residual)
+        state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
+        assert state.converged
+        assert calls["residual"] > state.newton_iters
+        assert calls["margins"] == calls["residual"]
+
+    def test_cone_exit_in_line_search_is_damped(self):
+        # at t = 0 the undamped first Newton step from the subsolution leaves
+        # the cone; the line search must halve it instead of failing
+        problem = subsolution_benchmark(node_count=401)
+        sub = problem.subsolution
+        delta = solve_banded((1, 1), jacobian(problem, 0.0, sub), -residual(problem, 0.0, sub))
+        with pytest.raises(ConeViolationError):
+            residual(problem, 0.0, sub.with_values(sub.u + delta))
+        state = newton_solve(problem, 0.0, sub)
+        assert state.converged
+        assert state.increment_norms[0] < np.abs(delta).max()
 
 
 class TestMonitors:
