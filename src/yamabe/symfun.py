@@ -45,6 +45,7 @@ __all__ = [
     "classify_type",
     "f_infinity",
     "concavity_margin",
+    "concavity_margin_many",
     "concavity_margin_suite",
     "interpolation_ball_report",
     "verify_structure",
@@ -82,16 +83,32 @@ def _esp(values, kmax):
     return out
 
 
+def _esp_removed(values, kmax):
+    """e_0..e_kmax of every tuple with one entry removed, as a (kmax + 1, n, m) array.
+
+    Slot [j, i, r] is e_j of row r without its entry i.  Every slot runs the
+    recurrence of `_esp` over the remaining entries in their order, so each
+    slot is bit-identical to `_esp` of the reduced tuple; the row axis is the
+    contiguous one.  Lower orders do not depend on kmax.  Callers copy a
+    slot's transpose to C order, so that row sums of the gradient (pairwise
+    from n = 8 on) round as for any C-ordered (m, n) array.
+    """
+    m, n = values.shape
+    out = np.zeros((kmax + 1, n, m))
+    out[0] = 1.0
+    for col in range(n):
+        x = values[:, col]
+        for slots in (slice(0, col), slice(col + 1, n)):
+            out[1:, slots] += x * out[:-1, slots]
+    return out
+
+
 def _esp_gradient(values, j):
     """Gradient of sigma_j: entry i is e_{j-1} of the tuple with entry i removed."""
     m, n = values.shape
     if j == 0:
         return np.zeros((m, n))
-    grad = np.empty((m, n))
-    for i in range(n):
-        reduced = np.delete(values, i, axis=1)
-        grad[:, i] = _esp(reduced, j - 1)[:, j - 1]
-    return grad
+    return _esp_removed(values, j - 1)[j - 1].T.copy()
 
 
 def sigma(lam, k):
@@ -161,6 +178,15 @@ class EigenTuple:
 # the interpolation family shared by all cone-function specs
 # ---------------------------------------------------------------------------
 
+def _t_map(t, v):
+    """Rows of v sent to t*lam + (1-t)*sigma_1(lam)*e; t is a scalar or an (m, 1) column.
+
+    The map is symmetric, so it also carries gradients back (the chain rule
+    of the t-family).
+    """
+    return t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
+
+
 class _InterpolationFamily:
     """Mixin deriving the t-family from value/grad/margin of the base pair.
 
@@ -170,7 +196,7 @@ class _InterpolationFamily:
 
     def interpolate(self, t, lam):
         v, single = self._validated(lam)
-        m = t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
+        m = _t_map(t, v)
         return m[0] if single else m
 
     def _validated(self, lam):
@@ -197,8 +223,7 @@ class _InterpolationFamily:
 
     def margin_scores_t(self, t, lam):
         v, _ = self._validated(lam)
-        m = t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
-        return self.margin_scores(m)
+        return self.margin_scores(_t_map(t, v))
 
     # -- values and derivatives --------------------------------------------
 
@@ -216,8 +241,7 @@ class _InterpolationFamily:
 
     def value_t_many(self, t, lam):
         v, _ = self._validated(lam)
-        m = t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
-        return self.value_many(m)
+        return self.value_many(_t_map(t, v))
 
     def grad_t(self, t, lam):
         v, _ = self._validated(lam)
@@ -226,9 +250,7 @@ class _InterpolationFamily:
     def grad_t_many(self, t, lam):
         """Chain rule through lam -> t*lam + (1-t)*sigma_1(lam)*e."""
         v, _ = self._validated(lam)
-        m = t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
-        g = self.grad_many(m)
-        return t * g + (1.0 - t) * g.sum(axis=1, keepdims=True)
+        return _t_map(t, self.grad_many(_t_map(t, v)))
 
     def normal(self, t, lam):
         """Unit normal Df_t/|Df_t| of the level set through lam."""
@@ -316,11 +338,13 @@ class SymFuncSpec(_InterpolationFamily):
         values = np.asarray(values, dtype=float)
         self._require_inside(values)
         e = _esp(values, self.k)
-        gk = _esp_gradient(values, self.k)
+        # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
+        removed = _esp_removed(values, self.k - 1)
+        gk = removed[self.k - 1].T.copy()
         if self.kind == "sigma_k_root":
             f = e[:, self.k] ** (1.0 / self.k)
             return (f / self.k)[:, None] * gk / e[:, self.k][:, None]
-        gl = _esp_gradient(values, self.l)
+        gl = removed[self.l - 1].T.copy()
         f = (e[:, self.k] / e[:, self.l]) ** (1.0 / (self.k - self.l))
         log_grad = gk / e[:, self.k][:, None] - gl / e[:, self.l][:, None]
         return (f / (self.k - self.l))[:, None] * log_grad
@@ -674,39 +698,36 @@ def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
 
 def _boundary_decay_check(spec, samples, rng, rays=64):
     """f must vanish continuously on the cone boundary along straight rays."""
-    worst_ratio = 0.0
-    ordered = True
-    fractions = (1e-2, 1e-4, 1e-6)
+    fractions = np.array([1e-2, 1e-4, 1e-6])[:, None, None]
     pts = samples[rng.choice(samples.shape[0], size=min(rays, samples.shape[0]), replace=False)]
-    for lam in pts:
-        scale = max(1.0, float(np.abs(lam).max()))
+    doublings = 2.0 ** np.arange(60)
+    directions = np.empty_like(pts)
+    hi = np.empty(pts.shape[0])
+    for r, lam in enumerate(pts):
+        # directions are drawn ray by ray until one leaves the cone, so the
+        # draw count depends on the outcomes; all doublings test in one call
+        reach = max(1.0, float(np.abs(lam).max())) * doublings
         for _ in range(40):
             direction = rng.standard_normal(lam.size)
             direction /= np.linalg.norm(direction)
-            hi = scale
-            exited = False
-            for _ in range(60):
-                if spec.margin_scores((lam + hi * direction)[None, :])[0] <= 0.0:
-                    exited = True
-                    break
-                hi *= 2.0
-            if exited:
+            outside = np.nonzero(spec.margin_scores(lam + reach[:, None] * direction) <= 0.0)[0]
+            if outside.size:
+                directions[r] = direction
+                hi[r] = reach[outside[0]]
                 break
         else:
             raise NumericalError("could not find an exiting ray for the decay check")
-        lo = 0.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if spec.margin_scores((lam + mid * direction)[None, :])[0] > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        boundary = lam + 0.5 * (lo + hi) * direction
-        vals = [spec.value(lam + (1.0 - frac) * (boundary - lam)) for frac in fractions]
-        if not all(a > b for a, b in zip(vals, vals[1:])):
-            ordered = False
-        worst_ratio = max(worst_ratio, vals[-1] / vals[0])
-    return ordered, worst_ratio
+    lo = np.zeros_like(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        inside = spec.margin_scores(pts + mid[:, None] * directions) > 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    boundary = pts + (0.5 * (lo + hi))[:, None] * directions
+    probes = pts + (1.0 - fractions) * (boundary - pts)
+    vals = spec.value_many(probes.reshape(-1, pts.shape[1])).reshape(probes.shape[:2])
+    ordered = bool(np.all((vals[0] > vals[1]) & (vals[1] > vals[2])))
+    return ordered, max(0.0, float((vals[2] / vals[0]).max()))
 
 
 def verify_structure(spec, sample_count=1000, seed=0):
@@ -820,20 +841,35 @@ def concavity_margin(spec, t, mu, lam, beta):
 
     which is positive, uniformly over mu in a compact subset of the cone.
     """
-    mu = np.asarray(mu, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if not spec.contains(mu):
+    eps = concavity_margin_many(spec, [t], mu, lam, beta)[0]
+    return None if np.isnan(eps) else float(eps)
+
+
+def concavity_margin_many(spec, ts, mus, lams, beta):
+    """Row-wise :func:`concavity_margin` over stacks of t values, mus and lams.
+
+    ts has one entry per row; mus and lams are (m, n).  Rows whose normals are
+    within beta of each other read NaN.  Raises ConeDomainError when any mu
+    lies outside the cone or any lam outside its interpolated cone.
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1, 1)
+    mus, _ = spec._validated(mus)
+    lams, _ = spec._validated(lams)
+    mapped_mu = _t_map(ts, mus)
+    mapped_lam = _t_map(ts, lams)
+    if np.any(spec.margin_scores(mus) <= spec.margin):
         raise ConeDomainError("mu must lie in the cone")
-    if not spec.in_cone_t(t, lam):
+    if np.any(spec.margin_scores(mapped_lam) <= spec.margin):
         raise ConeDomainError("lam must lie in the interpolated cone")
-    nu_mu = spec.normal(t, mu)
-    nu_lam = spec.normal(t, lam)
-    if np.linalg.norm(nu_mu - nu_lam) <= beta:
-        return None
-    g = spec.grad_t(t, lam)
-    lhs = float(g @ (mu - lam))
-    rhs = spec.value_t(t, mu) - spec.value_t(t, lam)
-    return (lhs - rhs) / (float(g.sum()) + 1.0)
+    g_mu = _t_map(ts, spec.grad_many(mapped_mu))
+    g_lam = _t_map(ts, spec.grad_many(mapped_lam))
+    nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)
+    nu_lam = g_lam / np.linalg.norm(g_lam, axis=1, keepdims=True)
+    separated = np.linalg.norm(nu_mu - nu_lam, axis=1) > beta
+    lhs = (g_lam * (mus - lams)).sum(axis=1)
+    rhs = spec.value_many(mapped_mu) - spec.value_many(mapped_lam)
+    eps = (lhs - rhs) / (g_lam.sum(axis=1) + 1.0)
+    return np.where(separated, eps, np.nan)
 
 
 @dataclass
@@ -868,25 +904,19 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
         if rounds > 60:
             raise NumericalError("separation sampling stalled; beta may be too large")
         pool = max(256, samples - kept)
-        cone_pool = sample_cone(spec, pool, rng, scale_low=-1.0, scale_high=1.5)
+        lams = sample_cone(spec, pool, rng, scale_low=-1.0, scale_high=1.5)
         ts = rng.uniform(0.0, 1.0, size=pool)
         mus = 1.0 + rng.uniform(-0.45, 0.45, size=(pool, n))
         use_ball = rng.uniform(size=pool) >= 0.7
-        for i in range(pool):
-            if kept >= samples:
-                break
-            t = float(ts[i])
-            if use_ball[i]:
-                r = 0.99 * (1.0 - t) / (2.0 * n)
-                v = rng.standard_normal(n)
-                lam = axis + r * v / np.linalg.norm(v)
-                if not spec.in_cone_t(t, lam):
-                    continue
-            else:
-                lam = cone_pool[i]
-            eps = concavity_margin(spec, t, mus[i], lam, beta)
-            if eps is None:
-                continue
-            kept += 1
-            min_margin = min(min_margin, eps)
+        # one draw of n normals per ball row, in row order: the same stream
+        # as drawing row by row
+        r = 0.99 * (1.0 - ts[use_ball]) / (2.0 * n)
+        v = rng.standard_normal((r.size, n))
+        lams[use_ball] = axis + r[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)
+        usable = ~use_ball
+        usable[use_ball] = spec.margin_scores_t(ts[use_ball][:, None], lams[use_ball]) > spec.margin
+        eps = concavity_margin_many(spec, ts[usable], mus[usable], lams[usable], beta)
+        eps = eps[~np.isnan(eps)][: samples - kept]
+        kept += eps.size
+        min_margin = float(np.min(eps, initial=min_margin))
     return SeparationReport(label=spec.label, beta=beta, kept=kept, min_margin=float(min_margin))

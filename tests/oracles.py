@@ -1,8 +1,10 @@
 """Independent reference computations the tests check the package against.
 
 Everything here deliberately avoids the code paths it validates: elementary
-symmetric polynomials come from subset enumeration, gradients from central
-differences, Jacobian columns from bumping one nodal value of the residual,
+symmetric polynomials come from subset enumeration, their gradients from
+deleting one coordinate at a time, other gradients from central
+differences, the structure suites from one sample and one bisection step at
+a time, Jacobian columns from bumping one nodal value of the residual,
 cone distances from dense direction sampling, and the stopping time of the
 radial problem from integrating the second-order equation itself (never its
 first integral).
@@ -14,8 +16,9 @@ import math
 import numpy as np
 from scipy import integrate
 
-from yamabe._errors import ConeViolationError
+from yamabe._errors import ConeDomainError, ConeViolationError, NumericalError
 from yamabe.solver import residual
+from yamabe.symfun import sample_cone
 
 
 def sigma_by_enumeration(values, k):
@@ -23,6 +26,27 @@ def sigma_by_enumeration(values, k):
     if k == 0:
         return 1.0
     return float(sum(math.prod(c) for c in itertools.combinations(values, k)))
+
+
+def esp_gradient_by_deletion(values, j):
+    """Gradient of sigma_j row by row: column i is e_{j-1} of the row without entry i.
+
+    Deletes one coordinate at a time and runs the one-pass recurrence
+    e_j <- e_j + x e_{j-1} over the remaining columns in their order.
+    """
+    values = np.asarray(values, dtype=float)
+    m, n = values.shape
+    grad = np.zeros((m, n))
+    if j == 0:
+        return grad
+    for i in range(n):
+        reduced = np.delete(values, i, axis=1)
+        e = np.zeros((m, j))
+        e[:, 0] = 1.0
+        for col in range(n - 1):
+            e[:, 1:] = e[:, 1:] + reduced[:, col:col + 1] * e[:, :-1]
+        grad[:, i] = e[:, j - 1]
+    return grad
 
 
 def gradient_by_differences(func, x, step=1e-6):
@@ -240,3 +264,91 @@ def reference_profile_by_first_integral(params, times):
             continue
         out[i] = optimize.brentq(shifted, lo, hi, xtol=1e-14, rtol=8.9e-16)
     return out
+
+
+def separation_margin_by_loop(spec, samples, beta, seed):
+    """The separated-normal concavity margins, one (t, mu, lam) sample at a time.
+
+    Draws exactly as the structure suite does (cone pool, t, mu, ball choice
+    per round, then one ball direction per ball row in row order) and
+    evaluates each sample with the per-row value, gradient and normal of the
+    spec.  Returns (kept, min_margin).
+    """
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    axis = np.zeros(n)
+    axis[-1] = 1.0
+    kept = 0
+    min_margin = math.inf
+    rounds = 0
+    while kept < samples:
+        rounds += 1
+        if rounds > 60:
+            raise NumericalError("separation sampling stalled")
+        pool = max(256, samples - kept)
+        cone_pool = sample_cone(spec, pool, rng, scale_low=-1.0, scale_high=1.5)
+        ts = rng.uniform(0.0, 1.0, size=pool)
+        mus = 1.0 + rng.uniform(-0.45, 0.45, size=(pool, n))
+        use_ball = rng.uniform(size=pool) >= 0.7
+        for i in range(pool):
+            if kept >= samples:
+                break
+            t = float(ts[i])
+            mu = mus[i]
+            if use_ball[i]:
+                r = 0.99 * (1.0 - t) / (2.0 * n)
+                v = rng.standard_normal(n)
+                lam = axis + r * v / np.linalg.norm(v)
+                if not spec.in_cone_t(t, lam):
+                    continue
+            else:
+                lam = cone_pool[i]
+            if not spec.contains(mu) or not spec.in_cone_t(t, lam):
+                raise ConeDomainError("sample outside the cone")
+            if np.linalg.norm(spec.normal(t, mu) - spec.normal(t, lam)) <= beta:
+                continue
+            g = spec.grad_t(t, lam)
+            lhs = float(g @ (mu - lam))
+            rhs = spec.value_t(t, mu) - spec.value_t(t, lam)
+            kept += 1
+            min_margin = min(min_margin, (lhs - rhs) / (float(g.sum()) + 1.0))
+    return kept, min_margin
+
+
+def boundary_decay_by_loop(spec, samples, rng, rays=64):
+    """Decay of f towards the cone boundary, one ray and one bisection step at a time.
+
+    Draws ray directions until one leaves the cone within 60 doublings,
+    bisects the exit to 100 halvings, and compares f at 1e-2, 1e-4 and
+    1e-6 of the way back from the boundary.  Returns (ordered, worst ratio).
+    """
+    worst_ratio = 0.0
+    ordered = True
+    pts = samples[rng.choice(samples.shape[0], size=min(rays, samples.shape[0]), replace=False)]
+    for lam in pts:
+        scale = max(1.0, float(np.abs(lam).max()))
+        for _ in range(40):
+            direction = rng.standard_normal(lam.size)
+            direction /= np.linalg.norm(direction)
+            hi = scale
+            for _ in range(60):
+                if spec.margin_scores((lam + hi * direction)[None, :])[0] <= 0.0:
+                    break
+                hi *= 2.0
+            else:
+                continue
+            break
+        else:
+            raise NumericalError("no exiting ray")
+        lo = 0.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if spec.margin_scores((lam + mid * direction)[None, :])[0] > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        boundary = lam + 0.5 * (lo + hi) * direction
+        vals = [spec.value(lam + (1.0 - frac) * (boundary - lam)) for frac in (1e-2, 1e-4, 1e-6)]
+        ordered = ordered and vals[0] > vals[1] > vals[2]
+        worst_ratio = max(worst_ratio, vals[2] / vals[0])
+    return ordered, worst_ratio

@@ -10,8 +10,12 @@ from yamabe.symfun import (
     BrokenHomogeneitySpec,
     EigenTuple,
     SymFuncSpec,
+    _boundary_decay_check,
+    _esp,
+    _esp_gradient,
     classify_type,
     concavity_margin,
+    concavity_margin_many,
     concavity_margin_suite,
     f_infinity,
     growth_radius,
@@ -24,9 +28,12 @@ from yamabe.symfun import (
 )
 
 from oracles import (
+    boundary_decay_by_loop,
     cone_distance_brute_force,
+    esp_gradient_by_deletion,
     gradient_by_differences,
     matrix_derivative_by_differences,
+    separation_margin_by_loop,
     sigma_by_enumeration,
 )
 
@@ -73,6 +80,40 @@ class TestSigma:
         for i in range(5):
             reduced = np.delete(lam, i)
             assert g[i] == pytest.approx(sigma_by_enumeration(reduced, 2), rel=1e-12)
+
+
+class TestEspGradient:
+    def test_equals_deletion_reference_exactly(self):
+        rng = np.random.default_rng(21)
+        for n in range(3, 7):
+            for m in (1, 7, 4001):
+                values = 2.0 * rng.standard_normal((m, n))
+                for j in range(n + 1):
+                    assert np.array_equal(_esp_gradient(values, j),
+                                          esp_gradient_by_deletion(values, j)), (n, m, j)
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(22)
+        for n in range(3, 7):
+            values = 2.0 * rng.standard_normal((7, n))
+            for j in range(1, n + 1):
+                grad = _esp_gradient(values, j)
+                for row, g in zip(values, grad):
+                    for i in range(n):
+                        reduced = np.delete(row, i)
+                        scale = sigma_by_enumeration(np.abs(reduced), j - 1)
+                        assert abs(g[i] - sigma_by_enumeration(reduced, j - 1)) <= 1e-12 * scale
+
+    def test_quotient_gradient_from_one_pass(self):
+        rng = np.random.default_rng(23)
+        for n, k, l in ((4, 2, 1), (5, 4, 2), (6, 5, 3)):
+            spec = SymFuncSpec("quotient", n=n, k=k, l=l)
+            values = sample_cone(spec, 500, rng)
+            e = _esp(values, k)
+            log_grad = (esp_gradient_by_deletion(values, k) / e[:, k][:, None]
+                        - esp_gradient_by_deletion(values, l) / e[:, l][:, None])
+            expected = (spec.value_many(values) / (k - l))[:, None] * log_grad
+            assert np.array_equal(spec.grad_many(values), expected)
 
 
 class TestConeMembership:
@@ -379,6 +420,16 @@ class TestVerifyStructure:
         with pytest.raises(ValueError):
             verify_structure(S24, sample_count=0)
 
+    @pytest.mark.parametrize("spec", [S24, Q21, SymFuncSpec("sigma_k_root", n=5, k=5)],
+                             ids=lambda s: s.label)
+    def test_decay_check_matches_per_ray_reference(self, spec):
+        pts = sample_cone(spec, 300, np.random.default_rng(31))
+        rng_batched = np.random.default_rng(32)
+        rng_loop = np.random.default_rng(32)
+        assert _boundary_decay_check(spec, pts, rng_batched) == boundary_decay_by_loop(
+            spec, pts, rng_loop)
+        assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
+
 
 class TestBallInclusion:
     def test_passes_default_grid(self):
@@ -415,6 +466,70 @@ class TestConcavityMargin:
         report = concavity_margin_suite(S23, samples=2000, beta=0.2, seed=0)
         assert report.passed
         assert report.min_margin > 0
+
+    @pytest.mark.parametrize("spec", [S23, SymFuncSpec("sigma_k_root", n=5, k=4),
+                                      SymFuncSpec("quotient", n=4, k=2, l=1)],
+                             ids=lambda s: s.label)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_suite_matches_per_sample_reference(self, spec, seed):
+        report = concavity_margin_suite(spec, samples=300, beta=0.2, seed=seed)
+        kept, min_margin = separation_margin_by_loop(spec, 300, 0.2, seed)
+        assert report.kept == kept
+        assert report.min_margin == pytest.approx(min_margin, rel=1e-12)
+
+    def test_batched_kernel_rejects_mu_outside_cone(self):
+        mus = np.ones((3, 3))
+        mus[1] = (-1.0, 0.0, 0.5)
+        with pytest.raises(ConeDomainError, match="mu"):
+            concavity_margin_many(S23, [1.0, 0.5, 0.2], mus, np.ones((3, 3)), 0.2)
+
+    def test_batched_kernel_rejects_lam_outside_interpolated_cone(self):
+        lams = np.ones((3, 3))
+        lams[2] = (-1.0, -1.0, 0.5)  # sigma_1 < 0: outside Gamma_t for every t
+        with pytest.raises(ConeDomainError, match="lam"):
+            concavity_margin_many(S23, [1.0, 0.5, 0.2], np.ones((3, 3)), lams, 0.2)
+        with pytest.raises(ConeDomainError, match="lam"):
+            concavity_margin(S23, 0.2, np.ones(3), lams[2], 0.2)
+
+
+class TestSuiteCallCounts:
+    """The structure suites evaluate in batches: one cone test per sampling
+    round and per bisection step, not per sample or per ray."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        score = SymFuncSpec.margin_scores
+
+        def counting(self, values):
+            calls.append(len(values))
+            return score(self, values)
+
+        monkeypatch.setattr(SymFuncSpec, "margin_scores", counting)
+        return calls
+
+    def test_separation_suite(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        counts = []
+        for samples in (500, 5000):
+            calls.clear()
+            concavity_margin_suite(S23, samples=samples, beta=0.2, seed=0)
+            counts.append(len(calls))
+        # only the number of sampling rounds grows, like log(samples)
+        assert counts[1] < 3 * counts[0]
+        assert counts[1] < 5000 // 10
+
+    def test_verify_structure(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        counts = []
+        for samples in (200, 2000):
+            calls.clear()
+            verify_structure(S24, sample_count=samples, seed=0)
+            counts.append(len(calls))
+        # flat up to the cone sampler's rejection rounds; the decay check's
+        # 64 rays bisect in lockstep (100 calls, not 6400)
+        assert counts[1] < counts[0] + 20
+        assert counts[0] < 400
 
 
 class TestEigenTuple:
