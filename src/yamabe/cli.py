@@ -136,9 +136,10 @@ def _write_profile_csv(path, resolved, profile, residual_column, extra_comments=
     lines = [f"# format {FORMAT_VERSION} profile", f"# config {_config_comment(resolved)}"]
     lines += list(extra_comments)
     lines.append("x,u,du,d2u,residual")
-    for x, u, du, d2u, res in zip(profile.grid, profile.u, profile.du, profile.d2u,
-                                  residual_column):
-        lines.append(",".join(_fmt(float(v)) for v in (x, u, du, d2u, res)))
+    # '%.17g' % x equals _fmt(x) for every float, nan, infinities and -0.0 included
+    columns = (profile.grid, profile.u, profile.du, profile.d2u, residual_column)
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % row
+              for row in zip(*(np.asarray(col, dtype=float).tolist() for col in columns))]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .symfun import EigenTuple
+from .symfun import EigenTuple, _radial_rows
 
 __all__ = [
     "CylinderGeometry",
@@ -200,8 +200,7 @@ def radial_w_eigenvalues(n, du, d2u):
 
 def radial_eigen_rows(n, du, d2u):
     """Unsorted per-node eigenvalue rows (axis, sphere x (n-1)) of W[u]."""
-    axis, sphere = radial_w_eigenvalues(n, du, d2u)
-    return np.concatenate([axis[:, None], np.repeat(sphere[:, None], n - 1, axis=1)], axis=1)
+    return _radial_rows(*radial_w_eigenvalues(n, du, d2u), n)
 
 
 def w_eigen_radial(geom, profile, spec=None, t=None):

@@ -15,6 +15,9 @@ probe direction, in O(m) memory and with a fixed relative tolerance.
 Newton evaluates each state once: one residual call supplies the residual
 vector and the minimum cone margin (a trial outside the cone raises there),
 and the returned state carries them with the norm of every accepted step.
+Residual, Jacobian and cone screen go through the spec's two-value kernel
+`radial_eval` on the (axis, sphere) eigenvalue vectors; it is bit-identical
+to the generic path on the full (m, n) eigenvalue rows.
 
 Continuation walks an ascending t schedule, warm-starting each solve from the
 previous profile, and records per-t monitors: sup norms of u and its first
@@ -45,6 +48,7 @@ from .geometry import (
     _interior_second_weights,
     first_derivative,
     radial_eigen_rows,
+    radial_w_eigenvalues,
     second_derivative,
 )
 
@@ -159,16 +163,21 @@ def _grid_for(problem, profile):
     return profile.grid
 
 
+def _radial_eval(problem, t, du, d2u, grad=False):
+    """The spec's radial kernel at the interior nodes."""
+    axis, sphere = radial_w_eigenvalues(problem.geom.n, du[1:-1], d2u[1:-1])
+    return problem.spec.radial_eval(t, axis, sphere, grad=grad)
+
+
 def _inside_cone(problem, t, profile):
-    rows = radial_eigen_rows(problem.geom.n, profile.du[1:-1], profile.d2u[1:-1])
-    return problem.spec.margin_scores_t(t, rows).min() > problem.spec.margin
+    scores = _radial_eval(problem, t, profile.du, profile.d2u).scores
+    return scores.min() > problem.spec.margin
 
 
 def _residual(problem, t, grid, u, du, d2u):
     """Residual vector and minimum cone margin score from nodal values and
     their stencil derivatives; raises when a node leaves the cone."""
-    rows = radial_eigen_rows(problem.geom.n, du[1:-1], d2u[1:-1])
-    scores = problem.spec.margin_scores_t(t, rows)
+    scores, value, _, _ = _radial_eval(problem, t, du, d2u)
     bad = np.nonzero(scores <= problem.spec.margin)[0]
     if bad.size:
         node = int(bad[0]) + 1
@@ -180,8 +189,7 @@ def _residual(problem, t, grid, u, du, d2u):
     out = np.empty(grid.size)
     out[0] = u[0] - problem.phi_left
     out[-1] = u[-1] - problem.phi_right
-    out[1:-1] = problem.spec.value_t_many(t, rows) \
-        - np.asarray(problem.psi(grid[1:-1], u[1:-1]), dtype=float)
+    out[1:-1] = value - np.asarray(problem.psi(grid[1:-1], u[1:-1]), dtype=float)
     return out, float(scores.min())
 
 
@@ -205,10 +213,8 @@ def jacobian(problem, t, profile):
     """
     grid = _grid_for(problem, profile)
     m = grid.size
+    _, _, g_axis, g_sphere = _radial_eval(problem, t, profile.du, profile.d2u, grad=True)
     du = profile.du[1:-1]
-    g = problem.spec.grad_t_many(t, radial_eigen_rows(problem.geom.n, du, profile.d2u[1:-1]))
-    g_axis = g[:, 0]
-    g_sphere = g[:, 1:].sum(axis=1)
     psi_z = np.asarray(problem.psi_z(grid[1:-1], profile.u[1:-1]), dtype=float)
     c1 = _interior_first_weights(grid)
     c2 = _interior_second_weights(grid)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "StructureReport",
     "BallInclusionReport",
     "SeparationReport",
+    "RadialEvaluation",
     "sigma",
     "sigma_gradient",
     "matrix_value_and_derivative",
@@ -135,13 +137,86 @@ def _cone_scores(values, order):
     Zero rows score -inf (the origin is not in the open cone); rows with a
     vanishing sigma_j(|lam|) (too few nonzero entries) score at most zero.
     """
-    e = _esp(values, order)
-    scale = _esp(np.abs(values), order)
-    scores = np.where(np.abs(values).max(axis=1) > 0.0, np.inf, -np.inf)
+    absolute = np.abs(values)
+    return _min_ratio(_esp(values, order).T, _esp(absolute, order).T,
+                      absolute.max(axis=1) > 0.0, order)
+
+
+def _min_ratio(e, scale, nonzero, order):
+    """The score loop of `_cone_scores`; e[j] and scale[j] are per-row vectors."""
+    scores = np.where(nonzero, np.inf, -np.inf)
     tiny = np.finfo(float).tiny
     for j in range(1, order + 1):
-        scores = np.minimum(scores, e[:, j] / np.maximum(scale[:, j], tiny))
+        scores = np.minimum(scores, e[j] / np.maximum(scale[j], tiny))
     return scores
+
+
+# ---------------------------------------------------------------------------
+# the radial tuples (a, s, ..., s)
+# ---------------------------------------------------------------------------
+
+def _radial_rows(a, s, n):
+    """The (m, n) rows (a, s, ..., s) from the (m,) vectors a and s."""
+    a = np.asarray(a, dtype=float)
+    s = np.asarray(s, dtype=float)
+    return np.concatenate([a[:, None], np.repeat(s[:, None], n - 1, axis=1)], axis=1)
+
+
+def _row_sum(head, tail, n):
+    """numpy's sum of each length-n row (head, tail, ..., tail), head and tail (m,).
+
+    numpy adds the pairwise sum of a row to a 0.0 start.  Repeating its
+    additions keeps the two-value path bit-identical to the row sums of the
+    (m, n) path.
+    """
+    return 0.0 + _pairwise_sum(head, tail, n)
+
+
+def _pairwise_sum(head, tail, n):
+    """numpy's pairwise_sum: in order below 8 entries, with eight strided
+    accumulators from 8 on, and by halves at a multiple of 8 above 128."""
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(head, tail, half) + _pairwise_sum(tail, tail, n - half)
+    if n < 8:
+        total = head
+        for _ in range(n - 1):
+            total = total + tail
+        return total
+    first, other = head, tail
+    for _ in range(n // 8 - 1):
+        first = first + tail
+        other = other + tail
+    pair = other + other
+    total = ((first + other) + pair) + (pair + pair)
+    for _ in range(n % 8):
+        total = total + tail
+    return total
+
+
+def _esp_radial(a, s, n, kmax):
+    """e_0..e_kmax of the tuples (a, s, ..., s) of length n, as lists of (m,) vectors.
+
+    Returns the list for the whole tuple and the one for the tuple without
+    one s.  The `_esp` recurrence runs over the entries in the same order, so
+    each vector is bit-identical to the matching column of `_esp` (and of a
+    `_esp_removed` slot) on the (m, n) rows.
+    """
+    e = [np.ones_like(a)] + [np.zeros_like(a)] * kmax
+    for col in range(n):
+        cut = e
+        x = a if col == 0 else s
+        e = [e[0]] + [e[j] + x * e[j - 1] for j in range(1, kmax + 1)]
+    return e, cut
+
+
+class RadialEvaluation(NamedTuple):
+    """What `SymFuncSpec.radial_eval` computes in one pass; see there."""
+
+    scores: np.ndarray
+    value: np.ndarray | None
+    grad_axis: np.ndarray | None
+    grad_sphere: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +332,28 @@ class _InterpolationFamily:
         g = self.grad_t(t, lam)
         return g / np.linalg.norm(g)
 
+    # -- radial tuples -------------------------------------------------------
+
+    def radial_eval(self, t, a, s, grad=False):
+        """Cone scores, f_t and its gradient on the radial tuples (a, s, ..., s).
+
+        a and s are (m,) vectors of axis and sphere eigenvalues (see
+        geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.
+        Returns the margin scores, and when every row scores above the
+        margin also f_t and, with grad, the axis slot of Df_t and the sum of
+        its n - 1 sphere slots.  Outside the cone value is None, and asking
+        for the gradient raises ConeDomainError, as grad_t_many does.  This
+        version evaluates the full (m, n) rows.
+        """
+        rows = _radial_rows(a, s, self.n)
+        scores = self.margin_scores_t(t, rows)
+        if grad:
+            g = self.grad_t_many(t, rows)
+            return RadialEvaluation(scores, self.value_t_many(t, rows), g[:, 0], g[:, 1:].sum(axis=1))
+        if np.any(scores <= self.margin):
+            return RadialEvaluation(scores, None, None, None)
+        return RadialEvaluation(scores, self.value_t_many(t, rows), None, None)
+
 
 # ---------------------------------------------------------------------------
 # the two classical families
@@ -316,7 +413,9 @@ class SymFuncSpec(_InterpolationFamily):
         return _cone_scores(np.asarray(values, dtype=float), self.k)
 
     def _require_inside(self, values):
-        scores = self.margin_scores(values)
+        self._require_scores_inside(self.margin_scores(values))
+
+    def _require_scores_inside(self, scores):
         bad = np.nonzero(scores <= self.margin)[0]
         if bad.size:
             raise ConeDomainError(
@@ -329,10 +428,7 @@ class SymFuncSpec(_InterpolationFamily):
     def value_many(self, values):
         values = np.asarray(values, dtype=float)
         self._require_inside(values)
-        e = _esp(values, self.k)
-        if self.kind == "sigma_k_root":
-            return e[:, self.k] ** (1.0 / self.k)
-        return (e[:, self.k] / e[:, self.l]) ** (1.0 / (self.k - self.l))
+        return self._value_from(_esp(values, self.k).T)
 
     def grad_many(self, values):
         values = np.asarray(values, dtype=float)
@@ -341,13 +437,59 @@ class SymFuncSpec(_InterpolationFamily):
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
         removed = _esp_removed(values, self.k - 1)
         gk = removed[self.k - 1].T.copy()
+        f = self._value_from(e.T)
         if self.kind == "sigma_k_root":
-            f = e[:, self.k] ** (1.0 / self.k)
             return (f / self.k)[:, None] * gk / e[:, self.k][:, None]
         gl = removed[self.l - 1].T.copy()
-        f = (e[:, self.k] / e[:, self.l]) ** (1.0 / (self.k - self.l))
         log_grad = gk / e[:, self.k][:, None] - gl / e[:, self.l][:, None]
         return (f / (self.k - self.l))[:, None] * log_grad
+
+    def _value_from(self, e):
+        """f from the ESP vectors e_0..e_k of the tuples."""
+        if self.kind == "sigma_k_root":
+            return e[self.k] ** (1.0 / self.k)
+        return (e[self.k] / e[self.l]) ** (1.0 / (self.k - self.l))
+
+    # -- the radial kernel -------------------------------------------------------
+
+    def radial_eval(self, t, a, s, grad=False):
+        """The radial kernel of the interpolation family, in one pass.
+
+        One ESP pass over the two distinct t-mapped values yields what the
+        generic version computes from the (m, n) rows.  Each result repeats
+        the additions and multiplications of margin_scores_t, value_t_many
+        and grad_t_many on those rows in their order, numpy's row sums
+        included, so it is bit-identical to them.
+        """
+        n, k = self.n, self.k
+        a = np.asarray(a, dtype=float)
+        s = np.asarray(s, dtype=float)
+        shift = (1.0 - t) * _row_sum(a, s, n)
+        a, s = t * a + shift, t * s + shift
+        abs_a, abs_s = np.abs(a), np.abs(s)
+        e, cut = _esp_radial(a, s, n, k)
+        scale, _ = _esp_radial(abs_a, abs_s, n, k)
+        scores = _min_ratio(e, scale, np.maximum(abs_a, abs_s) > 0.0, k)
+        if np.any(scores <= self.margin):
+            if grad:
+                self._require_scores_inside(scores)
+            return RadialEvaluation(scores, None, None, None)
+        f = self._value_from(e)
+        if not grad:
+            return RadialEvaluation(scores, f, None, None)
+        # d sigma_j is e_{j-1} of the tuple without that slot: the axis slot
+        # leaves n - 1 copies of s, a sphere slot leaves (a, s^(n-2)) = cut
+        rest, _ = _esp_radial(s, s, n - 1, k - 1)
+        if self.kind == "sigma_k_root":
+            g_a = (f / k) * rest[k - 1] / e[k]
+            g_s = (f / k) * cut[k - 1] / e[k]
+        else:
+            l = self.l
+            g_a = (f / (k - l)) * (rest[k - 1] / e[k] - rest[l - 1] / e[l])
+            g_s = (f / (k - l)) * (cut[k - 1] / e[k] - cut[l - 1] / e[l])
+        shift = (1.0 - t) * _row_sum(g_a, g_s, n)
+        g_s = t * g_s + shift
+        return RadialEvaluation(scores, f, t * g_a + shift, _row_sum(g_s, g_s, n - 1))
 
     def projected(self):
         return ProjectedCone.from_spec(self)
@@ -890,7 +1032,8 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
     mu is drawn from the fixed compact box e + [-0.45, 0.45]^n (inside every
     cone used here), lam from a broad mixture of cone samples and points near
     the axis ball, t uniformly in [0, 1].  Only pairs with normal separation
-    beyond beta contribute.
+    beyond beta contribute; NumericalError is raised when 200 * max(samples,
+    256) drawn pairs have not yielded samples of them.
     """
     rng = np.random.default_rng(seed)
     n = spec.n
@@ -898,12 +1041,15 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
     axis[-1] = 1.0
     kept = 0
     min_margin = math.inf
-    rounds = 0
+    # where few pairs separate, rounds shrink to the 256-row floor, so the
+    # budget counts drawn pairs, not rounds
+    budget = 200 * max(samples, 256)
+    drawn = 0
     while kept < samples:
-        rounds += 1
-        if rounds > 60:
+        if drawn >= budget:
             raise NumericalError("separation sampling stalled; beta may be too large")
         pool = max(256, samples - kept)
+        drawn += pool
         lams = sample_cone(spec, pool, rng, scale_low=-1.0, scale_high=1.5)
         ts = rng.uniform(0.0, 1.0, size=pool)
         mus = 1.0 + rng.uniform(-0.45, 0.45, size=(pool, n))

@@ -8,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from yamabe import cli
 from yamabe.cli import main
+from yamabe.geometry import RadialProfile
 
 
 def run_cli(args):
@@ -166,6 +169,14 @@ class TestSolveCommand:
         profiles = sorted(out.glob("profile_*.csv"))
         assert len(profiles) == 3
 
+    def test_broken_fixture_runs_through_the_generic_kernel(self, solve_config, tmp_path):
+        # BrokenHomogeneitySpec has no two-value kernel of its own; the
+        # solver evaluates it on the full eigenvalue rows
+        config = json.loads(Path(solve_config).read_text())
+        config["function"] = {"kind": "sigma1_squared_broken"}
+        assert run_cli(["solve", write_config(tmp_path / "broken.json", config)]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
+
     def test_example_data_run(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {
             "n": 4,
@@ -250,6 +261,23 @@ class TestSolveCommand:
         first = (tmp_path / "out" / "monitors.csv").read_bytes()
         run_cli(["solve", solve_config])
         assert (tmp_path / "out" / "monitors.csv").read_bytes() == first
+
+
+class TestProfileCsv:
+    SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e16, 123456789.0, 2.0 ** -1074 * 3)
+
+    def test_rows_equal_the_per_value_format(self, tmp_path):
+        special = np.array(self.SPECIAL)
+        with np.errstate(all="ignore"):
+            profile = RadialProfile(np.linspace(-1.0, 1.0, special.size), special[::-1])
+            columns = (profile.grid, profile.u, profile.du, profile.d2u, special)
+            cli._write_profile_csv(tmp_path / "p.csv", {"command": "test"}, profile, special)
+        expected = [",".join(cli._fmt(float(v)) for v in row) for row in zip(*columns)]
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        assert lines[lines.index("x,u,du,d2u,residual") + 1:] == expected
+        assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= set(
+            ",".join(expected).split(","))
 
 
 class TestEntryPoint:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from yamabe import solver
+from yamabe import solver, symfun
 from yamabe._errors import (
     ConeViolationError,
     ContinuationError,
@@ -259,25 +259,38 @@ class TestStateEvaluation:
         assert len(state.increment_norms) == state.newton_iters >= 1
 
     def test_one_margin_evaluation_per_state(self, monkeypatch):
+        # the radial kernel is the solver's only cone evaluation; its
+        # gradient calls are the Jacobians
         problem = subsolution_benchmark(node_count=401)
-        calls = {"margins": 0, "residual": 0}
-        margin_scores_t = SymFuncSpec.margin_scores_t
+        calls = {"margins": 0, "gradients": 0, "residual": 0}
+        radial_eval = SymFuncSpec.radial_eval
         evaluate = solver._residual
 
-        def counted_margins(self, t, lam):
-            calls["margins"] += 1
-            return margin_scores_t(self, t, lam)
+        def counted_kernel(self, t, a, s, grad=False):
+            calls["gradients" if grad else "margins"] += 1
+            return radial_eval(self, t, a, s, grad=grad)
 
         def counted_residual(*args):
             calls["residual"] += 1
             return evaluate(*args)
 
-        monkeypatch.setattr(SymFuncSpec, "margin_scores_t", counted_margins)
+        monkeypatch.setattr(SymFuncSpec, "radial_eval", counted_kernel)
         monkeypatch.setattr(solver, "_residual", counted_residual)
         state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
         assert state.converged
         assert calls["residual"] > state.newton_iters
         assert calls["margins"] == calls["residual"]
+        assert calls["gradients"] == state.newton_iters
+
+    def test_newton_never_builds_eigen_rows(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the (m, n) ESP path ran inside newton_solve")
+
+        problem = subsolution_benchmark(node_count=401)
+        monkeypatch.setattr(symfun, "_esp", forbidden)
+        monkeypatch.setattr(symfun, "_esp_removed", forbidden)
+        state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
+        assert state.converged and state.newton_iters >= 1
 
     def test_cone_exit_in_line_search_is_damped(self):
         # at t = 0 the undamped first Newton step from the subsolution leaves

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from yamabe._errors import ConeDomainError, UnsupportedOperationError
+from yamabe._errors import ConeDomainError, NumericalError, UnsupportedOperationError
+from yamabe.geometry import radial_eigen_rows, radial_w_eigenvalues
 from yamabe.symfun import (
     BrokenHomogeneitySpec,
     EigenTuple,
@@ -13,6 +14,7 @@ from yamabe.symfun import (
     _boundary_decay_check,
     _esp,
     _esp_gradient,
+    _row_sum,
     classify_type,
     concavity_margin,
     concavity_margin_many,
@@ -477,6 +479,27 @@ class TestConcavityMargin:
         assert report.kept == kept
         assert report.min_margin == pytest.approx(min_margin, rel=1e-12)
 
+    def test_suite_draws_unchanged(self):
+        # the pair budget replaced a cap of 60 rounds; runs that finished
+        # under the cap draw the same numbers
+        report = concavity_margin_suite(S24, samples=2000, beta=0.2, seed=0)
+        assert report.kept == 2000
+        assert report.min_margin == 0.04686606150077809
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_suite_with_few_separated_pairs_completes(self, seed):
+        # about 3.5% of the pairs separate for sigma_2 at n = 5: 60 rounds
+        # of the 256-row floor kept about 1790 of 2000
+        report = concavity_margin_suite(SymFuncSpec("sigma_k_root", n=5, k=2),
+                                        samples=2000, beta=0.2, seed=seed)
+        assert report.kept == 2000
+        assert report.passed
+
+    def test_suite_without_separated_pairs_raises(self):
+        # unit normals are at most 2 apart, so no pair separates beyond 2.5
+        with pytest.raises(NumericalError, match="stalled"):
+            concavity_margin_suite(S24, samples=50, beta=2.5, seed=0)
+
     def test_batched_kernel_rejects_mu_outside_cone(self):
         mus = np.ones((3, 3))
         mus[1] = (-1.0, 0.0, 0.5)
@@ -490,6 +513,72 @@ class TestConcavityMargin:
             concavity_margin_many(S23, [1.0, 0.5, 0.2], np.ones((3, 3)), lams, 0.2)
         with pytest.raises(ConeDomainError, match="lam"):
             concavity_margin(S23, 0.2, np.ones(3), lams[2], 0.2)
+
+
+def _all_specs(n):
+    yield from (SymFuncSpec("sigma_k_root", n=n, k=k) for k in range(1, n + 1))
+    yield from (SymFuncSpec("quotient", n=n, k=k, l=l) for k in range(2, n + 1) for l in range(1, k))
+
+
+class TestRadialKernel:
+    """radial_eval on (a, s, ..., s) against the (m, n) path on the same rows."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_bit_identical_to_the_row_path(self, n):
+        rng = np.random.default_rng(n)
+        du = rng.uniform(-0.8, 0.8, 300)
+        d2u = rng.uniform(-0.5, 3.0, 300)
+        du[0], d2u[0] = 1.0, 0.0  # the zero tuple: outside every cone
+        a, s = radial_w_eigenvalues(n, du, d2u)
+        rows = radial_eigen_rows(n, du, d2u)
+        for spec in _all_specs(n):
+            for t in (0.0, 0.3, 0.99, 1.0):
+                scores = spec.margin_scores_t(t, rows)
+                inside = scores > spec.margin
+                assert 0 < inside.sum() < inside.size
+                ev = spec.radial_eval(t, a, s)
+                assert np.array_equal(ev.scores, scores)
+                assert ev.value is None and ev.grad_axis is None and ev.grad_sphere is None
+                with pytest.raises(ConeDomainError) as exc:
+                    spec.radial_eval(t, a, s, grad=True)
+                with pytest.raises(ConeDomainError) as expected:
+                    spec.grad_t_many(t, rows)
+                assert str(exc.value) == str(expected.value)
+
+                ev = spec.radial_eval(t, a[inside], s[inside], grad=True)
+                g = spec.grad_t_many(t, rows[inside])
+                assert np.array_equal(ev.scores, scores[inside])
+                assert np.array_equal(ev.value, spec.value_t_many(t, rows[inside]))
+                assert np.array_equal(ev.grad_axis, g[:, 0])
+                assert np.array_equal(ev.grad_sphere, g[:, 1:].sum(axis=1))
+                assert np.array_equal(spec.radial_eval(t, a[inside], s[inside]).value, ev.value)
+
+    def test_generic_version_on_the_rows(self):
+        spec = BrokenHomogeneitySpec(n=4)
+        a, s = np.array([2.0, 1.0, 0.5]), np.array([0.5, 0.1, -0.5])  # the last row is outside
+        rows = np.column_stack([a, s, s, s])
+        ev = spec.radial_eval(0.3, a, s)
+        assert np.array_equal(ev.scores, spec.margin_scores_t(0.3, rows))
+        assert ev.value is None
+        with pytest.raises(ConeDomainError):
+            spec.radial_eval(0.3, a, s, grad=True)
+        ev = spec.radial_eval(0.3, a[:2], s[:2], grad=True)
+        g = spec.grad_t_many(0.3, rows[:2])
+        assert np.array_equal(ev.value, spec.value_t_many(0.3, rows[:2]))
+        assert np.array_equal(ev.grad_axis, g[:, 0])
+        assert np.array_equal(ev.grad_sphere, g[:, 1:].sum(axis=1))
+
+    @pytest.mark.parametrize("n", [*range(2, 40), 127, 128, 129, 200, 517])
+    def test_row_sum_follows_numpy(self, n):
+        rng = np.random.default_rng(n)
+        head = rng.standard_normal(50) * 10.0 ** rng.uniform(-5, 5, 50)
+        tail = rng.standard_normal(50) * 10.0 ** rng.uniform(-5, 5, 50)
+        head[0] = tail[0] = -0.0  # numpy's sum starts from 0.0, so this row sums to +0.0
+        rows = np.concatenate([head[:, None], np.repeat(tail[:, None], n - 1, axis=1)], axis=1)
+        total = _row_sum(head, tail, n)
+        assert np.array_equal(total, rows.sum(axis=1))
+        assert np.array_equal(np.signbit(total), np.signbit(rows.sum(axis=1)))
+        assert np.array_equal(_row_sum(tail, tail, n), np.repeat(tail[:, None], n, axis=1).sum(axis=1))
 
 
 class TestSuiteCallCounts:
