@@ -63,7 +63,7 @@ def layer_times(node_count, repeats):
         "solve_banded": lambda: solve_banded((1, 1), ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
     }
-    # the check makes 8 to 32 residual calls per call: fewer repeats
+    # the check makes 4 to 16 residual calls per call: fewer repeats
     return {name: _median_ms(call, max(5, repeats // 10) if name == "check_jacobian" else repeats)
             for name, call in layers.items()}
 
