@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-layer timings of the Newton solver on the subsolution benchmark.
 
-    python3 scripts/bench.py [--repeats 200] [--nodes 401 4001] [--out bench.json]
+    python3 scripts/bench.py
 
 Imports the package from `src/` of the checkout the script lives in, so the
 same script times any two checkouts side by side.  For each node count m it
@@ -13,12 +13,11 @@ feasibility restore, the banded solve and the directional Jacobian check.
 It then runs one full continuation over the default schedule (Newton
 tolerance 1e-7) and records its wall time and the Newton iterations per t,
 so that algorithmic and constant-factor changes can be told apart.  The
-JSON document goes to standard output, or to --out.
+JSON document goes to standard output.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -37,10 +36,12 @@ from yamabe import solver  # noqa: E402
 from yamabe.benchmarks import subsolution_benchmark  # noqa: E402
 
 T = 0.5
+NODES = (401, 4001)
+REPEATS = 200
 CONTINUATION_TOL = 1e-7
 
 
-def _median_ms(call, repeats):
+def _median_ms(call, repeats=REPEATS):
     call()
     times = []
     for _ in range(repeats):
@@ -50,7 +51,7 @@ def _median_ms(call, repeats):
     return 1e3 * statistics.median(times)
 
 
-def layer_times(node_count, repeats):
+def layer_times(node_count):
     problem = subsolution_benchmark(node_count=node_count)
     prof = problem.subsolution
     grid = prof.grid
@@ -64,7 +65,7 @@ def layer_times(node_count, repeats):
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
     }
     # the check makes 4 to 16 residual calls per call: fewer repeats
-    return {name: _median_ms(call, max(5, repeats // 10) if name == "check_jacobian" else repeats)
+    return {name: _median_ms(call, REPEATS // 10) if name == "check_jacobian" else _median_ms(call)
             for name, call in layers.items()}
 
 
@@ -81,12 +82,6 @@ def continuation(node_count):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=200)
-    ap.add_argument("--nodes", type=int, nargs="+", default=[401, 4001])
-    ap.add_argument("--out", type=Path)
-    args = ap.parse_args()
-
     doc = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -94,15 +89,11 @@ def main():
             "numpy": np.__version__,
         },
         "t": T,
-        "repeats": args.repeats,
-        "layers_ms": {str(m): layer_times(m, args.repeats) for m in args.nodes},
-        "continuation": {str(m): continuation(m) for m in args.nodes},
+        "repeats": REPEATS,
+        "layers_ms": {str(m): layer_times(m) for m in NODES},
+        "continuation": {str(m): continuation(m) for m in NODES},
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 if __name__ == "__main__":

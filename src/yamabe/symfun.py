@@ -167,7 +167,10 @@ def _row_sum(head, tail, n):
 
     numpy adds the pairwise sum of a row to a 0.0 start.  Repeating its
     additions keeps the two-value path bit-identical to the row sums of the
-    (m, n) path.
+    (m, n) path.  Summing the built rows instead is bit-identical on any
+    numpy but makes the Jacobian kernel about 1.7x slower at 4001 nodes;
+    tests compare this order with ndarray.sum, so a numpy that changes its
+    order fails them.
     """
     return 0.0 + _pairwise_sum(head, tail, n)
 
