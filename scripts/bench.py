@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the Newton solver on the subsolution benchmark.
+"""Per-layer timings of the Newton solver and the solve output on the
+subsolution benchmark.
 
     python3 scripts/bench.py
 
-Imports the package from `src/` of the checkout the script lives in, so the
-same script times any two checkouts side by side.  For each node count m it
-builds the subsolution benchmark (n = 4, sigma_2 root, cosh amplitude 0.3,
-theta 0.5), takes the subsolution as the state at t = 0.5 and reports the
-median wall time per call (plain time.perf_counter, after one warm-up call)
-of the residual with its cone test, the Jacobian, the cone screen of the
-feasibility restore, the banded solve and the directional Jacobian check.
-It then runs one full continuation over the default schedule (Newton
-tolerance 1e-7) and records its wall time and the Newton iterations per t,
-so that algorithmic and constant-factor changes can be told apart.  The
+Imports the package from `src/` of the checkout the script lives in.  For
+each node count m it builds the subsolution benchmark (n = 4, sigma_2 root,
+cosh amplitude 0.3, theta 0.5), takes the subsolution as the state at
+t = 0.5 and reports the median wall time per call (plain
+time.perf_counter, after one warm-up call) of the residual with its cone
+test, the Jacobian, the cone screen of the feasibility restore, the banded
+solve, the directional Jacobian check, and the grid derivatives: the free
+`first_derivative`/`second_derivative`, which build the grid's stencil
+weights on every call, and `du`/`d2u` of a new state of the profile family,
+which reuses them.  It then runs one full continuation over the default
+schedule (Newton tolerance 1e-7) and records its wall time and the Newton
+iterations per t, so that algorithmic and constant-factor changes can be
+told apart.  Last, it writes the 13 profile CSVs and monitors.csv of the
+4001-node continuation, with one process per available core and with one
+process.  The children's CPU time and peak RSS come from RUSAGE_CHILDREN:
+the writing process's own CPU time leaves out what its children did.  The
 JSON document goes to standard output.
 """
 
@@ -21,8 +28,10 @@ from __future__ import annotations
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,12 +41,14 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from scipy.linalg import solve_banded  # noqa: E402
 
-from yamabe import solver  # noqa: E402
+from yamabe import cli, solver  # noqa: E402
 from yamabe.benchmarks import subsolution_benchmark  # noqa: E402
+from yamabe.geometry import first_derivative, second_derivative  # noqa: E402
 
 T = 0.5
 NODES = (401, 4001)
 REPEATS = 200
+WRITE_REPEATS = 20
 CONTINUATION_TOL = 1e-7
 
 
@@ -63,6 +74,10 @@ def layer_times(node_count):
         "inside_cone": lambda: solver._inside_cone(problem, T, prof),
         "solve_banded": lambda: solve_banded((1, 1), ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
+        "first_derivative": lambda: first_derivative(grid, prof.u),
+        "second_derivative": lambda: second_derivative(grid, prof.u),
+        "state_du": lambda: prof.with_values(prof.u).du,
+        "state_d2u": lambda: prof.with_values(prof.u).d2u,
     }
     # the check makes 4 to 16 residual calls per call: fewer repeats
     return {name: _median_ms(call, REPEATS // 10) if name == "check_jacobian" else _median_ms(call)
@@ -74,14 +89,46 @@ def continuation(node_count):
     start = time.perf_counter()
     report = solver.continuation_run(problem, opts=solver.NewtonOptions(tol=CONTINUATION_TOL))
     wall = time.perf_counter() - start
-    return {
+    return report.states, {
         "wall_s": wall,
         "newton_iters_per_t": {repr(s.t): s.newton_iters for s in report.states},
         "newton_iters_total": sum(s.newton_iters for s in report.states),
     }
 
 
+def write_profiles(states, cores):
+    """Median wall time, and mean CPU time of this process and of its
+    children, per write of the continuation's output files."""
+    walls, own, children = [], 0.0, 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        cli._write_solve_outputs(out, {"command": "bench"}, states, cores)
+        for _ in range(WRITE_REPEATS):
+            kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu, start = time.process_time(), time.perf_counter()
+            cli._write_solve_outputs(out, {"command": "bench"}, states, cores)
+            walls.append(time.perf_counter() - start)
+            own += time.process_time() - cpu
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
+    return {
+        "processes": min(len(cores), len(states)),
+        "wall_ms": 1e3 * statistics.median(walls),
+        "cpu_ms_self": 1e3 * own / WRITE_REPEATS,
+        "cpu_ms_children": 1e3 * children / WRITE_REPEATS,
+    }
+
+
 def main():
+    runs = {m: continuation(m) for m in NODES}
+    states = runs[max(NODES)][0]
+    writes = {
+        "every_core": write_profiles(states, cli._cores()),
+        "one_process": write_profiles(states, cli._cores()[:1]),
+        # the largest RSS of any child this process has waited for: the writers
+        "children_max_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+        "self_max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
     doc = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -91,7 +138,9 @@ def main():
         "t": T,
         "repeats": REPEATS,
         "layers_ms": {str(m): layer_times(m) for m in NODES},
-        "continuation": {str(m): continuation(m) for m in NODES},
+        "continuation": {str(m): run for m, (_, run) in runs.items()},
+        "write_profiles": {"nodes": max(NODES), "files": len(states) + 1,
+                           "repeats": WRITE_REPEATS, **writes},
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 

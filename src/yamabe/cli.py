@@ -11,19 +11,23 @@ convergence.  Configs are validated strictly (unknown keys rejected) before
 any computation; --out, --seed and --verbose override the config.  Output
 files embed the resolved config and a format version line, use 17 significant
 digits and LF line endings, so identical configs produce byte-identical
-files.
+files.  `solve` writes its profiles with one process per available core;
+the bytes do not depend on the core count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from ._errors import (
+    ConeDomainError,
     ConfigError,
     ContinuationError,
     YamabeError,
@@ -132,15 +136,98 @@ def _config_comment(resolved):
     return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
 
 
-def _write_profile_csv(path, resolved, profile, residual_column, extra_comments=()):
+def _format_column(values):
+    # '%.17g' % x equals _fmt(x) for every float, nan, infinities and -0.0 included
+    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_profile_csv(path, resolved, profile, residual_column, extra_comments=(),
+                       grid_text=None):
+    """One row per node; `grid_text` is the grid column already formatted,
+    for callers that write several profiles on one grid."""
     lines = [f"# format {FORMAT_VERSION} profile", f"# config {_config_comment(resolved)}"]
     lines += list(extra_comments)
     lines.append("x,u,du,d2u,residual")
-    # '%.17g' % x equals _fmt(x) for every float, nan, infinities and -0.0 included
-    columns = (profile.grid, profile.u, profile.du, profile.d2u, residual_column)
-    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % row
-              for row in zip(*(np.asarray(col, dtype=float).tolist() for col in columns))]
+    if grid_text is None:
+        grid_text = _format_column(profile.grid)
+    columns = (profile.u, profile.du, profile.d2u, residual_column)
+    lines += ["%s,%.17g,%.17g,%.17g,%.17g" % row
+              for row in zip(grid_text, *(np.asarray(col, dtype=float).tolist() for col in columns))]
     path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def _cores():
+    """The cores the writers may use: those this process may run on, or a
+    single unnamed one where os.fork or CPU affinity is missing."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return [None]
+
+
+def _write_in_processes(jobs, write, cores):
+    """Call write(job) for every job, dealt round-robin over one process per
+    core in `cores` (see _cores).
+
+    This process writes the last share, the smallest.  Children made with
+    os.fork write the others from copy-on-write memory and always leave
+    through os._exit, never returning into the caller.  A child formats
+    and writes files only: it makes no BLAS call and takes no lock that
+    another thread of this process may hold at the fork.  Each process is
+    bound to a core of its own while it writes, since the scheduler can
+    leave freshly forked processes sharing one core; this process gets its
+    own binding back afterwards.  Every child is waited for, on error paths
+    too.  The share of a child that failed, or could not be forked, is
+    written again here, so that its error surfaces with its own message.
+    With one core every job is written here.
+    """
+    count = max(1, min(len(cores), len(jobs)))
+    shares = [jobs[i::count] for i in range(count)]
+    children, redo = {}, []
+    own = os.sched_getaffinity(0) if count > 1 else None
+    try:
+        for core, share in zip(cores, shares[:-1]):
+            try:
+                pid = os.fork()
+            except OSError:
+                redo.append(share)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.sched_setaffinity(0, {core})
+                    for job in share:
+                        write(job)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = share
+        if own is not None:
+            os.sched_setaffinity(0, {cores[count - 1]})
+        for job in shares[-1]:
+            write(job)
+    finally:
+        if own is not None:
+            os.sched_setaffinity(0, own)
+        for pid, share in children.items():
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+                redo.append(share)
+    for share in redo:
+        for job in share:
+            write(job)
+
+
+def _write_solve_outputs(out, resolved, states, cores):
+    """monitors.csv and the profile CSV of every state, written on `cores`.
+    The states of one continuation share one grid, formatted once here."""
+    _write_monitors_csv(out / "monitors.csv", resolved, states)
+    grid_text = _format_column(states[0].profile.grid) if states else None
+
+    def write_profile(i):
+        s = states[i]
+        _write_profile_csv(out / f"profile_{i:03d}_t{s.t:.6f}.csv", resolved, s.profile,
+                           s.residual, extra_comments=[f"# t {_fmt(s.t)}"], grid_text=grid_text)
+
+    _write_in_processes(list(range(len(states))), write_profile, cores)
 
 
 def _write_monitors_csv(path, resolved, states):
@@ -165,8 +252,11 @@ def _write_report(path, resolved, checks, passed, extra=None):
 
 
 def _out_dir(resolved):
+    """The output directory, without the report of an earlier run: a run
+    that stops on an error leaves no report.json behind."""
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").unlink(missing_ok=True)
     return out
 
 
@@ -328,6 +418,15 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
                "subsolution", "init", "newton", "uniformity_factor", "out", "seed", "verbose"}
 
 
+class _SubsolutionOutsideCone(YamabeError):
+    """psi scales f on the subsolution, which leaves the cone: no problem
+    can be built.  Carries the subsolution's minimum cone margin score."""
+
+    def __init__(self, message, cone_margin):
+        super().__init__(message)
+        self.cone_margin = cone_margin
+
+
 def _build_solve_problem(config):
     n = _as_int(_need(config, "n", "config"), "n", lo=3)
     spec = _function_spec({"n": n, **_need(config, "function", "config")})
@@ -367,7 +466,11 @@ def _build_solve_problem(config):
         theta = _as_real(psi_cfg.get("theta", 0.5), "psi.theta")
         if not 0.0 < theta < 1.0:
             raise ConfigError("psi.theta must lie in (0, 1)")
-        psi, psi_z = benchmarks.subsolution_scaled_psi(spec, sub_funcs, ell, theta)
+        try:
+            psi, psi_z = benchmarks.subsolution_scaled_psi(spec, sub_funcs, ell, theta)
+        except ConeDomainError as exc:
+            _, scores = solver.profile_cone_scores(spec, sub_profile)
+            raise _SubsolutionOutsideCone(str(exc), float(scores.min())) from exc
     elif psi_family == "example1_rhs":
         c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
         if example_params is None:
@@ -419,12 +522,16 @@ def _build_solve_problem(config):
         geom=geom, spec=spec, psi=psi, psi_z=psi_z,
         phi_left=phi_left, phi_right=phi_right, subsolution=sub_profile,
     )
-    return problem, init_profile, grid_size
+    return problem, init_profile
 
 
 def cmd_solve(config):
     _check_keys(config, _SOLVE_KEYS, "config")
-    problem, init_profile, grid_size = _build_solve_problem(config)
+    try:
+        problem, init_profile = _build_solve_problem(config)
+        outside = None
+    except _SubsolutionOutsideCone as exc:
+        problem, init_profile, outside = None, None, exc
 
     schedule = config.get("t_schedule")
     if schedule is not None:
@@ -439,10 +546,10 @@ def cmd_solve(config):
 
     resolved = {
         "command": "solve",
-        "n": problem.geom.n,
+        "n": config["n"],
         "function": dict(_need(config, "function", "config")),
         "half_length": config["half_length"] if config["half_length"] == "example1" else float(config["half_length"]),
-        "grid_size": grid_size,
+        "grid_size": config.get("grid_size", 401),
         "t_schedule": list(schedule) if schedule is not None else list(solver.DEFAULT_T_SCHEDULE),
         "psi": dict(config["psi"]),
         "phi": config.get("phi", "subsolution") if isinstance(config.get("phi", "subsolution"), str) else dict(config["phi"]),
@@ -454,7 +561,16 @@ def cmd_solve(config):
         "seed": _as_int(config.get("seed", 0), "seed"),
         "verbose": bool(config.get("verbose", False)),
     }
+    verbose = resolved["verbose"]
     out = _out_dir(resolved)
+
+    if outside is not None:
+        checks = [{"name": "subsolution.cone_margin", "status": "fail",
+                   "value": outside.cone_margin, "threshold": 0.0}]
+        _write_report(out / "report.json", resolved, checks, False, extra={"error": str(outside)})
+        if verbose:
+            print(f"subsolution outside the cone: {outside}", file=sys.stderr)
+        return 1
 
     checks = []
     if problem.subsolution is not None:
@@ -469,20 +585,25 @@ def cmd_solve(config):
             _write_report(out / "report.json", resolved, checks, False)
             return 1
 
-    failed_t = None
+    started = time.perf_counter()
+    failure = None
     try:
         report = solver.continuation_run(problem, t_schedule=schedule, opts=opts,
                                          init=init_profile)
-        states = report.states
     except ContinuationError as exc:
-        failed_t = exc.t_failed
-        states = exc.states
-        report = solver.ContinuationReport(states=states)
+        failure = exc
+        report = solver.ContinuationReport(states=exc.states)
+    states = report.states
+    failed_t = failure.t_failed if failure is not None else None
+    solved = time.perf_counter()
+    if verbose:
+        for s in states:
+            print(f"t={s.t:.6g} newton_iters={s.newton_iters} residual={s.residual_norm:.3e} "
+                  f"cone_margin={s.cone_margin:.3e}", file=sys.stderr)
+        if failure is not None:
+            print(f"t={failed_t:.6g} failed: {failure.cause}", file=sys.stderr)
 
-    _write_monitors_csv(out / "monitors.csv", resolved, states)
-    for i, s in enumerate(states):
-        _write_profile_csv(out / f"profile_{i:03d}_t{s.t:.6f}.csv", resolved, s.profile,
-                           s.residual, extra_comments=[f"# t {_fmt(s.t)}"])
+    _write_solve_outputs(out, resolved, states, _cores())
 
     extra = {"failed_t": failed_t}
     if states:
@@ -501,6 +622,9 @@ def cmd_solve(config):
                    "threshold": -1.0})
     passed = failed_t is None and all(c["status"] == "pass" for c in checks)
     _write_report(out / "report.json", resolved, checks, passed, extra=extra)
+    if verbose:
+        print(f"continuation {solved - started:.3f} s, output {time.perf_counter() - solved:.3f} s",
+              file=sys.stderr)
     if failed_t is not None:
         return 3
     return 0 if passed else 1
@@ -538,7 +662,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except YamabeError as exc:
+    except (YamabeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,14 +14,16 @@ and for a radial profile u = u(t) its eigenvalues with respect to g are
 
 Profiles are plain grid functions; first and second differences are derived
 from the values with second-order stencils (central inside, one-sided at the
-two end nodes) and are recomputed rather than stored.
+two end nodes) and are recomputed rather than stored.  The stencil weights
+depend on the grid alone and are built once per grid (GridStencils).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .symfun import EigenTuple, _radial_rows
 
 __all__ = [
     "CylinderGeometry",
+    "GridStencils",
     "RadialProfile",
     "WEigenField",
     "first_derivative",
@@ -82,48 +85,82 @@ def stencil_weights(offsets, order):
     return np.linalg.solve(a, rhs)
 
 
-def _interior_first_weights(grid):
-    """Closed-form 3-point weights for u' at nodes 1..m-2, shape (m-2, 3)."""
+class _Weights(NamedTuple):
+    """Stencil weights of one derivative order on one grid."""
+
+    inner: tuple         # (w_minus, w_center, w_plus) at nodes 1..m-2, each (m-2,)
+    left: np.ndarray     # one-sided stencil of node 0
+    right: np.ndarray    # one-sided stencil of node m-1
+
+
+def _first_weights(grid):
+    """Closed-form 3-point weights inside, one-sided 3-point at the ends."""
     h1 = grid[1:-1] - grid[:-2]
     h2 = grid[2:] - grid[1:-1]
-    wm = -h2 / (h1 * (h1 + h2))
-    w0 = (h2 - h1) / (h1 * h2)
-    wp = h1 / (h2 * (h1 + h2))
-    return np.stack([wm, w0, wp], axis=1)
+    return _Weights(
+        (-h2 / (h1 * (h1 + h2)), (h2 - h1) / (h1 * h2), h1 / (h2 * (h1 + h2))),
+        stencil_weights(grid[:3] - grid[0], 1),
+        stencil_weights(grid[-3:] - grid[-1], 1),
+    )
 
 
-def _interior_second_weights(grid):
-    """Closed-form 3-point weights for u'' at nodes 1..m-2, shape (m-2, 3)."""
+def _second_weights(grid):
+    """Closed-form 3-point weights inside, one-sided 4-point at the ends to
+    keep second order."""
     h1 = grid[1:-1] - grid[:-2]
     h2 = grid[2:] - grid[1:-1]
-    wm = 2.0 / (h1 * (h1 + h2))
-    w0 = -2.0 / (h1 * h2)
-    wp = 2.0 / (h2 * (h1 + h2))
-    return np.stack([wm, w0, wp], axis=1)
+    return _Weights(
+        (2.0 / (h1 * (h1 + h2)), -2.0 / (h1 * h2), 2.0 / (h2 * (h1 + h2))),
+        stencil_weights(grid[:4] - grid[0], 2),
+        stencil_weights(grid[-4:] - grid[-1], 2),
+    )
 
 
-def first_derivative(grid, u):
-    """Second-order first differences; one-sided 3-point at the two ends."""
-    grid = np.asarray(grid, dtype=float)
-    u = np.asarray(u, dtype=float)
+def _apply(weights, u):
+    wm, w0, wp = weights.inner
     out = np.empty_like(u)
-    w = _interior_first_weights(grid)
-    out[1:-1] = w[:, 0] * u[:-2] + w[:, 1] * u[1:-1] + w[:, 2] * u[2:]
-    out[0] = stencil_weights(grid[:3] - grid[0], 1) @ u[:3]
-    out[-1] = stencil_weights(grid[-3:] - grid[-1], 1) @ u[-3:]
+    out[1:-1] = wm * u[:-2] + w0 * u[1:-1] + wp * u[2:]
+    out[0] = weights.left @ u[:weights.left.size]
+    out[-1] = weights.right @ u[-weights.right.size:]
     return out
 
 
-def second_derivative(grid, u):
-    """Second differences; one-sided 4-point at the ends to keep second order."""
-    grid = np.asarray(grid, dtype=float)
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    w = _interior_second_weights(grid)
-    out[1:-1] = w[:, 0] * u[:-2] + w[:, 1] * u[1:-1] + w[:, 2] * u[2:]
-    out[0] = stencil_weights(grid[:4] - grid[0], 2) @ u[:4]
-    out[-1] = stencil_weights(grid[-4:] - grid[-1], 2) @ u[-4:]
-    return out
+class GridStencils:
+    """The first and second derivative weights of one grid.
+
+    The grid is validated and frozen here.  Profiles on one grid share one
+    bundle (`RadialProfile.with_values` passes it on), so a continuation
+    builds its weights once however many states and derivatives it takes.
+    """
+
+    def __init__(self, grid):
+        grid = np.ascontiguousarray(np.asarray(grid, dtype=float))
+        if grid.ndim != 1 or grid.size < 5:
+            raise ValueError("grid must be one-dimensional with at least 5 nodes")
+        if not np.all(np.diff(grid) > 0):
+            raise ValueError("grid must be strictly increasing")
+        grid.flags.writeable = False
+        self.grid = grid
+        self.first = _first_weights(grid)
+        self.second = _second_weights(grid)
+
+
+def first_derivative(grid, u, stencils=None):
+    """Second-order first differences; one-sided 3-point at the two ends.
+
+    `stencils` is the grid's GridStencils when the caller holds one.
+    """
+    weights = stencils.first if stencils is not None else _first_weights(np.asarray(grid, dtype=float))
+    return _apply(weights, np.asarray(u, dtype=float))
+
+
+def second_derivative(grid, u, stencils=None):
+    """Second differences; one-sided 4-point at the ends to keep second order.
+
+    `stencils` is the grid's GridStencils when the caller holds one.
+    """
+    weights = stencils.second if stencils is not None else _second_weights(np.asarray(grid, dtype=float))
+    return _apply(weights, np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -131,25 +168,28 @@ class RadialProfile:
     """A grid function on a strictly increasing coordinate grid.
 
     du and d2u are derived from u with the declared stencils on first access;
-    they cannot be set independently.
+    they cannot be set independently.  The stencil weights live in the
+    grid's GridStencils, which `with_values` hands on to the new profile.
     """
 
     grid: np.ndarray
     u: np.ndarray
+    stencils: GridStencils | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.ascontiguousarray(np.asarray(self.grid, dtype=float))
+        if self.stencils is None:
+            stencils = GridStencils(self.grid)
+        elif self.grid is self.stencils.grid:
+            stencils = self.stencils
+        else:
+            raise ValueError("the stencils belong to another grid")
         u = np.ascontiguousarray(np.asarray(self.u, dtype=float))
-        if grid.ndim != 1 or grid.size < 5:
-            raise ValueError("grid must be one-dimensional with at least 5 nodes")
-        if u.shape != grid.shape:
+        if u.shape != stencils.grid.shape:
             raise ValueError("u must match the grid shape")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        grid.flags.writeable = False
         u.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", stencils.grid)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "stencils", stencils)
 
     @classmethod
     def uniform(cls, half_length, node_count, func_or_values):
@@ -162,7 +202,7 @@ class RadialProfile:
         return cls(grid, values)
 
     def with_values(self, u):
-        return RadialProfile(self.grid, u)
+        return RadialProfile(self.grid, u, self.stencils)
 
     @property
     def node_count(self):
@@ -170,11 +210,11 @@ class RadialProfile:
 
     @cached_property
     def du(self):
-        return first_derivative(self.grid, self.u)
+        return first_derivative(self.grid, self.u, self.stencils)
 
     @cached_property
     def d2u(self):
-        return second_derivative(self.grid, self.u)
+        return second_derivative(self.grid, self.u, self.stencils)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ from ._errors import (
 )
 from .geometry import (
     RadialProfile,
-    _interior_first_weights,
-    _interior_second_weights,
     first_derivative,
     radial_eigen_rows,
     radial_w_eigenvalues,
@@ -64,6 +62,7 @@ __all__ = [
     "newton_solve",
     "continuation_run",
     "check_subsolution",
+    "profile_cone_scores",
     "estimate_monitors",
 ]
 
@@ -208,21 +207,21 @@ def jacobian(problem, t, profile):
         dG_i/du_j = g_a c2_ij + (g_a - g_s) u'_i c1_ij - psi_z delta_ij,
 
     where g_a is the f_t gradient in the axis slot, g_s the summed sphere
-    slots and c1, c2 the interior stencil weights of u' and u''.  Boundary
-    rows are identity rows.
+    slots and c1, c2 the interior stencil weights of u' and u'', which the
+    profile's GridStencils holds.  Boundary rows are identity rows.
     """
     grid = _grid_for(problem, profile)
     m = grid.size
     _, _, g_axis, g_sphere = _radial_eval(problem, t, profile.du, profile.d2u, grad=True)
     du = profile.du[1:-1]
     psi_z = np.asarray(problem.psi_z(grid[1:-1], profile.u[1:-1]), dtype=float)
-    c1 = _interior_first_weights(grid)
-    c2 = _interior_second_weights(grid)
+    c1 = profile.stencils.first.inner
+    c2 = profile.stencils.second.inner
 
     coeff = (g_axis - g_sphere) * du
-    lower = g_axis * c2[:, 0] + coeff * c1[:, 0]
-    diag = g_axis * c2[:, 1] + coeff * c1[:, 1] - psi_z
-    upper = g_axis * c2[:, 2] + coeff * c1[:, 2]
+    lower = g_axis * c2[0] + coeff * c1[0]
+    diag = g_axis * c2[1] + coeff * c1[1] - psi_z
+    upper = g_axis * c2[2] + coeff * c1[2]
 
     ab = np.zeros((3, m))
     ab[1, 0] = 1.0
@@ -242,13 +241,16 @@ def _check_jacobian(problem, t, profile, ab):
     even, so the boundary rows and both off-diagonal bands enter J v.  The
     stencils are linear, so the perturbed state is (u, u', u'') + s (v, v', v'')
     with v', v'' taken once from v: the eps/h^2 rounding of differencing
-    u + s v never enters the quotient, and memory stays O(m).
+    u + s v never enters the quotient, and memory stays O(m).  The step
+    starts at 1e-6 and shrinks tenfold, at most three times, on a cone exit
+    or while the central differences at s and s/2 disagree by more than the
+    tolerance.
     """
     grid = profile.grid
     ell = problem.geom.half_length
     v = np.cos(np.pi * grid / (3.0 * ell)) + grid / (4.0 * ell)
-    dv = first_derivative(grid, v)
-    d2v = second_derivative(grid, v)
+    dv = first_derivative(grid, v, profile.stencils)
+    d2v = second_derivative(grid, v, profile.stencils)
     jv = ab[1] * v
     jv[:-1] += ab[0, 1:] * v[1:]
     jv[1:] += ab[2, :-1] * v[:-1]
@@ -260,16 +262,24 @@ def _check_jacobian(problem, t, profile, ab):
                              profile.d2u - s * d2v)
         return (plus - minus) / (2.0 * s)
 
-    step = 1e-6
+    step, err = 1e-6, None
     for _ in range(4):
         try:
-            fd = (4.0 * central(0.5 * step) - central(step)) / 3.0
-            break
+            coarse, fine = central(step), central(0.5 * step)
         except ConeViolationError:
             step *= 0.1
-    else:
+            continue
+        fd = (4.0 * fine - coarse) / 3.0
+        scale = max(np.abs(fd).max(), 1.0)
+        err = np.abs(jv - fd).max() / scale
+        # A deviation counts once the two central differences agree: while
+        # they do not, the step is too coarse for the residual's curvature,
+        # as it is close to the cone boundary, and a smaller one is tried.
+        if err <= JACOBIAN_CHECK_TOL or np.abs(fine - coarse).max() / scale <= JACOBIAN_CHECK_TOL:
+            break
+        step *= 0.1
+    if err is None:
         raise NumericalError(f"could not difference the residual inside the cone at t={t}")
-    err = np.abs(jv - fd).max() / max(np.abs(fd).max(), 1.0)
     if err > JACOBIAN_CHECK_TOL:
         raise NumericalError(
             f"analytic Jacobian deviates from the directional finite difference "
@@ -483,14 +493,20 @@ class SubsolutionReport:
         )
 
 
+def profile_cone_scores(spec, profile):
+    """Eigenvalue rows of W[u] at every node of a profile and their t = 1
+    cone margin scores."""
+    rows = radial_eigen_rows(spec.n, profile.du, profile.d2u)
+    return rows, spec.margin_scores(rows)
+
+
 def check_subsolution(problem):
     """Validate the stored subsolution against the t = 1 inequality."""
     sub = problem.subsolution
     if sub is None:
         raise ValueError("the problem has no subsolution to check")
     grid = _grid_for(problem, sub)
-    rows = radial_eigen_rows(problem.geom.n, sub.du, sub.d2u)
-    scores = problem.spec.margin_scores(rows)
+    rows, scores = profile_cone_scores(problem.spec, sub)
     ok = scores > problem.spec.margin
     margins = np.full(grid.size, np.nan)
     if np.any(ok):

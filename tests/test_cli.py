@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yamabe import cli
+from yamabe import cli, geometry
 from yamabe.cli import main
 from yamabe.geometry import RadialProfile
 
@@ -261,6 +261,130 @@ class TestSolveCommand:
         first = (tmp_path / "out" / "monitors.csv").read_bytes()
         run_cli(["solve", solve_config])
         assert (tmp_path / "out" / "monitors.csv").read_bytes() == first
+
+
+def _solve_payload(out, **changes):
+    payload = {
+        "n": 4,
+        "function": {"kind": "sigma_k_root", "k": 2},
+        "half_length": 1.0,
+        "grid_size": 101,
+        "t_schedule": [0.0, 0.5, 0.9],
+        "psi": {"family": "subsolution_scaled", "theta": 0.5},
+        "phi": "subsolution",
+        "subsolution": {"family": "cosh", "amplitude": 0.3},
+        "out": str(out),
+    }
+    payload.update(changes)
+    return payload
+
+
+def _output_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestSolveRobustness:
+    def test_draw_near_the_cone_boundary_passes_the_jacobian_check(self, tmp_path):
+        # the Newton start at t = 0.3 has cone margin 1.9e-5; the check's
+        # first step 1e-6 is too coarse there and deviated by 1.4e-5
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            tmp_path / "out", grid_size=4001, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE),
+            psi={"family": "subsolution_scaled", "theta": 0.4783579320626279},
+            subsolution={"family": "cosh", "amplitude": 0.2480217780855284},
+            newton={"tol": 1e-7}))
+        assert run_cli(["solve", cfg]) == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
+
+    def test_subsolution_outside_the_cone_writes_a_failing_report(self, tmp_path):
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            tmp_path / "out", n=3, subsolution={"family": "cosh", "amplitude": 0.2}))
+        assert run_cli(["solve", cfg]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["passed"] is False
+        [check] = report["checks"]
+        assert check["name"] == "subsolution.cone_margin" and check["status"] == "fail"
+        assert check["value"] < 0.0
+        assert "outside the cone" in report["error"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+
+    def test_verbose_prints_each_t_and_the_phase_times(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
+        assert run_cli(["solve", cfg, "--verbose"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in lines[:3]] == ["t=0", "t=0.5", "t=0.9"]
+        assert all("newton_iters=" in line and "cone_margin=" in line for line in lines[:3])
+        assert lines[3].startswith("continuation ") and " s, output " in lines[3]
+        assert len(lines) == 4
+
+    def test_one_solve_builds_its_stencils_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = geometry.stencil_weights
+
+        def counted(offsets, order):
+            calls.append(order)
+            return original(offsets, order)
+
+        monkeypatch.setattr(geometry, "stencil_weights", counted)
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            tmp_path / "out", grid_size=4001, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE),
+            newton={"tol": 1e-7}))
+        assert run_cli(["solve", cfg]) == 0
+        assert len(calls) <= 8
+
+
+class TestProfileWriters:
+    """Profiles are written by one process per available core, same bytes."""
+
+    def test_output_independent_of_the_core_count(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
+        assert run_cli(["solve", cfg]) == 0
+        every_core = _output_bytes(tmp_path / "out")
+        assert len(every_core) == 5
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_cli(["solve", cfg]) == 0
+        assert _output_bytes(tmp_path / "out") == every_core
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(["solve", cfg]) == 0
+        assert _output_bytes(tmp_path / "out") == every_core
+
+    @pytest.mark.parametrize("crowded", [False, True])
+    def test_every_job_written_once_children_exit(self, tmp_path, crowded):
+        # crowded: six writers bound to one core, more processes than cores
+        parent = os.getpid()
+        cores = [cli._cores()[0]] * 6 if crowded else cli._cores()
+
+        def write(job):
+            (tmp_path / f"{job}.txt").write_text(str(os.getpid()))
+
+        before = os.sched_getaffinity(0)
+        cli._write_in_processes(list(range(23)), write, cores)
+        assert os.getpid() == parent and os.sched_getaffinity(0) == before
+        writers = {int((tmp_path / f"{job}.txt").read_text()) for job in range(23)}
+        assert len(writers) == len(cores) and parent in writers
+
+    def test_failed_child_share_is_written_again_here(self, tmp_path):
+        parent = os.getpid()
+
+        def write(job):
+            if os.getpid() != parent:
+                raise OSError("a child cannot write")
+            (tmp_path / f"{job}.txt").write_text("")
+
+        cli._write_in_processes(list(range(5)), write, cli._cores())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{j}.txt" for j in range(5)]
+
+    def test_occupied_profile_path_fails_without_a_passing_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(out))
+        assert run_cli(["solve", cfg]) == 0
+        # with two or more cores the first profile belongs to a child's share
+        target = next(out.glob("profile_000_*.csv"))
+        target.unlink()
+        target.mkdir()
+        assert run_cli(["solve", cfg]) != 0
+        assert target.name in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestProfileCsv:

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from yamabe import geometry
 from yamabe.geometry import (
     CylinderGeometry,
+    GridStencils,
     RadialProfile,
     conformal_schouten,
     first_derivative,
@@ -69,6 +71,45 @@ class TestStencils:
         order2 = math.log2(errs2[0] / errs2[-1]) / 2.0
         assert order1 >= 1.9
         assert order2 >= 1.9
+
+
+class TestGridStencils:
+    GRID = np.cumsum(np.random.default_rng(3).uniform(0.01, 0.2, 41)) - 2.0
+
+    def test_profile_derivatives_equal_the_free_functions(self):
+        u = np.sin(3.0 * self.GRID) + 0.1 * self.GRID ** 3
+        prof = RadialProfile(self.GRID, u)
+        shifted = prof.with_values(u + 0.25 * np.cos(self.GRID))
+        for p in (prof, shifted):
+            assert np.array_equal(p.du, first_derivative(self.GRID, p.u))
+            assert np.array_equal(p.d2u, second_derivative(self.GRID, p.u))
+
+    def test_one_bundle_per_profile_family(self, monkeypatch):
+        calls = []
+        original = geometry.stencil_weights
+
+        def counted(offsets, order):
+            calls.append(order)
+            return original(offsets, order)
+
+        monkeypatch.setattr(geometry, "stencil_weights", counted)
+        prof = RadialProfile(self.GRID, np.cos(self.GRID))
+        family = [prof.with_values(prof.u * (1.0 + 0.1 * i)) for i in range(5)]
+        for p in [prof] + family:
+            p.du, p.d2u
+        assert all(p.stencils is prof.stencils and p.grid is prof.grid for p in family)
+        assert sorted(calls) == [1, 1, 2, 2]  # one-sided stencils at both ends, once
+
+    def test_stencils_of_another_grid_rejected(self):
+        stencils = GridStencils(self.GRID)
+        with pytest.raises(ValueError, match="another grid"):
+            RadialProfile(self.GRID.copy(), np.zeros(self.GRID.size), stencils)
+
+    def test_grid_validated_by_the_bundle(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GridStencils(np.array([0.0, 1.0, 1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="at least 5 nodes"):
+            GridStencils(np.linspace(0.0, 1.0, 4))
 
 
 class TestRadialProfile:
