@@ -16,11 +16,14 @@ weights on every call, and `du`/`d2u` of a new state of the profile family,
 which reuses them.  It then runs one full continuation over the default
 schedule (Newton tolerance 1e-7) and records its wall time and the Newton
 iterations per t, so that algorithmic and constant-factor changes can be
-told apart.  Last, it writes the 13 profile CSVs and monitors.csv of the
-4001-node continuation, with one process per available core and with one
-process.  The children's CPU time and peak RSS come from RUSAGE_CHILDREN:
-the writing process's own CPU time leaves out what its children did.  The
-JSON document goes to standard output.
+told apart.  Last, at 201, 401 and 4001 nodes it writes the 13 profile
+CSVs and monitors.csv of the continuation in four ways: as `yamabe solve`
+does (one process per available core and per cli._ROWS_PER_WRITER rows, so
+one process at 201 nodes), with one process, with one process per core
+whatever the row count, and with six processes dealt over the cores, which
+prices a fork.  The children's CPU time and peak RSS come from
+RUSAGE_CHILDREN: the writing process's own CPU time leaves out what its
+children did.  The JSON document goes to standard output.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ from yamabe.geometry import first_derivative, second_derivative  # noqa: E402
 
 T = 0.5
 NODES = (401, 4001)
+WRITE_NODES = (201, 401, 4001)
 REPEATS = 200
-WRITE_REPEATS = 20
+WRITE_REPEATS = 40
 CONTINUATION_TOL = 1e-7
 
 
@@ -96,9 +100,14 @@ def continuation(node_count):
     }
 
 
-def write_profiles(states, cores):
+def write_profiles(states, cores, rows_per_writer=None):
     """Median wall time, and mean CPU time of this process and of its
-    children, per write of the continuation's output files."""
+    children, per write of the continuation's output files.
+    rows_per_writer replaces cli._ROWS_PER_WRITER for the call."""
+    default = cli._ROWS_PER_WRITER
+    cli._ROWS_PER_WRITER = rows_per_writer or default
+    rows = len(states) * states[0].profile.grid.size
+    processes = min(len(cli._writer_cores(cores, rows)), len(states))
     walls, own, children = [], 0.0, 0.0
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -111,8 +120,9 @@ def write_profiles(states, cores):
             own += time.process_time() - cpu
             after = resource.getrusage(resource.RUSAGE_CHILDREN)
             children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
+    cli._ROWS_PER_WRITER = default
     return {
-        "processes": min(len(cores), len(states)),
+        "processes": processes,
         "wall_ms": 1e3 * statistics.median(walls),
         "cpu_ms_self": 1e3 * own / WRITE_REPEATS,
         "cpu_ms_children": 1e3 * children / WRITE_REPEATS,
@@ -120,15 +130,20 @@ def write_profiles(states, cores):
 
 
 def main():
-    runs = {m: continuation(m) for m in NODES}
-    states = runs[max(NODES)][0]
-    writes = {
-        "every_core": write_profiles(states, cli._cores()),
-        "one_process": write_profiles(states, cli._cores()[:1]),
-        # the largest RSS of any child this process has waited for: the writers
-        "children_max_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
-        "self_max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }
+    runs = {m: continuation(m) for m in sorted(set(NODES) | set(WRITE_NODES))}
+    cores = cli._cores()
+    writes = {}
+    for m in WRITE_NODES:
+        states = runs[m][0]
+        writes[str(m)] = {"every_core": write_profiles(states, cores),
+                          "one_process": write_profiles(states, cores[:1])}
+        if cores[0] is not None:
+            writes[str(m)]["forked_per_core"] = write_profiles(states, cores, rows_per_writer=1)
+            writes[str(m)]["forked_six"] = write_profiles(states, (cores * 6)[:6],
+                                                          rows_per_writer=1)
+    # the largest RSS of any child this process has waited for: the writers
+    writes["children_max_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    writes["self_max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     doc = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -139,7 +154,8 @@ def main():
         "repeats": REPEATS,
         "layers_ms": {str(m): layer_times(m) for m in NODES},
         "continuation": {str(m): run for m, (_, run) in runs.items()},
-        "write_profiles": {"nodes": max(NODES), "files": len(states) + 1,
+        "write_profiles": {"files": len(runs[max(NODES)][0]) + 1,
+                           "rows_per_writer": cli._ROWS_PER_WRITER,
                            "repeats": WRITE_REPEATS, **writes},
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")

@@ -68,11 +68,16 @@ def radial_curvature_value(spec, t, du, d2u):
     return spec.value_t_many(t, radial_eigen_rows(spec.n, du, d2u))
 
 
+# points of [-L, L] on which subsolution_scaled_psi samples f(W[u])
+SCALED_PSI_NODES = 4001
+
+
 def subsolution_scaled_psi(spec, funcs, half_length, theta):
     """(psi, psi_z) with psi = theta * f(W[u]) for u given as (u, u', u'') callables,
-    sampled on 4001 points of [-L, L] and interpolated linearly in x; no z dependence.
+    sampled on SCALED_PSI_NODES points of [-L, L] and interpolated linearly in x;
+    no z dependence.
     """
-    dense = np.linspace(-half_length, half_length, 4001)
+    dense = np.linspace(-half_length, half_length, SCALED_PSI_NODES)
     f_values = theta * radial_curvature_value(spec, 1.0, funcs[1](dense), funcs[2](dense))
 
     def psi(x, z):

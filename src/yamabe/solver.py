@@ -62,7 +62,6 @@ __all__ = [
     "newton_solve",
     "continuation_run",
     "check_subsolution",
-    "profile_cone_scores",
     "estimate_monitors",
 ]
 
@@ -493,20 +492,14 @@ class SubsolutionReport:
         )
 
 
-def profile_cone_scores(spec, profile):
-    """Eigenvalue rows of W[u] at every node of a profile and their t = 1
-    cone margin scores."""
-    rows = radial_eigen_rows(spec.n, profile.du, profile.d2u)
-    return rows, spec.margin_scores(rows)
-
-
 def check_subsolution(problem):
     """Validate the stored subsolution against the t = 1 inequality."""
     sub = problem.subsolution
     if sub is None:
         raise ValueError("the problem has no subsolution to check")
     grid = _grid_for(problem, sub)
-    rows, scores = profile_cone_scores(problem.spec, sub)
+    rows = radial_eigen_rows(problem.geom.n, sub.du, sub.d2u)
+    scores = problem.spec.margin_scores(rows)
     ok = scores > problem.spec.margin
     margins = np.full(grid.size, np.nan)
     if np.any(ok):

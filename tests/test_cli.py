@@ -303,7 +303,12 @@ class TestSolveRobustness:
         assert report["passed"] is False
         [check] = report["checks"]
         assert check["name"] == "subsolution.cone_margin" and check["status"] == "fail"
-        assert check["value"] < 0.0
+        # the score of the rows psi was sampled on, not of the solve's grid
+        _, du, d2u = cli.benchmarks.cosh_profile(0.2)
+        dense = np.linspace(-1.0, 1.0, cli.benchmarks.SCALED_PSI_NODES)
+        spec = cli.symfun.SymFuncSpec("sigma_k_root", n=3, k=2)
+        rows = geometry.radial_eigen_rows(3, du(dense), d2u(dense))
+        assert check["value"] == float(spec.margin_scores(rows).min()) < 0.0
         assert "outside the cone" in report["error"]
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
 
@@ -336,6 +341,8 @@ class TestProfileWriters:
     """Profiles are written by one process per available core, same bytes."""
 
     def test_output_independent_of_the_core_count(self, tmp_path, monkeypatch):
+        # one writer per 101-node profile, so the small solve forks
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITER", 101)
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
         assert run_cli(["solve", cfg]) == 0
         every_core = _output_bytes(tmp_path / "out")
@@ -344,6 +351,8 @@ class TestProfileWriters:
         assert run_cli(["solve", cfg]) == 0
         assert _output_bytes(tmp_path / "out") == every_core
         monkeypatch.undo()
+        assert run_cli(["solve", cfg]) == 0
+        assert _output_bytes(tmp_path / "out") == every_core
         monkeypatch.delattr(os, "fork")
         assert run_cli(["solve", cfg]) == 0
         assert _output_bytes(tmp_path / "out") == every_core
@@ -374,7 +383,22 @@ class TestProfileWriters:
         cli._write_in_processes(list(range(5)), write, cli._cores())
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{j}.txt" for j in range(5)]
 
-    def test_occupied_profile_path_fails_without_a_passing_report(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rows, writers", [(None, 1), (101, 3), (303, 1), (151, 2)])
+    def test_writers_by_row_count(self, tmp_path, monkeypatch, rows, writers):
+        # 3 profiles of 101 nodes: 303 rows, below the default rows per writer
+        if rows is not None:
+            monkeypatch.setattr(cli, "_ROWS_PER_WRITER", rows)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        used = []
+        monkeypatch.setattr(cli, "_write_in_processes",
+                            lambda jobs, write, cores: used.append(cores))
+        cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
+        assert run_cli(["solve", cfg]) == 0
+        assert used == [[0, 1, 2, 3][:writers]]
+
+    def test_occupied_profile_path_fails_without_a_passing_report(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITER", 101)
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "s.json", _solve_payload(out))
         assert run_cli(["solve", cfg]) == 0
