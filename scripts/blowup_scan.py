@@ -3,8 +3,11 @@
 
 Runs the t-family on the cylinder whose length and right-hand side come from
 the closed-form construction, and prints sup|u''_t| together with the scaled
-product (1 - t) sup|u''_t| over the schedule tail. The scaled product staying
-in a narrow band is the discrete signature of the 1/(1-t) curvature envelope.
+product (1 - t) sup|u''_t| over the schedule tail. Measured on this data,
+sup|u''_t| grows like (1-t)^(-p) with p between about 0.45 and 0.58 on
+t in [0.9, 0.999], more slowly than 1/(1-t): the scaled product falls by
+about a factor of ten over that range and stays within a factor of about
+three only over a single decade of 1 - t.
 """
 
 import argparse

@@ -9,11 +9,10 @@ from ._errors import (
     NonconvergenceError,
     NumericalError,
     StepFailureError,
-    UnsupportedOperationError,
     YamabeError,
 )
 from .example1 import ExampleParams, d_from_c, half_length, solve_profile, verify_example
-from .geometry import CylinderGeometry, RadialProfile, WEigenField, w_eigen_radial
+from .geometry import CylinderGeometry, RadialProfile
 from .solver import (
     ContinuationReport,
     ContinuationState,
@@ -26,12 +25,9 @@ from .solver import (
 )
 from .symfun import (
     BrokenHomogeneitySpec,
-    EigenTuple,
-    ProjectedCone,
     SymFuncSpec,
     classify_type,
     concavity_margin,
-    f_infinity,
     matrix_value_and_derivative,
     verify_structure,
 )

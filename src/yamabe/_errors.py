@@ -17,10 +17,6 @@ class ConeViolationError(ConeDomainError):
         self.node = node
 
 
-class UnsupportedOperationError(YamabeError, TypeError):
-    """Operation not defined for this symmetric-function kind."""
-
-
 class NumericalError(YamabeError, RuntimeError):
     """A numerical procedure failed to reach its accuracy target."""
 

@@ -9,7 +9,9 @@ Three families cover the interesting regimes:
   convergence studies (psi is built per t so the same profile solves every
   member of the family);
 * the boundary data of the explicit non-smooth construction, where sup|u''|
-  is expected to scale like 1/(1-t) along the continuation.
+  grows without bound as t approaches 1.  Measured, it grows like
+  (1-t)^(-p) with p between about 0.45 and 0.58 on t in [0.9, 0.999], more
+  slowly than 1/(1-t).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from .example1 import ExampleParams, solve_profile
-from .geometry import CylinderGeometry, RadialProfile, radial_eigen_rows
+from .geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
 from .solver import DirichletProblem
 from .symfun import SymFuncSpec
 
@@ -62,10 +64,14 @@ def constant_profile(value):
 
 
 def radial_curvature_value(spec, t, du, d2u):
-    """f_t of the radial eigenvalues built from pointwise derivative values."""
+    """f_t of the radial eigenvalues built from pointwise derivative values;
+    raises ConeDomainError when a point leaves the cone."""
     du = np.atleast_1d(np.asarray(du, dtype=float))
     d2u = np.atleast_1d(np.asarray(d2u, dtype=float))
-    return spec.value_t_many(t, radial_eigen_rows(spec.n, du, d2u))
+    evaluation = spec.radial_eval(t, *radial_w_eigenvalues(spec.n, du, d2u))
+    if evaluation.value is None:
+        spec._require_scores_inside(evaluation.scores)
+    return evaluation.value
 
 
 # points of [-L, L] on which subsolution_scaled_psi samples f(W[u])

@@ -29,12 +29,14 @@ import numpy as np
 
 from ._errors import (
     ConeDomainError,
+    ConeViolationError,
     ConfigError,
     ContinuationError,
+    NewtonError,
     YamabeError,
 )
 from . import benchmarks, example1, solver, symfun
-from .geometry import CylinderGeometry, RadialProfile, radial_eigen_rows
+from .geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
 
 FORMAT_VERSION = "yamabe/1"
 
@@ -386,11 +388,9 @@ def cmd_example1(config):
     interior = np.abs(profile.grid) < solution.t_max
     residual_col = np.empty(grid_size)
     residual_col[~interior] = profile.u[~interior] - c
-    du = solution.du_at(profile.grid[interior])
-    d2u = solution.d2u_at(profile.grid[interior])
-    sigk = example1._sigma_k_of_radial(n, k, du, d2u)
-    residual_col[interior] = example1._signed_root(sigk, k) \
-        - params.rhs_root * np.exp(-2.0 * profile.u[interior])
+    xs = profile.grid[interior]
+    residual_col[interior] = example1.equation_residual(
+        params, profile.u[interior], solution.du_at(xs), solution.d2u_at(xs))
 
     derived = {
         "d": params.d,
@@ -488,8 +488,8 @@ def _build_solve_problem(config):
         except ConeDomainError as exc:
             # the scores of the rows that raised: u' and u'' on psi's points
             dense = np.linspace(-ell, ell, benchmarks.SCALED_PSI_NODES)
-            rows = radial_eigen_rows(n, sub_funcs[1](dense), sub_funcs[2](dense))
-            score = float(spec.margin_scores(rows).min())
+            axis, sphere = radial_w_eigenvalues(n, sub_funcs[1](dense), sub_funcs[2](dense))
+            score = float(spec.radial_eval(1.0, axis, sphere).scores.min())
             raise _SubsolutionOutsideCone(str(exc), score, score > spec.margin) from exc
     elif psi_family == "example1_rhs":
         c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
@@ -626,7 +626,14 @@ def cmd_solve(config):
 
     _write_solve_outputs(out, resolved, states, _cores())
 
+    # Newton giving up, or a warm start no blend brings back into the cone,
+    # is partial convergence (exit 3); any other cause, a failed Jacobian
+    # check, is an error (exit 1), reported with the states solved before it
+    partial = failure is None or isinstance(failure.cause, (NewtonError, ConeViolationError))
     extra = {"failed_t": failed_t}
+    if not partial:
+        extra["error"] = str(failure.cause)
+        print(f"error: {failure.cause}", file=sys.stderr)
     if states:
         extra["monitor_growth"] = list(report.monitor_growth())
         extra["monitor_spread"] = list(report.monitor_spread())
@@ -646,7 +653,7 @@ def cmd_solve(config):
     if verbose:
         print(f"continuation {solved - started:.3f} s, output {time.perf_counter() - solved:.3f} s",
               file=sys.stderr)
-    if failed_t is not None:
+    if failed_t is not None and partial:
         return 3
     return 0 if passed else 1
 

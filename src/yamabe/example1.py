@@ -43,6 +43,7 @@ __all__ = [
     "VerifyThresholds",
     "first_integral",
     "d_from_c",
+    "equation_residual",
     "half_length",
     "solve_profile",
     "verify_example",
@@ -392,6 +393,16 @@ def _sigma_k_of_radial(n, k, du, d2u):
     return total
 
 
+def equation_residual(params, u, du, d2u):
+    """sigma_k(W[u])^(1/k) - rhs_root e^(-2u) from u, u' and u''.
+
+    The k-th root is the odd extension (_signed_root), so nodes outside the
+    cone keep a finite residual.
+    """
+    sigk = _sigma_k_of_radial(params.n, params.k, du, d2u)
+    return _signed_root(sigk, params.k) - params.rhs_root * np.exp(-2.0 * u)
+
+
 def verify_example(params, solution, thresholds=None,
                    d2u_fractions=(1e-2, 1e-3, 1e-4)):
     """Check a radial profile against the closed-form construction.
@@ -430,9 +441,7 @@ def verify_example(params, solution, thresholds=None,
         d2u_samples = tuple(samples)
         stencil = True
 
-    n, k = params.n, params.k
-    residual = _signed_root(_sigma_k_of_radial(n, k, du, d2u), k) \
-        - params.rhs_root * np.exp(-2.0 * u)
+    residual = equation_residual(params, u, du, d2u)
     one_minus = 1.0 - du ** 2
     safe = np.abs(du) < 1.0
     drift = np.abs(

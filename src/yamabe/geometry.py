@@ -27,20 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symfun import EigenTuple, _radial_rows
-
 __all__ = [
     "CylinderGeometry",
     "GridStencils",
     "RadialProfile",
-    "WEigenField",
     "first_derivative",
     "second_derivative",
     "stencil_weights",
-    "w_eigen_radial",
     "radial_w_eigenvalues",
-    "radial_eigen_rows",
-    "conformal_schouten",
 ]
 
 
@@ -56,15 +50,6 @@ class CylinderGeometry:
             raise ValueError("dimension must be at least 3")
         if not self.half_length > 0:
             raise ValueError("half_length must be positive")
-
-    def schouten_eigenvalues(self):
-        """Base curvature eigenvalues (-1/2, 1/2, ..., 1/2), ascending."""
-        return EigenTuple((-0.5,) + (0.5,) * (self.n - 1))
-
-    def schouten_matrix(self):
-        a = np.full(self.n, 0.5)
-        a[0] = -0.5
-        return np.diag(a)
 
 
 def stencil_weights(offsets, order):
@@ -217,16 +202,6 @@ class RadialProfile:
         return second_derivative(self.grid, self.u, self.stencils)
 
 
-@dataclass(frozen=True)
-class WEigenField:
-    """Per-node eigenvalues of W[u], rows ascending; optional cone flags."""
-
-    eigs: np.ndarray
-    axis: np.ndarray
-    sphere: np.ndarray
-    in_gamma_t: np.ndarray | None = None
-
-
 def radial_w_eigenvalues(n, du, d2u):
     """(axis, sphere) eigenvalue pair of W[u] for a radial profile.
 
@@ -236,34 +211,3 @@ def radial_w_eigenvalues(n, du, d2u):
     sphere = 0.5 * (1.0 - du ** 2)
     axis = d2u - sphere
     return axis, sphere
-
-
-def radial_eigen_rows(n, du, d2u):
-    """Unsorted per-node eigenvalue rows (axis, sphere x (n-1)) of W[u]."""
-    return _radial_rows(*radial_w_eigenvalues(n, du, d2u), n)
-
-
-def w_eigen_radial(geom, profile, spec=None, t=None):
-    """Eigenvalue field of W[u] for a radial profile on the cylinder."""
-    tol = 1e-12 * max(1.0, geom.half_length)
-    if profile.grid[0] < -geom.half_length - tol or profile.grid[-1] > geom.half_length + tol:
-        raise ValueError("profile grid exceeds the cylinder")
-    rows = radial_eigen_rows(geom.n, profile.du, profile.d2u)
-    eigs = np.sort(rows, axis=1)
-    flags = None
-    if spec is not None and t is not None:
-        flags = spec.margin_scores_t(t, eigs) > spec.margin
-    return WEigenField(eigs=eigs, axis=rows[:, 0], sphere=rows[:, 1], in_gamma_t=flags)
-
-
-def conformal_schouten(du, hess, base):
-    """Curvature tensor of e^(-2u) g from first and second derivatives of u.
-
-    All inputs are expressed in a g-orthonormal frame: du is the gradient
-    vector, hess the covariant Hessian and base the curvature tensor of g.
-    """
-    du = np.asarray(du, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    base = np.asarray(base, dtype=float)
-    n = du.size
-    return hess + np.outer(du, du) - 0.5 * float(du @ du) * np.eye(n) + base

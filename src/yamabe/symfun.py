@@ -28,13 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._errors import ConeDomainError, NumericalError, UnsupportedOperationError
+from ._errors import ConeDomainError, NumericalError
 
 __all__ = [
-    "EigenTuple",
     "SymFuncSpec",
     "BrokenHomogeneitySpec",
-    "ProjectedCone",
     "Classification",
     "CheckResult",
     "StructureReport",
@@ -42,10 +40,8 @@ __all__ = [
     "SeparationReport",
     "RadialEvaluation",
     "sigma",
-    "sigma_gradient",
     "matrix_value_and_derivative",
     "classify_type",
-    "f_infinity",
     "concavity_margin",
     "concavity_margin_many",
     "concavity_margin_suite",
@@ -60,13 +56,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _as_batch(lam):
-    """Return (values as an (m, n) array, was_single_vector)."""
-    v = np.asarray(getattr(lam, "values", lam), dtype=float)
+    """lam as an (m, n) array; a single vector becomes one row."""
+    v = np.asarray(lam, dtype=float)
     if v.ndim == 1:
-        return v[None, :], True
+        return v[None, :]
     if v.ndim != 2:
         raise ValueError(f"expected a vector or a stack of vectors, got shape {v.shape}")
-    return v, False
+    return v
 
 
 def _esp(values, kmax):
@@ -115,20 +111,11 @@ def _esp_gradient(values, j):
 
 def sigma(lam, k):
     """k-th elementary symmetric polynomial of the entries of lam (sigma_0 = 1)."""
-    v, _ = _as_batch(lam)
+    v = _as_batch(lam)
     n = v.shape[1]
     if not 0 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
     return float(_esp(v, k)[0, k])
-
-
-def sigma_gradient(lam, k):
-    """Gradient of sigma_k with respect to the entries of lam."""
-    v, _ = _as_batch(lam)
-    n = v.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError(f"order k={k} out of range for n={n}")
-    return _esp_gradient(v, k)[0]
 
 
 def _cone_scores(values, order):
@@ -223,36 +210,6 @@ class RadialEvaluation(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue tuples
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenTuple:
-    """An ascending tuple of n >= 3 real eigenvalues."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(x) for x in self.values)
-        if len(vals) < 3:
-            raise ValueError("eigenvalue tuples need at least 3 entries")
-        if any(a > b for a, b in zip(vals, vals[1:])):
-            raise ValueError("eigenvalues must be ascending; use EigenTuple.of to sort")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def of(cls, values):
-        return cls(tuple(sorted(float(x) for x in values)))
-
-    @property
-    def n(self):
-        return len(self.values)
-
-    def array(self):
-        return np.array(self.values)
-
-
-# ---------------------------------------------------------------------------
 # the interpolation family shared by all cone-function specs
 # ---------------------------------------------------------------------------
 
@@ -268,66 +225,60 @@ def _t_map(t, v):
 class _InterpolationFamily:
     """Mixin deriving the t-family from value/grad/margin of the base pair.
 
-    Requires the host to provide n, margin, value_many, grad_many and
-    margin_scores.
+    Requires the host to provide n, margin, value_many, grad_many,
+    margin_scores and _require_scores_inside.
     """
 
-    def interpolate(self, t, lam):
-        v, single = self._validated(lam)
-        m = _t_map(t, v)
-        return m[0] if single else m
-
     def _validated(self, lam):
-        v, single = _as_batch(lam)
+        v = _as_batch(lam)
         if v.shape[1] != self.n:
             raise ValueError(f"expected tuples of length {self.n}, got {v.shape[1]}")
-        return v, single
+        return v
 
     # -- membership -------------------------------------------------------
 
+    def _require_inside(self, values):
+        self._require_scores_inside(self.margin_scores(values))
+
     def contains(self, lam, margin=None):
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         tol = self.margin if margin is None else margin
         return bool(self.margin_scores(v)[0] > tol)
 
     def in_cone_t(self, t, lam, margin=None):
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         tol = self.margin if margin is None else margin
         return bool(self.margin_scores_t(t, v)[0] > tol)
 
-    def margin_score(self, lam):
-        v, _ = self._validated(lam)
-        return float(self.margin_scores(v)[0])
-
     def margin_scores_t(self, t, lam):
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         return self.margin_scores(_t_map(t, v))
 
     # -- values and derivatives --------------------------------------------
 
     def value(self, lam):
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         return float(self.value_many(v)[0])
 
     def grad(self, lam):
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         return self.grad_many(v)[0]
 
     def value_t(self, t, lam):
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         return float(self.value_t_many(t, v)[0])
 
     def value_t_many(self, t, lam):
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         return self.value_many(_t_map(t, v))
 
     def grad_t(self, t, lam):
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         return self.grad_t_many(t, v)[0]
 
     def grad_t_many(self, t, lam):
         """Chain rule through lam -> t*lam + (1-t)*sigma_1(lam)*e."""
-        v, _ = self._validated(lam)
+        v = self._validated(lam)
         return _t_map(t, self.grad_many(_t_map(t, v)))
 
     def normal(self, t, lam):
@@ -415,9 +366,6 @@ class SymFuncSpec(_InterpolationFamily):
         """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row (see _cone_scores)."""
         return _cone_scores(np.asarray(values, dtype=float), self.k)
 
-    def _require_inside(self, values):
-        self._require_scores_inside(self.margin_scores(values))
-
     def _require_scores_inside(self, scores):
         bad = np.nonzero(scores <= self.margin)[0]
         if bad.size:
@@ -494,9 +442,6 @@ class SymFuncSpec(_InterpolationFamily):
         g_s = t * g_s + shift
         return RadialEvaluation(scores, f, t * g_a + shift, _row_sum(g_s, g_s, n - 1))
 
-    def projected(self):
-        return ProjectedCone.from_spec(self)
-
 
 @dataclass(frozen=True)
 class BrokenHomogeneitySpec(_InterpolationFamily):
@@ -526,8 +471,8 @@ class BrokenHomogeneitySpec(_InterpolationFamily):
         tiny = np.finfo(float).tiny
         return np.where(scale > 0, s1 / np.maximum(scale, tiny), -np.inf)
 
-    def _require_inside(self, values):
-        if np.any(self.margin_scores(values) <= self.margin):
+    def _require_scores_inside(self, scores):
+        if np.any(scores <= self.margin):
             raise ConeDomainError(f"{self.label}: tuple outside the cone")
 
     def value_many(self, values):
@@ -542,23 +487,17 @@ class BrokenHomogeneitySpec(_InterpolationFamily):
 
 
 # ---------------------------------------------------------------------------
-# classification: cone type, growth type, growth radius
+# classification: cone type and growth type
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Classification:
     cone_type: int          # 1: positive axes on the cone boundary, 2: inside
     f_type: str             # "bounded" or "unbounded" growth in the last slot
-    growth_radius: float | None = None
 
 
-def classify_type(spec, level=None, compact_sample=None):
-    """Classify the cone and the growth type of f, with a numeric cross-check.
-
-    For an unbounded spec, when both a level C and a compact sample of cone
-    points are supplied, also returns a shift R such that
-    f(lam_1, ..., lam_n + R) >= C for every sampled lam.
-    """
+def classify_type(spec):
+    """Classify the cone and the growth type of f, with a numeric cross-check."""
     n = spec.n
     axis_probe = np.full(n, -1e-3)
     axis_probe[-1] = 1.0
@@ -575,186 +514,7 @@ def classify_type(spec, level=None, compact_sample=None):
     if numeric_unbounded != closed_form_unbounded:
         raise NumericalError(f"{spec.label}: growth probe disagrees with the closed form")
     f_type = "unbounded" if closed_form_unbounded else "bounded"
-
-    radius = None
-    if f_type == "unbounded" and level is not None and compact_sample is not None:
-        radius = growth_radius(spec, level, compact_sample)
-    return Classification(cone_type=cone_type, f_type=f_type, growth_radius=radius)
-
-
-def growth_radius(spec, level, sample):
-    """Smallest power-of-two shift R with f(lam + R e_n) >= level on the sample."""
-    pts = np.asarray(sample, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    spec._require_inside(pts)
-    radius = 1.0
-    for _ in range(500):
-        shifted = pts.copy()
-        shifted[:, -1] += radius
-        if np.all(spec.value_many(shifted) >= level):
-            return radius
-        radius *= 2.0
-    raise NumericalError("growth radius search did not terminate; is f really unbounded?")
-
-
-def f_infinity(spec, lam_p):
-    """Limit of f(lam', s) as s -> +infinity, for bounded-type (quotient) specs.
-
-    Equals (sigma_{k-1}(lam')/sigma_{l-1}(lam'))^(1/(k-l)) on the projected
-    cone, with sigma_0 = 1.
-    """
-    if getattr(spec, "kind", "") != "quotient":
-        raise UnsupportedOperationError(
-            "f_infinity is only defined for bounded-type (quotient) functions"
-        )
-    pc = spec.projected()
-    v = np.asarray(getattr(lam_p, "values", lam_p), dtype=float)
-    if v.ndim != 1 or v.size != spec.n - 1:
-        raise ValueError(f"expected a vector of length {spec.n - 1}")
-    if not pc.contains(v):
-        raise ConeDomainError("lam' outside the projected cone")
-    e = _esp(v[None, :], spec.k - 1)[0]
-    num = e[spec.k - 1]
-    den = e[spec.l - 1]
-    return float((num / den) ** (1.0 / (spec.k - spec.l)))
-
-
-# ---------------------------------------------------------------------------
-# projected cone and distance to its boundary
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProjectedCone:
-    """Projection of Gamma_k onto the first n-1 coordinates.
-
-    For k >= 2 this is the order-(k-1) cone in dimension n-1; for k = 1 it is
-    all of R^(n-1).  Construction cross-checks the identification against the
-    parent cone: (lam', s) must belong to Gamma_k for large s exactly when
-    lam' belongs to the stored cone.
-    """
-
-    parent: SymFuncSpec
-    dim: int
-    order: int  # 0 encodes the whole space
-
-    @classmethod
-    def from_spec(cls, spec):
-        pc = cls(parent=spec, dim=spec.n - 1, order=spec.k - 1)
-        pc._oracle_check()
-        return pc
-
-    def _oracle_check(self):
-        probes = [np.ones(self.dim), np.full(self.dim, -1.0)]
-        mid = np.ones(self.dim)
-        mid[0] = -0.2
-        probes.append(mid)
-        s = 1e8
-        for p in probes:
-            stored = self.contains(p, margin=0.0) if self.order >= 1 else True
-            lifted = self.parent.contains(np.append(p, s), margin=0.0)
-            if stored != lifted:
-                raise NumericalError(
-                    "projected cone identification failed the lift oracle"
-                )
-
-    # -- membership -----------------------------------------------------------
-
-    def _scores(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values[None, :]
-        if self.order == 0:
-            return np.full(values.shape[0], np.inf)
-        return _cone_scores(values, self.order)
-
-    def contains(self, lam_p, margin=None):
-        tol = self.parent.margin if margin is None else margin
-        return bool(self._scores(lam_p)[0] > tol)
-
-    # -- distance ---------------------------------------------------------------
-
-    def distance_to_boundary(self, lam_p):
-        return self.nearest_boundary(lam_p)[0]
-
-    def nearest_boundary(self, lam_p):
-        """Distance to the cone boundary with a witness pair.
-
-        Returns (distance, boundary point, unit supporting normal); the input
-        is rearranged ascending first.  The normal gamma satisfies
-        gamma . point = 0 and has nonnegative entries, and gamma . lam' equals
-        the distance at the optimum.  For a whole-space projection the
-        distance is infinite and no witness exists.
-        """
-        v = np.sort(np.asarray(getattr(lam_p, "values", lam_p), dtype=float))
-        if v.size != self.dim:
-            raise ValueError(f"expected a vector of length {self.dim}")
-        if self.order == 0:
-            return math.inf, None, None
-        score = float(self._scores(v)[0])
-        if score < -1e-9:
-            raise ConeDomainError("lam' outside the closure of the projected cone")
-        if score <= self.parent.margin:
-            gamma = _esp_gradient(v[None, :], self.order)[0]
-            gamma = gamma / np.linalg.norm(gamma)
-            return 0.0, v.copy(), gamma
-        if self.order == 1:
-            # half space sigma_1 > 0: the boundary is a hyperplane
-            gamma = np.full(self.dim, 1.0 / math.sqrt(self.dim))
-            d = float(v.sum() / math.sqrt(self.dim))
-            return d, v - d * gamma, gamma
-        return self._distance_by_normal_iteration(v)
-
-    def _strictly_inside(self, x):
-        e = _esp(x[None, :], self.order)[0]
-        return bool(np.all(e[1:] > 0.0))
-
-    def _ray_exit(self, base, direction):
-        """First boundary crossing along base - s * direction, by bisection."""
-        scale = max(1.0, float(np.abs(base).max()))
-        hi = scale
-        for _ in range(200):
-            if not self._strictly_inside(base - hi * direction):
-                break
-            hi *= 2.0
-        else:
-            raise NumericalError("ray failed to leave the cone")
-        lo = 0.0
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if self._strictly_inside(base - mid * direction):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * scale:
-                break
-        s = 0.5 * (lo + hi)
-        return s, base - s * direction
-
-    def _distance_by_normal_iteration(self, v):
-        # Walk to the boundary along the inward normal of the active level
-        # set, re-reading the normal at each foot point.  Each ray length and
-        # each supporting value gamma.lam' upper-bounds the distance and the
-        # two meet only at the metric projection, so the gap doubles as the
-        # stopping test.
-        direction = _esp_gradient(v[None, :], self.order)[0]
-        direction = direction / np.linalg.norm(direction)
-        s, x = self._ray_exit(v, direction)
-        best = (s, x, direction)
-        for _ in range(80):
-            grad = _esp_gradient(x[None, :], self.order)[0]
-            nrm = np.linalg.norm(grad)
-            if nrm < 1e-300:
-                raise NumericalError("degenerate normal on the cone boundary")
-            gamma = grad / nrm
-            support = float(gamma @ v)
-            s_new, x_new = self._ray_exit(v, gamma)
-            if s_new < best[0]:
-                best = (s_new, x_new, gamma)
-            if support - s_new <= 1e-13 * max(1.0, s_new):
-                return s_new, x_new, gamma
-            x = x_new
-        return best
+    return Classification(cone_type=cone_type, f_type=f_type)
 
 
 # ---------------------------------------------------------------------------
@@ -998,8 +758,8 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
     lies outside the cone or any lam outside its interpolated cone.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1, 1)
-    mus, _ = spec._validated(mus)
-    lams, _ = spec._validated(lams)
+    mus = spec._validated(mus)
+    lams = spec._validated(lams)
     mapped_mu = _t_map(ts, mus)
     mapped_lam = _t_map(ts, lams)
     if np.any(spec.margin_scores(mus) <= spec.margin):

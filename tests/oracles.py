@@ -4,10 +4,10 @@ Everything here deliberately avoids the code paths it validates: elementary
 symmetric polynomials come from subset enumeration, their gradients from
 deleting one coordinate at a time, other gradients from central
 differences, the structure suites from one sample and one bisection step at
-a time, Jacobian columns from bumping one nodal value of the residual,
-cone distances from dense direction sampling, and the stopping time of the
-radial problem from integrating the second-order equation itself (never its
-first integral).
+a time, Jacobian columns from bumping one nodal value of the residual, the
+conformal curvature from the general transformation law, and the stopping
+time of the radial problem from integrating the second-order equation
+itself (never its first integral).
 """
 
 import itertools
@@ -47,6 +47,37 @@ def esp_gradient_by_deletion(values, j):
             e[:, 1:] = e[:, 1:] + reduced[:, col:col + 1] * e[:, :-1]
         grad[:, i] = e[:, j - 1]
     return grad
+
+
+def schouten_eigenvalues(n):
+    """Curvature eigenvalues (-1/2, 1/2, ..., 1/2) of the round cylinder, ascending."""
+    return (-0.5,) + (0.5,) * (n - 1)
+
+
+def schouten_matrix(n):
+    """The cylinder's curvature tensor in a frame whose first vector is the axis."""
+    return np.diag(schouten_eigenvalues(n))
+
+
+def conformal_schouten(du, hess, base):
+    """Curvature tensor of e^(-2u) g from first and second derivatives of u.
+
+    All inputs are expressed in a g-orthonormal frame: du is the gradient
+    vector, hess the covariant Hessian and base the curvature tensor of g.
+    """
+    du = np.asarray(du, dtype=float)
+    hess = np.asarray(hess, dtype=float)
+    base = np.asarray(base, dtype=float)
+    n = du.size
+    return hess + np.outer(du, du) - 0.5 * float(du @ du) * np.eye(n) + base
+
+
+def radial_rows(n, du, d2u):
+    """The (m, n) eigenvalue rows (axis, sphere, ..., sphere) of W[u] for a
+    radial profile, with axis = u'' - (1 - u'^2)/2 and sphere = (1 - u'^2)/2."""
+    sphere = 0.5 * (1.0 - np.asarray(du, dtype=float) ** 2)
+    axis = np.asarray(d2u, dtype=float) - sphere
+    return np.column_stack([axis] + [sphere] * (n - 1))
 
 
 def gradient_by_differences(func, x, step=1e-6):
@@ -118,51 +149,6 @@ def matrix_derivative_by_differences(func, w, step=1e-7):
     for i in range(n):
         out[i, i] *= 2.0
     return out
-
-
-def cone_distance_brute_force(inside_batch, point, rounds=6, batch=2000, seed=0):
-    """Distance from an interior point to the boundary of a convex region.
-
-    Samples ray directions, finds the first crossing along each by a
-    vectorized bisection and refines around the best direction.  inside_batch
-    takes an (m, dim) array and returns a boolean mask of strictly interior
-    rows.
-    """
-    rng = np.random.default_rng(seed)
-    point = np.asarray(point, dtype=float)
-    dim = point.size
-    scale = max(1.0, float(np.abs(point).max()))
-
-    def exit_distances(dirs):
-        m = dirs.shape[0]
-        hi = np.full(m, scale)
-        for _ in range(80):
-            inside = inside_batch(point + hi[:, None] * dirs)
-            if not inside.any():
-                break
-            hi[inside] *= 2.0
-        lo = np.zeros(m)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            inside = inside_batch(point + mid[:, None] * dirs)
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return 0.5 * (lo + hi)
-
-    best = math.inf
-    center = rng.standard_normal(dim)
-    center /= np.linalg.norm(center)
-    spread = 1.0
-    for _ in range(rounds):
-        dirs = center + spread * rng.standard_normal((batch, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        dists = exit_distances(dirs)
-        idx = int(np.argmin(dists))
-        if dists[idx] < best:
-            best = float(dists[idx])
-            center = dirs[idx]
-        spread *= 0.35
-    return best
 
 
 def stopping_time_by_ivp(params, degenerate_level=1e-10):

@@ -15,6 +15,8 @@ from yamabe import cli, geometry
 from yamabe.cli import main
 from yamabe.geometry import RadialProfile
 
+from oracles import radial_rows
+
 
 def run_cli(args):
     return main(list(args))
@@ -307,10 +309,35 @@ class TestSolveRobustness:
         _, du, d2u = cli.benchmarks.cosh_profile(0.2)
         dense = np.linspace(-1.0, 1.0, cli.benchmarks.SCALED_PSI_NODES)
         spec = cli.symfun.SymFuncSpec("sigma_k_root", n=3, k=2)
-        rows = geometry.radial_eigen_rows(3, du(dense), d2u(dense))
+        rows = radial_rows(3, du(dense), d2u(dense))
         assert check["value"] == float(spec.margin_scores(rows).min()) < 0.0
         assert "outside the cone" in report["error"]
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+
+    def test_jacobian_check_failure_keeps_the_solved_profiles(self, tmp_path, monkeypatch,
+                                                              capsys):
+        check = cli.solver._check_jacobian
+
+        def alarm(problem, t, profile, ab):
+            if t == 0.5:
+                raise cli.solver.NumericalError(f"analytic Jacobian deviates at t={t}")
+            check(problem, t, profile, ab)
+
+        monkeypatch.setattr(cli.solver, "_check_jacobian", alarm)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, grid_size=201, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE)))
+        assert run_cli(["solve", cfg]) == 1
+        assert "error: analytic Jacobian deviates at t=0.5" in capsys.readouterr().err
+        profiles = sorted(p.name for p in out.glob("profile_*.csv"))
+        assert profiles == [f"profile_{i:03d}_t{t:.6f}.csv"
+                            for i, t in enumerate((0.0, 0.1, 0.2, 0.3, 0.4))]
+        monitors = [l for l in (out / "monitors.csv").read_text().splitlines()
+                    if not l.startswith("#")]
+        assert [float(row.split(",")[0]) for row in monitors[1:]] == [0.0, 0.1, 0.2, 0.3, 0.4]
+        report = json.loads((out / "report.json").read_text())
+        assert report["failed_t"] == 0.5 and report["passed"] is False
+        assert report["error"] == "analytic Jacobian deviates at t=0.5"
 
     def test_verbose_prints_each_t_and_the_phase_times(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))

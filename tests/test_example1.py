@@ -10,6 +10,7 @@ from yamabe.example1 import (
     ExampleParams,
     VerifyThresholds,
     d_from_c,
+    equation_residual,
     first_integral,
     half_length,
     solve_profile,
@@ -166,9 +167,7 @@ class TestSolveProfile:
             prof = sol.profile
             rep = verify_example(P420, prof)
             core = slice(m // 4, 3 * m // 4)
-            from yamabe.example1 import _sigma_k_of_radial, _signed_root
-            resid = _signed_root(_sigma_k_of_radial(4, 2, prof.du[core], prof.d2u[core]), 2) \
-                - P420.rhs_root * np.exp(-2 * prof.u[core])
+            resid = equation_residual(P420, prof.u[core], prof.du[core], prof.d2u[core])
             errs.append(np.abs(resid).max())
         order = math.log(errs[0] / errs[-1]) / math.log(4.0)
         assert order >= 1.5

@@ -10,28 +10,27 @@ from yamabe.geometry import (
     CylinderGeometry,
     GridStencils,
     RadialProfile,
-    conformal_schouten,
     first_derivative,
     radial_w_eigenvalues,
     second_derivative,
     stencil_weights,
-    w_eigen_radial,
 )
-from yamabe.symfun import SymFuncSpec
+
+from oracles import conformal_schouten, schouten_eigenvalues, schouten_matrix
 
 
 class TestSchoutenBase:
     def test_n3(self):
-        geom = CylinderGeometry(n=3, half_length=1.0)
-        assert geom.schouten_eigenvalues().values == (-0.5, 0.5, 0.5)
+        assert schouten_eigenvalues(3) == (-0.5, 0.5, 0.5)
+        assert radial_w_eigenvalues(3, 0.0, 0.0) == (-0.5, 0.5)
 
     def test_n4(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
-        assert geom.schouten_eigenvalues().values == (-0.5, 0.5, 0.5, 0.5)
+        assert schouten_eigenvalues(4) == (-0.5, 0.5, 0.5, 0.5)
+        assert radial_w_eigenvalues(4, 0.0, 0.0) == (-0.5, 0.5)
 
     def test_trace(self):
-        geom = CylinderGeometry(n=4, half_length=2.0)
-        assert sum(geom.schouten_eigenvalues().values) == pytest.approx((4 - 2) / 2)
+        assert sum(schouten_eigenvalues(4)) == pytest.approx((4 - 2) / 2)
+        assert np.trace(schouten_matrix(4)) == pytest.approx((4 - 2) / 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -135,68 +134,50 @@ class TestRadialProfile:
 
 class TestRadialEigenvalues:
     def test_constant_profile_reproduces_base(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
         prof = RadialProfile.uniform(1.0, 21, 3.0)
-        field = w_eigen_radial(geom, prof)
-        base = np.array(geom.schouten_eigenvalues().values)
-        assert np.allclose(field.eigs, base[None, :], atol=1e-12)
+        axis, sphere = radial_w_eigenvalues(4, prof.du, prof.d2u)
+        base = schouten_eigenvalues(4)
+        assert np.allclose(axis, base[0], atol=1e-12)
+        assert np.allclose(sphere, base[1], atol=1e-12)
 
     def test_linear_profile(self):
         # u = a t: one eigenvalue -(1 - a^2)/2, the rest (1 - a^2)/2
         a = 0.4
-        geom = CylinderGeometry(n=4, half_length=1.0)
         prof = RadialProfile.uniform(1.0, 21, lambda x: a * x)
-        field = w_eigen_radial(geom, prof)
+        axis, sphere = radial_w_eigenvalues(4, prof.du, prof.d2u)
         half = 0.5 * (1.0 - a * a)
-        assert np.allclose(field.axis, -half, atol=1e-10)
-        assert np.allclose(field.sphere, half, atol=1e-12)
-        assert np.allclose(field.eigs[:, 0], -half, atol=1e-10)
-        assert np.allclose(field.eigs[:, 1:], half, atol=1e-10)
+        assert np.allclose(axis, -half, atol=1e-10)
+        assert np.allclose(sphere, half, atol=1e-12)
 
     def test_two_distinct_values_and_multiplicity(self):
-        geom = CylinderGeometry(n=5, half_length=1.0)
+        # the general law in the axis frame: W is diagonal, and its n - 1
+        # sphere entries are the sphere eigenvalue
         grid = np.linspace(-1, 1, 41)
         prof = RadialProfile(grid, 0.2 * np.cosh(grid))
-        field = w_eigen_radial(geom, prof)
-        sphere = 0.5 * (1.0 - prof.du ** 2)
-        assert np.allclose(np.sort(field.eigs, axis=1)[:, -4:],
-                           np.repeat(sphere[:, None], 4, axis=1), atol=1e-15)
+        axis, sphere = radial_w_eigenvalues(5, prof.du, prof.d2u)
+        for i in range(grid.size):
+            du = np.zeros(5)
+            du[0] = prof.du[i]
+            hess = np.zeros((5, 5))
+            hess[0, 0] = prof.d2u[i]
+            w = conformal_schouten(du, hess, schouten_matrix(5))
+            assert np.abs(np.diag(w)[1:] - sphere[i]).max() <= 1e-15
+            assert np.abs(w[0, 0] - axis[i]) <= 1e-15
+            assert np.array_equal(w, np.diag(np.diag(w)))
 
     def test_matches_general_transformation_law(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
         grid = np.linspace(-1, 1, 201)
         prof = RadialProfile(grid, 0.3 * np.cosh(grid) + 0.1 * np.sin(2 * grid))
-        field = w_eigen_radial(geom, prof)
+        axis, sphere = radial_w_eigenvalues(4, prof.du, prof.d2u)
         rng = np.random.default_rng(0)
         for i in rng.choice(201, size=20, replace=False):
             du = np.zeros(4)
             du[0] = prof.du[i]
             hess = np.zeros((4, 4))
             hess[0, 0] = prof.d2u[i]
-            w = conformal_schouten(du, hess, geom.schouten_matrix())
-            assert np.abs(np.sort(np.linalg.eigvalsh(w)) - field.eigs[i]).max() <= 1e-10
-
-    def test_grid_outside_cylinder_rejected(self):
-        geom = CylinderGeometry(n=4, half_length=0.5)
-        prof = RadialProfile.uniform(1.0, 11, 0.0)
-        with pytest.raises(ValueError):
-            w_eigen_radial(geom, prof)
-
-    def test_cone_flags(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
-        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        prof = RadialProfile.uniform(1.0, 21, lambda x: 0.3 * np.cosh(x))
-        field = w_eigen_radial(geom, prof, spec=spec, t=0.5)
-        assert field.in_gamma_t is not None and field.in_gamma_t.all()
-        flat = RadialProfile.uniform(1.0, 21, 0.0)
-        field2 = w_eigen_radial(geom, flat, spec=spec, t=1.0)
-        assert not field2.in_gamma_t.any()  # base spectrum sits on the cone boundary
-
-    def test_rows_ascending(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
-        prof = RadialProfile.uniform(1.0, 31, lambda x: 0.5 * np.cosh(x))
-        field = w_eigen_radial(geom, prof)
-        assert np.all(np.diff(field.eigs, axis=1) >= 0)
+            w = conformal_schouten(du, hess, schouten_matrix(4))
+            eigs = np.sort(np.append(np.full(3, sphere[i]), axis[i]))
+            assert np.abs(np.sort(np.linalg.eigvalsh(w)) - eigs).max() <= 1e-10
 
 
 class TestConformalSchouten:
@@ -212,7 +193,6 @@ class TestConformalSchouten:
         assert np.allclose(w, np.diag(np.diag(w)))
 
     def test_cross_module_consistency(self):
-        geom = CylinderGeometry(n=5, half_length=1.0)
         grid = np.linspace(-1, 1, 101)
         prof = RadialProfile(grid, 0.25 * grid ** 2)
         axis, sphere = radial_w_eigenvalues(5, prof.du, prof.d2u)
@@ -221,7 +201,7 @@ class TestConformalSchouten:
         du[0] = prof.du[i]
         hess = np.zeros((5, 5))
         hess[0, 0] = prof.d2u[i]
-        w = conformal_schouten(du, hess, geom.schouten_matrix())
+        w = conformal_schouten(du, hess, schouten_matrix(5))
         eigs = np.sort(np.linalg.eigvalsh(w))
         expected = np.sort(np.append(np.full(4, sphere[i]), axis[i]))
         assert np.abs(eigs - expected).max() <= 1e-12

@@ -19,7 +19,7 @@ from yamabe.benchmarks import (
     manufactured_problem,
     subsolution_benchmark,
 )
-from yamabe.geometry import CylinderGeometry, RadialProfile, radial_eigen_rows
+from yamabe.geometry import CylinderGeometry, RadialProfile
 from yamabe.solver import (
     DEFAULT_T_SCHEDULE,
     DirichletProblem,
@@ -33,7 +33,7 @@ from yamabe.solver import (
 )
 from yamabe.symfun import SymFuncSpec
 
-from oracles import banded_to_dense, fd_jacobian_column
+from oracles import banded_to_dense, fd_jacobian_column, radial_rows
 
 
 class TestProblemValidation:
@@ -250,7 +250,7 @@ class TestStateEvaluation:
     def test_state_cone_margin_is_the_minimum_margin_score(self, solved):
         problem, state = solved
         prof = state.profile
-        rows = radial_eigen_rows(problem.geom.n, prof.du[1:-1], prof.d2u[1:-1])
+        rows = radial_rows(problem.geom.n, prof.du[1:-1], prof.d2u[1:-1])
         assert state.cone_margin == problem.spec.margin_scores_t(0.5, rows).min()
 
     def test_increment_norms_always_recorded(self, solved):
@@ -386,6 +386,34 @@ class TestContinuation:
         ubar = problem.subsolution.u
         for s in report.states:
             assert np.min(s.profile.u - ubar) >= -1e-8
+
+    def test_feasible_warm_starts_are_not_screened(self, monkeypatch):
+        # Newton's first evaluation is the cone screen of a warm start; only
+        # the blend ladder of an infeasible one calls _inside_cone.  The
+        # counts per t were one higher when every warm start was screened,
+        # with the same Newton iterations.
+        calls = {}
+        inside = solver._inside_cone
+
+        def counted(problem, t, profile):
+            calls[t] = calls.get(t, 0) + 1
+            return inside(problem, t, profile)
+
+        monkeypatch.setattr(solver, "_inside_cone", counted)
+        report = continuation_run(subsolution_benchmark(node_count=401))
+        assert [calls.get(s.t, 0) for s in report.states] == [0, 0, 0, 0, 4, 5, 6, 6, 7, 7, 6, 0, 0]
+        assert [s.newton_iters for s in report.states] == [5, 3, 4, 4, 4, 4, 5, 5, 6, 5, 3, 4, 4]
+
+    def test_jacobian_check_failure_carries_partial_states(self, monkeypatch):
+        def alarm(problem, t, profile, ab):
+            raise NumericalError(f"alarm at t={t}")
+
+        monkeypatch.setattr(solver, "_check_jacobian", alarm)
+        problem = subsolution_benchmark(node_count=101)
+        with pytest.raises(ContinuationError) as err:
+            continuation_run(problem, t_schedule=(0.0, 0.5))
+        assert err.value.t_failed == 0.0 and err.value.states == []
+        assert str(err.value.cause) == "alarm at t=0.0"
 
     def test_manufactured_t_family_shares_solution(self):
         # psi is built per t from the DISCRETE curvature of one grid profile,

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from yamabe._errors import ConeDomainError, NumericalError, UnsupportedOperationError
-from yamabe.geometry import radial_eigen_rows, radial_w_eigenvalues
+from yamabe._errors import ConeDomainError, NumericalError
+from yamabe.geometry import radial_w_eigenvalues
 from yamabe.symfun import (
     BrokenHomogeneitySpec,
-    EigenTuple,
     SymFuncSpec,
     _boundary_decay_check,
     _esp,
@@ -19,22 +18,19 @@ from yamabe.symfun import (
     concavity_margin,
     concavity_margin_many,
     concavity_margin_suite,
-    f_infinity,
-    growth_radius,
     interpolation_ball_report,
     matrix_value_and_derivative,
     sample_cone,
     sigma,
-    sigma_gradient,
     verify_structure,
 )
 
 from oracles import (
     boundary_decay_by_loop,
-    cone_distance_brute_force,
     esp_gradient_by_deletion,
     gradient_by_differences,
     matrix_derivative_by_differences,
+    radial_rows,
     separation_margin_by_loop,
     sigma_by_enumeration,
 )
@@ -63,8 +59,6 @@ class TestSigma:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             sigma((1, 2, 3), 4)
-        with pytest.raises(ValueError):
-            sigma_gradient((1, 2, 3), 0)
 
     def test_random_against_enumeration(self):
         rng = np.random.default_rng(7)
@@ -74,14 +68,6 @@ class TestSigma:
             for k in range(1, n + 1):
                 assert sigma(lam, k) == pytest.approx(
                     sigma_by_enumeration(lam, k), rel=1e-12, abs=1e-12)
-
-    def test_gradient_is_reduced_sigma(self):
-        rng = np.random.default_rng(8)
-        lam = rng.standard_normal(5)
-        g = sigma_gradient(lam, 3)
-        for i in range(5):
-            reduced = np.delete(lam, i)
-            assert g[i] == pytest.approx(sigma_by_enumeration(reduced, 2), rel=1e-12)
 
 
 class TestEspGradient:
@@ -247,113 +233,6 @@ class TestClassification:
         c = classify_type(Q21)
         assert c.cone_type == 1
         assert c.f_type == "bounded"
-
-    def test_growth_radius_certifies_level(self):
-        rng = np.random.default_rng(9)
-        sample = sample_cone(S24, 50, rng, scale_low=-0.3, scale_high=0.3)
-        level = 25.0
-        c = classify_type(S24, level=level, compact_sample=sample)
-        assert c.growth_radius is not None
-        shifted = sample.copy()
-        shifted[:, -1] += c.growth_radius
-        assert np.all(S24.value_many(shifted) >= level)
-
-    def test_growth_radius_for_bounded_spec_not_produced(self):
-        c = classify_type(Q21, level=100.0, compact_sample=np.ones((2, 4)))
-        assert c.growth_radius is None
-
-    def test_growth_radius_direct_call(self):
-        r = growth_radius(S24, 10.0, np.ones((1, 4)))
-        shifted = np.ones(4)
-        shifted[-1] += r
-        assert S24.value(shifted) >= 10.0
-
-
-class TestFInfinity:
-    def test_quotient_limit_at_ones(self):
-        assert f_infinity(Q21, np.ones(3)) == pytest.approx(3.0, abs=1e-14)
-
-    def test_matches_numeric_limit(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            lam_p = 0.5 + rng.uniform(0.0, 2.0, size=3)
-            limit = Q21.value(np.append(lam_p, 1e6))
-            assert f_infinity(Q21, lam_p) == pytest.approx(limit, rel=1e-5)
-
-    def test_homogeneous_degree_one(self):
-        lam_p = np.array([0.5, 1.0, 2.0])
-        assert f_infinity(Q21, 2.0 * lam_p) == pytest.approx(
-            2.0 * f_infinity(Q21, lam_p), rel=1e-12)
-
-    def test_unbounded_spec_rejected(self):
-        with pytest.raises(UnsupportedOperationError):
-            f_infinity(S24, np.ones(3))
-
-    def test_outside_projected_cone_rejected(self):
-        q32 = SymFuncSpec("quotient", n=4, k=3, l=2)
-        with pytest.raises(ConeDomainError):
-            f_infinity(q32, np.array([-1.0, -1.0, 5.0]))
-
-    def test_higher_quotient_formula(self):
-        q31 = SymFuncSpec("quotient", n=5, k=3, l=1)
-        lam_p = np.array([0.5, 1.0, 1.5, 2.0])
-        expected = (sigma_by_enumeration(lam_p, 2) / 1.0) ** 0.5
-        assert f_infinity(q31, lam_p) == pytest.approx(expected, rel=1e-13)
-
-
-class TestProjectedConeDistance:
-    def test_half_space_closed_form(self):
-        pc = S23.projected()
-        d, x0, gamma = pc.nearest_boundary(np.array([1.0, 2.0]))
-        assert d == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-14)
-        assert gamma @ x0 == pytest.approx(0.0, abs=1e-12)
-        assert np.all(gamma >= 0)
-
-    def test_boundary_point_gives_zero(self):
-        pc = S23.projected()
-        assert pc.distance_to_boundary(np.array([-1.0, 1.0])) == 0.0
-
-    def test_whole_space_for_k1(self):
-        pc = SymFuncSpec("sigma_k_root", n=4, k=1).projected()
-        assert pc.distance_to_boundary(np.array([-5.0, 0.0, 7.0])) == math.inf
-
-    def test_positive_orthant_case(self):
-        # parent k = n: the projection is the positivity cone, distance is the
-        # smallest coordinate
-        pc = SymFuncSpec("sigma_k_root", n=4, k=4).projected()
-        lam_p = np.array([0.7, 1.3, 2.0])
-        d, x0, gamma = pc.nearest_boundary(lam_p)
-        assert d == pytest.approx(0.7, rel=1e-10)
-        assert gamma @ np.sort(lam_p) == pytest.approx(d, abs=1e-9)
-
-    def test_curved_cone_against_brute_force(self):
-        pc = SymFuncSpec("sigma_k_root", n=4, k=3).projected()  # order-2 cone in R^3
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            lam_p = np.sort(0.3 + rng.uniform(0.0, 2.0, size=3))
-            d, x0, gamma = pc.nearest_boundary(lam_p)
-            brute = cone_distance_brute_force(
-                lambda y: pc._scores(y) > 0.0, lam_p, seed=int(rng.integers(1e6)))
-            assert d == pytest.approx(brute, rel=1e-6, abs=1e-8)
-            assert np.all(gamma >= -1e-12)
-            assert gamma @ x0 == pytest.approx(0.0, abs=1e-10)
-            assert gamma @ lam_p == pytest.approx(d, rel=1e-9, abs=1e-11)
-
-    def test_outside_closure_rejected(self):
-        pc = S23.projected()
-        with pytest.raises(ConeDomainError):
-            pc.nearest_boundary(np.array([-2.0, 1.0]))
-
-    def test_lipschitz_along_segments(self):
-        pc = SymFuncSpec("sigma_k_root", n=4, k=3).projected()
-        rng = np.random.default_rng(12)
-        a = np.sort(0.5 + rng.uniform(0, 1, 3))
-        b = np.sort(0.5 + rng.uniform(0, 2, 3))
-        taus = np.linspace(0, 1, 11)
-        ds = [pc.distance_to_boundary((1 - t) * a + t * b) for t in taus]
-        gap = np.linalg.norm(b - a) / 10.0
-        for d1, d2 in zip(ds, ds[1:]):
-            assert abs(d2 - d1) <= gap + 1e-9
 
 
 class TestMatrixFunction:
@@ -530,7 +409,7 @@ class TestRadialKernel:
         d2u = rng.uniform(-0.5, 3.0, 300)
         du[0], d2u[0] = 1.0, 0.0  # the zero tuple: outside every cone
         a, s = radial_w_eigenvalues(n, du, d2u)
-        rows = radial_eigen_rows(n, du, d2u)
+        rows = radial_rows(n, du, d2u)
         for spec in _all_specs(n):
             for t in (0.0, 0.3, 0.99, 1.0):
                 scores = spec.margin_scores_t(t, rows)
@@ -619,23 +498,6 @@ class TestSuiteCallCounts:
         # 64 rays bisect in lockstep (100 calls, not 6400)
         assert counts[1] < counts[0] + 20
         assert counts[0] < 400
-
-
-class TestEigenTuple:
-    def test_sorts_on_construction(self):
-        assert EigenTuple.of([3.0, 1.0, 2.0]).values == (1.0, 2.0, 3.0)
-
-    def test_rejects_descending(self):
-        with pytest.raises(ValueError):
-            EigenTuple((3.0, 2.0, 1.0))
-
-    def test_rejects_short(self):
-        with pytest.raises(ValueError):
-            EigenTuple.of([1.0, 2.0])
-
-    def test_accepted_by_operations(self):
-        tup = EigenTuple.of([1.0, 2.0, 3.0])
-        assert S23.value(tup) == pytest.approx(math.sqrt(11), rel=1e-14)
 
 
 class TestSpecValidation:

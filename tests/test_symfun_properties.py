@@ -117,17 +117,6 @@ class TestHypothesisProperties:
         assert spec.value(np.sort(lam)[::-1].copy()) == pytest.approx(
             spec.value(lam), rel=1e-12)
 
-    @settings(max_examples=150, deadline=None)
-    @given(lam=cone_tuples(SPECS[3]), bump=st.floats(min_value=0.0, max_value=2.0),
-           idx=st.integers(min_value=0, max_value=2))
-    def test_f_infinity_monotone(self, lam, bump, idx):
-        from yamabe.symfun import f_infinity
-        spec = SPECS[3]
-        lam_p = np.abs(lam[:3]) + 0.1  # interior of the projected cone
-        higher = lam_p.copy()
-        higher[idx] += bump
-        assert f_infinity(spec, higher) >= f_infinity(spec, lam_p) - 1e-12
-
     @settings(max_examples=100, deadline=None)
     @given(lam=cone_tuples(SPECS[1]), t=st.floats(min_value=0.0, max_value=1.0))
     def test_cone_points_in_every_interpolated_cone(self, lam, t):
