@@ -15,6 +15,7 @@ from yamabe.geometry import (
     second_derivative,
     stencil_weights,
 )
+from yamabe.symfun import SymFuncSpec
 
 from oracles import conformal_schouten, schouten_eigenvalues, schouten_matrix
 
@@ -178,6 +179,15 @@ class TestRadialEigenvalues:
             w = conformal_schouten(du, hess, schouten_matrix(4))
             eigs = np.sort(np.append(np.full(3, sphere[i]), axis[i]))
             assert np.abs(np.sort(np.linalg.eigvalsh(w)) - eigs).max() <= 1e-10
+
+    def test_cone_flags(self):
+        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+        prof = RadialProfile.uniform(1.0, 21, lambda x: 0.3 * np.cosh(x))
+        scores = spec.radial_eval(0.5, *radial_w_eigenvalues(4, prof.du, prof.d2u)).scores
+        assert np.all(scores > spec.margin)
+        flat = RadialProfile.uniform(1.0, 21, 0.0)
+        scores = spec.radial_eval(1.0, *radial_w_eigenvalues(4, flat.du, flat.d2u)).scores
+        assert not np.any(scores > spec.margin)  # base spectrum sits on the cone boundary
 
 
 class TestConformalSchouten:

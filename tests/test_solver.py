@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded
 
 from yamabe import solver, symfun
 from yamabe._errors import (
+    ConeDomainError,
     ConeViolationError,
     ContinuationError,
     NonconvergenceError,
@@ -17,6 +18,7 @@ from yamabe._errors import (
 from yamabe.benchmarks import (
     example_boundary_problem,
     manufactured_problem,
+    radial_curvature_value,
     subsolution_benchmark,
 )
 from yamabe.geometry import CylinderGeometry, RadialProfile
@@ -70,6 +72,26 @@ class TestProblemValidation:
                 psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
                 phi_left=0.0, phi_right=0.0, subsolution=sub,
             )
+
+    def test_subsolution_grid_outside_cylinder_rejected(self):
+        geom = CylinderGeometry(n=4, half_length=0.5)
+        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+        sub = RadialProfile.uniform(1.0, 11, 0.0)
+        with pytest.raises(ValueError, match="span exactly"):
+            DirichletProblem(
+                geom=geom, spec=spec,
+                psi=lambda x, z: np.ones_like(np.asarray(x, float) * np.asarray(z, float)),
+                psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
+                phi_left=0.0, phi_right=0.0, subsolution=sub,
+            )
+
+    def test_profile_grid_outside_cylinder_rejected(self):
+        problem, exact = manufactured_problem(0.5, node_count=101)
+        wide = RadialProfile.uniform(2.0, 101, exact.u)
+        with pytest.raises(ValueError, match="span exactly"):
+            residual(problem, 0.5, wide)
+        with pytest.raises(ValueError, match="span exactly"):
+            jacobian(problem, 0.5, wide)
 
 
 class TestResidual:
@@ -365,10 +387,62 @@ class TestSubsolutionCheck:
         assert report.cone_violations
         assert not report.passed
 
+    def test_margins_nan_exactly_at_cone_violations(self):
+        # u' exceeds 1 on the left part of the grid, so W leaves Gamma_2 there
+        geom = CylinderGeometry(n=4, half_length=1.0)
+        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+        sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
+        problem = DirichletProblem(
+            geom=geom, spec=spec,
+            psi=lambda x, z: 0.1 * np.ones_like(np.asarray(x, float) * np.asarray(z, float)),
+            psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
+            phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
+        )
+        report = check_subsolution(problem)
+        rows = radial_rows(4, sub.du, sub.d2u)
+        scores = spec.margin_scores(rows)
+        outside = np.nonzero(scores <= spec.margin)[0]
+        assert 0 < outside.size < 101
+        assert report.cone_violations == tuple(int(i) for i in outside)
+        assert report.min_cone_margin == float(scores.min())
+        assert np.all(np.isnan(report.margins[outside]))
+        inside = scores > spec.margin
+        expected = spec.value_many(rows[inside]) - 0.1
+        assert np.allclose(report.margins[inside], expected, rtol=1e-13, atol=1e-15)
+        assert report.min_margin == pytest.approx(float(expected.min()), rel=1e-13)
+        assert not report.passed
+
     def test_missing_subsolution_raises(self):
         problem, _ = manufactured_problem(0.5, node_count=101)
         with pytest.raises(ValueError):
             check_subsolution(problem)
+
+
+class TestRadialCurvatureValue:
+    def test_matches_the_rows(self):
+        spec = SymFuncSpec("quotient", n=5, k=3, l=1)
+        grid = np.linspace(-1.0, 1.0, 51)
+        du, d2u = 0.3 * np.sinh(grid), 0.3 * np.cosh(grid)
+        rows = radial_rows(5, du, d2u)
+        for t in (0.0, 0.5, 1.0):
+            assert np.array_equal(radial_curvature_value(spec, t, du, d2u),
+                                  spec.value_t_many(t, rows))
+
+    def test_scalar_input(self):
+        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+        value = radial_curvature_value(spec, 1.0, 0.2, 1.0)
+        assert value.shape == (1,)
+        assert value[0] == spec.value_t(1.0, radial_rows(4, [0.2], [1.0])[0])
+
+    def test_outside_cone_raises_with_the_row_path_text(self):
+        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+        du = np.array([0.1, 1.5, 0.1])
+        d2u = np.array([1.0, 0.0, 1.0])
+        with pytest.raises(ConeDomainError) as exc:
+            radial_curvature_value(spec, 1.0, du, d2u)
+        with pytest.raises(ConeDomainError) as expected:
+            spec.value_t_many(1.0, radial_rows(4, du, d2u))
+        assert str(exc.value) == str(expected.value)
 
 
 class TestContinuation:
@@ -419,8 +493,6 @@ class TestContinuation:
         # psi is built per t from the DISCRETE curvature of one grid profile,
         # so that same grid function is the exact discrete solution of every
         # family member and the recovered states coincide to solver tolerance
-        from yamabe.benchmarks import radial_curvature_value
-
         geom = CylinderGeometry(n=4, half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         grid = np.linspace(-1.0, 1.0, 201)

@@ -69,6 +69,18 @@ class TestSigma:
                 assert sigma(lam, k) == pytest.approx(
                     sigma_by_enumeration(lam, k), rel=1e-12, abs=1e-12)
 
+    def test_gradient_is_reduced_sigma(self):
+        # D sigma_k^(1/k) = (f/k) * sigma_(k-1)(lam without slot i) / sigma_k(lam)
+        rng = np.random.default_rng(8)
+        spec = SymFuncSpec("sigma_k_root", n=5, k=3)
+        lam = sample_cone(spec, 1, rng)[0]
+        g = spec.grad(lam)
+        f = spec.value(lam)
+        for i in range(5):
+            reduced = np.delete(lam, i)
+            expected = f / 3 * sigma_by_enumeration(reduced, 2) / sigma_by_enumeration(lam, 3)
+            assert g[i] == pytest.approx(expected, rel=1e-12)
+
 
 class TestEspGradient:
     def test_equals_deletion_reference_exactly(self):
@@ -160,6 +172,20 @@ class TestValueAndGradient:
         fd = gradient_by_differences(Q21.value, lam)
         assert np.abs(Q21.grad(lam) - fd).max() / np.abs(fd).max() < 1e-6
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            S23.value([1.0, 2.0])
+        with pytest.raises(ValueError):
+            S23.value_t(0.5, np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            S23.value(np.ones((2, 2, 3)))
+
+    def test_accepts_sequences_in_any_order(self):
+        expected = S23.value(np.array([1.0, 2.0, 3.0]))
+        assert expected == pytest.approx(math.sqrt(11), rel=1e-14)
+        for lam in ((1.0, 2.0, 3.0), [3.0, 1.0, 2.0], (2, 3, 1)):
+            assert S23.value(lam) == pytest.approx(expected, rel=1e-14)
+
 
 class TestInterpolatedFamily:
     def test_t_one_is_identity(self):
@@ -233,6 +259,42 @@ class TestClassification:
         c = classify_type(Q21)
         assert c.cone_type == 1
         assert c.f_type == "bounded"
+
+    def test_root_grows_without_bound_in_the_last_slot(self):
+        # sigma_2(1, 1, 1, r) = 3 + 3r
+        for r in (1e2, 1e4, 1e6):
+            assert S24.value((1.0, 1.0, 1.0, r)) == pytest.approx(math.sqrt(3 + 3 * r), rel=1e-12)
+
+    def test_quotient_limit_at_ones(self):
+        # (sigma_2 / sigma_1)(1, 1, 1, r) = (3 + 3r) / (3 + r) rises to 3
+        values = [Q21.value((1.0, 1.0, 1.0, r)) for r in (1e2, 1e4, 1e6, 1e8)]
+        assert all(a < b < 3.0 for a, b in zip(values, values[1:]))
+        assert values[-1] == pytest.approx(3.0, rel=1e-7)
+
+    def test_higher_quotient_limit(self):
+        # (sigma_3 / sigma_1)^(1/2) tends to sigma_2(lam')^(1/2) as the last slot grows
+        q31 = SymFuncSpec("quotient", n=5, k=3, l=1)
+        lam_p = np.array([0.5, 1.0, 1.5, 2.0])
+        limit = math.sqrt(sigma_by_enumeration(lam_p, 2))
+        assert q31.value(np.append(lam_p, 1e9)) == pytest.approx(limit, rel=1e-8)
+
+    def test_growth_probe_disagreement_raises(self):
+        class BoundedRoot:  # claims the root kind, grows like the quotient
+            n, k, kind, label = 4, 2, "sigma_k_root", "bounded root"
+            contains = staticmethod(S24.contains)
+            value = staticmethod(Q21.value)
+
+        with pytest.raises(NumericalError, match="growth probe"):
+            classify_type(BoundedRoot())
+
+    def test_cone_type_probe_disagreement_raises(self):
+        class WrongOrder:  # claims order 1, tests membership in Gamma_2
+            n, k, kind, label = 4, 1, "sigma_k_root", "wrong order"
+            contains = staticmethod(S24.contains)
+            value = staticmethod(S24.value)
+
+        with pytest.raises(NumericalError, match="cone type probe"):
+            classify_type(WrongOrder())
 
 
 class TestMatrixFunction:
@@ -446,6 +508,21 @@ class TestRadialKernel:
         assert np.array_equal(ev.value, spec.value_t_many(0.3, rows[:2]))
         assert np.array_equal(ev.grad_axis, g[:, 0])
         assert np.array_equal(ev.grad_sphere, g[:, 1:].sum(axis=1))
+
+    def test_kernel_ignores_slot_order(self):
+        # f_t is symmetric: the axis value may sit in any slot of the row
+        rng = np.random.default_rng(31)
+        du = rng.uniform(-0.5, 0.5, 200)
+        d2u = rng.uniform(0.5, 3.0, 200)
+        a, s = radial_w_eigenvalues(5, du, d2u)
+        rows = np.column_stack([s, s, a, s, s])
+        for spec in (SymFuncSpec("sigma_k_root", n=5, k=3), SymFuncSpec("quotient", n=5, k=4, l=2)):
+            for t in (0.2, 1.0):
+                ev = spec.radial_eval(t, a, s, grad=True)
+                g = spec.grad_t_many(t, rows)
+                assert np.allclose(ev.value, spec.value_t_many(t, rows), rtol=1e-13, atol=0)
+                assert np.allclose(ev.grad_axis, g[:, 2], rtol=1e-12, atol=0)
+                assert np.allclose(ev.grad_sphere, g.sum(axis=1) - g[:, 2], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [*range(2, 40), 127, 128, 129, 200, 517])
     def test_row_sum_follows_numpy(self, n):
