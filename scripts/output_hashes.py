@@ -84,6 +84,13 @@ CONFIGS = [
                              psi={"family": "subsolution_scaled", "theta": 0.4783579320626279},
                              subsolution={"family": "cosh", "amplitude": 0.2480217780855284})),
     ("n3 sigma_2 cosh 0.2", _solve(n=3, subsolution={"family": "cosh", "amplitude": 0.2})),
+    ("broken fixture check", ("check", {"function": {"kind": "sigma1_squared_broken", "n": 4},
+                                        "samples": 1000, "seed": 0})),
+    ("n4 quotient(3,1) check", ("check", {"function": {"kind": "quotient", "n": 4, "k": 3, "l": 1},
+                                          "samples": 1000, "seed": 0})),
+    ("example1 curvature floor 1e9", ("example1", {"n": 4, "k": 2, "c": 0.0, "grid_size": 401,
+                                                   "thresholds": {"d2u_floor": 1e9}})),
+    ("constant psi 100", _solve(psi={"family": "constant", "value": 100.0})),
 ]
 
 

@@ -6,7 +6,14 @@ class YamabeError(Exception):
 
 
 class ConeDomainError(YamabeError, ValueError):
-    """An eigenvalue tuple lies outside the cone required by the operation."""
+    """An eigenvalue tuple lies outside the cone required by the operation.
+
+    Raised on a batch of cone scores, it carries their minimum as min_score.
+    """
+
+    def __init__(self, message, min_score=None):
+        super().__init__(message)
+        self.min_score = min_score
 
 
 class ConeViolationError(ConeDomainError):

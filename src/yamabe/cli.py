@@ -19,6 +19,7 @@ core count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from ._errors import (
     YamabeError,
 )
 from . import benchmarks, example1, solver, symfun
-from .geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
+from .geometry import CylinderGeometry, RadialProfile
 
 FORMAT_VERSION = "yamabe/1"
 
@@ -256,6 +257,12 @@ def _write_monitors_csv(path, resolved, states):
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _check_rows(prefix, results):
+    """The report.json rows of the library's CheckResults, names prefixed."""
+    return [{"name": prefix + c.name, "status": "pass" if c.passed else "fail",
+             "value": c.worst, "threshold": c.threshold} for c in results]
+
+
 def _write_report(path, resolved, checks, passed, extra=None):
     doc = {
         "format_version": FORMAT_VERSION,
@@ -309,30 +316,18 @@ def cmd_check(config):
     }
     out = _out_dir(resolved)
 
-    checks = []
-    structure = symfun.verify_structure(spec, sample_count=samples, seed=seed)
-    for c in structure.checks:
-        checks.append({"name": f"structure.{c.name}", "status": "pass" if c.passed else "fail",
-                       "value": c.worst, "threshold": c.threshold})
-
+    # row name prefix -> report, in row order
+    reports = {"structure.": symfun.verify_structure(spec, sample_count=samples, seed=seed)}
     broken = getattr(spec, "kind", "") == "sigma1_squared_broken"
     classification = None
     if not broken:
         classification = symfun.classify_type(spec)
-        ball = symfun.interpolation_ball_report(spec, t_values=t_values,
-                                                directions=directions, seed=seed)
-        worst_score = min(row[1] for row in ball.rows)
-        worst_corner = min(row[2] for row in ball.rows)
-        checks.append({"name": "ball.membership", "status": "pass" if worst_score > 0 else "fail",
-                       "value": worst_score, "threshold": 0.0})
-        checks.append({"name": "ball.value_bound", "status": "pass" if worst_corner >= 0 else "fail",
-                       "value": worst_corner, "threshold": 0.0})
-        sep = symfun.concavity_margin_suite(spec, samples=sep_samples, beta=beta, seed=seed)
-        checks.append({"name": "separation.margin_positive",
-                       "status": "pass" if sep.passed else "fail",
-                       "value": sep.min_margin, "threshold": 0.0})
-
-    passed = all(c["status"] == "pass" for c in checks)
+        reports["ball."] = symfun.interpolation_ball_report(spec, t_values=t_values,
+                                                            directions=directions, seed=seed)
+        reports["separation."] = symfun.concavity_margin_suite(spec, samples=sep_samples,
+                                                               beta=beta, seed=seed)
+    checks = [row for prefix, r in reports.items() for row in _check_rows(prefix, r.checks)]
+    passed = all(r.passed for r in reports.values())
     extra = {"label": spec.label}
     if classification is not None:
         extra["classification"] = {"cone_type": classification.cone_type,
@@ -358,22 +353,15 @@ def cmd_example1(config):
     c = _as_real(_need(config, "c", "config"), "c")
     grid_size = _as_int(config.get("grid_size", 401), "grid_size", lo=5)
     th_cfg = config.get("thresholds", {})
-    _check_keys(th_cfg, {"interior_residual", "boundary_error", "drift", "d2u_floor"},
-                "thresholds")
-    thresholds = example1.VerifyThresholds(
-        interior_residual=_as_real(th_cfg.get("interior_residual", 1e-7), "thresholds.interior_residual"),
-        boundary_error=_as_real(th_cfg.get("boundary_error", 1e-6), "thresholds.boundary_error"),
-        drift=_as_real(th_cfg.get("drift", 1e-8), "thresholds.drift"),
-        d2u_floor=_as_real(th_cfg.get("d2u_floor", 10.0), "thresholds.d2u_floor"),
-    )
+    names = [f.name for f in dataclasses.fields(example1.VerifyThresholds)]
+    _check_keys(th_cfg, names, "thresholds")
+    defaults = example1.VerifyThresholds()
+    thresholds = example1.VerifyThresholds(**{
+        name: _as_real(th_cfg.get(name, getattr(defaults, name)), f"thresholds.{name}")
+        for name in names})
     resolved = {
         "command": "example1", "n": n, "k": k, "c": c, "grid_size": grid_size,
-        "thresholds": {
-            "interior_residual": thresholds.interior_residual,
-            "boundary_error": thresholds.boundary_error,
-            "drift": thresholds.drift,
-            "d2u_floor": thresholds.d2u_floor,
-        },
+        "thresholds": dataclasses.asdict(thresholds),
         "out": str(config.get("out", "results/example1")),
         "seed": _as_int(config.get("seed", 0), "seed"),
         "verbose": bool(config.get("verbose", False)),
@@ -384,14 +372,6 @@ def cmd_example1(config):
     solution = example1.solve_profile(params, node_count=grid_size)
     report = example1.verify_example(params, solution, thresholds=thresholds)
 
-    profile = solution.profile
-    interior = np.abs(profile.grid) < solution.t_max
-    residual_col = np.empty(grid_size)
-    residual_col[~interior] = profile.u[~interior] - c
-    xs = profile.grid[interior]
-    residual_col[interior] = example1.equation_residual(
-        params, profile.u[interior], solution.du_at(xs), solution.d2u_at(xs))
-
     derived = {
         "d": params.d,
         "c": params.c,
@@ -400,26 +380,13 @@ def cmd_example1(config):
         "boundary_value": params.boundary_value,
     }
     _write_profile_csv(
-        out / "profile.csv", resolved, profile, residual_col,
+        out / "profile.csv", resolved, solution.profile, report.residual,
         extra_comments=[f"# derived " + json.dumps({k2: float(v) for k2, v in derived.items()},
                                                    sort_keys=True)],
     )
 
-    checks = [
-        {"name": "interior_residual", "status": "pass" if report.max_interior_residual <= thresholds.interior_residual else "fail",
-         "value": report.max_interior_residual, "threshold": thresholds.interior_residual},
-        {"name": "slope_subunit", "status": "pass" if report.min_one_minus_slope_sq > 0 else "fail",
-         "value": report.min_one_minus_slope_sq, "threshold": 0.0},
-        {"name": "boundary_error", "status": "pass" if report.boundary_error <= thresholds.boundary_error else "fail",
-         "value": report.boundary_error, "threshold": thresholds.boundary_error},
-        {"name": "first_integral_drift", "status": "pass" if report.max_drift <= thresholds.drift else "fail",
-         "value": report.max_drift, "threshold": thresholds.drift},
-        {"name": "curvature_increasing", "status": "pass" if report.d2u_increasing else "fail",
-         "value": report.d2u_last_over_first, "threshold": 1.0},
-        {"name": "curvature_floor", "status": "pass" if report.d2u_samples[-1] > thresholds.d2u_floor else "fail",
-         "value": report.d2u_samples[-1], "threshold": thresholds.d2u_floor},
-    ]
-    _write_report(out / "report.json", resolved, checks, report.passed, extra={"derived": derived})
+    _write_report(out / "report.json", resolved, _check_rows("", report.checks), report.passed,
+                  extra={"derived": derived})
     if resolved["verbose"]:
         print(f"d={_fmt(params.d)} T={_fmt(solution.t_max)}", file=sys.stderr)
     return 0 if report.passed else 1
@@ -436,12 +403,11 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
 class _SubsolutionOutsideCone(YamabeError):
     """psi scales f on the subsolution, which leaves the cone: no problem
     can be built.  Carries the subsolution's minimum cone margin score on
-    the points psi is sampled on, and whether it clears the spec's margin."""
+    the points psi is sampled on."""
 
-    def __init__(self, message, cone_margin, inside):
+    def __init__(self, message, cone_margin):
         super().__init__(message)
         self.cone_margin = cone_margin
-        self.inside = inside
 
 
 def _build_solve_problem(config):
@@ -486,11 +452,7 @@ def _build_solve_problem(config):
         try:
             psi, psi_z = benchmarks.subsolution_scaled_psi(spec, sub_funcs, ell, theta)
         except ConeDomainError as exc:
-            # the scores of the rows that raised: u' and u'' on psi's points
-            dense = np.linspace(-ell, ell, benchmarks.SCALED_PSI_NODES)
-            axis, sphere = radial_w_eigenvalues(n, sub_funcs[1](dense), sub_funcs[2](dense))
-            score = float(spec.radial_eval(1.0, axis, sphere).scores.min())
-            raise _SubsolutionOutsideCone(str(exc), score, score > spec.margin) from exc
+            raise _SubsolutionOutsideCone(str(exc), exc.min_score) from exc
     elif psi_family == "example1_rhs":
         c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
         if example_params is None:
@@ -558,9 +520,10 @@ def cmd_solve(config):
         schedule = tuple(_as_real(t, "t_schedule") for t in schedule)
     newton_cfg = config.get("newton", {})
     _check_keys(newton_cfg, {"tol", "max_iter"}, "newton")
+    defaults = solver.NewtonOptions()
     opts = solver.NewtonOptions(
-        tol=_as_real(newton_cfg.get("tol", 1e-10), "newton.tol"),
-        max_iter=_as_int(newton_cfg.get("max_iter", 50), "newton.max_iter", lo=1),
+        tol=_as_real(newton_cfg.get("tol", defaults.tol), "newton.tol"),
+        max_iter=_as_int(newton_cfg.get("max_iter", defaults.max_iter), "newton.max_iter", lo=1),
     )
     factor = _as_real(config.get("uniformity_factor", 2.0), "uniformity_factor")
 
@@ -585,23 +548,17 @@ def cmd_solve(config):
     out = _out_dir(resolved)
 
     if outside is not None:
-        checks = [{"name": "subsolution.cone_margin",
-                   "status": "pass" if outside.inside else "fail",
-                   "value": outside.cone_margin, "threshold": 0.0}]
+        checks = _check_rows("subsolution.", [solver.cone_margin_check(outside.cone_margin)])
         _write_report(out / "report.json", resolved, checks, False, extra={"error": str(outside)})
         if verbose:
             print(f"subsolution outside the cone: {outside}", file=sys.stderr)
         return 1
 
     checks = []
-    if problem.subsolution is not None:
+    anchored = problem.subsolution is not None
+    if anchored:
         sub_report = solver.check_subsolution(problem)
-        checks.append({"name": "subsolution.margin",
-                       "status": "pass" if sub_report.passed else "fail",
-                       "value": sub_report.min_margin, "threshold": -1e-10})
-        checks.append({"name": "subsolution.cone_margin",
-                       "status": "pass" if not sub_report.cone_violations else "fail",
-                       "value": sub_report.min_cone_margin, "threshold": 0.0})
+        checks = _check_rows("subsolution.", sub_report.checks)
         if not sub_report.passed:
             _write_report(out / "report.json", resolved, checks, False)
             return 1
@@ -613,9 +570,9 @@ def cmd_solve(config):
                                          init=init_profile)
     except ContinuationError as exc:
         failure = exc
-        report = solver.ContinuationReport(states=exc.states)
+        report = solver.ContinuationReport(states=exc.states, failed_t=exc.t_failed)
     states = report.states
-    failed_t = failure.t_failed if failure is not None else None
+    failed_t = report.failed_t
     solved = time.perf_counter()
     if verbose:
         for s in states:
@@ -638,17 +595,10 @@ def cmd_solve(config):
         extra["monitor_growth"] = list(report.monitor_growth())
         extra["monitor_spread"] = list(report.monitor_spread())
         extra["curvature_scaled"] = [[t, v] for t, v in report.curvature_scaled()]
-        if problem.subsolution is not None:
-            # bounded monitors are only promised when a subsolution anchors
-            # the family; without one, growth is expected data
-            checks.append({"name": "continuation.uniform_growth",
-                           "status": "pass" if report.uniform_within(factor) else "fail",
-                           "value": max(report.monitor_growth()), "threshold": factor})
-    checks.append({"name": "continuation.full_schedule",
-                   "status": "pass" if failed_t is None else "fail",
-                   "value": failed_t if failed_t is not None else -1.0,
-                   "threshold": -1.0})
-    passed = failed_t is None and all(c["status"] == "pass" for c in checks)
+    # a run gets here only with a passing subsolution, or without one
+    results = report.checks(factor if anchored else None)
+    checks += _check_rows("continuation.", results)
+    passed = all(c.passed for c in results)
     _write_report(out / "report.json", resolved, checks, passed, extra=extra)
     if verbose:
         print(f"continuation {solved - started:.3f} s, output {time.perf_counter() - solved:.3f} s",

@@ -35,6 +35,7 @@ from scipy import integrate, optimize
 
 from ._errors import ConeDomainError, NumericalError
 from .geometry import RadialProfile, radial_w_eigenvalues
+from .symfun import CheckResult
 
 __all__ = [
     "ExampleParams",
@@ -79,11 +80,6 @@ class ExampleParams:
     @classmethod
     def from_c(cls, n, k, c):
         return cls(n=n, k=k, d=d_from_c(n, k, c), c=float(c))
-
-    @classmethod
-    def from_d(cls, n, k, d):
-        c = -math.log(abs(_h_at_rest(n, k, d))) / n + 0.0
-        return cls(n=n, k=k, d=float(d), c=c)
 
     @property
     def h0(self):
@@ -347,18 +343,21 @@ class VerifyThresholds:
     d2u_floor: float = 10.0  # the nearest curvature sample must exceed this
 
 
+# curvature is sampled at t_max * (1 - fraction), nearest the end last
+D2U_FRACTIONS = (1e-2, 1e-3, 1e-4)
+
+
 @dataclass
 class ExampleReport:
-    """Verification record for a computed (or supplied) radial profile."""
+    """Verification record for a computed radial solution."""
 
     thresholds: VerifyThresholds
+    residual: np.ndarray        # per node: the equation inside, u - c at the two ends
     max_interior_residual: float
     min_one_minus_slope_sq: float
     boundary_error: float
     max_drift: float
-    d2u_fractions: tuple
-    d2u_samples: tuple          # curvature at t_max * (1 - fraction), nearest end
-    stencil_derivatives: bool   # True when only a bare grid profile was supplied
+    d2u_samples: tuple          # curvature at t_max * (1 - D2U_FRACTIONS)
 
     @property
     def d2u_increasing(self):
@@ -369,16 +368,26 @@ class ExampleReport:
         return self.d2u_samples[-1] / self.d2u_samples[0]
 
     @property
-    def passed(self):
+    def checks(self):
         th = self.thresholds
-        return (
-            self.max_interior_residual <= th.interior_residual
-            and self.min_one_minus_slope_sq > 0.0
-            and self.boundary_error <= th.boundary_error
-            and self.max_drift <= th.drift
-            and self.d2u_increasing
-            and self.d2u_samples[-1] > th.d2u_floor
-        )
+        return [
+            CheckResult("interior_residual", self.max_interior_residual <= th.interior_residual,
+                        self.max_interior_residual, th.interior_residual),
+            CheckResult("slope_subunit", self.min_one_minus_slope_sq > 0.0,
+                        self.min_one_minus_slope_sq, 0.0),
+            CheckResult("boundary_error", self.boundary_error <= th.boundary_error,
+                        self.boundary_error, th.boundary_error),
+            CheckResult("first_integral_drift", self.max_drift <= th.drift,
+                        self.max_drift, th.drift),
+            CheckResult("curvature_increasing", self.d2u_increasing,
+                        self.d2u_last_over_first, 1.0),
+            CheckResult("curvature_floor", self.d2u_samples[-1] > th.d2u_floor,
+                        self.d2u_samples[-1], th.d2u_floor),
+        ]
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
 
 
 def _signed_root(values, k):
@@ -403,45 +412,26 @@ def equation_residual(params, u, du, d2u):
     return _signed_root(sigk, params.k) - params.rhs_root * np.exp(-2.0 * u)
 
 
-def verify_example(params, solution, thresholds=None,
-                   d2u_fractions=(1e-2, 1e-3, 1e-4)):
-    """Check a radial profile against the closed-form construction.
+def verify_example(params, solution, thresholds=None):
+    """Check an :class:`ExampleSolution` against the closed-form construction.
 
-    Accepts an :class:`ExampleSolution` (dense derivatives are then used, and
-    curvature is sampled at the exact sub-grid offsets) or a bare
-    :class:`RadialProfile` (stencil derivatives; curvature offsets snap to the
-    nearest interior nodes).  All findings go into the report; nothing raises.
+    The equation is evaluated with the solution's dense derivatives at the
+    interior nodes, and curvature at the exact sub-grid offsets of
+    D2U_FRACTIONS.  All findings go into the report; nothing raises.
     """
     thresholds = thresholds or VerifyThresholds()
-    if isinstance(solution, ExampleSolution):
-        profile = solution.profile
-        t_max = solution.t_max
-        grid = profile.grid
-        interior = np.abs(grid) < t_max
-        xs = grid[interior]
-        u = profile.u[interior]
-        du = solution.du_at(xs)
-        d2u = solution.d2u_at(xs)
-        offsets = np.array([t_max * (1.0 - f) for f in d2u_fractions])
-        d2u_samples = tuple(float(x) for x in solution.d2u_at(offsets))
-        stencil = False
-    else:
-        profile = solution
-        grid = profile.grid
-        t_max = float(grid[-1])
-        interior = slice(1, -1)
-        xs = grid[interior]
-        u = profile.u[interior]
-        du = profile.du[interior]
-        d2u = profile.d2u[interior]
-        samples = []
-        for f in d2u_fractions:
-            idx = int(np.clip(np.argmin(np.abs(grid - t_max * (1.0 - f))), 1, grid.size - 2))
-            samples.append(float(profile.d2u[idx]))
-        d2u_samples = tuple(samples)
-        stencil = True
+    profile = solution.profile
+    t_max = solution.t_max
+    interior = np.abs(profile.grid) < t_max
+    xs = profile.grid[interior]
+    u = profile.u[interior]
+    du = solution.du_at(xs)
+    d2u = solution.d2u_at(xs)
+    offsets = np.array([t_max * (1.0 - f) for f in D2U_FRACTIONS])
+    d2u_samples = tuple(float(x) for x in solution.d2u_at(offsets))
 
-    residual = equation_residual(params, u, du, d2u)
+    column = profile.u - params.c
+    column[interior] = equation_residual(params, u, du, d2u)
     one_minus = 1.0 - du ** 2
     safe = np.abs(du) < 1.0
     drift = np.abs(
@@ -451,11 +441,10 @@ def verify_example(params, solution, thresholds=None,
 
     return ExampleReport(
         thresholds=thresholds,
-        max_interior_residual=float(np.abs(residual).max()),
+        residual=column,
+        max_interior_residual=float(np.abs(column[interior]).max()),
         min_one_minus_slope_sq=float(one_minus.min()),
         boundary_error=float(boundary_error),
         max_drift=float(drift.max()),
-        d2u_fractions=tuple(d2u_fractions),
         d2u_samples=d2u_samples,
-        stencil_derivatives=stencil,
     )

@@ -48,6 +48,7 @@ from .geometry import (
     radial_w_eigenvalues,
     second_derivative,
 )
+from .symfun import CONE_MARGIN, CheckResult
 
 __all__ = [
     "DirichletProblem",
@@ -61,12 +62,15 @@ __all__ = [
     "newton_solve",
     "continuation_run",
     "check_subsolution",
+    "cone_margin_check",
     "estimate_monitors",
 ]
 
 DEFAULT_T_SCHEDULE = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.975, 0.99)
 T_MAX = 0.999
 JACOBIAN_CHECK_TOL = 1e-6
+MAX_BACKTRACKS = 50          # step halvings per Newton iteration
+SUBSOLUTION_TOL = -1e-10     # f(W[u]) - psi may fall this far below zero
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,8 @@ class DirichletProblem:
     psi(x, z) > 0 with psi_z <= 0 is the prescribed right-hand side; both
     callables must accept numpy arrays in x and z.  The optional subsolution
     profile must match the boundary values exactly (to 1e-12); it doubles as
-    the default continuation start.  z_range bounds the sampling window used
-    to validate psi.
+    the default continuation start.  psi is validated on the window from 2
+    below to 2 above the boundary values and the subsolution's range.
     """
 
     geom: object
@@ -87,26 +91,21 @@ class DirichletProblem:
     phi_left: float
     phi_right: float
     subsolution: RadialProfile | None = None
-    z_range: tuple | None = None
 
     def __post_init__(self):
         if self.geom.n != self.spec.n:
             raise ValueError("geometry and symmetric function disagree on the dimension")
-        zr = self.z_range
-        if zr is None:
-            zs = [self.phi_left, self.phi_right]
-            if self.subsolution is not None:
-                zs += [float(self.subsolution.u.min()), float(self.subsolution.u.max())]
-            zr = (min(zs) - 2.0, max(zs) + 2.0)
-            object.__setattr__(self, "z_range", zr)
+        zs = [self.phi_left, self.phi_right]
+        if self.subsolution is not None:
+            zs += [float(self.subsolution.u.min()), float(self.subsolution.u.max())]
+        z_lo, z_hi = min(zs) - 2.0, max(zs) + 2.0
         xs = np.linspace(-self.geom.half_length, self.geom.half_length, 41)
-        zs = np.linspace(zr[0], zr[1], 21)
-        xx, zz = np.meshgrid(xs, zs)
+        xx, zz = np.meshgrid(xs, np.linspace(z_lo, z_hi, 21))
         if not np.all(np.asarray(self.psi(xx, zz)) > 0.0):
             raise ValueError("psi must be positive on the working range")
         if not np.all(np.asarray(self.psi_z(xx, zz)) <= 1e-10):
             raise ValueError("psi_z must be nonpositive on the working range")
-        dz = 1e-6 * max(1.0, abs(zr[0]), abs(zr[1]))
+        dz = 1e-6 * max(1.0, abs(z_lo), abs(z_hi))
         sampled = (np.asarray(self.psi(xx, zz + dz)) - np.asarray(self.psi(xx, zz - dz))) / (2 * dz)
         if not np.all(sampled <= 1e-10):
             raise ValueError("sampled z-derivative of psi contradicts the declared psi_z")
@@ -122,8 +121,7 @@ class DirichletProblem:
 class NewtonOptions:
     tol: float = 1e-10
     max_iter: int = 50
-    max_backtracks: int = 50
-    jacobian_check: bool = True
+    jacobian_check: bool = True   # False only in perfbench's blow-up workload, kept for it
 
 
 @dataclass(frozen=True)
@@ -303,7 +301,7 @@ def newton_solve(problem, t, init, opts=None):
 
     A trial step is accepted only when every interior node keeps a positive
     cone margin and the residual sup norm decreases; the step is halved up to
-    max_backtracks times otherwise.  Raises ConeViolationError when the
+    MAX_BACKTRACKS times otherwise.  Raises ConeViolationError when the
     initial profile leaves the cone, StepFailureError when no damped step is
     acceptable and NonconvergenceError when the iteration budget runs out;
     the last two carry the best state reached.
@@ -332,7 +330,7 @@ def newton_solve(problem, t, init, opts=None):
             ) from exc
 
         alpha = 1.0
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = profile.with_values(profile.u + alpha * delta)
             try:
                 trial_res, trial_margin = _residual(problem, t, grid, trial.u, trial.du, trial.d2u)
@@ -363,9 +361,14 @@ def newton_solve(problem, t, init, opts=None):
 
 @dataclass
 class ContinuationReport:
-    """Converged states of a continuation run plus derived summaries."""
+    """Converged states of a continuation run plus derived summaries.
+
+    failed_t is the t at which the run stopped, None when it went through
+    the whole schedule.
+    """
 
     states: list
+    failed_t: float | None
 
     def monitor_growth(self):
         """Max over the schedule of each monitor relative to its first value.
@@ -395,6 +398,19 @@ class ContinuationReport:
 
     def uniform_within(self, factor):
         return all(f <= factor for f in self.monitor_growth())
+
+    def checks(self, factor):
+        """The rows uniform_growth (when a factor is given and some t was
+        solved) and full_schedule.  Bounded monitors are only promised when
+        a subsolution anchors the family; without one, callers pass None."""
+        rows = []
+        if factor is not None and self.states:
+            rows.append(CheckResult("uniform_growth", self.uniform_within(factor),
+                                    max(self.monitor_growth()), factor))
+        failed = self.failed_t is not None
+        rows.append(CheckResult("full_schedule", not failed,
+                                self.failed_t if failed else -1.0, -1.0))
+        return rows
 
     def curvature_scaled(self):
         """(1 - t) * sup|u''| per state.
@@ -470,7 +486,7 @@ def continuation_run(problem, t_schedule=None, opts=None, init=None):
             ) from exc
         states.append(state)
         current = state.profile
-    return ContinuationReport(states=states)
+    return ContinuationReport(states=states, failed_t=None)
 
 
 @dataclass
@@ -484,12 +500,24 @@ class SubsolutionReport:
     boundary_ok: bool
 
     @property
+    def checks(self):
+        """The rows margin and cone_margin.  The margin row also fails on a
+        cone violation or a boundary mismatch, so it carries the verdict of
+        the whole check."""
+        margin_ok = (not self.cone_violations and self.boundary_ok
+                     and self.min_margin >= SUBSOLUTION_TOL)
+        return [CheckResult("margin", margin_ok, self.min_margin, SUBSOLUTION_TOL),
+                cone_margin_check(self.min_cone_margin)]
+
+    @property
     def passed(self):
-        return (
-            not self.cone_violations
-            and self.boundary_ok
-            and self.min_margin >= -1e-10
-        )
+        return all(c.passed for c in self.checks)
+
+
+def cone_margin_check(min_score):
+    """The cone_margin row of a subsolution whose minimum margin score is
+    min_score: it passes when every node is inside the cone."""
+    return CheckResult("cone_margin", min_score > CONE_MARGIN, min_score, 0.0)
 
 
 def check_subsolution(problem):

@@ -31,6 +31,7 @@ import numpy as np
 from ._errors import ConeDomainError, NumericalError
 
 __all__ = [
+    "CONE_MARGIN",
     "SymFuncSpec",
     "BrokenHomogeneitySpec",
     "Classification",
@@ -49,6 +50,10 @@ __all__ = [
     "verify_structure",
     "sample_cone",
 ]
+
+
+# a tuple is inside the cone when its margin score exceeds this
+CONE_MARGIN = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +104,6 @@ def _esp_removed(values, kmax):
         for slots in (slice(0, col), slice(col + 1, n)):
             out[1:, slots] += x * out[:-1, slots]
     return out
-
-
-def _esp_gradient(values, j):
-    """Gradient of sigma_j: entry i is e_{j-1} of the tuple with entry i removed."""
-    m, n = values.shape
-    if j == 0:
-        return np.zeros((m, n))
-    return _esp_removed(values, j - 1)[j - 1].T.copy()
 
 
 def sigma(lam, k):
@@ -225,9 +222,12 @@ def _t_map(t, v):
 class _InterpolationFamily:
     """Mixin deriving the t-family from value/grad/margin of the base pair.
 
-    Requires the host to provide n, margin, value_many, grad_many,
-    margin_scores and _require_scores_inside.
+    Requires the host to provide n, value_many, grad_many, margin_scores and
+    _require_scores_inside.  A tuple is inside the cone when its margin
+    score exceeds `margin`.
     """
+
+    margin = CONE_MARGIN
 
     def _validated(self, lam):
         v = _as_batch(lam)
@@ -240,15 +240,13 @@ class _InterpolationFamily:
     def _require_inside(self, values):
         self._require_scores_inside(self.margin_scores(values))
 
-    def contains(self, lam, margin=None):
+    def contains(self, lam):
         v = self._validated(lam)
-        tol = self.margin if margin is None else margin
-        return bool(self.margin_scores(v)[0] > tol)
+        return bool(self.margin_scores(v)[0] > self.margin)
 
-    def in_cone_t(self, t, lam, margin=None):
+    def in_cone_t(self, t, lam):
         v = self._validated(lam)
-        tol = self.margin if margin is None else margin
-        return bool(self.margin_scores_t(t, v)[0] > tol)
+        return bool(self.margin_scores_t(t, v)[0] > self.margin)
 
     def margin_scores_t(self, t, lam):
         v = self._validated(lam)
@@ -280,11 +278,6 @@ class _InterpolationFamily:
         """Chain rule through lam -> t*lam + (1-t)*sigma_1(lam)*e."""
         v = self._validated(lam)
         return _t_map(t, self.grad_many(_t_map(t, v)))
-
-    def normal(self, t, lam):
-        """Unit normal Df_t/|Df_t| of the level set through lam."""
-        g = self.grad_t(t, lam)
-        return g / np.linalg.norm(g)
 
     # -- radial tuples -------------------------------------------------------
 
@@ -320,17 +313,16 @@ class SymFuncSpec(_InterpolationFamily):
     kind is "sigma_k_root" (f = sigma_k^(1/k)) or "quotient"
     (f = (sigma_k/sigma_l)^(1/(k-l)) with 1 <= l < k).  Both live on Gamma_k.
     Membership uses a relative strictness margin: lam is accepted when
-    sigma_j(lam) > margin * sigma_j(|lam|) for every j <= k.  The comparison
-    scale sigma_j of the absolute values bounds the attainable magnitude of
-    sigma_j tightly even for very anisotropic tuples, keeps the test scale
-    invariant and avoids boundary flapping inside line searches.
+    sigma_j(lam) > CONE_MARGIN * sigma_j(|lam|) for every j <= k.  The
+    comparison scale sigma_j of the absolute values bounds the attainable
+    magnitude of sigma_j tightly even for very anisotropic tuples, keeps the
+    test scale invariant and avoids boundary flapping inside line searches.
     """
 
     kind: str
     n: int
     k: int
     l: int | None = None
-    margin: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in ("sigma_k_root", "quotient"):
@@ -344,8 +336,6 @@ class SymFuncSpec(_InterpolationFamily):
                 raise ValueError("quotient requires 1 <= l < k")
         elif self.l is not None:
             raise ValueError("l is only meaningful for the quotient kind")
-        if not 0 <= self.margin < 1e-3:
-            raise ValueError("margin must be a small nonnegative number")
 
     @property
     def label(self):
@@ -371,7 +361,8 @@ class SymFuncSpec(_InterpolationFamily):
         if bad.size:
             raise ConeDomainError(
                 f"{self.label}: tuple outside the cone "
-                f"(first offender index {bad[0]}, margin score {scores[bad[0]]:.3e})"
+                f"(first offender index {bad[0]}, margin score {scores[bad[0]]:.3e})",
+                min_score=float(scores.min()),
             )
 
     # -- values ---------------------------------------------------------------
@@ -453,7 +444,6 @@ class BrokenHomogeneitySpec(_InterpolationFamily):
     """
 
     n: int
-    margin: float = 1e-12
     kind: str = field(default="sigma1_squared_broken", init=False)
     k: int = field(default=1, init=False)
 
@@ -473,7 +463,8 @@ class BrokenHomogeneitySpec(_InterpolationFamily):
 
     def _require_scores_inside(self, scores):
         if np.any(scores <= self.margin):
-            raise ConeDomainError(f"{self.label}: tuple outside the cone")
+            raise ConeDomainError(f"{self.label}: tuple outside the cone",
+                                  min_score=float(scores.min()))
 
     def value_many(self, values):
         values = np.asarray(values, dtype=float)
@@ -557,6 +548,9 @@ def matrix_value_and_derivative(spec, t, w):
 
 @dataclass
 class CheckResult:
+    """One pass/fail verdict of a report: the worst value met and the
+    threshold it was held against.  These are the rows of `report.json`."""
+
     name: str
     passed: bool
     worst: float
@@ -593,7 +587,7 @@ def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
         shift = rng.uniform(0.3, 1.5, size=(m, 1))
         spread = rng.uniform(0.1, 1.0, size=(m, 1))
         cand = shift + spread * rng.standard_normal((m, n))
-        keep = cand[spec.margin_scores(cand) > max(spec.margin, 1e-10)]
+        keep = cand[spec.margin_scores(cand) > 1e-10]
         take = keep[: count - have]
         out[have:have + take.shape[0]] = take
         have += take.shape[0]
@@ -690,28 +684,39 @@ def verify_structure(spec, sample_count=1000, seed=0):
 # ball inclusion of the interpolated cones
 # ---------------------------------------------------------------------------
 
+# the share of the guaranteed ball radius (1-t)/(2n) that the ball is probed at
+_BALL_RADIUS_FRACTION = 0.99
+
+
 @dataclass
 class BallInclusionReport:
     label: str
-    radius_fraction: float
     directions: int
     rows: list  # (t, worst membership score, corner bound margin)
 
     @property
+    def checks(self):
+        """Every probe inside Gamma_t, and the corner bound met at every t."""
+        worst_score = min(row[1] for row in self.rows)
+        worst_corner = min(row[2] for row in self.rows)
+        return [CheckResult("membership", worst_score > 0.0, worst_score, 0.0),
+                CheckResult("value_bound", worst_corner >= 0.0, worst_corner, 0.0)]
+
+    @property
     def passed(self):
-        return all(score > 0.0 and corner >= 0.0 for _, score, corner in self.rows)
+        return all(c.passed for c in self.checks)
 
 
 def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
-                              directions=1000, seed=0, radius_fraction=0.99):
+                              directions=1000, seed=0):
     """Check the guaranteed ball around the last coordinate axis inside Gamma_t.
 
     For each t the ball of radius (1-t)/(2n) about (0, ..., 0, 1) lies in
     Gamma_t, and at the extreme corner point
     lam_hat = (-(1-t)/(2n), ..., -(1-t)/(2n), 1-(1-t)/(2n)) the interpolated
-    function is at least (1-t) f(e) / 2.  Probed at radius_fraction of the
-    guaranteed radius; the corner bound is checked with a relative slack of
-    1e-12 since it is an equality at t = 0.
+    function is at least (1-t) f(e) / 2.  Probed at 0.99 of the guaranteed
+    radius; the corner bound is checked with a relative slack of 1e-12
+    since it is an equality at t = 0.
     """
     rng = np.random.default_rng(seed)
     n = spec.n
@@ -720,7 +725,7 @@ def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
     f_e = spec.f_at_ones()
     rows = []
     for t in t_values:
-        r = radius_fraction * (1.0 - t) / (2.0 * n)
+        r = _BALL_RADIUS_FRACTION * (1.0 - t) / (2.0 * n)
         vs = rng.standard_normal((directions, n))
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
         scores = spec.margin_scores_t(t, axis + r * vs)
@@ -728,8 +733,7 @@ def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
         corner[-1] += 1.0
         corner_margin = spec.value_t(t, corner) - 0.5 * (1.0 - t) * f_e + 1e-12 * f_e
         rows.append((float(t), float(scores.min()), float(corner_margin)))
-    return BallInclusionReport(label=spec.label, radius_fraction=radius_fraction,
-                               directions=directions, rows=rows)
+    return BallInclusionReport(label=spec.label, directions=directions, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +789,13 @@ class SeparationReport:
     min_margin: float
 
     @property
+    def checks(self):
+        return [CheckResult("margin_positive", self.kept > 0 and self.min_margin > 0.0,
+                            self.min_margin, 0.0)]
+
+    @property
     def passed(self):
-        return self.kept > 0 and self.min_margin > 0.0
+        return all(c.passed for c in self.checks)
 
 
 def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
@@ -819,7 +828,7 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
         use_ball = rng.uniform(size=pool) >= 0.7
         # one draw of n normals per ball row, in row order: the same stream
         # as drawing row by row
-        r = 0.99 * (1.0 - ts[use_ball]) / (2.0 * n)
+        r = _BALL_RADIUS_FRACTION * (1.0 - ts[use_ball]) / (2.0 * n)
         v = rng.standard_normal((r.size, n))
         lams[use_ball] = axis + r[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)
         usable = ~use_ball

@@ -291,9 +291,10 @@ def separation_margin_by_loop(spec, samples, beta, seed):
                 lam = cone_pool[i]
             if not spec.contains(mu) or not spec.in_cone_t(t, lam):
                 raise ConeDomainError("sample outside the cone")
-            if np.linalg.norm(spec.normal(t, mu) - spec.normal(t, lam)) <= beta:
-                continue
             g = spec.grad_t(t, lam)
+            g_mu = spec.grad_t(t, mu)
+            if np.linalg.norm(g_mu / np.linalg.norm(g_mu) - g / np.linalg.norm(g)) <= beta:
+                continue
             lhs = float(g @ (mu - lam))
             rhs = spec.value_t(t, mu) - spec.value_t(t, lam)
             kept += 1

@@ -480,3 +480,46 @@ class TestEntryPoint:
         assert run_cli(["example1", cfg, "--out", str(tmp_path / "real")]) == 0
         assert (tmp_path / "real" / "report.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+_CHECK_SMALL = {"samples": 300, "ball": {"directions": 200}, "separation": {"samples": 400}}
+
+# (command, config without "out", exit code): runs that pass and runs that fail
+_VERDICT_RUNS = {
+    "check sigma_2": ("check", {"function": {"kind": "sigma_k_root", "n": 4, "k": 2},
+                                **_CHECK_SMALL}, 0),
+    "check quotient(3,1)": ("check", {"function": {"kind": "quotient", "n": 4, "k": 3, "l": 1},
+                                      **_CHECK_SMALL}, 0),
+    "check broken fixture": ("check", {"function": {"kind": "sigma1_squared_broken", "n": 4},
+                                       "samples": 200}, 1),
+    "example1": ("example1", {"n": 4, "k": 2, "c": 0.0, "grid_size": 201}, 0),
+    "example1 curvature floor": ("example1", {"n": 4, "k": 2, "c": 0.0, "grid_size": 201,
+                                              "thresholds": {"d2u_floor": 1e9}}, 1),
+    "solve": ("solve", _solve_payload(None), 0),
+    "solve without subsolution": ("solve", {
+        "n": 4, "function": {"kind": "sigma_k_root", "k": 2}, "half_length": "example1",
+        "grid_size": 101, "t_schedule": [0.0, 0.5],
+        "psi": {"family": "example1_rhs", "c": 0.0}, "phi": {"left": 0.0, "right": 0.0},
+        "init": {"family": "example1_profile", "c": 0.0}}, 0),
+    "solve failing subsolution": ("solve", _solve_payload(
+        None, psi={"family": "constant", "value": 100.0}), 1),
+    "solve subsolution outside the cone": ("solve", _solve_payload(
+        None, n=3, subsolution={"family": "cosh", "amplitude": 0.2}), 1),
+    "solve partial": ("solve", _solve_payload(
+        None, t_schedule=[0.0, 0.5], newton={"tol": 1e-10, "max_iter": 1}), 3),
+}
+
+
+class TestReportVerdict:
+    @pytest.mark.parametrize("name", sorted(_VERDICT_RUNS))
+    def test_passed_is_every_row_passing(self, tmp_path, name):
+        command, config, code = _VERDICT_RUNS[name]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", {**config, "out": str(out)})
+        assert run_cli([command, cfg]) == code
+        report = json.loads((out / "report.json").read_text())
+        every_row = all(c["status"] == "pass" for c in report["checks"])
+        if command == "solve":
+            every_row = every_row and report.get("failed_t") is None
+        assert report["passed"] is every_row
+        assert report["passed"] is (code == 0)

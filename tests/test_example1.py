@@ -16,7 +16,6 @@ from yamabe.example1 import (
     solve_profile,
     verify_example,
 )
-from yamabe.geometry import RadialProfile
 
 from oracles import reference_profile_by_first_integral, stopping_time_by_ivp
 
@@ -103,7 +102,9 @@ class TestHalfLength:
 
     def test_positive_for_sampled_d(self):
         for d in (-0.1, -0.5, -1.5):
-            p = ExampleParams.from_d(4, 2, d)
+            # n = 4, k = 2: H(d, 0) = 1 - e^(-4d), so c = -ln(e^(-4d) - 1) / 4
+            p = ExampleParams.from_c(4, 2, -math.log(math.expm1(-4.0 * d)) / 4.0)
+            assert p.d == pytest.approx(d, rel=1e-12)
             assert half_length(p) > 0
 
     @pytest.mark.parametrize("n,k,c", [(3, 2, 0.0), (4, 2, 0.0), (5, 3, 0.0),
@@ -165,7 +166,6 @@ class TestSolveProfile:
         for m in (101, 201, 401):
             sol = solve_profile(P420, node_count=m)
             prof = sol.profile
-            rep = verify_example(P420, prof)
             core = slice(m // 4, 3 * m // 4)
             resid = equation_residual(P420, prof.u[core], prof.du[core], prof.d2u[core])
             errs.append(np.abs(resid).max())
@@ -187,12 +187,19 @@ class TestVerifyExample:
         assert report.max_drift <= 1e-8
         assert report.passed
 
-    def test_constant_profile_fails(self):
-        grid = np.linspace(-P420.boundary_value - 0.4, P420.boundary_value + 0.4, 101)
-        flat = RadialProfile(grid, np.full(101, P420.c))
-        report = verify_example(P420, flat)
-        assert report.max_interior_residual > 0.1
-        assert not report.passed
+    def test_residual_column_and_rows(self):
+        sol = solve_profile(P420, node_count=101)
+        report = verify_example(P420, sol)
+        grid, u = sol.profile.grid, sol.profile.u
+        assert report.residual[[0, -1]].tolist() == (u[[0, -1]] - P420.c).tolist()
+        xs = grid[1:-1]
+        inner = equation_residual(P420, u[1:-1], sol.du_at(xs), sol.d2u_at(xs))
+        assert np.array_equal(report.residual[1:-1], inner)
+        assert report.max_interior_residual == float(np.abs(inner).max())
+        assert [c.name for c in report.checks] == [
+            "interior_residual", "slope_subunit", "boundary_error", "first_integral_drift",
+            "curvature_increasing", "curvature_floor"]
+        assert report.passed is all(c.passed for c in report.checks) is True
 
     def test_curvature_samples_increase(self):
         sol = solve_profile(P420, node_count=401)
@@ -214,3 +221,4 @@ class TestVerifyExample:
         sol = solve_profile(P420, node_count=401)
         strict = verify_example(P420, sol, thresholds=VerifyThresholds(interior_residual=1e-18))
         assert not strict.passed
+        assert [c.name for c in strict.checks if not c.passed] == ["interior_residual"]

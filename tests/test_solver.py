@@ -24,6 +24,7 @@ from yamabe.benchmarks import (
 from yamabe.geometry import CylinderGeometry, RadialProfile
 from yamabe.solver import (
     DEFAULT_T_SCHEDULE,
+    ContinuationReport,
     DirichletProblem,
     NewtonOptions,
     check_subsolution,
@@ -33,7 +34,7 @@ from yamabe.solver import (
     newton_solve,
     residual,
 )
-from yamabe.symfun import SymFuncSpec
+from yamabe.symfun import BrokenHomogeneitySpec, SymFuncSpec
 
 from oracles import banded_to_dense, fd_jacobian_column, radial_rows
 
@@ -417,6 +418,31 @@ class TestSubsolutionCheck:
         with pytest.raises(ValueError):
             check_subsolution(problem)
 
+    def test_rows_carry_the_verdict(self):
+        report = check_subsolution(subsolution_benchmark(theta=0.5, node_count=201))
+        margin, cone = report.checks
+        assert (margin.name, margin.threshold) == ("margin", -1e-10)
+        assert (cone.name, cone.threshold) == ("cone_margin", 0.0)
+        assert margin.worst == report.min_margin and cone.worst == report.min_cone_margin
+        assert margin.passed and cone.passed and report.passed
+
+    def test_cone_violation_fails_both_rows(self):
+        # the margin row stands for the whole check, so a cone violation
+        # fails it even where every margin inside the cone is positive
+        geom = CylinderGeometry(n=4, half_length=1.0)
+        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+        sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
+        problem = DirichletProblem(
+            geom=geom, spec=spec,
+            psi=lambda x, z: 1e-9 * np.ones_like(np.asarray(x, float) * np.asarray(z, float)),
+            psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
+            phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
+        )
+        report = check_subsolution(problem)
+        assert report.min_margin > 0
+        assert [c.passed for c in report.checks] == [False, False]
+        assert not report.passed
+
 
 class TestRadialCurvatureValue:
     def test_matches_the_rows(self):
@@ -444,6 +470,16 @@ class TestRadialCurvatureValue:
             spec.value_t_many(1.0, radial_rows(4, du, d2u))
         assert str(exc.value) == str(expected.value)
 
+    @pytest.mark.parametrize("spec", [SymFuncSpec("sigma_k_root", n=4, k=2),
+                                      BrokenHomogeneitySpec(n=4)])
+    def test_outside_cone_error_carries_the_minimum_score(self, spec):
+        du = np.array([0.1, 1.5, 0.1, 2.0])
+        d2u = np.array([1.0, 0.0, 1.0, -3.0])
+        with pytest.raises(ConeDomainError) as exc:
+            radial_curvature_value(spec, 1.0, du, d2u)
+        scores = spec.margin_scores(radial_rows(4, du, d2u))
+        assert exc.value.min_score == float(scores.min()) < 0.0
+
 
 class TestContinuation:
     def test_benchmark_full_schedule(self):
@@ -460,6 +496,18 @@ class TestContinuation:
         ubar = problem.subsolution.u
         for s in report.states:
             assert np.min(s.profile.u - ubar) >= -1e-8
+
+    def test_rows_of_a_run_and_of_a_stopped_one(self):
+        states = continuation_run(subsolution_benchmark(node_count=101),
+                                  t_schedule=(0.0, 0.5)).states
+        growth, full = ContinuationReport(states=states, failed_t=None).checks(2.0)
+        assert (growth.name, growth.passed, growth.threshold) == ("uniform_growth", True, 2.0)
+        assert growth.worst == max(ContinuationReport(states, None).monitor_growth())
+        assert (full.name, full.passed, full.worst, full.threshold) == (
+            "full_schedule", True, -1.0, -1.0)
+        [stopped] = ContinuationReport(states=states[:1], failed_t=0.5).checks(None)
+        assert (stopped.name, stopped.passed, stopped.worst) == ("full_schedule", False, 0.5)
+        assert [c.name for c in ContinuationReport([], 0.0).checks(2.0)] == ["full_schedule"]
 
     def test_feasible_warm_starts_are_not_screened(self, monkeypatch):
         # Newton's first evaluation is the cone screen of a warm start; only

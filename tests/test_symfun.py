@@ -12,7 +12,7 @@ from yamabe.symfun import (
     SymFuncSpec,
     _boundary_decay_check,
     _esp,
-    _esp_gradient,
+    _esp_removed,
     _row_sum,
     classify_type,
     concavity_margin,
@@ -82,14 +82,20 @@ class TestSigma:
             assert g[i] == pytest.approx(expected, rel=1e-12)
 
 
+def _sigma_gradient(values, j):
+    """Gradient of sigma_j, j >= 1, from the slot of _esp_removed that
+    grad_many reads: entry i is e_{j-1} of the tuple without entry i."""
+    return _esp_removed(values, j - 1)[j - 1].T
+
+
 class TestEspGradient:
     def test_equals_deletion_reference_exactly(self):
         rng = np.random.default_rng(21)
         for n in range(3, 7):
             for m in (1, 7, 4001):
                 values = 2.0 * rng.standard_normal((m, n))
-                for j in range(n + 1):
-                    assert np.array_equal(_esp_gradient(values, j),
+                for j in range(1, n + 1):
+                    assert np.array_equal(_sigma_gradient(values, j),
                                           esp_gradient_by_deletion(values, j)), (n, m, j)
 
     def test_matches_enumeration(self):
@@ -97,7 +103,7 @@ class TestEspGradient:
         for n in range(3, 7):
             values = 2.0 * rng.standard_normal((7, n))
             for j in range(1, n + 1):
-                grad = _esp_gradient(values, j)
+                grad = _sigma_gradient(values, j)
                 for row, g in zip(values, grad):
                     for i in range(n):
                         reduced = np.delete(row, i)
@@ -217,30 +223,35 @@ class TestInterpolatedFamily:
             assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-6
 
 
+def _unit(g):
+    return g / np.linalg.norm(g)
+
+
 class TestNormalDirection:
+    """The level-set normal is the direction of grad_t."""
+
     def test_at_ones(self):
-        nu = S23.normal(1.0, np.ones(3))
+        nu = _unit(S23.grad_t(1.0, np.ones(3)))
         assert np.allclose(nu, np.ones(3) / math.sqrt(3), atol=1e-14)
 
-    def test_unit_and_positive(self):
+    def test_positive(self):
         rng = np.random.default_rng(5)
         for lam in sample_cone(S24, 50, rng):
             for t in (0.2, 1.0):
-                nu = S24.normal(t, lam)
-                assert np.linalg.norm(nu) == pytest.approx(1.0, abs=1e-13)
-                assert np.all(nu > 0)
+                assert np.all(S24.grad_t(t, lam) > 0)
 
     def test_scale_invariance(self):
+        # f_t has degree one, so grad_t has degree zero
         rng = np.random.default_rng(6)
         for lam in sample_cone(S24, 50, rng):
-            nu1 = S24.normal(0.7, lam)
-            nu2 = S24.normal(0.7, 2.0 * lam)
-            assert np.abs(nu1 - nu2).max() <= 1e-12
+            g1 = S24.grad_t(0.7, lam)
+            g2 = S24.grad_t(0.7, 2.0 * lam)
+            assert np.abs(g1 - g2).max() <= 1e-12 * np.abs(g1).max()
 
     def test_finite_difference_agreement(self):
         lam = np.array([0.5, 1.5, 2.5])
         fd = gradient_by_differences(lambda x: S23.value_t(0.6, x), lam)
-        assert np.abs(S23.normal(0.6, lam) - fd / np.linalg.norm(fd)).max() < 1e-6
+        assert np.abs(_unit(S23.grad_t(0.6, lam)) - _unit(fd)).max() < 1e-6
 
 
 class TestClassification:
@@ -379,6 +390,15 @@ class TestBallInclusion:
         report = interpolation_ball_report(S24, directions=300, seed=2)
         assert report.passed
 
+    def test_rows_hold_the_worst_t(self):
+        report = interpolation_ball_report(S24, directions=50, seed=2)
+        report.rows[2] = (report.rows[2][0], -1e-3, -2e-3)
+        membership, value_bound = report.checks
+        assert (membership.name, membership.passed, membership.worst) == ("membership", False, -1e-3)
+        assert (value_bound.name, value_bound.passed, value_bound.worst) == (
+            "value_bound", False, -2e-3)
+        assert not report.passed
+
     def test_corner_bound_tight_at_t_zero(self):
         report = interpolation_ball_report(S24, t_values=(0.0,), directions=10, seed=2)
         _, _, corner = report.rows[0]
@@ -409,6 +429,9 @@ class TestConcavityMargin:
         report = concavity_margin_suite(S23, samples=2000, beta=0.2, seed=0)
         assert report.passed
         assert report.min_margin > 0
+        [row] = report.checks
+        assert (row.name, row.passed, row.worst, row.threshold) == (
+            "margin_positive", True, report.min_margin, 0.0)
 
     @pytest.mark.parametrize("spec", [S23, SymFuncSpec("sigma_k_root", n=5, k=4),
                                       SymFuncSpec("quotient", n=4, k=2, l=1)],
