@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Per-layer timings of the Newton solver and the solve output on the
-subsolution benchmark.
+subsolution benchmark, of the ESP kernels and of the structure suites.
 
     python3 scripts/bench.py
 
@@ -23,7 +23,14 @@ one process at 201 nodes), with one process, with one process per core
 whatever the row count, and with six processes dealt over the cores, which
 prices a fork.  The children's CPU time and peak RSS come from
 RUSAGE_CHILDREN: the writing process's own CPU time leaves out what its
-children did.  The JSON document goes to standard output.
+children did.  The ESP kernels (`_esp`, `_esp_removed`, `_esp_radial`) are
+timed on standard normal tuples at 64, 1000 and 4001 rows, for the orders
+of the checked sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).
+The structure suites of `yamabe check` are timed on sigma_2 at n = 4 in
+the benchmark's shape: `verify_structure` on 1000 samples, its boundary
+decay check alone on 1000 cone samples, `concavity_margin_suite` on 200
+separated pairs and `interpolation_ball_report` on 1000 directions, all
+seed 0 (median of 20 calls).  The JSON document goes to standard output.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from scipy.linalg import solve_banded  # noqa: E402
 
-from yamabe import cli, solver  # noqa: E402
+from yamabe import cli, solver, symfun  # noqa: E402
 from yamabe.benchmarks import subsolution_benchmark  # noqa: E402
 from yamabe.geometry import first_derivative, second_derivative  # noqa: E402
 
@@ -54,6 +61,9 @@ WRITE_NODES = (201, 401, 4001)
 REPEATS = 200
 WRITE_REPEATS = 40
 CONTINUATION_TOL = 1e-7
+KERNEL_ROWS = (64, 1000, 4001)
+KERNEL_ORDERS = ((4, 2), (5, 4))    # (n, k)
+SUITE_REPEATS = 20
 
 
 def _median_ms(call, repeats=REPEATS):
@@ -86,6 +96,34 @@ def layer_times(node_count):
     # the check makes 4 to 16 residual calls per call: fewer repeats
     return {name: _median_ms(call, REPEATS // 10) if name == "check_jacobian" else _median_ms(call)
             for name, call in layers.items()}
+
+
+def kernel_times():
+    rng = np.random.default_rng(0)
+    times = {}
+    for n, k in KERNEL_ORDERS:
+        for m in KERNEL_ROWS:
+            values = rng.standard_normal((m, n))
+            a, s = values[:, 0].copy(), values[:, 1].copy()
+            times[f"n{n}_k{k}_m{m}"] = {
+                "esp": _median_ms(lambda: symfun._esp(values, k)),
+                "esp_removed": _median_ms(lambda: symfun._esp_removed(values, k - 1)),
+                "esp_radial": _median_ms(lambda: symfun._esp_radial(a, s, n, k)),
+            }
+    return times
+
+
+def suite_times():
+    spec = symfun.SymFuncSpec("sigma_k_root", n=4, k=2)
+    pts = symfun.sample_cone(spec, 1000, np.random.default_rng(0))
+    suites = {
+        "verify_structure": lambda: symfun.verify_structure(spec, sample_count=1000, seed=0),
+        "boundary_decay_check": lambda: symfun._boundary_decay_check(
+            spec, pts, np.random.default_rng(0)),
+        "concavity_margin_suite": lambda: symfun.concavity_margin_suite(spec, samples=200, seed=0),
+        "interpolation_ball_report": lambda: symfun.interpolation_ball_report(spec, seed=0),
+    }
+    return {name: _median_ms(call, SUITE_REPEATS) for name, call in suites.items()}
 
 
 def continuation(node_count):
@@ -153,6 +191,8 @@ def main():
         "t": T,
         "repeats": REPEATS,
         "layers_ms": {str(m): layer_times(m) for m in NODES},
+        "esp_kernels_ms": kernel_times(),
+        "structure_suites_ms": suite_times(),
         "continuation": {str(m): run for m, (_, run) in runs.items()},
         "write_profiles": {"files": len(runs[max(NODES)][0]) + 1,
                            "rows_per_writer": cli._ROWS_PER_WRITER,

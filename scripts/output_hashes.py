@@ -63,6 +63,20 @@ _FUNCTIONS = (
 )
 
 
+def _check(n, function):
+    """`yamabe check` in the benchmark's shape: 1000 samples, 200 separation samples."""
+    return "check", {"function": {"n": n, **function}, "samples": 1000,
+                     "separation": {"samples": 200}, "seed": 0}
+
+
+# the decay check, the one-pass scores and ESP kernels across orders and kinds
+_CHECK_FUNCTIONS = (
+    (3, {"kind": "sigma_k_root", "k": 3}), (5, {"kind": "sigma_k_root", "k": 2}),
+    (5, {"kind": "sigma_k_root", "k": 5}), (3, {"kind": "quotient", "k": 2, "l": 1}),
+    (5, {"kind": "quotient", "k": 2, "l": 1}),
+)
+
+
 def _function_name(function):
     if function["kind"] == "quotient":
         return f"quotient({function['k']},{function['l']})"
@@ -91,6 +105,7 @@ CONFIGS = [
     ("example1 curvature floor 1e9", ("example1", {"n": 4, "k": 2, "c": 0.0, "grid_size": 401,
                                                    "thresholds": {"d2u_floor": 1e9}})),
     ("constant psi 100", _solve(psi={"family": "constant", "value": 100.0})),
+    *((f"n{n} {_function_name(f)} check", _check(n, f)) for n, f in _CHECK_FUNCTIONS),
 ]
 
 

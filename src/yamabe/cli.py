@@ -500,10 +500,17 @@ def _build_solve_problem(config):
     if sub_profile is None and init_profile is None:
         raise ConfigError("solve needs a subsolution or an init profile")
 
-    problem = solver.DirichletProblem(
-        geom=geom, spec=spec, psi=psi, psi_z=psi_z,
-        phi_left=phi_left, phi_right=phi_right, subsolution=sub_profile,
-    )
+    try:
+        problem = solver.DirichletProblem(
+            geom=geom, spec=spec, psi=psi, psi_z=psi_z,
+            phi_left=phi_left, phi_right=phi_right, subsolution=sub_profile,
+        )
+    except ValueError as exc:
+        # the problem's own consistency checks reject the config; cone
+        # errors of the cone functions are not config errors
+        if isinstance(exc, YamabeError):
+            raise
+        raise ConfigError(str(exc)) from exc
     return problem, init_profile
 
 

@@ -73,17 +73,17 @@ def _as_batch(lam):
 def _esp(values, kmax):
     """All elementary symmetric polynomials e_0..e_kmax, batched.
 
-    values: (m, n); returns (m, kmax + 1).  Uses the standard one-pass
-    recurrence e_j <- e_j + x * e_{j-1}, which is exact in exact arithmetic
-    and stable for the small n used here.
+    values: (m, n); returns (m, kmax + 1), the transpose of a C-ordered
+    (kmax + 1, m) array.  Uses the standard one-pass recurrence
+    e_j <- e_j + x * e_{j-1} over the entries in order, each step on
+    contiguous rows of length m; it is exact in exact arithmetic and stable
+    for the small n used here.
     """
-    m, n = values.shape
-    out = np.zeros((m, kmax + 1))
-    out[:, 0] = 1.0
-    for col in range(n):
-        x = values[:, col:col + 1]
-        out[:, 1:] = out[:, 1:] + x * out[:, :-1]
-    return out
+    out = np.zeros((kmax + 1, values.shape[0]))
+    out[0] = 1.0
+    for x in values.T:
+        out[1:] += x * out[:-1]
+    return out.T
 
 
 def _esp_removed(values, kmax):
@@ -116,14 +116,18 @@ def sigma(lam, k):
 
 
 def _cone_scores(values, order):
-    """min over j <= order of sigma_j(lam) / sigma_j(|lam|), per row of (m, n).
+    """min over j <= order of sigma_j(lam) / sigma_j(|lam|), per row of (m, n),
+    and the ESP vectors e_0..e_order of the rows as an (order + 1, m) array.
 
     Zero rows score -inf (the origin is not in the open cone); rows with a
     vanishing sigma_j(|lam|) (too few nonzero entries) score at most zero.
+    One `_esp` pass runs over lam and |lam| stacked.
     """
+    m = values.shape[0]
     absolute = np.abs(values)
-    return _min_ratio(_esp(values, order).T, _esp(absolute, order).T,
-                      absolute.max(axis=1) > 0.0, order)
+    both = _esp(np.concatenate([values, absolute]), order).T
+    e = both[:, :m]
+    return _min_ratio(e, both[:, m:], absolute.max(axis=1) > 0.0, order), e
 
 
 def _min_ratio(e, scale, nonzero, order):
@@ -182,18 +186,19 @@ def _pairwise_sum(head, tail, n):
 
 
 def _esp_radial(a, s, n, kmax):
-    """e_0..e_kmax of the tuples (a, s, ..., s) of length n, as lists of (m,) vectors.
+    """e_0..e_kmax of the tuples (a, s, ..., s) of length n, as (kmax + 1, m) arrays.
 
-    Returns the list for the whole tuple and the one for the tuple without
-    one s.  The `_esp` recurrence runs over the entries in the same order, so
-    each vector is bit-identical to the matching column of `_esp` (and of a
-    `_esp_removed` slot) on the (m, n) rows.
+    Returns the array for the whole tuple and the one for the tuple without
+    one s.  The `_esp` recurrence runs over the entries in the same order and
+    layout, so each row is bit-identical to the matching column of `_esp`
+    (and of a `_esp_removed` slot) on the (m, n) rows.
     """
-    e = [np.ones_like(a)] + [np.zeros_like(a)] * kmax
+    e = np.zeros((kmax + 1, a.shape[0]))
+    e[0] = 1.0
     for col in range(n):
-        cut = e
-        x = a if col == 0 else s
-        e = [e[0]] + [e[j] + x * e[j - 1] for j in range(1, kmax + 1)]
+        if col == n - 1:
+            cut = e.copy()
+        e[1:] += (a if col == 0 else s) * e[:-1]
     return e, cut
 
 
@@ -261,6 +266,10 @@ class _InterpolationFamily:
     def grad(self, lam):
         v = self._validated(lam)
         return self.grad_many(v)[0]
+
+    def value_and_grad_many(self, values):
+        """(value_many, grad_many) of the rows; a host may share work between them."""
+        return self.value_many(values), self.grad_many(values)
 
     def value_t(self, t, lam):
         v = self._validated(lam)
@@ -354,7 +363,7 @@ class SymFuncSpec(_InterpolationFamily):
 
     def margin_scores(self, values):
         """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row (see _cone_scores)."""
-        return _cone_scores(np.asarray(values, dtype=float), self.k)
+        return _cone_scores(np.asarray(values, dtype=float), self.k)[0]
 
     def _require_scores_inside(self, scores):
         bad = np.nonzero(scores <= self.margin)[0]
@@ -368,23 +377,30 @@ class SymFuncSpec(_InterpolationFamily):
     # -- values ---------------------------------------------------------------
 
     def value_many(self, values):
-        values = np.asarray(values, dtype=float)
-        self._require_inside(values)
-        return self._value_from(_esp(values, self.k).T)
+        return self._value_from(self._inside_esp(values))
 
     def grad_many(self, values):
+        return self.value_and_grad_many(values)[1]
+
+    def value_and_grad_many(self, values):
+        """(value_many, grad_many) of the rows, from one pass of each ESP kernel."""
         values = np.asarray(values, dtype=float)
-        self._require_inside(values)
-        e = _esp(values, self.k)
+        e = self._inside_esp(values)
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
         removed = _esp_removed(values, self.k - 1)
         gk = removed[self.k - 1].T.copy()
-        f = self._value_from(e.T)
+        f = self._value_from(e)
         if self.kind == "sigma_k_root":
-            return (f / self.k)[:, None] * gk / e[:, self.k][:, None]
+            return f, (f / self.k)[:, None] * gk / e[self.k][:, None]
         gl = removed[self.l - 1].T.copy()
-        log_grad = gk / e[:, self.k][:, None] - gl / e[:, self.l][:, None]
-        return (f / (self.k - self.l))[:, None] * log_grad
+        log_grad = gk / e[self.k][:, None] - gl / e[self.l][:, None]
+        return f, (f / (self.k - self.l))[:, None] * log_grad
+
+    def _inside_esp(self, values):
+        """e_0..e_k of the rows, after the cone test of _require_inside."""
+        scores, e = _cone_scores(np.asarray(values, dtype=float), self.k)
+        self._require_scores_inside(scores)
+        return e
 
     def _value_from(self, e):
         """f from the ESP vectors e_0..e_k of the tuples."""
@@ -595,33 +611,56 @@ def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
     return out
 
 
+# rays per round of the decay check's direction search: one draw in 5 to 20
+# stays inside the cone, and the rays after it in its round are drawn again
+_DECAY_ROUND = 8
+
+
 def _boundary_decay_check(spec, samples, rng, rays=64):
     """f must vanish continuously on the cone boundary along straight rays."""
     fractions = np.array([1e-2, 1e-4, 1e-6])[:, None, None]
     pts = samples[rng.choice(samples.shape[0], size=min(rays, samples.shape[0]), replace=False)]
-    doublings = 2.0 ** np.arange(60)
+    count, n = pts.shape
+    # a ray's 60 doublings of its reach test in the same call
+    reach = np.maximum(1.0, np.abs(pts).max(axis=1))[:, None] * 2.0 ** np.arange(60)
     directions = np.empty_like(pts)
-    hi = np.empty(pts.shape[0])
-    for r, lam in enumerate(pts):
-        # directions are drawn ray by ray until one leaves the cone, so the
-        # draw count depends on the outcomes; all doublings test in one call
-        reach = max(1.0, float(np.abs(lam).max())) * doublings
-        for _ in range(40):
-            direction = rng.standard_normal(lam.size)
+    hi = np.empty(count)
+    first = tries = 0
+    while first < count:
+        # Directions are drawn ray by ray until one leaves the cone.  A round
+        # draws one for each of the next _DECAY_ROUND pending rays as if each
+        # exits; the rays up to the first that does not are kept, with the
+        # draws they used, and the generator restarts after that ray's draw.
+        state = rng.bit_generator.state
+        drawn = rng.standard_normal((min(count - first, _DECAY_ROUND), n))
+        for direction in drawn:
             direction /= np.linalg.norm(direction)
-            outside = np.nonzero(spec.margin_scores(lam + reach[:, None] * direction) <= 0.0)[0]
-            if outside.size:
-                directions[r] = direction
-                hi[r] = reach[outside[0]]
-                break
-        else:
-            raise NumericalError("could not find an exiting ray for the decay check")
+        window = slice(first, first + len(drawn))
+        probes = pts[window, None, :] + reach[window, :, None] * drawn[:, None, :]
+        outside = (spec.margin_scores(probes.reshape(-1, n)) <= 0.0).reshape(len(drawn), -1)
+        exits = outside.any(axis=1)
+        kept = len(drawn) if exits.all() else int(np.argmin(exits))
+        rows = slice(first, first + kept)
+        directions[rows] = drawn[:kept]
+        hi[rows] = reach[rows][np.arange(kept), outside[:kept].argmax(axis=1)]
+        first += kept
+        tries = tries if kept == 0 else 0     # failed draws of ray `first`
+        if kept < len(drawn):
+            rng.bit_generator.state = state
+            rng.standard_normal((kept + 1, n))
+            tries += 1
+            if tries == 40:
+                raise NumericalError("could not find an exiting ray for the decay check")
     lo = np.zeros_like(hi)
+    # bisection to the fixed point: a step that moves no end repeats forever
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         inside = spec.margin_scores(pts + mid[:, None] * directions) > 0.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        new_lo = np.where(inside, mid, lo)
+        new_hi = np.where(inside, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     boundary = pts + (0.5 * (lo + hi))[:, None] * directions
     probes = pts + (1.0 - fractions) * (boundary - pts)
     vals = spec.value_many(probes.reshape(-1, pts.shape[1])).reshape(probes.shape[:2])
@@ -645,7 +684,7 @@ def verify_structure(spec, sample_count=1000, seed=0):
     f_e = spec.f_at_ones()
     checks = []
 
-    vals = spec.value_many(pts)
+    vals, grads = spec.value_and_grad_many(pts)
     checks.append(CheckResult("f1_positive", bool(vals.min() > 0.0), float(vals.min()), 0.0))
 
     ordered, ratio = _boundary_decay_check(spec, pts, rng)
@@ -654,7 +693,6 @@ def verify_structure(spec, sample_count=1000, seed=0):
         "max of f(nearest)/f(farthest) along rays to the boundary",
     ))
 
-    grads = spec.grad_many(pts)
     checks.append(CheckResult("f2_gradient_positive", bool(grads.min() > 0.0), float(grads.min()), 0.0))
 
     other = pts[rng.permutation(pts.shape[0])]
@@ -770,13 +808,15 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
         raise ConeDomainError("mu must lie in the cone")
     if np.any(spec.margin_scores(mapped_lam) <= spec.margin):
         raise ConeDomainError("lam must lie in the interpolated cone")
-    g_mu = _t_map(ts, spec.grad_many(mapped_mu))
-    g_lam = _t_map(ts, spec.grad_many(mapped_lam))
+    f_mu, g_mu = spec.value_and_grad_many(mapped_mu)
+    f_lam, g_lam = spec.value_and_grad_many(mapped_lam)
+    g_mu = _t_map(ts, g_mu)
+    g_lam = _t_map(ts, g_lam)
     nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)
     nu_lam = g_lam / np.linalg.norm(g_lam, axis=1, keepdims=True)
     separated = np.linalg.norm(nu_mu - nu_lam, axis=1) > beta
     lhs = (g_lam * (mus - lams)).sum(axis=1)
-    rhs = spec.value_many(mapped_mu) - spec.value_many(mapped_lam)
+    rhs = f_mu - f_lam
     eps = (lhs - rhs) / (g_lam.sum(axis=1) + 1.0)
     return np.where(separated, eps, np.nan)
 

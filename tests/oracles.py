@@ -1,13 +1,14 @@
 """Independent reference computations the tests check the package against.
 
 Everything here deliberately avoids the code paths it validates: elementary
-symmetric polynomials come from subset enumeration, their gradients from
-deleting one coordinate at a time, other gradients from central
-differences, the structure suites from one sample and one bisection step at
-a time, Jacobian columns from bumping one nodal value of the residual, the
-conformal curvature from the general transformation law, and the stopping
-time of the radial problem from integrating the second-order equation
-itself (never its first integral).
+symmetric polynomials come from subset enumeration (and, for bit-exact
+comparisons, from the recurrence on a tuple-per-row layout), their
+gradients from deleting one coordinate at a time, other gradients from
+central differences, the structure suites from one sample and one bisection
+step at a time, Jacobian columns from bumping one nodal value of the
+residual, the conformal curvature from the general transformation law, and
+the stopping time of the radial problem from integrating the second-order
+equation itself (never its first integral).
 """
 
 import itertools
@@ -26,6 +27,22 @@ def sigma_by_enumeration(values, k):
     if k == 0:
         return 1.0
     return float(sum(math.prod(c) for c in itertools.combinations(values, k)))
+
+
+def esp_by_columns(values, kmax):
+    """e_0..e_kmax of each row as an (m, kmax + 1) array.
+
+    The one-pass recurrence e_j <- e_j + x e_{j-1} over the entries in
+    order, run along the short kmax + 1 axis of a C-ordered (m, kmax + 1)
+    array, one new array per entry.
+    """
+    values = np.asarray(values, dtype=float)
+    m, n = values.shape
+    out = np.zeros((m, kmax + 1))
+    out[:, 0] = 1.0
+    for col in range(n):
+        out[:, 1:] = out[:, 1:] + values[:, col:col + 1] * out[:, :-1]
+    return out
 
 
 def esp_gradient_by_deletion(values, j):

@@ -241,6 +241,24 @@ class TestSolveCommand:
         })
         assert run_cli(["solve", cfg]) == 2
 
+    def test_problem_rejecting_the_config_exits_2(self, tmp_path, capsys):
+        # boundary values the subsolution does not take: DirichletProblem's check
+        cfg = write_config(tmp_path / "s.json", {
+            "n": 4,
+            "function": {"kind": "sigma_k_root", "k": 2},
+            "half_length": 1.0,
+            "grid_size": 101,
+            "psi": {"family": "subsolution_scaled", "theta": 0.5},
+            "phi": {"left": 0.0, "right": 0.0},
+            "subsolution": {"family": "cosh", "amplitude": 0.3},
+            "out": str(tmp_path / "out"),
+        })
+        assert run_cli(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: subsolution must match the boundary values" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_partial_convergence_exits_3(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {
             "n": 4,

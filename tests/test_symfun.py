@@ -27,6 +27,7 @@ from yamabe.symfun import (
 
 from oracles import (
     boundary_decay_by_loop,
+    esp_by_columns,
     esp_gradient_by_deletion,
     gradient_by_differences,
     matrix_derivative_by_differences,
@@ -39,6 +40,13 @@ from oracles import (
 S23 = SymFuncSpec("sigma_k_root", n=3, k=2)
 S24 = SymFuncSpec("sigma_k_root", n=4, k=2)
 Q21 = SymFuncSpec("quotient", n=4, k=2, l=1)
+
+# the functions `yamabe check` is benchmarked on: sigma_k roots for n = 3..5
+# and 2 <= k <= n, and quotient(2,1) for n = 3..5
+CHECK_SPECS = tuple(
+    [SymFuncSpec("sigma_k_root", n=n, k=k) for n in (3, 4, 5) for k in range(2, n + 1)]
+    + [SymFuncSpec("quotient", n=n, k=2, l=1) for n in (3, 4, 5)]
+)
 
 
 class TestSigma:
@@ -80,6 +88,21 @@ class TestSigma:
             reduced = np.delete(lam, i)
             expected = f / 3 * sigma_by_enumeration(reduced, 2) / sigma_by_enumeration(lam, 3)
             assert g[i] == pytest.approx(expected, rel=1e-12)
+
+
+class TestEsp:
+    def test_equals_the_tuple_per_row_recurrence_exactly(self):
+        rng = np.random.default_rng(20)
+        for n in range(1, 8):
+            for m in (1, 2, 64, 4001):
+                values = 2.0 * rng.standard_normal((m, n))
+                for kmax in range(n + 1):
+                    assert np.array_equal(_esp(values, kmax), esp_by_columns(values, kmax)), (
+                        n, m, kmax)
+
+    def test_strided_input(self):
+        values = np.random.default_rng(24).standard_normal((9, 12))[::2, 1::3]
+        assert np.array_equal(_esp(values, 3), esp_by_columns(values, 3))
 
 
 def _sigma_gradient(values, j):
@@ -167,6 +190,24 @@ class TestValueAndGradient:
             S23.value((-0.5, 0.5, 0.5))
         with pytest.raises(ConeDomainError):
             S23.grad((-0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("spec", [*CHECK_SPECS, SymFuncSpec("quotient", n=6, k=5, l=3),
+                                      BrokenHomogeneitySpec(n=4)], ids=lambda s: s.label)
+    def test_value_and_grad_many_equal_the_separate_calls(self, spec):
+        values = sample_cone(spec, 257, np.random.default_rng(25))
+        value, grad = spec.value_and_grad_many(values)
+        assert np.array_equal(value, spec.value_many(values))
+        assert np.array_equal(grad, spec.grad_many(values))
+
+    @pytest.mark.parametrize("spec", [S23, BrokenHomogeneitySpec(n=3)], ids=lambda s: s.label)
+    def test_value_and_grad_many_raise_the_cone_error(self, spec):
+        values = np.array([[1.0, 1.0, 1.0], [-3.0, 0.5, 0.5]])
+        with pytest.raises(ConeDomainError) as separate:
+            spec.value_many(values)
+        with pytest.raises(ConeDomainError) as joint:
+            spec.value_and_grad_many(values)
+        assert str(joint.value) == str(separate.value)
+        assert joint.value.min_score == separate.value.min_score
 
     def test_quotient_value(self):
         lam = np.array([1.0, 2.0, 3.0, 4.0])
@@ -374,15 +415,48 @@ class TestVerifyStructure:
         with pytest.raises(ValueError):
             verify_structure(S24, sample_count=0)
 
-    @pytest.mark.parametrize("spec", [S24, Q21, SymFuncSpec("sigma_k_root", n=5, k=5)],
-                             ids=lambda s: s.label)
-    def test_decay_check_matches_per_ray_reference(self, spec):
+    @pytest.mark.parametrize("seed", [32, 33, 34])
+    @pytest.mark.parametrize("spec", CHECK_SPECS, ids=lambda s: s.label)
+    def test_decay_check_matches_per_ray_reference(self, spec, seed):
+        # same result and same draws as one ray, one try and one bisection
+        # step at a time, over 100 steps
         pts = sample_cone(spec, 300, np.random.default_rng(31))
-        rng_batched = np.random.default_rng(32)
-        rng_loop = np.random.default_rng(32)
+        rng_batched = np.random.default_rng(seed)
+        rng_loop = np.random.default_rng(seed)
         assert _boundary_decay_check(spec, pts, rng_batched) == boundary_decay_by_loop(
             spec, pts, rng_loop)
         assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
+
+    def test_decay_check_without_an_exiting_ray_raises(self, monkeypatch):
+        pts = sample_cone(S24, 100, np.random.default_rng(31))
+        monkeypatch.setattr(SymFuncSpec, "margin_scores", lambda self, values: np.ones(len(values)))
+        rng_batched = np.random.default_rng(32)
+        rng_loop = np.random.default_rng(32)
+        with pytest.raises(NumericalError, match="exiting ray"):
+            _boundary_decay_check(S24, pts, rng_batched)
+        with pytest.raises(NumericalError):
+            boundary_decay_by_loop(S24, pts, rng_loop)
+        # both gave up after the first ray's 40 draws
+        assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
+
+    def test_decay_check_counts_the_draws_of_each_ray(self, monkeypatch):
+        # a ray exits only along directions with d_0 - d_1 > 1.15, about one
+        # draw in 20: some ray runs out of its 40 draws after others needed many
+        def rare_exits(self, values):
+            offset = values - 1.0
+            return np.where(offset[:, 0] - offset[:, 1] > 1.15 * np.linalg.norm(offset, axis=1),
+                            -1.0, 1.0)
+
+        monkeypatch.setattr(SymFuncSpec, "margin_scores", rare_exits)
+        pts = np.ones((64, 4))
+        for seed in (35, 36, 37):
+            rng_batched = np.random.default_rng(seed)
+            rng_loop = np.random.default_rng(seed)
+            with pytest.raises(NumericalError):
+                _boundary_decay_check(S24, pts, rng_batched)
+            with pytest.raises(NumericalError):
+                boundary_decay_by_loop(S24, pts, rng_loop)
+            assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
 
 
 class TestBallInclusion:
@@ -595,7 +669,7 @@ class TestSuiteCallCounts:
             verify_structure(S24, sample_count=samples, seed=0)
             counts.append(len(calls))
         # flat up to the cone sampler's rejection rounds; the decay check's
-        # 64 rays bisect in lockstep (100 calls, not 6400)
+        # 64 rays bisect in lockstep (at most 100 calls, not 6400)
         assert counts[1] < counts[0] + 20
         assert counts[0] < 400
 
