@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the Newton solver and the solve output on the
-subsolution benchmark, of the ESP kernels and of the structure suites.
+"""Per-layer timings of the Newton solver on the subsolution benchmark, of
+the ESP kernels and of the structure suites, and timings of whole solves.
 
     python3 scripts/bench.py
 
@@ -16,14 +16,17 @@ weights on every call, and `du`/`d2u` of a new state of the profile family,
 which reuses them.  It then runs one full continuation over the default
 schedule (Newton tolerance 1e-7) and records its wall time and the Newton
 iterations per t, so that algorithmic and constant-factor changes can be
-told apart.  Last, at 201, 401 and 4001 nodes it writes the 13 profile
-CSVs and monitors.csv of the continuation in four ways: as `yamabe solve`
-does (one process per available core and per cli._ROWS_PER_WRITER rows, so
-one process at 201 nodes), with one process, with one process per core
-whatever the row count, and with six processes dealt over the cores, which
-prices a fork.  The children's CPU time and peak RSS come from
-RUSAGE_CHILDREN: the writing process's own CPU time leaves out what its
-children did.  The ESP kernels (`_esp`, `_esp_removed`, `_esp_radial`) are
+told apart.  Last, at 201, 401 and 4001 nodes it times whole `yamabe
+solve` runs of the same benchmark (default schedule, Newton tolerance
+1e-7, through `cli.main`, output to a temporary directory, median of 20
+after one warm-up): the wall time, the seconds in the continuation and
+after the last t as `--verbose` prints them, and the mean CPU time of
+this process and of the profile writers it forked.  Each size runs as `yamabe solve` does
+(every available core, one writer per cli._ROWS_PER_WRITER rows, so one
+process at 201 nodes) and with `cli._cores` cut to its first core, which
+writes every profile in this process.  The writers' CPU time and peak RSS
+come from RUSAGE_CHILDREN: the solving process's own CPU time leaves out
+what its children did.  The ESP kernels (`_esp`, `_esp_removed`, `_esp_radial`) are
 timed on standard normal tuples at 64, 1000 and 4001 rows, for the orders
 of the checked sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).
 The structure suites of `yamabe check` are timed on sigma_2 at n = 4 in
@@ -35,6 +38,8 @@ seed 0 (median of 20 calls).  The JSON document goes to standard output.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import platform
@@ -57,10 +62,16 @@ from yamabe.geometry import first_derivative, second_derivative  # noqa: E402
 
 T = 0.5
 NODES = (401, 4001)
-WRITE_NODES = (201, 401, 4001)
+SOLVE_NODES = (201, 401, 4001)
 REPEATS = 200
-WRITE_REPEATS = 40
+SOLVE_REPEATS = 20
 CONTINUATION_TOL = 1e-7
+# the README solve config, the subsolution benchmark's data
+SOLVE_CONFIG = {
+    "n": 4, "function": {"kind": "sigma_k_root", "k": 2}, "half_length": 1.0,
+    "psi": {"family": "subsolution_scaled", "theta": 0.5}, "phi": "subsolution",
+    "subsolution": {"family": "cosh", "amplitude": 0.3}, "newton": {"tol": CONTINUATION_TOL},
+}
 KERNEL_ROWS = (64, 1000, 4001)
 KERNEL_ORDERS = ((4, 2), (5, 4))    # (n, k)
 SUITE_REPEATS = 20
@@ -131,57 +142,62 @@ def continuation(node_count):
     start = time.perf_counter()
     report = solver.continuation_run(problem, opts=solver.NewtonOptions(tol=CONTINUATION_TOL))
     wall = time.perf_counter() - start
-    return report.states, {
+    return {
         "wall_s": wall,
         "newton_iters_per_t": {repr(s.t): s.newton_iters for s in report.states},
         "newton_iters_total": sum(s.newton_iters for s in report.states),
     }
 
 
-def write_profiles(states, cores, rows_per_writer=None):
-    """Median wall time, and mean CPU time of this process and of its
-    children, per write of the continuation's output files.
-    rows_per_writer replaces cli._ROWS_PER_WRITER for the call."""
-    default = cli._ROWS_PER_WRITER
-    cli._ROWS_PER_WRITER = rows_per_writer or default
-    rows = len(states) * states[0].profile.grid.size
-    processes = min(len(cli._writer_cores(cores, rows)), len(states))
-    walls, own, children = [], 0.0, 0.0
+def solve_times(node_count, cores):
+    """`yamabe solve` on the subsolution benchmark with cli._cores() cut to
+    `cores`: median wall time and verbose phase times, mean CPU time of this
+    process and of its children, per solve."""
+    default = cli._cores
+    cli._cores = lambda: cores
+    walls, phases, own, children = [], [], 0.0, 0.0
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        cli._write_solve_outputs(out, {"command": "bench"}, states, cores)
-        for _ in range(WRITE_REPEATS):
+        config = Path(tmp) / "solve.json"
+        config.write_text(json.dumps({**SOLVE_CONFIG, "grid_size": node_count,
+                                      "out": str(Path(tmp) / "out")}))
+        for i in range(SOLVE_REPEATS + 1):
             kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+            err = io.StringIO()
             cpu, start = time.process_time(), time.perf_counter()
-            cli._write_solve_outputs(out, {"command": "bench"}, states, cores)
-            walls.append(time.perf_counter() - start)
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["solve", str(config), "--verbose"])
+            wall = time.perf_counter() - start
+            if code != 0:
+                raise RuntimeError(f"yamabe solve exited {code}: {err.getvalue()}")
+            if i == 0:      # warm-up
+                continue
+            walls.append(wall)
             own += time.process_time() - cpu
             after = resource.getrusage(resource.RUSAGE_CHILDREN)
             children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
-    cli._ROWS_PER_WRITER = default
+            # "continuation <s> s, output <s> s after the last t"
+            words = err.getvalue().splitlines()[-1].split()
+            phases.append((float(words[1]), float(words[4])))
+    cli._cores = default
+    rows = len(solver.DEFAULT_T_SCHEDULE) * node_count
     return {
-        "processes": processes,
+        "processes": len(cli._writer_cores(cores, rows)),
         "wall_ms": 1e3 * statistics.median(walls),
-        "cpu_ms_self": 1e3 * own / WRITE_REPEATS,
-        "cpu_ms_children": 1e3 * children / WRITE_REPEATS,
+        "continuation_ms": 1e3 * statistics.median(p[0] for p in phases),
+        "after_last_t_ms": 1e3 * statistics.median(p[1] for p in phases),
+        "cpu_ms_self": 1e3 * own / SOLVE_REPEATS,
+        "cpu_ms_children": 1e3 * children / SOLVE_REPEATS,
     }
 
 
 def main():
-    runs = {m: continuation(m) for m in sorted(set(NODES) | set(WRITE_NODES))}
+    runs = {m: continuation(m) for m in NODES}
     cores = cli._cores()
-    writes = {}
-    for m in WRITE_NODES:
-        states = runs[m][0]
-        writes[str(m)] = {"every_core": write_profiles(states, cores),
-                          "one_process": write_profiles(states, cores[:1])}
-        if cores[0] is not None:
-            writes[str(m)]["forked_per_core"] = write_profiles(states, cores, rows_per_writer=1)
-            writes[str(m)]["forked_six"] = write_profiles(states, (cores * 6)[:6],
-                                                          rows_per_writer=1)
+    solves = {str(m): {"every_core": solve_times(m, cores), "one_process": solve_times(m, cores[:1])}
+              for m in SOLVE_NODES}
     # the largest RSS of any child this process has waited for: the writers
-    writes["children_max_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-    writes["self_max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    solves["children_max_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    solves["self_max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     doc = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -193,10 +209,10 @@ def main():
         "layers_ms": {str(m): layer_times(m) for m in NODES},
         "esp_kernels_ms": kernel_times(),
         "structure_suites_ms": suite_times(),
-        "continuation": {str(m): run for m, (_, run) in runs.items()},
-        "write_profiles": {"files": len(runs[max(NODES)][0]) + 1,
-                           "rows_per_writer": cli._ROWS_PER_WRITER,
-                           "repeats": WRITE_REPEATS, **writes},
+        "continuation": {str(m): run for m, run in runs.items()},
+        "solve": {"files": len(solver.DEFAULT_T_SCHEDULE) + 2,
+                  "rows_per_writer": cli._ROWS_PER_WRITER,
+                  "repeats": SOLVE_REPEATS, **solves},
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 

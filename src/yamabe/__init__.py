@@ -20,6 +20,7 @@ from .solver import (
     NewtonOptions,
     check_subsolution,
     continuation_run,
+    continuation_states,
     estimate_monitors,
     newton_solve,
 )

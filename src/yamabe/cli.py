@@ -11,17 +11,23 @@ convergence.  Configs are validated strictly (unknown keys rejected) before
 any computation; --out, --seed and --verbose override the config.  Output
 files embed the resolved config and a format version line, use 17 significant
 digits and LF line endings, so identical configs produce byte-identical
-files.  `solve` writes its profiles with one process per available core
-and per 2000 rows (see _ROWS_PER_WRITER); the bytes do not depend on the
-core count.
+files.  `solve` writes each profile while the continuation goes on to the
+next t, with one process per available core and per 2000 rows (see
+_ProfileStream and _ROWS_PER_WRITER); the bytes do not depend on the core
+count.  With --verbose it prints the line of each t as that t converges.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import dataclasses
 import json
 import os
+import pickle
+import select
+import socket
 import sys
 import time
 from pathlib import Path
@@ -145,16 +151,17 @@ def _format_column(values):
     return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
 
 
-def _write_profile_csv(path, resolved, profile, residual_column, extra_comments=(),
-                       grid_text=None):
-    """One row per node; `grid_text` is the grid column already formatted,
-    for callers that write several profiles on one grid."""
+def _write_profile_csv(path, resolved, profile, residual_column, extra_comments=()):
+    _write_profile_rows(path, resolved, extra_comments, _format_column(profile.grid),
+                        (profile.u, profile.du, profile.d2u, residual_column))
+
+
+def _write_profile_rows(path, resolved, comments, grid_text, columns):
+    """One row per node: `grid_text`, the grid column already formatted,
+    then the columns u, du, d2u and residual."""
     lines = [f"# format {FORMAT_VERSION} profile", f"# config {_config_comment(resolved)}"]
-    lines += list(extra_comments)
+    lines += list(comments)
     lines.append("x,u,du,d2u,residual")
-    if grid_text is None:
-        grid_text = _format_column(profile.grid)
-    columns = (profile.u, profile.du, profile.d2u, residual_column)
     lines += ["%s,%.17g,%.17g,%.17g,%.17g" % row
               for row in zip(grid_text, *(np.asarray(col, dtype=float).tolist() for col in columns))]
     path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -168,62 +175,12 @@ def _cores():
     return [None]
 
 
-def _write_in_processes(jobs, write, cores):
-    """Call write(job) for every job, dealt round-robin over one process per
-    core in `cores` (see _cores).
-
-    This process writes the last share, the smallest.  Children made with
-    os.fork write the others from copy-on-write memory and always leave
-    through os._exit, never returning into the caller.  A child formats
-    and writes files only: it makes no BLAS call and takes no lock that
-    another thread of this process may hold at the fork.  Each process is
-    bound to a core of its own while it writes, since the scheduler can
-    leave freshly forked processes sharing one core; this process gets its
-    own binding back afterwards.  Every child is waited for, on error paths
-    too.  The share of a child that failed, or could not be forked, is
-    written again here, so that its error surfaces with its own message.
-    With one core every job is written here.
-    """
-    count = max(1, min(len(cores), len(jobs)))
-    shares = [jobs[i::count] for i in range(count)]
-    children, redo = {}, []
-    own = os.sched_getaffinity(0) if count > 1 else None
-    try:
-        for core, share in zip(cores, shares[:-1]):
-            try:
-                pid = os.fork()
-            except OSError:
-                redo.append(share)
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    os.sched_setaffinity(0, {core})
-                    for job in share:
-                        write(job)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = share
-        if own is not None:
-            os.sched_setaffinity(0, {cores[count - 1]})
-        for job in shares[-1]:
-            write(job)
-    finally:
-        if own is not None:
-            os.sched_setaffinity(0, own)
-        for pid, share in children.items():
-            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
-                redo.append(share)
-    for share in redo:
-        for job in share:
-            write(job)
-
-
 # Profile rows per writer process.  A second writer pays off from about
-# 4000 rows: on a 2-core Xeon a whole `yamabe solve` with 13 profiles
-# (medians of 15 solves) took 27.0 ms writing in one process and 27.9 ms on
-# two at 201 nodes, 30.3 and 30.2 ms at 301 nodes, 33.6 and 32.2 ms at 401.
+# 4000 rows: the fork and the copy-on-write faults it brings slow the
+# continuation by about 20 ms on a 2-core Xeon.  A whole `yamabe solve` with
+# 13 profiles (Newton tol 1e-7, medians of 25 alternating solves) took
+# 76.2 ms in one process and 78.4 ms on two at 201 nodes, 84.9 and 84.5 ms
+# at 301 nodes, 91.4 and 85.9 ms at 401.
 _ROWS_PER_WRITER = 2000
 
 
@@ -232,20 +189,141 @@ def _writer_cores(cores, rows):
     return cores[:max(1, rows // _ROWS_PER_WRITER)]
 
 
-def _write_solve_outputs(out, resolved, states, cores):
-    """monitors.csv and the profile CSV of every state, written on
-    _writer_cores(cores, rows).  The states of one continuation share one
-    grid, formatted once here."""
-    _write_monitors_csv(out / "monitors.csv", resolved, states)
-    grid_text = _format_column(states[0].profile.grid) if states else []
-    cores = _writer_cores(cores, len(states) * len(grid_text))
+class _Writer:
+    """A forked child of _ProfileStream: its socket, the requests it has
+    made and not been served, and the jobs it has been sent."""
 
-    def write_profile(i):
-        s = states[i]
-        _write_profile_csv(out / f"profile_{i:03d}_t{s.t:.6f}.csv", resolved, s.profile,
-                           s.residual, extra_comments=[f"# t {_fmt(s.t)}"], grid_text=grid_text)
+    def __init__(self, pid, sock):
+        self.pid, self.sock, self.asked, self.jobs = pid, sock, 0, []
 
-    _write_in_processes(list(range(len(states))), write_profile, cores)
+
+def _serve(sock, core, write):
+    """The life of a forked writer: bound to `core`, it asks for a job over
+    `sock` and asks for the next one as soon as a job arrives, before
+    writing it, so that it never waits while jobs are queued.  It ends at
+    the end of the stream, always through os._exit."""
+    code = 1
+    try:
+        os.sched_setaffinity(0, {core})
+        jobs = sock.makefile("rb")
+        sock.sendall(b"r")
+        while True:
+            try:
+                job = pickle.load(jobs)
+            except EOFError:
+                break
+            sock.sendall(b"r")
+            write(job)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _ProfileStream:
+    """Calls write(job) for every job given to add(), while the caller goes
+    on computing the next ones.
+
+    One child per core of `cores` beyond the first is forked at once (see
+    _cores) and pulls pickled jobs over a socket pair (_serve).  add()
+    queues a job and hands the oldest queued jobs to the children that have
+    asked, without blocking.  finish() binds this process to cores[0],
+    writes the queued jobs here from the newest down, handing the oldest to
+    asking children between its own, and waits for the children.  A child
+    formats and writes files only: it makes no BLAS call and takes no lock
+    that another thread of this process may hold at the fork.  The jobs of
+    a child that failed are written again here, so that its error surfaces
+    with its own message.  With one core, or where no fork succeeds, every
+    job is written here.  As a context manager, the stream waits for its
+    children on error paths too.
+    """
+
+    def __init__(self, write, cores):
+        self.write, self.cores = write, cores
+        self.jobs, self.queued, self.writers = [], collections.deque(), []
+        for core in cores[1:]:
+            try:
+                mine, theirs = socket.socketpair()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                mine.close()
+                theirs.close()
+                break
+            if pid == 0:
+                # only this child's end stays open here, so that the child
+                # reads the end of the stream if this process dies
+                for sock in [mine] + [w.sock for w in self.writers]:
+                    sock.close()
+                _serve(theirs, core, write)
+            theirs.close()
+            self.writers.append(_Writer(pid, mine))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._close()
+
+    def add(self, job):
+        self.queued.append(len(self.jobs))
+        self.jobs.append(job)
+        self._hand_out()
+
+    def _hand_out(self):
+        live = [w for w in self.writers if w.sock is not None]
+        if not self.queued or not live:
+            return
+        readable, _, _ = select.select([w.sock for w in live], [], [], 0)
+        for w in live:
+            try:
+                if w.sock in readable:
+                    asked = w.sock.recv(64)
+                    if not asked:       # the child has gone; _close redoes its jobs
+                        raise ConnectionResetError
+                    w.asked += len(asked)
+                while w.asked and self.queued:
+                    i = self.queued.popleft()
+                    w.jobs.append(i)
+                    w.asked -= 1
+                    w.sock.sendall(pickle.dumps(self.jobs[i], pickle.HIGHEST_PROTOCOL))
+            except OSError:
+                w.sock.close()
+                w.sock = None
+
+    def finish(self):
+        """Write every queued job and wait for the children."""
+        own = os.sched_getaffinity(0) if self.writers else None
+        try:
+            if own is not None:
+                os.sched_setaffinity(0, {self.cores[0]})
+            while True:
+                self._hand_out()
+                if not self.queued:
+                    break
+                self.write(self.jobs[self.queued.pop()])
+        finally:
+            if own is not None:
+                os.sched_setaffinity(0, own)
+        for job in self._close():
+            self.write(job)
+
+    def _close(self):
+        """End the stream for every child, wait for them and return the jobs
+        of those that failed."""
+        for w in self.writers:
+            if w.sock is not None:
+                with contextlib.suppress(OSError):
+                    w.sock.shutdown(socket.SHUT_WR)
+        redo = []
+        for w in self.writers:
+            if os.waitstatus_to_exitcode(os.waitpid(w.pid, 0)[1]) != 0:
+                redo += w.jobs
+            if w.sock is not None:
+                w.sock.close()
+        self.writers = []
+        return [self.jobs[i] for i in redo]
 
 
 def _write_monitors_csv(path, resolved, states):
@@ -524,7 +602,13 @@ def cmd_solve(config):
 
     schedule = config.get("t_schedule")
     if schedule is not None:
-        schedule = tuple(_as_real(t, "t_schedule") for t in schedule)
+        if not isinstance(schedule, list):
+            raise ConfigError("t_schedule: expected a list of numbers")
+        schedule = [_as_real(t, "t_schedule") for t in schedule]
+    try:
+        schedule = solver.check_t_schedule(schedule)
+    except ValueError as exc:
+        raise ConfigError(f"t_schedule: {exc}") from exc
     newton_cfg = config.get("newton", {})
     _check_keys(newton_cfg, {"tol", "max_iter"}, "newton")
     defaults = solver.NewtonOptions()
@@ -540,7 +624,7 @@ def cmd_solve(config):
         "function": dict(_need(config, "function", "config")),
         "half_length": config["half_length"] if config["half_length"] == "example1" else float(config["half_length"]),
         "grid_size": config.get("grid_size", 401),
-        "t_schedule": list(schedule) if schedule is not None else list(solver.DEFAULT_T_SCHEDULE),
+        "t_schedule": list(schedule),
         "psi": dict(config["psi"]),
         "phi": config.get("phi", "subsolution") if isinstance(config.get("phi", "subsolution"), str) else dict(config["phi"]),
         "subsolution": dict(config["subsolution"]) if "subsolution" in config else None,
@@ -570,25 +654,37 @@ def cmd_solve(config):
             _write_report(out / "report.json", resolved, checks, False)
             return 1
 
+    # The profiles are written while the continuation runs: each state goes
+    # to the stream as soon as it has converged (see _ProfileStream).
     started = time.perf_counter()
-    failure = None
-    try:
-        report = solver.continuation_run(problem, t_schedule=schedule, opts=opts,
-                                         init=init_profile)
-    except ContinuationError as exc:
-        failure = exc
-        report = solver.ContinuationReport(states=exc.states, failed_t=exc.t_failed)
-    states = report.states
-    failed_t = report.failed_t
-    solved = time.perf_counter()
-    if verbose:
-        for s in states:
-            print(f"t={s.t:.6g} newton_iters={s.newton_iters} residual={s.residual_norm:.3e} "
-                  f"cone_margin={s.cone_margin:.3e}", file=sys.stderr)
-        if failure is not None:
-            print(f"t={failed_t:.6g} failed: {failure.cause}", file=sys.stderr)
+    start = init_profile if init_profile is not None else problem.subsolution
+    grid_text = _format_column(start.grid)
 
-    _write_solve_outputs(out, resolved, states, _cores())
+    def write_profile(job):
+        i, t, *columns = job
+        _write_profile_rows(out / f"profile_{i:03d}_t{t:.6f}.csv", resolved,
+                            [f"# t {_fmt(t)}"], grid_text, columns)
+
+    states, failure = [], None
+    cores = _writer_cores(_cores(), len(schedule) * len(grid_text))
+    with _ProfileStream(write_profile, cores) as stream:
+        try:
+            for s in solver.continuation_states(problem, schedule, opts, init_profile):
+                stream.add((len(states), s.t, s.profile.u, s.profile.du, s.profile.d2u, s.residual))
+                states.append(s)
+                if verbose:
+                    print(f"t={s.t:.6g} newton_iters={s.newton_iters} residual={s.residual_norm:.3e} "
+                          f"cone_margin={s.cone_margin:.3e}", file=sys.stderr)
+        except ContinuationError as exc:
+            failure = exc
+            if verbose:
+                print(f"t={exc.t_failed:.6g} failed: {exc.cause}", file=sys.stderr)
+        solved = time.perf_counter()
+        _write_monitors_csv(out / "monitors.csv", resolved, states)
+        stream.finish()
+    report = solver.ContinuationReport(states=states,
+                                       failed_t=None if failure is None else failure.t_failed)
+    failed_t = report.failed_t
 
     # Newton giving up, or a warm start no blend brings back into the cone,
     # is partial convergence (exit 3); any other cause, a failed Jacobian
@@ -608,8 +704,8 @@ def cmd_solve(config):
     passed = all(c.passed for c in results)
     _write_report(out / "report.json", resolved, checks, passed, extra=extra)
     if verbose:
-        print(f"continuation {solved - started:.3f} s, output {time.perf_counter() - solved:.3f} s",
-              file=sys.stderr)
+        print(f"continuation {solved - started:.3f} s, output {time.perf_counter() - solved:.3f} s "
+              f"after the last t", file=sys.stderr)
     if failed_t is not None and partial:
         return 3
     return 0 if passed else 1

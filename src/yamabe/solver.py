@@ -61,6 +61,8 @@ __all__ = [
     "jacobian",
     "newton_solve",
     "continuation_run",
+    "continuation_states",
+    "check_t_schedule",
     "check_subsolution",
     "cone_margin_check",
     "estimate_monitors",
@@ -445,32 +447,45 @@ def _restore_feasibility(problem, t, profile, anchor):
     return None
 
 
-def continuation_run(problem, t_schedule=None, opts=None, init=None):
-    """Solve along an ascending t schedule with warm starts.
-
-    The start profile is the explicit init when given, else the problem's
-    subsolution.  A warm start that falls outside the shrunken cone of the
-    next t (Newton's first evaluation raises ConeViolationError) is pulled
-    back by blending towards the subsolution (or the start profile).  Any
-    failure, Newton's and the Jacobian check's alike, surfaces as
-    ContinuationError carrying the failing t, the states collected so far
-    and the cause.
-    """
-    schedule = tuple(DEFAULT_T_SCHEDULE if t_schedule is None else t_schedule)
+def check_t_schedule(t_schedule):
+    """The schedule as a tuple of floats, DEFAULT_T_SCHEDULE for None.
+    Raises ValueError unless it is non-empty, strictly ascending and within
+    [0, T_MAX]."""
+    schedule = tuple(map(float, DEFAULT_T_SCHEDULE if t_schedule is None else t_schedule))
     if not schedule:
         raise ValueError("empty t schedule")
-    arr = np.asarray(schedule, dtype=float)
-    if np.any(np.diff(arr) <= 0):
+    # written so that a NaN fails the checks
+    if not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("t schedule must be strictly ascending")
-    if arr[0] < 0.0 or arr[-1] > T_MAX:
+    if not 0.0 <= schedule[0] <= schedule[-1] <= T_MAX:
         raise ValueError(f"t schedule must stay within [0, {T_MAX}]")
+    return schedule
+
+
+def continuation_states(problem, t_schedule=None, opts=None, init=None):
+    """Solve along an ascending t schedule with warm starts, yielding each
+    state as soon as it has converged.
+
+    The arguments are checked here, before the first t (ValueError); the
+    returned generator does the solving.  The start profile is the explicit
+    init when given, else the problem's subsolution.  A warm start that
+    falls outside the shrunken cone of the next t (Newton's first
+    evaluation raises ConeViolationError) is pulled back by blending
+    towards the subsolution (or the start profile).  Any failure, Newton's
+    and the Jacobian check's alike, surfaces as ContinuationError carrying
+    the failing t, the states yielded so far and the cause.
+    """
+    schedule = check_t_schedule(t_schedule)
     current = init if init is not None else problem.subsolution
     if current is None:
         raise ValueError("continuation needs a subsolution or an explicit init profile")
     anchor = problem.subsolution if problem.subsolution is not None else current
+    return _continuation(problem, schedule, opts, current, anchor)
 
+
+def _continuation(problem, schedule, opts, current, anchor):
     states = []
-    for t in map(float, arr):
+    for t in schedule:
         try:
             try:
                 state = newton_solve(problem, t, current, opts)
@@ -485,8 +500,14 @@ def continuation_run(problem, t_schedule=None, opts=None, init=None):
                 t_failed=t, states=states, cause=exc,
             ) from exc
         states.append(state)
+        yield state
         current = state.profile
-    return ContinuationReport(states=states, failed_t=None)
+
+
+def continuation_run(problem, t_schedule=None, opts=None, init=None):
+    """All states of continuation_states, which see."""
+    return ContinuationReport(
+        states=list(continuation_states(problem, t_schedule, opts, init)), failed_t=None)
 
 
 @dataclass

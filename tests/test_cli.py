@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,25 @@ class TestSolveCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("schedule, message", [
+        ([0.5, 0.2], "strictly ascending"),
+        ([0.0, 1.0], "within [0, 0.999]"),
+        ([], "empty t schedule"),
+    ])
+    def test_invalid_schedule_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                                       schedule, message):
+        def no_stream(write, cores):
+            raise AssertionError("a writer was started")
+
+        monkeypatch.setattr(cli, "_ProfileStream", no_stream)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(out, t_schedule=schedule))
+        assert run_cli(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_schedule: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_partial_convergence_exits_3(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {
             "n": 4,
@@ -366,6 +386,23 @@ class TestSolveRobustness:
         assert lines[3].startswith("continuation ") and " s, output " in lines[3]
         assert len(lines) == 4
 
+    def test_verbose_prints_each_t_when_it_converges(self, tmp_path, capsys, monkeypatch):
+        printed = []
+        original = cli.solver.continuation_states
+
+        def watched(*args):
+            for state in original(*args):
+                printed.append(capsys.readouterr().err)
+                yield state
+
+        monkeypatch.setattr(cli.solver, "continuation_states", watched)
+        cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
+        assert run_cli(["solve", cfg, "--verbose"]) == 0
+        # the line of each t is out before the next t is solved
+        assert printed[0] == ""
+        assert [text.split()[0] for text in printed[1:]] == ["t=0", "t=0.5"]
+        assert capsys.readouterr().err.startswith("t=0.9 ")
+
     def test_one_solve_builds_its_stencils_once(self, tmp_path, monkeypatch):
         calls = []
         original = geometry.stencil_weights
@@ -382,8 +419,19 @@ class TestSolveRobustness:
         assert len(calls) <= 8
 
 
+def _stream(write, cores, jobs, pause=0.0):
+    """Give `jobs` to a _ProfileStream one by one, `pause` seconds apart as
+    the states of a continuation come, and finish it."""
+    with cli._ProfileStream(write, cores) as stream:
+        for job in jobs:
+            time.sleep(pause)
+            stream.add(job)
+        stream.finish()
+
+
 class TestProfileWriters:
-    """Profiles are written by one process per available core, same bytes."""
+    """Profiles are written while the continuation runs, by this process
+    and one forked child per further available core, same bytes."""
 
     def test_output_independent_of_the_core_count(self, tmp_path, monkeypatch):
         # one writer per 101-node profile, so the small solve forks
@@ -404,18 +452,28 @@ class TestProfileWriters:
 
     @pytest.mark.parametrize("crowded", [False, True])
     def test_every_job_written_once_children_exit(self, tmp_path, crowded):
-        # crowded: six writers bound to one core, more processes than cores
+        # crowded: six writers bound to one core, more processes than cores.
+        # A child takes 0.1 s per job and holds at most two at a time, so the
+        # children cannot drain the 23 jobs added 5 ms apart: every writer,
+        # this process included, writes some.
         parent = os.getpid()
         cores = [cli._cores()[0]] * 6 if crowded else cli._cores()
 
         def write(job):
-            (tmp_path / f"{job}.txt").write_text(str(os.getpid()))
+            if os.getpid() != parent:
+                time.sleep(0.1)
+            with open(tmp_path / f"{job}.txt", "a") as f:
+                f.write(f"{os.getpid()}\n")
 
         before = os.sched_getaffinity(0)
-        cli._write_in_processes(list(range(23)), write, cores)
+        _stream(write, cores, range(23), pause=0.005)
         assert os.getpid() == parent and os.sched_getaffinity(0) == before
-        writers = {int((tmp_path / f"{job}.txt").read_text()) for job in range(23)}
+        lines = [(tmp_path / f"{job}.txt").read_text().splitlines() for job in range(23)]
+        assert all(len(written) == 1 for written in lines)
+        writers = {int(written[0]) for written in lines}
         assert len(writers) == len(cores) and parent in writers
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_failed_child_share_is_written_again_here(self, tmp_path):
         parent = os.getpid()
@@ -425,8 +483,18 @@ class TestProfileWriters:
                 raise OSError("a child cannot write")
             (tmp_path / f"{job}.txt").write_text("")
 
-        cli._write_in_processes(list(range(5)), write, cli._cores())
+        _stream(write, cli._cores(), range(5), pause=0.005)
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{j}.txt" for j in range(5)]
+
+    def test_failed_fork_leaves_every_job_here(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        parent = os.getpid()
+        _stream(lambda job: (tmp_path / f"{job}.txt").write_text(str(os.getpid())),
+                [0, 0, 0], range(4))
+        assert {(tmp_path / f"{j}.txt").read_text() for j in range(4)} == {str(parent)}
 
     @pytest.mark.parametrize("rows, writers", [(None, 1), (101, 3), (303, 1), (151, 2)])
     def test_writers_by_row_count(self, tmp_path, monkeypatch, rows, writers):
@@ -435,8 +503,13 @@ class TestProfileWriters:
             monkeypatch.setattr(cli, "_ROWS_PER_WRITER", rows)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         used = []
-        monkeypatch.setattr(cli, "_write_in_processes",
-                            lambda jobs, write, cores: used.append(cores))
+
+        class Recorded(cli._ProfileStream):
+            def __init__(self, write, cores):
+                used.append(cores)
+                super().__init__(write, cores[:1])
+
+        monkeypatch.setattr(cli, "_ProfileStream", Recorded)
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
         assert run_cli(["solve", cfg]) == 0
         assert used == [[0, 1, 2, 3][:writers]]
@@ -447,13 +520,34 @@ class TestProfileWriters:
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "s.json", _solve_payload(out))
         assert run_cli(["solve", cfg]) == 0
-        # with two or more cores the first profile belongs to a child's share
+        # with two or more cores a child usually takes the first profile
         target = next(out.glob("profile_000_*.csv"))
         target.unlink()
         target.mkdir()
         assert run_cli(["solve", cfg]) != 0
         assert target.name in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_no_child_left_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITER", 101)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(out))
+        assert run_cli(["solve", cfg]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # the README config with (n, k) = (5, 3) stops at t = 0.4
+        partial = write_config(tmp_path / "p.json", _solve_payload(
+            tmp_path / "partial", n=5, function={"kind": "sigma_k_root", "k": 3}, grid_size=401,
+            t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE)))
+        assert run_cli(["solve", partial]) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        target = next(out.glob("profile_001_*.csv"))
+        target.unlink()
+        target.mkdir()
+        assert run_cli(["solve", cfg]) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestProfileCsv:

@@ -24,11 +24,14 @@ from yamabe.benchmarks import (
 from yamabe.geometry import CylinderGeometry, RadialProfile
 from yamabe.solver import (
     DEFAULT_T_SCHEDULE,
+    T_MAX,
     ContinuationReport,
     DirichletProblem,
     NewtonOptions,
     check_subsolution,
+    check_t_schedule,
     continuation_run,
+    continuation_states,
     estimate_monitors,
     jacobian,
     newton_solve,
@@ -570,6 +573,51 @@ class TestContinuation:
             continuation_run(problem, t_schedule=(0.5, 0.2))
         with pytest.raises(ValueError):
             continuation_run(problem, t_schedule=(0.0, 1.0))
+
+    @pytest.mark.parametrize("schedule", [(0.5, 0.2), (0.0, 1.0), (), (0.0, math.nan),
+                                          (math.nan,), (-0.1, 0.5)])
+    def test_states_check_the_schedule_before_the_first_t(self, schedule):
+        problem = subsolution_benchmark(node_count=101)
+        with pytest.raises(ValueError):
+            continuation_states(problem, t_schedule=schedule)
+        with pytest.raises(ValueError):
+            check_t_schedule(schedule)
+
+    def test_check_t_schedule_returns_floats(self):
+        assert check_t_schedule(None) == DEFAULT_T_SCHEDULE
+        assert check_t_schedule([0, 0.5, T_MAX]) == (0.0, 0.5, T_MAX)
+        assert all(type(t) is float for t in check_t_schedule([0, 1e-3]))
+
+    def test_states_yield_the_run_states(self):
+        problem = subsolution_benchmark(node_count=101)
+        schedule = (0.0, 0.3, 0.6, 0.9)
+        run = continuation_run(problem, t_schedule=schedule).states
+        streamed = list(continuation_states(problem, t_schedule=schedule))
+        assert [s.t for s in streamed] == [s.t for s in run] == list(schedule)
+        for a, b in zip(streamed, run):
+            assert np.array_equal(a.profile.u, b.profile.u)
+            assert np.array_equal(a.residual, b.residual)
+            assert (a.newton_iters, a.cone_margin, a.increment_norms) == \
+                (b.newton_iters, b.cone_margin, b.increment_norms)
+
+    def test_states_error_carries_the_yielded_states(self, monkeypatch):
+        check = solver._check_jacobian
+
+        def alarm_at_half(problem, t, profile, ab):
+            if t == 0.5:
+                raise NumericalError("alarm at t=0.5")
+            check(problem, t, profile, ab)
+
+        monkeypatch.setattr(solver, "_check_jacobian", alarm_at_half)
+        yielded = []
+        with pytest.raises(ContinuationError) as err:
+            for state in continuation_states(subsolution_benchmark(node_count=101),
+                                             t_schedule=(0.0, 0.2, 0.5, 0.9)):
+                yielded.append(state)
+        assert err.value.t_failed == 0.5 and str(err.value.cause) == "alarm at t=0.5"
+        assert [s.t for s in yielded] == [0.0, 0.2]
+        assert len(err.value.states) == 2
+        assert all(a is b for a, b in zip(err.value.states, yielded))
 
     def test_missing_start_profile(self):
         problem, _ = manufactured_problem(0.5, node_count=101)
