@@ -10,7 +10,9 @@ cosh amplitude 0.3, theta 0.5), takes the subsolution as the state at
 t = 0.5 and reports the median wall time per call (plain
 time.perf_counter, after one warm-up call) of the residual with its cone
 test, the Jacobian, the cone screen of the feasibility restore, the banded
-solve, the directional Jacobian check, and the grid derivatives: the free
+solve, the directional Jacobian check, the radial kernel
+`SymFuncSpec.radial_eval` on the state's eigenvalues with and without the
+gradient, and the grid derivatives: the free
 `first_derivative`/`second_derivative`, which build the grid's stencil
 weights on every call, and `du`/`d2u` of a new state of the profile family,
 which reuses them.  It then runs one full continuation over the default
@@ -32,8 +34,10 @@ of the checked sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).
 The structure suites of `yamabe check` are timed on sigma_2 at n = 4 in
 the benchmark's shape: `verify_structure` on 1000 samples, its boundary
 decay check alone on 1000 cone samples, `concavity_margin_suite` on 200
-separated pairs and `interpolation_ball_report` on 1000 directions, all
-seed 0 (median of 20 calls).  The JSON document goes to standard output.
+separated pairs, its kernel `concavity_margin_many` alone on one 256-row
+batch drawn as the suite draws its cone rows, and
+`interpolation_ball_report` on 1000 directions, all seed 0 (median of 20
+calls).  The JSON document goes to standard output.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ from scipy.linalg import solve_banded  # noqa: E402
 
 from yamabe import cli, solver, symfun  # noqa: E402
 from yamabe.benchmarks import subsolution_benchmark  # noqa: E402
-from yamabe.geometry import first_derivative, second_derivative  # noqa: E402
+from yamabe.geometry import (  # noqa: E402
+    first_derivative, radial_w_eigenvalues, second_derivative)
 
 T = 0.5
 NODES = (401, 4001)
@@ -93,12 +98,16 @@ def layer_times(node_count):
     grid = prof.grid
     res, _ = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
     ab = solver.jacobian(problem, T, prof)
+    spec = problem.spec
+    axis, sphere = radial_w_eigenvalues(spec.n, prof.du, prof.d2u)
     layers = {
         "residual": lambda: solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u),
         "jacobian": lambda: solver.jacobian(problem, T, prof),
         "inside_cone": lambda: solver._inside_cone(problem, T, prof),
         "solve_banded": lambda: solve_banded((1, 1), ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
+        "radial_eval": lambda: spec.radial_eval(T, axis, sphere),
+        "radial_eval_grad": lambda: spec.radial_eval(T, axis, sphere, grad=True),
         "first_derivative": lambda: first_derivative(grid, prof.u),
         "second_derivative": lambda: second_derivative(grid, prof.u),
         "state_du": lambda: prof.with_values(prof.u).du,
@@ -127,11 +136,16 @@ def kernel_times():
 def suite_times():
     spec = symfun.SymFuncSpec("sigma_k_root", n=4, k=2)
     pts = symfun.sample_cone(spec, 1000, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    lams = symfun.sample_cone(spec, 256, rng, scale_low=-1.0, scale_high=1.5)
+    ts = rng.uniform(0.0, 1.0, size=256)
+    mus = 1.0 + rng.uniform(-0.45, 0.45, size=(256, spec.n))
     suites = {
         "verify_structure": lambda: symfun.verify_structure(spec, sample_count=1000, seed=0),
         "boundary_decay_check": lambda: symfun._boundary_decay_check(
             spec, pts, np.random.default_rng(0)),
         "concavity_margin_suite": lambda: symfun.concavity_margin_suite(spec, samples=200, seed=0),
+        "concavity_margin_many_256": lambda: symfun.concavity_margin_many(spec, ts, mus, lams, 0.2),
         "interpolation_ball_report": lambda: symfun.interpolation_ball_report(spec, seed=0),
     }
     return {name: _median_ms(call, SUITE_REPEATS) for name, call in suites.items()}

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -91,15 +92,12 @@ CONFIGS = [
     ("README Example 1 solve", _example1_solve(4, 2, 0.0, 401)),
     ("criterion 9 data", _example1_solve(5, 4, -0.5, 1001, newton={"tol": 1.2e-4})),
     ("4001-node subsolution", _solve(grid_size=4001, newton={"tol": 1e-7})),
-    ("broken fixture", _solve(function={"kind": "sigma1_squared_broken"})),
     ("n5 sigma_3", _solve(n=5, function={"kind": "sigma_k_root", "k": 3})),
     *((f"n{n} {_function_name(f)}", _solve(n=n, function=f)) for n, f in _FUNCTIONS),
     ("seed-108 draw", _solve(grid_size=4001, newton={"tol": 1e-7},
                              psi={"family": "subsolution_scaled", "theta": 0.4783579320626279},
                              subsolution={"family": "cosh", "amplitude": 0.2480217780855284})),
     ("n3 sigma_2 cosh 0.2", _solve(n=3, subsolution={"family": "cosh", "amplitude": 0.2})),
-    ("broken fixture check", ("check", {"function": {"kind": "sigma1_squared_broken", "n": 4},
-                                        "samples": 1000, "seed": 0})),
     ("n4 quotient(3,1) check", ("check", {"function": {"kind": "quotient", "n": 4, "k": 3, "l": 1},
                                           "samples": 1000, "seed": 0})),
     ("example1 curvature floor 1e9", ("example1", {"n": 4, "k": 2, "c": 0.0, "grid_size": 401,
@@ -107,6 +105,16 @@ CONFIGS = [
     ("constant psi 100", _solve(psi={"family": "constant", "value": 100.0})),
     *((f"n{n} {_function_name(f)} check", _check(n, f)) for n, f in _CHECK_FUNCTIONS),
 ]
+
+
+# The reports embed the resolved config with its relative `out`, out<number>.
+# The numbers of configs dropped from the list stay unused, so that each
+# remaining config prints the same line as on older commits.
+_DROPPED = (6, 18)
+
+
+def _out_numbers():
+    return (i for i in itertools.count() if i not in _DROPPED)
 
 
 def _digest(out):
@@ -122,7 +130,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for i, (name, (command, config)) in enumerate(CONFIGS):
+            for i, (name, (command, config)) in zip(_out_numbers(), CONFIGS):
                 config = {**config, "out": f"out{i:02d}"}
                 Path("config.json").write_text(json.dumps(config))
                 with contextlib.redirect_stderr(io.StringIO()):

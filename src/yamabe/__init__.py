@@ -25,7 +25,6 @@ from .solver import (
     newton_solve,
 )
 from .symfun import (
-    BrokenHomogeneitySpec,
     SymFuncSpec,
     classify_type,
     concavity_margin,

@@ -106,10 +106,6 @@ def _function_spec(cfg, context="function"):
     _check_keys(cfg, {"kind", "n", "k", "l"}, context)
     kind = _need(cfg, "kind", context)
     n = _as_int(_need(cfg, "n", context), f"{context}.n", lo=3)
-    if kind == "sigma1_squared_broken":
-        if "k" in cfg or "l" in cfg:
-            raise ConfigError(f"{context}: the broken fixture takes only n")
-        return symfun.BrokenHomogeneitySpec(n=n)
     if kind == "sigma_k_root":
         k = _as_int(_need(cfg, "k", context), f"{context}.k", lo=1, hi=n)
         if "l" in cfg:
@@ -396,20 +392,16 @@ def cmd_check(config):
 
     # row name prefix -> report, in row order
     reports = {"structure.": symfun.verify_structure(spec, sample_count=samples, seed=seed)}
-    broken = getattr(spec, "kind", "") == "sigma1_squared_broken"
-    classification = None
-    if not broken:
-        classification = symfun.classify_type(spec)
-        reports["ball."] = symfun.interpolation_ball_report(spec, t_values=t_values,
-                                                            directions=directions, seed=seed)
-        reports["separation."] = symfun.concavity_margin_suite(spec, samples=sep_samples,
-                                                               beta=beta, seed=seed)
+    classification = symfun.classify_type(spec)
+    reports["ball."] = symfun.interpolation_ball_report(spec, t_values=t_values,
+                                                        directions=directions, seed=seed)
+    reports["separation."] = symfun.concavity_margin_suite(spec, samples=sep_samples,
+                                                           beta=beta, seed=seed)
     checks = [row for prefix, r in reports.items() for row in _check_rows(prefix, r.checks)]
     passed = all(r.passed for r in reports.values())
-    extra = {"label": spec.label}
-    if classification is not None:
-        extra["classification"] = {"cone_type": classification.cone_type,
-                                   "f_type": classification.f_type}
+    extra = {"label": spec.label,
+             "classification": {"cone_type": classification.cone_type,
+                                "f_type": classification.f_type}}
     _write_report(out / "report.json", resolved, checks, passed, extra=extra)
     if resolved["verbose"]:
         for c in checks:

@@ -17,7 +17,8 @@ vector and the minimum cone margin (a trial outside the cone raises there),
 and the returned state carries them with the norm of every accepted step.
 Residual, Jacobian and cone screen go through the spec's two-value kernel
 `radial_eval` on the (axis, sphere) eigenvalue vectors; it is bit-identical
-to the generic path on the full (m, n) eigenvalue rows.
+to the spec's `margin_scores_t`, `value_t_many` and `grad_t_many` on the full
+(m, n) eigenvalue rows.
 
 Continuation walks an ascending t schedule, warm-starting each solve from the
 previous profile, and records per-t monitors: sup norms of u and its first

@@ -23,7 +23,7 @@ inputs; the spec objects are frozen and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,6 @@ from ._errors import ConeDomainError, NumericalError
 __all__ = [
     "CONE_MARGIN",
     "SymFuncSpec",
-    "BrokenHomogeneitySpec",
     "Classification",
     "CheckResult",
     "StructureReport",
@@ -143,13 +142,6 @@ def _min_ratio(e, scale, nonzero, order):
 # the radial tuples (a, s, ..., s)
 # ---------------------------------------------------------------------------
 
-def _radial_rows(a, s, n):
-    """The (m, n) rows (a, s, ..., s) from the (m,) vectors a and s."""
-    a = np.asarray(a, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return np.concatenate([a[:, None], np.repeat(s[:, None], n - 1, axis=1)], axis=1)
-
-
 def _row_sum(head, tail, n):
     """numpy's sum of each length-n row (head, tail, ..., tail), head and tail (m,).
 
@@ -212,7 +204,7 @@ class RadialEvaluation(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the interpolation family shared by all cone-function specs
+# the two classical families and their interpolation
 # ---------------------------------------------------------------------------
 
 def _t_map(t, v):
@@ -224,114 +216,26 @@ def _t_map(t, v):
     return t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
 
 
-class _InterpolationFamily:
-    """Mixin deriving the t-family from value/grad/margin of the base pair.
-
-    Requires the host to provide n, value_many, grad_many, margin_scores and
-    _require_scores_inside.  A tuple is inside the cone when its margin
-    score exceeds `margin`.
-    """
-
-    margin = CONE_MARGIN
-
-    def _validated(self, lam):
-        v = _as_batch(lam)
-        if v.shape[1] != self.n:
-            raise ValueError(f"expected tuples of length {self.n}, got {v.shape[1]}")
-        return v
-
-    # -- membership -------------------------------------------------------
-
-    def _require_inside(self, values):
-        self._require_scores_inside(self.margin_scores(values))
-
-    def contains(self, lam):
-        v = self._validated(lam)
-        return bool(self.margin_scores(v)[0] > self.margin)
-
-    def in_cone_t(self, t, lam):
-        v = self._validated(lam)
-        return bool(self.margin_scores_t(t, v)[0] > self.margin)
-
-    def margin_scores_t(self, t, lam):
-        v = self._validated(lam)
-        return self.margin_scores(_t_map(t, v))
-
-    # -- values and derivatives --------------------------------------------
-
-    def value(self, lam):
-        v = self._validated(lam)
-        return float(self.value_many(v)[0])
-
-    def grad(self, lam):
-        v = self._validated(lam)
-        return self.grad_many(v)[0]
-
-    def value_and_grad_many(self, values):
-        """(value_many, grad_many) of the rows; a host may share work between them."""
-        return self.value_many(values), self.grad_many(values)
-
-    def value_t(self, t, lam):
-        v = self._validated(lam)
-        return float(self.value_t_many(t, v)[0])
-
-    def value_t_many(self, t, lam):
-        v = self._validated(lam)
-        return self.value_many(_t_map(t, v))
-
-    def grad_t(self, t, lam):
-        v = self._validated(lam)
-        return self.grad_t_many(t, v)[0]
-
-    def grad_t_many(self, t, lam):
-        """Chain rule through lam -> t*lam + (1-t)*sigma_1(lam)*e."""
-        v = self._validated(lam)
-        return _t_map(t, self.grad_many(_t_map(t, v)))
-
-    # -- radial tuples -------------------------------------------------------
-
-    def radial_eval(self, t, a, s, grad=False):
-        """Cone scores, f_t and its gradient on the radial tuples (a, s, ..., s).
-
-        a and s are (m,) vectors of axis and sphere eigenvalues (see
-        geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.
-        Returns the margin scores, and when every row scores above the
-        margin also f_t and, with grad, the axis slot of Df_t and the sum of
-        its n - 1 sphere slots.  Outside the cone value is None, and asking
-        for the gradient raises ConeDomainError, as grad_t_many does.  This
-        version evaluates the full (m, n) rows.
-        """
-        rows = _radial_rows(a, s, self.n)
-        scores = self.margin_scores_t(t, rows)
-        if grad:
-            g = self.grad_t_many(t, rows)
-            return RadialEvaluation(scores, self.value_t_many(t, rows), g[:, 0], g[:, 1:].sum(axis=1))
-        if np.any(scores <= self.margin):
-            return RadialEvaluation(scores, None, None, None)
-        return RadialEvaluation(scores, self.value_t_many(t, rows), None, None)
-
-
-# ---------------------------------------------------------------------------
-# the two classical families
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class SymFuncSpec(_InterpolationFamily):
-    """A concrete (f, Gamma_k) pair.
+class SymFuncSpec:
+    """A concrete (f, Gamma_k) pair and its interpolation family f_t.
 
     kind is "sigma_k_root" (f = sigma_k^(1/k)) or "quotient"
     (f = (sigma_k/sigma_l)^(1/(k-l)) with 1 <= l < k).  Both live on Gamma_k.
     Membership uses a relative strictness margin: lam is accepted when
-    sigma_j(lam) > CONE_MARGIN * sigma_j(|lam|) for every j <= k.  The
-    comparison scale sigma_j of the absolute values bounds the attainable
-    magnitude of sigma_j tightly even for very anisotropic tuples, keeps the
-    test scale invariant and avoids boundary flapping inside line searches.
+    sigma_j(lam) > CONE_MARGIN * sigma_j(|lam|) for every j <= k, that is
+    when its margin score exceeds `margin`.  The comparison scale sigma_j of
+    the absolute values bounds the attainable magnitude of sigma_j tightly
+    even for very anisotropic tuples, keeps the test scale invariant and
+    avoids boundary flapping inside line searches.
     """
 
     kind: str
     n: int
     k: int
     l: int | None = None
+
+    margin = CONE_MARGIN
 
     def __post_init__(self):
         if self.kind not in ("sigma_k_root", "quotient"):
@@ -359,7 +263,13 @@ class SymFuncSpec(_InterpolationFamily):
         ratio = math.comb(self.n, self.k) / math.comb(self.n, self.l)
         return ratio ** (1.0 / (self.k - self.l))
 
-    # -- membership scores ---------------------------------------------------
+    def _validated(self, lam):
+        v = _as_batch(lam)
+        if v.shape[1] != self.n:
+            raise ValueError(f"expected tuples of length {self.n}, got {v.shape[1]}")
+        return v
+
+    # -- membership -------------------------------------------------------------
 
     def margin_scores(self, values):
         """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row (see _cone_scores)."""
@@ -374,7 +284,27 @@ class SymFuncSpec(_InterpolationFamily):
                 min_score=float(scores.min()),
             )
 
-    # -- values ---------------------------------------------------------------
+    def contains(self, lam):
+        v = self._validated(lam)
+        return bool(self.margin_scores(v)[0] > self.margin)
+
+    def in_cone_t(self, t, lam):
+        v = self._validated(lam)
+        return bool(self.margin_scores_t(t, v)[0] > self.margin)
+
+    def margin_scores_t(self, t, lam):
+        v = self._validated(lam)
+        return self.margin_scores(_t_map(t, v))
+
+    # -- values and derivatives -------------------------------------------------
+
+    def value(self, lam):
+        v = self._validated(lam)
+        return float(self.value_many(v)[0])
+
+    def grad(self, lam):
+        v = self._validated(lam)
+        return self.grad_many(v)[0]
 
     def value_many(self, values):
         return self._value_from(self._inside_esp(values))
@@ -385,7 +315,10 @@ class SymFuncSpec(_InterpolationFamily):
     def value_and_grad_many(self, values):
         """(value_many, grad_many) of the rows, from one pass of each ESP kernel."""
         values = np.asarray(values, dtype=float)
-        e = self._inside_esp(values)
+        return self._value_and_grad_from(values, self._inside_esp(values))
+
+    def _value_and_grad_from(self, values, e):
+        """f and Df of the (m, n) rows inside the cone, given their ESP vectors e_0..e_k."""
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
         removed = _esp_removed(values, self.k - 1)
         gk = removed[self.k - 1].T.copy()
@@ -397,7 +330,7 @@ class SymFuncSpec(_InterpolationFamily):
         return f, (f / (self.k - self.l))[:, None] * log_grad
 
     def _inside_esp(self, values):
-        """e_0..e_k of the rows, after the cone test of _require_inside."""
+        """e_0..e_k of the rows, after their cone test."""
         scores, e = _cone_scores(np.asarray(values, dtype=float), self.k)
         self._require_scores_inside(scores)
         return e
@@ -408,26 +341,52 @@ class SymFuncSpec(_InterpolationFamily):
             return e[self.k] ** (1.0 / self.k)
         return (e[self.k] / e[self.l]) ** (1.0 / (self.k - self.l))
 
+    def value_t(self, t, lam):
+        v = self._validated(lam)
+        return float(self.value_t_many(t, v)[0])
+
+    def value_t_many(self, t, lam):
+        v = self._validated(lam)
+        return self.value_many(_t_map(t, v))
+
+    def grad_t(self, t, lam):
+        v = self._validated(lam)
+        return self.grad_t_many(t, v)[0]
+
+    def grad_t_many(self, t, lam):
+        """Chain rule through lam -> t*lam + (1-t)*sigma_1(lam)*e."""
+        v = self._validated(lam)
+        return _t_map(t, self.grad_many(_t_map(t, v)))
+
     # -- the radial kernel -------------------------------------------------------
 
     def radial_eval(self, t, a, s, grad=False):
-        """The radial kernel of the interpolation family, in one pass.
+        """Cone scores, f_t and its gradient on the radial tuples (a, s, ..., s).
 
-        One ESP pass over the two distinct t-mapped values yields what the
-        generic version computes from the (m, n) rows.  Each result repeats
-        the additions and multiplications of margin_scores_t, value_t_many
-        and grad_t_many on those rows in their order, numpy's row sums
+        a and s are (m,) vectors of axis and sphere eigenvalues (see
+        geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.
+        Returns the margin scores, and when every row scores above the
+        margin also f_t and, with grad, the axis slot of Df_t and the sum of
+        its n - 1 sphere slots.  Outside the cone value is None, and asking
+        for the gradient raises ConeDomainError, as grad_t_many does.
+
+        One ESP pass over the t-mapped values and their absolute values,
+        stacked as in `_cone_scores`, serves the scores and f_t; the gradient
+        takes one more.  Each result repeats the additions and
+        multiplications of margin_scores_t, value_t_many and grad_t_many on
+        the (m, n) rows (a, s, ..., s) in their order, numpy's row sums
         included, so it is bit-identical to them.
         """
         n, k = self.n, self.k
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
+        m = a.shape[0]
         shift = (1.0 - t) * _row_sum(a, s, n)
         a, s = t * a + shift, t * s + shift
         abs_a, abs_s = np.abs(a), np.abs(s)
-        e, cut = _esp_radial(a, s, n, k)
-        scale, _ = _esp_radial(abs_a, abs_s, n, k)
-        scores = _min_ratio(e, scale, np.maximum(abs_a, abs_s) > 0.0, k)
+        both, cut = _esp_radial(np.concatenate([a, abs_a]), np.concatenate([s, abs_s]), n, k)
+        e = both[:, :m]
+        scores = _min_ratio(e, both[:, m:], np.maximum(abs_a, abs_s) > 0.0, k)
         if np.any(scores <= self.margin):
             if grad:
                 self._require_scores_inside(scores)
@@ -438,6 +397,7 @@ class SymFuncSpec(_InterpolationFamily):
         # d sigma_j is e_{j-1} of the tuple without that slot: the axis slot
         # leaves n - 1 copies of s, a sphere slot leaves (a, s^(n-2)) = cut
         rest, _ = _esp_radial(s, s, n - 1, k - 1)
+        cut = cut[:, :m]
         if self.kind == "sigma_k_root":
             g_a = (f / k) * rest[k - 1] / e[k]
             g_s = (f / k) * cut[k - 1] / e[k]
@@ -448,49 +408,6 @@ class SymFuncSpec(_InterpolationFamily):
         shift = (1.0 - t) * _row_sum(g_a, g_s, n)
         g_s = t * g_s + shift
         return RadialEvaluation(scores, f, t * g_a + shift, _row_sum(g_s, g_s, n - 1))
-
-
-@dataclass(frozen=True)
-class BrokenHomogeneitySpec(_InterpolationFamily):
-    """Verification fixture: f = sigma_1^2 on Gamma_1.
-
-    Degree two instead of one, so the homogeneity check of
-    :func:`verify_structure` must flag it.  Positivity, monotonicity and the
-    cone test are all genuine.
-    """
-
-    n: int
-    kind: str = field(default="sigma1_squared_broken", init=False)
-    k: int = field(default=1, init=False)
-
-    @property
-    def label(self):
-        return f"sigma1_squared_broken(n={self.n})"
-
-    def f_at_ones(self):
-        return float(self.n ** 2)
-
-    def margin_scores(self, values):
-        values = np.asarray(values, dtype=float)
-        scale = np.abs(values).sum(axis=1)
-        s1 = values.sum(axis=1)
-        tiny = np.finfo(float).tiny
-        return np.where(scale > 0, s1 / np.maximum(scale, tiny), -np.inf)
-
-    def _require_scores_inside(self, scores):
-        if np.any(scores <= self.margin):
-            raise ConeDomainError(f"{self.label}: tuple outside the cone",
-                                  min_score=float(scores.min()))
-
-    def value_many(self, values):
-        values = np.asarray(values, dtype=float)
-        self._require_inside(values)
-        return values.sum(axis=1) ** 2
-
-    def grad_many(self, values):
-        values = np.asarray(values, dtype=float)
-        self._require_inside(values)
-        return 2.0 * values.sum(axis=1)[:, None] * np.ones_like(values)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +434,7 @@ def classify_type(spec):
     lo = spec.value(np.append(lam_p, 1e3))
     hi = spec.value(np.append(lam_p, 1e6))
     numeric_unbounded = hi / lo > 2.0
-    closed_form_unbounded = getattr(spec, "kind", "") != "quotient"
+    closed_form_unbounded = spec.kind != "quotient"
     if numeric_unbounded != closed_form_unbounded:
         raise NumericalError(f"{spec.label}: growth probe disagrees with the closed form")
     f_type = "unbounded" if closed_form_unbounded else "bounded"
@@ -802,14 +719,15 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
     ts = np.asarray(ts, dtype=float).reshape(-1, 1)
     mus = spec._validated(mus)
     lams = spec._validated(lams)
-    mapped_mu = _t_map(ts, mus)
-    mapped_lam = _t_map(ts, lams)
     if np.any(spec.margin_scores(mus) <= spec.margin):
         raise ConeDomainError("mu must lie in the cone")
-    if np.any(spec.margin_scores(mapped_lam) <= spec.margin):
+    mapped_lam = _t_map(ts, lams)
+    # one cone test of the mapped lams serves the check and their values
+    scores, e = _cone_scores(mapped_lam, spec.k)
+    if np.any(scores <= spec.margin):
         raise ConeDomainError("lam must lie in the interpolated cone")
-    f_mu, g_mu = spec.value_and_grad_many(mapped_mu)
-    f_lam, g_lam = spec.value_and_grad_many(mapped_lam)
+    f_mu, g_mu = spec.value_and_grad_many(_t_map(ts, mus))
+    f_lam, g_lam = spec._value_and_grad_from(mapped_lam, e)
     g_mu = _t_map(ts, g_mu)
     g_lam = _t_map(ts, g_lam)
     nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)

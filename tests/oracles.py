@@ -8,7 +8,8 @@ central differences, the structure suites from one sample and one bisection
 step at a time, Jacobian columns from bumping one nodal value of the
 residual, the conformal curvature from the general transformation law, and
 the stopping time of the radial problem from integrating the second-order
-equation itself (never its first integral).
+equation itself (never its first integral).  `BrokenHomogeneitySpec` is a
+cone function built to fail a structure check.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from scipy import integrate
 
 from yamabe._errors import ConeDomainError, ConeViolationError, NumericalError
 from yamabe.solver import residual
-from yamabe.symfun import sample_cone
+from yamabe.symfun import CONE_MARGIN, sample_cone
 
 
 def sigma_by_enumeration(values, k):
@@ -64,6 +65,46 @@ def esp_gradient_by_deletion(values, j):
             e[:, 1:] = e[:, 1:] + reduced[:, col:col + 1] * e[:, :-1]
         grad[:, i] = e[:, j - 1]
     return grad
+
+
+class BrokenHomogeneitySpec:
+    """f = sigma_1^2 on Gamma_1, with what `verify_structure` calls of a spec.
+
+    Degree two instead of one, so the homogeneity check must flag it.
+    Positivity, monotonicity and the cone test are genuine.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.label = f"sigma1_squared(n={n})"
+
+    def f_at_ones(self):
+        return float(self.n ** 2)
+
+    def margin_scores(self, values):
+        """sigma_1(lam) / sigma_1(|lam|) per row; -inf on zero rows."""
+        values = np.asarray(values, dtype=float)
+        scale = np.abs(values).sum(axis=1)
+        tiny = np.finfo(float).tiny
+        return np.where(scale > 0, values.sum(axis=1) / np.maximum(scale, tiny), -np.inf)
+
+    def value_many(self, values):
+        return self.value_and_grad_many(values)[0]
+
+    def value_and_grad_many(self, values):
+        values = np.asarray(values, dtype=float)
+        scores = self.margin_scores(values)
+        if np.any(scores <= CONE_MARGIN):
+            raise ConeDomainError(f"{self.label}: tuple outside the cone",
+                                  min_score=float(scores.min()))
+        s1 = values.sum(axis=1)
+        return s1 ** 2, 2.0 * s1[:, None] * np.ones_like(values)
+
+    def grad_t_many(self, t, values):
+        """Df_t through lam -> t*lam + (1-t)*sigma_1(lam)*e, which is symmetric."""
+        def t_map(v):
+            return t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
+        return t_map(self.value_and_grad_many(t_map(np.asarray(values, dtype=float)))[1])
 
 
 def schouten_eigenvalues(n):

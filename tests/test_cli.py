@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yamabe import cli, geometry
+from yamabe import cli, geometry, symfun
 from yamabe.cli import main
 from yamabe.geometry import RadialProfile
 
-from oracles import radial_rows
+from oracles import BrokenHomogeneitySpec, radial_rows
 
 
 def run_cli(args):
@@ -26,6 +26,23 @@ def run_cli(args):
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def use_broken_fixture(monkeypatch):
+    """Make `yamabe check` run on the degree-two oracle fixture, whose
+    structure suite fails the homogeneity row.
+
+    The fixture carries only what `verify_structure` calls, so the cone-type
+    probe, the ball report and the separation suite stand in as passing
+    results.  The real separation suite could not finish on it: the gradient
+    of sigma_1^2 points along e everywhere, so no pair of normals separates.
+    """
+    monkeypatch.setattr(cli, "_function_spec", lambda cfg: BrokenHomogeneitySpec(n=cfg["n"]))
+    monkeypatch.setattr(symfun, "classify_type", lambda spec: symfun.Classification(2, "unbounded"))
+    monkeypatch.setattr(symfun, "interpolation_ball_report", lambda spec, **kwargs:
+                        symfun.BallInclusionReport(spec.label, 1, [(0.0, 1.0, 1.0)]))
+    monkeypatch.setattr(symfun, "concavity_margin_suite", lambda spec, **kwargs:
+                        symfun.SeparationReport(spec.label, 0.2, 1, 1.0))
 
 
 @pytest.fixture
@@ -74,9 +91,10 @@ class TestCheckCommand:
         assert "ball.membership" in names
         assert "separation.margin_positive" in names
 
-    def test_broken_fixture_fails_and_names_condition(self, tmp_path):
+    def test_broken_fixture_fails_and_names_condition(self, tmp_path, monkeypatch):
+        use_broken_fixture(monkeypatch)
         cfg = write_config(tmp_path / "broken.json", {
-            "function": {"kind": "sigma1_squared_broken", "n": 4},
+            "function": {"n": 4},
             "samples": 200,
             "out": str(tmp_path / "out"),
         })
@@ -84,6 +102,14 @@ class TestCheckCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         assert "structure.f4_homogeneity" in failed
+
+    def test_fixture_kind_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "function": {"kind": "sigma1_squared_broken", "n": 4},
+            "out": str(tmp_path / "out"),
+        })
+        assert run_cli(["check", cfg]) == 2
+        assert "unknown kind" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -171,14 +197,6 @@ class TestSolveCommand:
         assert len(rows) == 1 + 3
         profiles = sorted(out.glob("profile_*.csv"))
         assert len(profiles) == 3
-
-    def test_broken_fixture_runs_through_the_generic_kernel(self, solve_config, tmp_path):
-        # BrokenHomogeneitySpec has no two-value kernel of its own; the
-        # solver evaluates it on the full eigenvalue rows
-        config = json.loads(Path(solve_config).read_text())
-        config["function"] = {"kind": "sigma1_squared_broken"}
-        assert run_cli(["solve", write_config(tmp_path / "broken.json", config)]) == 0
-        assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
 
     def test_example_data_run(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {
@@ -602,8 +620,7 @@ _VERDICT_RUNS = {
                                 **_CHECK_SMALL}, 0),
     "check quotient(3,1)": ("check", {"function": {"kind": "quotient", "n": 4, "k": 3, "l": 1},
                                       **_CHECK_SMALL}, 0),
-    "check broken fixture": ("check", {"function": {"kind": "sigma1_squared_broken", "n": 4},
-                                       "samples": 200}, 1),
+    "check broken fixture": ("check", {"function": {"n": 4}, "samples": 200}, 1),
     "example1": ("example1", {"n": 4, "k": 2, "c": 0.0, "grid_size": 201}, 0),
     "example1 curvature floor": ("example1", {"n": 4, "k": 2, "c": 0.0, "grid_size": 201,
                                               "thresholds": {"d2u_floor": 1e9}}, 1),
@@ -624,8 +641,10 @@ _VERDICT_RUNS = {
 
 class TestReportVerdict:
     @pytest.mark.parametrize("name", sorted(_VERDICT_RUNS))
-    def test_passed_is_every_row_passing(self, tmp_path, name):
+    def test_passed_is_every_row_passing(self, tmp_path, monkeypatch, name):
         command, config, code = _VERDICT_RUNS[name]
+        if name == "check broken fixture":
+            use_broken_fixture(monkeypatch)
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.json", {**config, "out": str(out)})
         assert run_cli([command, cfg]) == code

@@ -7,8 +7,8 @@ import pytest
 
 from yamabe._errors import ConeDomainError, NumericalError
 from yamabe.geometry import radial_w_eigenvalues
+from yamabe import symfun
 from yamabe.symfun import (
-    BrokenHomogeneitySpec,
     SymFuncSpec,
     _boundary_decay_check,
     _esp,
@@ -26,6 +26,7 @@ from yamabe.symfun import (
 )
 
 from oracles import (
+    BrokenHomogeneitySpec,
     boundary_decay_by_loop,
     esp_by_columns,
     esp_gradient_by_deletion,
@@ -191,16 +192,16 @@ class TestValueAndGradient:
         with pytest.raises(ConeDomainError):
             S23.grad((-0.5, 0.5, 0.5))
 
-    @pytest.mark.parametrize("spec", [*CHECK_SPECS, SymFuncSpec("quotient", n=6, k=5, l=3),
-                                      BrokenHomogeneitySpec(n=4)], ids=lambda s: s.label)
+    @pytest.mark.parametrize("spec", [*CHECK_SPECS, SymFuncSpec("quotient", n=6, k=5, l=3)],
+                             ids=lambda s: s.label)
     def test_value_and_grad_many_equal_the_separate_calls(self, spec):
         values = sample_cone(spec, 257, np.random.default_rng(25))
         value, grad = spec.value_and_grad_many(values)
         assert np.array_equal(value, spec.value_many(values))
         assert np.array_equal(grad, spec.grad_many(values))
 
-    @pytest.mark.parametrize("spec", [S23, BrokenHomogeneitySpec(n=3)], ids=lambda s: s.label)
-    def test_value_and_grad_many_raise_the_cone_error(self, spec):
+    def test_value_and_grad_many_raise_the_cone_error(self):
+        spec = S23
         values = np.array([[1.0, 1.0, 1.0], [-3.0, 0.5, 0.5]])
         with pytest.raises(ConeDomainError) as separate:
             spec.value_many(values)
@@ -552,6 +553,20 @@ class TestConcavityMargin:
         with pytest.raises(ConeDomainError, match="lam"):
             concavity_margin(S23, 0.2, np.ones(3), lams[2], 0.2)
 
+    def test_batched_kernel_tests_each_stack_once(self, monkeypatch):
+        # the mus, the t-mapped mus and the t-mapped lams: one cone test each
+        calls = []
+        cone_scores = symfun._cone_scores
+
+        def counting(values, order):
+            calls.append(values.shape)
+            return cone_scores(values, order)
+
+        monkeypatch.setattr(symfun, "_cone_scores", counting)
+        lams = np.ones((3, 3)) + np.diag([0.0, 0.5, 1.0])
+        concavity_margin_many(S23, [1.0, 0.5, 0.2], np.ones((3, 3)), lams, 0.2)
+        assert calls == [(3, 3)] * 3
+
 
 def _all_specs(n):
     yield from (SymFuncSpec("sigma_k_root", n=n, k=k) for k in range(1, n + 1))
@@ -591,20 +606,25 @@ class TestRadialKernel:
                 assert np.array_equal(ev.grad_sphere, g[:, 1:].sum(axis=1))
                 assert np.array_equal(spec.radial_eval(t, a[inside], s[inside]).value, ev.value)
 
-    def test_generic_version_on_the_rows(self):
-        spec = BrokenHomogeneitySpec(n=4)
-        a, s = np.array([2.0, 1.0, 0.5]), np.array([0.5, 0.1, -0.5])  # the last row is outside
-        rows = np.column_stack([a, s, s, s])
-        ev = spec.radial_eval(0.3, a, s)
-        assert np.array_equal(ev.scores, spec.margin_scores_t(0.3, rows))
-        assert ev.value is None
-        with pytest.raises(ConeDomainError):
-            spec.radial_eval(0.3, a, s, grad=True)
-        ev = spec.radial_eval(0.3, a[:2], s[:2], grad=True)
-        g = spec.grad_t_many(0.3, rows[:2])
-        assert np.array_equal(ev.value, spec.value_t_many(0.3, rows[:2]))
-        assert np.array_equal(ev.grad_axis, g[:, 0])
-        assert np.array_equal(ev.grad_sphere, g[:, 1:].sum(axis=1))
+    def test_one_esp_pass_for_scores_and_values(self, monkeypatch):
+        # (a, s) and (|a|, |s|) go through _esp_radial stacked; the gradient
+        # adds the pass over the tuples without the axis slot
+        calls = []
+        esp_radial = symfun._esp_radial
+
+        def counting(*args):
+            calls.append(args)
+            return esp_radial(*args)
+
+        monkeypatch.setattr(symfun, "_esp_radial", counting)
+        a, s = radial_w_eigenvalues(4, np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
+        for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
+            calls.clear()
+            assert spec.radial_eval(0.5, a, s).value is not None
+            assert len(calls) == 1
+            calls.clear()
+            assert spec.radial_eval(0.5, a, s, grad=True).grad_axis is not None
+            assert len(calls) == 2
 
     def test_kernel_ignores_slot_order(self):
         # f_t is symmetric: the axis value may sit in any slot of the row
