@@ -198,6 +198,12 @@ class TestSolveCommand:
         profiles = sorted(out.glob("profile_*.csv"))
         assert len(profiles) == 3
 
+    def test_fixture_kind_is_unknown(self, solve_config, tmp_path, capsys):
+        config = json.loads(Path(solve_config).read_text())
+        config["function"] = {"kind": "sigma1_squared_broken"}
+        assert run_cli(["solve", write_config(tmp_path / "broken.json", config)]) == 2
+        assert "unknown kind" in capsys.readouterr().err
+
     def test_example_data_run(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {
             "n": 4,

@@ -473,8 +473,10 @@ class TestRadialCurvatureValue:
             spec.value_t_many(1.0, radial_rows(4, du, d2u))
         assert str(exc.value) == str(expected.value)
 
-    def test_outside_cone_error_carries_the_minimum_score(self):
-        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+    @pytest.mark.parametrize("spec", [SymFuncSpec("sigma_k_root", n=4, k=2),
+                                      SymFuncSpec("quotient", n=4, k=2, l=1)],
+                             ids=lambda s: s.label)
+    def test_outside_cone_error_carries_the_minimum_score(self, spec):
         du = np.array([0.1, 1.5, 0.1, 2.0])
         d2u = np.array([1.0, 0.0, 1.0, -3.0])
         with pytest.raises(ConeDomainError) as exc:

@@ -200,8 +200,9 @@ class TestValueAndGradient:
         assert np.array_equal(value, spec.value_many(values))
         assert np.array_equal(grad, spec.grad_many(values))
 
-    def test_value_and_grad_many_raise_the_cone_error(self):
-        spec = S23
+    @pytest.mark.parametrize("spec", [S23, SymFuncSpec("quotient", n=3, k=2, l=1)],
+                             ids=lambda s: s.label)
+    def test_value_and_grad_many_raise_the_cone_error(self, spec):
         values = np.array([[1.0, 1.0, 1.0], [-3.0, 0.5, 0.5]])
         with pytest.raises(ConeDomainError) as separate:
             spec.value_many(values)
