@@ -10,8 +10,10 @@ not depend on where that directory is) and prints one line per config: its
 name, the exit code and the first 16 hex digits of sha256 over the sorted
 `sha256sum` listing of its output directory (paths relative to it), with
 the number of files.  Running it on two commits and diffing the output
-checks that the CLI output is byte-identical between them; run it under
-`taskset -c 0` as well to cover the one-core path of the profile writer.
+checks that the CLI output is byte-identical between them.  Each `solve`
+config runs a second time with `cli._cores` cut to its first core, which
+writes every profile in this process; only when that run's exit code or
+digest differs does its line end in ", one-core differs".
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import io
 import itertools
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -125,6 +128,28 @@ def _digest(out):
     return hashlib.sha256("".join(listing).encode()).hexdigest()[:16], len(files)
 
 
+def _run(command, config):
+    """The exit code, digest and file count of one CLI run in the current
+    directory, whose output directory is removed afterwards."""
+    Path("config.json").write_text(json.dumps(config))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, "config.json"])
+    out = Path(config["out"])
+    digest, count = _digest(out)
+    shutil.rmtree(out, ignore_errors=True)
+    return code, digest, count
+
+
+def _run_on_first_core(command, config):
+    """_run with cli._cores() cut to its first core."""
+    cores = cli._cores
+    cli._cores = lambda: cores()[:1]
+    try:
+        return _run(command, config)
+    finally:
+        cli._cores = cores
+
+
 def main():
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -132,12 +157,11 @@ def main():
         try:
             for i, (name, (command, config)) in zip(_out_numbers(), CONFIGS):
                 config = {**config, "out": f"out{i:02d}"}
-                Path("config.json").write_text(json.dumps(config))
-                with contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main([command, "config.json"])
-                digest, count = _digest(Path(config["out"]))
-                print(f"{name}: exit {code}, {digest} ({count} file{'' if count == 1 else 's'})",
-                      flush=True)
+                code, digest, count = result = _run(command, config)
+                line = f"{name}: exit {code}, {digest} ({count} file{'' if count == 1 else 's'})"
+                if command == "solve" and _run_on_first_core(command, config) != result:
+                    line += ", one-core differs"
+                print(line, flush=True)
         finally:
             os.chdir(home)
 

@@ -11,23 +11,20 @@ convergence.  Configs are validated strictly (unknown keys rejected) before
 any computation; --out, --seed and --verbose override the config.  Output
 files embed the resolved config and a format version line, use 17 significant
 digits and LF line endings, so identical configs produce byte-identical
-files.  `solve` writes each profile while the continuation goes on to the
-next t, with one process per available core and per 2000 rows (see
-_ProfileStream and _ROWS_PER_WRITER); the bytes do not depend on the core
-count.  With --verbose it prints the line of each t as that t converges.
+files.  `solve` puts each converged state in a table shared with one
+writer process per available core and per 2000 rows, which write the
+profiles while the continuation goes on (see _ProfileStream); the bytes do
+not depend on the core count.  With --verbose it prints the line of each t
+as that t converges.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
-import contextlib
 import dataclasses
 import json
+import mmap
 import os
-import pickle
-import select
-import socket
 import sys
 import time
 from pathlib import Path
@@ -118,9 +115,23 @@ def _function_spec(cfg, context="function"):
     raise ConfigError(f"{context}.kind: unknown kind {kind!r}")
 
 
-def _profile_family(cfg, context):
-    _check_keys(cfg, {"family", "amplitude", "offset", "slope", "value"}, context)
+# the keys each family reads beside "family"
+_PROFILE_KEYS = {"cosh": {"amplitude", "offset"}, "linear": {"slope", "offset"}, "constant": {"value"}}
+_PSI_KEYS = {"subsolution_scaled": {"theta"}, "example1_rhs": {"c"}, "constant": {"value"}}
+
+
+def _family(cfg, families, context):
+    """The family cfg names, one of `families`; cfg may hold only its keys."""
+    _check_keys(cfg, {"family"}.union(*families.values()), context)
     family = _need(cfg, "family", context)
+    if family not in list(families):
+        raise ConfigError(f"{context}.family: unknown family {family!r}")
+    _check_keys(cfg, {"family", *families[family]}, context)
+    return family
+
+
+def _profile_family(cfg, context):
+    family = _family(cfg, _PROFILE_KEYS, context)
     if family == "cosh":
         amp = _as_real(_need(cfg, "amplitude", context), f"{context}.amplitude")
         off = _as_real(cfg.get("offset", 0.0), f"{context}.offset")
@@ -129,9 +140,7 @@ def _profile_family(cfg, context):
         slope = _as_real(_need(cfg, "slope", context), f"{context}.slope")
         off = _as_real(cfg.get("offset", 0.0), f"{context}.offset")
         return benchmarks.linear_profile(slope, off)
-    if family == "constant":
-        return benchmarks.constant_profile(_as_real(_need(cfg, "value", context), f"{context}.value"))
-    raise ConfigError(f"{context}.family: unknown family {family!r}")
+    return benchmarks.constant_profile(_as_real(_need(cfg, "value", context), f"{context}.value"))
 
 
 # ---------------------------------------------------------------------------
@@ -185,141 +194,91 @@ def _writer_cores(cores, rows):
     return cores[:max(1, rows // _ROWS_PER_WRITER)]
 
 
-class _Writer:
-    """A forked child of _ProfileStream: its socket, the requests it has
-    made and not been served, and the jobs it has been sent."""
-
-    def __init__(self, pid, sock):
-        self.pid, self.sock, self.asked, self.jobs = pid, sock, 0, []
-
-
-def _serve(sock, core, write):
-    """The life of a forked writer: bound to `core`, it asks for a job over
-    `sock` and asks for the next one as soon as a job arrives, before
-    writing it, so that it never waits while jobs are queued.  It ends at
-    the end of the stream, always through os._exit."""
-    code = 1
-    try:
-        os.sched_setaffinity(0, {core})
-        jobs = sock.makefile("rb")
-        sock.sendall(b"r")
-        while True:
-            try:
-                job = pickle.load(jobs)
-            except EOFError:
-                break
-            sock.sendall(b"r")
-            write(job)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 class _ProfileStream:
-    """Calls write(job) for every job given to add(), while the caller goes
-    on computing the next ones.
+    """Calls write(i, table[i]) for every slot i that add() fills, while the
+    caller goes on computing the next ones.
 
-    One child per core of `cores` beyond the first is forked at once (see
-    _cores) and pulls pickled jobs over a socket pair (_serve).  add()
-    queues a job and hands the oldest queued jobs to the children that have
-    asked, without blocking.  finish() binds this process to cores[0],
-    writes the queued jobs here from the newest down, handing the oldest to
-    asking children between its own, and waits for the children.  A child
-    formats and writes files only: it makes no BLAS call and takes no lock
-    that another thread of this process may hold at the fork.  The jobs of
-    a child that failed are written again here, so that its error surfaces
-    with its own message.  With one core, or where no fork succeeds, every
-    job is written here.  As a context manager, the stream waits for its
-    children on error paths too.
+    The table is an anonymous shared mmap of `shape`, one slot of 4 columns
+    per state.  add() fills the next slot and writes its index (4 bytes) to
+    a pipe without blocking, or writes the job here when the pipe is full.
+    One child per core of `cores` beyond the first is forked at once and,
+    bound to its core, reads an index whenever it is free: it makes no BLAS
+    call and takes no lock that another thread may hold at the fork.
+    finish() closes the write end, drains the pipe here, bound to cores[0],
+    and waits for the children; if one failed, every job is written again
+    here, so that its error surfaces with its own message.  With no child
+    (one core, no fork) every job is written here.  As a context manager,
+    the stream waits for its children on error paths too.
     """
 
-    def __init__(self, write, cores):
-        self.write, self.cores = write, cores
-        self.jobs, self.queued, self.writers = [], collections.deque(), []
+    def __init__(self, write, cores, shape):
+        self.write, self.cores, self.added = write, cores, 0
+        self.table = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
+        self.read_end, self.write_end = os.pipe()
+        os.set_blocking(self.write_end, False)
+        self.pids = []
         for core in cores[1:]:
-            try:
-                mine, theirs = socket.socketpair()
-            except OSError:
-                break
             try:
                 pid = os.fork()
             except OSError:
-                mine.close()
-                theirs.close()
                 break
             if pid == 0:
-                # only this child's end stays open here, so that the child
-                # reads the end of the stream if this process dies
-                for sock in [mine] + [w.sock for w in self.writers]:
-                    sock.close()
-                _serve(theirs, core, write)
-            theirs.close()
-            self.writers.append(_Writer(pid, mine))
+                try:
+                    # the parent alone keeps the write end, so that the
+                    # children read the end of the pipe once it closes or dies
+                    os.close(self.write_end)
+                    os.sched_setaffinity(0, {core})
+                    self._drain()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            self.pids.append(pid)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self._close()
+        if self.write_end is not None:      # finish() has not run
+            os.close(self.write_end)
+        self._wait()
+        os.close(self.read_end)
 
-    def add(self, job):
-        self.queued.append(len(self.jobs))
-        self.jobs.append(job)
-        self._hand_out()
+    def add(self, columns):
+        i = self.added
+        self.table[i] = columns
+        self.added += 1
+        try:
+            os.write(self.write_end, i.to_bytes(4, sys.byteorder))
+        except BlockingIOError:     # the pipe is full
+            self.write(i, self.table[i])
 
-    def _hand_out(self):
-        live = [w for w in self.writers if w.sock is not None]
-        if not self.queued or not live:
-            return
-        readable, _, _ = select.select([w.sock for w in live], [], [], 0)
-        for w in live:
-            try:
-                if w.sock in readable:
-                    asked = w.sock.recv(64)
-                    if not asked:       # the child has gone; _close redoes its jobs
-                        raise ConnectionResetError
-                    w.asked += len(asked)
-                while w.asked and self.queued:
-                    i = self.queued.popleft()
-                    w.jobs.append(i)
-                    w.asked -= 1
-                    w.sock.sendall(pickle.dumps(self.jobs[i], pickle.HIGHEST_PROTOCOL))
-            except OSError:
-                w.sock.close()
-                w.sock = None
+    def _drain(self):
+        """Write the job of each index read from the pipe, up to its end."""
+        while index := os.read(self.read_end, 4):
+            i = int.from_bytes(index, sys.byteorder)
+            self.write(i, self.table[i])
 
     def finish(self):
-        """Write every queued job and wait for the children."""
-        own = os.sched_getaffinity(0) if self.writers else None
+        """Write every added job and wait for the children."""
+        os.close(self.write_end)        # the readers drain the pipe and stop
+        self.write_end = None
+        own = os.sched_getaffinity(0) if self.pids else None
         try:
             if own is not None:
                 os.sched_setaffinity(0, {self.cores[0]})
-            while True:
-                self._hand_out()
-                if not self.queued:
-                    break
-                self.write(self.jobs[self.queued.pop()])
+            self._drain()
         finally:
             if own is not None:
                 os.sched_setaffinity(0, own)
-        for job in self._close():
-            self.write(job)
+        if self._wait():
+            for i in range(self.added):
+                self.write(i, self.table[i])
 
-    def _close(self):
-        """End the stream for every child, wait for them and return the jobs
-        of those that failed."""
-        for w in self.writers:
-            if w.sock is not None:
-                with contextlib.suppress(OSError):
-                    w.sock.shutdown(socket.SHUT_WR)
-        redo = []
-        for w in self.writers:
-            if os.waitstatus_to_exitcode(os.waitpid(w.pid, 0)[1]) != 0:
-                redo += w.jobs
-            if w.sock is not None:
-                w.sock.close()
-        self.writers = []
-        return [self.jobs[i] for i in redo]
+    def _wait(self):
+        """Wait for the children; true if one of them failed."""
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in self.pids]
+        self.pids = []
+        return any(codes)
 
 
 def _write_monitors_csv(path, resolved, states):
@@ -486,8 +445,7 @@ def _build_solve_problem(config):
     grid_size = _as_int(config.get("grid_size", 401), "grid_size", lo=5)
 
     psi_cfg = _need(config, "psi", "config")
-    _check_keys(psi_cfg, {"family", "theta", "c", "value"}, "psi")
-    psi_family = _need(psi_cfg, "family", "psi")
+    psi_family = _family(psi_cfg, _PSI_KEYS, "psi")
 
     ell_cfg = _need(config, "half_length", "config")
     example_params = None
@@ -528,7 +486,7 @@ def _build_solve_problem(config):
         if example_params is None:
             example_params = example1.ExampleParams.from_c(n, spec.k, c)
         psi, psi_z = benchmarks.example1_rhs_psi(example_params)
-    elif psi_family == "constant":
+    else:
         value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
         if value <= 0:
             raise ConfigError("psi.value must be positive")
@@ -538,8 +496,6 @@ def _build_solve_problem(config):
 
         def psi_z(x, z):
             return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
-    else:
-        raise ConfigError(f"psi.family: unknown family {psi_family!r}")
 
     phi_cfg = config.get("phi", "subsolution")
     if phi_cfg == "subsolution":
@@ -555,8 +511,7 @@ def _build_solve_problem(config):
     init_profile = None
     if "init" in config:
         init_cfg = config["init"]
-        _check_keys(init_cfg, {"family", "amplitude", "offset", "slope", "value", "c"}, "init")
-        if init_cfg.get("family") == "example1_profile":
+        if _family(init_cfg, {**_PROFILE_KEYS, "example1_profile": {"c"}}, "init") == "example1_profile":
             c = _as_real(_need(init_cfg, "c", "init"), "init.c")
             ep = example1.ExampleParams.from_c(n, spec.k, c)
             t_max = example1.half_length(ep)
@@ -629,6 +584,10 @@ def cmd_solve(config):
     }
     verbose = resolved["verbose"]
     out = _out_dir(resolved)
+    # the profiles and monitors of an earlier run would pass for this run's
+    for stale in [*out.glob("profile_*_t*.csv"), out / "monitors.csv"]:
+        if stale.is_file():
+            stale.unlink()
 
     if outside is not None:
         checks = _check_rows("subsolution.", [solver.cone_margin_check(outside.cone_margin)])
@@ -652,17 +611,17 @@ def cmd_solve(config):
     start = init_profile if init_profile is not None else problem.subsolution
     grid_text = _format_column(start.grid)
 
-    def write_profile(job):
-        i, t, *columns = job
+    def write_profile(i, columns):
+        t = schedule[i]
         _write_profile_rows(out / f"profile_{i:03d}_t{t:.6f}.csv", resolved,
                             [f"# t {_fmt(t)}"], grid_text, columns)
 
     states, failure = [], None
     cores = _writer_cores(_cores(), len(schedule) * len(grid_text))
-    with _ProfileStream(write_profile, cores) as stream:
+    with _ProfileStream(write_profile, cores, (len(schedule), 4, len(grid_text))) as stream:
         try:
             for s in solver.continuation_states(problem, schedule, opts, init_profile):
-                stream.add((len(states), s.t, s.profile.u, s.profile.du, s.profile.d2u, s.residual))
+                stream.add((s.profile.u, s.profile.du, s.profile.d2u, s.residual))
                 states.append(s)
                 if verbose:
                     print(f"t={s.t:.6g} newton_iters={s.newton_iters} residual={s.residual_norm:.3e} "

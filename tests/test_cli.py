@@ -116,13 +116,24 @@ class TestCheckCommand:
         bad.write_text("{not json")
         assert run_cli(["check", str(bad)]) == 2
 
-    def test_unknown_keys_rejected(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", {
-            "function": {"kind": "sigma_k_root", "n": 4, "k": 2},
-            "surprise": 1,
-            "out": str(tmp_path / "out"),
-        })
-        assert run_cli(["check", cfg]) == 2
+    @pytest.mark.parametrize("command, changes", [
+        ("check", {"surprise": 1}),
+        # keys that another family of the same config entry reads
+        ("solve", {"subsolution": {"family": "cosh", "amplitude": 0.3, "slope": 9}}),
+        ("solve", {"psi": {"family": "subsolution_scaled", "theta": 0.5, "c": 7}}),
+        ("solve", {"psi": {"family": "constant", "value": 1.0, "theta": 0.5}}),
+        ("solve", {"init": {"family": "example1_profile", "c": 0.0, "amplitude": 0.3}}),
+        ("solve", {"init": {"family": "linear", "slope": 0.0, "value": 1.0}}),
+    ], ids=["check", "cosh-slope", "scaled-psi-c", "constant-psi-theta",
+            "example1-init-amplitude", "linear-init-value"])
+    def test_unknown_keys_rejected(self, tmp_path, capsys, command, changes):
+        out = tmp_path / "out"
+        base = {"check": {"function": {"kind": "sigma_k_root", "n": 4, "k": 2}, "out": str(out)},
+                "solve": _solve_payload(out)}[command]
+        cfg = write_config(tmp_path / "c.json", {**base, **changes})
+        assert run_cli([command, cfg]) == 2
+        assert "unknown keys" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli(["check", str(tmp_path / "nope.json")]) == 2
@@ -291,7 +302,7 @@ class TestSolveCommand:
     ])
     def test_invalid_schedule_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                        schedule, message):
-        def no_stream(write, cores):
+        def no_stream(write, cores, shape):
             raise AssertionError("a writer was started")
 
         monkeypatch.setattr(cli, "_ProfileStream", no_stream)
@@ -376,6 +387,27 @@ class TestSolveRobustness:
         assert "outside the cone" in report["error"]
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
 
+    def test_rerun_leaves_no_output_of_an_earlier_run(self, tmp_path):
+        out = tmp_path / "out"
+        schedule = list(cli.solver.DEFAULT_T_SCHEDULE)
+        readme = write_config(tmp_path / "s.json", _solve_payload(out, grid_size=401,
+                                                                  t_schedule=schedule))
+        assert run_cli(["solve", readme]) == 0
+        assert len(list(out.glob("profile_*.csv"))) == 13
+        # the README config with (n, k) = (5, 3) stops at t = 0.4
+        partial = write_config(tmp_path / "p.json", _solve_payload(
+            out, n=5, function={"kind": "sigma_k_root", "k": 3}, grid_size=401,
+            t_schedule=schedule))
+        assert run_cli(["solve", partial]) == 3
+        assert json.loads((out / "report.json").read_text())["failed_t"] == 0.4
+        assert sorted(p.name for p in out.iterdir()) == ["monitors.csv", *(
+            f"profile_{i:03d}_t{t:.6f}.csv" for i, t in enumerate(schedule[:4])), "report.json"]
+        # a subsolution outside the cone: no t is solved
+        outside = write_config(tmp_path / "o.json", _solve_payload(
+            out, n=3, subsolution={"family": "cosh", "amplitude": 0.2}))
+        assert run_cli(["solve", outside]) == 1
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+
     def test_jacobian_check_failure_keeps_the_solved_profiles(self, tmp_path, monkeypatch,
                                                               capsys):
         check = cli.solver._check_jacobian
@@ -443,14 +475,31 @@ class TestSolveRobustness:
         assert len(calls) <= 8
 
 
-def _stream(write, cores, jobs, pause=0.0):
-    """Give `jobs` to a _ProfileStream one by one, `pause` seconds apart as
-    the states of a continuation come, and finish it."""
-    with cli._ProfileStream(write, cores) as stream:
-        for job in jobs:
+def _stream(write, cores, count, pause=0.0):
+    """Add `count` jobs to a _ProfileStream one by one, `pause` seconds apart
+    as the states of a continuation come, and finish it.  Job i holds i in
+    each of its 4 columns of 3 rows."""
+    with cli._ProfileStream(write, cores, (count, 4, 3)) as stream:
+        for i in range(count):
             time.sleep(pause)
-            stream.add(job)
+            stream.add(np.full((4, 3), float(i)))
         stream.finish()
+
+
+def _record(tmp_path):
+    """A write callback for _stream that appends the writing process's pid
+    to <i>.txt, and raises unless job i holds i in every column."""
+    def write(i, columns):
+        if not (np.asarray(columns) == i).all():
+            raise ValueError(f"job {i} holds {columns}")
+        with open(tmp_path / f"{i}.txt", "a") as f:
+            f.write(f"{os.getpid()}\n")
+    return write
+
+
+def _writers(tmp_path, count):
+    """The pids that wrote each job of _record, one list per job."""
+    return [[int(pid) for pid in (tmp_path / f"{i}.txt").read_text().split()] for i in range(count)]
 
 
 class TestProfileWriters:
@@ -477,24 +526,24 @@ class TestProfileWriters:
     @pytest.mark.parametrize("crowded", [False, True])
     def test_every_job_written_once_children_exit(self, tmp_path, crowded):
         # crowded: six writers bound to one core, more processes than cores.
-        # A child takes 0.1 s per job and holds at most two at a time, so the
+        # A child takes 0.1 s per job and holds one at a time, so the
         # children cannot drain the 23 jobs added 5 ms apart: every writer,
         # this process included, writes some.
         parent = os.getpid()
         cores = [cli._cores()[0]] * 6 if crowded else cli._cores()
+        record = _record(tmp_path)
 
-        def write(job):
+        def write(i, columns):
             if os.getpid() != parent:
                 time.sleep(0.1)
-            with open(tmp_path / f"{job}.txt", "a") as f:
-                f.write(f"{os.getpid()}\n")
+            record(i, columns)
 
         before = os.sched_getaffinity(0)
-        _stream(write, cores, range(23), pause=0.005)
+        _stream(write, cores, 23, pause=0.005)
         assert os.getpid() == parent and os.sched_getaffinity(0) == before
-        lines = [(tmp_path / f"{job}.txt").read_text().splitlines() for job in range(23)]
-        assert all(len(written) == 1 for written in lines)
-        writers = {int(written[0]) for written in lines}
+        written = _writers(tmp_path, 23)
+        assert all(len(pids) == 1 for pids in written)
+        writers = {pids[0] for pids in written}
         assert len(writers) == len(cores) and parent in writers
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -502,12 +551,12 @@ class TestProfileWriters:
     def test_failed_child_share_is_written_again_here(self, tmp_path):
         parent = os.getpid()
 
-        def write(job):
+        def write(i, columns):
             if os.getpid() != parent:
                 raise OSError("a child cannot write")
-            (tmp_path / f"{job}.txt").write_text("")
+            (tmp_path / f"{i}.txt").write_text("")
 
-        _stream(write, cli._cores(), range(5), pause=0.005)
+        _stream(write, cli._cores(), 5, pause=0.005)
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{j}.txt" for j in range(5)]
 
     def test_failed_fork_leaves_every_job_here(self, tmp_path, monkeypatch):
@@ -515,10 +564,36 @@ class TestProfileWriters:
             raise OSError("no fork")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        _stream(_record(tmp_path), [0, 0, 0], 4)
+        assert _writers(tmp_path, 4) == [[os.getpid()]] * 4
+
+    def test_full_pipe_leaves_the_job_here(self, tmp_path, monkeypatch):
+        def full(fd, data):
+            raise BlockingIOError
+
+        monkeypatch.setattr(os, "write", full)
+        _stream(_record(tmp_path), [cli._cores()[0]] * 2, 5)
+        assert _writers(tmp_path, 5) == [[os.getpid()]] * 5
+
+    def test_busy_child_takes_no_second_job(self, tmp_path):
+        # a child reads the next index only once it is free: of 3 jobs added
+        # at once, one that takes 0.5 s per job leaves at least two to finish()
         parent = os.getpid()
-        _stream(lambda job: (tmp_path / f"{job}.txt").write_text(str(os.getpid())),
-                [0, 0, 0], range(4))
-        assert {(tmp_path / f"{j}.txt").read_text() for j in range(4)} == {str(parent)}
+        record = _record(tmp_path)
+
+        def write(i, columns):
+            if os.getpid() != parent:
+                time.sleep(0.5)
+            record(i, columns)
+
+        with cli._ProfileStream(write, [cli._cores()[0]] * 2, (3, 4, 3)) as stream:
+            time.sleep(0.2)     # the child waits for its first job
+            for i in range(3):
+                stream.add(np.full((4, 3), float(i)))
+            stream.finish()
+        written = _writers(tmp_path, 3)
+        assert all(len(pids) == 1 for pids in written)
+        assert sum(pids != [parent] for pids in written) <= 1
 
     @pytest.mark.parametrize("rows, writers", [(None, 1), (101, 3), (303, 1), (151, 2)])
     def test_writers_by_row_count(self, tmp_path, monkeypatch, rows, writers):
@@ -529,9 +604,9 @@ class TestProfileWriters:
         used = []
 
         class Recorded(cli._ProfileStream):
-            def __init__(self, write, cores):
+            def __init__(self, write, cores, shape):
                 used.append(cores)
-                super().__init__(write, cores[:1])
+                super().__init__(write, cores[:1], shape)
 
         monkeypatch.setattr(cli, "_ProfileStream", Recorded)
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
