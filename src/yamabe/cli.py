@@ -7,15 +7,17 @@ Three subcommands, each taking a single JSON config path:
     yamabe solve    <config.json>   continuation solve of a Dirichlet problem
 
 Exit codes: 0 pass, 1 domain/check failure, 2 config error, 3 partial
-convergence.  Configs are validated strictly (unknown keys rejected) before
-any computation; --out, --seed and --verbose override the config.  Output
-files embed the resolved config and a format version line, use 17 significant
-digits and LF line endings, so identical configs produce byte-identical
-files.  `solve` puts each converged state in a table shared with one
-writer process per available core and per 2000 rows, which write the
-profiles while the continuation goes on (see _ProfileStream); the bytes do
-not depend on the core count.  With --verbose it prints the line of each t
-as that t converges.
+convergence.  --out, --seed and --verbose override the config.  A command
+checks its whole config (unknown keys rejected) before it makes the output
+directory or computes anything; `solve` then builds its problem from the
+values read (_parse_solve, _build_solve).  _out_dir removes the files of an
+earlier run of any command.  Output files embed the resolved config and a
+format version line, use 17 significant digits and LF line endings, so
+identical configs produce byte-identical files.  `solve` puts each converged
+state in a table shared with one writer process per available core and per
+2000 rows, which write the profiles while the continuation goes on (see
+_ProfileStream); the bytes do not depend on the core count.  With --verbose
+it prints the line of each t as that t converges.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import mmap
 import os
 import sys
@@ -80,9 +83,21 @@ def _as_int(value, context, lo=None, hi=None):
 
 
 def _as_real(value, context):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _run_keys(config, out):
+    """The resolved out, seed and verbose of a config, with `out` the
+    default output directory."""
+    out = config.get("out", out)
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"out: expected a non-empty string, got {out!r}")
+    verbose = config.get("verbose", False)
+    if not isinstance(verbose, bool):
+        raise ConfigError(f"verbose: expected true or false, got {verbose!r}")
+    return {"out": out, "seed": _as_int(config.get("seed", 0), "seed"), "verbose": verbose}
 
 
 def _load_config(path):
@@ -308,12 +323,19 @@ def _write_report(path, resolved, checks, passed, extra=None):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", newline="\n")
 
 
+_OUTPUT_NAMES = ("report.json", "profile.csv", "monitors.csv", "profile_*_t*.csv")
+
+
 def _out_dir(resolved):
-    """The output directory, without the report of an earlier run: a run
-    that stops on an error leaves no report.json behind."""
+    """The output directory, without the files of an earlier run, of any
+    command: a run that stops on an error leaves no report.json behind, and
+    no file of another run passes for its own.  Only regular files go."""
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").unlink(missing_ok=True)
+    for name in _OUTPUT_NAMES:
+        for path in out.glob(name):
+            if path.is_file():
+                path.unlink()
     return out
 
 
@@ -328,7 +350,6 @@ def cmd_check(config):
     _check_keys(config, _CHECK_KEYS, "config")
     spec = _function_spec(_need(config, "function", "config"))
     samples = _as_int(config.get("samples", 1000), "samples", lo=1)
-    seed = _as_int(config.get("seed", 0), "seed")
     ball_cfg = config.get("ball", {})
     _check_keys(ball_cfg, {"t_values", "directions"}, "ball")
     t_values = tuple(_as_real(t, "ball.t_values") for t in ball_cfg.get("t_values", (0.0, 0.25, 0.5, 0.9, 0.99)))
@@ -339,14 +360,13 @@ def cmd_check(config):
     beta = _as_real(sep_cfg.get("beta", 0.2), "separation.beta")
     resolved = {
         "command": "check",
-        "function": dict(_need(config, "function", "config")),
+        "function": config["function"],
         "samples": samples,
-        "seed": seed,
         "ball": {"t_values": list(t_values), "directions": directions},
         "separation": {"samples": sep_samples, "beta": beta},
-        "out": str(config.get("out", "results/check")),
-        "verbose": bool(config.get("verbose", False)),
+        **_run_keys(config, "results/check"),
     }
+    seed = resolved["seed"]
     out = _out_dir(resolved)
 
     # row name prefix -> report, in row order
@@ -391,9 +411,7 @@ def cmd_example1(config):
     resolved = {
         "command": "example1", "n": n, "k": k, "c": c, "grid_size": grid_size,
         "thresholds": dataclasses.asdict(thresholds),
-        "out": str(config.get("out", "results/example1")),
-        "seed": _as_int(config.get("seed", 0), "seed"),
-        "verbose": bool(config.get("verbose", False)),
+        **_run_keys(config, "results/example1"),
     }
     out = _out_dir(resolved)
 
@@ -429,123 +447,73 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
                "subsolution", "init", "newton", "uniformity_factor", "out", "seed", "verbose"}
 
 
-class _SubsolutionOutsideCone(YamabeError):
-    """psi scales f on the subsolution, which leaves the cone: no problem
-    can be built.  Carries the subsolution's minimum cone margin score on
-    the points psi is sampled on."""
-
-    def __init__(self, message, cone_margin):
-        super().__init__(message)
-        self.cone_margin = cone_margin
-
-
-def _build_solve_problem(config):
+def _parse_solve(config):
+    """Read a solve config: check every key and raise every ConfigError,
+    before any computation.  Returns the resolved document and the keyword
+    arguments of _build_solve."""
+    _check_keys(config, _SOLVE_KEYS, "config")
     n = _as_int(_need(config, "n", "config"), "n", lo=3)
-    spec = _function_spec({"n": n, **_need(config, "function", "config")})
+    function = _need(config, "function", "config")
+    spec = _function_spec({"n": n, **function} if isinstance(function, dict) else function)
+    if spec.n != n:
+        raise ConfigError("function.n: must equal n")
     grid_size = _as_int(config.get("grid_size", 401), "grid_size", lo=5)
 
     psi_cfg = _need(config, "psi", "config")
     psi_family = _family(psi_cfg, _PSI_KEYS, "psi")
-
-    ell_cfg = _need(config, "half_length", "config")
-    example_params = None
-    if ell_cfg == "example1":
-        if psi_family != "example1_rhs":
-            raise ConfigError("half_length: 'example1' requires psi.family example1_rhs")
-        c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
-        if not 2 <= spec.k <= n:
-            raise ConfigError("half_length: the closed form requires 2 <= k <= n")
-        example_params = example1.ExampleParams.from_c(n, spec.k, c)
-        ell = example1.half_length(example_params)
-    else:
-        ell = _as_real(ell_cfg, "half_length")
-        if ell <= 0:
-            raise ConfigError("half_length must be positive")
-
-    geom = CylinderGeometry(n=n, half_length=ell)
-    grid = np.linspace(-ell, ell, grid_size)
-
-    sub_profile = None
-    sub_funcs = None
-    if "subsolution" in config:
-        sub_funcs = _profile_family(config["subsolution"], "subsolution")
-        sub_profile = RadialProfile(grid, sub_funcs[0](grid))
-
     if psi_family == "subsolution_scaled":
-        if sub_funcs is None:
-            raise ConfigError("psi.family subsolution_scaled requires a subsolution")
-        theta = _as_real(psi_cfg.get("theta", 0.5), "psi.theta")
-        if not 0.0 < theta < 1.0:
+        psi_value = _as_real(psi_cfg.get("theta", 0.5), "psi.theta")
+        if not 0.0 < psi_value < 1.0:
             raise ConfigError("psi.theta must lie in (0, 1)")
-        try:
-            psi, psi_z = benchmarks.subsolution_scaled_psi(spec, sub_funcs, ell, theta)
-        except ConeDomainError as exc:
-            raise _SubsolutionOutsideCone(str(exc), exc.min_score) from exc
     elif psi_family == "example1_rhs":
-        c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
-        if example_params is None:
-            example_params = example1.ExampleParams.from_c(n, spec.k, c)
-        psi, psi_z = benchmarks.example1_rhs_psi(example_params)
+        psi_value = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
+        if spec.k < 2:
+            raise ConfigError("psi: the closed form requires 2 <= k <= n")
     else:
-        value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
-        if value <= 0:
+        psi_value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
+        if not psi_value > 0:
             raise ConfigError("psi.value must be positive")
 
-        def psi(x, z):
-            return np.full_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float), value)
-
-        def psi_z(x, z):
-            return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
-
-    phi_cfg = config.get("phi", "subsolution")
-    if phi_cfg == "subsolution":
-        if sub_profile is None:
-            raise ConfigError("phi: 'subsolution' requires a subsolution")
-        phi_left = float(sub_profile.u[0])
-        phi_right = float(sub_profile.u[-1])
+    half_length = _need(config, "half_length", "config")
+    if half_length == "example1":
+        if psi_family != "example1_rhs":
+            raise ConfigError("half_length: 'example1' requires psi.family example1_rhs")
     else:
-        _check_keys(phi_cfg, {"left", "right"}, "phi")
-        phi_left = _as_real(_need(phi_cfg, "left", "phi"), "phi.left")
-        phi_right = _as_real(_need(phi_cfg, "right", "phi"), "phi.right")
+        half_length = _as_real(half_length, "half_length")
+        if not half_length > 0:
+            raise ConfigError("half_length must be positive")
 
-    init_profile = None
+    subsolution = None
+    if "subsolution" in config:
+        subsolution = _profile_family(config["subsolution"], "subsolution")
+    elif psi_family == "subsolution_scaled":
+        raise ConfigError("psi.family subsolution_scaled requires a subsolution")
+
+    # a subsolution takes the boundary values, so it sets them
+    phi = config.get("phi", "subsolution")
+    boundary = None
+    if phi == "subsolution":
+        if subsolution is None:
+            raise ConfigError("phi: 'subsolution' requires a subsolution")
+    else:
+        _check_keys(phi, {"left", "right"}, "phi")
+        if subsolution is not None:
+            raise ConfigError("phi: with a subsolution, phi must be 'subsolution'")
+        boundary = (_as_real(_need(phi, "left", "phi"), "phi.left"),
+                    _as_real(_need(phi, "right", "phi"), "phi.right"))
+
+    init = None
     if "init" in config:
         init_cfg = config["init"]
         if _family(init_cfg, {**_PROFILE_KEYS, "example1_profile": {"c"}}, "init") == "example1_profile":
-            c = _as_real(_need(init_cfg, "c", "init"), "init.c")
-            ep = example1.ExampleParams.from_c(n, spec.k, c)
-            t_max = example1.half_length(ep)
-            if abs(t_max - ell) > 1e-9 * max(1.0, ell):
-                raise ConfigError("init example1_profile requires half_length 'example1'")
-            init_profile = example1.solve_profile(ep, node_count=grid_size).profile
+            if half_length != "example1" or _as_real(_need(init_cfg, "c", "init"), "init.c") != psi_value:
+                raise ConfigError("init example1_profile requires half_length 'example1' "
+                                  "and init.c equal to psi.c")
+            init = "example1_profile"
         else:
-            funcs = _profile_family(init_cfg, "init")
-            init_profile = RadialProfile(grid, funcs[0](grid))
-
-    if sub_profile is None and init_profile is None:
+            init = _profile_family(init_cfg, "init")
+    elif subsolution is None:
         raise ConfigError("solve needs a subsolution or an init profile")
-
-    try:
-        problem = solver.DirichletProblem(
-            geom=geom, spec=spec, psi=psi, psi_z=psi_z,
-            phi_left=phi_left, phi_right=phi_right, subsolution=sub_profile,
-        )
-    except ValueError as exc:
-        # the problem's own consistency checks reject the config; cone
-        # errors of the cone functions are not config errors
-        if isinstance(exc, YamabeError):
-            raise
-        raise ConfigError(str(exc)) from exc
-    return problem, init_profile
-
-
-def cmd_solve(config):
-    _check_keys(config, _SOLVE_KEYS, "config")
-    try:
-        problem, init_profile = _build_solve_problem(config)
-        outside = None
-    except _SubsolutionOutsideCone as exc:
-        problem, init_profile, outside = None, None, exc
 
     schedule = config.get("t_schedule")
     if schedule is not None:
@@ -559,38 +527,71 @@ def cmd_solve(config):
     newton_cfg = config.get("newton", {})
     _check_keys(newton_cfg, {"tol", "max_iter"}, "newton")
     defaults = solver.NewtonOptions()
-    opts = solver.NewtonOptions(
-        tol=_as_real(newton_cfg.get("tol", defaults.tol), "newton.tol"),
-        max_iter=_as_int(newton_cfg.get("max_iter", defaults.max_iter), "newton.max_iter", lo=1),
-    )
-    factor = _as_real(config.get("uniformity_factor", 2.0), "uniformity_factor")
-
     resolved = {
-        "command": "solve",
-        "n": config["n"],
-        "function": dict(_need(config, "function", "config")),
-        "half_length": config["half_length"] if config["half_length"] == "example1" else float(config["half_length"]),
-        "grid_size": config.get("grid_size", 401),
-        "t_schedule": list(schedule),
-        "psi": dict(config["psi"]),
-        "phi": config.get("phi", "subsolution") if isinstance(config.get("phi", "subsolution"), str) else dict(config["phi"]),
-        "subsolution": dict(config["subsolution"]) if "subsolution" in config else None,
-        "init": dict(config["init"]) if "init" in config else None,
-        "newton": {"tol": opts.tol, "max_iter": opts.max_iter},
-        "uniformity_factor": factor,
-        "out": str(config.get("out", "results/solve")),
-        "seed": _as_int(config.get("seed", 0), "seed"),
-        "verbose": bool(config.get("verbose", False)),
+        "command": "solve", "n": n, "function": function, "half_length": half_length,
+        "grid_size": grid_size, "t_schedule": list(schedule), "psi": psi_cfg, "phi": phi,
+        "subsolution": config.get("subsolution"), "init": config.get("init"),
+        "newton": {"tol": _as_real(newton_cfg.get("tol", defaults.tol), "newton.tol"),
+                   "max_iter": _as_int(newton_cfg.get("max_iter", defaults.max_iter),
+                                       "newton.max_iter", lo=1)},
+        "uniformity_factor": _as_real(config.get("uniformity_factor", 2.0), "uniformity_factor"),
+        **_run_keys(config, "results/solve"),
     }
-    verbose = resolved["verbose"]
+    return resolved, {"spec": spec, "grid_size": grid_size, "half_length": half_length,
+                      "psi": (psi_family, psi_value), "subsolution": subsolution,
+                      "boundary": boundary, "init": init}
+
+
+def _build_solve(spec, grid_size, half_length, psi, subsolution, boundary, init):
+    """The DirichletProblem and the init profile (or None) of the values
+    _parse_solve read.  Raises ConeDomainError, with the minimum cone margin
+    score, when psi is built on a subsolution that leaves the cone; the
+    problem's own checks of the computed psi raise ConfigError."""
+    family, value = psi
+    example = example1.ExampleParams.from_c(spec.n, spec.k, value) if family == "example1_rhs" else None
+    if half_length == "example1":
+        half_length = example1.half_length(example)
+    grid = np.linspace(-half_length, half_length, grid_size)
+    sub_profile = None if subsolution is None else RadialProfile(grid, subsolution[0](grid))
+    if init == "example1_profile":
+        init = example1.solve_profile(example, node_count=grid_size).profile
+    elif init is not None:
+        init = RadialProfile(grid, init[0](grid))
+
+    if family == "subsolution_scaled":
+        psi, psi_z = benchmarks.subsolution_scaled_psi(spec, subsolution, half_length, value)
+    elif family == "example1_rhs":
+        psi, psi_z = benchmarks.example1_rhs_psi(example)
+    else:
+        def psi(x, z):
+            return np.full_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float), value)
+
+        def psi_z(x, z):
+            return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
+
+    left, right = boundary or (float(sub_profile.u[0]), float(sub_profile.u[-1]))
+    try:
+        problem = solver.DirichletProblem(
+            geom=CylinderGeometry(n=spec.n, half_length=half_length), spec=spec, psi=psi,
+            psi_z=psi_z, phi_left=left, phi_right=right, subsolution=sub_profile)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return problem, init
+
+
+def cmd_solve(config):
+    resolved, values = _parse_solve(config)
+    outside = problem = init_profile = None
+    try:
+        problem, init_profile = _build_solve(**values)
+    except ConeDomainError as exc:      # psi is f on the subsolution, outside the cone
+        outside = exc
+    schedule, verbose = resolved["t_schedule"], resolved["verbose"]
+    opts = solver.NewtonOptions(**resolved["newton"])
     out = _out_dir(resolved)
-    # the profiles and monitors of an earlier run would pass for this run's
-    for stale in [*out.glob("profile_*_t*.csv"), out / "monitors.csv"]:
-        if stale.is_file():
-            stale.unlink()
 
     if outside is not None:
-        checks = _check_rows("subsolution.", [solver.cone_margin_check(outside.cone_margin)])
+        checks = _check_rows("subsolution.", [solver.cone_margin_check(outside.min_score)])
         _write_report(out / "report.json", resolved, checks, False, extra={"error": str(outside)})
         if verbose:
             print(f"subsolution outside the cone: {outside}", file=sys.stderr)
@@ -650,12 +651,12 @@ def cmd_solve(config):
         extra["monitor_spread"] = list(report.monitor_spread())
         extra["curvature_scaled"] = [[t, v] for t, v in report.curvature_scaled()]
     # a run gets here only with a passing subsolution, or without one
-    results = report.checks(factor if anchored else None)
+    results = report.checks(resolved["uniformity_factor"] if anchored else None)
     checks += _check_rows("continuation.", results)
     passed = all(c.passed for c in results)
     _write_report(out / "report.json", resolved, checks, passed, extra=extra)
     if verbose:
-        print(f"continuation {solved - started:.3f} s, output {time.perf_counter() - solved:.3f} s "
+        print(f"continuation {solved - started:.4f} s, output {time.perf_counter() - solved:.4f} s "
               f"after the last t", file=sys.stderr)
     if failed_t is not None and partial:
         return 3

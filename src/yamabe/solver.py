@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 DEFAULT_T_SCHEDULE = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.975, 0.99)
-T_MAX = 0.999
 JACOBIAN_CHECK_TOL = 1e-6
 MAX_BACKTRACKS = 50          # step halvings per Newton iteration
 SUBSOLUTION_TOL = -1e-10     # f(W[u]) - psi may fall this far below zero
@@ -450,16 +449,15 @@ def _restore_feasibility(problem, t, profile, anchor):
 
 def check_t_schedule(t_schedule):
     """The schedule as a tuple of floats, DEFAULT_T_SCHEDULE for None.
-    Raises ValueError unless it is non-empty, strictly ascending and within
-    [0, T_MAX]."""
+    Raises ValueError unless it is non-empty, strictly ascending and within [0, 1]."""
     schedule = tuple(map(float, DEFAULT_T_SCHEDULE if t_schedule is None else t_schedule))
     if not schedule:
         raise ValueError("empty t schedule")
     # written so that a NaN fails the checks
     if not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("t schedule must be strictly ascending")
-    if not 0.0 <= schedule[0] <= schedule[-1] <= T_MAX:
-        raise ValueError(f"t schedule must stay within [0, {T_MAX}]")
+    if not 0.0 <= schedule[0] <= schedule[-1] <= 1.0:
+        raise ValueError("t schedule must stay within [0, 1]")
     return schedule
 
 

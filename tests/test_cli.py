@@ -278,26 +278,53 @@ class TestSolveCommand:
         assert run_cli(["solve", cfg]) == 2
 
     def test_problem_rejecting_the_config_exits_2(self, tmp_path, capsys):
-        # boundary values the subsolution does not take: DirichletProblem's check
+        # e^(-2z) underflows to 0 for z near 400: DirichletProblem's check of psi
         cfg = write_config(tmp_path / "s.json", {
             "n": 4,
             "function": {"kind": "sigma_k_root", "k": 2},
-            "half_length": 1.0,
+            "half_length": "example1",
             "grid_size": 101,
-            "psi": {"family": "subsolution_scaled", "theta": 0.5},
-            "phi": {"left": 0.0, "right": 0.0},
-            "subsolution": {"family": "cosh", "amplitude": 0.3},
+            "psi": {"family": "example1_rhs", "c": 0.0},
+            "phi": {"left": 400.0, "right": 400.0},
+            "init": {"family": "constant", "value": 400.0},
             "out": str(tmp_path / "out"),
         })
         assert run_cli(["solve", cfg]) == 2
         err = capsys.readouterr().err
-        assert "config error: subsolution must match the boundary values" in err
+        assert "config error: psi must be positive on the working range" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"function": "sigma_k_root"}, "function: expected an object"),
+        ({"function": {"kind": "sigma_k_root", "n": 5, "k": 2}}, "function.n: must equal n"),
+        ({"function": {"kind": "sigma_k_root", "k": 1}, "half_length": 1.0,
+          "psi": {"family": "example1_rhs", "c": 0.0}, "phi": {"left": 0.0, "right": 0.0}},
+         "psi: the closed form requires 2 <= k <= n"),
+        ({"psi": {"family": "example1_rhs", "c": 0.0}, "half_length": 1.0,
+          "phi": {"left": 0.0, "right": 0.0}, "init": {"family": "example1_profile", "c": 0.0}},
+         "init example1_profile requires half_length 'example1'"),
+        ({"psi": {"family": "example1_rhs", "c": 0.0}, "half_length": "example1",
+          "phi": {"left": 0.0, "right": 0.0}, "init": {"family": "example1_profile", "c": 0.5}},
+         "and init.c equal to psi.c"),
+        ({"half_length": math.inf}, "half_length: expected a finite number, got inf"),
+        ({"uniformity_factor": math.nan}, "uniformity_factor: expected a finite number, got nan"),
+    ], ids=["function-string", "function-n", "example1-rhs-k1", "example1-init-numeric-length",
+            "example1-init-other-c", "infinite-half-length", "nan-factor"])
+    def test_malformed_entries_exit_2(self, tmp_path, capsys, changes, message):
+        out = tmp_path / "out"
+        payload = {**_solve_payload(out), **changes}
+        if "init" in changes or "phi" in changes:
+            del payload["subsolution"]
+        cfg = write_config(tmp_path / "s.json", payload)
+        assert run_cli(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("schedule, message", [
         ([0.5, 0.2], "strictly ascending"),
-        ([0.0, 1.0], "within [0, 0.999]"),
+        ([0.0, 1.5], "within [0, 1]"),
         ([], "empty t schedule"),
     ])
     def test_invalid_schedule_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch,
@@ -313,6 +340,16 @@ class TestSolveCommand:
         assert err.startswith("config error: t_schedule: ") and message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_schedule_reaching_t_1_passes(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, grid_size=401, t_schedule=[0.0, 0.5, 0.9, 0.99, 1.0], newton={"tol": 1e-7}))
+        assert run_cli(["solve", cfg]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is True and report["failed_t"] is None
+        assert report["curvature_scaled"][-1] == [1.0, 0.0]
+        assert (out / "profile_004_t1.000000.csv").is_file()
 
     def test_partial_convergence_exits_3(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {
@@ -386,6 +423,23 @@ class TestSolveRobustness:
         assert check["value"] == float(spec.margin_scores(rows).min()) < 0.0
         assert "outside the cone" in report["error"]
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+
+    # the README subsolution with n = 3 and cosh amplitude 0.2 leaves the cone,
+    # and a config error follows it
+    @pytest.mark.parametrize("changes", [
+        {"phi": [0, 0]},
+        {"phi": {"left": 0.0, "bogus": 1}},
+        {"init": {"family": "bogus"}},
+        {"phi": {"left": 0.0, "right": 0.0}},
+    ], ids=["phi-list", "phi-unknown-key", "init-unknown-family", "phi-with-subsolution"])
+    def test_config_error_behind_an_outside_cone_subsolution(self, tmp_path, capsys, changes):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, n=3, subsolution={"family": "cosh", "amplitude": 0.2}, **changes))
+        assert run_cli(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_rerun_leaves_no_output_of_an_earlier_run(self, tmp_path):
         out = tmp_path / "out"
@@ -682,6 +736,46 @@ class TestEntryPoint:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
+
+    def test_one_command_leaves_no_output_of_another(self, tmp_path):
+        out = tmp_path / "out"
+        solve = write_config(tmp_path / "s.json", _solve_payload(
+            out, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE)))
+        assert run_cli(["solve", solve]) == 0
+        assert len(list(out.iterdir())) == 15
+        (out / "notes.txt").write_text("")
+        (out / "profile_099_t1.000000.csv").mkdir()
+        example = write_config(tmp_path / "e.json", {"n": 4, "k": 2, "c": 0.0, "grid_size": 101,
+                                                     "out": str(out)})
+        assert run_cli(["example1", example]) == 0
+        # only regular files the CLI writes go
+        assert sorted(p.name for p in out.iterdir()) == [
+            "notes.txt", "profile.csv", "profile_099_t1.000000.csv", "report.json"]
+        check = write_config(tmp_path / "c.json", {
+            "function": {"kind": "sigma_k_root", "n": 4, "k": 2}, **_CHECK_SMALL, "out": str(out)})
+        assert run_cli(["check", check]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "notes.txt", "profile_099_t1.000000.csv", "report.json"]
+
+    @pytest.mark.parametrize("command", ["check", "example1", "solve"])
+    @pytest.mark.parametrize("changes, message", [
+        ({"out": None}, "out: expected a non-empty string, got None"),
+        ({"out": ""}, "out: expected a non-empty string"),
+        ({"out": 5}, "out: expected a non-empty string, got 5"),
+        ({"verbose": "false"}, "verbose: expected true or false, got 'false'"),
+        ({"verbose": 1}, "verbose: expected true or false, got 1"),
+    ], ids=["out-null", "out-empty", "out-number", "verbose-string", "verbose-number"])
+    def test_out_and_verbose_types(self, tmp_path, capsys, monkeypatch, command, changes,
+                                   message):
+        monkeypatch.chdir(tmp_path)
+        config = {"check": {"function": {"kind": "sigma_k_root", "n": 4, "k": 2}, **_CHECK_SMALL},
+                  "example1": {"n": 4, "k": 2, "c": 0.0, "grid_size": 101},
+                  "solve": _solve_payload("out")}[command]
+        cfg = write_config(tmp_path / "c.json", {**config, "out": "out", **changes})
+        assert run_cli([command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_out_override(self, tmp_path):
         cfg = write_config(tmp_path / "e.json", {

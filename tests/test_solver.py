@@ -24,7 +24,6 @@ from yamabe.benchmarks import (
 from yamabe.geometry import CylinderGeometry, RadialProfile
 from yamabe.solver import (
     DEFAULT_T_SCHEDULE,
-    T_MAX,
     ContinuationReport,
     DirichletProblem,
     NewtonOptions,
@@ -573,9 +572,9 @@ class TestContinuation:
         with pytest.raises(ValueError):
             continuation_run(problem, t_schedule=(0.5, 0.2))
         with pytest.raises(ValueError):
-            continuation_run(problem, t_schedule=(0.0, 1.0))
+            continuation_run(problem, t_schedule=(0.0, 1.5))
 
-    @pytest.mark.parametrize("schedule", [(0.5, 0.2), (0.0, 1.0), (), (0.0, math.nan),
+    @pytest.mark.parametrize("schedule", [(0.5, 0.2), (0.0, 1.5), (), (0.0, math.nan),
                                           (math.nan,), (-0.1, 0.5)])
     def test_states_check_the_schedule_before_the_first_t(self, schedule):
         problem = subsolution_benchmark(node_count=101)
@@ -586,7 +585,7 @@ class TestContinuation:
 
     def test_check_t_schedule_returns_floats(self):
         assert check_t_schedule(None) == DEFAULT_T_SCHEDULE
-        assert check_t_schedule([0, 0.5, T_MAX]) == (0.0, 0.5, T_MAX)
+        assert check_t_schedule([0, 0.5, 1.0]) == (0.0, 0.5, 1.0)
         assert all(type(t) is float for t in check_t_schedule([0, 1e-3]))
 
     def test_states_yield_the_run_states(self):
