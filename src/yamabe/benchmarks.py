@@ -1,6 +1,8 @@
 """Reusable problem constructions for experiments, the CLI and the test suite.
 
-Three families cover the interesting regimes:
+`dirichlet_problem` builds every Dirichlet problem here and in `yamabe solve`,
+on the uniform grid of `RadialProfile.uniform`.  Three families cover the
+interesting regimes:
 
 * a subsolution-anchored benchmark where psi is a fixed fraction of the
   curvature function of a strictly convex profile, so the profile is a strict
@@ -30,8 +32,10 @@ __all__ = [
     "linear_profile",
     "constant_profile",
     "radial_curvature_value",
+    "constant_psi",
     "subsolution_scaled_psi",
     "example1_rhs_psi",
+    "dirichlet_problem",
     "subsolution_benchmark",
     "manufactured_problem",
     "example_boundary_problem",
@@ -74,6 +78,20 @@ def radial_curvature_value(spec, t, du, d2u):
     return evaluation.value
 
 
+def _no_z_dependence(x, z):
+    """psi_z = 0, of a psi that does not depend on z."""
+    return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
+
+
+def constant_psi(value):
+    """(psi, psi_z) with psi = value everywhere."""
+
+    def psi(x, z):
+        return np.full_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float), value)
+
+    return psi, _no_z_dependence
+
+
 # points of [-L, L] on which subsolution_scaled_psi samples f(W[u])
 SCALED_PSI_NODES = 4001
 
@@ -89,10 +107,7 @@ def subsolution_scaled_psi(spec, funcs, half_length, theta):
     def psi(x, z):
         return np.interp(np.asarray(x, dtype=float), dense, f_values) * np.ones_like(np.asarray(z, dtype=float))
 
-    def psi_z(x, z):
-        return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
-
-    return psi, psi_z
+    return psi, _no_z_dependence
 
 
 def example1_rhs_psi(params):
@@ -109,6 +124,20 @@ def example1_rhs_psi(params):
     return psi, psi_z
 
 
+def dirichlet_problem(spec, half_length, node_count, psi, subsolution=None, boundary=None):
+    """The DirichletProblem of `spec` on [-half_length, half_length], with
+    `psi` the pair (psi, psi_z) and the subsolution, (u, u', u'') callables,
+    sampled on the uniform grid of node_count nodes.  The boundary values are
+    the pair `boundary`, else the subsolution's end values.  Raises
+    ValueError when the problem rejects its data."""
+    sub = None if subsolution is None else RadialProfile.uniform(half_length, node_count, subsolution[0])
+    left, right = boundary if boundary is not None else (float(sub.u[0]), float(sub.u[-1]))
+    return DirichletProblem(
+        geom=CylinderGeometry(n=spec.n, half_length=half_length), spec=spec,
+        psi=psi[0], psi_z=psi[1], phi_left=left, phi_right=right, subsolution=sub,
+    )
+
+
 def subsolution_benchmark(n=4, k=2, half_length=1.0, node_count=401,
                           amplitude=0.3, theta=0.5):
     """Problem with psi = theta * f(W[underline u]) for a convex profile.
@@ -118,17 +147,12 @@ def subsolution_benchmark(n=4, k=2, half_length=1.0, node_count=401,
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    geom = CylinderGeometry(n=n, half_length=half_length)
     spec = SymFuncSpec("sigma_k_root", n=n, k=k)
     funcs = cosh_profile(amplitude)
-    psi, psi_z = subsolution_scaled_psi(spec, funcs, half_length, theta)
-    grid = np.linspace(-half_length, half_length, node_count)
-    sub = RadialProfile(grid, funcs[0](grid))
     phi = float(funcs[0](half_length))
-    return DirichletProblem(
-        geom=geom, spec=spec, psi=psi, psi_z=psi_z,
-        phi_left=phi, phi_right=phi, subsolution=sub,
-    )
+    return dirichlet_problem(spec, half_length, node_count,
+                             subsolution_scaled_psi(spec, funcs, half_length, theta),
+                             subsolution=funcs, boundary=(phi, phi))
 
 
 def manufactured_problem(t, n=4, k=2, half_length=1.0, node_count=401,
@@ -139,7 +163,6 @@ def manufactured_problem(t, n=4, k=2, half_length=1.0, node_count=401,
     discrete solution differs from the profile only by the stencil error.
     Returns (problem, exact profile on the grid).
     """
-    geom = CylinderGeometry(n=n, half_length=half_length)
     spec = SymFuncSpec("sigma_k_root", n=n, k=k)
     f, df, d2f = cosh_profile(amplitude)
 
@@ -148,17 +171,10 @@ def manufactured_problem(t, n=4, k=2, half_length=1.0, node_count=401,
         vals = radial_curvature_value(spec, t, df(x).ravel(), d2f(x).ravel())
         return vals.reshape(x.shape) * np.ones_like(np.asarray(z, dtype=float))
 
-    def psi_z(x, z):
-        return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
-
-    grid = np.linspace(-half_length, half_length, node_count)
-    exact = RadialProfile(grid, f(grid))
     phi = float(amplitude * math.cosh(half_length))
-    problem = DirichletProblem(
-        geom=geom, spec=spec, psi=psi, psi_z=psi_z,
-        phi_left=phi, phi_right=phi,
-    )
-    return problem, exact
+    problem = dirichlet_problem(spec, half_length, node_count, (psi, _no_z_dependence),
+                                boundary=(phi, phi))
+    return problem, RadialProfile.uniform(half_length, node_count, f)
 
 
 def example_boundary_problem(n, k, c, node_count=401):
@@ -171,11 +187,6 @@ def example_boundary_problem(n, k, c, node_count=401):
     """
     params = ExampleParams.from_c(n, k, c)
     solution = solve_profile(params, node_count=node_count)
-    geom = CylinderGeometry(n=n, half_length=solution.t_max)
-    spec = SymFuncSpec("sigma_k_root", n=n, k=k)
-    psi, psi_z = example1_rhs_psi(params)
-    problem = DirichletProblem(
-        geom=geom, spec=spec, psi=psi, psi_z=psi_z,
-        phi_left=c, phi_right=c,
-    )
+    problem = dirichlet_problem(SymFuncSpec("sigma_k_root", n=n, k=k), solution.t_max, node_count,
+                                example1_rhs_psi(params), boundary=(c, c))
     return problem, params, solution.profile

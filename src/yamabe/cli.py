@@ -43,7 +43,7 @@ from ._errors import (
     YamabeError,
 )
 from . import benchmarks, example1, solver, symfun
-from .geometry import CylinderGeometry, RadialProfile
+from .geometry import RadialProfile
 
 FORMAT_VERSION = "yamabe/1"
 
@@ -527,13 +527,15 @@ def _parse_solve(config):
     newton_cfg = config.get("newton", {})
     _check_keys(newton_cfg, {"tol", "max_iter"}, "newton")
     defaults = solver.NewtonOptions()
+    tol = _as_real(newton_cfg.get("tol", defaults.tol), "newton.tol")
+    if not tol > 0:
+        raise ConfigError("newton.tol must be positive")
     resolved = {
         "command": "solve", "n": n, "function": function, "half_length": half_length,
         "grid_size": grid_size, "t_schedule": list(schedule), "psi": psi_cfg, "phi": phi,
         "subsolution": config.get("subsolution"), "init": config.get("init"),
-        "newton": {"tol": _as_real(newton_cfg.get("tol", defaults.tol), "newton.tol"),
-                   "max_iter": _as_int(newton_cfg.get("max_iter", defaults.max_iter),
-                                       "newton.max_iter", lo=1)},
+        "newton": {"tol": tol, "max_iter": _as_int(newton_cfg.get("max_iter", defaults.max_iter),
+                                                   "newton.max_iter", lo=1)},
         "uniformity_factor": _as_real(config.get("uniformity_factor", 2.0), "uniformity_factor"),
         **_run_keys(config, "results/solve"),
     }
@@ -543,37 +545,30 @@ def _parse_solve(config):
 
 
 def _build_solve(spec, grid_size, half_length, psi, subsolution, boundary, init):
-    """The DirichletProblem and the init profile (or None) of the values
-    _parse_solve read.  Raises ConeDomainError, with the minimum cone margin
-    score, when psi is built on a subsolution that leaves the cone; the
-    problem's own checks of the computed psi raise ConfigError."""
+    """The DirichletProblem (benchmarks.dirichlet_problem) and the init
+    profile (or None) of the values _parse_solve read.  Raises
+    ConeDomainError, with the minimum cone margin score, when psi is built on
+    a subsolution that leaves the cone; the problem's own checks of the
+    computed psi raise ConfigError."""
     family, value = psi
     example = example1.ExampleParams.from_c(spec.n, spec.k, value) if family == "example1_rhs" else None
-    if half_length == "example1":
-        half_length = example1.half_length(example)
-    grid = np.linspace(-half_length, half_length, grid_size)
-    sub_profile = None if subsolution is None else RadialProfile(grid, subsolution[0](grid))
-    if init == "example1_profile":
-        init = example1.solve_profile(example, node_count=grid_size).profile
-    elif init is not None:
-        init = RadialProfile(grid, init[0](grid))
+    if init == "example1_profile":      # its half length comes with the profile
+        solution = example1.solve_profile(example, node_count=grid_size)
+        half_length, init = solution.t_max, solution.profile
+    else:
+        if half_length == "example1":
+            half_length = example1.half_length(example)
+        if init is not None:
+            init = RadialProfile.uniform(half_length, grid_size, init[0])
 
     if family == "subsolution_scaled":
-        psi, psi_z = benchmarks.subsolution_scaled_psi(spec, subsolution, half_length, value)
+        psi = benchmarks.subsolution_scaled_psi(spec, subsolution, half_length, value)
     elif family == "example1_rhs":
-        psi, psi_z = benchmarks.example1_rhs_psi(example)
+        psi = benchmarks.example1_rhs_psi(example)
     else:
-        def psi(x, z):
-            return np.full_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float), value)
-
-        def psi_z(x, z):
-            return np.zeros_like(np.asarray(x, dtype=float) * np.asarray(z, dtype=float))
-
-    left, right = boundary or (float(sub_profile.u[0]), float(sub_profile.u[-1]))
+        psi = benchmarks.constant_psi(value)
     try:
-        problem = solver.DirichletProblem(
-            geom=CylinderGeometry(n=spec.n, half_length=half_length), spec=spec, psi=psi,
-            psi_z=psi_z, phi_left=left, phi_right=right, subsolution=sub_profile)
+        problem = benchmarks.dirichlet_problem(spec, half_length, grid_size, psi, subsolution, boundary)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return problem, init

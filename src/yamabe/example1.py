@@ -26,6 +26,7 @@ problem and verifies computed profiles against the equation.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -216,6 +217,24 @@ def _acceleration(params, x, v):
 _SWITCH_LEVEL = 1e-4  # switch when the degeneracy factor (1 - u'^2)^(k-1) drops below
 
 
+def _orbit(params, t_max, phase1, phase2, switch_time, times):
+    """(u, |u'|) at times in [-T, T] from the two initial value solutions:
+    the second-order one up to switch_time, the reduced one after it."""
+    times = np.abs(np.asarray(times, dtype=float))
+    if np.any(times > t_max * (1.0 + 1e-12)):
+        raise ValueError("evaluation time outside [-T, T]")
+    times = np.minimum(times, t_max)
+    u, v = np.empty_like(times), np.empty_like(times)
+    early = times <= switch_time
+    if np.any(early):
+        u[early], v[early] = phase1.sol(times[early])
+    late = ~early
+    if np.any(late):
+        u[late] = phase2.sol(times[late])[0]
+        v[late] = np.sqrt(np.maximum(_slope_squared(params, u[late]), 0.0))
+    return u, v
+
+
 @dataclass(frozen=True)
 class ExampleSolution:
     """Computed radial solution: grid profile plus dense evaluators.
@@ -229,28 +248,7 @@ class ExampleSolution:
     params: ExampleParams
     t_max: float
     profile: RadialProfile
-    _phase1: object = field(repr=False)
-    _phase2: object | None = field(repr=False)
-    _switch_time: float = field(repr=False)
-
-    def _eval_uv(self, times):
-        times = np.abs(np.asarray(times, dtype=float))
-        if np.any(times > self.t_max * (1.0 + 1e-12)):
-            raise ValueError("evaluation time outside [-T, T]")
-        times = np.minimum(times, self.t_max)
-        u = np.empty_like(times)
-        v = np.empty_like(times)
-        early = times <= self._switch_time
-        if np.any(early):
-            uu, vv = self._phase1.sol(times[early])
-            u[early] = uu
-            v[early] = vv
-        late = ~early
-        if np.any(late):
-            uu = self._phase2.sol(times[late])[0]
-            u[late] = uu
-            v[late] = np.sqrt(np.maximum(_slope_squared(self.params, uu), 0.0))
-        return u, v
+    _eval_uv: object = field(repr=False)    # times -> (u, |u'|), see _orbit
 
     def u_at(self, t):
         t = np.asarray(t, dtype=float)
@@ -322,17 +320,16 @@ def solve_profile(params, node_count=401):
         if not sol2.success:
             raise NumericalError(f"reduced-form integration failed: {sol2.message}")
 
-    grid = np.linspace(-t_max, t_max, node_count)
-    solution = ExampleSolution(
-        params=params, t_max=t_max,
-        profile=RadialProfile(grid, np.zeros(node_count)),
-        _phase1=sol1, _phase2=sol2, _switch_time=switch_time,
-    )
-    interior = np.abs(grid) < t_max
-    u = np.full(node_count, params.boundary_value)
-    u[interior], _ = solution._eval_uv(grid[interior])
-    object.__setattr__(solution, "profile", RadialProfile(grid, u))
-    return solution
+    eval_uv = functools.partial(_orbit, params, t_max, sol1, sol2, switch_time)
+
+    def u_of(grid):
+        u = np.full(grid.size, params.boundary_value)
+        interior = np.abs(grid) < t_max
+        u[interior], _ = eval_uv(grid[interior])
+        return u
+
+    profile = RadialProfile.uniform(t_max, node_count, u_of)
+    return ExampleSolution(params=params, t_max=t_max, profile=profile, _eval_uv=eval_uv)
 
 
 @dataclass(frozen=True)

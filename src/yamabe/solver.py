@@ -361,6 +361,13 @@ def newton_solve(problem, t, init, opts=None):
     )
 
 
+def _ratio(hi, lo):
+    """hi / lo, where a monitor below 1e-14 counts as zero and 0 / 0 as 1."""
+    if lo > 1e-14:
+        return float(hi / lo)
+    return 1.0 if hi <= 1e-14 else math.inf
+
+
 @dataclass
 class ContinuationReport:
     """Converged states of a continuation run plus derived summaries.
@@ -380,23 +387,12 @@ class ContinuationReport:
         may grow beyond a modest factor of where the schedule started.
         """
         table = np.array([s.monitors for s in self.states])
-        first = table[0]
-        growth = []
-        for col, base in zip(table.T, first):
-            if base > 1e-14:
-                growth.append(float(col.max() / base))
-            else:
-                growth.append(1.0 if col.max() <= 1e-14 else math.inf)
-        return tuple(growth)
+        return tuple(_ratio(col.max(), base) for col, base in zip(table.T, table[0]))
 
     def monitor_spread(self):
         """Max/min ratio of each monitor across the schedule (informational)."""
         table = np.array([s.monitors for s in self.states])
-        factors = []
-        for col in table.T:
-            lo, hi = col.min(), col.max()
-            factors.append(float(hi / lo) if lo > 1e-14 else (1.0 if hi <= 1e-14 else math.inf))
-        return tuple(factors)
+        return tuple(_ratio(col.max(), col.min()) for col in table.T)
 
     def uniform_within(self, factor):
         return all(f <= factor for f in self.monitor_growth())

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yamabe import cli, geometry, symfun
+from yamabe import benchmarks, cli, example1, geometry, symfun
 from yamabe.cli import main
 from yamabe.geometry import RadialProfile
 
@@ -309,8 +309,11 @@ class TestSolveCommand:
          "and init.c equal to psi.c"),
         ({"half_length": math.inf}, "half_length: expected a finite number, got inf"),
         ({"uniformity_factor": math.nan}, "uniformity_factor: expected a finite number, got nan"),
+        ({"newton": {"tol": 0.0}}, "newton.tol must be positive"),
+        ({"newton": {"tol": -1.0}}, "newton.tol must be positive"),
     ], ids=["function-string", "function-n", "example1-rhs-k1", "example1-init-numeric-length",
-            "example1-init-other-c", "infinite-half-length", "nan-factor"])
+            "example1-init-other-c", "infinite-half-length", "nan-factor", "zero-tol",
+            "negative-tol"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, changes, message):
         out = tmp_path / "out"
         payload = {**_solve_payload(out), **changes}
@@ -527,6 +530,66 @@ class TestSolveRobustness:
             newton={"tol": 1e-7}))
         assert run_cli(["solve", cfg]) == 0
         assert len(calls) <= 8
+
+
+README_SOLVE = {
+    "n": 4, "function": {"kind": "sigma_k_root", "k": 2},
+    "half_length": 1.0, "grid_size": 401,
+    "psi": {"family": "subsolution_scaled", "theta": 0.5},
+    "phi": "subsolution",
+    "subsolution": {"family": "cosh", "amplitude": 0.3},
+}
+
+README_EXAMPLE1_SOLVE = {
+    "n": 4, "function": {"kind": "sigma_k_root", "k": 2},
+    "half_length": "example1", "grid_size": 401,
+    "psi": {"family": "example1_rhs", "c": 0.0},
+    "phi": {"left": 0.0, "right": 0.0},
+    "init": {"family": "example1_profile", "c": 0.0},
+}
+
+
+class TestOneConstructor:
+    """`yamabe solve` builds the same problem as the library constructions."""
+
+    @staticmethod
+    def _assert_same(problem, profile, reference, reference_profile):
+        assert problem.geom == reference.geom
+        assert np.array_equal(profile.grid, reference_profile.grid)
+        assert np.array_equal(profile.u, reference_profile.u)
+        assert (problem.phi_left, problem.phi_right) == (reference.phi_left, reference.phi_right)
+        for name in ("psi", "psi_z"):
+            mine = getattr(problem, name)(profile.grid, profile.u)
+            assert np.array_equal(mine, getattr(reference, name)(profile.grid, profile.u))
+
+    def test_readme_solve_is_the_subsolution_benchmark(self):
+        _, values = cli._parse_solve(dict(README_SOLVE))
+        problem, init = cli._build_solve(**values)
+        assert init is None
+        reference = benchmarks.subsolution_benchmark()
+        self._assert_same(problem, problem.subsolution, reference, reference.subsolution)
+
+    def test_readme_example1_solve_is_the_boundary_problem(self):
+        _, values = cli._parse_solve(dict(README_EXAMPLE1_SOLVE))
+        problem, init = cli._build_solve(**values)
+        assert problem.subsolution is None
+        reference, _, reference_init = benchmarks.example_boundary_problem(4, 2, 0.0, 401)
+        self._assert_same(problem, init, reference, reference_init)
+
+    def test_example1_solve_computes_the_half_length_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = example1.half_length
+
+        def counted(params):
+            calls.append(params)
+            return original(params)
+
+        monkeypatch.setattr(example1, "half_length", counted)
+        cfg = write_config(tmp_path / "s.json", {
+            **README_EXAMPLE1_SOLVE, "grid_size": 201, "t_schedule": [0.0],
+            "out": str(tmp_path / "out")})
+        assert run_cli(["solve", cfg]) == 0
+        assert len(calls) == 1
 
 
 def _stream(write, cores, count, pause=0.0):
