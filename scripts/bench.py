@@ -9,17 +9,23 @@ each node count m it builds the subsolution benchmark (n = 4, sigma_2 root,
 cosh amplitude 0.3, theta 0.5), takes the subsolution as the state at
 t = 0.5 and reports the median wall time per call (plain
 time.perf_counter, after one warm-up call) of the residual with its cone
-test, the Jacobian, the cone screen of the feasibility restore, the banded
-solve, the directional Jacobian check, the radial kernel
-`SymFuncSpec.radial_eval` on the state's eigenvalues with and without the
-gradient, and the grid derivatives: the free
+test, the Jacobian as a caller without an evaluation builds it (kernel and
+gradient) and as Newton builds it from the evaluation its residual call
+made (gradient only), the cone screen of the feasibility restore, the
+banded solve, the directional Jacobian check, the radial kernel
+`SymFuncSpec.radial_eval` on the state's eigenvalues and the gradient of
+its evaluation, and the grid derivatives: the free
 `first_derivative`/`second_derivative`, which build the grid's stencil
 weights on every call, and `du`/`d2u` of a new state of the profile family,
 which reuses them.  It then runs one full continuation over the default
 schedule (Newton tolerance 1e-7) and records its wall time and the Newton
 iterations per t, so that algorithmic and constant-factor changes can be
-told apart.  Last, at 201, 401 and 4001 nodes it times whole `yamabe
-solve` runs of the same benchmark (default schedule, Newton tolerance
+told apart.  The same figures, as the median wall time of
+BLOWUP_REPEATS runs after one warm-up, come from the continuation of
+acceptance criterion 9: the Example 1 data (n = 5, k = 4, c = -0.5) at 1001
+nodes over the default schedule from the closed-form start, with the
+criterion's floor tolerance and no Jacobian check.  Last, at 201, 401 and
+4001 nodes it times whole `yamabe solve` runs of the same benchmark (default schedule, Newton tolerance
 1e-7, through `cli.main`, output to a temporary directory, median of 20
 after one warm-up): the wall time, the seconds in the continuation and
 after the last t as `--verbose` prints them, and the mean CPU time of
@@ -61,7 +67,7 @@ import numpy as np  # noqa: E402
 from scipy.linalg import solve_banded  # noqa: E402
 
 from yamabe import cli, solver, symfun  # noqa: E402
-from yamabe.benchmarks import subsolution_benchmark  # noqa: E402
+from yamabe.benchmarks import example_boundary_problem, subsolution_benchmark  # noqa: E402
 from yamabe.geometry import (  # noqa: E402
     first_derivative, radial_w_eigenvalues, second_derivative)
 
@@ -70,6 +76,7 @@ NODES = (401, 4001)
 SOLVE_NODES = (201, 401, 4001)
 REPEATS = 200
 SOLVE_REPEATS = 20
+BLOWUP_REPEATS = 20
 CONTINUATION_TOL = 1e-7
 # the README solve config, the subsolution benchmark's data
 SOLVE_CONFIG = {
@@ -96,18 +103,20 @@ def layer_times(node_count):
     problem = subsolution_benchmark(node_count=node_count)
     prof = problem.subsolution
     grid = prof.grid
-    res, _ = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
+    res, _, evaluation = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
     ab = solver.jacobian(problem, T, prof)
     spec = problem.spec
     axis, sphere = radial_w_eigenvalues(spec.n, prof.du, prof.d2u)
+    held = spec.radial_eval(T, axis, sphere)
     layers = {
         "residual": lambda: solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u),
         "jacobian": lambda: solver.jacobian(problem, T, prof),
+        "jacobian_held": lambda: solver.jacobian(problem, T, prof, evaluation),
         "inside_cone": lambda: solver._inside_cone(problem, T, prof),
         "solve_banded": lambda: solve_banded((1, 1), ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
         "radial_eval": lambda: spec.radial_eval(T, axis, sphere),
-        "radial_eval_grad": lambda: spec.radial_eval(T, axis, sphere, grad=True),
+        "radial_eval_gradient": held.gradient,
         "first_derivative": lambda: first_derivative(grid, prof.u),
         "second_derivative": lambda: second_derivative(grid, prof.u),
         "state_du": lambda: prof.with_values(prof.u).du,
@@ -158,6 +167,24 @@ def continuation(node_count):
     wall = time.perf_counter() - start
     return {
         "wall_s": wall,
+        "newton_iters_per_t": {repr(s.t): s.newton_iters for s in report.states},
+        "newton_iters_total": sum(s.newton_iters for s in report.states),
+    }
+
+
+def blowup_continuation():
+    problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
+    h = 2 * problem.geom.half_length / 1000
+    opts = solver.NewtonOptions(tol=max(1e-7, 100 * np.finfo(float).eps * 1.5 * 2.0 / h ** 2),
+                                jacobian_check=False)
+    walls = []
+    for _ in range(BLOWUP_REPEATS + 1):
+        start = time.perf_counter()
+        report = solver.continuation_run(problem, init=init, opts=opts)
+        walls.append(time.perf_counter() - start)
+    return {
+        "repeats": BLOWUP_REPEATS,
+        "wall_s": statistics.median(walls[1:]),
         "newton_iters_per_t": {repr(s.t): s.newton_iters for s in report.states},
         "newton_iters_total": sum(s.newton_iters for s in report.states),
     }
@@ -224,6 +251,7 @@ def main():
         "esp_kernels_ms": kernel_times(),
         "structure_suites_ms": suite_times(),
         "continuation": {str(m): run for m, run in runs.items()},
+        "continuation_blowup_example1_1001": blowup_continuation(),
         "solve": {"files": len(solver.DEFAULT_T_SCHEDULE) + 2,
                   "rows_per_writer": cli._ROWS_PER_WRITER,
                   "repeats": SOLVE_REPEATS, **solves},

@@ -12,13 +12,15 @@ the chain rule in (u_i, u'_i, u''_i).  On every solve it is checked once
 against a Richardson finite difference of the residual along one smooth
 probe direction, in O(m) memory and with a fixed relative tolerance.
 
-Newton evaluates each state once: one residual call supplies the residual
-vector and the minimum cone margin (a trial outside the cone raises there),
-and the returned state carries them with the norm of every accepted step.
-Residual, Jacobian and cone screen go through the spec's two-value kernel
-`radial_eval` on the (axis, sphere) eigenvalue vectors; it is bit-identical
-to the spec's `margin_scores_t`, `value_t_many` and `grad_t_many` on the full
-(m, n) eigenvalue rows.
+Newton evaluates each state once: one residual call runs the spec's
+two-value kernel `radial_eval` on the (axis, sphere) eigenvalue vectors and
+supplies the residual vector, the minimum cone margin (a trial outside the
+cone raises there) and the state's evaluation.  The Jacobian of an accepted
+state takes its gradient from that evaluation, so it adds only the
+gradient's own ESP pass; the returned state carries the residual and margin
+with the norm of every accepted step.  The kernel and its gradient are
+bit-identical to the spec's `margin_scores_t`, `value_t_many` and
+`grad_t_many` on the full (m, n) eigenvalue rows.
 
 Continuation walks an ascending t schedule, warm-starting each solve from the
 previous profile, and records per-t monitors: sup norms of u and its first
@@ -160,10 +162,10 @@ def _grid_for(problem, profile):
     return profile.grid
 
 
-def _radial_eval(problem, t, du, d2u, grad=False):
+def _radial_eval(problem, t, du, d2u):
     """The spec's radial kernel at the interior nodes."""
     axis, sphere = radial_w_eigenvalues(problem.geom.n, du[1:-1], d2u[1:-1])
-    return problem.spec.radial_eval(t, axis, sphere, grad=grad)
+    return problem.spec.radial_eval(t, axis, sphere)
 
 
 def _inside_cone(problem, t, profile):
@@ -172,9 +174,11 @@ def _inside_cone(problem, t, profile):
 
 
 def _residual(problem, t, grid, u, du, d2u):
-    """Residual vector and minimum cone margin score from nodal values and
-    their stencil derivatives; raises when a node leaves the cone."""
-    scores, value, _, _ = _radial_eval(problem, t, du, d2u)
+    """Residual vector, minimum cone margin score and the kernel's
+    evaluation from nodal values and their stencil derivatives; raises when
+    a node leaves the cone."""
+    evaluation = _radial_eval(problem, t, du, d2u)
+    scores = evaluation.scores
     bad = np.nonzero(scores <= problem.spec.margin)[0]
     if bad.size:
         node = int(bad[0]) + 1
@@ -186,8 +190,8 @@ def _residual(problem, t, grid, u, du, d2u):
     out = np.empty(grid.size)
     out[0] = u[0] - problem.phi_left
     out[-1] = u[-1] - problem.phi_right
-    out[1:-1] = value - np.asarray(problem.psi(grid[1:-1], u[1:-1]), dtype=float)
-    return out, float(scores.min())
+    out[1:-1] = evaluation.value - np.asarray(problem.psi(grid[1:-1], u[1:-1]), dtype=float)
+    return out, float(scores.min()), evaluation
 
 
 def residual(problem, t, profile):
@@ -196,7 +200,7 @@ def residual(problem, t, profile):
     return _residual(problem, t, grid, profile.u, profile.du, profile.d2u)[0]
 
 
-def jacobian(problem, t, profile):
+def jacobian(problem, t, profile, evaluation=None):
     """Tridiagonal Jacobian in banded (3, m) storage (solve_banded layout).
 
     Interior rows follow from the chain rule: with a = axis eigenvalue,
@@ -206,11 +210,15 @@ def jacobian(problem, t, profile):
 
     where g_a is the f_t gradient in the axis slot, g_s the summed sphere
     slots and c1, c2 the interior stencil weights of u' and u'', which the
-    profile's GridStencils holds.  Boundary rows are identity rows.
+    profile's GridStencils holds.  Boundary rows are identity rows.  The
+    gradient comes from `evaluation`, the kernel's evaluation of this
+    profile at this t, when the caller holds one.
     """
     grid = _grid_for(problem, profile)
     m = grid.size
-    _, _, g_axis, g_sphere = _radial_eval(problem, t, profile.du, profile.d2u, grad=True)
+    if evaluation is None:
+        evaluation = _radial_eval(problem, t, profile.du, profile.d2u)
+    g_axis, g_sphere = evaluation.gradient()
     du = profile.du[1:-1]
     psi_z = np.asarray(problem.psi_z(grid[1:-1], profile.u[1:-1]), dtype=float)
     c1 = profile.stencils.first.inner
@@ -254,10 +262,10 @@ def _check_jacobian(problem, t, profile, ab):
     jv[1:] += ab[2, :-1] * v[:-1]
 
     def central(s):
-        plus, _ = _residual(problem, t, grid, profile.u + s * v, profile.du + s * dv,
-                            profile.d2u + s * d2v)
-        minus, _ = _residual(problem, t, grid, profile.u - s * v, profile.du - s * dv,
-                             profile.d2u - s * d2v)
+        plus = _residual(problem, t, grid, profile.u + s * v, profile.du + s * dv,
+                         profile.d2u + s * d2v)[0]
+        minus = _residual(problem, t, grid, profile.u - s * v, profile.du - s * dv,
+                          profile.d2u - s * d2v)[0]
         return (plus - minus) / (2.0 * s)
 
     step, err = 1e-6, None
@@ -311,7 +319,7 @@ def newton_solve(problem, t, init, opts=None):
     opts = opts or NewtonOptions()
     grid = _grid_for(problem, init)
     profile = init
-    res, margin = _residual(problem, t, grid, init.u, init.du, init.d2u)
+    res, margin, evaluation = _residual(problem, t, grid, init.u, init.du, init.d2u)
     norm = float(np.abs(res).max())
     increments = []
     if norm <= opts.tol:
@@ -319,7 +327,8 @@ def newton_solve(problem, t, init, opts=None):
 
     checked = not opts.jacobian_check
     for iteration in range(1, opts.max_iter + 1):
-        ab = jacobian(problem, t, profile)
+        ab = jacobian(problem, t, profile, evaluation)
+        evaluation = None   # the accepted trial brings the next; holding both raises peak memory
         if not checked:
             _check_jacobian(problem, t, profile, ab)
             checked = True
@@ -335,7 +344,8 @@ def newton_solve(problem, t, init, opts=None):
         for _ in range(MAX_BACKTRACKS + 1):
             trial = profile.with_values(profile.u + alpha * delta)
             try:
-                trial_res, trial_margin = _residual(problem, t, grid, trial.u, trial.du, trial.d2u)
+                trial_res, trial_margin, evaluation = _residual(
+                    problem, t, grid, trial.u, trial.du, trial.d2u)
             except ConeViolationError:
                 pass
             else:
@@ -544,7 +554,8 @@ def check_subsolution(problem):
     grid = _grid_for(problem, sub)
     spec = problem.spec
     axis, sphere = radial_w_eigenvalues(problem.geom.n, sub.du, sub.d2u)
-    scores, value, _, _ = spec.radial_eval(1.0, axis, sphere)
+    evaluation = spec.radial_eval(1.0, axis, sphere)
+    scores, value = evaluation.scores, evaluation.value
     ok = scores > spec.margin
     margins = np.full(grid.size, np.nan)
     if np.any(ok):

@@ -183,24 +183,60 @@ def _esp_radial(a, s, n, kmax):
     Returns the array for the whole tuple and the one for the tuple without
     one s.  The `_esp` recurrence runs over the entries in the same order and
     layout, so each row is bit-identical to the matching column of `_esp`
-    (and of a `_esp_removed` slot) on the (m, n) rows.
+    (and of a `_esp_removed` slot) on the (m, n) rows of finite entries.
+    Before entry col, e_j is zero for j > col + 1 and `_esp` adds only
+    x * 0 to it, so the recurrence skips those rows.
     """
     e = np.zeros((kmax + 1, a.shape[0]))
     e[0] = 1.0
     for col in range(n):
         if col == n - 1:
             cut = e.copy()
-        e[1:] += (a if col == 0 else s) * e[:-1]
+        top = min(col, kmax - 1) + 2
+        e[1:top] += (a if col == 0 else s) * e[:top - 1]
     return e, cut
 
 
 class RadialEvaluation(NamedTuple):
-    """What `SymFuncSpec.radial_eval` computes in one pass; see there."""
+    """What one `SymFuncSpec.radial_eval` pass found: the margin scores, f_t
+    (None outside the cone) and, for `gradient`, the t-mapped s (sphere),
+    e_k (and e_l of a quotient) of the tuples and e_{k-1} (and e_{l-1}) of
+    the tuples without one s (cut), each an (m,) array of its own.
+    """
 
+    spec: SymFuncSpec
+    t: float
     scores: np.ndarray
     value: np.ndarray | None
-    grad_axis: np.ndarray | None
-    grad_sphere: np.ndarray | None
+    sphere: np.ndarray | None = None
+    e: list | None = None
+    cut: list | None = None
+
+    def gradient(self):
+        """(axis slot of Df_t, sum of its n - 1 sphere slots), bit-identical
+        to grad_t_many on the rows, from one more ESP pass over the tuples
+        without the axis slot.  Outside the cone raises ConeDomainError, as
+        grad_t_many does.
+        """
+        spec, t, f = self.spec, self.t, self.value
+        if f is None:
+            spec._require_scores_inside(self.scores)
+        n, k = spec.n, spec.k
+        # d sigma_j is e_{j-1} of the tuple without that slot: the axis slot
+        # leaves n - 1 copies of s, a sphere slot leaves (a, s^(n-2)) = cut
+        rest, _ = _esp_radial(self.sphere, self.sphere, n - 1, k - 1)
+        if spec.kind == "sigma_k_root":
+            (e_k,), (cut_k,) = self.e, self.cut
+            g_a = (f / k) * rest[k - 1] / e_k
+            g_s = (f / k) * cut_k / e_k
+        else:
+            l = spec.l
+            (e_k, e_l), (cut_k, cut_l) = self.e, self.cut
+            g_a = (f / (k - l)) * (rest[k - 1] / e_k - rest[l - 1] / e_l)
+            g_s = (f / (k - l)) * (cut_k / e_k - cut_l / e_l)
+        shift = (1.0 - t) * _row_sum(g_a, g_s, n)
+        g_s = t * g_s + shift
+        return t * g_a + shift, _row_sum(g_s, g_s, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +396,21 @@ class SymFuncSpec:
 
     # -- the radial kernel -------------------------------------------------------
 
-    def radial_eval(self, t, a, s, grad=False):
-        """Cone scores, f_t and its gradient on the radial tuples (a, s, ..., s).
+    def radial_eval(self, t, a, s):
+        """Cone scores and f_t on the radial tuples (a, s, ..., s), as a
+        RadialEvaluation whose `gradient()` gives Df_t.
 
         a and s are (m,) vectors of axis and sphere eigenvalues (see
-        geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.
-        Returns the margin scores, and when every row scores above the
-        margin also f_t and, with grad, the axis slot of Df_t and the sum of
-        its n - 1 sphere slots.  Outside the cone value is None, and asking
-        for the gradient raises ConeDomainError, as grad_t_many does.
+        geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.  The
+        evaluation holds the margin scores, and when every row scores above
+        the margin also f_t; outside the cone its value is None.
 
         One ESP pass over the t-mapped values and their absolute values,
-        stacked as in `_cone_scores`, serves the scores and f_t; the gradient
-        takes one more.  Each result repeats the additions and
-        multiplications of margin_scores_t, value_t_many and grad_t_many on
-        the (m, n) rows (a, s, ..., s) in their order, numpy's row sums
-        included, so it is bit-identical to them.
+        stacked as in `_cone_scores`, serves the scores and f_t; the
+        gradient takes one more.  Each result repeats the additions and
+        multiplications of margin_scores_t and value_t_many on the (m, n)
+        rows (a, s, ..., s) in their order, numpy's row sums included, so it
+        is bit-identical to them.
         """
         n, k = self.n, self.k
         a = np.asarray(a, dtype=float)
@@ -388,26 +423,10 @@ class SymFuncSpec:
         e = both[:, :m]
         scores = _min_ratio(e, both[:, m:], np.maximum(abs_a, abs_s) > 0.0, k)
         if np.any(scores <= self.margin):
-            if grad:
-                self._require_scores_inside(scores)
-            return RadialEvaluation(scores, None, None, None)
-        f = self._value_from(e)
-        if not grad:
-            return RadialEvaluation(scores, f, None, None)
-        # d sigma_j is e_{j-1} of the tuple without that slot: the axis slot
-        # leaves n - 1 copies of s, a sphere slot leaves (a, s^(n-2)) = cut
-        rest, _ = _esp_radial(s, s, n - 1, k - 1)
-        cut = cut[:, :m]
-        if self.kind == "sigma_k_root":
-            g_a = (f / k) * rest[k - 1] / e[k]
-            g_s = (f / k) * cut[k - 1] / e[k]
-        else:
-            l = self.l
-            g_a = (f / (k - l)) * (rest[k - 1] / e[k] - rest[l - 1] / e[l])
-            g_s = (f / (k - l)) * (cut[k - 1] / e[k] - cut[l - 1] / e[l])
-        shift = (1.0 - t) * _row_sum(g_a, g_s, n)
-        g_s = t * g_s + shift
-        return RadialEvaluation(scores, f, t * g_a + shift, _row_sum(g_s, g_s, n - 1))
+            return RadialEvaluation(self, t, scores, None)
+        rows = (k,) if self.l is None else (k, self.l)
+        return RadialEvaluation(self, t, scores, self._value_from(e), s,
+                                [e[j].copy() for j in rows], [cut[j - 1, :m].copy() for j in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from scipy import integrate
 
 from yamabe._errors import ConeDomainError, ConeViolationError, NumericalError
 from yamabe.solver import residual
-from yamabe.symfun import CONE_MARGIN, sample_cone
+from yamabe.symfun import CONE_MARGIN, SymFuncSpec, sample_cone
 
 
 def sigma_by_enumeration(values, k):
@@ -128,6 +128,12 @@ def conformal_schouten(du, hess, base):
     base = np.asarray(base, dtype=float)
     n = du.size
     return hess + np.outer(du, du) - 0.5 * float(du @ du) * np.eye(n) + base
+
+
+def all_specs(n):
+    """Every cone function of dimension n: each sigma_k root and each quotient."""
+    yield from (SymFuncSpec("sigma_k_root", n=n, k=k) for k in range(1, n + 1))
+    yield from (SymFuncSpec("quotient", n=n, k=k, l=l) for k in range(2, n + 1) for l in range(1, k))
 
 
 def radial_rows(n, du, d2u):

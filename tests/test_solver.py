@@ -16,6 +16,9 @@ from yamabe._errors import (
     NumericalError,
 )
 from yamabe.benchmarks import (
+    constant_psi,
+    cosh_profile,
+    dirichlet_problem,
     example_boundary_problem,
     manufactured_problem,
     radial_curvature_value,
@@ -38,7 +41,7 @@ from yamabe.solver import (
 )
 from yamabe.symfun import SymFuncSpec
 
-from oracles import banded_to_dense, fd_jacobian_column, radial_rows
+from oracles import all_specs, banded_to_dense, fd_jacobian_column, radial_rows
 
 
 class TestProblemValidation:
@@ -161,6 +164,42 @@ class TestJacobian:
             row_expected[i + 1] = f_e * (1.0 / h ** 2 - (n - 2) * du[i] * (1.0 / (2 * h)))
             assert np.allclose(dense[i], row_expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_held_evaluation_gives_the_same_jacobian(self, n):
+        # a profile inside Gamma_n, so inside every cone and every
+        # interpolated cone; the residual's evaluation of it builds the
+        # same Jacobian as a fresh evaluation
+        for spec in all_specs(n):
+            problem = dirichlet_problem(spec, 1.0, 101, constant_psi(1.0),
+                                        subsolution=cosh_profile(0.8))
+            sub = problem.subsolution
+            prof = sub.with_values(sub.u + 0.01 * np.sin(2.0 * sub.grid))
+            for t in (0.0, 0.3, 0.99, 1.0):
+                _, _, evaluation = solver._residual(problem, t, prof.grid, prof.u,
+                                                    prof.du, prof.d2u)
+                assert np.array_equal(jacobian(problem, t, prof, evaluation),
+                                      jacobian(problem, t, prof))
+
+    def test_newton_path_jacobian_on_example1_data(self, monkeypatch):
+        problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
+        h = 2 * problem.geom.half_length / 1000
+        tol = max(1e-7, 100 * 2.2e-16 * 1.5 * 2.0 / h ** 2)   # criterion 9's
+        original = solver.jacobian
+        built = []
+
+        def compared(problem, t, profile, evaluation=None):
+            ab = original(problem, t, profile, evaluation)
+            built.append(evaluation is not None
+                         and np.array_equal(ab, original(problem, t, profile)))
+            return ab
+
+        monkeypatch.setattr(solver, "jacobian", compared)
+        report = continuation_run(problem, t_schedule=(0.0, 0.3, 0.99, 1.0), init=init,
+                                  opts=NewtonOptions(tol=tol))
+        assert [s.t for s in report.states] == [0.0, 0.3, 0.99, 1.0]
+        assert len(built) == sum(s.newton_iters for s in report.states) > 4
+        assert all(built)
+
     def test_boundary_rows_identity(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
         dense = banded_to_dense(jacobian(problem, 0.5, exact))
@@ -197,15 +236,19 @@ class TestJacobianCheck:
             problem = subsolution_benchmark(node_count=401)
             init, t = problem.subsolution, 0.5
         original = solver.jacobian
+        held = []
 
-        def corrupted(problem, t, profile):
-            ab = original(problem, t, profile)
+        def corrupted(problem, t, profile, evaluation=None):
+            held.append(evaluation is not None)
+            ab = original(problem, t, profile, evaluation)
             corrupt(ab, problem, profile)
             return ab
 
         monkeypatch.setattr(solver, "jacobian", corrupted)
         with pytest.raises(NumericalError, match="deviates from the directional"):
             newton_solve(problem, t, init)
+        # Newton hands the Jacobian the evaluation of its state
+        assert held == [True]
 
     def test_fine_grid_continuation_passes(self):
         # a draw the dense column check rejected as a false alarm
@@ -284,28 +327,32 @@ class TestStateEvaluation:
         assert len(state.increment_norms) == state.newton_iters >= 1
 
     def test_one_margin_evaluation_per_state(self, monkeypatch):
-        # the radial kernel is the solver's only cone evaluation; its
-        # gradient calls are the Jacobians
+        # the radial kernel is the solver's only cone evaluation: one
+        # _esp_radial pass per residual call, and a Jacobian adds only its
+        # gradient's pass, over the evaluation its state's residual made
         problem = subsolution_benchmark(node_count=401)
-        calls = {"margins": 0, "gradients": 0, "residual": 0}
+        calls = {"passes": 0, "kernels": 0, "gradients": 0, "residual": 0}
+        esp_radial = symfun._esp_radial
         radial_eval = SymFuncSpec.radial_eval
+        gradient = symfun.RadialEvaluation.gradient
         evaluate = solver._residual
 
-        def counted_kernel(self, t, a, s, grad=False):
-            calls["gradients" if grad else "margins"] += 1
-            return radial_eval(self, t, a, s, grad=grad)
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
 
-        def counted_residual(*args):
-            calls["residual"] += 1
-            return evaluate(*args)
-
-        monkeypatch.setattr(SymFuncSpec, "radial_eval", counted_kernel)
-        monkeypatch.setattr(solver, "_residual", counted_residual)
+        monkeypatch.setattr(symfun, "_esp_radial", counted("passes", esp_radial))
+        monkeypatch.setattr(SymFuncSpec, "radial_eval", counted("kernels", radial_eval))
+        monkeypatch.setattr(symfun.RadialEvaluation, "gradient", counted("gradients", gradient))
+        monkeypatch.setattr(solver, "_residual", counted("residual", evaluate))
         state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
         assert state.converged
         assert calls["residual"] > state.newton_iters
-        assert calls["margins"] == calls["residual"]
+        assert calls["kernels"] == calls["residual"]
         assert calls["gradients"] == state.newton_iters
+        assert calls["passes"] == calls["residual"] + state.newton_iters
 
     def test_newton_never_builds_eigen_rows(self, monkeypatch):
         def forbidden(*args):

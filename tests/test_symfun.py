@@ -27,6 +27,7 @@ from yamabe.symfun import (
 
 from oracles import (
     BrokenHomogeneitySpec,
+    all_specs,
     boundary_decay_by_loop,
     esp_by_columns,
     esp_gradient_by_deletion,
@@ -569,11 +570,6 @@ class TestConcavityMargin:
         assert calls == [(3, 3)] * 3
 
 
-def _all_specs(n):
-    yield from (SymFuncSpec("sigma_k_root", n=n, k=k) for k in range(1, n + 1))
-    yield from (SymFuncSpec("quotient", n=n, k=k, l=l) for k in range(2, n + 1) for l in range(1, k))
-
-
 class TestRadialKernel:
     """radial_eval on (a, s, ..., s) against the (m, n) path on the same rows."""
 
@@ -585,31 +581,47 @@ class TestRadialKernel:
         du[0], d2u[0] = 1.0, 0.0  # the zero tuple: outside every cone
         a, s = radial_w_eigenvalues(n, du, d2u)
         rows = radial_rows(n, du, d2u)
-        for spec in _all_specs(n):
+        for spec in all_specs(n):
             for t in (0.0, 0.3, 0.99, 1.0):
                 scores = spec.margin_scores_t(t, rows)
                 inside = scores > spec.margin
                 assert 0 < inside.sum() < inside.size
                 ev = spec.radial_eval(t, a, s)
                 assert np.array_equal(ev.scores, scores)
-                assert ev.value is None and ev.grad_axis is None and ev.grad_sphere is None
+                assert ev.value is None
                 with pytest.raises(ConeDomainError) as exc:
-                    spec.radial_eval(t, a, s, grad=True)
+                    ev.gradient()
                 with pytest.raises(ConeDomainError) as expected:
                     spec.grad_t_many(t, rows)
                 assert str(exc.value) == str(expected.value)
+                assert exc.value.min_score == expected.value.min_score
 
-                ev = spec.radial_eval(t, a[inside], s[inside], grad=True)
+                ev = spec.radial_eval(t, a[inside], s[inside])
                 g = spec.grad_t_many(t, rows[inside])
+                grad_axis, grad_sphere = ev.gradient()
                 assert np.array_equal(ev.scores, scores[inside])
                 assert np.array_equal(ev.value, spec.value_t_many(t, rows[inside]))
-                assert np.array_equal(ev.grad_axis, g[:, 0])
-                assert np.array_equal(ev.grad_sphere, g[:, 1:].sum(axis=1))
-                assert np.array_equal(spec.radial_eval(t, a[inside], s[inside]).value, ev.value)
+                assert np.array_equal(grad_axis, g[:, 0])
+                assert np.array_equal(grad_sphere, g[:, 1:].sum(axis=1))
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_esp_radial_matches_the_row_recurrence(self, n):
+        # the radial recurrence skips the rows that are still zero; on finite
+        # entries, signed zeros included, it stays bit-identical to _esp
+        rng = np.random.default_rng(100 + n)
+        a, s = rng.standard_normal(64), rng.standard_normal(64)
+        a[:3], s[1:4] = -0.0, -0.0
+        rows = np.column_stack([a] + [s] * (n - 1))
+        for kmax in range(n + 1):
+            e, cut = symfun._esp_radial(a, s, n, kmax)
+            expected = _esp(rows, kmax).T
+            assert np.array_equal(e, expected)
+            assert np.array_equal(np.signbit(e), np.signbit(expected))
+            assert np.array_equal(cut, _esp(rows[:, :-1], kmax).T)
 
     def test_one_esp_pass_for_scores_and_values(self, monkeypatch):
         # (a, s) and (|a|, |s|) go through _esp_radial stacked; the gradient
-        # adds the pass over the tuples without the axis slot
+        # adds only the pass over the tuples without the axis slot
         calls = []
         esp_radial = symfun._esp_radial
 
@@ -621,11 +633,22 @@ class TestRadialKernel:
         a, s = radial_w_eigenvalues(4, np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
         for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
             calls.clear()
-            assert spec.radial_eval(0.5, a, s).value is not None
+            ev = spec.radial_eval(0.5, a, s)
+            assert ev.value is not None
             assert len(calls) == 1
-            calls.clear()
-            assert spec.radial_eval(0.5, a, s, grad=True).grad_axis is not None
+            ev.gradient()
             assert len(calls) == 2
+
+    def test_evaluation_holds_only_vector_copies(self):
+        # what the gradient reads is kept as (m,) arrays of their own, so an
+        # evaluation keeps no stacked (k + 1, 2m) ESP array alive
+        a, s = radial_w_eigenvalues(5, np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
+        for spec, count in ((SymFuncSpec("sigma_k_root", n=5, k=3), 1),
+                            (SymFuncSpec("quotient", n=5, k=4, l=2), 2)):
+            ev = spec.radial_eval(0.5, a, s)
+            assert len(ev.e) == len(ev.cut) == count
+            for v in (ev.scores, ev.value, ev.sphere, *ev.e, *ev.cut):
+                assert v.shape == (50,) and v.base is None
 
     def test_kernel_ignores_slot_order(self):
         # f_t is symmetric: the axis value may sit in any slot of the row
@@ -636,11 +659,12 @@ class TestRadialKernel:
         rows = np.column_stack([s, s, a, s, s])
         for spec in (SymFuncSpec("sigma_k_root", n=5, k=3), SymFuncSpec("quotient", n=5, k=4, l=2)):
             for t in (0.2, 1.0):
-                ev = spec.radial_eval(t, a, s, grad=True)
+                ev = spec.radial_eval(t, a, s)
+                grad_axis, grad_sphere = ev.gradient()
                 g = spec.grad_t_many(t, rows)
                 assert np.allclose(ev.value, spec.value_t_many(t, rows), rtol=1e-13, atol=0)
-                assert np.allclose(ev.grad_axis, g[:, 2], rtol=1e-12, atol=0)
-                assert np.allclose(ev.grad_sphere, g.sum(axis=1) - g[:, 2], rtol=1e-12, atol=0)
+                assert np.allclose(grad_axis, g[:, 2], rtol=1e-12, atol=0)
+                assert np.allclose(grad_sphere, g.sum(axis=1) - g[:, 2], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [*range(2, 40), 127, 128, 129, 200, 517])
     def test_row_sum_follows_numpy(self, n):
