@@ -24,7 +24,12 @@ told apart.  The same figures, as the median wall time of
 BLOWUP_REPEATS runs after one warm-up, come from the continuation of
 acceptance criterion 9: the Example 1 data (n = 5, k = 4, c = -0.5) at 1001
 nodes over the default schedule from the closed-form start, with the
-criterion's floor tolerance and no Jacobian check.  Last, at 201, 401 and
+criterion's floor tolerance and no Jacobian check.  Beside it stands the
+cost of building that data, as the median wall time of BLOWUP_REPEATS calls
+after one warm-up: `example1.half_length` at (5, 4, -0.5), and the whole
+`example_boundary_problem(5, 4, -0.5, 1001)` (the slope-parametrized
+initial value problem, whose end is the half length, the profile on the grid
+and the Dirichlet problem; the quadrature is not part of it).  Last, at 201, 401 and
 4001 nodes it times whole `yamabe solve` runs of the same benchmark (default schedule, Newton tolerance
 1e-7, through `cli.main`, output to a temporary directory, median of 20
 after one warm-up): the wall time, the seconds in the continuation and
@@ -68,6 +73,7 @@ from scipy.linalg import solve_banded  # noqa: E402
 
 from yamabe import cli, solver, symfun  # noqa: E402
 from yamabe.benchmarks import example_boundary_problem, subsolution_benchmark  # noqa: E402
+from yamabe.example1 import ExampleParams, half_length  # noqa: E402
 from yamabe.geometry import (  # noqa: E402
     first_derivative, radial_w_eigenvalues, second_derivative)
 
@@ -190,6 +196,16 @@ def blowup_continuation():
     }
 
 
+def blowup_construction():
+    params = ExampleParams.from_c(5, 4, -0.5)
+    return {
+        "repeats": BLOWUP_REPEATS,
+        "half_length_ms": _median_ms(lambda: half_length(params), BLOWUP_REPEATS),
+        "example_boundary_problem_ms": _median_ms(
+            lambda: example_boundary_problem(5, 4, -0.5, node_count=1001), BLOWUP_REPEATS),
+    }
+
+
 def solve_times(node_count, cores):
     """`yamabe solve` on the subsolution benchmark with cli._cores() cut to
     `cores`: median wall time and verbose phase times, mean CPU time of this
@@ -252,6 +268,7 @@ def main():
         "structure_suites_ms": suite_times(),
         "continuation": {str(m): run for m, run in runs.items()},
         "continuation_blowup_example1_1001": blowup_continuation(),
+        "construction_blowup_example1_1001": blowup_construction(),
         "solve": {"files": len(solver.DEFAULT_T_SCHEDULE) + 2,
                   "rows_per_writer": cli._ROWS_PER_WRITER,
                   "repeats": SOLVE_REPEATS, **solves},

@@ -20,8 +20,18 @@ value x* = -(1/n) ln|H(d, 0)| in the finite time
 
 and arrives there with |u'| -> 1 and u'' -> +infinity.  The even extension on
 [-T_d, T_d] with boundary value c = x* is therefore C^1 but not C^2 at the two
-ends.  This module evaluates the closed forms, integrates the initial value
-problem and verifies computed profiles against the equation.
+ends.
+
+u'' stays positive on the orbit, so the slope v = |u'| increases from 0 to 1
+on [0, T_d] and parametrizes the half orbit.  In v the equation becomes the
+system for (x, u) with dx/dv = 1/u'' and du/dv = v/u'', where
+
+    1/u'' = w^(k-1) / ((n/2k) e^(-2ku) - ((n-2k)/2k) w^k),   w = 1 - v^2,
+
+which is regular on the whole of [0, 1]: 1/u'' is finite at v = 0 and zero at
+the degenerate end v = 1.  This module evaluates the closed forms, integrates
+that system in one run, inverts x(v) at the grid nodes and verifies computed
+profiles against the equation.
 """
 
 from __future__ import annotations
@@ -214,25 +224,51 @@ def _acceleration(params, x, v):
         - (n - 2.0 * k) / (2.0 * k) * one_minus
 
 
-_SWITCH_LEVEL = 1e-4  # switch when the degeneracy factor (1 - u'^2)^(k-1) drops below
+def _slope_rate(params, u, v):
+    """dx/dv = 1/u'' at (u, |u'| = v), with the degenerate factor in the
+    numerator: finite at v = 0 and zero at v = 1.  Scalars or arrays."""
+    n, k = params.n, params.k
+    w = 1.0 - v * v
+    return w ** (k - 1) / ((n / (2.0 * k)) * np.exp(-2.0 * k * u) - (n - 2.0 * k) / (2.0 * k) * w ** k)
 
 
-def _orbit(params, t_max, phase1, phase2, switch_time, times):
-    """(u, |u'|) at times in [-T, T] from the two initial value solutions:
-    the second-order one up to switch_time, the reduced one after it."""
+_MAX_SWEEPS = 100   # safeguarded Newton; bisection alone needs about 60
+
+
+def _orbit(params, t_max, orbit, times):
+    """(u, |u'|) at times in [-T, T] from the slope-parametrized orbit.
+
+    X(v) = |t| is solved by Newton steps in v with X' = 1/u'', safeguarded
+    by bisection inside the integrator step that brackets the root (closed,
+    since t = 0 has its root at v = 0).  A time stops at |X(v) - |t|| <=
+    4 eps T or at a step within 4 ulp of v; times beyond the orbit's end
+    X(1) take v = 1.
+    """
     times = np.abs(np.asarray(times, dtype=float))
     if np.any(times > t_max * (1.0 + 1e-12)):
         raise ValueError("evaluation time outside [-T, T]")
-    times = np.minimum(times, t_max)
-    u, v = np.empty_like(times), np.empty_like(times)
-    early = times <= switch_time
-    if np.any(early):
-        u[early], v[early] = phase1.sol(times[early])
-    late = ~early
-    if np.any(late):
-        u[late] = phase2.sol(times[late])[0]
-        v[late] = np.sqrt(np.maximum(_slope_squared(params, u[late]), 0.0))
-    return u, v
+    knots, ends = orbit.t, orbit.y[0]
+    x = np.minimum(times.ravel(), ends[-1])
+    seg = np.clip(np.searchsorted(ends, x, side="right") - 1, 0, knots.size - 2)
+    lo, hi = knots[seg], knots[seg + 1]
+    v = lo + (hi - lo) * (x - ends[seg]) / (ends[seg + 1] - ends[seg])
+    xv, u = np.empty_like(x), np.empty_like(x)
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(_MAX_SWEEPS):
+        idx = np.flatnonzero(~done)
+        if idx.size == 0:
+            return u.reshape(times.shape), v.reshape(times.shape)
+        xv[idx], u[idx] = orbit.sol(v[idx])
+        gap = xv - x
+        lo = np.where(gap < 0.0, v, lo)
+        hi = np.where(gap > 0.0, v, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            trial = v - gap / _slope_rate(params, u, v)
+        trial = np.where((trial >= lo) & (trial <= hi), trial, 0.5 * (lo + hi))
+        done |= (np.abs(gap) <= 4.0 * np.finfo(float).eps * t_max) \
+            | (np.abs(trial - v) <= 4.0 * np.spacing(v))
+        v = np.where(done, v, trial)
+    raise NumericalError(f"slope inversion did not converge in {_MAX_SWEEPS} sweeps")
 
 
 @dataclass(frozen=True)
@@ -269,58 +305,43 @@ class ExampleSolution:
 
 
 def solve_profile(params, node_count=401):
-    """Integrate the initial value problem and sample it on a uniform grid.
+    """Integrate the orbit in the slope and sample it on a uniform grid.
 
-    The second-order equation is integrated from the center until
-    1 - u'^2 < 1e-4, where it degenerates; from there the first-order reduced
-    form u' = sqrt(1 - e^((n-2k)/k u) (e^(-nu) + H(d,0))^(1/k)) carries the
-    solution to the end of the interval.  End values are attached by
-    continuity (u = x*, |u'| = 1), since no integrator reaches the degenerate
-    endpoint itself.
+    The half orbit is one initial value problem with v = |u'| in [0, 1] as
+    the independent variable and w = 1 - v^2:
+
+        dx/dv = 1/u'' = w^(k-1) / ((n/2k) e^(-2ku) - ((n-2k)/2k) w^k),
+        du/dv = v dx/dv,       (x, u)(0) = (0, d).
+
+    It is regular on the whole of [0, 1] (u''(0) > 0, and 1/u'' vanishes at
+    v = 1), so one DOP853 run reaches the degenerate end, and its end X(1)
+    is the half length T (`half_length` computes the same T by quadrature).
+    The grid is uniform on [-T, T].  At each interior node X(v) = |x| is
+    inverted (see _orbit), which gives u = U(v) and |u'| = v; the end nodes
+    take the boundary value x* = c.
     """
     if node_count < 5:
         raise ValueError("node_count must be at least 5")
-    t_max = half_length(params)
 
-    def rhs1(_, y):
-        return [y[1], _acceleration(params, y[0], y[1])]
+    def rhs(v, y):
+        rate = _slope_rate(params, y[1], v)
+        return [rate, v * rate]
 
-    switch_at = _SWITCH_LEVEL ** (1.0 / max(params.k - 1, 1))
-
-    def near_degenerate(_, y):
-        return (1.0 - y[1] ** 2) - switch_at
-
-    near_degenerate.terminal = True
-    near_degenerate.direction = -1.0
-
-    sol1 = integrate.solve_ivp(
-        rhs1, (0.0, t_max * 1.01), [params.d, 0.0],
-        method="DOP853", rtol=1e-12, atol=1e-14,
-        dense_output=True, events=near_degenerate,
+    # near the separatrix (H(d, 0) -> 0-, large c) an integration error du
+    # moves the orbit to another level of H and its end by about du / (n |H|),
+    # so the tolerance tightens with |H(d, 0)| below 1e-4, down to 1e-13
+    # (at (5, 3, 3) the end X(1) is 8.6e-9 T short at 1e-12, 2.1e-10 T at
+    # 1e-13 and 1.2e-10 T at 3e-14)
+    rtol = min(1e-12, max(1e-13, 1e-8 * abs(params.h0)))
+    orbit = integrate.solve_ivp(
+        rhs, (0.0, 1.0), [0.0, params.d],
+        method="DOP853", rtol=rtol, atol=1e-14, dense_output=True,
     )
-    if not sol1.success:
-        raise NumericalError(f"initial value integration failed: {sol1.message}")
+    if not orbit.success:
+        raise NumericalError(f"initial value integration failed: {orbit.message}")
+    t_max = float(orbit.y[0, -1])
 
-    if sol1.t_events[0].size:
-        switch_time = float(sol1.t_events[0][0])
-    else:
-        switch_time = float(sol1.t[-1])
-
-    sol2 = None
-    if switch_time < t_max:
-        u_switch = float(sol1.sol(switch_time)[0])
-
-        def rhs2(_, y):
-            return [math.sqrt(max(_slope_squared(params, y[0]), 0.0))]
-
-        sol2 = integrate.solve_ivp(
-            rhs2, (switch_time, t_max), [u_switch],
-            method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
-        )
-        if not sol2.success:
-            raise NumericalError(f"reduced-form integration failed: {sol2.message}")
-
-    eval_uv = functools.partial(_orbit, params, t_max, sol1, sol2, switch_time)
+    eval_uv = functools.partial(_orbit, params, t_max, orbit)
 
     def u_of(grid):
         u = np.full(grid.size, params.boundary_value)

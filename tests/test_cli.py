@@ -577,19 +577,25 @@ class TestOneConstructor:
         self._assert_same(problem, init, reference, reference_init)
 
     def test_example1_solve_computes_the_half_length_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = example1.half_length
+        # the half length is the end of the one profile construction; the
+        # quadrature does not run beside it
+        calls = {"half_length": 0, "solve_profile": 0}
 
-        def counted(params):
-            calls.append(params)
-            return original(params)
+        def counted(name):
+            original = getattr(example1, name)
 
-        monkeypatch.setattr(example1, "half_length", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(example1, name, counted(name))
         cfg = write_config(tmp_path / "s.json", {
             **README_EXAMPLE1_SOLVE, "grid_size": 201, "t_schedule": [0.0],
             "out": str(tmp_path / "out")})
         assert run_cli(["solve", cfg]) == 0
-        assert len(calls) == 1
+        assert calls == {"half_length": 0, "solve_profile": 1}
 
 
 def _stream(write, cores, count, pause=0.0):

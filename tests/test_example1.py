@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from yamabe import example1
 from yamabe._errors import ConeDomainError
 from yamabe.example1 import (
     ExampleParams,
@@ -21,6 +23,11 @@ from oracles import reference_profile_by_first_integral, stopping_time_by_ivp
 
 
 P420 = ExampleParams.from_c(4, 2, 0.0)
+# (n, k, c) of the README, criterion 9 and the ends of the blow-up benchmark's range
+ORBIT_DATA = [(4, 2, 0.0), (3, 2, 1.0), (5, 3, 0.0), (5, 4, -0.6), (5, 4, -0.5), (5, 4, -0.4)]
+# the ends of the range -1 <= c <= 3 of the Example 1 sweeps: a small T,
+# and an orbit near the separatrix (d = -5e-8)
+EDGE_DATA = [(4, 4, -1.0), (5, 3, 3.0)]
 
 
 class TestFirstIntegral:
@@ -129,13 +136,14 @@ class TestSolveProfile:
         assert sol.d2u_at(0.0) == pytest.approx(expected, rel=1e-10)
         assert expected > 0
 
-    def test_conserved_quantity_drift(self):
-        sol = solve_profile(P420, node_count=401)
+    @pytest.mark.parametrize("n,k,c", ORBIT_DATA + EDGE_DATA)
+    def test_conserved_quantity_drift(self, n, k, c):
+        # the interior nodes, and two sub-grid points near the degenerate end
+        p = ExampleParams.from_c(n, k, c)
+        sol = solve_profile(p, node_count=401)
         grid = sol.profile.grid
-        interior = np.abs(grid) < sol.t_max
-        u = sol.u_at(grid[interior])
-        du = sol.du_at(grid[interior])
-        drift = np.abs(first_integral(P420, u, du) - P420.h0)
+        xs = np.append(grid[np.abs(grid) < sol.t_max], sol.t_max * (1.0 - np.array([1e-4, 1e-6])))
+        drift = np.abs(first_integral(p, sol.u_at(xs), sol.du_at(xs)) - p.h0)
         assert drift.max() <= 1e-8
 
     def test_endpoint_values(self):
@@ -148,17 +156,61 @@ class TestSolveProfile:
         assert all(a < b for a, b in zip(slopes, slopes[1:]))
         assert slopes[-1] > 0.999999
 
+    def test_empty_times(self):
+        sol = solve_profile(P420, node_count=101)
+        assert sol.u_at(np.array([])).shape == (0,)
+        assert sol.du_at(np.array([])).shape == (0,)
+
     def test_evenness(self):
         sol = solve_profile(P420, node_count=401)
         assert np.abs(sol.profile.u - sol.profile.u[::-1]).max() <= 1e-10
 
-    def test_against_first_integral_reference(self):
-        sol = solve_profile(P420, node_count=101)
+    @pytest.mark.parametrize("n,k,c", ORBIT_DATA + EDGE_DATA)
+    def test_against_first_integral_reference(self, n, k, c):
+        p = ExampleParams.from_c(n, k, c)
+        sol = solve_profile(p, node_count=101)
         grid = sol.profile.grid
         pick = grid[np.abs(np.abs(grid) - sol.t_max) > 1e-12][::10]
-        ref = reference_profile_by_first_integral(P420, pick)
+        ref = reference_profile_by_first_integral(p, pick)
         mine = sol.u_at(pick)
         assert np.abs(mine - ref).max() <= 1e-9
+
+    @pytest.mark.parametrize("n,k,c", ORBIT_DATA)
+    def test_one_slope_ivp_ends_at_the_half_length(self, n, k, c, monkeypatch):
+        # u, |u'| and T come from one run of the slope system, and no first
+        # integral enters them; its end X(1) agrees with the quadrature
+        p = ExampleParams.from_c(n, k, c)
+        t_quad = half_length(p)
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(solve_ivp(*args, **kwargs))
+            return runs[-1]
+
+        def forbidden(*args):
+            raise AssertionError("the first integral entered the profile")
+
+        monkeypatch.setattr(example1.integrate, "solve_ivp", recorded)
+        monkeypatch.setattr(example1, "half_length", forbidden)
+        monkeypatch.setattr(example1, "_slope_squared", forbidden)
+        monkeypatch.setattr(example1, "first_integral", forbidden)
+        sol = solve_profile(p, node_count=101)
+        sol.du_at(sol.t_max * (1.0 - np.array([1e-2, 1e-6])))
+        assert len(runs) == 1
+        assert runs[0].t[0] == 0.0 and runs[0].t[-1] == 1.0
+        assert sol.t_max == runs[0].y[0, -1] == sol.profile.grid[-1]
+        assert abs(sol.t_max - t_quad) <= 1e-11 * t_quad
+
+    @pytest.mark.parametrize("n,k,c", ORBIT_DATA + EDGE_DATA)
+    def test_reaches_c_at_the_half_length(self, n, k, c):
+        # |u'| -> 1 at T, so c - u(T - gap) is gap up to O(gap^1.5); near the
+        # separatrix (c = 3) an inaccurate orbit ends away from c
+        p = ExampleParams.from_c(n, k, c)
+        sol = solve_profile(p, node_count=401)
+        gap = 1e-9 * sol.t_max
+        assert abs(c - sol.u_at(sol.t_max - gap) - gap) <= 1e-9
+        failed = [check.name for check in verify_example(p, sol).checks if not check.passed]
+        assert set(failed) <= {"curvature_floor"}
 
     def test_grid_refinement_improves_residual(self):
         # stencil-based residual of the grid profile, away from the ends
