@@ -26,10 +26,10 @@ acceptance criterion 9: the Example 1 data (n = 5, k = 4, c = -0.5) at 1001
 nodes over the default schedule from the closed-form start, with the
 criterion's floor tolerance and no Jacobian check.  Beside it stands the
 cost of building that data, as the median wall time of BLOWUP_REPEATS calls
-after one warm-up: `example1.half_length` at (5, 4, -0.5), and the whole
-`example_boundary_problem(5, 4, -0.5, 1001)` (the slope-parametrized
-initial value problem, whose end is the half length, the profile on the grid
-and the Dirichlet problem; the quadrature is not part of it).  Last, at 201, 401 and
+after one warm-up: `example1.half_length` at (5, 4, -0.5), which is the
+slope-parametrized initial value problem alone (its end is the half length),
+and the whole `example_boundary_problem(5, 4, -0.5, 1001)` (that initial
+value problem, the profile on the grid and the Dirichlet problem).  Last, at 201, 401 and
 4001 nodes it times whole `yamabe solve` runs of the same benchmark (default schedule, Newton tolerance
 1e-7, through `cli.main`, output to a temporary directory, median of 20
 after one warm-up): the wall time, the seconds in the continuation and

@@ -108,6 +108,8 @@ CONFIGS = [
     ("constant psi 100", _solve(psi={"family": "constant", "value": 100.0})),
     *((f"n{n} {_function_name(f)} check", _check(n, f)) for n, f in _CHECK_FUNCTIONS),
     ("README solve to t = 1", _solve(t_schedule=[0.0, 0.5, 0.9, 0.99, 1.0], newton={"tol": 1e-7})),
+    ("README Example 1 solve, constant init",
+     _example1_solve(4, 2, 0.0, 401, init={"family": "constant", "value": 0.0})),
 ]
 
 

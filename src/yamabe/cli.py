@@ -97,7 +97,7 @@ def _run_keys(config, out):
     verbose = config.get("verbose", False)
     if not isinstance(verbose, bool):
         raise ConfigError(f"verbose: expected true or false, got {verbose!r}")
-    return {"out": out, "seed": _as_int(config.get("seed", 0), "seed"), "verbose": verbose}
+    return {"out": out, "seed": _as_int(config.get("seed", 0), "seed", lo=0), "verbose": verbose}
 
 
 def _load_config(path):

@@ -30,15 +30,14 @@ system for (x, u) with dx/dv = 1/u'' and du/dv = v/u'', where
 
 which is regular on the whole of [0, 1]: 1/u'' is finite at v = 0 and zero at
 the degenerate end v = 1.  This module evaluates the closed forms, integrates
-that system in one run, inverts x(v) at the grid nodes and verifies computed
-profiles against the equation.
+that system in one run, whose end x(1) is T_d, inverts x(v) at the grid nodes
+and verifies computed profiles against the equation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,53 +166,10 @@ def d_from_c(n, k, c):
     return float(d)
 
 
-def _slope_squared(params, x):
-    """u'^2 as a function of u along the orbit through (d, 0).
-
-    Equals 1 - e^((n-2k)/k x) (e^(-nx) + H(d,0))^(1/k); the inner factor is
-    clamped at zero since it crosses zero at x* up to rounding.
-    """
-    n, k, h0 = params.n, params.k, params.h0
-    x = np.asarray(x, dtype=float)
-    inner = np.maximum(np.exp(-n * x) + h0, 0.0)
-    val = 1.0 - np.exp((n - 2 * k) / k * x) * inner ** (1.0 / k)
-    return float(val) if val.ndim == 0 else val
-
-
 def half_length(params):
-    """Half length T_d of the maximal interval, by singular quadrature.
-
-    The integrand behaves like (x - d)^(-1/2) at the lower endpoint; the
-    substitution x = d + s^2 removes the singularity (the transformed
-    integrand tends to sqrt(2/u''(0)) as s -> 0) and equals
-    2 s / sqrt(u'^2(d + s^2)) elsewhere.
-    """
-    span = params.boundary_value - params.d
-    s_max = math.sqrt(span)
-    limit_value = math.sqrt(2.0 / params.center_curvature())
-    cut = 1e-6 * s_max
-
-    def integrand(s):
-        if s < cut:
-            return limit_value
-        q = _slope_squared(params, params.d + s * s)
-        if q <= 0.0:
-            return limit_value
-        return 2.0 * s / math.sqrt(q)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, abserr = integrate.quad(
-                integrand, 0.0, s_max, epsabs=1e-12, epsrel=1e-12, limit=200
-            )
-        except integrate.IntegrationWarning as exc:
-            raise NumericalError(f"half-length quadrature did not converge: {exc}") from exc
-    if abserr > 1e-10:
-        raise NumericalError(
-            f"half-length quadrature error estimate {abserr:.3e} exceeds 1e-10"
-        )
-    return float(value)
+    """Half length T_d of the maximal interval: the end X(1) of the slope
+    orbit (see _slope_orbit), the same run that solve_profile samples."""
+    return float(_slope_orbit(params).y[0, -1])
 
 
 def _acceleration(params, x, v):
@@ -230,6 +186,37 @@ def _slope_rate(params, u, v):
     n, k = params.n, params.k
     w = 1.0 - v * v
     return w ** (k - 1) / ((n / (2.0 * k)) * np.exp(-2.0 * k * u) - (n - 2.0 * k) / (2.0 * k) * w ** k)
+
+
+def _slope_orbit(params):
+    """The half orbit as one initial value problem in the slope.
+
+    With v = |u'| in [0, 1] as the independent variable and w = 1 - v^2:
+
+        dx/dv = 1/u'' = w^(k-1) / ((n/2k) e^(-2ku) - ((n-2k)/2k) w^k),
+        du/dv = v dx/dv,       (x, u)(0) = (0, d).
+
+    It is regular on the whole of [0, 1] (u''(0) > 0, and 1/u'' vanishes at
+    v = 1), so one DOP853 run with dense output reaches the degenerate end,
+    and its end X(1) is the half length T.
+    """
+    def rhs(v, y):
+        rate = _slope_rate(params, y[1], v)
+        return [rate, v * rate]
+
+    # near the separatrix (H(d, 0) -> 0-, large c) an integration error du
+    # moves the orbit to another level of H and its end by about du / (n |H|),
+    # so the tolerance tightens with |H(d, 0)| below 1e-4, down to 1e-13
+    # (at (5, 3, 3) the end X(1) is 8.6e-9 T short at 1e-12, 2.1e-10 T at
+    # 1e-13 and 1.2e-10 T at 3e-14)
+    rtol = min(1e-12, max(1e-13, 1e-8 * abs(params.h0)))
+    orbit = integrate.solve_ivp(
+        rhs, (0.0, 1.0), [0.0, params.d],
+        method="DOP853", rtol=rtol, atol=1e-14, dense_output=True,
+    )
+    if not orbit.success:
+        raise NumericalError(f"initial value integration failed: {orbit.message}")
+    return orbit
 
 
 _MAX_SWEEPS = 100   # safeguarded Newton; bisection alone needs about 60
@@ -307,38 +294,14 @@ class ExampleSolution:
 def solve_profile(params, node_count=401):
     """Integrate the orbit in the slope and sample it on a uniform grid.
 
-    The half orbit is one initial value problem with v = |u'| in [0, 1] as
-    the independent variable and w = 1 - v^2:
-
-        dx/dv = 1/u'' = w^(k-1) / ((n/2k) e^(-2ku) - ((n-2k)/2k) w^k),
-        du/dv = v dx/dv,       (x, u)(0) = (0, d).
-
-    It is regular on the whole of [0, 1] (u''(0) > 0, and 1/u'' vanishes at
-    v = 1), so one DOP853 run reaches the degenerate end, and its end X(1)
-    is the half length T (`half_length` computes the same T by quadrature).
-    The grid is uniform on [-T, T].  At each interior node X(v) = |x| is
-    inverted (see _orbit), which gives u = U(v) and |u'| = v; the end nodes
-    take the boundary value x* = c.
+    One run of _slope_orbit gives the half length T = X(1) and the dense
+    solution; the grid is uniform on [-T, T].  At each interior node
+    X(v) = |x| is inverted (see _orbit), which gives u = U(v) and |u'| = v;
+    the end nodes take the boundary value x* = c.
     """
     if node_count < 5:
         raise ValueError("node_count must be at least 5")
-
-    def rhs(v, y):
-        rate = _slope_rate(params, y[1], v)
-        return [rate, v * rate]
-
-    # near the separatrix (H(d, 0) -> 0-, large c) an integration error du
-    # moves the orbit to another level of H and its end by about du / (n |H|),
-    # so the tolerance tightens with |H(d, 0)| below 1e-4, down to 1e-13
-    # (at (5, 3, 3) the end X(1) is 8.6e-9 T short at 1e-12, 2.1e-10 T at
-    # 1e-13 and 1.2e-10 T at 3e-14)
-    rtol = min(1e-12, max(1e-13, 1e-8 * abs(params.h0)))
-    orbit = integrate.solve_ivp(
-        rhs, (0.0, 1.0), [0.0, params.d],
-        method="DOP853", rtol=rtol, atol=1e-14, dense_output=True,
-    )
-    if not orbit.success:
-        raise NumericalError(f"initial value integration failed: {orbit.message}")
+    orbit = _slope_orbit(params)
     t_max = float(orbit.y[0, -1])
 
     eval_uv = functools.partial(_orbit, params, t_max, orbit)

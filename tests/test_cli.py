@@ -577,8 +577,8 @@ class TestOneConstructor:
         self._assert_same(problem, init, reference, reference_init)
 
     def test_example1_solve_computes_the_half_length_once(self, tmp_path, monkeypatch):
-        # the half length is the end of the one profile construction; the
-        # quadrature does not run beside it
+        # the half length is the end of the one profile construction;
+        # half_length does not integrate the orbit a second time
         calls = {"half_length": 0, "solve_profile": 0}
 
         def counted(name):
@@ -596,6 +596,16 @@ class TestOneConstructor:
             "out": str(tmp_path / "out")})
         assert run_cli(["solve", cfg]) == 0
         assert calls == {"half_length": 0, "solve_profile": 1}
+
+    def test_both_example1_branches_take_the_same_half_length(self):
+        # with or without the Example 1 init, T is the end of the same orbit
+        _, values = cli._parse_solve(dict(README_EXAMPLE1_SOLVE))
+        profile_problem, _ = cli._build_solve(**values)
+        _, values = cli._parse_solve({**README_EXAMPLE1_SOLVE,
+                                      "init": {"family": "constant", "value": 0.0}})
+        constant_problem, init = cli._build_solve(**values)
+        assert constant_problem.geom.half_length == profile_problem.geom.half_length
+        assert init.grid[-1] == profile_problem.geom.half_length
 
 
 def _stream(write, cores, count, pause=0.0):
@@ -833,7 +843,9 @@ class TestEntryPoint:
         ({"out": 5}, "out: expected a non-empty string, got 5"),
         ({"verbose": "false"}, "verbose: expected true or false, got 'false'"),
         ({"verbose": 1}, "verbose: expected true or false, got 1"),
-    ], ids=["out-null", "out-empty", "out-number", "verbose-string", "verbose-number"])
+        ({"seed": -1}, "seed: must be >= 0, got -1"),
+    ], ids=["out-null", "out-empty", "out-number", "verbose-string", "verbose-number",
+            "seed-negative"])
     def test_out_and_verbose_types(self, tmp_path, capsys, monkeypatch, command, changes,
                                    message):
         monkeypatch.chdir(tmp_path)

@@ -100,13 +100,6 @@ class TestExampleParams:
 
 
 class TestHalfLength:
-    def test_integrand_limit_at_upper_end(self):
-        # at x* the inner factor of the slope expression vanishes, so the
-        # x-space integrand equals one exactly
-        from yamabe.example1 import _slope_squared
-        x_star = P420.boundary_value
-        assert _slope_squared(P420, x_star) == pytest.approx(1.0, abs=1e-12)
-
     def test_positive_for_sampled_d(self):
         for d in (-0.1, -0.5, -1.5):
             # n = 4, k = 2: H(d, 0) = 1 - e^(-4d), so c = -ln(e^(-4d) - 1) / 4
@@ -114,13 +107,16 @@ class TestHalfLength:
             assert p.d == pytest.approx(d, rel=1e-12)
             assert half_length(p) > 0
 
+    # the last three have a small T (4.5e-6 to 3.7e-5): a relative bound
+    # checks T there, an absolute one would not
     @pytest.mark.parametrize("n,k,c", [(3, 2, 0.0), (4, 2, 0.0), (5, 3, 0.0),
-                                       (3, 2, 1.0), (4, 2, 1.0), (5, 3, 1.0)])
+                                       (3, 2, 1.0), (4, 2, 1.0), (5, 3, 1.0),
+                                       (5, 4, -1.5), (3, 2, -3.0), (5, 5, -1.0)])
     def test_against_ivp_stopping_time(self, n, k, c):
         p = ExampleParams.from_c(n, k, c)
-        t_quad = half_length(p)
+        t_orbit = half_length(p)
         t_ivp = stopping_time_by_ivp(p)
-        assert abs(t_quad - t_ivp) / t_quad <= 1e-6
+        assert abs(t_orbit - t_ivp) / t_orbit <= 1e-6
 
 
 class TestSolveProfile:
@@ -178,9 +174,11 @@ class TestSolveProfile:
     @pytest.mark.parametrize("n,k,c", ORBIT_DATA)
     def test_one_slope_ivp_ends_at_the_half_length(self, n, k, c, monkeypatch):
         # u, |u'| and T come from one run of the slope system, and no first
-        # integral enters them; its end X(1) agrees with the quadrature
+        # integral enters them; its end X(1) is half_length, and agrees with
+        # the equation's own stopping time
         p = ExampleParams.from_c(n, k, c)
-        t_quad = half_length(p)
+        t_half = half_length(p)
+        t_ivp = stopping_time_by_ivp(p)
         runs = []
 
         def recorded(*args, **kwargs):
@@ -192,14 +190,14 @@ class TestSolveProfile:
 
         monkeypatch.setattr(example1.integrate, "solve_ivp", recorded)
         monkeypatch.setattr(example1, "half_length", forbidden)
-        monkeypatch.setattr(example1, "_slope_squared", forbidden)
         monkeypatch.setattr(example1, "first_integral", forbidden)
         sol = solve_profile(p, node_count=101)
         sol.du_at(sol.t_max * (1.0 - np.array([1e-2, 1e-6])))
         assert len(runs) == 1
         assert runs[0].t[0] == 0.0 and runs[0].t[-1] == 1.0
         assert sol.t_max == runs[0].y[0, -1] == sol.profile.grid[-1]
-        assert abs(sol.t_max - t_quad) <= 1e-11 * t_quad
+        assert t_half == sol.t_max
+        assert abs(sol.t_max - t_ivp) <= 1e-11 * sol.t_max
 
     @pytest.mark.parametrize("n,k,c", ORBIT_DATA + EDGE_DATA)
     def test_reaches_c_at_the_half_length(self, n, k, c):
