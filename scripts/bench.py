@@ -39,9 +39,13 @@ this process and of the profile writers it forked.  Each size runs as `yamabe so
 process at 201 nodes) and with `cli._cores` cut to its first core, which
 writes every profile in this process.  The writers' CPU time and peak RSS
 come from RUSAGE_CHILDREN: the solving process's own CPU time leaves out
-what its children did.  The ESP kernels (`_esp`, `_esp_removed`, `_esp_radial`) are
-timed on standard normal tuples at 64, 1000 and 4001 rows, for the orders
-of the checked sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).
+what its children did.  The radial kernel and its gradient are timed
+again on the blow-up data (n = 5, k = 4, the closed-form start at 1001
+nodes, its interior nodes at t = 0.5), where the gradient's passes cost
+about n * k.  The ESP kernels (`_esp` on the (m, n) rows, `_esp` on the
+radial columns (a, s, ..., s) and `_esp_removed`) are timed on standard
+normal tuples at 64, 1000 and 4001 rows, for the orders of the checked
+sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).
 The structure suites of `yamabe check` are timed on sigma_2 at n = 4 in
 the benchmark's shape: `verify_structure` on 1000 samples, its boundary
 decay check alone on 1000 cone samples, `concavity_margin_suite` on 200
@@ -113,7 +117,6 @@ def layer_times(node_count):
     ab = solver.jacobian(problem, T, prof)
     spec = problem.spec
     axis, sphere = radial_w_eigenvalues(spec.n, prof.du, prof.d2u)
-    held = spec.radial_eval(T, axis, sphere)
     layers = {
         "residual": lambda: solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u),
         "jacobian": lambda: solver.jacobian(problem, T, prof),
@@ -121,8 +124,7 @@ def layer_times(node_count):
         "inside_cone": lambda: solver._inside_cone(problem, T, prof),
         "solve_banded": lambda: solve_banded((1, 1), ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
-        "radial_eval": lambda: spec.radial_eval(T, axis, sphere),
-        "radial_eval_gradient": held.gradient,
+        **_radial_layers(spec, axis, sphere),
         "first_derivative": lambda: first_derivative(grid, prof.u),
         "second_derivative": lambda: second_derivative(grid, prof.u),
         "state_du": lambda: prof.with_values(prof.u).du,
@@ -133,17 +135,30 @@ def layer_times(node_count):
             for name, call in layers.items()}
 
 
+def _radial_layers(spec, axis, sphere):
+    held = spec.radial_eval(T, axis, sphere)
+    return {"radial_eval": lambda: spec.radial_eval(T, axis, sphere),
+            "radial_eval_gradient": held.gradient}
+
+
+def blowup_layer_times():
+    problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
+    axis, sphere = radial_w_eigenvalues(5, init.du[1:-1], init.d2u[1:-1])
+    return {name: _median_ms(call)
+            for name, call in _radial_layers(problem.spec, axis, sphere).items()}
+
+
 def kernel_times():
     rng = np.random.default_rng(0)
     times = {}
     for n, k in KERNEL_ORDERS:
         for m in KERNEL_ROWS:
             values = rng.standard_normal((m, n))
-            a, s = values[:, 0].copy(), values[:, 1].copy()
+            radial = (values[:, 0].copy(), *[values[:, 1].copy()] * (n - 1))
             times[f"n{n}_k{k}_m{m}"] = {
-                "esp": _median_ms(lambda: symfun._esp(values, k)),
+                "esp": _median_ms(lambda: symfun._esp(values.T, k)),
+                "esp_radial_columns": _median_ms(lambda: symfun._esp(radial, k)),
                 "esp_removed": _median_ms(lambda: symfun._esp_removed(values, k - 1)),
-                "esp_radial": _median_ms(lambda: symfun._esp_radial(a, s, n, k)),
             }
     return times
 
@@ -263,7 +278,8 @@ def main():
         },
         "t": T,
         "repeats": REPEATS,
-        "layers_ms": {str(m): layer_times(m) for m in NODES},
+        "layers_ms": {**{str(m): layer_times(m) for m in NODES},
+                      "blowup_example1_1001": blowup_layer_times()},
         "esp_kernels_ms": kernel_times(),
         "structure_suites_ms": suite_times(),
         "continuation": {str(m): run for m, run in runs.items()},

@@ -352,12 +352,19 @@ def cmd_check(config):
     samples = _as_int(config.get("samples", 1000), "samples", lo=1)
     ball_cfg = config.get("ball", {})
     _check_keys(ball_cfg, {"t_values", "directions"}, "ball")
-    t_values = tuple(_as_real(t, "ball.t_values") for t in ball_cfg.get("t_values", (0.0, 0.25, 0.5, 0.9, 0.99)))
+    t_values = ball_cfg.get("t_values", [0.0, 0.25, 0.5, 0.9, 0.99])
+    if not isinstance(t_values, list) or not t_values:
+        raise ConfigError("ball.t_values: expected a non-empty list of numbers")
+    t_values = tuple(_as_real(t, "ball.t_values") for t in t_values)
+    if not all(0.0 <= t < 1.0 for t in t_values):   # the ball's radius is (1 - t)/(2n)
+        raise ConfigError(f"ball.t_values must lie in [0, 1), got {list(t_values)}")
     directions = _as_int(ball_cfg.get("directions", 1000), "ball.directions", lo=1)
     sep_cfg = config.get("separation", {})
     _check_keys(sep_cfg, {"samples", "beta"}, "separation")
     sep_samples = _as_int(sep_cfg.get("samples", 2000), "separation.samples", lo=1)
     beta = _as_real(sep_cfg.get("beta", 0.2), "separation.beta")
+    if not 0.0 <= beta < 2.0:   # unit normals are at most 2 apart: no pair would count
+        raise ConfigError(f"separation.beta must lie in [0, 2), got {beta}")
     resolved = {
         "command": "check",
         "function": config["function"],

@@ -69,40 +69,43 @@ def _as_batch(lam):
     return v
 
 
-def _esp(values, kmax):
-    """All elementary symmetric polynomials e_0..e_kmax, batched.
+def _esp(columns, kmax):
+    """All elementary symmetric polynomials e_0..e_kmax of m tuples at once.
 
-    values: (m, n); returns (m, kmax + 1), the transpose of a C-ordered
-    (kmax + 1, m) array.  Uses the standard one-pass recurrence
-    e_j <- e_j + x * e_{j-1} over the entries in order, each step on
-    contiguous rows of length m; it is exact in exact arithmetic and stable
-    for the small n used here.
+    columns: the entries of the tuples in order, as n vectors of length m
+    (the transpose of an (m, n) array, or a sequence such as the radial
+    (a, s, ..., s)); returns a C-ordered (kmax + 1, m) array.  Uses the
+    standard one-pass recurrence e_j <- e_j + x * e_{j-1} over the entries
+    in order, each step on contiguous rows of length m; it is exact in exact
+    arithmetic and stable for the small n used here.  Before entry col, e_j
+    is zero for j > col + 1 and the full recurrence adds only x * 0 to it,
+    so the recurrence skips those rows; on finite entries no bit changes.
     """
-    out = np.zeros((kmax + 1, values.shape[0]))
+    # an array knows m even with no entries (the empty tuple has e_0 = 1)
+    m = columns.shape[1] if isinstance(columns, np.ndarray) else len(columns[0])
+    out = np.zeros((kmax + 1, m))
     out[0] = 1.0
-    for x in values.T:
-        out[1:] += x * out[:-1]
-    return out.T
+    for col, x in enumerate(columns):
+        top = min(col, kmax - 1) + 2
+        out[1:top] += x * out[:top - 1]
+    return out
 
 
 def _esp_removed(values, kmax):
-    """e_0..e_kmax of every tuple with one entry removed, as a (kmax + 1, n, m) array.
+    """e_0..e_kmax of the rows of (m, n) values with one entry removed, as a
+    (kmax + 1, n, m) array: slot [j, i, r] is e_j of row r without entry i.
 
-    Slot [j, i, r] is e_j of row r without its entry i.  Every slot runs the
-    recurrence of `_esp` over the remaining entries in their order, so each
-    slot is bit-identical to `_esp` of the reduced tuple; the row axis is the
-    contiguous one.  Lower orders do not depend on kmax.  Callers copy a
-    slot's transpose to C order, so that row sums of the gradient (pairwise
-    from n = 8 on) round as for any C-ordered (m, n) array.
+    One `_esp` pass runs over the n reduced tuples of every row, stacked
+    along the contiguous row axis, so each slot is bit-identical to `_esp`
+    of the reduced tuple.  Callers copy a slot's transpose to C order, so
+    that row sums of the gradient (pairwise from n = 8 on) round as for any
+    C-ordered (m, n) array.
     """
     m, n = values.shape
-    out = np.zeros((kmax + 1, n, m))
-    out[0] = 1.0
-    for col in range(n):
-        x = values[:, col]
-        for slots in (slice(0, col), slice(col + 1, n)):
-            out[1:, slots] += x * out[:-1, slots]
-    return out
+    p = np.arange(n - 1)[:, None]
+    # entry p of the tuple without entry i is entry p + (p >= i) of the tuple
+    columns = values.T[p + (p >= np.arange(n))].reshape(n - 1, n * m)
+    return _esp(columns, kmax).reshape(kmax + 1, n, m)
 
 
 def sigma(lam, k):
@@ -111,7 +114,7 @@ def sigma(lam, k):
     n = v.shape[1]
     if not 0 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
-    return float(_esp(v, k)[0, k])
+    return float(_esp(v.T, k)[k, 0])
 
 
 def _cone_scores(values, order):
@@ -122,20 +125,22 @@ def _cone_scores(values, order):
     vanishing sigma_j(|lam|) (too few nonzero entries) score at most zero.
     One `_esp` pass runs over lam and |lam| stacked.
     """
-    m = values.shape[0]
     absolute = np.abs(values)
-    both = _esp(np.concatenate([values, absolute]), order).T
-    e = both[:, :m]
-    return _min_ratio(e, both[:, m:], absolute.max(axis=1) > 0.0, order), e
+    return _stacked_scores(np.concatenate([values, absolute]).T, absolute.max(axis=1) > 0.0, order)
 
 
-def _min_ratio(e, scale, nonzero, order):
-    """The score loop of `_cone_scores`; e[j] and scale[j] are per-row vectors."""
+def _stacked_scores(columns, nonzero, order):
+    """The scores and e_0..e_order of `_cone_scores` from one `_esp` pass over
+    columns that stack the entries of m tuples on those of their absolute
+    values; nonzero flags the tuples with a nonzero entry."""
+    m = nonzero.shape[0]
+    both = _esp(columns, order)
+    e, scale = both[:, :m], both[:, m:]
     scores = np.where(nonzero, np.inf, -np.inf)
     tiny = np.finfo(float).tiny
     for j in range(1, order + 1):
         scores = np.minimum(scores, e[j] / np.maximum(scale[j], tiny))
-    return scores
+    return scores, e
 
 
 # ---------------------------------------------------------------------------
@@ -177,63 +182,42 @@ def _pairwise_sum(head, tail, n):
     return total
 
 
-def _esp_radial(a, s, n, kmax):
-    """e_0..e_kmax of the tuples (a, s, ..., s) of length n, as (kmax + 1, m) arrays.
-
-    Returns the array for the whole tuple and the one for the tuple without
-    one s.  The `_esp` recurrence runs over the entries in the same order and
-    layout, so each row is bit-identical to the matching column of `_esp`
-    (and of a `_esp_removed` slot) on the (m, n) rows of finite entries.
-    Before entry col, e_j is zero for j > col + 1 and `_esp` adds only
-    x * 0 to it, so the recurrence skips those rows.
-    """
-    e = np.zeros((kmax + 1, a.shape[0]))
-    e[0] = 1.0
-    for col in range(n):
-        if col == n - 1:
-            cut = e.copy()
-        top = min(col, kmax - 1) + 2
-        e[1:top] += (a if col == 0 else s) * e[:top - 1]
-    return e, cut
-
-
 class RadialEvaluation(NamedTuple):
     """What one `SymFuncSpec.radial_eval` pass found: the margin scores, f_t
-    (None outside the cone) and, for `gradient`, the t-mapped s (sphere),
-    e_k (and e_l of a quotient) of the tuples and e_{k-1} (and e_{l-1}) of
-    the tuples without one s (cut), each an (m,) array of its own.
-    """
+    (None outside the cone) and the t-mapped axis and sphere vectors, each
+    an (m,) array of its own."""
 
     spec: SymFuncSpec
     t: float
     scores: np.ndarray
     value: np.ndarray | None
-    sphere: np.ndarray | None = None
-    e: list | None = None
-    cut: list | None = None
+    axis: np.ndarray
+    sphere: np.ndarray
 
     def gradient(self):
         """(axis slot of Df_t, sum of its n - 1 sphere slots), bit-identical
-        to grad_t_many on the rows, from one more ESP pass over the tuples
-        without the axis slot.  Outside the cone raises ConeDomainError, as
-        grad_t_many does.
+        to grad_t_many on the rows; outside the cone raises its ConeDomainError.
+
+        d sigma_j is e_{j-1} of the tuple without that slot: (s, ..., s) for
+        the axis slot (rest), (a, s, ..., s) for a sphere slot (cut), each
+        one `_esp` pass of m columns.  e_j of the whole tuple is
+        cut[j] + s * cut[j-1], the last step of the pass in `radial_eval`.
         """
-        spec, t, f = self.spec, self.t, self.value
+        spec, t, f, s = self.spec, self.t, self.value, self.sphere
         if f is None:
             spec._require_scores_inside(self.scores)
         n, k = spec.n, spec.k
-        # d sigma_j is e_{j-1} of the tuple without that slot: the axis slot
-        # leaves n - 1 copies of s, a sphere slot leaves (a, s^(n-2)) = cut
-        rest, _ = _esp_radial(self.sphere, self.sphere, n - 1, k - 1)
+        cut = _esp((self.axis, *[s] * (n - 2)), k)
+        rest = _esp([s] * (n - 1), k - 1)
+        e_k = cut[k] + s * cut[k - 1]
         if spec.kind == "sigma_k_root":
-            (e_k,), (cut_k,) = self.e, self.cut
             g_a = (f / k) * rest[k - 1] / e_k
-            g_s = (f / k) * cut_k / e_k
+            g_s = (f / k) * cut[k - 1] / e_k
         else:
             l = spec.l
-            (e_k, e_l), (cut_k, cut_l) = self.e, self.cut
+            e_l = cut[l] + s * cut[l - 1]
             g_a = (f / (k - l)) * (rest[k - 1] / e_k - rest[l - 1] / e_l)
-            g_s = (f / (k - l)) * (cut_k / e_k - cut_l / e_l)
+            g_s = (f / (k - l)) * (cut[k - 1] / e_k - cut[l - 1] / e_l)
         shift = (1.0 - t) * _row_sum(g_a, g_s, n)
         g_s = t * g_s + shift
         return t * g_a + shift, _row_sum(g_s, g_s, n - 1)
@@ -325,8 +309,7 @@ class SymFuncSpec:
         return bool(self.margin_scores(v)[0] > self.margin)
 
     def in_cone_t(self, t, lam):
-        v = self._validated(lam)
-        return bool(self.margin_scores_t(t, v)[0] > self.margin)
+        return bool(self.margin_scores_t(t, lam)[0] > self.margin)
 
     def margin_scores_t(self, t, lam):
         v = self._validated(lam)
@@ -378,16 +361,14 @@ class SymFuncSpec:
         return (e[self.k] / e[self.l]) ** (1.0 / (self.k - self.l))
 
     def value_t(self, t, lam):
-        v = self._validated(lam)
-        return float(self.value_t_many(t, v)[0])
+        return float(self.value_t_many(t, lam)[0])
 
     def value_t_many(self, t, lam):
         v = self._validated(lam)
         return self.value_many(_t_map(t, v))
 
     def grad_t(self, t, lam):
-        v = self._validated(lam)
-        return self.grad_t_many(t, v)[0]
+        return self.grad_t_many(t, lam)[0]
 
     def grad_t_many(self, t, lam):
         """Chain rule through lam -> t*lam + (1-t)*sigma_1(lam)*e."""
@@ -405,28 +386,23 @@ class SymFuncSpec:
         evaluation holds the margin scores, and when every row scores above
         the margin also f_t; outside the cone its value is None.
 
-        One ESP pass over the t-mapped values and their absolute values,
-        stacked as in `_cone_scores`, serves the scores and f_t; the
-        gradient takes one more.  Each result repeats the additions and
-        multiplications of margin_scores_t and value_t_many on the (m, n)
-        rows (a, s, ..., s) in their order, numpy's row sums included, so it
-        is bit-identical to them.
+        One `_esp` pass over the t-mapped columns (a, s, ..., s) and their
+        absolute values, stacked as in `_cone_scores`, serves the scores and
+        f_t; the gradient takes two more over m columns each.  Each result
+        repeats the additions and multiplications of margin_scores_t and
+        value_t_many on the (m, n) rows (a, s, ..., s) in their order,
+        numpy's row sums included, so it is bit-identical to them.
         """
         n, k = self.n, self.k
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
-        m = a.shape[0]
         shift = (1.0 - t) * _row_sum(a, s, n)
         a, s = t * a + shift, t * s + shift
         abs_a, abs_s = np.abs(a), np.abs(s)
-        both, cut = _esp_radial(np.concatenate([a, abs_a]), np.concatenate([s, abs_s]), n, k)
-        e = both[:, :m]
-        scores = _min_ratio(e, both[:, m:], np.maximum(abs_a, abs_s) > 0.0, k)
-        if np.any(scores <= self.margin):
-            return RadialEvaluation(self, t, scores, None)
-        rows = (k,) if self.l is None else (k, self.l)
-        return RadialEvaluation(self, t, scores, self._value_from(e), s,
-                                [e[j].copy() for j in rows], [cut[j - 1, :m].copy() for j in rows])
+        columns = (np.concatenate([a, abs_a]), *[np.concatenate([s, abs_s])] * (n - 1))
+        scores, e = _stacked_scores(columns, np.maximum(abs_a, abs_s) > 0.0, k)
+        value = None if np.any(scores <= self.margin) else self._value_from(e)
+        return RadialEvaluation(self, t, scores, value, a, s)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,26 @@ class TestCheckCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert run_cli(["check", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("changes", [
+        {"ball": {"t_values": 0.5}},
+        {"ball": {"t_values": []}},
+        {"ball": {"t_values": [0.5, 1.0]}},
+        {"ball": {"t_values": [1.5]}},
+        {"ball": {"t_values": [-0.1]}},
+        {"ball": {"t_values": ["0.5"]}},
+        {"separation": {"beta": 2.0}},
+        {"separation": {"beta": 2.5}},
+        {"separation": {"beta": -0.1}},
+    ], ids=["t-scalar", "t-empty", "t-one", "t-above-one", "t-negative", "t-string",
+            "beta-two", "beta-above-two", "beta-negative"])
+    def test_malformed_entries_exit_2(self, tmp_path, capsys, changes):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", {
+            "function": {"kind": "sigma_k_root", "n": 4, "k": 2}, "out": str(out), **changes})
+        assert run_cli(["check", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
 
 class TestExample1Command:
     def test_canonical_run(self, example1_config, tmp_path):

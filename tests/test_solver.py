@@ -327,12 +327,12 @@ class TestStateEvaluation:
         assert len(state.increment_norms) == state.newton_iters >= 1
 
     def test_one_margin_evaluation_per_state(self, monkeypatch):
-        # the radial kernel is the solver's only cone evaluation: one
-        # _esp_radial pass per residual call, and a Jacobian adds only its
-        # gradient's pass, over the evaluation its state's residual made
+        # the radial kernel is the solver's only cone evaluation: one _esp
+        # pass per residual call, and a Jacobian adds only its gradient's two
+        # passes, over the evaluation its state's residual made
         problem = subsolution_benchmark(node_count=401)
         calls = {"passes": 0, "kernels": 0, "gradients": 0, "residual": 0}
-        esp_radial = symfun._esp_radial
+        esp = symfun._esp
         radial_eval = SymFuncSpec.radial_eval
         gradient = symfun.RadialEvaluation.gradient
         evaluate = solver._residual
@@ -343,7 +343,7 @@ class TestStateEvaluation:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(symfun, "_esp_radial", counted("passes", esp_radial))
+        monkeypatch.setattr(symfun, "_esp", counted("passes", esp))
         monkeypatch.setattr(SymFuncSpec, "radial_eval", counted("kernels", radial_eval))
         monkeypatch.setattr(symfun.RadialEvaluation, "gradient", counted("gradients", gradient))
         monkeypatch.setattr(solver, "_residual", counted("residual", evaluate))
@@ -352,17 +352,31 @@ class TestStateEvaluation:
         assert calls["residual"] > state.newton_iters
         assert calls["kernels"] == calls["residual"]
         assert calls["gradients"] == state.newton_iters
-        assert calls["passes"] == calls["residual"] + state.newton_iters
+        assert calls["passes"] == calls["residual"] + 2 * state.newton_iters
 
     def test_newton_never_builds_eigen_rows(self, monkeypatch):
+        # every ESP pass inside newton_solve runs on the radial columns
+        # (a, s, ..., s), never on an (n, m) array of eigenvalue rows
         def forbidden(*args):
             raise AssertionError("the (m, n) ESP path ran inside newton_solve")
 
+        esp = symfun._esp
+        columns_seen = []
+
+        def radial_only(columns, kmax):
+            assert isinstance(columns, tuple | list)
+            assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in columns)
+            assert all(x is columns[1] for x in columns[2:])
+            columns_seen.append(len(columns))
+            return esp(columns, kmax)
+
         problem = subsolution_benchmark(node_count=401)
-        monkeypatch.setattr(symfun, "_esp", forbidden)
+        monkeypatch.setattr(symfun, "_esp", radial_only)
         monkeypatch.setattr(symfun, "_esp_removed", forbidden)
+        monkeypatch.setattr(symfun, "_cone_scores", forbidden)
         state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
         assert state.converged and state.newton_iters >= 1
+        assert columns_seen
 
     def test_cone_exit_in_line_search_is_damped(self):
         # at t = 0 the undamped first Newton step from the subsolution leaves

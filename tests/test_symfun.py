@@ -65,6 +65,7 @@ class TestSigma:
 
     def test_order_zero_convention(self):
         assert sigma((2.0, 3.0, 4.0), 0) == 1.0
+        assert sigma([], 0) == 1.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -99,12 +100,12 @@ class TestEsp:
             for m in (1, 2, 64, 4001):
                 values = 2.0 * rng.standard_normal((m, n))
                 for kmax in range(n + 1):
-                    assert np.array_equal(_esp(values, kmax), esp_by_columns(values, kmax)), (
-                        n, m, kmax)
+                    assert np.array_equal(_esp(values.T, kmax),
+                                          esp_by_columns(values, kmax).T), (n, m, kmax)
 
     def test_strided_input(self):
         values = np.random.default_rng(24).standard_normal((9, 12))[::2, 1::3]
-        assert np.array_equal(_esp(values, 3), esp_by_columns(values, 3))
+        assert np.array_equal(_esp(values.T, 3), esp_by_columns(values, 3).T)
 
 
 def _sigma_gradient(values, j):
@@ -140,9 +141,9 @@ class TestEspGradient:
         for n, k, l in ((4, 2, 1), (5, 4, 2), (6, 5, 3)):
             spec = SymFuncSpec("quotient", n=n, k=k, l=l)
             values = sample_cone(spec, 500, rng)
-            e = _esp(values, k)
-            log_grad = (esp_gradient_by_deletion(values, k) / e[:, k][:, None]
-                        - esp_gradient_by_deletion(values, l) / e[:, l][:, None])
+            e = _esp(values.T, k)
+            log_grad = (esp_gradient_by_deletion(values, k) / e[k][:, None]
+                        - esp_gradient_by_deletion(values, l) / e[l][:, None])
             expected = (spec.value_many(values) / (k - l))[:, None] * log_grad
             assert np.array_equal(spec.grad_many(values), expected)
 
@@ -605,49 +606,48 @@ class TestRadialKernel:
                 assert np.array_equal(grad_sphere, g[:, 1:].sum(axis=1))
 
     @pytest.mark.parametrize("n", range(3, 10))
-    def test_esp_radial_matches_the_row_recurrence(self, n):
-        # the radial recurrence skips the rows that are still zero; on finite
-        # entries, signed zeros included, it stays bit-identical to _esp
+    def test_radial_columns_match_the_row_recurrence(self, n):
+        # _esp skips the rows that are still zero; on the radial columns of
+        # finite entries, signed zeros included, it stays bit-identical to
+        # itself on the rows and to the full recurrence
         rng = np.random.default_rng(100 + n)
         a, s = rng.standard_normal(64), rng.standard_normal(64)
         a[:3], s[1:4] = -0.0, -0.0
         rows = np.column_stack([a] + [s] * (n - 1))
         for kmax in range(n + 1):
-            e, cut = symfun._esp_radial(a, s, n, kmax)
-            expected = _esp(rows, kmax).T
-            assert np.array_equal(e, expected)
-            assert np.array_equal(np.signbit(e), np.signbit(expected))
-            assert np.array_equal(cut, _esp(rows[:, :-1], kmax).T)
+            e = _esp((a, *[s] * (n - 1)), kmax)
+            for expected in (_esp(rows.T, kmax), esp_by_columns(rows, kmax).T):
+                assert np.array_equal(e, expected)
+                assert np.array_equal(np.signbit(e), np.signbit(expected))
 
     def test_one_esp_pass_for_scores_and_values(self, monkeypatch):
-        # (a, s) and (|a|, |s|) go through _esp_radial stacked; the gradient
-        # adds only the pass over the tuples without the axis slot
+        # (a, s) and (|a|, |s|) go through _esp stacked; the gradient adds
+        # the two passes over the tuples without one slot
         calls = []
-        esp_radial = symfun._esp_radial
+        esp = symfun._esp
 
-        def counting(*args):
-            calls.append(args)
-            return esp_radial(*args)
+        def counting(columns, kmax):
+            calls.append(len(columns))
+            return esp(columns, kmax)
 
-        monkeypatch.setattr(symfun, "_esp_radial", counting)
+        monkeypatch.setattr(symfun, "_esp", counting)
         a, s = radial_w_eigenvalues(4, np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
         for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
             calls.clear()
             ev = spec.radial_eval(0.5, a, s)
             assert ev.value is not None
-            assert len(calls) == 1
+            assert calls == [4]
             ev.gradient()
-            assert len(calls) == 2
+            assert calls == [4, 3, 3]
 
     def test_evaluation_holds_only_vector_copies(self):
-        # what the gradient reads is kept as (m,) arrays of their own, so an
-        # evaluation keeps no stacked (k + 1, 2m) ESP array alive
+        # an evaluation holds (m,) arrays of its own, so it keeps no stacked
+        # (k + 1, 2m) ESP array alive
         a, s = radial_w_eigenvalues(5, np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
-        for spec, count in ((SymFuncSpec("sigma_k_root", n=5, k=3), 1),
-                            (SymFuncSpec("quotient", n=5, k=4, l=2), 2)):
+        for spec in (SymFuncSpec("sigma_k_root", n=5, k=3), SymFuncSpec("quotient", n=5, k=4, l=2)):
             ev = spec.radial_eval(0.5, a, s)
-            assert len(ev.e) == len(ev.cut) == count
-            for v in (ev.scores, ev.value, ev.sphere, *ev.e, *ev.cut):
+            assert ev._fields == ("spec", "t", "scores", "value", "axis", "sphere")
+            for v in (ev.scores, ev.value, ev.axis, ev.sphere):
                 assert v.shape == (50,) and v.base is None
 
     def test_kernel_ignores_slot_order(self):
