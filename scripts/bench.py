@@ -35,8 +35,8 @@ value problem, the profile on the grid and the Dirichlet problem).  Last, at 201
 after one warm-up): the wall time, the seconds in the continuation and
 after the last t as `--verbose` prints them, and the mean CPU time of
 this process and of the profile writers it forked.  Each size runs as `yamabe solve` does
-(every available core, one writer per cli._ROWS_PER_WRITER rows, so one
-process at 201 nodes) and with `cli._cores` cut to its first core, which
+(one writer per cli._ROWS_PER_WRITER rows, at most one per available core,
+so one process at 201 nodes) and with `cli._writer_count` cut to one writer, which
 writes every profile in this process.  The writers' CPU time and peak RSS
 come from RUSAGE_CHILDREN: the solving process's own CPU time leaves out
 what its children did.  The radial kernel and its gradient are timed
@@ -221,12 +221,13 @@ def blowup_construction():
     }
 
 
-def solve_times(node_count, cores):
-    """`yamabe solve` on the subsolution benchmark with cli._cores() cut to
-    `cores`: median wall time and verbose phase times, mean CPU time of this
-    process and of its children, per solve."""
-    default = cli._cores
-    cli._cores = lambda: cores
+def solve_times(node_count, writers=None):
+    """`yamabe solve` on the subsolution benchmark, with cli._writer_count()
+    set to `writers` unless it is None: median wall time and verbose phase
+    times, mean CPU time of this process and of its children, per solve."""
+    default = cli._writer_count
+    if writers is not None:
+        cli._writer_count = lambda rows: writers
     walls, phases, own, children = [], [], 0.0, 0.0
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "solve.json"
@@ -250,10 +251,9 @@ def solve_times(node_count, cores):
             # "continuation <s> s, output <s> s after the last t"
             words = err.getvalue().splitlines()[-1].split()
             phases.append((float(words[1]), float(words[4])))
-    cli._cores = default
-    rows = len(solver.DEFAULT_T_SCHEDULE) * node_count
+    cli._writer_count = default
     return {
-        "processes": len(cli._writer_cores(cores, rows)),
+        "processes": writers or default(len(solver.DEFAULT_T_SCHEDULE) * node_count),
         "wall_ms": 1e3 * statistics.median(walls),
         "continuation_ms": 1e3 * statistics.median(p[0] for p in phases),
         "after_last_t_ms": 1e3 * statistics.median(p[1] for p in phases),
@@ -264,8 +264,7 @@ def solve_times(node_count, cores):
 
 def main():
     runs = {m: continuation(m) for m in NODES}
-    cores = cli._cores()
-    solves = {str(m): {"every_core": solve_times(m, cores), "one_process": solve_times(m, cores[:1])}
+    solves = {str(m): {"every_core": solve_times(m), "one_process": solve_times(m, 1)}
               for m in SOLVE_NODES}
     # the largest RSS of any child this process has waited for: the writers
     solves["children_max_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0

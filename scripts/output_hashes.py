@@ -11,7 +11,7 @@ name, the exit code and the first 16 hex digits of sha256 over the sorted
 `sha256sum` listing of its output directory (paths relative to it), with
 the number of files.  Running it on two commits and diffing the output
 checks that the CLI output is byte-identical between them.  Each `solve`
-config runs a second time with `cli._cores` cut to its first core, which
+config runs a second time with `cli._writer_count` cut to one writer, which
 writes every profile in this process; only when that run's exit code or
 digest differs does its line end in ", one-core differs".
 """
@@ -110,6 +110,9 @@ CONFIGS = [
     ("README solve to t = 1", _solve(t_schedule=[0.0, 0.5, 0.9, 0.99, 1.0], newton={"tol": 1e-7})),
     ("README Example 1 solve, constant init",
      _example1_solve(4, 2, 0.0, 401, init={"family": "constant", "value": 0.0})),
+    # no floating-point Example 1 data at n c = 18: config errors, no output
+    ("example1 c = 3 at (6, 3)", ("example1", {"n": 6, "k": 3, "c": 3.0, "grid_size": 401})),
+    ("Example 1 solve c = 3 at (6, 3)", _example1_solve(6, 3, 3.0, 401)),
 ]
 
 
@@ -143,14 +146,14 @@ def _run(command, config):
     return code, digest, count
 
 
-def _run_on_first_core(command, config):
-    """_run with cli._cores() cut to its first core."""
-    cores = cli._cores
-    cli._cores = lambda: cores()[:1]
+def _run_in_one_process(command, config):
+    """_run with cli._writer_count() cut to one writer."""
+    count = cli._writer_count
+    cli._writer_count = lambda rows: 1
     try:
         return _run(command, config)
     finally:
-        cli._cores = cores
+        cli._writer_count = count
 
 
 def main():
@@ -162,7 +165,7 @@ def main():
                 config = {**config, "out": f"out{i:02d}"}
                 code, digest, count = result = _run(command, config)
                 line = f"{name}: exit {code}, {digest} ({count} file{'' if count == 1 else 's'})"
-                if command == "solve" and _run_on_first_core(command, config) != result:
+                if command == "solve" and _run_in_one_process(command, config) != result:
                     line += ", one-core differs"
                 print(line, flush=True)
         finally:

@@ -14,10 +14,10 @@ values read (_parse_solve, _build_solve).  _out_dir removes the files of an
 earlier run of any command.  Output files embed the resolved config and a
 format version line, use 17 significant digits and LF line endings, so
 identical configs produce byte-identical files.  `solve` puts each converged
-state in a table shared with one writer process per available core and per
-2000 rows, which write the profiles while the continuation goes on (see
-_ProfileStream); the bytes do not depend on the core count.  With --verbose
-it prints the line of each t as that t converges.
+state in a table shared with its writer processes, one per 2000 rows and at
+most one per available core, which write the profiles while the continuation
+goes on (see _ProfileStream); the bytes do not depend on their count.  With
+--verbose it prints the line of each t as that t converges.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ FORMAT_VERSION = "yamabe/1"
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
-
-def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
 
 def _check_keys(mapping, allowed, context):
     if not isinstance(mapping, dict):
@@ -158,6 +152,16 @@ def _profile_family(cfg, context):
     return benchmarks.constant_profile(_as_real(_need(cfg, "value", context), f"{context}.value"))
 
 
+def _example_params(n, k, c, context):
+    """Example 1's ExampleParams of boundary value c; a ConfigError on c where
+    d has no floating-point value (from about n c = 16, or c below -128)."""
+    try:
+        return example1.ExampleParams.from_c(n, k, c)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{context}: no Example 1 data for c = {c!r} at (n, k) = ({n}, {k}): "
+                          f"{exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # output writers
 # ---------------------------------------------------------------------------
@@ -167,7 +171,8 @@ def _config_comment(resolved):
 
 
 def _format_column(values):
-    # '%.17g' % x equals _fmt(x) for every float, nan, infinities and -0.0 included
+    # '%.17g' % x equals format(x, ".17g") for every float, nan, infinities
+    # and -0.0 included: the one float format of every output
     return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
 
 
@@ -187,26 +192,21 @@ def _write_profile_rows(path, resolved, comments, grid_text, columns):
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _cores():
-    """The cores the writers may use: those this process may run on, or a
-    single unnamed one where os.fork or CPU affinity is missing."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return [None]
-
-
-# Profile rows per writer process.  A second writer pays off from about
-# 4000 rows: the fork and the copy-on-write faults it brings slow the
-# continuation by about 20 ms on a 2-core Xeon.  A whole `yamabe solve` with
-# 13 profiles (Newton tol 1e-7, medians of 25 alternating solves) took
-# 76.2 ms in one process and 78.4 ms on two at 201 nodes, 84.9 and 84.5 ms
-# at 301 nodes, 91.4 and 85.9 ms at 401.
+# Profile rows per writer process.  A fork and the copy-on-write faults it
+# brings slow the continuation by about 10 ms on a 2-core Xeon.  The README
+# solve (13 profiles, Newton tol 1e-7, medians of 8 to 12 alternating rounds
+# of 20 solves) took 53.5 ms in one process and 55.4 ms in two at 201 nodes,
+# 48.3 and 52.1 ms at 401, 86.0 and 68.9 ms at 801, 323 and 214 ms at 4001.
 _ROWS_PER_WRITER = 2000
 
 
-def _writer_cores(cores, rows):
-    """The first of `cores`, one per _ROWS_PER_WRITER rows and at least one."""
-    return cores[:max(1, rows // _ROWS_PER_WRITER)]
+def _writer_count(rows):
+    """The writer processes for `rows` profile rows: one per
+    _ROWS_PER_WRITER rows, at least one and at most the cores this process
+    may run on; one where os.fork or CPU affinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), max(1, rows // _ROWS_PER_WRITER))
 
 
 class _ProfileStream:
@@ -216,23 +216,23 @@ class _ProfileStream:
     The table is an anonymous shared mmap of `shape`, one slot of 4 columns
     per state.  add() fills the next slot and writes its index (4 bytes) to
     a pipe without blocking, or writes the job here when the pipe is full.
-    One child per core of `cores` beyond the first is forked at once and,
-    bound to its core, reads an index whenever it is free: it makes no BLAS
-    call and takes no lock that another thread may hold at the fork.
-    finish() closes the write end, drains the pipe here, bound to cores[0],
-    and waits for the children; if one failed, every job is written again
-    here, so that its error surfaces with its own message.  With no child
-    (one core, no fork) every job is written here.  As a context manager,
-    the stream waits for its children on error paths too.
+    `writers - 1` children are forked at once, and each reads an index
+    whenever it is free: it makes no BLAS call and takes no lock that
+    another thread may hold at the fork.  finish() closes the write end,
+    drains the pipe here beside the children and waits for them; if one
+    failed, every job is written again here, so that its error surfaces
+    with its own message.  With no child (one writer, no fork) every job is
+    written here.  As a context manager, the stream waits for its children
+    on error paths too.
     """
 
-    def __init__(self, write, cores, shape):
-        self.write, self.cores, self.added = write, cores, 0
+    def __init__(self, write, writers, shape):
+        self.write, self.added = write, 0
         self.table = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
         self.read_end, self.write_end = os.pipe()
         os.set_blocking(self.write_end, False)
         self.pids = []
-        for core in cores[1:]:
+        for _ in range(writers - 1):
             try:
                 pid = os.fork()
             except OSError:
@@ -242,7 +242,6 @@ class _ProfileStream:
                     # the parent alone keeps the write end, so that the
                     # children read the end of the pipe once it closes or dies
                     os.close(self.write_end)
-                    os.sched_setaffinity(0, {core})
                     self._drain()
                     os._exit(0)
                 finally:
@@ -277,14 +276,7 @@ class _ProfileStream:
         """Write every added job and wait for the children."""
         os.close(self.write_end)        # the readers drain the pipe and stop
         self.write_end = None
-        own = os.sched_getaffinity(0) if self.pids else None
-        try:
-            if own is not None:
-                os.sched_setaffinity(0, {self.cores[0]})
-            self._drain()
-        finally:
-            if own is not None:
-                os.sched_setaffinity(0, own)
+        self._drain()
         if self._wait():
             for i in range(self.added):
                 self.write(i, self.table[i])
@@ -299,9 +291,8 @@ class _ProfileStream:
 def _write_monitors_csv(path, resolved, states):
     lines = [f"# format {FORMAT_VERSION} monitors", f"# config {_config_comment(resolved)}"]
     lines.append("t,sup_u,sup_du,sup_d2u,residual_norm,cone_margin,newton_iters")
-    for s in states:
-        row = (s.t, *s.monitors, s.residual_norm, s.cone_margin, s.newton_iters)
-        lines.append(",".join(_fmt(float(v) if not isinstance(v, int) else v) for v in row))
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+              % (s.t, *s.monitors, s.residual_norm, s.cone_margin, s.newton_iters) for s in states]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -391,7 +382,7 @@ def cmd_check(config):
     _write_report(out / "report.json", resolved, checks, passed, extra=extra)
     if resolved["verbose"]:
         for c in checks:
-            print(f"{c['name']}: {c['status']} (value {_fmt(c['value'])})", file=sys.stderr)
+            print(f"{c['name']}: {c['status']} (value {c['value']:.17g})", file=sys.stderr)
     return 0 if passed else 1
 
 
@@ -420,9 +411,9 @@ def cmd_example1(config):
         "thresholds": dataclasses.asdict(thresholds),
         **_run_keys(config, "results/example1"),
     }
+    params = _example_params(n, k, c, "c")
     out = _out_dir(resolved)
 
-    params = example1.ExampleParams.from_c(n, k, c)
     solution = example1.solve_profile(params, node_count=grid_size)
     report = example1.verify_example(params, solution, thresholds=thresholds)
 
@@ -442,7 +433,7 @@ def cmd_example1(config):
     _write_report(out / "report.json", resolved, _check_rows("", report.checks), report.passed,
                   extra={"derived": derived})
     if resolved["verbose"]:
-        print(f"d={_fmt(params.d)} T={_fmt(solution.t_max)}", file=sys.stderr)
+        print(f"d={params.d:.17g} T={solution.t_max:.17g}", file=sys.stderr)
     return 0 if report.passed else 1
 
 
@@ -473,9 +464,10 @@ def _parse_solve(config):
         if not 0.0 < psi_value < 1.0:
             raise ConfigError("psi.theta must lie in (0, 1)")
     elif psi_family == "example1_rhs":
-        psi_value = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
+        c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
         if spec.k < 2:
             raise ConfigError("psi: the closed form requires 2 <= k <= n")
+        psi_value = _example_params(n, spec.k, c, "psi.c")
     else:
         psi_value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
         if not psi_value > 0:
@@ -513,7 +505,7 @@ def _parse_solve(config):
     if "init" in config:
         init_cfg = config["init"]
         if _family(init_cfg, {**_PROFILE_KEYS, "example1_profile": {"c"}}, "init") == "example1_profile":
-            if half_length != "example1" or _as_real(_need(init_cfg, "c", "init"), "init.c") != psi_value:
+            if half_length != "example1" or _as_real(_need(init_cfg, "c", "init"), "init.c") != psi_value.c:
                 raise ConfigError("init example1_profile requires half_length 'example1' "
                                   "and init.c equal to psi.c")
             init = "example1_profile"
@@ -531,6 +523,9 @@ def _parse_solve(config):
         schedule = solver.check_t_schedule(schedule)
     except ValueError as exc:
         raise ConfigError(f"t_schedule: {exc}") from exc
+    factor = _as_real(config.get("uniformity_factor", 2.0), "uniformity_factor")
+    if not factor >= 1.0:   # each monitor's growth is at least 1, its first value's
+        raise ConfigError(f"uniformity_factor must be >= 1, got {factor}")
     newton_cfg = config.get("newton", {})
     _check_keys(newton_cfg, {"tol", "max_iter"}, "newton")
     defaults = solver.NewtonOptions()
@@ -543,7 +538,7 @@ def _parse_solve(config):
         "subsolution": config.get("subsolution"), "init": config.get("init"),
         "newton": {"tol": tol, "max_iter": _as_int(newton_cfg.get("max_iter", defaults.max_iter),
                                                    "newton.max_iter", lo=1)},
-        "uniformity_factor": _as_real(config.get("uniformity_factor", 2.0), "uniformity_factor"),
+        "uniformity_factor": factor,
         **_run_keys(config, "results/solve"),
     }
     return resolved, {"spec": spec, "grid_size": grid_size, "half_length": half_length,
@@ -553,12 +548,13 @@ def _parse_solve(config):
 
 def _build_solve(spec, grid_size, half_length, psi, subsolution, boundary, init):
     """The DirichletProblem (benchmarks.dirichlet_problem) and the init
-    profile (or None) of the values _parse_solve read.  Raises
+    profile (or None) of the values _parse_solve read; the psi value of
+    example1_rhs is its ExampleParams.  Raises
     ConeDomainError, with the minimum cone margin score, when psi is built on
     a subsolution that leaves the cone; the problem's own checks of the
     computed psi raise ConfigError."""
     family, value = psi
-    example = example1.ExampleParams.from_c(spec.n, spec.k, value) if family == "example1_rhs" else None
+    example = value if family == "example1_rhs" else None
     if init == "example1_profile":      # its half length comes with the profile
         solution = example1.solve_profile(example, node_count=grid_size)
         half_length, init = solution.t_max, solution.profile
@@ -617,11 +613,11 @@ def cmd_solve(config):
     def write_profile(i, columns):
         t = schedule[i]
         _write_profile_rows(out / f"profile_{i:03d}_t{t:.6f}.csv", resolved,
-                            [f"# t {_fmt(t)}"], grid_text, columns)
+                            [f"# t {t:.17g}"], grid_text, columns)
 
     states, failure = [], None
-    cores = _writer_cores(_cores(), len(schedule) * len(grid_text))
-    with _ProfileStream(write_profile, cores, (len(schedule), 4, len(grid_text))) as stream:
+    writers = _writer_count(len(schedule) * len(grid_text))
+    with _ProfileStream(write_profile, writers, (len(schedule), 4, len(grid_text))) as stream:
         try:
             for s in solver.continuation_states(problem, schedule, opts, init_profile):
                 stream.add((s.profile.u, s.profile.du, s.profile.d2u, s.residual))

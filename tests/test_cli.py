@@ -201,6 +201,18 @@ class TestExample1Command:
         })
         assert run_cli(["example1", cfg]) == 2
 
+    @pytest.mark.parametrize("n, k, c", [(6, 3, 3.0), (3, 2, 20.0), (3, 2, -200.0)],
+                             ids=["inconsistent-d", "domain-error", "overflow"])
+    def test_unresolvable_c_is_a_config_error(self, tmp_path, capsys, n, k, c):
+        # no floating-point center value d exists for these boundary values
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "e.json", {"n": n, "k": k, "c": c, "out": str(out)})
+        assert run_cli(["example1", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: c: no Example 1 data for c = {c!r}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, example1_config, tmp_path):
         run_cli(["example1", example1_config])
         first = (tmp_path / "out" / "profile.csv").read_bytes()
@@ -329,10 +341,19 @@ class TestSolveCommand:
          "and init.c equal to psi.c"),
         ({"half_length": math.inf}, "half_length: expected a finite number, got inf"),
         ({"uniformity_factor": math.nan}, "uniformity_factor: expected a finite number, got nan"),
+        ({"uniformity_factor": 0.5}, "uniformity_factor must be >= 1, got 0.5"),
+        ({"n": 6, "function": {"kind": "sigma_k_root", "k": 3}, "half_length": "example1",
+          "psi": {"family": "example1_rhs", "c": 3.0}, "phi": {"left": 3.0, "right": 3.0},
+          "init": {"family": "example1_profile", "c": 3.0}},
+         "psi.c: no Example 1 data for c = 3.0 at (n, k) = (6, 3)"),
+        ({"n": 3, "half_length": 1.0, "psi": {"family": "example1_rhs", "c": 20.0},
+          "phi": {"left": 0.0, "right": 0.0}, "init": {"family": "constant", "value": 0.0}},
+         "psi.c: no Example 1 data for c = 20.0 at (n, k) = (3, 2)"),
         ({"newton": {"tol": 0.0}}, "newton.tol must be positive"),
         ({"newton": {"tol": -1.0}}, "newton.tol must be positive"),
     ], ids=["function-string", "function-n", "example1-rhs-k1", "example1-init-numeric-length",
-            "example1-init-other-c", "infinite-half-length", "nan-factor", "zero-tol",
+            "example1-init-other-c", "infinite-half-length", "nan-factor", "factor-below-one",
+            "example1-c-inconsistent-d", "example1-c-domain-error", "zero-tol",
             "negative-tol"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, changes, message):
         out = tmp_path / "out"
@@ -352,7 +373,7 @@ class TestSolveCommand:
     ])
     def test_invalid_schedule_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                        schedule, message):
-        def no_stream(write, cores, shape):
+        def no_stream(write, writers, shape):
             raise AssertionError("a writer was started")
 
         monkeypatch.setattr(cli, "_ProfileStream", no_stream)
@@ -628,11 +649,11 @@ class TestOneConstructor:
         assert init.grid[-1] == profile_problem.geom.half_length
 
 
-def _stream(write, cores, count, pause=0.0):
-    """Add `count` jobs to a _ProfileStream one by one, `pause` seconds apart
-    as the states of a continuation come, and finish it.  Job i holds i in
-    each of its 4 columns of 3 rows."""
-    with cli._ProfileStream(write, cores, (count, 4, 3)) as stream:
+def _stream(write, writers, count, pause=0.0):
+    """Add `count` jobs to a _ProfileStream of `writers` processes one by
+    one, `pause` seconds apart as the states of a continuation come, and
+    finish it.  Job i holds i in each of its 4 columns of 3 rows."""
+    with cli._ProfileStream(write, writers, (count, 4, 3)) as stream:
         for i in range(count):
             time.sleep(pause)
             stream.add(np.full((4, 3), float(i)))
@@ -657,7 +678,8 @@ def _writers(tmp_path, count):
 
 class TestProfileWriters:
     """Profiles are written while the continuation runs, by this process
-    and one forked child per further available core, same bytes."""
+    and forked children, one writer per _ROWS_PER_WRITER rows and at most
+    one per available core, same bytes."""
 
     def test_output_independent_of_the_core_count(self, tmp_path, monkeypatch):
         # one writer per 101-node profile, so the small solve forks
@@ -678,12 +700,12 @@ class TestProfileWriters:
 
     @pytest.mark.parametrize("crowded", [False, True])
     def test_every_job_written_once_children_exit(self, tmp_path, crowded):
-        # crowded: six writers bound to one core, more processes than cores.
-        # A child takes 0.1 s per job and holds one at a time, so the
-        # children cannot drain the 23 jobs added 5 ms apart: every writer,
-        # this process included, writes some.
+        # crowded: six writers, more processes than cores.  A child takes
+        # 0.1 s per job and holds one at a time, so the children cannot
+        # drain the 23 jobs added 5 ms apart: every writer, this process
+        # included, writes some.
         parent = os.getpid()
-        cores = [cli._cores()[0]] * 6 if crowded else cli._cores()
+        count = 6 if crowded else len(os.sched_getaffinity(0))
         record = _record(tmp_path)
 
         def write(i, columns):
@@ -691,13 +713,12 @@ class TestProfileWriters:
                 time.sleep(0.1)
             record(i, columns)
 
-        before = os.sched_getaffinity(0)
-        _stream(write, cores, 23, pause=0.005)
-        assert os.getpid() == parent and os.sched_getaffinity(0) == before
+        _stream(write, count, 23, pause=0.005)
+        assert os.getpid() == parent
         written = _writers(tmp_path, 23)
         assert all(len(pids) == 1 for pids in written)
         writers = {pids[0] for pids in written}
-        assert len(writers) == len(cores) and parent in writers
+        assert len(writers) == count and parent in writers
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -709,15 +730,25 @@ class TestProfileWriters:
                 raise OSError("a child cannot write")
             (tmp_path / f"{i}.txt").write_text("")
 
-        _stream(write, cli._cores(), 5, pause=0.005)
+        _stream(write, 2, 5, pause=0.005)
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{j}.txt" for j in range(5)]
+
+    def test_no_cpu_affinity_call(self, tmp_path, monkeypatch):
+        # the writers run wherever the scheduler puts them: a process that
+        # may not change its CPU affinity writes every job exactly once
+        def refused(pid, cpus):
+            raise PermissionError("sched_setaffinity refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+        _stream(_record(tmp_path), 2, 5, pause=0.005)
+        assert all(len(pids) == 1 for pids in _writers(tmp_path, 5))
 
     def test_failed_fork_leaves_every_job_here(self, tmp_path, monkeypatch):
         def no_fork():
             raise OSError("no fork")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        _stream(_record(tmp_path), [0, 0, 0], 4)
+        _stream(_record(tmp_path), 3, 4)
         assert _writers(tmp_path, 4) == [[os.getpid()]] * 4
 
     def test_full_pipe_leaves_the_job_here(self, tmp_path, monkeypatch):
@@ -725,7 +756,7 @@ class TestProfileWriters:
             raise BlockingIOError
 
         monkeypatch.setattr(os, "write", full)
-        _stream(_record(tmp_path), [cli._cores()[0]] * 2, 5)
+        _stream(_record(tmp_path), 2, 5)
         assert _writers(tmp_path, 5) == [[os.getpid()]] * 5
 
     def test_busy_child_takes_no_second_job(self, tmp_path):
@@ -739,7 +770,7 @@ class TestProfileWriters:
                 time.sleep(0.5)
             record(i, columns)
 
-        with cli._ProfileStream(write, [cli._cores()[0]] * 2, (3, 4, 3)) as stream:
+        with cli._ProfileStream(write, 2, (3, 4, 3)) as stream:
             time.sleep(0.2)     # the child waits for its first job
             for i in range(3):
                 stream.add(np.full((4, 3), float(i)))
@@ -757,14 +788,14 @@ class TestProfileWriters:
         used = []
 
         class Recorded(cli._ProfileStream):
-            def __init__(self, write, cores, shape):
-                used.append(cores)
-                super().__init__(write, cores[:1], shape)
+            def __init__(self, write, count, shape):
+                used.append(count)
+                super().__init__(write, 1, shape)
 
         monkeypatch.setattr(cli, "_ProfileStream", Recorded)
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
         assert run_cli(["solve", cfg]) == 0
-        assert used == [[0, 1, 2, 3][:writers]]
+        assert used == [writers]
 
     def test_occupied_profile_path_fails_without_a_passing_report(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -812,7 +843,7 @@ class TestProfileCsv:
             profile = RadialProfile(np.linspace(-1.0, 1.0, special.size), special[::-1])
             columns = (profile.grid, profile.u, profile.du, profile.d2u, special)
             cli._write_profile_csv(tmp_path / "p.csv", {"command": "test"}, profile, special)
-        expected = [",".join(cli._fmt(float(v)) for v in row) for row in zip(*columns)]
+        expected = [",".join(format(float(v), ".17g") for v in row) for row in zip(*columns)]
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines[lines.index("x,u,du,d2u,residual") + 1:] == expected
         assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= set(
