@@ -16,8 +16,10 @@ banded solve, the directional Jacobian check, the radial kernel
 `SymFuncSpec.radial_eval` on the state's eigenvalues and the gradient of
 its evaluation, and the grid derivatives: the free
 `first_derivative`/`second_derivative`, which build the grid's stencil
-weights on every call, and `du`/`d2u` of a new state of the profile family,
-which reuses them.  It then runs one full continuation over the default
+weights on every call, `du`/`d2u` of a new state of the profile family,
+which reuses them, and the profile writer: one profile CSV of the state
+(its columns u, du, d2u and residual, the grid's cells formatted once, as
+`yamabe solve` does) formatted and written to a temporary directory.  It then runs one full continuation over the default
 schedule (Newton tolerance 1e-7) and records its wall time and the Newton
 iterations per t, so that algorithmic and constant-factor changes can be
 told apart.  The same figures, as the median wall time of
@@ -75,7 +77,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from scipy.linalg import solve_banded  # noqa: E402
 
-from yamabe import cli, solver, symfun  # noqa: E402
+from yamabe import _format, cli, solver, symfun  # noqa: E402
 from yamabe.benchmarks import example_boundary_problem, subsolution_benchmark  # noqa: E402
 from yamabe.example1 import ExampleParams, half_length  # noqa: E402
 from yamabe.geometry import (  # noqa: E402
@@ -117,6 +119,8 @@ def layer_times(node_count):
     ab = solver.jacobian(problem, T, prof)
     spec = problem.spec
     axis, sphere = radial_w_eigenvalues(spec.n, prof.du, prof.d2u)
+    grid_cells = _format.cells(grid)
+    columns = np.array([prof.u, prof.du, prof.d2u, res])
     layers = {
         "residual": lambda: solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u),
         "jacobian": lambda: solver.jacobian(problem, T, prof),
@@ -130,9 +134,13 @@ def layer_times(node_count):
         "state_du": lambda: prof.with_values(prof.u).du,
         "state_d2u": lambda: prof.with_values(prof.u).d2u,
     }
-    # the check makes 4 to 16 residual calls per call: fewer repeats
-    return {name: _median_ms(call, REPEATS // 10) if name == "check_jacobian" else _median_ms(call)
-            for name, call in layers.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profile.csv"
+        layers["profile_writer"] = lambda: cli._write_profile_rows(
+            path, {"command": "solve"}, [f"# t {T:.17g}"], grid_cells, columns)
+        # the check makes 4 to 16 residual calls per call: fewer repeats
+        return {name: _median_ms(call, REPEATS // 10) if name == "check_jacobian" else _median_ms(call)
+                for name, call in layers.items()}
 
 
 def _radial_layers(spec, axis, sphere):

@@ -13,11 +13,14 @@ directory or computes anything; `solve` then builds its problem from the
 values read (_parse_solve, _build_solve).  _out_dir removes the files of an
 earlier run of any command.  Output files embed the resolved config and a
 format version line, use 17 significant digits and LF line endings, so
-identical configs produce byte-identical files.  `solve` puts each converged
-state in a table shared with its writer processes, one per 2000 rows and at
-most one per available core, which write the profiles while the continuation
-goes on (see _ProfileStream); the bytes do not depend on their count.  With
---verbose it prints the line of each t as that t converges.
+identical configs produce byte-identical files.  The profile rows come from
+one vectorized kernel (_format), exact to the byte against '%.17g' and about
+four times as fast; the grid column is formatted once per solve.  `solve`
+puts each converged state in a table shared with its writer processes, one
+per 13000 rows (the 13 profiles of a 1000-node solve) and at most one per
+available core, which write the profiles while the continuation goes on (see
+_ProfileStream); the bytes do not depend on their count.  With --verbose it
+prints the line of each t as that t converges.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from ._errors import (
     NewtonError,
     YamabeError,
 )
-from . import benchmarks, example1, solver, symfun
+from . import _format, benchmarks, example1, solver, symfun
 from .geometry import RadialProfile
 
 FORMAT_VERSION = "yamabe/1"
@@ -170,34 +173,30 @@ def _config_comment(resolved):
     return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
 
 
-def _format_column(values):
-    # '%.17g' % x equals format(x, ".17g") for every float, nan, infinities
-    # and -0.0 included: the one float format of every output
-    return list(map("%.17g".__mod__, np.asarray(values, dtype=float).tolist()))
-
-
 def _write_profile_csv(path, resolved, profile, residual_column, extra_comments=()):
-    _write_profile_rows(path, resolved, extra_comments, _format_column(profile.grid),
+    _write_profile_rows(path, resolved, extra_comments, _format.cells(profile.grid),
                         (profile.u, profile.du, profile.d2u, residual_column))
 
 
-def _write_profile_rows(path, resolved, comments, grid_text, columns):
-    """One row per node: `grid_text`, the grid column already formatted,
-    then the columns u, du, d2u and residual."""
-    lines = [f"# format {FORMAT_VERSION} profile", f"# config {_config_comment(resolved)}"]
-    lines += list(comments)
-    lines.append("x,u,du,d2u,residual")
-    lines += ["%s,%.17g,%.17g,%.17g,%.17g" % row
-              for row in zip(grid_text, *(np.asarray(col, dtype=float).tolist() for col in columns))]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def _write_profile_rows(path, resolved, comments, grid_cells, columns):
+    """One row per node: the grid, from its Cells (_format.cells), then the
+    columns u, du, d2u and residual, each value as '%.17g' formats it."""
+    head = [f"# format {FORMAT_VERSION} profile", f"# config {_config_comment(resolved)}",
+            *comments, "x,u,du,d2u,residual"]
+    with open(path, "wb") as f:
+        f.write(("\n".join(head) + "\n").encode())
+        for chunk in _format.csv_rows(grid_cells, columns):
+            f.write(chunk)
 
 
 # Profile rows per writer process.  A fork and the copy-on-write faults it
-# brings slow the continuation by about 10 ms on a 2-core Xeon.  The README
-# solve (13 profiles, Newton tol 1e-7, medians of 8 to 12 alternating rounds
-# of 20 solves) took 53.5 ms in one process and 55.4 ms in two at 201 nodes,
-# 48.3 and 52.1 ms at 401, 86.0 and 68.9 ms at 801, 323 and 214 ms at 4001.
-_ROWS_PER_WRITER = 2000
+# brings slow the continuation by 17 to 21 ms on a 2-core Xeon.  The README
+# solve (13 profiles, Newton tol 1e-7, medians of 8 alternating rounds of 20
+# solves, 6 at 1201 to 2401 nodes) took 59.0 ms in one process and 84.2 ms
+# in two at 201 nodes, 69.4 and 89.8 ms at 401, 85.9 and 103.5 at 801, 111
+# and 116 at 1201, 126 and 130 at 1601, 169 and 141 at 2401, 241 and 165 at
+# 4001: a second writer pays from about 2000 nodes, 26000 rows.
+_ROWS_PER_WRITER = 13000
 
 
 def _writer_count(rows):
@@ -608,16 +607,16 @@ def cmd_solve(config):
     # to the stream as soon as it has converged (see _ProfileStream).
     started = time.perf_counter()
     start = init_profile if init_profile is not None else problem.subsolution
-    grid_text = _format_column(start.grid)
+    grid_cells = _format.cells(start.grid)
 
     def write_profile(i, columns):
         t = schedule[i]
         _write_profile_rows(out / f"profile_{i:03d}_t{t:.6f}.csv", resolved,
-                            [f"# t {t:.17g}"], grid_text, columns)
+                            [f"# t {t:.17g}"], grid_cells, columns)
 
     states, failure = [], None
-    writers = _writer_count(len(schedule) * len(grid_text))
-    with _ProfileStream(write_profile, writers, (len(schedule), 4, len(grid_text))) as stream:
+    writers = _writer_count(len(schedule) * start.node_count)
+    with _ProfileStream(write_profile, writers, (len(schedule), 4, start.node_count)) as stream:
         try:
             for s in solver.continuation_states(problem, schedule, opts, init_profile):
                 stream.add((s.profile.u, s.profile.du, s.profile.d2u, s.residual))

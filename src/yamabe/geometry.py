@@ -27,6 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._errors import NumericalError
+
 __all__ = [
     "CylinderGeometry",
     "GridStencils",
@@ -116,6 +118,9 @@ class GridStencils:
     The grid is validated and frozen here.  Profiles on one grid share one
     bundle (`RadialProfile.with_values` passes it on), so a continuation
     builds its weights once however many states and derivatives it takes.
+    A grid too fine for floating point, where the powers of the spacing in
+    the one-sided systems underflow or the weights overflow, raises
+    NumericalError.
     """
 
     def __init__(self, grid):
@@ -126,8 +131,18 @@ class GridStencils:
             raise ValueError("grid must be strictly increasing")
         grid.flags.writeable = False
         self.grid = grid
-        self.first = _first_weights(grid)
-        self.second = _second_weights(grid)
+        try:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                self.first = _first_weights(grid)
+                self.second = _second_weights(grid)
+        except np.linalg.LinAlgError:
+            finite = False
+        else:
+            finite = all(np.isfinite(w).all() for weights in (self.first, self.second)
+                         for w in (*weights.inner, weights.left, weights.right))
+        if not finite:
+            raise NumericalError(f"no finite stencil weights on a grid with spacing "
+                                 f"{np.diff(grid).min():.3g}")
 
 
 def first_derivative(grid, u, stencils=None):

@@ -6,13 +6,15 @@ comparisons, from the recurrence on a tuple-per-row layout), their
 gradients from deleting one coordinate at a time, other gradients from
 central differences, the structure suites from one sample and one bisection
 step at a time, Jacobian columns from bumping one nodal value of the
-residual, the conformal curvature from the general transformation law, and
-the stopping time of the radial problem from integrating the second-order
-equation itself (never its first integral).  `BrokenHomogeneitySpec` is a
-cone function built to fail a structure check.
+residual, the conformal curvature from the general transformation law, the
+stopping time of the radial problem from integrating the second-order
+equation itself (never its first integral), and profile CSVs from Python's
+own '%.17g', one row at a time.  `BrokenHomogeneitySpec` is a cone function
+built to fail a structure check.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -403,3 +405,16 @@ def boundary_decay_by_loop(spec, samples, rng, rays=64):
         ordered = ordered and vals[0] > vals[1] > vals[2]
         worst_ratio = max(worst_ratio, vals[2] / vals[0])
     return ordered, worst_ratio
+
+
+def write_profile_by_rows(path, resolved, comments, columns):
+    """A profile CSV written the plain way: the two format lines, the
+    comments and the column names, then one '%s,%.17g,...' row per node,
+    its first column formatted on its own."""
+    lines = ["# format yamabe/1 profile",
+             "# config " + json.dumps(resolved, sort_keys=True, separators=(",", ":")),
+             *comments, "x,u,du,d2u,residual"]
+    first, *rest = (np.asarray(col, dtype=float).tolist() for col in columns)
+    lines += ["%s,%.17g,%.17g,%.17g,%.17g" % row for row in zip(map("%.17g".__mod__, first), *rest)]
+    with open(path, "w", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")

@@ -213,6 +213,17 @@ class TestExample1Command:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_grid_too_fine_for_its_stencils_is_an_error(self, tmp_path, capsys):
+        # at c = -80 the half length is 9e-140: the end stencils' systems
+        # underflow on a 101-node grid
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "e.json", {"n": 3, "k": 2, "c": -80.0, "grid_size": 101,
+                                                 "out": str(out)})
+        assert run_cli(["example1", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no finite stencil weights") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_byte_identical_reruns(self, example1_config, tmp_path):
         run_cli(["example1", example1_config])
         first = (tmp_path / "out" / "profile.csv").read_bytes()
@@ -440,6 +451,20 @@ def _output_bytes(out):
 
 
 class TestSolveRobustness:
+    @pytest.mark.parametrize("init", [{"family": "example1_profile", "c": -80.0},
+                                      {"family": "constant", "value": -80.0}],
+                             ids=["example1-profile", "constant"])
+    def test_example1_grid_too_fine_for_its_stencils_is_an_error(self, tmp_path, capsys, init):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", {
+            "n": 3, "function": {"kind": "sigma_k_root", "k": 2}, "half_length": "example1",
+            "grid_size": 101, "psi": {"family": "example1_rhs", "c": -80.0},
+            "phi": {"left": -80.0, "right": -80.0}, "init": init, "out": str(out)})
+        assert run_cli(["solve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no finite stencil weights") and "Traceback" not in err
+        assert not out.exists()
+
     def test_draw_near_the_cone_boundary_passes_the_jacobian_check(self, tmp_path):
         # the Newton start at t = 0.3 has cone margin 1.9e-5; the check's
         # first step 1e-6 is too coarse there and deviated by 1.4e-5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from yamabe import geometry
+from yamabe._errors import NumericalError
 from yamabe.geometry import (
     CylinderGeometry,
     GridStencils,
@@ -110,6 +111,11 @@ class TestGridStencils:
             GridStencils(np.array([0.0, 1.0, 1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="at least 5 nodes"):
             GridStencils(np.linspace(0.0, 1.0, 4))
+
+    @pytest.mark.parametrize("half_length", [1e-140, 1e-176], ids=["singular-ends", "infinite-inner"])
+    def test_grid_too_fine_raises_numerical_error(self, half_length):
+        with pytest.raises(NumericalError, match="no finite stencil weights"):
+            GridStencils(np.linspace(-half_length, half_length, 101))
 
 
 class TestRadialProfile:
