@@ -50,6 +50,11 @@ _WORD = np.dtype("<u8")
 
 _E_MAX = 280
 _MARGIN = 1e-9
+# Rows per chunk of csv_rows.  A chunk of 1024 rows of five columns works in
+# about 1 MB; 2048 rows format a 4001-row profile 5% faster but add 2 MB to
+# the peak RSS of a 4001-node `yamabe solve`, 512 rows add nothing and take
+# 15% longer.
+_CHUNK_ROWS = 1024
 _SPLIT = 134217729.0        # 2^27 + 1, Dekker's splitting constant
 
 # cell layouts: fixed notation for e = -4 .. 16, then scientific notation
@@ -207,15 +212,12 @@ def _fill(x, out):
         keep[fallback + (slice(_DIGITS, _DIGITS + 24),)] = words != 0
 
 
-def csv_rows(first, columns, rows_per_chunk=1024):
+def csv_rows(first, columns):
     """The CSV text of the rows (first[i], *columns[:, i]) in chunks of
-    bytes: `first` the Cells of the first column, `columns` (c, m) values.
-    A chunk of 1024 rows of five columns works in about 1 MB; 2048 rows
-    format a 4001-row profile 5% faster but add 2 MB to the peak RSS of a
-    4001-node `yamabe solve`, 512 rows add nothing and take 15% longer."""
+    bytes: `first` the Cells of the first column, `columns` (c, m) values."""
     columns = np.asarray(columns, dtype=float)
-    for lo in range(0, columns.shape[1], rows_per_chunk):
-        hi = min(lo + rows_per_chunk, columns.shape[1])
+    for lo in range(0, columns.shape[1], _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, columns.shape[1])
         chunk = Cells(np.empty((hi - lo, 1 + len(columns), WIDTH), np.uint8),
                       np.empty((hi - lo, 1 + len(columns), WIDTH), bool))
         chunk.text[:, 0] = first.text[lo:hi]
