@@ -19,7 +19,8 @@ its evaluation, and the grid derivatives: the free
 weights on every call, `du`/`d2u` of a new state of the profile family,
 which reuses them, and the profile writer: one profile CSV of the state
 (its columns u, du, d2u and residual, the grid's cells formatted once, as
-`yamabe solve` does) formatted and written to a temporary directory.  It then runs one full continuation over the default
+`yamabe solve` does) formatted and written to a temporary directory.  It
+then runs one full continuation over the default
 schedule (Newton tolerance 1e-7) and records its wall time and the Newton
 iterations per t, so that algorithmic and constant-factor changes can be
 told apart.  The same figures, as the median wall time of

@@ -25,7 +25,7 @@ to Python's own `'%.17g' %` instead (_MARGIN, _E_MAX) when
 
 So N and e are the digits and exponent of `'%.17e'`.  `%g` prints them in
 fixed notation where -4 <= e < 17 and in scientific notation otherwise,
-without trailing zeros.  Each value fills a cell of WIDTH bytes, a fixed
+without trailing zeros.  Each value fills a cell of _WIDTH bytes, a fixed
 layout of every byte either notation may need, and a mask keeps the bytes
 of its own string; a row's cells end in a comma or a newline, so the masked
 bytes of the cells in row order are the CSV text.  The kernel is numpy
@@ -45,17 +45,18 @@ import numpy as np
 # point, where "e" takes the last slot, then the exponent's sign and three
 # digits and the separator.
 _SIGN, _LEAD, _ZEROS, _DIGITS, _EXP, _SEP = 0, 1, 3, 6, 39, 44
-WIDTH = 48
+_WIDTH = 48
 _WORD = np.dtype("<u8")
 
 _E_MAX = 280
 _MARGIN = 1e-9
+_SPLIT = 134217729.0        # 2^27 + 1, Dekker's splitting constant
+
 # Rows per chunk of csv_rows.  A chunk of 1024 rows of five columns works in
 # about 1 MB; 2048 rows format a 4001-row profile 5% faster but add 2 MB to
 # the peak RSS of a 4001-node `yamabe solve`, 512 rows add nothing and take
 # 15% longer.
 _CHUNK_ROWS = 1024
-_SPLIT = 134217729.0        # 2^27 + 1, Dekker's splitting constant
 
 # cell layouts: fixed notation for e = -4 .. 16, then scientific notation
 # with two or three exponent digits, each with 1 .. 17 significant digits;
@@ -101,7 +102,7 @@ def _masks():
     sig = layout % 17 + 1
     small = fixed & (e < 0)
     sci = ~fixed
-    keep = np.zeros((2 * _LAYOUTS, WIDTH), bool)
+    keep = np.zeros((2 * _LAYOUTS, _WIDTH), bool)
     keep[_LAYOUTS:, _SIGN] = True
     keep[:, _LEAD:_ZEROS] = small[:, None]
     keep[:, _ZEROS:_DIGITS] = np.arange(3) < np.where(small, -1 - e, 0)[:, None]
@@ -141,7 +142,7 @@ def _tables():
 
 
 class Cells(NamedTuple):
-    """The cells of an array of values: bytes and mask, shape (..., WIDTH)."""
+    """The cells of an array of values: bytes and mask, shape (..., _WIDTH)."""
 
     text: np.ndarray
     keep: np.ndarray
@@ -150,14 +151,15 @@ class Cells(NamedTuple):
 def cells(values):
     """The Cells of `values` (any shape), each cell ending in a comma."""
     x = np.asarray(values, dtype=float)
-    out = Cells(np.empty(x.shape + (WIDTH,), np.uint8), np.empty(x.shape + (WIDTH,), bool))
+    out = Cells(np.empty(x.shape + (_WIDTH,), np.uint8), np.empty(x.shape + (_WIDTH,), bool))
     _fill(x, out)
     return out
 
 
 def _digits(x):
     """(N, the tables' row of e, ok) of each value, ok false where the
-    value goes to Python; the float work stays here."""
+    value goes to Python.  Its float temporaries are freed before _fill's
+    byte work starts, which keeps a chunk's peak memory down."""
     t = _tables()
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -205,11 +207,11 @@ def _fill(x, out):
 
     if not ok.all():
         fallback = np.nonzero(~ok)
-        words = np.array(["%.17g" % v for v in x[fallback].tolist()], dtype="S24").view(np.uint8)
-        words = words.reshape(-1, 24)
+        strings = np.array(["%.17g" % v for v in x[fallback].tolist()], dtype="S24")
+        strings = strings.view(np.uint8).reshape(-1, 24)
         keep[fallback + (slice(_SEP),)] = False
-        text[fallback + (slice(_DIGITS, _DIGITS + 24),)] = words
-        keep[fallback + (slice(_DIGITS, _DIGITS + 24),)] = words != 0
+        text[fallback + (slice(_DIGITS, _DIGITS + 24),)] = strings
+        keep[fallback + (slice(_DIGITS, _DIGITS + 24),)] = strings != 0
 
 
 def csv_rows(first, columns):
@@ -218,8 +220,8 @@ def csv_rows(first, columns):
     columns = np.asarray(columns, dtype=float)
     for lo in range(0, columns.shape[1], _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, columns.shape[1])
-        chunk = Cells(np.empty((hi - lo, 1 + len(columns), WIDTH), np.uint8),
-                      np.empty((hi - lo, 1 + len(columns), WIDTH), bool))
+        chunk = Cells(np.empty((hi - lo, 1 + len(columns), _WIDTH), np.uint8),
+                      np.empty((hi - lo, 1 + len(columns), _WIDTH), bool))
         chunk.text[:, 0] = first.text[lo:hi]
         chunk.keep[:, 0] = first.keep[lo:hi]
         _fill(columns[:, lo:hi].T, Cells(chunk.text[:, 1:], chunk.keep[:, 1:]))
