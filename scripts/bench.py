@@ -15,9 +15,9 @@ made (gradient only), the cone screen of the feasibility restore, the
 banded solve, the directional Jacobian check, the radial kernel
 `SymFuncSpec.radial_eval` on the state's eigenvalues and the gradient of
 its evaluation, and the grid derivatives: the free
-`first_derivative`/`second_derivative`, which build the grid's stencil
-weights on every call, `du`/`d2u` of a new state of the profile family,
-which reuses them, and the profile writer: one profile CSV of the state
+`first_derivative`/`second_derivative` on the grid's `GridStencils`, built
+once, `du`/`d2u` of a new state of the profile family, which reuses the
+profile's, and the profile writer: one profile CSV of the state
 (its columns u, du, d2u and residual, the grid's cells formatted once, as
 `yamabe solve` does) formatted and written to a temporary directory.  It
 then runs one full continuation over the default
@@ -82,7 +82,7 @@ from yamabe import _format, cli, solver, symfun  # noqa: E402
 from yamabe.benchmarks import example_boundary_problem, subsolution_benchmark  # noqa: E402
 from yamabe.example1 import ExampleParams, half_length  # noqa: E402
 from yamabe.geometry import (  # noqa: E402
-    first_derivative, radial_w_eigenvalues, second_derivative)
+    GridStencils, first_derivative, radial_w_eigenvalues, second_derivative)
 
 T = 0.5
 NODES = (401, 4001)
@@ -122,6 +122,7 @@ def layer_times(node_count):
     axis, sphere = radial_w_eigenvalues(spec.n, prof.du, prof.d2u)
     grid_cells = _format.cells(grid)
     columns = np.array([prof.u, prof.du, prof.d2u, res])
+    stencils = GridStencils(grid)
     layers = {
         "residual": lambda: solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u),
         "jacobian": lambda: solver.jacobian(problem, T, prof),
@@ -130,8 +131,8 @@ def layer_times(node_count):
         "solve_banded": lambda: solve_banded((1, 1), ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
         **_radial_layers(spec, axis, sphere),
-        "first_derivative": lambda: first_derivative(grid, prof.u),
-        "second_derivative": lambda: second_derivative(grid, prof.u),
+        "first_derivative": lambda: first_derivative(stencils, prof.u),
+        "second_derivative": lambda: second_derivative(stencils, prof.u),
         "state_du": lambda: prof.with_values(prof.u).du,
         "state_d2u": lambda: prof.with_values(prof.u).d2u,
     }

@@ -113,6 +113,9 @@ CONFIGS = [
     # no floating-point Example 1 data at n c = 18: config errors, no output
     ("example1 c = 3 at (6, 3)", ("example1", {"n": 6, "k": 3, "c": 3.0, "grid_size": 401})),
     ("Example 1 solve c = 3 at (6, 3)", _example1_solve(6, 3, 3.0, 401)),
+    # the default Newton tol, below the residual's rounding floor on both grids
+    ("4001-node subsolution, default tol", _solve(grid_size=4001)),
+    ("criterion 9 data, default tol", _example1_solve(5, 4, -0.5, 1001)),
 ]
 
 

@@ -72,10 +72,7 @@ def radial_curvature_value(spec, t, du, d2u):
     raises ConeDomainError when a point leaves the cone."""
     du = np.atleast_1d(np.asarray(du, dtype=float))
     d2u = np.atleast_1d(np.asarray(d2u, dtype=float))
-    evaluation = spec.radial_eval(t, *radial_w_eigenvalues(spec.n, du, d2u))
-    if evaluation.value is None:
-        spec._require_scores_inside(evaluation.scores)
-    return evaluation.value
+    return spec.radial_eval(t, *radial_w_eigenvalues(spec.n, du, d2u)).inside_value()
 
 
 def _no_z_dependence(x, z):

@@ -145,22 +145,16 @@ class GridStencils:
                                  f"{np.diff(grid).min():.3g}")
 
 
-def first_derivative(grid, u, stencils=None):
-    """Second-order first differences; one-sided 3-point at the two ends.
-
-    `stencils` is the grid's GridStencils when the caller holds one.
-    """
-    weights = stencils.first if stencils is not None else _first_weights(np.asarray(grid, dtype=float))
-    return _apply(weights, np.asarray(u, dtype=float))
+def first_derivative(stencils, u):
+    """Second-order first differences of u on the grid of `stencils`, its
+    GridStencils; one-sided 3-point at the two ends."""
+    return _apply(stencils.first, np.asarray(u, dtype=float))
 
 
-def second_derivative(grid, u, stencils=None):
-    """Second differences; one-sided 4-point at the ends to keep second order.
-
-    `stencils` is the grid's GridStencils when the caller holds one.
-    """
-    weights = stencils.second if stencils is not None else _second_weights(np.asarray(grid, dtype=float))
-    return _apply(weights, np.asarray(u, dtype=float))
+def second_derivative(stencils, u):
+    """Second differences of u on the grid of `stencils`, its GridStencils;
+    one-sided 4-point at the ends to keep second order."""
+    return _apply(stencils.second, np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -210,11 +204,11 @@ class RadialProfile:
 
     @cached_property
     def du(self):
-        return first_derivative(self.grid, self.u, self.stencils)
+        return first_derivative(self.stencils, self.u)
 
     @cached_property
     def d2u(self):
-        return second_derivative(self.grid, self.u, self.stencils)
+        return second_derivative(self.stencils, self.u)
 
 
 def radial_w_eigenvalues(n, du, d2u):

@@ -20,7 +20,15 @@ state takes its gradient from that evaluation, so it adds only the
 gradient's own ESP pass; the returned state carries the residual and margin
 with the norm of every accepted step.  The kernel and its gradient are
 bit-identical to the spec's `margin_scores_t`, `value_t_many` and
-`grad_t_many` on the full (m, n) eigenvalue rows.
+`grad_t_many` on the full (m, n) eigenvalue rows.  The kernel also makes
+the one cone test: its evaluation records the nodes outside the cone (a
+node with a NaN entry among them), and the residual, the gradient, the
+feasibility restore and `check_subsolution` read that record.
+
+The residual cannot fall below its rounding floor F, which grows like
+eps/h^2 and lies above the default tolerance on fine grids.  When no damped
+step is acceptable at a residual at or below F, Newton returns the state as
+converged and records F on it.
 
 Continuation walks an ascending t schedule, warm-starting each solve from the
 previous profile, and records per-t monitors: sup norms of u and its first
@@ -140,6 +148,7 @@ class ContinuationState:
     newton_iters: int
     converged: bool
     increment_norms: tuple   # alpha * sup|delta| of each accepted Newton step
+    rounding_floor: float | None = None   # F where Newton stopped at it, None where tol was met
 
     @property
     def residual_norm(self):
@@ -169,8 +178,7 @@ def _radial_eval(problem, t, du, d2u):
 
 
 def _inside_cone(problem, t, profile):
-    scores = _radial_eval(problem, t, profile.du, profile.d2u).scores
-    return scores.min() > problem.spec.margin
+    return _radial_eval(problem, t, profile.du, profile.d2u).outside.size == 0
 
 
 def _residual(problem, t, grid, u, du, d2u):
@@ -179,12 +187,11 @@ def _residual(problem, t, grid, u, du, d2u):
     a node leaves the cone."""
     evaluation = _radial_eval(problem, t, du, d2u)
     scores = evaluation.scores
-    bad = np.nonzero(scores <= problem.spec.margin)[0]
-    if bad.size:
-        node = int(bad[0]) + 1
+    if evaluation.outside.size:
+        node = int(evaluation.outside[0]) + 1
         raise ConeViolationError(
             f"eigenvalues at node {node} (x={grid[node]:.6g}) left the cone "
-            f"(margin score {scores[bad[0]]:.3e})",
+            f"(margin score {scores[node - 1]:.3e})",
             node=node,
         )
     out = np.empty(grid.size)
@@ -255,8 +262,8 @@ def _check_jacobian(problem, t, profile, ab):
     grid = profile.grid
     ell = problem.geom.half_length
     v = np.cos(np.pi * grid / (3.0 * ell)) + grid / (4.0 * ell)
-    dv = first_derivative(grid, v, profile.stencils)
-    d2v = second_derivative(grid, v, profile.stencils)
+    dv = first_derivative(profile.stencils, v)
+    d2v = second_derivative(profile.stencils, v)
     jv = ab[1] * v
     jv[:-1] += ab[0, 1:] * v[1:]
     jv[1:] += ab[2, :-1] * v[:-1]
@@ -293,7 +300,7 @@ def _check_jacobian(problem, t, profile, ab):
         )
 
 
-def _state_from(t, profile, res, margin, iters, converged, increments):
+def _state_from(t, profile, res, margin, iters, converged, increments, floor=None):
     return ContinuationState(
         t=t,
         profile=profile,
@@ -303,7 +310,33 @@ def _state_from(t, profile, res, margin, iters, converged, increments):
         newton_iters=iters,
         converged=converged,
         increment_norms=tuple(increments),
+        rounding_floor=floor,
     )
+
+
+def _rounding_floor(problem, t, profile):
+    """F, the rounding floor of the residual at profile: eps times the
+    largest interior sum of the magnitudes its rounding scales with,
+
+        |g_a| sum_j |c2_ij u_j| + |g_a - g_s| |u'_i| sum_j |c1_ij u_j| + |f_t| + |psi|,
+
+    with the gradient of the state's evaluation and the stencil weights of
+    its GridStencils.  It grows like eps/h^2, so on fine grids it can lie
+    above a fixed Newton tolerance.
+    """
+    grid, u = profile.grid, np.abs(profile.u)
+    evaluation = _radial_eval(problem, t, profile.du, profile.d2u)
+    g_axis, g_sphere = evaluation.gradient()
+
+    def spread(weights):
+        wm, w0, wp = weights.inner
+        return np.abs(wm) * u[:-2] + np.abs(w0) * u[1:-1] + np.abs(wp) * u[2:]
+
+    psi = np.asarray(problem.psi(grid[1:-1], profile.u[1:-1]), dtype=float)
+    terms = (np.abs(g_axis) * spread(profile.stencils.second)
+             + np.abs(g_axis - g_sphere) * np.abs(profile.du[1:-1]) * spread(profile.stencils.first)
+             + np.abs(evaluation.value) + np.abs(psi))
+    return float(np.finfo(float).eps * terms.max())
 
 
 def newton_solve(problem, t, init, opts=None):
@@ -311,10 +344,13 @@ def newton_solve(problem, t, init, opts=None):
 
     A trial step is accepted only when every interior node keeps a positive
     cone margin and the residual sup norm decreases; the step is halved up to
-    MAX_BACKTRACKS times otherwise.  Raises ConeViolationError when the
+    MAX_BACKTRACKS times otherwise.  When every damped step fails at a
+    residual at or below its rounding floor F (`_rounding_floor`), which no
+    step can improve on, the state is returned as converged with F recorded
+    on it; F is computed only then.  Raises ConeViolationError when the
     initial profile leaves the cone, StepFailureError when no damped step is
-    acceptable and NonconvergenceError when the iteration budget runs out;
-    the last two carry the best state reached.
+    acceptable above F and NonconvergenceError when the iteration budget
+    runs out; the last two carry the best state reached.
     """
     opts = opts or NewtonOptions()
     grid = _grid_for(problem, init)
@@ -354,8 +390,12 @@ def newton_solve(problem, t, init, opts=None):
                     break
             alpha *= 0.5
         else:
+            floor = _rounding_floor(problem, t, profile)
+            if norm <= floor:
+                return _state_from(t, profile, res, margin, iteration - 1, True, increments, floor)
             raise StepFailureError(
-                f"no acceptable damped step at t={t} (residual {norm:.3e})",
+                f"no acceptable damped step at t={t} (residual {norm:.3e}, "
+                f"rounding floor {floor:.3e})",
                 state=_state_from(t, profile, res, margin, iteration - 1, False, increments),
             )
 
@@ -552,23 +592,17 @@ def check_subsolution(problem):
     if sub is None:
         raise ValueError("the problem has no subsolution to check")
     grid = _grid_for(problem, sub)
-    spec = problem.spec
     axis, sphere = radial_w_eigenvalues(problem.geom.n, sub.du, sub.d2u)
-    evaluation = spec.radial_eval(1.0, axis, sphere)
-    scores, value = evaluation.scores, evaluation.value
-    ok = scores > spec.margin
-    margins = np.full(grid.size, np.nan)
-    if np.any(ok):
-        if value is None:  # f only where the cone holds
-            value = spec.radial_eval(1.0, axis[ok], sphere[ok]).value
-        margins[ok] = value - np.asarray(problem.psi(grid[ok], sub.u[ok]), dtype=float)
+    evaluation = problem.spec.radial_eval(1.0, axis, sphere)
+    # f is NaN at the nodes outside the cone, and so is their margin
+    margins = evaluation.value - np.asarray(problem.psi(grid, sub.u), dtype=float)
     boundary_ok = (abs(sub.u[0] - problem.phi_left) <= 1e-12
                    and abs(sub.u[-1] - problem.phi_right) <= 1e-12)
     finite = margins[np.isfinite(margins)]
     return SubsolutionReport(
         margins=margins,
         min_margin=float(finite.min()) if finite.size else math.nan,
-        min_cone_margin=float(scores.min()),
-        cone_violations=tuple(int(i) for i in np.nonzero(~ok)[0]),
+        min_cone_margin=float(evaluation.scores.min()),
+        cone_violations=tuple(int(i) for i in evaluation.outside),
         boundary_ok=bool(boundary_ok),
     )

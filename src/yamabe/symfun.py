@@ -183,16 +183,22 @@ def _pairwise_sum(head, tail, n):
 
 
 class RadialEvaluation(NamedTuple):
-    """What one `SymFuncSpec.radial_eval` pass found: the margin scores, f_t
-    (None outside the cone) and the t-mapped axis and sphere vectors, each
-    an (m,) array of its own."""
+    """What one `SymFuncSpec.radial_eval` pass found: the margin scores, the
+    indices of the rows outside the cone, f_t (NaN on those rows) and the
+    t-mapped axis and sphere vectors, each an (m,) array of its own."""
 
     spec: SymFuncSpec
     t: float
     scores: np.ndarray
-    value: np.ndarray | None
+    outside: np.ndarray
+    value: np.ndarray
     axis: np.ndarray
     sphere: np.ndarray
+
+    def inside_value(self):
+        """f_t, when every row is inside the cone; else value_t_many's ConeDomainError."""
+        self.spec._require_scores_inside(self.scores, self.outside)
+        return self.value
 
     def gradient(self):
         """(axis slot of Df_t, sum of its n - 1 sphere slots), bit-identical
@@ -203,9 +209,7 @@ class RadialEvaluation(NamedTuple):
         one `_esp` pass of m columns.  e_j of the whole tuple is
         cut[j] + s * cut[j-1], the last step of the pass in `radial_eval`.
         """
-        spec, t, f, s = self.spec, self.t, self.value, self.sphere
-        if f is None:
-            spec._require_scores_inside(self.scores)
+        spec, t, f, s = self.spec, self.t, self.inside_value(), self.sphere
         n, k = spec.n, spec.k
         cut = _esp((self.axis, *[s] * (n - 2)), k)
         rest = _esp([s] * (n - 1), k - 1)
@@ -295,8 +299,12 @@ class SymFuncSpec:
         """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row (see _cone_scores)."""
         return _cone_scores(np.asarray(values, dtype=float), self.k)[0]
 
-    def _require_scores_inside(self, scores):
-        bad = np.nonzero(scores <= self.margin)[0]
+    def _outside(self, scores):
+        """The cone test: rows whose score is not above the margin, NaN included."""
+        return np.flatnonzero(~(scores > self.margin))
+
+    def _require_scores_inside(self, scores, bad):
+        """Raise ConeDomainError naming the first of the `_outside` rows bad."""
         if bad.size:
             raise ConeDomainError(
                 f"{self.label}: tuple outside the cone "
@@ -351,7 +359,7 @@ class SymFuncSpec:
     def _inside_esp(self, values):
         """e_0..e_k of the rows, after their cone test."""
         scores, e = _cone_scores(np.asarray(values, dtype=float), self.k)
-        self._require_scores_inside(scores)
+        self._require_scores_inside(scores, self._outside(scores))
         return e
 
     def _value_from(self, e):
@@ -383,15 +391,15 @@ class SymFuncSpec:
 
         a and s are (m,) vectors of axis and sphere eigenvalues (see
         geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.  The
-        evaluation holds the margin scores, and when every row scores above
-        the margin also f_t; outside the cone its value is None.
+        cone test is made here, once: callers read its `outside` rows.
 
         One `_esp` pass over the t-mapped columns (a, s, ..., s) and their
         absolute values, stacked as in `_cone_scores`, serves the scores and
         f_t; the gradient takes two more over m columns each.  Each result
         repeats the additions and multiplications of margin_scores_t and
         value_t_many on the (m, n) rows (a, s, ..., s) in their order,
-        numpy's row sums included, so it is bit-identical to them.
+        numpy's row sums included, so it is bit-identical to them on the
+        rows inside the cone.
         """
         n, k = self.n, self.k
         a = np.asarray(a, dtype=float)
@@ -401,8 +409,12 @@ class SymFuncSpec:
         abs_a, abs_s = np.abs(a), np.abs(s)
         columns = (np.concatenate([a, abs_a]), *[np.concatenate([s, abs_s])] * (n - 1))
         scores, e = _stacked_scores(columns, np.maximum(abs_a, abs_s) > 0.0, k)
-        value = None if np.any(scores <= self.margin) else self._value_from(e)
-        return RadialEvaluation(self, t, scores, value, a, s)
+        outside = self._outside(scores)
+        # only rows outside the cone can warn, and they are set to NaN
+        with np.errstate(invalid="ignore", divide="ignore"):
+            value = self._value_from(e)
+        value[outside] = np.nan
+        return RadialEvaluation(self, t, scores, outside, value, a, s)
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +726,12 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
     ts = np.asarray(ts, dtype=float).reshape(-1, 1)
     mus = spec._validated(mus)
     lams = spec._validated(lams)
-    if np.any(spec.margin_scores(mus) <= spec.margin):
+    if spec._outside(spec.margin_scores(mus)).size:
         raise ConeDomainError("mu must lie in the cone")
     mapped_lam = _t_map(ts, lams)
     # one cone test of the mapped lams serves the check and their values
     scores, e = _cone_scores(mapped_lam, spec.k)
-    if np.any(scores <= spec.margin):
+    if spec._outside(scores).size:
         raise ConeDomainError("lam must lie in the interpolated cone")
     f_mu, g_mu = spec.value_and_grad_many(_t_map(ts, mus))
     f_lam, g_lam = spec._value_and_grad_from(mapped_lam, e)

@@ -517,14 +517,13 @@ class TestSolveRobustness:
                                                                   t_schedule=schedule))
         assert run_cli(["solve", readme]) == 0
         assert len(list(out.glob("profile_*.csv"))) == 13
-        # the README config with (n, k) = (5, 3) stops at t = 0.4
+        # five Newton iterations stop the README config at t = 0.8, which takes six
         partial = write_config(tmp_path / "p.json", _solve_payload(
-            out, n=5, function={"kind": "sigma_k_root", "k": 3}, grid_size=401,
-            t_schedule=schedule))
+            out, grid_size=401, t_schedule=schedule, newton={"max_iter": 5}))
         assert run_cli(["solve", partial]) == 3
-        assert json.loads((out / "report.json").read_text())["failed_t"] == 0.4
+        assert json.loads((out / "report.json").read_text())["failed_t"] == 0.8
         assert sorted(p.name for p in out.iterdir()) == ["monitors.csv", *(
-            f"profile_{i:03d}_t{t:.6f}.csv" for i, t in enumerate(schedule[:4])), "report.json"]
+            f"profile_{i:03d}_t{t:.6f}.csv" for i, t in enumerate(schedule[:8])), "report.json"]
         # a subsolution outside the cone: no t is solved
         outside = write_config(tmp_path / "o.json", _solve_payload(
             out, n=3, subsolution={"family": "cosh", "amplitude": 0.2}))
@@ -843,10 +842,10 @@ class TestProfileWriters:
         assert run_cli(["solve", cfg]) == 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        # the README config with (n, k) = (5, 3) stops at t = 0.4
+        # five Newton iterations stop the README config at t = 0.8, which takes six
         partial = write_config(tmp_path / "p.json", _solve_payload(
-            tmp_path / "partial", n=5, function={"kind": "sigma_k_root", "k": 3}, grid_size=401,
-            t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE)))
+            tmp_path / "partial", grid_size=401, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE),
+            newton={"max_iter": 5}))
         assert run_cli(["solve", partial]) == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -56,8 +56,9 @@ class TestStencils:
     def test_exact_on_polynomials(self):
         grid = np.array([0.0, 0.3, 0.55, 1.0, 1.2])
         u = 2.0 + 3.0 * grid - 1.5 * grid ** 2
-        du = first_derivative(grid, u)
-        d2u = second_derivative(grid, u)
+        stencils = GridStencils(grid)
+        du = first_derivative(stencils, u)
+        d2u = second_derivative(stencils, u)
         assert np.allclose(du, 3.0 - 3.0 * grid, atol=1e-12)
         assert np.allclose(d2u, -3.0, atol=1e-10)
 
@@ -81,9 +82,10 @@ class TestGridStencils:
         u = np.sin(3.0 * self.GRID) + 0.1 * self.GRID ** 3
         prof = RadialProfile(self.GRID, u)
         shifted = prof.with_values(u + 0.25 * np.cos(self.GRID))
+        stencils = GridStencils(self.GRID)
         for p in (prof, shifted):
-            assert np.array_equal(p.du, first_derivative(self.GRID, p.u))
-            assert np.array_equal(p.d2u, second_derivative(self.GRID, p.u))
+            assert np.array_equal(p.du, first_derivative(stencils, p.u))
+            assert np.array_equal(p.d2u, second_derivative(stencils, p.u))
 
     def test_one_bundle_per_profile_family(self, monkeypatch):
         calls = []

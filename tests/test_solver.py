@@ -14,6 +14,7 @@ from yamabe._errors import (
     ContinuationError,
     NonconvergenceError,
     NumericalError,
+    StepFailureError,
 )
 from yamabe.benchmarks import (
     constant_psi,
@@ -24,7 +25,7 @@ from yamabe.benchmarks import (
     radial_curvature_value,
     subsolution_benchmark,
 )
-from yamabe.geometry import CylinderGeometry, RadialProfile
+from yamabe.geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
 from yamabe.solver import (
     DEFAULT_T_SCHEDULE,
     ContinuationReport,
@@ -301,6 +302,86 @@ class TestNewton:
         assert err.value.state.residual_norm < 1.0
 
 
+class TestRoundingFloor:
+    """Newton returns a state whose residual sits at or below its rounding
+    floor F as converged, when no damped step is acceptable."""
+
+    def test_example_data_converges_at_the_default_tol(self):
+        # criterion 9's data: F lies near 1e-7 on this short cylinder, far
+        # above the default tol 1e-10, at every t of the default schedule
+        problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
+        report = continuation_run(problem, init=init)
+        assert [s.t for s in report.states] == list(DEFAULT_T_SCHEDULE)
+        for s in report.states:
+            assert s.converged
+            assert NewtonOptions().tol < s.residual_norm <= s.rounding_floor
+
+    def test_residual_above_the_floor_still_fails(self, monkeypatch):
+        # a Jacobian scaled by 1e-20 makes every damped step overshoot, at a
+        # residual far above F
+        assemble = solver.jacobian
+        monkeypatch.setattr(solver, "jacobian", lambda *args: 1e-20 * assemble(*args))
+        problem, exact = manufactured_problem(0.5, node_count=101)
+        init = exact.with_values(exact.u + 1e-3 * np.cos(np.pi * exact.grid / 2))
+        with pytest.raises(StepFailureError) as err:
+            newton_solve(problem, 0.5, init, NewtonOptions(jacobian_check=False))
+        state = err.value.state
+        floor = solver._rounding_floor(problem, 0.5, state.profile)
+        assert state.residual_norm > floor
+        assert f"rounding floor {floor:.3e}" in str(err.value)
+        assert not state.converged and state.rounding_floor is None
+
+    def test_floor_recorded_only_where_the_rule_fired(self):
+        # the README-shaped (5, 3) solve stops at its rounding floor at
+        # t = 0.4 to 0.8 and meets tol at the other t
+        tol = NewtonOptions().tol
+        report = continuation_run(subsolution_benchmark(n=5, k=3))
+        fired = [s.t for s in report.states if s.rounding_floor is not None]
+        assert 0 < len(fired) < len(report.states)
+        for s in report.states:
+            if s.rounding_floor is None:
+                assert s.residual_norm <= tol
+            else:
+                assert tol < s.residual_norm <= s.rounding_floor
+
+
+class TestOneConeRule:
+    """A tuple or a node with a NaN entry is outside the cone at every layer."""
+
+    SPEC = SymFuncSpec("sigma_k_root", n=4, k=2)
+
+    def test_rows(self):
+        row = np.array([1.0, 2.0, np.nan, 1.0])
+        assert not self.SPEC.contains(row)
+        with pytest.raises(ConeDomainError):
+            self.SPEC.value(row)
+        with pytest.raises(ConeDomainError):
+            self.SPEC.grad(row)
+
+    @pytest.mark.parametrize("which", ["du", "d2u"])
+    def test_radial_nodes(self, which):
+        derivatives = {"du": np.array([0.1, 0.2, 0.1]), "d2u": np.array([1.0, 1.0, 1.0])}
+        derivatives[which][1] = np.nan
+        du, d2u = derivatives["du"], derivatives["d2u"]
+        ev = self.SPEC.radial_eval(0.5, *radial_w_eigenvalues(4, du, d2u))
+        assert ev.outside.tolist() == [1]
+        assert np.isnan(ev.value[1]) and np.isfinite(ev.value[[0, 2]]).all()
+        with pytest.raises(ConeDomainError):
+            ev.gradient()
+        with pytest.raises(ConeDomainError):
+            radial_curvature_value(self.SPEC, 0.5, du, d2u)
+
+    def test_residual_names_the_nan_node(self):
+        problem, exact = manufactured_problem(0.5, node_count=101)
+        d2u = exact.d2u.copy()
+        d2u[40] = np.nan
+        with pytest.raises(ConeViolationError) as err:
+            solver._residual(problem, 0.5, exact.grid, exact.u, exact.du, d2u)
+        assert err.value.node == 40 and "node 40 " in str(err.value)
+        assert not solver._inside_cone(problem, 0.5, exact.with_values(
+            np.where(np.arange(101) == 40, np.nan, exact.u)))
+
+
 class TestStateEvaluation:
     """Each Newton state is evaluated once; the state carries what it found."""
 
@@ -475,6 +556,35 @@ class TestSubsolutionCheck:
         assert np.allclose(report.margins[inside], expected, rtol=1e-13, atol=1e-15)
         assert report.min_margin == pytest.approx(float(expected.min()), rel=1e-13)
         assert not report.passed
+
+    def test_one_kernel_call_with_nodes_outside(self, monkeypatch):
+        # the margins inside the cone come from the one evaluation of every
+        # node, bit for bit the row path's f minus psi
+        calls = []
+        radial_eval = SymFuncSpec.radial_eval
+
+        def counted(spec, *args):
+            calls.append(args[0])
+            return radial_eval(spec, *args)
+
+        monkeypatch.setattr(SymFuncSpec, "radial_eval", counted)
+        spec = SymFuncSpec("quotient", n=5, k=3, l=1)
+        sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
+        psi = lambda x, z: 0.1 + 0.05 * np.asarray(x, float) * np.ones_like(np.asarray(z, float))
+        problem = DirichletProblem(
+            geom=CylinderGeometry(n=5, half_length=1.0), spec=spec, psi=psi,
+            psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
+            phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
+        )
+        report = check_subsolution(problem)
+        assert calls == [1.0]
+        rows = radial_rows(5, sub.du, sub.d2u)
+        inside = spec.margin_scores(rows) > spec.margin
+        assert 0 < inside.sum() < inside.size
+        expected = spec.value_t_many(1.0, rows[inside]) - psi(sub.grid[inside], sub.u[inside])
+        assert np.array_equal(report.margins[inside], expected)
+        assert np.isnan(report.margins[~inside]).all()
+        assert report.cone_violations == tuple(np.flatnonzero(~inside).tolist())
 
     def test_missing_subsolution_raises(self):
         problem, _ = manufactured_problem(0.5, node_count=101)

@@ -587,21 +587,27 @@ class TestRadialKernel:
                 scores = spec.margin_scores_t(t, rows)
                 inside = scores > spec.margin
                 assert 0 < inside.sum() < inside.size
+                # the mixed batch: one verdict, f_t on the rows inside
                 ev = spec.radial_eval(t, a, s)
                 assert np.array_equal(ev.scores, scores)
-                assert ev.value is None
-                with pytest.raises(ConeDomainError) as exc:
-                    ev.gradient()
-                with pytest.raises(ConeDomainError) as expected:
-                    spec.grad_t_many(t, rows)
-                assert str(exc.value) == str(expected.value)
-                assert exc.value.min_score == expected.value.min_score
+                assert np.array_equal(ev.outside, np.flatnonzero(~inside))
+                assert np.isnan(ev.value[~inside]).all()
+                assert np.array_equal(ev.value[inside], spec.value_t_many(t, rows[inside]))
+                for call, row_path in ((ev.gradient, spec.grad_t_many),
+                                       (ev.inside_value, spec.value_t_many)):
+                    with pytest.raises(ConeDomainError) as exc:
+                        call()
+                    with pytest.raises(ConeDomainError) as expected:
+                        row_path(t, rows)
+                    assert str(exc.value) == str(expected.value)
+                    assert exc.value.min_score == expected.value.min_score
 
                 ev = spec.radial_eval(t, a[inside], s[inside])
                 g = spec.grad_t_many(t, rows[inside])
                 grad_axis, grad_sphere = ev.gradient()
                 assert np.array_equal(ev.scores, scores[inside])
-                assert np.array_equal(ev.value, spec.value_t_many(t, rows[inside]))
+                assert ev.outside.size == 0
+                assert np.array_equal(ev.inside_value(), spec.value_t_many(t, rows[inside]))
                 assert np.array_equal(grad_axis, g[:, 0])
                 assert np.array_equal(grad_sphere, g[:, 1:].sum(axis=1))
 
@@ -635,20 +641,23 @@ class TestRadialKernel:
         for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
             calls.clear()
             ev = spec.radial_eval(0.5, a, s)
-            assert ev.value is not None
+            assert ev.outside.size == 0
             assert calls == [4]
             ev.gradient()
             assert calls == [4, 3, 3]
 
     def test_evaluation_holds_only_vector_copies(self):
-        # an evaluation holds (m,) arrays of its own, so it keeps no stacked
-        # (k + 1, 2m) ESP array alive
-        a, s = radial_w_eigenvalues(5, np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
+        # an evaluation holds (m,) arrays of its own and the indices of the
+        # rows outside, so it keeps no stacked (k + 1, 2m) ESP array alive
+        du = np.linspace(-0.5, 0.5, 50)
+        du[[3, 17]] = 1.5, np.nan
+        a, s = radial_w_eigenvalues(5, du, np.full(50, 1.0))
         for spec in (SymFuncSpec("sigma_k_root", n=5, k=3), SymFuncSpec("quotient", n=5, k=4, l=2)):
             ev = spec.radial_eval(0.5, a, s)
-            assert ev._fields == ("spec", "t", "scores", "value", "axis", "sphere")
+            assert ev._fields == ("spec", "t", "scores", "outside", "value", "axis", "sphere")
             for v in (ev.scores, ev.value, ev.axis, ev.sphere):
                 assert v.shape == (50,) and v.base is None
+            assert ev.outside.tolist() == [3, 17] and ev.outside.base.size == 2
 
     def test_kernel_ignores_slot_order(self):
         # f_t is symmetric: the axis value may sit in any slot of the row
