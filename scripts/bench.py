@@ -27,7 +27,7 @@ told apart.  The same figures, as the median wall time of
 BLOWUP_REPEATS runs after one warm-up, come from the continuation of
 acceptance criterion 9: the Example 1 data (n = 5, k = 4, c = -0.5) at 1001
 nodes over the default schedule from the closed-form start, with the
-criterion's floor tolerance and no Jacobian check.  Beside it stands the
+criterion's floor tolerance and its Jacobian check.  Beside it stands the
 cost of building that data, as the median wall time of BLOWUP_REPEATS calls
 after one warm-up: `example1.half_length` at (5, 4, -0.5), which is the
 slope-parametrized initial value problem alone (its end is the half length),
@@ -206,8 +206,7 @@ def continuation(node_count):
 def blowup_continuation():
     problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
     h = 2 * problem.geom.half_length / 1000
-    opts = solver.NewtonOptions(tol=max(1e-7, 100 * np.finfo(float).eps * 1.5 * 2.0 / h ** 2),
-                                jacobian_check=False)
+    opts = solver.NewtonOptions(tol=max(1e-7, 100 * 2.2e-16 * 1.5 * 2.0 / h ** 2))
     walls = []
     for _ in range(BLOWUP_REPEATS + 1):
         start = time.perf_counter()

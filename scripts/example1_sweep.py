@@ -30,7 +30,7 @@ def main():
         for c in cs:
             params = ExampleParams.from_c(n, k, c)
             sol = solve_profile(params, node_count=args.grid)
-            rep = verify_example(params, sol)
+            rep = verify_example(sol)
             rows.append({
                 "n": n, "k": k, "c": c,
                 "d": params.d, "H0": params.h0, "T": sol.t_max,

@@ -116,6 +116,11 @@ CONFIGS = [
     # the default Newton tol, below the residual's rounding floor on both grids
     ("4001-node subsolution, default tol", _solve(grid_size=4001)),
     ("criterion 9 data, default tol", _example1_solve(5, 4, -0.5, 1001)),
+    # the verification beyond the README grid: one passing, one with failing rows
+    ("example1 (5, 4, -0.5) on 1001 nodes",
+     ("example1", {"n": 5, "k": 4, "c": -0.5, "grid_size": 1001})),
+    ("example1 (3, 2, 1.0) on 2001 nodes",
+     ("example1", {"n": 3, "k": 2, "c": 1.0, "grid_size": 2001})),
 ]
 
 

@@ -174,11 +174,6 @@ def _config_comment(resolved):
     return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
 
 
-def _write_profile_csv(path, resolved, profile, residual_column, extra_comments=()):
-    _write_profile_rows(path, resolved, extra_comments, _format.cells(profile.grid),
-                        (profile.u, profile.du, profile.d2u, residual_column))
-
-
 def _write_profile_rows(path, resolved, comments, grid_cells, columns):
     """One row per node: the grid, from its Cells (_format.cells), then the
     columns u, du, d2u and residual, each value as '%.17g' formats it."""
@@ -415,7 +410,7 @@ def cmd_example1(config):
     out = _out_dir(resolved)
 
     solution = example1.solve_profile(params, node_count=grid_size)
-    report = example1.verify_example(params, solution, thresholds=thresholds)
+    report = example1.verify_example(solution, thresholds=thresholds)
 
     derived = {
         "d": params.d,
@@ -424,10 +419,11 @@ def cmd_example1(config):
         "half_length": solution.t_max,
         "boundary_value": params.boundary_value,
     }
-    _write_profile_csv(
-        out / "profile.csv", resolved, solution.profile, report.residual,
-        extra_comments=[f"# derived " + json.dumps({k2: float(v) for k2, v in derived.items()},
-                                                   sort_keys=True)],
+    profile = solution.profile
+    _write_profile_rows(
+        out / "profile.csv", resolved,
+        ["# derived " + json.dumps({k2: float(v) for k2, v in derived.items()}, sort_keys=True)],
+        _format.cells(profile.grid), (profile.u, profile.du, profile.d2u, report.residual),
     )
 
     _write_report(out / "report.json", resolved, _check_rows("", report.checks), report.passed,

@@ -260,12 +260,12 @@ def _orbit(params, t_max, orbit, times):
 
 @dataclass(frozen=True)
 class ExampleSolution:
-    """Computed radial solution: grid profile plus dense evaluators.
+    """Computed radial solution: grid profile plus a dense evaluator.
 
     The profile stores u on the grid (derivatives on the grid are stencil
-    based, as for any profile).  The callables u_at, du_at and d2u_at give the
-    underlying smooth solution at arbitrary interior points, which the
-    verification report uses at sub-grid distances from the ends.
+    based, as for any profile).  `at` gives the underlying smooth solution at
+    arbitrary points of [-T, T], which the verification report uses at
+    sub-grid distances from the ends.
     """
 
     params: ExampleParams
@@ -273,22 +273,14 @@ class ExampleSolution:
     profile: RadialProfile
     _eval_uv: object = field(repr=False)    # times -> (u, |u'|), see _orbit
 
-    def u_at(self, t):
-        t = np.asarray(t, dtype=float)
-        u, _ = self._eval_uv(t)
-        return float(u) if t.ndim == 0 else u
-
-    def du_at(self, t):
-        t = np.asarray(t, dtype=float)
-        _, v = self._eval_uv(t)
-        signed = np.sign(t) * v
-        return float(signed) if t.ndim == 0 else signed
-
-    def d2u_at(self, t):
-        t = np.asarray(t, dtype=float)
-        u, v = self._eval_uv(t)
-        acc = np.array([_acceleration(self.params, ui, vi) for ui, vi in zip(np.atleast_1d(u), np.atleast_1d(v))])
-        return float(acc[0]) if t.ndim == 0 else acc.reshape(t.shape)
+    def at(self, x):
+        """(u, u', u'') at the times x, each with the shape of x, from one
+        inversion of the orbit.  At x = +-T, where |u'| = 1, u'' is +inf."""
+        x = np.asarray(x, dtype=float)
+        u, v = self._eval_uv(x)
+        with np.errstate(divide="ignore"):
+            d2u = np.array([_acceleration(self.params, ui, vi) for ui, vi in zip(u.ravel(), v.ravel())])
+        return u[()], (np.sign(x) * v)[()], d2u.reshape(x.shape)[()]
 
 
 def solve_profile(params, node_count=401):
@@ -393,23 +385,24 @@ def equation_residual(params, u, du, d2u):
     return _signed_root(sigk, params.k) - params.rhs_root * np.exp(-2.0 * u)
 
 
-def verify_example(params, solution, thresholds=None):
+def verify_example(solution, thresholds=None):
     """Check an :class:`ExampleSolution` against the closed-form construction.
 
     The equation is evaluated with the solution's dense derivatives at the
     interior nodes, and curvature at the exact sub-grid offsets of
-    D2U_FRACTIONS.  All findings go into the report; nothing raises.
+    D2U_FRACTIONS; one `at` call serves both.  All findings go into the
+    report; nothing raises.
     """
+    params = solution.params
     thresholds = thresholds or VerifyThresholds()
     profile = solution.profile
     t_max = solution.t_max
     interior = np.abs(profile.grid) < t_max
-    xs = profile.grid[interior]
     u = profile.u[interior]
-    du = solution.du_at(xs)
-    d2u = solution.d2u_at(xs)
     offsets = np.array([t_max * (1.0 - f) for f in D2U_FRACTIONS])
-    d2u_samples = tuple(float(x) for x in solution.d2u_at(offsets))
+    _, du, d2u = solution.at(np.concatenate([profile.grid[interior], offsets]))
+    d2u_samples = tuple(float(x) for x in d2u[u.size:])
+    du, d2u = du[:u.size], d2u[:u.size]
 
     column = profile.u - params.c
     column[interior] = equation_residual(params, u, du, d2u)

@@ -90,10 +90,10 @@ class DirichletProblem:
     """Problem data for the radial Dirichlet boundary value problem.
 
     psi(x, z) > 0 with psi_z <= 0 is the prescribed right-hand side; both
-    callables must accept numpy arrays in x and z.  The optional subsolution
-    profile must match the boundary values exactly (to 1e-12); it doubles as
-    the default continuation start.  psi is validated on the window from 2
-    below to 2 above the boundary values and the subsolution's range.
+    callables must accept numpy arrays in x and z.  The boundary values must
+    be finite, and the optional subsolution profile must match them to 1e-12;
+    it doubles as the default continuation start.  psi is validated on the
+    window from 2 below to 2 above them and the subsolution's range.
     """
 
     geom: object
@@ -107,9 +107,18 @@ class DirichletProblem:
     def __post_init__(self):
         if self.geom.n != self.spec.n:
             raise ValueError("geometry and symmetric function disagree on the dimension")
+        if not (math.isfinite(self.phi_left) and math.isfinite(self.phi_right)):
+            raise ValueError("boundary values must be finite")
         zs = [self.phi_left, self.phi_right]
         if self.subsolution is not None:
-            zs += [float(self.subsolution.u.min()), float(self.subsolution.u.max())]
+            sub = self.subsolution
+            if sub.grid[0] != -self.geom.half_length or sub.grid[-1] != self.geom.half_length:
+                raise ValueError("subsolution grid must span exactly [-L, L]")
+            # in the `not ... <=` form, a NaN end is a mismatch
+            if not (abs(sub.u[0] - self.phi_left) <= 1e-12
+                    and abs(sub.u[-1] - self.phi_right) <= 1e-12):
+                raise ValueError("subsolution must match the boundary values")
+            zs += [float(sub.u.min()), float(sub.u.max())]
         z_lo, z_hi = min(zs) - 2.0, max(zs) + 2.0
         xs = np.linspace(-self.geom.half_length, self.geom.half_length, 41)
         xx, zz = np.meshgrid(xs, np.linspace(z_lo, z_hi, 21))
@@ -121,12 +130,6 @@ class DirichletProblem:
         sampled = (np.asarray(self.psi(xx, zz + dz)) - np.asarray(self.psi(xx, zz - dz))) / (2 * dz)
         if not np.all(sampled <= 1e-10):
             raise ValueError("sampled z-derivative of psi contradicts the declared psi_z")
-        if self.subsolution is not None:
-            sub = self.subsolution
-            if sub.grid[0] != -self.geom.half_length or sub.grid[-1] != self.geom.half_length:
-                raise ValueError("subsolution grid must span exactly [-L, L]")
-            if abs(sub.u[0] - self.phi_left) > 1e-12 or abs(sub.u[-1] - self.phi_right) > 1e-12:
-                raise ValueError("subsolution must match the boundary values")
 
 
 @dataclass(frozen=True)
@@ -563,15 +566,13 @@ class SubsolutionReport:
     min_margin: float
     min_cone_margin: float
     cone_violations: tuple
-    boundary_ok: bool
 
     @property
     def checks(self):
         """The rows margin and cone_margin.  The margin row also fails on a
-        cone violation or a boundary mismatch, so it carries the verdict of
-        the whole check."""
-        margin_ok = (not self.cone_violations and self.boundary_ok
-                     and self.min_margin >= SUBSOLUTION_TOL)
+        cone violation, so it carries the verdict of the whole check (the
+        problem itself holds the subsolution to its boundary values)."""
+        margin_ok = not self.cone_violations and self.min_margin >= SUBSOLUTION_TOL
         return [CheckResult("margin", margin_ok, self.min_margin, SUBSOLUTION_TOL),
                 cone_margin_check(self.min_cone_margin)]
 
@@ -591,18 +592,14 @@ def check_subsolution(problem):
     sub = problem.subsolution
     if sub is None:
         raise ValueError("the problem has no subsolution to check")
-    grid = _grid_for(problem, sub)
     axis, sphere = radial_w_eigenvalues(problem.geom.n, sub.du, sub.d2u)
     evaluation = problem.spec.radial_eval(1.0, axis, sphere)
     # f is NaN at the nodes outside the cone, and so is their margin
-    margins = evaluation.value - np.asarray(problem.psi(grid, sub.u), dtype=float)
-    boundary_ok = (abs(sub.u[0] - problem.phi_left) <= 1e-12
-                   and abs(sub.u[-1] - problem.phi_right) <= 1e-12)
+    margins = evaluation.value - np.asarray(problem.psi(sub.grid, sub.u), dtype=float)
     finite = margins[np.isfinite(margins)]
     return SubsolutionReport(
         margins=margins,
         min_margin=float(finite.min()) if finite.size else math.nan,
         min_cone_margin=float(evaluation.scores.min()),
         cone_violations=tuple(int(i) for i in evaluation.outside),
-        boundary_ok=bool(boundary_ok),
     )

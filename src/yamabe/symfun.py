@@ -59,13 +59,15 @@ CONE_MARGIN = 1e-12
 # elementary symmetric polynomials
 # ---------------------------------------------------------------------------
 
-def _as_batch(lam):
-    """lam as an (m, n) array; a single vector becomes one row."""
+def _as_batch(lam, single=False):
+    """lam as an (m, n) array; a single vector becomes one row, and with
+    `single` it is the only form accepted."""
     v = np.asarray(lam, dtype=float)
     if v.ndim == 1:
         return v[None, :]
-    if v.ndim != 2:
-        raise ValueError(f"expected a vector or a stack of vectors, got shape {v.shape}")
+    if single or v.ndim != 2:
+        wanted = "one tuple" if single else "a vector or a stack of vectors"
+        raise ValueError(f"expected {wanted}, got shape {v.shape}")
     return v
 
 
@@ -110,7 +112,7 @@ def _esp_removed(values, kmax):
 
 def sigma(lam, k):
     """k-th elementary symmetric polynomial of the entries of lam (sigma_0 = 1)."""
-    v = _as_batch(lam)
+    v = _as_batch(lam, single=True)
     n = v.shape[1]
     if not 0 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
@@ -287,8 +289,10 @@ class SymFuncSpec:
         ratio = math.comb(self.n, self.k) / math.comb(self.n, self.l)
         return ratio ** (1.0 / (self.k - self.l))
 
-    def _validated(self, lam):
-        v = _as_batch(lam)
+    def _validated(self, lam, single=False):
+        """lam as (m, n) rows (see _as_batch) of length n: the one shape
+        check of each public entry point."""
+        v = _as_batch(lam, single)
         if v.shape[1] != self.n:
             raise ValueError(f"expected tuples of length {self.n}, got {v.shape[1]}")
         return v
@@ -297,7 +301,7 @@ class SymFuncSpec:
 
     def margin_scores(self, values):
         """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row (see _cone_scores)."""
-        return _cone_scores(np.asarray(values, dtype=float), self.k)[0]
+        return _cone_scores(self._validated(values), self.k)[0]
 
     def _outside(self, scores):
         """The cone test: rows whose score is not above the margin, NaN included."""
@@ -313,36 +317,43 @@ class SymFuncSpec:
             )
 
     def contains(self, lam):
-        v = self._validated(lam)
-        return bool(self.margin_scores(v)[0] > self.margin)
+        return self._inside(self._validated(lam, single=True))
 
     def in_cone_t(self, t, lam):
-        return bool(self.margin_scores_t(t, lam)[0] > self.margin)
+        return self._inside(_t_map(t, self._validated(lam, single=True)))
+
+    def _inside(self, row):
+        return bool(_cone_scores(row, self.k)[0][0] > self.margin)
 
     def margin_scores_t(self, t, lam):
-        v = self._validated(lam)
-        return self.margin_scores(_t_map(t, v))
+        return _cone_scores(_t_map(t, self._validated(lam)), self.k)[0]
 
     # -- values and derivatives -------------------------------------------------
 
     def value(self, lam):
-        v = self._validated(lam)
-        return float(self.value_many(v)[0])
+        return float(self._values(self._validated(lam, single=True))[0])
 
     def grad(self, lam):
-        v = self._validated(lam)
-        return self.grad_many(v)[0]
+        return self._grads(self._validated(lam, single=True))[0]
 
     def value_many(self, values):
-        return self._value_from(self._inside_esp(values))
+        return self._values(self._validated(values))
 
     def grad_many(self, values):
-        return self.value_and_grad_many(values)[1]
+        return self._grads(self._validated(values))
 
     def value_and_grad_many(self, values):
         """(value_many, grad_many) of the rows, from one pass of each ESP kernel."""
-        values = np.asarray(values, dtype=float)
+        values = self._validated(values)
         return self._value_and_grad_from(values, self._inside_esp(values))
+
+    def _values(self, v):
+        """f of rows that passed `_validated`."""
+        return self._value_from(self._inside_esp(v))
+
+    def _grads(self, v):
+        """Df of rows that passed `_validated`."""
+        return self._value_and_grad_from(v, self._inside_esp(v))[1]
 
     def _value_and_grad_from(self, values, e):
         """f and Df of the (m, n) rows inside the cone, given their ESP vectors e_0..e_k."""
@@ -357,8 +368,8 @@ class SymFuncSpec:
         return f, (f / (self.k - self.l))[:, None] * log_grad
 
     def _inside_esp(self, values):
-        """e_0..e_k of the rows, after their cone test."""
-        scores, e = _cone_scores(np.asarray(values, dtype=float), self.k)
+        """e_0..e_k of the (m, n) rows, after their cone test."""
+        scores, e = _cone_scores(values, self.k)
         self._require_scores_inside(scores, self._outside(scores))
         return e
 
@@ -369,19 +380,20 @@ class SymFuncSpec:
         return (e[self.k] / e[self.l]) ** (1.0 / (self.k - self.l))
 
     def value_t(self, t, lam):
-        return float(self.value_t_many(t, lam)[0])
+        return float(self._values(_t_map(t, self._validated(lam, single=True)))[0])
 
     def value_t_many(self, t, lam):
-        v = self._validated(lam)
-        return self.value_many(_t_map(t, v))
+        return self._values(_t_map(t, self._validated(lam)))
 
     def grad_t(self, t, lam):
-        return self.grad_t_many(t, lam)[0]
+        return self._grads_t(t, self._validated(lam, single=True))[0]
 
     def grad_t_many(self, t, lam):
+        return self._grads_t(t, self._validated(lam))
+
+    def _grads_t(self, t, v):
         """Chain rule through lam -> t*lam + (1-t)*sigma_1(lam)*e."""
-        v = self._validated(lam)
-        return _t_map(t, self.grad_many(_t_map(t, v)))
+        return _t_map(t, self._grads(_t_map(t, v)))
 
     # -- the radial kernel -------------------------------------------------------
 

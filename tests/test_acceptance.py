@@ -80,7 +80,7 @@ def test_criterion_03_non_smoothness_witness():
     start = time.perf_counter()
     params = ExampleParams.from_c(5, 3, 0.0)
     solution = solve_profile(params, node_count=401)
-    rep = verify_example(params, solution)
+    rep = verify_example(solution)
     ratio = rep.d2u_last_over_first
     ok = (rep.max_drift <= 1e-8
           and rep.min_one_minus_slope_sq > 0.0

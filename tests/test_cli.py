@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yamabe import benchmarks, cli, example1, geometry, symfun
+from yamabe import _format, benchmarks, cli, example1, geometry, symfun
 from yamabe.cli import main
 from yamabe.geometry import RadialProfile
 
@@ -337,6 +337,18 @@ class TestSolveCommand:
         assert "config error: psi must be positive on the working range" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_subsolution_overflowing_at_its_ends_exits_2(self, tmp_path, capsys):
+        # 0.3 cosh(711) overflows: the boundary values taken from it are infinite
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, half_length=711.0, psi={"family": "constant", "value": 1.0}))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in cosh"):
+            assert run_cli(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: boundary values must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("changes, message", [
         ({"function": "sigma_k_root"}, "function: expected an object"),
@@ -866,7 +878,8 @@ class TestProfileCsv:
         with np.errstate(all="ignore"):
             profile = RadialProfile(np.linspace(-1.0, 1.0, special.size), special[::-1])
             columns = (profile.grid, profile.u, profile.du, profile.d2u, special)
-            cli._write_profile_csv(tmp_path / "p.csv", {"command": "test"}, profile, special)
+            cli._write_profile_rows(tmp_path / "p.csv", {"command": "test"}, [],
+                                    _format.cells(profile.grid), columns[1:])
         expected = [",".join(format(float(v), ".17g") for v in row) for row in zip(*columns)]
         lines = (tmp_path / "p.csv").read_text().splitlines()
         assert lines[lines.index("x,u,du,d2u,residual") + 1:] == expected

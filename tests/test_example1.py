@@ -1,6 +1,7 @@
 """Tests of the closed-form non-smooth radial construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,12 +125,12 @@ class TestSolveProfile:
         sol = solve_profile(P420, node_count=101)
         mid = 50
         assert sol.profile.u[mid] == pytest.approx(P420.d, abs=1e-12)
-        assert sol.du_at(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert sol.at(0.0)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_center_curvature_formula(self):
         sol = solve_profile(P420, node_count=101)
         expected = (4 * math.exp(-4 * P420.d) - 0) / 4  # (n e^{-2kd} - (n-2k)) / (2k)
-        assert sol.d2u_at(0.0) == pytest.approx(expected, rel=1e-10)
+        assert sol.at(0.0)[2] == pytest.approx(expected, rel=1e-10)
         assert expected > 0
 
     @pytest.mark.parametrize("n,k,c", ORBIT_DATA + EDGE_DATA)
@@ -139,7 +140,8 @@ class TestSolveProfile:
         sol = solve_profile(p, node_count=401)
         grid = sol.profile.grid
         xs = np.append(grid[np.abs(grid) < sol.t_max], sol.t_max * (1.0 - np.array([1e-4, 1e-6])))
-        drift = np.abs(first_integral(p, sol.u_at(xs), sol.du_at(xs)) - p.h0)
+        u, du, _ = sol.at(xs)
+        drift = np.abs(first_integral(p, u, du) - p.h0)
         assert drift.max() <= 1e-8
 
     def test_endpoint_values(self):
@@ -148,14 +150,13 @@ class TestSolveProfile:
         assert sol.profile.u[-1] == pytest.approx(P420.boundary_value, abs=1e-6)
         # the slope approaches unit magnitude at the ends; 1 - slope^2 decays
         # like the square root of the remaining time
-        slopes = [abs(sol.du_at(sol.t_max * (1.0 - e))) for e in (1e-3, 1e-6, 1e-9, 1e-12)]
-        assert all(a < b for a, b in zip(slopes, slopes[1:]))
+        slopes = np.abs(sol.at(sol.t_max * (1.0 - np.array([1e-3, 1e-6, 1e-9, 1e-12])))[1])
+        assert np.all(np.diff(slopes) > 0.0)
         assert slopes[-1] > 0.999999
 
     def test_empty_times(self):
         sol = solve_profile(P420, node_count=101)
-        assert sol.u_at(np.array([])).shape == (0,)
-        assert sol.du_at(np.array([])).shape == (0,)
+        assert [a.shape for a in sol.at(np.array([]))] == [(0,)] * 3
 
     def test_evenness(self):
         sol = solve_profile(P420, node_count=401)
@@ -168,7 +169,7 @@ class TestSolveProfile:
         grid = sol.profile.grid
         pick = grid[np.abs(np.abs(grid) - sol.t_max) > 1e-12][::10]
         ref = reference_profile_by_first_integral(p, pick)
-        mine = sol.u_at(pick)
+        mine = sol.at(pick)[0]
         assert np.abs(mine - ref).max() <= 1e-9
 
     @pytest.mark.parametrize("n,k,c", ORBIT_DATA)
@@ -192,7 +193,7 @@ class TestSolveProfile:
         monkeypatch.setattr(example1, "half_length", forbidden)
         monkeypatch.setattr(example1, "first_integral", forbidden)
         sol = solve_profile(p, node_count=101)
-        sol.du_at(sol.t_max * (1.0 - np.array([1e-2, 1e-6])))
+        sol.at(sol.t_max * (1.0 - np.array([1e-2, 1e-6])))
         assert len(runs) == 1
         assert runs[0].t[0] == 0.0 and runs[0].t[-1] == 1.0
         assert sol.t_max == runs[0].y[0, -1] == sol.profile.grid[-1]
@@ -206,8 +207,8 @@ class TestSolveProfile:
         p = ExampleParams.from_c(n, k, c)
         sol = solve_profile(p, node_count=401)
         gap = 1e-9 * sol.t_max
-        assert abs(c - sol.u_at(sol.t_max - gap) - gap) <= 1e-9
-        failed = [check.name for check in verify_example(p, sol).checks if not check.passed]
+        assert abs(c - sol.at(sol.t_max - gap)[0] - gap) <= 1e-9
+        failed = [check.name for check in verify_example(sol).checks if not check.passed]
         assert set(failed) <= {"curvature_floor"}
 
     def test_grid_refinement_improves_residual(self):
@@ -227,10 +228,56 @@ class TestSolveProfile:
             solve_profile(P420, node_count=3)
 
 
+class TestAt:
+    """ExampleSolution.at: (u, u', u'') in the shape of x from one inversion."""
+
+    def test_array_matches_the_orbit_point_by_point(self):
+        sol = solve_profile(P420, node_count=101)
+        xs = sol.t_max * np.array([[-1.0, -0.5, 0.0], [0.25, 1.0 - 1e-9, 1.0]])
+        u, du, d2u = sol.at(xs)
+        assert u.shape == du.shape == d2u.shape == xs.shape
+        orbit = example1._slope_orbit(P420)
+        for x, got in zip(xs.ravel(), zip(u.ravel(), du.ravel(), d2u.ravel())):
+            u_x, v_x = example1._orbit(P420, sol.t_max, orbit, x)
+            with np.errstate(divide="ignore"):
+                acc = example1._acceleration(P420, u_x, v_x)
+            assert got == (u_x, np.sign(x) * v_x, acc)
+
+    def test_scalar(self):
+        sol = solve_profile(P420, node_count=101)
+        values = sol.at(0.5 * sol.t_max)
+        assert all(isinstance(v, float) and np.ndim(v) == 0 for v in values)
+        assert values == tuple(a[0] for a in sol.at(np.array([0.5 * sol.t_max])))
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_ends_have_unit_slope_and_infinite_curvature(self, side):
+        sol = solve_profile(P420, node_count=101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, du, d2u = sol.at(side * sol.t_max)
+        assert du == side and d2u == math.inf
+        assert abs(u - P420.c) <= 1e-12
+
+    def test_verify_example_inverts_the_orbit_once(self, monkeypatch):
+        sizes = []
+        orbit = example1._orbit
+
+        def counted(*args):
+            sizes.append(np.size(args[-1]))
+            return orbit(*args)
+
+        # solve_profile binds _orbit into the solution, so the wrapper goes in first
+        monkeypatch.setattr(example1, "_orbit", counted)
+        sol = solve_profile(P420, node_count=401)
+        sizes.clear()
+        verify_example(sol)
+        assert sizes == [399 + len(example1.D2U_FRACTIONS)]
+
+
 class TestVerifyExample:
     def test_exact_profile_passes(self):
         sol = solve_profile(P420, node_count=401)
-        report = verify_example(P420, sol)
+        report = verify_example(sol)
         assert report.max_interior_residual <= 1e-7
         assert report.boundary_error <= 1e-6
         assert report.min_one_minus_slope_sq > 0
@@ -239,11 +286,12 @@ class TestVerifyExample:
 
     def test_residual_column_and_rows(self):
         sol = solve_profile(P420, node_count=101)
-        report = verify_example(P420, sol)
+        report = verify_example(sol)
         grid, u = sol.profile.grid, sol.profile.u
         assert report.residual[[0, -1]].tolist() == (u[[0, -1]] - P420.c).tolist()
         xs = grid[1:-1]
-        inner = equation_residual(P420, u[1:-1], sol.du_at(xs), sol.d2u_at(xs))
+        _, du, d2u = sol.at(xs)
+        inner = equation_residual(P420, u[1:-1], du, d2u)
         assert np.array_equal(report.residual[1:-1], inner)
         assert report.max_interior_residual == float(np.abs(inner).max())
         assert [c.name for c in report.checks] == [
@@ -253,7 +301,7 @@ class TestVerifyExample:
 
     def test_curvature_samples_increase(self):
         sol = solve_profile(P420, node_count=401)
-        report = verify_example(P420, sol)
+        report = verify_example(sol)
         assert report.d2u_increasing
         assert report.d2u_samples[-1] > 10.0
         # k = 2 is the marginal case: the two-decade ratio approaches 10 from
@@ -263,12 +311,12 @@ class TestVerifyExample:
     def test_curvature_ratio_exceeds_ten_for_k3(self):
         p = ExampleParams.from_c(5, 3, 0.0)
         sol = solve_profile(p, node_count=401)
-        report = verify_example(p, sol)
+        report = verify_example(sol)
         assert report.d2u_increasing
         assert report.d2u_last_over_first > 10.0
 
     def test_thresholds_configurable(self):
         sol = solve_profile(P420, node_count=401)
-        strict = verify_example(P420, sol, thresholds=VerifyThresholds(interior_residual=1e-18))
+        strict = verify_example(sol, thresholds=VerifyThresholds(interior_residual=1e-18))
         assert not strict.passed
         assert [c.name for c in strict.checks if not c.passed] == ["interior_residual"]

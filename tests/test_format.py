@@ -117,7 +117,8 @@ def test_written_profile_equals_the_row_oracle(tmp_path):
     residual[[0, -1]] = 0.0
     resolved = {"command": "solve", "grid_size": 4001}
     comments = ["# t 0.25"]
-    cli._write_profile_csv(tmp_path / "kernel.csv", resolved, profile, residual, comments)
     columns = (profile.grid, profile.u, profile.du, profile.d2u, residual)
+    cli._write_profile_rows(tmp_path / "kernel.csv", resolved, comments,
+                            _format.cells(profile.grid), columns[1:])
     write_profile_by_rows(tmp_path / "oracle.csv", resolved, comments, columns)
     assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -80,6 +80,27 @@ class TestProblemValidation:
                 phi_left=0.0, phi_right=0.0, subsolution=sub,
             )
 
+    def test_rejects_a_nan_subsolution_end(self):
+        # abs(nan - phi) > 1e-12 is False: the comparison must count NaN as a mismatch
+        u = 0.3 * np.cosh(np.linspace(-1.0, 1.0, 11))
+        u[-1] = math.nan
+        psi, psi_z = constant_psi(1.0)
+        with pytest.raises(ValueError, match="match the boundary values"):
+            DirichletProblem(
+                geom=CylinderGeometry(n=4, half_length=1.0), spec=SymFuncSpec("sigma_k_root", n=4, k=2),
+                psi=psi, psi_z=psi_z, phi_left=float(u[0]), phi_right=float(u[0]),
+                subsolution=RadialProfile.uniform(1.0, 11, u),
+            )
+
+    @pytest.mark.parametrize("phi_left", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_boundary_values(self, phi_left):
+        psi, psi_z = constant_psi(1.0)
+        with pytest.raises(ValueError, match="boundary values must be finite"):
+            DirichletProblem(
+                geom=CylinderGeometry(n=4, half_length=1.0), spec=SymFuncSpec("sigma_k_root", n=4, k=2),
+                psi=psi, psi_z=psi_z, phi_left=phi_left, phi_right=0.0,
+            )
+
     def test_subsolution_grid_outside_cylinder_rejected(self):
         geom = CylinderGeometry(n=4, half_length=0.5)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)

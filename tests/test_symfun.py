@@ -71,6 +71,11 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma((1, 2, 3), 4)
 
+    def test_rejects_a_stack(self):
+        # not sigma_1 of row 0, 3.0
+        with pytest.raises(ValueError, match="expected one tuple"):
+            sigma([[1, 1, 1], [2, 2, 2]], 1)
+
     def test_random_against_enumeration(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -230,6 +235,22 @@ class TestValueAndGradient:
             S23.value_t(0.5, np.ones((2, 4)))
         with pytest.raises(ValueError):
             S23.value(np.ones((2, 2, 3)))
+
+    @pytest.mark.parametrize("name, t", [("contains", ()), ("in_cone_t", (0.5,)), ("value", ()),
+                                         ("grad", ()), ("value_t", (0.5,)), ("grad_t", (0.5,))])
+    def test_single_tuple_methods_reject_a_stack(self, name, t):
+        # a stack is not read as its row 0: contains would be True on the
+        # first, value sqrt(6) on the second
+        for stack in ([[1, 1, 1, 1], [-1, -1, -1, -1]], [[1, 1, 1, 1], [2, 2, 2, 2]], [[1, 1, 1, 1]]):
+            with pytest.raises(ValueError, match="expected one tuple"):
+                getattr(S24, name)(*t, stack)
+
+    @pytest.mark.parametrize("name", ["margin_scores", "value_many", "grad_many",
+                                      "value_and_grad_many"])
+    def test_batch_methods_reject_a_wrong_row_length(self, name):
+        # rows of three on n = 4 are not read as 3-tuples (value_many gave sqrt(3))
+        with pytest.raises(ValueError, match="expected tuples of length 4, got 3"):
+            getattr(S24, name)([[1.0, 1.0, 1.0]])
 
     def test_accepts_sequences_in_any_order(self):
         expected = S23.value(np.array([1.0, 2.0, 3.0]))
