@@ -21,9 +21,13 @@ profile's, and the profile writer: one profile CSV of the state
 (its columns u, du, d2u and residual, the grid's cells formatted once, as
 `yamabe solve` does) formatted and written to a temporary directory.  It
 then runs one full continuation over the default
-schedule (Newton tolerance 1e-7) and records its wall time and the Newton
-iterations per t, so that algorithmic and constant-factor changes can be
-told apart.  The same figures, as the median wall time of
+schedule (Newton tolerance 1e-7) and records its wall time, the Newton
+iterations per t (so that algorithmic and constant-factor changes can be
+told apart) and the `_residual` calls it made (the line-search trials and
+the Jacobian check's).  One more continuation of the 4001-node benchmark
+runs at the default tolerance 1e-10, which lies below the residual's
+rounding floor at every t there, so it shows what a stalled line search
+costs.  The same figures, as the median wall time of
 BLOWUP_REPEATS runs after one warm-up, come from the continuation of
 acceptance criterion 9: the Example 1 data (n = 5, k = 4, c = -0.5) at 1001
 nodes over the default schedule from the closed-form start, with the
@@ -116,7 +120,7 @@ def layer_times(node_count):
     problem = subsolution_benchmark(node_count=node_count)
     prof = problem.subsolution
     grid = prof.grid
-    res, _, evaluation = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
+    res, evaluation = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
     ab = solver.jacobian(problem, T, prof)
     spec = problem.spec
     axis, sphere = radial_w_eigenvalues(spec.n, prof.du, prof.d2u)
@@ -191,15 +195,30 @@ def suite_times():
     return {name: _median_ms(call, SUITE_REPEATS) for name, call in suites.items()}
 
 
-def continuation(node_count):
+def continuation(node_count, tol=CONTINUATION_TOL):
+    """One continuation of the subsolution benchmark: its wall time, the
+    Newton iterations and the `_residual` calls (line-search trials and the
+    Jacobian check's)."""
     problem = subsolution_benchmark(node_count=node_count)
-    start = time.perf_counter()
-    report = solver.continuation_run(problem, opts=solver.NewtonOptions(tol=CONTINUATION_TOL))
-    wall = time.perf_counter() - start
+    evaluate, calls = solver._residual, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    solver._residual = counted
+    try:
+        start = time.perf_counter()
+        report = solver.continuation_run(problem, opts=solver.NewtonOptions(tol=tol))
+        wall = time.perf_counter() - start
+    finally:
+        solver._residual = evaluate
     return {
+        "tol": tol,
         "wall_s": wall,
         "newton_iters_per_t": {repr(s.t): s.newton_iters for s in report.states},
         "newton_iters_total": sum(s.newton_iters for s in report.states),
+        "residual_calls": calls[0],
     }
 
 
@@ -272,7 +291,9 @@ def solve_times(node_count, writers=None):
 
 
 def main():
-    runs = {m: continuation(m) for m in NODES}
+    runs = {str(m): continuation(m) for m in NODES}
+    # the default tol lies below the rounding floor at every t on this grid
+    runs["4001_default_tol"] = continuation(4001, solver.NewtonOptions().tol)
     solves = {str(m): {"every_core": solve_times(m), "one_process": solve_times(m, 1)}
               for m in SOLVE_NODES}
     # the largest RSS of any child this process has waited for: the writers
@@ -290,7 +311,7 @@ def main():
                       "blowup_example1_1001": blowup_layer_times()},
         "esp_kernels_ms": kernel_times(),
         "structure_suites_ms": suite_times(),
-        "continuation": {str(m): run for m, run in runs.items()},
+        "continuation": runs,
         "continuation_blowup_example1_1001": blowup_continuation(),
         "construction_blowup_example1_1001": blowup_construction(),
         "solve": {"files": len(solver.DEFAULT_T_SCHEDULE) + 2,

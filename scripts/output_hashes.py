@@ -121,6 +121,10 @@ CONFIGS = [
      ("example1", {"n": 5, "k": 4, "c": -0.5, "grid_size": 1001})),
     ("example1 (3, 2, 1.0) on 2001 nodes",
      ("example1", {"n": 3, "k": 2, "c": 1.0, "grid_size": 2001})),
+    # every node outside the cone: no finite subsolution margin, written as null
+    ("101-node linear subsolution, constant psi",
+     _solve(grid_size=101, subsolution={"family": "linear", "slope": 2.0},
+            psi={"family": "constant", "value": 1.0})),
 ]
 
 

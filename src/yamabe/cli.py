@@ -306,7 +306,9 @@ def _write_report(path, resolved, checks, passed, extra=None):
     }
     if extra:
         doc.update(extra)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", newline="\n")
+    # NaN and +-inf, which strict JSON lacks, are written as null
+    doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", newline="\n")
 
 
 _OUTPUT_NAMES = ("report.json", "profile.csv", "monitors.csv", "profile_*_t*.csv")
@@ -685,7 +687,8 @@ def main(argv=None):
         if args.verbose:
             config["verbose"] = True
         handler = {"check": cmd_check, "example1": cmd_example1, "solve": cmd_solve}[args.command]
-        return handler(config)
+        with np.errstate(all="ignore"):   # the checks report non-finite values themselves
+            return handler(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

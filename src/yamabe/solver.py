@@ -14,13 +14,12 @@ probe direction, in O(m) memory and with a fixed relative tolerance.
 
 Newton evaluates each state once: one residual call runs the spec's
 two-value kernel `radial_eval` on the (axis, sphere) eigenvalue vectors and
-supplies the residual vector, the minimum cone margin (a trial outside the
-cone raises there) and the state's evaluation.  The Jacobian of an accepted
-state takes its gradient from that evaluation, so it adds only the
-gradient's own ESP pass; the returned state carries the residual and margin
-with the norm of every accepted step.  The kernel and its gradient are
-bit-identical to the spec's `margin_scores_t`, `value_t_many` and
-`grad_t_many` on the full (m, n) eigenvalue rows.  The kernel also makes
+supplies the residual vector and the state's evaluation (a trial outside the
+cone raises there).  The state's Jacobian takes its gradient from that
+evaluation, so it adds only the gradient's own ESP pass; the state's cone
+margin and rounding floor are read from it too.  The kernel and its
+gradient are bit-identical to the spec's `margin_scores_t`, `value_t_many`
+and `grad_t_many` on the full (m, n) eigenvalue rows.  The kernel also makes
 the one cone test: its evaluation records the nodes outside the cone (a
 node with a NaN entry among them), and the residual, the gradient, the
 feasibility restore and `check_subsolution` read that record.
@@ -28,7 +27,8 @@ feasibility restore and `check_subsolution` read that record.
 The residual cannot fall below its rounding floor F, which grows like
 eps/h^2 and lies above the default tolerance on fine grids.  When no damped
 step is acceptable at a residual at or below F, Newton returns the state as
-converged and records F on it.
+converged and records F on it.  A line search ends at a step that moves no
+node, since no smaller step moves one.
 
 Continuation walks an ascending t schedule, warm-starting each solve from the
 previous profile, and records per-t monitors: sup norms of u and its first
@@ -185,23 +185,21 @@ def _inside_cone(problem, t, profile):
 
 
 def _residual(problem, t, grid, u, du, d2u):
-    """Residual vector, minimum cone margin score and the kernel's
-    evaluation from nodal values and their stencil derivatives; raises when
-    a node leaves the cone."""
+    """Residual vector and the kernel's evaluation from nodal values and
+    their stencil derivatives; raises when a node leaves the cone."""
     evaluation = _radial_eval(problem, t, du, d2u)
-    scores = evaluation.scores
     if evaluation.outside.size:
         node = int(evaluation.outside[0]) + 1
         raise ConeViolationError(
             f"eigenvalues at node {node} (x={grid[node]:.6g}) left the cone "
-            f"(margin score {scores[node - 1]:.3e})",
+            f"(margin score {evaluation.scores[node - 1]:.3e})",
             node=node,
         )
     out = np.empty(grid.size)
     out[0] = u[0] - problem.phi_left
     out[-1] = u[-1] - problem.phi_right
     out[1:-1] = evaluation.value - np.asarray(problem.psi(grid[1:-1], u[1:-1]), dtype=float)
-    return out, float(scores.min()), evaluation
+    return out, evaluation
 
 
 def residual(problem, t, profile):
@@ -303,13 +301,13 @@ def _check_jacobian(problem, t, profile, ab):
         )
 
 
-def _state_from(t, profile, res, margin, iters, converged, increments, floor=None):
+def _state_from(t, profile, res, evaluation, iters, converged, increments, floor=None):
     return ContinuationState(
         t=t,
         profile=profile,
         residual=res,
         monitors=estimate_monitors(profile),
-        cone_margin=margin,
+        cone_margin=float(evaluation.scores.min()),
         newton_iters=iters,
         converged=converged,
         increment_norms=tuple(increments),
@@ -317,18 +315,17 @@ def _state_from(t, profile, res, margin, iters, converged, increments, floor=Non
     )
 
 
-def _rounding_floor(problem, t, profile):
+def _rounding_floor(problem, profile, evaluation):
     """F, the rounding floor of the residual at profile: eps times the
     largest interior sum of the magnitudes its rounding scales with,
 
         |g_a| sum_j |c2_ij u_j| + |g_a - g_s| |u'_i| sum_j |c1_ij u_j| + |f_t| + |psi|,
 
-    with the gradient of the state's evaluation and the stencil weights of
-    its GridStencils.  It grows like eps/h^2, so on fine grids it can lie
-    above a fixed Newton tolerance.
+    with f_t and the gradient of the state's evaluation and the stencil
+    weights of its GridStencils.  It grows like eps/h^2, so on fine grids it
+    can lie above a fixed Newton tolerance.
     """
     grid, u = profile.grid, np.abs(profile.u)
-    evaluation = _radial_eval(problem, t, profile.du, profile.d2u)
     g_axis, g_sphere = evaluation.gradient()
 
     def spread(weights):
@@ -347,71 +344,68 @@ def newton_solve(problem, t, init, opts=None):
 
     A trial step is accepted only when every interior node keeps a positive
     cone margin and the residual sup norm decreases; the step is halved up to
-    MAX_BACKTRACKS times otherwise.  When every damped step fails at a
-    residual at or below its rounding floor F (`_rounding_floor`), which no
-    step can improve on, the state is returned as converged with F recorded
-    on it; F is computed only then.  Raises ConeViolationError when the
-    initial profile leaves the cone, StepFailureError when no damped step is
-    acceptable above F and NonconvergenceError when the iteration budget
-    runs out; the last two carry the best state reached.
+    MAX_BACKTRACKS times otherwise, and the search ends early at a step that
+    moves no node, since each half of it moves none either.  When no damped
+    step is acceptable at a residual at or below its rounding floor F
+    (`_rounding_floor`), which no step can improve on, the state is returned
+    as converged with F recorded on it; F is computed only then.  Raises
+    ConeViolationError when the initial profile leaves the cone,
+    StepFailureError when no damped step is acceptable above F and
+    NonconvergenceError when the iteration budget runs out; the last two
+    carry the best state reached.
     """
     opts = opts or NewtonOptions()
     grid = _grid_for(problem, init)
     profile = init
-    res, margin, evaluation = _residual(problem, t, grid, init.u, init.du, init.d2u)
+    res, evaluation = _residual(problem, t, grid, init.u, init.du, init.d2u)
     norm = float(np.abs(res).max())
     increments = []
-    if norm <= opts.tol:
-        return _state_from(t, profile, res, margin, 0, True, increments)
-
-    checked = not opts.jacobian_check
-    for iteration in range(1, opts.max_iter + 1):
+    for iteration in range(opts.max_iter + 1):
+        converged = norm <= opts.tol
+        if converged or iteration == opts.max_iter:
+            state = _state_from(t, profile, res, evaluation, iteration, converged, increments)
+            if not converged:
+                raise NonconvergenceError(f"Newton did not reach tol={opts.tol:.1e} in {opts.max_iter} "
+                                          f"iterations at t={t} (residual {norm:.3e})", state=state)
+            return state
         ab = jacobian(problem, t, profile, evaluation)
-        evaluation = None   # the accepted trial brings the next; holding both raises peak memory
-        if not checked:
+        if opts.jacobian_check and iteration == 0:
             _check_jacobian(problem, t, profile, ab)
-            checked = True
         try:
             delta = solve_banded((1, 1), ab, -res)
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(
                 f"singular Jacobian at t={t}",
-                state=_state_from(t, profile, res, margin, iteration - 1, False, increments),
+                state=_state_from(t, profile, res, evaluation, iteration, False, increments),
             ) from exc
 
-        alpha = 1.0
+        alpha, accepted = 1.0, False
         for _ in range(MAX_BACKTRACKS + 1):
-            trial = profile.with_values(profile.u + alpha * delta)
+            u = profile.u + alpha * delta
+            if np.array_equal(u, profile.u):
+                break   # each half of this step moves no node either
+            trial = profile.with_values(u)
             try:
-                trial_res, trial_margin, evaluation = _residual(
-                    problem, t, grid, trial.u, trial.du, trial.d2u)
+                trial_res, trial_evaluation = _residual(problem, t, grid, u, trial.du, trial.d2u)
             except ConeViolationError:
                 pass
             else:
                 trial_norm = float(np.abs(trial_res).max())
-                if trial_norm < norm or trial_norm <= opts.tol:
+                accepted = trial_norm < norm or trial_norm <= opts.tol
+                if accepted:
                     break
             alpha *= 0.5
-        else:
-            floor = _rounding_floor(problem, t, profile)
+        if not accepted:
+            floor = _rounding_floor(problem, profile, evaluation)
             if norm <= floor:
-                return _state_from(t, profile, res, margin, iteration - 1, True, increments, floor)
+                return _state_from(t, profile, res, evaluation, iteration, True, increments, floor)
             raise StepFailureError(
                 f"no acceptable damped step at t={t} (residual {norm:.3e}, "
                 f"rounding floor {floor:.3e})",
-                state=_state_from(t, profile, res, margin, iteration - 1, False, increments),
+                state=_state_from(t, profile, res, evaluation, iteration, False, increments),
             )
-
         increments.append(float(alpha * np.abs(delta).max()))
-        profile, res, margin, norm = trial, trial_res, trial_margin, trial_norm
-        if norm <= opts.tol:
-            return _state_from(t, profile, res, margin, iteration, True, increments)
-
-    raise NonconvergenceError(
-        f"Newton did not reach tol={opts.tol:.1e} in {opts.max_iter} iterations "
-        f"at t={t} (residual {norm:.3e})",
-        state=_state_from(t, profile, res, margin, opts.max_iter, False, increments),
-    )
+        profile, res, evaluation, norm = trial, trial_res, trial_evaluation, trial_norm
 
 
 def _ratio(hi, lo):

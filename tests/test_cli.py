@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -343,7 +344,9 @@ class TestSolveCommand:
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "s.json", _solve_payload(
             out, half_length=711.0, psi={"family": "constant", "value": 1.0}))
-        with pytest.warns(RuntimeWarning, match="overflow encountered in cosh"):
+        # the overflow is the config error's to report, not numpy's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run_cli(["solve", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error: boundary values must be finite" in err
@@ -998,3 +1001,31 @@ class TestReportVerdict:
             every_row = every_row and report.get("failed_t") is None
         assert report["passed"] is every_row
         assert report["passed"] is (code == 0)
+
+
+def _strict_json(text):
+    """text parsed as strict JSON, which has no NaN or infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictReport:
+    def test_cone_violating_subsolution_margin_is_null(self, tmp_path):
+        # every node of the slope-2 line is outside the cone: no finite margin
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, subsolution={"family": "linear", "slope": 2.0},
+            psi={"family": "constant", "value": 1.0}))
+        assert run_cli(["solve", cfg]) == 1
+        report = _strict_json((out / "report.json").read_text())
+        [margin] = [c for c in report["checks"] if c["name"] == "subsolution.margin"]
+        assert margin["value"] is None and margin["status"] == "fail"
+
+    def test_infinities_are_null_at_any_depth(self, tmp_path):
+        path = tmp_path / "report.json"
+        cli._write_report(path, {"command": "solve"}, [{"name": "a", "value": -math.inf}], False,
+                          extra={"monitor_growth": [1.0, math.inf, math.nan], "tol": 1e-10})
+        report = _strict_json(path.read_text())
+        assert report["checks"][0]["value"] is None
+        assert report["monitor_growth"] == [1.0, None, None] and report["tol"] == 1e-10

@@ -197,8 +197,8 @@ class TestJacobian:
             sub = problem.subsolution
             prof = sub.with_values(sub.u + 0.01 * np.sin(2.0 * sub.grid))
             for t in (0.0, 0.3, 0.99, 1.0):
-                _, _, evaluation = solver._residual(problem, t, prof.grid, prof.u,
-                                                    prof.du, prof.d2u)
+                _, evaluation = solver._residual(problem, t, prof.grid, prof.u,
+                                                 prof.du, prof.d2u)
                 assert np.array_equal(jacobian(problem, t, prof, evaluation),
                                       jacobian(problem, t, prof))
 
@@ -347,7 +347,9 @@ class TestRoundingFloor:
         with pytest.raises(StepFailureError) as err:
             newton_solve(problem, 0.5, init, NewtonOptions(jacobian_check=False))
         state = err.value.state
-        floor = solver._rounding_floor(problem, 0.5, state.profile)
+        prof = state.profile
+        _, evaluation = solver._residual(problem, 0.5, prof.grid, prof.u, prof.du, prof.d2u)
+        floor = solver._rounding_floor(problem, prof, evaluation)
         assert state.residual_norm > floor
         assert f"rounding floor {floor:.3e}" in str(err.value)
         assert not state.converged and state.rounding_floor is None
@@ -364,6 +366,36 @@ class TestRoundingFloor:
                 assert s.residual_norm <= tol
             else:
                 assert tol < s.residual_norm <= s.rounding_floor
+
+    def test_floor_reads_the_state_evaluation(self, monkeypatch):
+        # the same (5, 3) solve: the floor rule makes no kernel call of its own
+        calls = {"kernel": 0, "residual": 0, "screen": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(solver, "_radial_eval", counted("kernel", solver._radial_eval))
+        monkeypatch.setattr(solver, "_residual", counted("residual", solver._residual))
+        monkeypatch.setattr(solver, "_inside_cone", counted("screen", solver._inside_cone))
+        report = continuation_run(subsolution_benchmark(n=5, k=3))
+        assert any(s.rounding_floor is not None for s in report.states)
+        assert calls["kernel"] == calls["residual"] + calls["screen"]
+
+    def test_no_state_is_evaluated_twice(self, monkeypatch):
+        # a stalled line search ends at its first step that moves no node
+        evaluate, seen = solver._residual, []
+
+        def recorded(problem, t, grid, u, du, d2u):
+            seen.append((t, u.tobytes()))
+            return evaluate(problem, t, grid, u, du, d2u)
+
+        monkeypatch.setattr(solver, "_residual", recorded)
+        report = continuation_run(subsolution_benchmark(n=5, k=3))
+        assert any(s.rounding_floor is not None for s in report.states)
+        assert len(set(seen)) == len(seen)
 
 
 class TestOneConeRule:
