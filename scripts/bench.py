@@ -10,8 +10,8 @@ cosh amplitude 0.3, theta 0.5), takes the subsolution as the state at
 t = 0.5 and reports the median wall time per call (plain
 time.perf_counter, after one warm-up call) of the residual with its cone
 test, the Jacobian as a caller without an evaluation builds it (kernel and
-gradient) and as Newton builds it from the evaluation its residual call
-made (gradient only), the cone screen of the feasibility restore, the
+gradient) and as Newton builds it from the gradient it holds for the
+state (assembly only), the cone screen of the feasibility restore, the
 banded solve, the directional Jacobian check, the radial kernel
 `SymFuncSpec.radial_eval` on the state's eigenvalues and the gradient of
 its evaluation, and the grid derivatives: the free
@@ -23,8 +23,9 @@ profile's, and the profile writer: one profile CSV of the state
 then runs one full continuation over the default
 schedule (Newton tolerance 1e-7) and records its wall time, the Newton
 iterations per t (so that algorithmic and constant-factor changes can be
-told apart) and the `_residual` calls it made (the line-search trials and
-the Jacobian check's).  One more continuation of the 4001-node benchmark
+told apart), the `_residual` calls it made (the line-search trials and
+the Jacobian check's) and the `RadialEvaluation.gradient` calls (one per
+Newton state that takes a step or meets its rounding floor).  One more continuation of the 4001-node benchmark
 runs at the default tolerance 1e-10, which lies below the residual's
 rounding floor at every t there, so it shows what a stalled line search
 costs.  The same figures, as the median wall time of
@@ -121,16 +122,17 @@ def layer_times(node_count):
     prof = problem.subsolution
     grid = prof.grid
     res, evaluation = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
+    gradient = evaluation.gradient()
     ab = solver.jacobian(problem, T, prof)
     spec = problem.spec
-    axis, sphere = radial_w_eigenvalues(spec.n, prof.du, prof.d2u)
+    axis, sphere = radial_w_eigenvalues(prof.du, prof.d2u)
     grid_cells = _format.cells(grid)
     columns = np.array([prof.u, prof.du, prof.d2u, res])
     stencils = GridStencils(grid)
     layers = {
         "residual": lambda: solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u),
         "jacobian": lambda: solver.jacobian(problem, T, prof),
-        "jacobian_held": lambda: solver.jacobian(problem, T, prof, evaluation),
+        "jacobian_held": lambda: solver.jacobian(problem, T, prof, gradient),
         "inside_cone": lambda: solver._inside_cone(problem, T, prof),
         "solve_banded": lambda: solve_banded((1, 1), ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
@@ -157,7 +159,7 @@ def _radial_layers(spec, axis, sphere):
 
 def blowup_layer_times():
     problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
-    axis, sphere = radial_w_eigenvalues(5, init.du[1:-1], init.d2u[1:-1])
+    axis, sphere = radial_w_eigenvalues(init.du[1:-1], init.d2u[1:-1])
     return {name: _median_ms(call)
             for name, call in _radial_layers(problem.spec, axis, sphere).items()}
 
@@ -197,28 +199,34 @@ def suite_times():
 
 def continuation(node_count, tol=CONTINUATION_TOL):
     """One continuation of the subsolution benchmark: its wall time, the
-    Newton iterations and the `_residual` calls (line-search trials and the
-    Jacobian check's)."""
+    Newton iterations, the `_residual` calls (line-search trials and the
+    Jacobian check's) and the `RadialEvaluation.gradient` calls."""
     problem = subsolution_benchmark(node_count=node_count)
-    evaluate, calls = solver._residual, [0]
+    evaluate, gradient = solver._residual, symfun.RadialEvaluation.gradient
+    calls = {"residual": 0, "gradient": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return evaluate(*args)
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
 
-    solver._residual = counted
+    solver._residual = counted("residual", evaluate)
+    symfun.RadialEvaluation.gradient = counted("gradient", gradient)
     try:
         start = time.perf_counter()
         report = solver.continuation_run(problem, opts=solver.NewtonOptions(tol=tol))
         wall = time.perf_counter() - start
     finally:
         solver._residual = evaluate
+        symfun.RadialEvaluation.gradient = gradient
     return {
         "tol": tol,
         "wall_s": wall,
         "newton_iters_per_t": {repr(s.t): s.newton_iters for s in report.states},
         "newton_iters_total": sum(s.newton_iters for s in report.states),
-        "residual_calls": calls[0],
+        "residual_calls": calls["residual"],
+        "gradient_calls": calls["gradient"],
     }
 
 
@@ -240,7 +248,7 @@ def blowup_continuation():
 
 
 def blowup_construction():
-    params = ExampleParams.from_c(5, 4, -0.5)
+    params = ExampleParams(5, 4, -0.5)
     return {
         "repeats": BLOWUP_REPEATS,
         "half_length_ms": _median_ms(lambda: half_length(params), BLOWUP_REPEATS),

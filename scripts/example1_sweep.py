@@ -28,7 +28,7 @@ def main():
     rows = []
     for n, k in pairs:
         for c in cs:
-            params = ExampleParams.from_c(n, k, c)
+            params = ExampleParams(n, k, c)
             sol = solve_profile(params, node_count=args.grid)
             rep = verify_example(sol)
             rows.append({

@@ -125,6 +125,12 @@ CONFIGS = [
     ("101-node linear subsolution, constant psi",
      _solve(grid_size=101, subsolution={"family": "linear", "slope": 2.0},
             psi={"family": "constant", "value": 1.0})),
+    # roots of degree 10 and 8, whose growth and decay bounds follow the
+    # degree, and a suite that raises (sigma_1 has no separated normals),
+    # whose report keeps the rows of the suites before it
+    ("check sigma_10 at n = 10", ("check", {"function": {"kind": "sigma_k_root", "n": 10, "k": 10}})),
+    ("check sigma_8 at n = 8", ("check", {"function": {"kind": "sigma_k_root", "n": 8, "k": 8}})),
+    ("check sigma_1 at n = 3", ("check", {"function": {"kind": "sigma_k_root", "n": 3, "k": 1}})),
 ]
 
 

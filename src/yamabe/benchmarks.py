@@ -72,7 +72,7 @@ def radial_curvature_value(spec, t, du, d2u):
     raises ConeDomainError when a point leaves the cone."""
     du = np.atleast_1d(np.asarray(du, dtype=float))
     d2u = np.atleast_1d(np.asarray(d2u, dtype=float))
-    return spec.radial_eval(t, *radial_w_eigenvalues(spec.n, du, d2u)).inside_value()
+    return spec.radial_eval(t, *radial_w_eigenvalues(du, d2u)).inside_value()
 
 
 def _no_z_dependence(x, z):
@@ -130,7 +130,7 @@ def dirichlet_problem(spec, half_length, node_count, psi, subsolution=None, boun
     sub = None if subsolution is None else RadialProfile.uniform(half_length, node_count, subsolution[0])
     left, right = boundary if boundary is not None else (float(sub.u[0]), float(sub.u[-1]))
     return DirichletProblem(
-        geom=CylinderGeometry(n=spec.n, half_length=half_length), spec=spec,
+        geom=CylinderGeometry(half_length), spec=spec,
         psi=psi[0], psi_z=psi[1], phi_left=left, phi_right=right, subsolution=sub,
     )
 
@@ -182,7 +182,7 @@ def example_boundary_problem(n, k, c, node_count=401):
     profile); the init is the exact t = 1 profile sampled on the grid, which
     lies inside every interpolated cone.
     """
-    params = ExampleParams.from_c(n, k, c)
+    params = ExampleParams(n, k, c)
     solution = solve_profile(params, node_count=node_count)
     problem = dirichlet_problem(SymFuncSpec("sigma_k_root", n=n, k=k), solution.t_max, node_count,
                                 example1_rhs_psi(params), boundary=(c, c))

@@ -112,20 +112,20 @@ def _load_config(path):
     return data
 
 
-def _function_spec(cfg, context="function"):
-    _check_keys(cfg, {"kind", "n", "k", "l"}, context)
-    kind = _need(cfg, "kind", context)
-    n = _as_int(_need(cfg, "n", context), f"{context}.n", lo=3)
+def _function_spec(cfg):
+    _check_keys(cfg, {"kind", "n", "k", "l"}, "function")
+    kind = _need(cfg, "kind", "function")
+    n = _as_int(_need(cfg, "n", "function"), "function.n", lo=3)
     if kind == "sigma_k_root":
-        k = _as_int(_need(cfg, "k", context), f"{context}.k", lo=1, hi=n)
+        k = _as_int(_need(cfg, "k", "function"), "function.k", lo=1, hi=n)
         if "l" in cfg:
-            raise ConfigError(f"{context}: l is only for the quotient kind")
+            raise ConfigError("function: l is only for the quotient kind")
         return symfun.SymFuncSpec("sigma_k_root", n=n, k=k)
     if kind == "quotient":
-        k = _as_int(_need(cfg, "k", context), f"{context}.k", lo=2, hi=n)
-        l = _as_int(_need(cfg, "l", context), f"{context}.l", lo=1, hi=k - 1)
+        k = _as_int(_need(cfg, "k", "function"), "function.k", lo=2, hi=n)
+        l = _as_int(_need(cfg, "l", "function"), "function.l", lo=1, hi=k - 1)
         return symfun.SymFuncSpec("quotient", n=n, k=k, l=l)
-    raise ConfigError(f"{context}.kind: unknown kind {kind!r}")
+    raise ConfigError(f"function.kind: unknown kind {kind!r}")
 
 
 # the keys each family reads beside "family"
@@ -160,7 +160,7 @@ def _example_params(n, k, c, context):
     """Example 1's ExampleParams of boundary value c; a ConfigError on c where
     d has no floating-point value (from about n c = 16, or c below -128)."""
     try:
-        return example1.ExampleParams.from_c(n, k, c)
+        return example1.ExampleParams(n, k, c)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{context}: no Example 1 data for c = {c!r} at (n, k) = ({n}, {k}): "
                           f"{exc}") from exc
@@ -364,18 +364,23 @@ def cmd_check(config):
     seed = resolved["seed"]
     out = _out_dir(resolved)
 
-    # row name prefix -> report, in row order
-    reports = {"structure.": symfun.verify_structure(spec, sample_count=samples, seed=seed)}
-    classification = symfun.classify_type(spec)
-    reports["ball."] = symfun.interpolation_ball_report(spec, t_values=t_values,
-                                                        directions=directions, seed=seed)
-    reports["separation."] = symfun.concavity_margin_suite(spec, samples=sep_samples,
-                                                           beta=beta, seed=seed)
+    # row name prefix -> report, in row order; a suite that raises ends the
+    # run with the rows of those before it, an error entry and passed false
+    reports, extra = {}, {"label": spec.label}
+    try:
+        reports["structure."] = symfun.verify_structure(spec, sample_count=samples, seed=seed)
+        classification = symfun.classify_type(spec)
+        extra["classification"] = {"cone_type": classification.cone_type,
+                                   "f_type": classification.f_type}
+        reports["ball."] = symfun.interpolation_ball_report(spec, t_values=t_values,
+                                                            directions=directions, seed=seed)
+        reports["separation."] = symfun.concavity_margin_suite(spec, samples=sep_samples,
+                                                               beta=beta, seed=seed)
+    except YamabeError as exc:
+        extra["error"] = str(exc)
+        print(f"error: {exc}", file=sys.stderr)
     checks = [row for prefix, r in reports.items() for row in _check_rows(prefix, r.checks)]
-    passed = all(r.passed for r in reports.values())
-    extra = {"label": spec.label,
-             "classification": {"cone_type": classification.cone_type,
-                                "f_type": classification.f_type}}
+    passed = "error" not in extra and all(r.passed for r in reports.values())
     _write_report(out / "report.json", resolved, checks, passed, extra=extra)
     if resolved["verbose"]:
         for c in checks:

@@ -63,22 +63,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExampleParams:
-    """Dimension n, symmetric-function order k, center value d and boundary value c.
-
-    d < 0 and c are linked by c = -(1/n) ln|H(d, 0)|; both are stored and the
-    pair must be consistent to 1e-10.
+    """Dimension n, symmetric-function order k and boundary value c; the
+    center value d < 0 follows from c = -(1/n) ln|H(d, 0)| (d_from_c), and
+    the c it implies must agree with c to 1e-10.
     """
 
     n: int
     k: int
-    d: float
+    d: float = field(init=False)
     c: float
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("dimension must be at least 3")
-        if not 2 <= self.k <= self.n:
-            raise ValueError("the construction requires 2 <= k <= n")
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "d", d_from_c(self.n, self.k, self.c))
         if not self.d < 0:
             raise ValueError("the center value d must be negative")
         implied = -math.log(abs(_h_at_rest(self.n, self.k, self.d))) / self.n
@@ -86,10 +85,6 @@ class ExampleParams:
             raise ValueError(
                 f"inconsistent (c, d): c={self.c!r} but d implies {implied!r}"
             )
-
-    @classmethod
-    def from_c(cls, n, k, c):
-        return cls(n=n, k=k, d=d_from_c(n, k, c), c=float(c))
 
     @property
     def h0(self):
@@ -369,7 +364,7 @@ def _signed_root(values, k):
 
 
 def _sigma_k_of_radial(n, k, du, d2u):
-    axis, sphere = radial_w_eigenvalues(n, du, d2u)
+    axis, sphere = radial_w_eigenvalues(du, d2u)
     total = math.comb(n - 1, k) * sphere ** k if k <= n - 1 else np.zeros_like(sphere)
     total = total + math.comb(n - 1, k - 1) * axis * sphere ** (k - 1)
     return total

@@ -42,14 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CylinderGeometry:
-    """The cylinder [-half_length, half_length] x S^(n-1), n >= 3."""
+    """The cylinder [-half_length, half_length] x S^(n-1); the dimension n
+    is the symmetric function's (`DirichletProblem.spec.n`)."""
 
-    n: int
     half_length: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("dimension must be at least 3")
         if not self.half_length > 0:
             raise ValueError("half_length must be positive")
 
@@ -186,14 +184,11 @@ class RadialProfile:
         object.__setattr__(self, "stencils", stencils)
 
     @classmethod
-    def uniform(cls, half_length, node_count, func_or_values):
+    def uniform(cls, half_length, node_count, func):
+        """The profile of func, a callable on grid arrays, on node_count
+        uniform nodes of [-half_length, half_length]."""
         grid = np.linspace(-half_length, half_length, node_count)
-        if callable(func_or_values):
-            return cls(grid, np.asarray(func_or_values(grid), dtype=float))
-        values = np.asarray(func_or_values, dtype=float)
-        if values.ndim == 0:
-            values = np.full(node_count, float(values))
-        return cls(grid, values)
+        return cls(grid, np.asarray(func(grid), dtype=float))
 
     def with_values(self, u):
         return RadialProfile(self.grid, u, self.stencils)
@@ -211,7 +206,7 @@ class RadialProfile:
         return second_derivative(self.stencils, self.u)
 
 
-def radial_w_eigenvalues(n, du, d2u):
+def radial_w_eigenvalues(du, d2u):
     """(axis, sphere) eigenvalue pair of W[u] for a radial profile.
 
     axis = u'' - (1 - u'^2)/2 appears once; sphere = (1 - u'^2)/2 appears

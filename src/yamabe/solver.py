@@ -15,9 +15,10 @@ probe direction, in O(m) memory and with a fixed relative tolerance.
 Newton evaluates each state once: one residual call runs the spec's
 two-value kernel `radial_eval` on the (axis, sphere) eigenvalue vectors and
 supplies the residual vector and the state's evaluation (a trial outside the
-cone raises there).  The state's Jacobian takes its gradient from that
-evaluation, so it adds only the gradient's own ESP pass; the state's cone
-margin and rounding floor are read from it too.  The kernel and its
+cone raises there).  Newton takes that evaluation's gradient once per state,
+for the Jacobian (which adds only the gradient's ESP pass) and for the
+rounding floor; the floor's f_t and the state's cone margin are read from
+the evaluation.  The kernel and its
 gradient are bit-identical to the spec's `margin_scores_t`, `value_t_many`
 and `grad_t_many` on the full (m, n) eigenvalue rows.  The kernel also makes
 the one cone test: its evaluation records the nodes outside the cone (a
@@ -105,8 +106,6 @@ class DirichletProblem:
     subsolution: RadialProfile | None = None
 
     def __post_init__(self):
-        if self.geom.n != self.spec.n:
-            raise ValueError("geometry and symmetric function disagree on the dimension")
         if not (math.isfinite(self.phi_left) and math.isfinite(self.phi_right)):
             raise ValueError("boundary values must be finite")
         zs = [self.phi_left, self.phi_right]
@@ -176,7 +175,7 @@ def _grid_for(problem, profile):
 
 def _radial_eval(problem, t, du, d2u):
     """The spec's radial kernel at the interior nodes."""
-    axis, sphere = radial_w_eigenvalues(problem.geom.n, du[1:-1], d2u[1:-1])
+    axis, sphere = radial_w_eigenvalues(du[1:-1], d2u[1:-1])
     return problem.spec.radial_eval(t, axis, sphere)
 
 
@@ -208,7 +207,7 @@ def residual(problem, t, profile):
     return _residual(problem, t, grid, profile.u, profile.du, profile.d2u)[0]
 
 
-def jacobian(problem, t, profile, evaluation=None):
+def jacobian(problem, t, profile, gradient=None):
     """Tridiagonal Jacobian in banded (3, m) storage (solve_banded layout).
 
     Interior rows follow from the chain rule: with a = axis eigenvalue,
@@ -219,14 +218,14 @@ def jacobian(problem, t, profile, evaluation=None):
     where g_a is the f_t gradient in the axis slot, g_s the summed sphere
     slots and c1, c2 the interior stencil weights of u' and u'', which the
     profile's GridStencils holds.  Boundary rows are identity rows.  The
-    gradient comes from `evaluation`, the kernel's evaluation of this
-    profile at this t, when the caller holds one.
+    pair (g_a, g_s) is `gradient` when the caller holds the gradient of
+    this profile's evaluation at this t; else the kernel evaluates it.
     """
     grid = _grid_for(problem, profile)
     m = grid.size
-    if evaluation is None:
-        evaluation = _radial_eval(problem, t, profile.du, profile.d2u)
-    g_axis, g_sphere = evaluation.gradient()
+    if gradient is None:
+        gradient = _radial_eval(problem, t, profile.du, profile.d2u).gradient()
+    g_axis, g_sphere = gradient
     du = profile.du[1:-1]
     psi_z = np.asarray(problem.psi_z(grid[1:-1], profile.u[1:-1]), dtype=float)
     c1 = profile.stencils.first.inner
@@ -315,18 +314,18 @@ def _state_from(t, profile, res, evaluation, iters, converged, increments, floor
     )
 
 
-def _rounding_floor(problem, profile, evaluation):
+def _rounding_floor(problem, profile, evaluation, gradient):
     """F, the rounding floor of the residual at profile: eps times the
     largest interior sum of the magnitudes its rounding scales with,
 
         |g_a| sum_j |c2_ij u_j| + |g_a - g_s| |u'_i| sum_j |c1_ij u_j| + |f_t| + |psi|,
 
-    with f_t and the gradient of the state's evaluation and the stencil
-    weights of its GridStencils.  It grows like eps/h^2, so on fine grids it
-    can lie above a fixed Newton tolerance.
+    with f_t of the state's evaluation, its gradient (the pair Newton's
+    Jacobian took) and the stencil weights of its GridStencils.  It grows
+    like eps/h^2, so on fine grids it can lie above a fixed Newton tolerance.
     """
     grid, u = profile.grid, np.abs(profile.u)
-    g_axis, g_sphere = evaluation.gradient()
+    g_axis, g_sphere = gradient
 
     def spread(weights):
         wm, w0, wp = weights.inner
@@ -368,7 +367,8 @@ def newton_solve(problem, t, init, opts=None):
                 raise NonconvergenceError(f"Newton did not reach tol={opts.tol:.1e} in {opts.max_iter} "
                                           f"iterations at t={t} (residual {norm:.3e})", state=state)
             return state
-        ab = jacobian(problem, t, profile, evaluation)
+        gradient = evaluation.gradient()
+        ab = jacobian(problem, t, profile, gradient)
         if opts.jacobian_check and iteration == 0:
             _check_jacobian(problem, t, profile, ab)
         try:
@@ -396,7 +396,7 @@ def newton_solve(problem, t, init, opts=None):
                     break
             alpha *= 0.5
         if not accepted:
-            floor = _rounding_floor(problem, profile, evaluation)
+            floor = _rounding_floor(problem, profile, evaluation, gradient)
             if norm <= floor:
                 return _state_from(t, profile, res, evaluation, iteration, True, increments, floor)
             raise StepFailureError(
@@ -586,7 +586,7 @@ def check_subsolution(problem):
     sub = problem.subsolution
     if sub is None:
         raise ValueError("the problem has no subsolution to check")
-    axis, sphere = radial_w_eigenvalues(problem.geom.n, sub.du, sub.d2u)
+    axis, sphere = radial_w_eigenvalues(sub.du, sub.d2u)
     evaluation = problem.spec.radial_eval(1.0, axis, sphere)
     # f is NaN at the nodes outside the cone, and so is their margin
     margins = evaluation.value - np.asarray(problem.psi(sub.grid, sub.u), dtype=float)

@@ -282,6 +282,12 @@ class SymFuncSpec:
             return f"sigma_{self.k}_root(n={self.n})"
         return f"quotient({self.k},{self.l})(n={self.n})"
 
+    @property
+    def degree(self):
+        """The degree of the polynomial f is the root of: k for roots, k - l
+        for quotients."""
+        return self.k if self.kind == "sigma_k_root" else self.k - self.l
+
     def f_at_ones(self):
         """f(e); equals C(n,k)^(1/k) for roots, (C(n,k)/C(n,l))^(1/(k-l)) for quotients."""
         if self.kind == "sigma_k_root":
@@ -449,10 +455,13 @@ def classify_type(spec):
     if cone_type != expected_type:
         raise NumericalError(f"{spec.label}: cone type probe disagrees with the cone order")
 
+    # f(1, ..., 1, x) grows like x^(1/k) for roots, at least x^(1/n), and
+    # tends to a limit for quotients; the exponent read off two probes six
+    # decades apart tells them apart
     lam_p = np.ones(n - 1)
-    lo = spec.value(np.append(lam_p, 1e3))
-    hi = spec.value(np.append(lam_p, 1e6))
-    numeric_unbounded = hi / lo > 2.0
+    lo = spec.value(np.append(lam_p, 1e6))
+    hi = spec.value(np.append(lam_p, 1e12))
+    numeric_unbounded = math.log(hi / lo) / math.log(1e6) > 1.0 / (2 * n)
     closed_form_unbounded = spec.kind != "quotient"
     if numeric_unbounded != closed_form_unbounded:
         raise NumericalError(f"{spec.label}: growth probe disagrees with the closed form")
@@ -552,10 +561,11 @@ def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
 _DECAY_ROUND = 8
 
 
-def _boundary_decay_check(spec, samples, rng, rays=64):
-    """f must vanish continuously on the cone boundary along straight rays."""
+def _boundary_decay_check(spec, samples, rng):
+    """f must vanish continuously on the cone boundary along straight rays,
+    the rays from 64 of the samples (all of them, when there are fewer)."""
     fractions = np.array([1e-2, 1e-4, 1e-6])[:, None, None]
-    pts = samples[rng.choice(samples.shape[0], size=min(rays, samples.shape[0]), replace=False)]
+    pts = samples[rng.choice(samples.shape[0], size=min(64, samples.shape[0]), replace=False)]
     count, n = pts.shape
     # a ray's 60 doublings of its reach test in the same call
     reach = np.maximum(1.0, np.abs(pts).max(axis=1))[:, None] * 2.0 ** np.arange(60)
@@ -623,9 +633,13 @@ def verify_structure(spec, sample_count=1000, seed=0):
     vals, grads = spec.value_and_grad_many(pts)
     checks.append(CheckResult("f1_positive", bool(vals.min() > 0.0), float(vals.min()), 0.0))
 
+    # f vanishes like the distance to the boundary to the power 1/degree,
+    # so the ratio of the probes 1e-6 and 1e-2 of the way back from it is
+    # about (1e-4)^(1/degree)
     ordered, ratio = _boundary_decay_check(spec, pts, rng)
+    bound = max(0.3, 1.1 * 1e-4 ** (1.0 / spec.degree))
     checks.append(CheckResult(
-        "f1_boundary_decay", bool(ordered and ratio <= 0.3), float(ratio), 0.3,
+        "f1_boundary_decay", bool(ordered and ratio <= bound), float(ratio), bound,
         "max of f(nearest)/f(farthest) along rays to the boundary",
     ))
 

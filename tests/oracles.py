@@ -76,6 +76,8 @@ class BrokenHomogeneitySpec:
     Positivity, monotonicity and the cone test are genuine.
     """
 
+    degree = 1      # of sigma_1, whose cone it has: the decay row's bound is 0.3
+
     def __init__(self, n):
         self.n = n
         self.label = f"sigma1_squared(n={n})"

@@ -53,7 +53,7 @@ def test_criterion_01_example_closed_form():
     start = time.perf_counter()
     d = d_from_c(4, 2, 0.0)
     d_err = abs(d - (-math.log(2.0) / 4.0))
-    params = ExampleParams.from_c(4, 2, 0.0)
+    params = ExampleParams(4, 2, 0.0)
     h_err = abs(first_integral(params, d, 0.0) - (-1.0))
     elapsed = time.perf_counter() - start
     report(1, d_err <= 1e-10 and h_err <= 1e-12, 1.0, elapsed,
@@ -65,7 +65,7 @@ def test_criterion_02_half_length_vs_ivp_oracle():
     worst = 0.0
     for (n, k) in ((3, 2), (4, 2), (5, 3)):
         for c in (0.0, 1.0):
-            p = ExampleParams.from_c(n, k, c)
+            p = ExampleParams(n, k, c)
             t_quad = half_length(p)
             t_ivp = stopping_time_by_ivp(p)
             worst = max(worst, abs(t_quad - t_ivp) / t_quad)
@@ -78,7 +78,7 @@ def test_criterion_03_non_smoothness_witness():
     # two-decade curvature ratio tends to 10 from below (measured 9.69), so
     # the 10x threshold needs k >= 3; see the k = 2 coverage in test_example1
     start = time.perf_counter()
-    params = ExampleParams.from_c(5, 3, 0.0)
+    params = ExampleParams(5, 3, 0.0)
     solution = solve_profile(params, node_count=401)
     rep = verify_example(solution)
     ratio = rep.d2u_last_over_first

@@ -104,6 +104,32 @@ class TestCheckCommand:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         assert "structure.f4_homogeneity" in failed
 
+    @pytest.mark.parametrize("n, k", [(10, 10), (8, 8)])
+    def test_roots_of_high_degree_pass(self, tmp_path, n, k):
+        # the growth probe of sigma_10 and the decay ratio 0.318 of sigma_8
+        # meet bounds that follow the degree
+        cfg = write_config(tmp_path / "c.json", {
+            "function": {"kind": "sigma_k_root", "n": n, "k": k}, "out": str(tmp_path / "out")})
+        assert run_cli(["check", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["passed"] is True
+        assert report["classification"]["f_type"] == "unbounded"
+
+    def test_a_suite_that_raises_keeps_the_rows_before_it(self, tmp_path, capsys):
+        # sigma_1 is linear: no pair of its normals is separated, so the
+        # separation suite cannot sample and raises
+        cfg = write_config(tmp_path / "c.json", {
+            "function": {"kind": "sigma_k_root", "n": 3, "k": 1}, "out": str(tmp_path / "out")})
+        assert run_cli(["check", cfg]) == 1
+        assert "error: separation sampling stalled" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["error"].startswith("separation sampling stalled")
+        assert report["classification"] == {"cone_type": 2, "f_type": "unbounded"}
+        prefixes = {c["name"].split(".")[0] for c in report["checks"]}
+        assert prefixes == {"structure", "ball"}
+        assert all(c["status"] == "pass" for c in report["checks"])
+
     def test_fixture_kind_is_unknown(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
             "function": {"kind": "sigma1_squared_broken", "n": 4},

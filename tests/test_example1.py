@@ -23,7 +23,7 @@ from yamabe.example1 import (
 from oracles import reference_profile_by_first_integral, stopping_time_by_ivp
 
 
-P420 = ExampleParams.from_c(4, 2, 0.0)
+P420 = ExampleParams(4, 2, 0.0)
 # (n, k, c) of the README, criterion 9 and the ends of the blow-up benchmark's range
 ORBIT_DATA = [(4, 2, 0.0), (3, 2, 1.0), (5, 3, 0.0), (5, 4, -0.6), (5, 4, -0.5), (5, 4, -0.4)]
 # the ends of the range -1 <= c <= 3 of the Example 1 sweeps: a small T,
@@ -41,7 +41,7 @@ class TestFirstIntegral:
         assert first_integral(P420, d, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
     def test_rest_value_general(self):
-        p = ExampleParams.from_c(5, 3, 0.4)
+        p = ExampleParams(5, 3, 0.4)
         for d in (-0.3, -1.0, -2.5):
             expected = math.exp((2 * 3 - 5) * d) - math.exp(-5 * d)
             assert first_integral(p, d, 0.0) == pytest.approx(expected, rel=1e-15)
@@ -77,23 +77,35 @@ class TestDFromC:
 
 
 class TestExampleParams:
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
+    def test_d_is_derived_from_c(self):
+        # d is no argument: it is d_from_c's value, bit for bit, and c a float
+        for n, k, c in ORBIT_DATA:
+            p = ExampleParams(n, k, c)
+            assert p.d == d_from_c(n, k, c)
+        assert type(ExampleParams(4, 2, 0).c) is float
+        with pytest.raises(TypeError):
             ExampleParams(n=4, k=2, d=-0.5, c=0.0)
 
-    def test_nonnegative_d_rejected(self):
-        with pytest.raises(ValueError):
-            ExampleParams(n=4, k=2, d=0.1, c=0.0)
+    def test_consistency_enforced(self, monkeypatch):
+        # a d whose implied c is off by more than 1e-10
+        monkeypatch.setattr(example1, "d_from_c", lambda n, k, c: -0.5)
+        with pytest.raises(ValueError, match="inconsistent"):
+            ExampleParams(n=4, k=2, c=0.0)
+
+    def test_nonnegative_d_rejected(self, monkeypatch):
+        monkeypatch.setattr(example1, "d_from_c", lambda n, k, c: 0.1)
+        with pytest.raises(ValueError, match="must be negative"):
+            ExampleParams(n=4, k=2, c=0.0)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
-            ExampleParams.from_c(4, 1, 0.0)
+            ExampleParams(4, 1, 0.0)
         with pytest.raises(ValueError):
-            ExampleParams.from_c(4, 5, 0.0)
+            ExampleParams(4, 5, 0.0)
 
     def test_center_curvature_positive(self):
         for (n, k, c) in ((4, 2, 0.0), (3, 2, 1.0), (5, 3, -0.5)):
-            assert ExampleParams.from_c(n, k, c).center_curvature() > 0
+            assert ExampleParams(n, k, c).center_curvature() > 0
 
     def test_rhs_constant(self):
         assert P420.rhs_constant == pytest.approx(4 / (2 * 4) * math.comb(3, 1), rel=1e-15)
@@ -104,7 +116,7 @@ class TestHalfLength:
     def test_positive_for_sampled_d(self):
         for d in (-0.1, -0.5, -1.5):
             # n = 4, k = 2: H(d, 0) = 1 - e^(-4d), so c = -ln(e^(-4d) - 1) / 4
-            p = ExampleParams.from_c(4, 2, -math.log(math.expm1(-4.0 * d)) / 4.0)
+            p = ExampleParams(4, 2, -math.log(math.expm1(-4.0 * d)) / 4.0)
             assert p.d == pytest.approx(d, rel=1e-12)
             assert half_length(p) > 0
 
@@ -114,7 +126,7 @@ class TestHalfLength:
                                        (3, 2, 1.0), (4, 2, 1.0), (5, 3, 1.0),
                                        (5, 4, -1.5), (3, 2, -3.0), (5, 5, -1.0)])
     def test_against_ivp_stopping_time(self, n, k, c):
-        p = ExampleParams.from_c(n, k, c)
+        p = ExampleParams(n, k, c)
         t_orbit = half_length(p)
         t_ivp = stopping_time_by_ivp(p)
         assert abs(t_orbit - t_ivp) / t_orbit <= 1e-6
@@ -136,7 +148,7 @@ class TestSolveProfile:
     @pytest.mark.parametrize("n,k,c", ORBIT_DATA + EDGE_DATA)
     def test_conserved_quantity_drift(self, n, k, c):
         # the interior nodes, and two sub-grid points near the degenerate end
-        p = ExampleParams.from_c(n, k, c)
+        p = ExampleParams(n, k, c)
         sol = solve_profile(p, node_count=401)
         grid = sol.profile.grid
         xs = np.append(grid[np.abs(grid) < sol.t_max], sol.t_max * (1.0 - np.array([1e-4, 1e-6])))
@@ -164,7 +176,7 @@ class TestSolveProfile:
 
     @pytest.mark.parametrize("n,k,c", ORBIT_DATA + EDGE_DATA)
     def test_against_first_integral_reference(self, n, k, c):
-        p = ExampleParams.from_c(n, k, c)
+        p = ExampleParams(n, k, c)
         sol = solve_profile(p, node_count=101)
         grid = sol.profile.grid
         pick = grid[np.abs(np.abs(grid) - sol.t_max) > 1e-12][::10]
@@ -177,7 +189,7 @@ class TestSolveProfile:
         # u, |u'| and T come from one run of the slope system, and no first
         # integral enters them; its end X(1) is half_length, and agrees with
         # the equation's own stopping time
-        p = ExampleParams.from_c(n, k, c)
+        p = ExampleParams(n, k, c)
         t_half = half_length(p)
         t_ivp = stopping_time_by_ivp(p)
         runs = []
@@ -204,7 +216,7 @@ class TestSolveProfile:
     def test_reaches_c_at_the_half_length(self, n, k, c):
         # |u'| -> 1 at T, so c - u(T - gap) is gap up to O(gap^1.5); near the
         # separatrix (c = 3) an inaccurate orbit ends away from c
-        p = ExampleParams.from_c(n, k, c)
+        p = ExampleParams(n, k, c)
         sol = solve_profile(p, node_count=401)
         gap = 1e-9 * sol.t_max
         assert abs(c - sol.at(sol.t_max - gap)[0] - gap) <= 1e-9
@@ -309,7 +321,7 @@ class TestVerifyExample:
         assert report.d2u_last_over_first > 9.0
 
     def test_curvature_ratio_exceeds_ten_for_k3(self):
-        p = ExampleParams.from_c(5, 3, 0.0)
+        p = ExampleParams(5, 3, 0.0)
         sol = solve_profile(p, node_count=401)
         report = verify_example(sol)
         assert report.d2u_increasing

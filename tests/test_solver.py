@@ -40,14 +40,14 @@ from yamabe.solver import (
     newton_solve,
     residual,
 )
-from yamabe.symfun import SymFuncSpec
+from yamabe.symfun import RadialEvaluation, SymFuncSpec
 
 from oracles import all_specs, banded_to_dense, fd_jacobian_column, radial_rows
 
 
 class TestProblemValidation:
     def test_rejects_nonpositive_psi(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         with pytest.raises(ValueError):
             DirichletProblem(
@@ -58,7 +58,7 @@ class TestProblemValidation:
             )
 
     def test_rejects_increasing_psi_in_z(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         with pytest.raises(ValueError):
             DirichletProblem(
@@ -69,7 +69,7 @@ class TestProblemValidation:
             )
 
     def test_rejects_subsolution_boundary_mismatch(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         sub = RadialProfile.uniform(1.0, 11, lambda x: 0.3 * np.cosh(x))
         with pytest.raises(ValueError):
@@ -82,14 +82,15 @@ class TestProblemValidation:
 
     def test_rejects_a_nan_subsolution_end(self):
         # abs(nan - phi) > 1e-12 is False: the comparison must count NaN as a mismatch
-        u = 0.3 * np.cosh(np.linspace(-1.0, 1.0, 11))
+        grid = np.linspace(-1.0, 1.0, 11)
+        u = 0.3 * np.cosh(grid)
         u[-1] = math.nan
         psi, psi_z = constant_psi(1.0)
         with pytest.raises(ValueError, match="match the boundary values"):
             DirichletProblem(
-                geom=CylinderGeometry(n=4, half_length=1.0), spec=SymFuncSpec("sigma_k_root", n=4, k=2),
+                geom=CylinderGeometry(half_length=1.0), spec=SymFuncSpec("sigma_k_root", n=4, k=2),
                 psi=psi, psi_z=psi_z, phi_left=float(u[0]), phi_right=float(u[0]),
-                subsolution=RadialProfile.uniform(1.0, 11, u),
+                subsolution=RadialProfile(grid, u),
             )
 
     @pytest.mark.parametrize("phi_left", [math.inf, -math.inf, math.nan])
@@ -97,14 +98,14 @@ class TestProblemValidation:
         psi, psi_z = constant_psi(1.0)
         with pytest.raises(ValueError, match="boundary values must be finite"):
             DirichletProblem(
-                geom=CylinderGeometry(n=4, half_length=1.0), spec=SymFuncSpec("sigma_k_root", n=4, k=2),
+                geom=CylinderGeometry(half_length=1.0), spec=SymFuncSpec("sigma_k_root", n=4, k=2),
                 psi=psi, psi_z=psi_z, phi_left=phi_left, phi_right=0.0,
             )
 
     def test_subsolution_grid_outside_cylinder_rejected(self):
-        geom = CylinderGeometry(n=4, half_length=0.5)
+        geom = CylinderGeometry(half_length=0.5)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        sub = RadialProfile.uniform(1.0, 11, 0.0)
+        sub = RadialProfile.uniform(1.0, 11, np.zeros_like)
         with pytest.raises(ValueError, match="span exactly"):
             DirichletProblem(
                 geom=geom, spec=spec,
@@ -115,7 +116,7 @@ class TestProblemValidation:
 
     def test_profile_grid_outside_cylinder_rejected(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
-        wide = RadialProfile.uniform(2.0, 101, exact.u)
+        wide = RadialProfile(np.linspace(-2.0, 2.0, 101), exact.u)
         with pytest.raises(ValueError, match="span exactly"):
             residual(problem, 0.5, wide)
         with pytest.raises(ValueError, match="span exactly"):
@@ -173,7 +174,7 @@ class TestJacobian:
         # f(e) (c2 - (n-2) u' c1) with no other eigenvalue coupling
         problem, exact = manufactured_problem(0.0, node_count=101)
         prof = exact
-        n = problem.geom.n
+        n = problem.spec.n
         f_e = problem.spec.f_at_ones()
         grid = prof.grid
         h = grid[1] - grid[0]
@@ -199,7 +200,7 @@ class TestJacobian:
             for t in (0.0, 0.3, 0.99, 1.0):
                 _, evaluation = solver._residual(problem, t, prof.grid, prof.u,
                                                  prof.du, prof.d2u)
-                assert np.array_equal(jacobian(problem, t, prof, evaluation),
+                assert np.array_equal(jacobian(problem, t, prof, evaluation.gradient()),
                                       jacobian(problem, t, prof))
 
     def test_newton_path_jacobian_on_example1_data(self, monkeypatch):
@@ -349,7 +350,7 @@ class TestRoundingFloor:
         state = err.value.state
         prof = state.profile
         _, evaluation = solver._residual(problem, 0.5, prof.grid, prof.u, prof.du, prof.d2u)
-        floor = solver._rounding_floor(problem, prof, evaluation)
+        floor = solver._rounding_floor(problem, prof, evaluation, evaluation.gradient())
         assert state.residual_norm > floor
         assert f"rounding floor {floor:.3e}" in str(err.value)
         assert not state.converged and state.rounding_floor is None
@@ -384,6 +385,26 @@ class TestRoundingFloor:
         assert any(s.rounding_floor is not None for s in report.states)
         assert calls["kernel"] == calls["residual"] + calls["screen"]
 
+    def test_each_state_takes_one_gradient(self, monkeypatch):
+        # the same (5, 3) solve: the floor rule reads the gradient that the
+        # state's Jacobian took, so no gradient pass is made beside them
+        calls = {"gradient": 0, "jacobian": 0}
+        gradient, assemble = RadialEvaluation.gradient, solver.jacobian
+
+        def counted_gradient(evaluation):
+            calls["gradient"] += 1
+            return gradient(evaluation)
+
+        def counted_jacobian(*args):
+            calls["jacobian"] += 1
+            return assemble(*args)
+
+        monkeypatch.setattr(RadialEvaluation, "gradient", counted_gradient)
+        monkeypatch.setattr(solver, "jacobian", counted_jacobian)
+        report = continuation_run(subsolution_benchmark(n=5, k=3))
+        assert any(s.rounding_floor is not None for s in report.states)
+        assert calls["gradient"] == calls["jacobian"] > 0
+
     def test_no_state_is_evaluated_twice(self, monkeypatch):
         # a stalled line search ends at its first step that moves no node
         evaluate, seen = solver._residual, []
@@ -416,7 +437,7 @@ class TestOneConeRule:
         derivatives = {"du": np.array([0.1, 0.2, 0.1]), "d2u": np.array([1.0, 1.0, 1.0])}
         derivatives[which][1] = np.nan
         du, d2u = derivatives["du"], derivatives["d2u"]
-        ev = self.SPEC.radial_eval(0.5, *radial_w_eigenvalues(4, du, d2u))
+        ev = self.SPEC.radial_eval(0.5, *radial_w_eigenvalues(du, d2u))
         assert ev.outside.tolist() == [1]
         assert np.isnan(ev.value[1]) and np.isfinite(ev.value[[0, 2]]).all()
         with pytest.raises(ConeDomainError):
@@ -452,7 +473,7 @@ class TestStateEvaluation:
     def test_state_cone_margin_is_the_minimum_margin_score(self, solved):
         problem, state = solved
         prof = state.profile
-        rows = radial_rows(problem.geom.n, prof.du[1:-1], prof.d2u[1:-1])
+        rows = radial_rows(problem.spec.n, prof.du[1:-1], prof.d2u[1:-1])
         assert state.cone_margin == problem.spec.margin_scores_t(0.5, rows).min()
 
     def test_increment_norms_always_recorded(self, solved):
@@ -527,7 +548,7 @@ class TestStateEvaluation:
 
 class TestMonitors:
     def test_constant(self):
-        prof = RadialProfile.uniform(1.0, 101, 3.0)
+        prof = RadialProfile.uniform(1.0, 101, lambda x: np.full_like(x, 3.0))
         # derivative crumbs come from the 1/h^2 stencil weights times rounding
         assert estimate_monitors(prof) == pytest.approx((3.0, 0.0, 0.0), abs=1e-10)
 
@@ -571,7 +592,7 @@ class TestSubsolutionCheck:
         assert np.nanmax(report.margins) < 0
 
     def test_supersonic_slope_reports_cone_violation(self):
-        geom = CylinderGeometry(n=4, half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         grid = np.linspace(-1, 1, 101)
         sub = RadialProfile(grid, 1.2 * grid)
@@ -587,7 +608,7 @@ class TestSubsolutionCheck:
 
     def test_margins_nan_exactly_at_cone_violations(self):
         # u' exceeds 1 on the left part of the grid, so W leaves Gamma_2 there
-        geom = CylinderGeometry(n=4, half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
         problem = DirichletProblem(
@@ -625,7 +646,7 @@ class TestSubsolutionCheck:
         sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
         psi = lambda x, z: 0.1 + 0.05 * np.asarray(x, float) * np.ones_like(np.asarray(z, float))
         problem = DirichletProblem(
-            geom=CylinderGeometry(n=5, half_length=1.0), spec=spec, psi=psi,
+            geom=CylinderGeometry(half_length=1.0), spec=spec, psi=psi,
             psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
             phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
         )
@@ -655,7 +676,7 @@ class TestSubsolutionCheck:
     def test_cone_violation_fails_both_rows(self):
         # the margin row stands for the whole check, so a cone violation
         # fails it even where every margin inside the cone is positive
-        geom = CylinderGeometry(n=4, half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
         problem = DirichletProblem(
@@ -768,7 +789,7 @@ class TestContinuation:
         # psi is built per t from the DISCRETE curvature of one grid profile,
         # so that same grid function is the exact discrete solution of every
         # family member and the recovered states coincide to solver tolerance
-        geom = CylinderGeometry(n=4, half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         grid = np.linspace(-1.0, 1.0, 201)
         star = RadialProfile(grid, 0.3 * np.cosh(grid))

@@ -355,6 +355,14 @@ class TestClassification:
         limit = math.sqrt(sigma_by_enumeration(lam_p, 2))
         assert q31.value(np.append(lam_p, 1e9)) == pytest.approx(limit, rel=1e-8)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_growth_type_of_every_function(self, n):
+        # a root of sigma_k grows like x^(1/k) in the last slot, less than
+        # 1000^(1/k) < 2 over three decades from k = 10 on
+        for spec in all_specs(n):
+            expected = "bounded" if spec.kind == "quotient" else "unbounded"
+            assert classify_type(spec).f_type == expected, spec.label
+
     def test_growth_probe_disagreement_raises(self):
         class BoundedRoot:  # claims the root kind, grows like the quotient
             n, k, kind, label = 4, 2, "sigma_k_root", "bounded root"
@@ -435,6 +443,16 @@ class TestVerifyStructure:
         report = verify_structure(BrokenHomogeneitySpec(n=4), sample_count=300, seed=0)
         assert not report.passed
         assert "f4_homogeneity" in report.failed_names()
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_boundary_decay_of_every_function(self, n):
+        # the ratio is about (1e-4)^(1/degree), 0.318 at degree 8: the bound
+        # grows with the degree from there, and is 0.3 below it
+        for spec in all_specs(n):
+            row = verify_structure(spec, sample_count=64, seed=0).checks[1]
+            assert row.name == "f1_boundary_decay"
+            assert row.passed, (spec.label, row.worst, row.threshold)
+            assert row.threshold == (0.3 if spec.degree <= 7 else 1.1 * 1e-4 ** (1.0 / spec.degree))
 
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
@@ -601,7 +619,7 @@ class TestRadialKernel:
         du = rng.uniform(-0.8, 0.8, 300)
         d2u = rng.uniform(-0.5, 3.0, 300)
         du[0], d2u[0] = 1.0, 0.0  # the zero tuple: outside every cone
-        a, s = radial_w_eigenvalues(n, du, d2u)
+        a, s = radial_w_eigenvalues(du, d2u)
         rows = radial_rows(n, du, d2u)
         for spec in all_specs(n):
             for t in (0.0, 0.3, 0.99, 1.0):
@@ -658,7 +676,7 @@ class TestRadialKernel:
             return esp(columns, kmax)
 
         monkeypatch.setattr(symfun, "_esp", counting)
-        a, s = radial_w_eigenvalues(4, np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
+        a, s = radial_w_eigenvalues(np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
         for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
             calls.clear()
             ev = spec.radial_eval(0.5, a, s)
@@ -672,7 +690,7 @@ class TestRadialKernel:
         # rows outside, so it keeps no stacked (k + 1, 2m) ESP array alive
         du = np.linspace(-0.5, 0.5, 50)
         du[[3, 17]] = 1.5, np.nan
-        a, s = radial_w_eigenvalues(5, du, np.full(50, 1.0))
+        a, s = radial_w_eigenvalues(du, np.full(50, 1.0))
         for spec in (SymFuncSpec("sigma_k_root", n=5, k=3), SymFuncSpec("quotient", n=5, k=4, l=2)):
             ev = spec.radial_eval(0.5, a, s)
             assert ev._fields == ("spec", "t", "scores", "outside", "value", "axis", "sphere")
@@ -685,7 +703,7 @@ class TestRadialKernel:
         rng = np.random.default_rng(31)
         du = rng.uniform(-0.5, 0.5, 200)
         d2u = rng.uniform(0.5, 3.0, 200)
-        a, s = radial_w_eigenvalues(5, du, d2u)
+        a, s = radial_w_eigenvalues(du, d2u)
         rows = np.column_stack([s, s, a, s, s])
         for spec in (SymFuncSpec("sigma_k_root", n=5, k=3), SymFuncSpec("quotient", n=5, k=4, l=2)):
             for t in (0.2, 1.0):
