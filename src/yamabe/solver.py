@@ -18,12 +18,12 @@ supplies the residual vector and the state's evaluation (a trial outside the
 cone raises there).  Newton takes that evaluation's gradient once per state,
 for the Jacobian (which adds only the gradient's ESP pass) and for the
 rounding floor; the floor's f_t and the state's cone margin are read from
-the evaluation.  The kernel and its
-gradient are bit-identical to the spec's `margin_scores_t`, `value_t_many`
-and `grad_t_many` on the full (m, n) eigenvalue rows.  The kernel also makes
-the one cone test: its evaluation records the nodes outside the cone (a
-node with a NaN entry among them), and the residual, the gradient, the
-feasibility restore and `check_subsolution` read that record.
+the evaluation.  The kernel and its gradient are bit-identical to the
+spec's `margin_scores`, `value_many` and `grad_many` with the same t on the
+full (m, n) eigenvalue rows.  The kernel also makes the one cone test: its
+evaluation records the nodes outside the cone (a node with a NaN entry
+among them), and the residual, the gradient, the feasibility restore and
+`check_subsolution` read that record.
 
 The residual cannot fall below its rounding floor F, which grows like
 eps/h^2 and lies above the default tolerance on fine grids.  When no damped
@@ -508,9 +508,11 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     """Solve along an ascending t schedule with warm starts, yielding each
     state as soon as it has converged.
 
-    The arguments are checked here, before the first t (ValueError); the
-    returned generator does the solving.  The start profile is the explicit
-    init when given, else the problem's subsolution.  A warm start that
+    The arguments are checked here, before the first t (ValueError): the
+    schedule, and the start profile's grid, which must span [-L, L] and,
+    when a subsolution anchors the run, be the subsolution's.  The returned
+    generator does the solving.  The start profile is the explicit init
+    when given, else the problem's subsolution.  A warm start that
     falls outside the shrunken cone of the next t (Newton's first
     evaluation raises ConeViolationError) is pulled back by blending
     towards the subsolution (or the start profile).  Any failure, Newton's
@@ -522,6 +524,8 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     if current is None:
         raise ValueError("continuation needs a subsolution or an explicit init profile")
     anchor = problem.subsolution if problem.subsolution is not None else current
+    if not np.array_equal(_grid_for(problem, current), anchor.grid):
+        raise ValueError("init must lie on the subsolution's grid")
     return _continuation(problem, schedule, opts, current, anchor)
 
 

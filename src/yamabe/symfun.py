@@ -187,7 +187,8 @@ def _pairwise_sum(head, tail, n):
 class RadialEvaluation(NamedTuple):
     """What one `SymFuncSpec.radial_eval` pass found: the margin scores, the
     indices of the rows outside the cone, f_t (NaN on those rows) and the
-    t-mapped axis and sphere vectors, each an (m,) array of its own."""
+    t-mapped axis and sphere vectors, each an (m,) array of its own.  "rows"
+    below are the (m, n) tuples (a, s, ..., s) before the t-map."""
 
     spec: SymFuncSpec
     t: float
@@ -198,13 +199,14 @@ class RadialEvaluation(NamedTuple):
     sphere: np.ndarray
 
     def inside_value(self):
-        """f_t, when every row is inside the cone; else value_t_many's ConeDomainError."""
+        """f_t, when every row is inside the cone; else the ConeDomainError of
+        value_many(rows, t)."""
         self.spec._require_scores_inside(self.scores, self.outside)
         return self.value
 
     def gradient(self):
         """(axis slot of Df_t, sum of its n - 1 sphere slots), bit-identical
-        to grad_t_many on the rows; outside the cone raises its ConeDomainError.
+        to grad_many(rows, t); outside the cone raises its ConeDomainError.
 
         d sigma_j is e_{j-1} of the tuple without that slot: (s, ..., s) for
         the axis slot (rest), (a, s, ..., s) for a sphere slot (cut), each
@@ -295,19 +297,23 @@ class SymFuncSpec:
         ratio = math.comb(self.n, self.k) / math.comb(self.n, self.l)
         return ratio ** (1.0 / (self.k - self.l))
 
-    def _validated(self, lam, single=False):
-        """lam as (m, n) rows (see _as_batch) of length n: the one shape
-        check of each public entry point."""
+    def _validated(self, lam, single=False, t=None):
+        """lam as (m, n) rows (see _as_batch) of length n, sent through the
+        t-map when t is given: the one shape check and the one t-map of each
+        public entry point."""
         v = _as_batch(lam, single)
         if v.shape[1] != self.n:
             raise ValueError(f"expected tuples of length {self.n}, got {v.shape[1]}")
-        return v
+        return v if t is None else _t_map(t, v)
 
-    # -- membership -------------------------------------------------------------
+    # -- membership and evaluation ------------------------------------------------
+    #
+    # Each method evaluates f for t=None and f_t for t given, a number or an
+    # (m, 1) column (see _t_map); gradients of f_t carry the chain rule.
 
-    def margin_scores(self, values):
+    def margin_scores(self, values, t=None):
         """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row (see _cone_scores)."""
-        return _cone_scores(self._validated(values), self.k)[0]
+        return _cone_scores(self._validated(values, t=t), self.k)[0]
 
     def _outside(self, scores):
         """The cone test: rows whose score is not above the margin, NaN included."""
@@ -322,56 +328,50 @@ class SymFuncSpec:
                 min_score=float(scores.min()),
             )
 
-    def contains(self, lam):
-        return self._inside(self._validated(lam, single=True))
+    def contains(self, lam, t=None):
+        scores = _cone_scores(self._validated(lam, True, t), self.k)[0]
+        return self._outside(scores).size == 0
 
-    def in_cone_t(self, t, lam):
-        return self._inside(_t_map(t, self._validated(lam, single=True)))
+    def value(self, lam, t=None):
+        return float(self._values(self._validated(lam, True, t))[0])
 
-    def _inside(self, row):
-        return bool(_cone_scores(row, self.k)[0][0] > self.margin)
+    def grad(self, lam, t=None):
+        return self._grads(self._validated(lam, True, t), t)[0]
 
-    def margin_scores_t(self, t, lam):
-        return _cone_scores(_t_map(t, self._validated(lam)), self.k)[0]
+    def value_many(self, values, t=None):
+        return self._values(self._validated(values, t=t))
 
-    # -- values and derivatives -------------------------------------------------
+    def grad_many(self, values, t=None):
+        return self._grads(self._validated(values, t=t), t)
 
-    def value(self, lam):
-        return float(self._values(self._validated(lam, single=True))[0])
-
-    def grad(self, lam):
-        return self._grads(self._validated(lam, single=True))[0]
-
-    def value_many(self, values):
-        return self._values(self._validated(values))
-
-    def grad_many(self, values):
-        return self._grads(self._validated(values))
-
-    def value_and_grad_many(self, values):
+    def value_and_grad_many(self, values, t=None):
         """(value_many, grad_many) of the rows, from one pass of each ESP kernel."""
-        values = self._validated(values)
-        return self._value_and_grad_from(values, self._inside_esp(values))
+        values = self._validated(values, t=t)
+        return self._value_and_grad_from(values, self._inside_esp(values), t)
 
     def _values(self, v):
         """f of rows that passed `_validated`."""
         return self._value_from(self._inside_esp(v))
 
-    def _grads(self, v):
-        """Df of rows that passed `_validated`."""
-        return self._value_and_grad_from(v, self._inside_esp(v))[1]
+    def _grads(self, v, t):
+        """Df_t of rows that passed `_validated` with t."""
+        return self._value_and_grad_from(v, self._inside_esp(v), t)[1]
 
-    def _value_and_grad_from(self, values, e):
-        """f and Df of the (m, n) rows inside the cone, given their ESP vectors e_0..e_k."""
+    def _value_and_grad_from(self, values, e, t=None):
+        """f and Df of the (m, n) rows inside the cone, given their ESP vectors
+        e_0..e_k; with t, the rows are the t-mapped tuples and Df is carried
+        back through the map (the chain rule of the t-family)."""
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
         removed = _esp_removed(values, self.k - 1)
         gk = removed[self.k - 1].T.copy()
         f = self._value_from(e)
         if self.kind == "sigma_k_root":
-            return f, (f / self.k)[:, None] * gk / e[self.k][:, None]
-        gl = removed[self.l - 1].T.copy()
-        log_grad = gk / e[self.k][:, None] - gl / e[self.l][:, None]
-        return f, (f / (self.k - self.l))[:, None] * log_grad
+            g = (f / self.k)[:, None] * gk / e[self.k][:, None]
+        else:
+            gl = removed[self.l - 1].T.copy()
+            log_grad = gk / e[self.k][:, None] - gl / e[self.l][:, None]
+            g = (f / (self.k - self.l))[:, None] * log_grad
+        return f, g if t is None else _t_map(t, g)
 
     def _inside_esp(self, values):
         """e_0..e_k of the (m, n) rows, after their cone test."""
@@ -384,22 +384,6 @@ class SymFuncSpec:
         if self.kind == "sigma_k_root":
             return e[self.k] ** (1.0 / self.k)
         return (e[self.k] / e[self.l]) ** (1.0 / (self.k - self.l))
-
-    def value_t(self, t, lam):
-        return float(self._values(_t_map(t, self._validated(lam, single=True)))[0])
-
-    def value_t_many(self, t, lam):
-        return self._values(_t_map(t, self._validated(lam)))
-
-    def grad_t(self, t, lam):
-        return self._grads_t(t, self._validated(lam, single=True))[0]
-
-    def grad_t_many(self, t, lam):
-        return self._grads_t(t, self._validated(lam))
-
-    def _grads_t(self, t, v):
-        """Chain rule through lam -> t*lam + (1-t)*sigma_1(lam)*e."""
-        return _t_map(t, self._grads(_t_map(t, v)))
 
     # -- the radial kernel -------------------------------------------------------
 
@@ -414,10 +398,10 @@ class SymFuncSpec:
         One `_esp` pass over the t-mapped columns (a, s, ..., s) and their
         absolute values, stacked as in `_cone_scores`, serves the scores and
         f_t; the gradient takes two more over m columns each.  Each result
-        repeats the additions and multiplications of margin_scores_t and
-        value_t_many on the (m, n) rows (a, s, ..., s) in their order,
-        numpy's row sums included, so it is bit-identical to them on the
-        rows inside the cone.
+        repeats the additions and multiplications of margin_scores(rows, t)
+        and value_many(rows, t) on the (m, n) rows (a, s, ..., s) in their
+        order, numpy's row sums included, so it is bit-identical to them on
+        the rows inside the cone.
         """
         n, k = self.n, self.k
         a = np.asarray(a, dtype=float)
@@ -487,10 +471,10 @@ def matrix_value_and_derivative(spec, t, w):
     if not np.allclose(w, w.T, atol=1e-12 * max(1.0, np.abs(w).max())):
         raise ValueError("expected a symmetric matrix")
     lam, q = np.linalg.eigh(w)
-    if not spec.in_cone_t(t, lam):
+    if not spec.contains(lam, t):
         raise ConeDomainError("matrix spectrum outside the interpolated cone")
-    value = spec.value_t(t, lam)
-    g = spec.grad_t(t, lam)
+    value = spec.value(lam, t)
+    g = spec.grad(lam, t)
 
     scale = max(1.0, float(np.abs(lam).max()))
     start = 0
@@ -656,7 +640,7 @@ def verify_structure(spec, sample_count=1000, seed=0):
 
     worst_f5 = math.inf
     for t in (0.0, 0.25, 0.5, 0.75, 0.99, 1.0):
-        sums = spec.grad_t_many(t, pts).sum(axis=1)
+        sums = spec.grad_many(pts, t).sum(axis=1)
         worst_f5 = min(worst_f5, float(sums.min() - f_e))
     checks.append(CheckResult("f5_gradient_sum", bool(worst_f5 >= -1e-10), worst_f5, -1e-10,
                               "min over t grid of sum_i d_i f_t - f(e)"))
@@ -716,10 +700,10 @@ def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
         r = _BALL_RADIUS_FRACTION * (1.0 - t) / (2.0 * n)
         vs = rng.standard_normal((directions, n))
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-        scores = spec.margin_scores_t(t, axis + r * vs)
+        scores = spec.margin_scores(axis + r * vs, t)
         corner = np.full(n, -(1.0 - t) / (2.0 * n))
         corner[-1] += 1.0
-        corner_margin = spec.value_t(t, corner) - 0.5 * (1.0 - t) * f_e + 1e-12 * f_e
+        corner_margin = spec.value(corner, t) - 0.5 * (1.0 - t) * f_e + 1e-12 * f_e
         rows.append((float(t), float(scores.min()), float(corner_margin)))
     return BallInclusionReport(label=spec.label, directions=directions, rows=rows)
 
@@ -759,10 +743,8 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
     scores, e = _cone_scores(mapped_lam, spec.k)
     if spec._outside(scores).size:
         raise ConeDomainError("lam must lie in the interpolated cone")
-    f_mu, g_mu = spec.value_and_grad_many(_t_map(ts, mus))
-    f_lam, g_lam = spec._value_and_grad_from(mapped_lam, e)
-    g_mu = _t_map(ts, g_mu)
-    g_lam = _t_map(ts, g_lam)
+    f_mu, g_mu = spec.value_and_grad_many(mus, ts)
+    f_lam, g_lam = spec._value_and_grad_from(mapped_lam, e, ts)
     nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)
     nu_lam = g_lam / np.linalg.norm(g_lam, axis=1, keepdims=True)
     separated = np.linalg.norm(nu_mu - nu_lam, axis=1) > beta
@@ -823,7 +805,7 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
         v = rng.standard_normal((r.size, n))
         lams[use_ball] = axis + r[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)
         usable = ~use_ball
-        usable[use_ball] = spec.margin_scores_t(ts[use_ball][:, None], lams[use_ball]) > spec.margin
+        usable[use_ball] = spec.margin_scores(lams[use_ball], ts[use_ball][:, None]) > spec.margin
         eps = concavity_margin_many(spec, ts[usable], mus[usable], lams[usable], beta)
         eps = eps[~np.isnan(eps)][: samples - kept]
         kept += eps.size

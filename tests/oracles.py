@@ -104,7 +104,7 @@ class BrokenHomogeneitySpec:
         s1 = values.sum(axis=1)
         return s1 ** 2, 2.0 * s1[:, None] * np.ones_like(values)
 
-    def grad_t_many(self, t, values):
+    def grad_many(self, values, t):
         """Df_t through lam -> t*lam + (1-t)*sigma_1(lam)*e, which is symmetric."""
         def t_map(v):
             return t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
@@ -353,18 +353,18 @@ def separation_margin_by_loop(spec, samples, beta, seed):
                 r = 0.99 * (1.0 - t) / (2.0 * n)
                 v = rng.standard_normal(n)
                 lam = axis + r * v / np.linalg.norm(v)
-                if not spec.in_cone_t(t, lam):
+                if not spec.contains(lam, t):
                     continue
             else:
                 lam = cone_pool[i]
-            if not spec.contains(mu) or not spec.in_cone_t(t, lam):
+            if not spec.contains(mu) or not spec.contains(lam, t):
                 raise ConeDomainError("sample outside the cone")
-            g = spec.grad_t(t, lam)
-            g_mu = spec.grad_t(t, mu)
+            g = spec.grad(lam, t)
+            g_mu = spec.grad(mu, t)
             if np.linalg.norm(g_mu / np.linalg.norm(g_mu) - g / np.linalg.norm(g)) <= beta:
                 continue
             lhs = float(g @ (mu - lam))
-            rhs = spec.value_t(t, mu) - spec.value_t(t, lam)
+            rhs = spec.value(mu, t) - spec.value(lam, t)
             kept += 1
             min_margin = min(min_margin, (lhs - rhs) / (float(g.sum()) + 1.0))
     return kept, min_margin

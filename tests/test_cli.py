@@ -92,6 +92,24 @@ class TestCheckCommand:
         assert "ball.membership" in names
         assert "separation.margin_positive" in names
 
+    def test_seed_override_reaches_the_report(self, check_config, tmp_path):
+        report = tmp_path / "out" / "report.json"
+        assert run_cli(["check", check_config]) == 0
+        own = report.read_bytes()
+        assert run_cli(["check", check_config, "--seed", "1"]) == 0
+        assert report.read_bytes() == own      # the config's own seed is 1
+        assert run_cli(["check", check_config, "--seed", "7"]) == 0
+        first, second = json.loads(own), json.loads(report.read_text())
+        assert (first["config"]["seed"], second["config"]["seed"]) == (1, 7)
+        assert [c["value"] for c in first["checks"]] != [c["value"] for c in second["checks"]]
+
+    def test_verbose_prints_every_row(self, check_config, tmp_path, capsys):
+        assert run_cli(["check", check_config, "--verbose"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["verbose"] is True
+        assert capsys.readouterr().err.splitlines() == [
+            f"{c['name']}: {c['status']} (value {c['value']:.17g})" for c in report["checks"]]
+
     def test_broken_fixture_fails_and_names_condition(self, tmp_path, monkeypatch):
         use_broken_fixture(monkeypatch)
         cfg = write_config(tmp_path / "broken.json", {
@@ -250,6 +268,11 @@ class TestExample1Command:
         err = capsys.readouterr().err
         assert err.startswith("error: no finite stencil weights") and "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    def test_verbose_prints_d_and_the_half_length(self, example1_config, tmp_path, capsys):
+        assert run_cli(["example1", example1_config, "--verbose"]) == 0
+        derived = json.loads((tmp_path / "out" / "report.json").read_text())["derived"]
+        assert capsys.readouterr().err == f"d={derived['d']:.17g} T={derived['half_length']:.17g}\n"
 
     def test_byte_identical_reruns(self, example1_config, tmp_path):
         run_cli(["example1", example1_config])
@@ -533,6 +556,36 @@ class TestSolveRobustness:
         assert check["value"] == float(spec.margin_scores(rows).min()) < 0.0
         assert "outside the cone" in report["error"]
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+
+    def test_verbose_names_a_subsolution_outside_the_cone(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, n=3, subsolution={"family": "cosh", "amplitude": 0.2}))
+        assert run_cli(["solve", cfg, "--verbose"]) == 1
+        error = json.loads((out / "report.json").read_text())["error"]
+        assert capsys.readouterr().err == f"subsolution outside the cone: {error}\n"
+
+    def test_verbose_names_the_failing_t(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, t_schedule=[0.0, 0.5], newton={"tol": 1e-10, "max_iter": 1}))
+        assert run_cli(["solve", cfg, "--verbose"]) == 3
+        assert json.loads((out / "report.json").read_text())["failed_t"] == 0.0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("t=0 failed: Newton did not reach tol=1.0e-10 in 1 iterations")
+        assert lines[1].startswith("continuation ") and len(lines) == 2
+
+    def test_singular_jacobian_is_partial_convergence(self, tmp_path, capsys, monkeypatch):
+        def singular(l_and_u, ab, b):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(cli.solver, "solve_banded", singular)
+        out = tmp_path / "out"
+        assert run_cli(["solve", write_config(tmp_path / "s.json", _solve_payload(out))]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["failed_t"] == 0.0 and report["passed"] is False
+        assert "error" not in report and capsys.readouterr().err == ""
+        assert not list(out.glob("profile_*.csv"))
 
     # the README subsolution with n = 3 and cosh amplitude 0.2 leaves the cone,
     # and a config error follows it

@@ -270,6 +270,13 @@ class TestAt:
         assert du == side and d2u == math.inf
         assert abs(u - P420.c) <= 1e-12
 
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, -1.5, np.array([0.0, 2.0])],
+                             ids=["past-the-end", "left", "array"])
+    def test_outside_the_interval_is_rejected(self, factor):
+        sol = solve_profile(P420, node_count=101)
+        with pytest.raises(ValueError, match=r"outside \[-T, T\]"):
+            sol.at(factor * sol.t_max)
+
     def test_verify_example_inverts_the_orbit_once(self, monkeypatch):
         sizes = []
         orbit = example1._orbit

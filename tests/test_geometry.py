@@ -51,6 +51,11 @@ class TestStencils:
         w = stencil_weights(np.array([0.0, h, 2 * h]), 1)
         assert np.allclose(w, [-3.0 / (2 * h), 2.0 / h, -1.0 / (2 * h)])
 
+    @pytest.mark.parametrize("offsets, order", [([0.0, 0.1], 2), ([0.0], 1), ([-0.1, 0.0, 0.1], 3)])
+    def test_stencil_too_short(self, offsets, order):
+        with pytest.raises(ValueError, match="stencil too short"):
+            stencil_weights(np.array(offsets), order)
+
     def test_exact_on_polynomials(self):
         grid = np.array([0.0, 0.3, 0.55, 1.0, 1.2])
         u = 2.0 + 3.0 * grid - 1.5 * grid ** 2

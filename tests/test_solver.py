@@ -273,6 +273,41 @@ class TestJacobianCheck:
         # Newton hands the Jacobian the evaluation of its state
         assert held == [True]
 
+    def test_cone_exit_of_the_first_step_shrinks_it(self, monkeypatch):
+        # a bump in u lowers u'' near x = 0.3 until the state's cone margin
+        # at t = 0.5 is 3e-7: the probe's first step 1e-6 leaves the cone
+        problem = subsolution_benchmark(node_count=401)
+        sub = problem.subsolution
+        bump = np.exp(-((sub.grid - 0.3) / 0.05) ** 2)
+
+        def margin(theta):
+            bumped = sub.with_values(sub.u - theta * bump)
+            return solver._radial_eval(problem, 0.5, bumped.du, bumped.d2u).scores.min()
+
+        lo, hi = 0.0, 1.0
+        while margin(hi) > 0.0:
+            hi *= 2.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if margin(mid) > 3e-7 else (lo, mid)
+        state = sub.with_values(sub.u - lo * bump)
+        assert 3e-7 < margin(lo) < 3.1e-7
+        steps = []
+        original = solver._residual
+
+        def recorded(problem, t, grid, u, du, d2u):
+            steps.append(np.abs(u - state.u).max())
+            try:
+                return original(problem, t, grid, u, du, d2u)
+            except ConeViolationError:
+                steps[-1] = -steps[-1]      # a cone exit, marked by its sign
+                raise
+
+        monkeypatch.setattr(solver, "_residual", recorded)
+        solver._check_jacobian(problem, 0.5, state, jacobian(problem, 0.5, state))
+        assert steps[0] < 0.0 < steps[1]
+        assert steps[1] == pytest.approx(-0.1 * steps[0], rel=1e-6)
+
     def test_fine_grid_continuation_passes(self):
         # a draw the dense column check rejected as a false alarm
         problem = subsolution_benchmark(amplitude=0.357, theta=0.537, node_count=4001)
@@ -314,6 +349,20 @@ class TestNewton:
         steep = exact.with_values(1.2 * exact.grid)
         with pytest.raises(ConeViolationError):
             newton_solve(problem, 0.5, steep)
+
+    def test_singular_jacobian_raises_with_the_state(self, monkeypatch):
+        def singular(l_and_u, ab, b):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(solver, "solve_banded", singular)
+        problem = subsolution_benchmark(node_count=101)
+        sub = problem.subsolution
+        with pytest.raises(StepFailureError, match="singular Jacobian at t=0.5") as err:
+            newton_solve(problem, 0.5, sub)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        state = err.value.state
+        assert state.profile is sub and state.newton_iters == 0 and not state.converged
+        assert np.array_equal(state.residual, residual(problem, 0.5, sub))
 
     def test_iteration_budget_raises_with_state(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
@@ -474,7 +523,7 @@ class TestStateEvaluation:
         problem, state = solved
         prof = state.profile
         rows = radial_rows(problem.spec.n, prof.du[1:-1], prof.d2u[1:-1])
-        assert state.cone_margin == problem.spec.margin_scores_t(0.5, rows).min()
+        assert state.cone_margin == problem.spec.margin_scores(rows, 0.5).min()
 
     def test_increment_norms_always_recorded(self, solved):
         _, state = solved
@@ -655,7 +704,7 @@ class TestSubsolutionCheck:
         rows = radial_rows(5, sub.du, sub.d2u)
         inside = spec.margin_scores(rows) > spec.margin
         assert 0 < inside.sum() < inside.size
-        expected = spec.value_t_many(1.0, rows[inside]) - psi(sub.grid[inside], sub.u[inside])
+        expected = spec.value_many(rows[inside], 1.0) - psi(sub.grid[inside], sub.u[inside])
         assert np.array_equal(report.margins[inside], expected)
         assert np.isnan(report.margins[~inside]).all()
         assert report.cone_violations == tuple(np.flatnonzero(~inside).tolist())
@@ -699,13 +748,13 @@ class TestRadialCurvatureValue:
         rows = radial_rows(5, du, d2u)
         for t in (0.0, 0.5, 1.0):
             assert np.array_equal(radial_curvature_value(spec, t, du, d2u),
-                                  spec.value_t_many(t, rows))
+                                  spec.value_many(rows, t))
 
     def test_scalar_input(self):
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         value = radial_curvature_value(spec, 1.0, 0.2, 1.0)
         assert value.shape == (1,)
-        assert value[0] == spec.value_t(1.0, radial_rows(4, [0.2], [1.0])[0])
+        assert value[0] == spec.value(radial_rows(4, [0.2], [1.0])[0], 1.0)
 
     def test_outside_cone_raises_with_the_row_path_text(self):
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
@@ -714,7 +763,7 @@ class TestRadialCurvatureValue:
         with pytest.raises(ConeDomainError) as exc:
             radial_curvature_value(spec, 1.0, du, d2u)
         with pytest.raises(ConeDomainError) as expected:
-            spec.value_t_many(1.0, radial_rows(4, du, d2u))
+            spec.value_many(radial_rows(4, du, d2u), 1.0)
         assert str(exc.value) == str(expected.value)
 
     @pytest.mark.parametrize("spec", [SymFuncSpec("sigma_k_root", n=4, k=2),
@@ -827,6 +876,48 @@ class TestContinuation:
             continuation_states(problem, t_schedule=schedule)
         with pytest.raises(ValueError):
             check_t_schedule(schedule)
+
+    def test_states_check_the_init_grid_before_the_first_t(self):
+        problem = subsolution_benchmark(node_count=401)
+        cosh = cosh_profile(0.3)[0]
+        with pytest.raises(ValueError, match=r"span exactly \[-L, L\]"):
+            continuation_states(problem, init=RadialProfile.uniform(2.0, 401, cosh))
+        # on [-L, L] but not on the subsolution's nodes, the blend towards it
+        # cannot be formed: the run solved t = 0 to 0.3 and then failed
+        with pytest.raises(ValueError, match="subsolution's grid"):
+            continuation_states(problem, init=RadialProfile.uniform(1.0, 201, cosh))
+        free, _ = manufactured_problem(0.5, node_count=101)
+        with pytest.raises(ValueError, match=r"span exactly \[-L, L\]"):
+            continuation_states(free, init=RadialProfile.uniform(2.0, 101, cosh))
+
+    def test_exhausted_blend_ladder_ends_the_run(self, monkeypatch):
+        # the warm start of t = 0.4 leaves its cone (see the call counts of
+        # test_feasible_warm_starts_are_not_screened); no blend is let back in
+        monkeypatch.setattr(solver, "_inside_cone", lambda problem, t, profile: False)
+        with pytest.raises(ContinuationError) as err:
+            continuation_run(subsolution_benchmark(node_count=401))
+        assert err.value.t_failed == 0.4
+        assert isinstance(err.value.cause, ConeViolationError)
+        assert err.value.__cause__ is err.value.cause
+        assert [s.t for s in err.value.states] == [0.0, 0.1, 0.2, 0.3]
+
+    def test_last_rung_of_the_ladder_is_the_anchor(self, monkeypatch):
+        # only the full blend counts as inside: it has no rung after it, and
+        # the solve at t = 0.4 starts from the subsolution itself
+        problem = subsolution_benchmark(node_count=401)
+        sub = problem.subsolution
+        rungs = []
+
+        def anchor_only(problem, t, profile):
+            rungs.append(t)
+            return np.array_equal(profile.u, sub.u)
+
+        monkeypatch.setattr(solver, "_inside_cone", anchor_only)
+        states = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:5]).states
+        assert rungs == [0.4] * 9
+        expected = newton_solve(problem, 0.4, sub)
+        assert np.array_equal(states[-1].profile.u, expected.profile.u)
+        assert states[-1].newton_iters == expected.newton_iters
 
     def test_check_t_schedule_returns_floats(self):
         assert check_t_schedule(None) == DEFAULT_T_SCHEDULE

@@ -232,18 +232,18 @@ class TestValueAndGradient:
         with pytest.raises(ValueError):
             S23.value([1.0, 2.0])
         with pytest.raises(ValueError):
-            S23.value_t(0.5, np.ones((2, 4)))
+            S23.value(np.ones((2, 4)), 0.5)
         with pytest.raises(ValueError):
             S23.value(np.ones((2, 2, 3)))
 
-    @pytest.mark.parametrize("name, t", [("contains", ()), ("in_cone_t", (0.5,)), ("value", ()),
-                                         ("grad", ()), ("value_t", (0.5,)), ("grad_t", (0.5,))])
+    @pytest.mark.parametrize("name, t", [("contains", ()), ("contains", (0.5,)), ("value", ()),
+                                         ("grad", ()), ("value", (0.5,)), ("grad", (0.5,))])
     def test_single_tuple_methods_reject_a_stack(self, name, t):
         # a stack is not read as its row 0: contains would be True on the
         # first, value sqrt(6) on the second
         for stack in ([[1, 1, 1, 1], [-1, -1, -1, -1]], [[1, 1, 1, 1], [2, 2, 2, 2]], [[1, 1, 1, 1]]):
             with pytest.raises(ValueError, match="expected one tuple"):
-                getattr(S24, name)(*t, stack)
+                getattr(S24, name)(stack, *t)
 
     @pytest.mark.parametrize("name", ["margin_scores", "value_many", "grad_many",
                                       "value_and_grad_many"])
@@ -259,33 +259,94 @@ class TestValueAndGradient:
             assert S23.value(lam) == pytest.approx(expected, rel=1e-14)
 
 
+# the seven evaluation methods, the single-tuple ones first
+_SINGLE = ("contains", "value", "grad")
+_EVALUATIONS = _SINGLE + ("margin_scores", "value_many", "grad_many", "value_and_grad_many")
+
+
+def _by_the_t_map(spec, name, x, t):
+    """spec.name(x, t) by hand: the t-free method on the t-mapped tuples,
+    and gradients carried back through the map, which is symmetric."""
+    mapped = symfun._t_map(t, np.atleast_2d(np.asarray(x, dtype=float)))
+    if name in _SINGLE:
+        out = getattr(spec, name)(mapped[0])
+        return symfun._t_map(t, out[None, :])[0] if name == "grad" else out
+    out = getattr(spec, name)(mapped)
+    if name == "grad_many":
+        return symfun._t_map(t, out)
+    if name == "value_and_grad_many":
+        return out[0], symfun._t_map(t, out[1])
+    return out
+
+
+def _identical(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_identical(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
+class TestOneEvaluationApi:
+    """Each method evaluates f without t and f_t with t, a number or an
+    (m, 1) column, as its last argument."""
+
+    @pytest.mark.parametrize("name", _EVALUATIONS)
+    @pytest.mark.parametrize("spec", [S24, SymFuncSpec("quotient", n=5, k=3, l=1)],
+                             ids=lambda spec: spec.label)
+    def test_t_is_the_last_argument(self, spec, name):
+        rng = np.random.default_rng(42)
+        pts = sample_cone(spec, 16, rng)
+        x = pts[0] if name in _SINGLE else pts
+        m = np.atleast_2d(x).shape[0]
+        method = getattr(spec, name)
+        assert _identical(method(x), method(x, None))
+        for t in (0.0, 0.37, 1.0, rng.uniform(0.0, 1.0, size=(m, 1))):
+            assert _identical(method(x, t), _by_the_t_map(spec, name, x, t))
+        # f_t differs from f off t = 1 (the scores of these positive tuples are all 1)
+        if name not in ("contains", "margin_scores"):
+            assert not _identical(method(x, 0.37), method(x))
+
+    def test_no_second_set_of_methods(self):
+        for name in ("in_cone_t", "margin_scores_t", "value_t", "value_t_many", "grad_t",
+                     "grad_t_many", "_grads_t", "_inside"):
+            assert not hasattr(SymFuncSpec, name)
+
+    def test_contains_follows_the_interpolated_cone(self):
+        # near the last axis: outside Gamma_2, inside every Gamma_t with t < 1
+        lam = np.array([-0.05, -0.05, -0.05, 1.0])
+        assert not S24.contains(lam) and not S24.contains(lam, 1.0)
+        assert S24.margin_scores(lam)[0] < 0.0
+        for t in (0.0, 0.5, np.array([[0.9]])):
+            assert S24.contains(lam, t) is _by_the_t_map(S24, "contains", lam, t) is True
+            assert S24.margin_scores(lam, t)[0] > S24.margin
+
+
 class TestInterpolatedFamily:
     def test_t_one_is_identity(self):
         lam = np.array([1.0, 2.0, 3.0])
-        assert S23.value_t(1.0, lam) == pytest.approx(S23.value(lam), rel=1e-15)
-        assert S23.in_cone_t(1.0, (-0.5, 0.5, 0.5)) == S23.contains((-0.5, 0.5, 0.5))
+        assert S23.value(lam, 1.0) == pytest.approx(S23.value(lam), rel=1e-15)
+        assert S23.contains((-0.5, 0.5, 0.5), 1.0) == S23.contains((-0.5, 0.5, 0.5))
 
     def test_t_zero_is_trace_times_f_ones(self):
         lam = np.array([1.0, 2.0, 3.0])
-        assert S23.value_t(0.0, lam) == pytest.approx(lam.sum() * S23.f_at_ones(), rel=1e-14)
+        assert S23.value(lam, 0.0) == pytest.approx(lam.sum() * S23.f_at_ones(), rel=1e-14)
 
     def test_cone_points_stay_inside_for_all_t(self):
         rng = np.random.default_rng(3)
         pts = sample_cone(S24, 100, rng)
         for t in (0.0, 0.3, 0.7, 1.0):
-            assert np.all(S24.margin_scores_t(t, pts) > S24.margin)
+            assert np.all(S24.margin_scores(pts, t) > S24.margin)
 
     def test_dominates_base_value(self):
         rng = np.random.default_rng(4)
         pts = sample_cone(S24, 200, rng)
         for t in (0.0, 0.25, 0.5, 0.9):
-            assert np.all(S24.value_t_many(t, pts) >= S24.value_many(pts) - 1e-12)
+            assert np.all(S24.value_many(pts, t) >= S24.value_many(pts) - 1e-12)
 
     def test_interpolated_gradient_matches_finite_differences(self):
         lam = np.array([0.4, 1.0, 2.5])
         for t in (0.0, 0.5, 0.9):
-            fd = gradient_by_differences(lambda x: S23.value_t(t, x), lam)
-            g = S23.grad_t(t, lam)
+            fd = gradient_by_differences(lambda x: S23.value(x, t), lam)
+            g = S23.grad(lam, t)
             assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-6
 
 
@@ -294,30 +355,30 @@ def _unit(g):
 
 
 class TestNormalDirection:
-    """The level-set normal is the direction of grad_t."""
+    """The level-set normal is the direction of grad(lam, t)."""
 
     def test_at_ones(self):
-        nu = _unit(S23.grad_t(1.0, np.ones(3)))
+        nu = _unit(S23.grad(np.ones(3), 1.0))
         assert np.allclose(nu, np.ones(3) / math.sqrt(3), atol=1e-14)
 
     def test_positive(self):
         rng = np.random.default_rng(5)
         for lam in sample_cone(S24, 50, rng):
             for t in (0.2, 1.0):
-                assert np.all(S24.grad_t(t, lam) > 0)
+                assert np.all(S24.grad(lam, t) > 0)
 
     def test_scale_invariance(self):
-        # f_t has degree one, so grad_t has degree zero
+        # f_t has degree one, so its gradient has degree zero
         rng = np.random.default_rng(6)
         for lam in sample_cone(S24, 50, rng):
-            g1 = S24.grad_t(0.7, lam)
-            g2 = S24.grad_t(0.7, 2.0 * lam)
+            g1 = S24.grad(lam, 0.7)
+            g2 = S24.grad(2.0 * lam, 0.7)
             assert np.abs(g1 - g2).max() <= 1e-12 * np.abs(g1).max()
 
     def test_finite_difference_agreement(self):
         lam = np.array([0.5, 1.5, 2.5])
-        fd = gradient_by_differences(lambda x: S23.value_t(0.6, x), lam)
-        assert np.abs(_unit(S23.grad_t(0.6, lam)) - _unit(fd)).max() < 1e-6
+        fd = gradient_by_differences(lambda x: S23.value(x, 0.6), lam)
+        assert np.abs(_unit(S23.grad(lam, 0.6)) - _unit(fd)).max() < 1e-6
 
 
 class TestClassification:
@@ -405,7 +466,7 @@ class TestMatrixFunction:
         w = (q * lam) @ q.T
         _, deriv = matrix_value_and_derivative(S24, 0.6, w)
         lhs = float(np.einsum("ij,il,jl->", deriv, w, w))
-        rhs = float(S24.grad_t(0.6, lam) @ lam ** 2)
+        rhs = float(S24.grad(lam, 0.6) @ lam ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_derivative_against_finite_differences(self):
@@ -424,6 +485,18 @@ class TestMatrixFunction:
         fd = matrix_derivative_by_differences(
             lambda m: matrix_value_and_derivative(S24, 1.0, m)[0], w)
         assert np.abs(deriv - fd).max() / np.abs(fd).max() < 1e-6
+
+    @pytest.mark.parametrize("w", [np.ones((4, 3)), np.ones(4), np.ones((2, 2, 2))],
+                             ids=["4x3", "vector", "3d"])
+    def test_rejects_a_non_square_array(self, w):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            matrix_value_and_derivative(S24, 1.0, w)
+
+    def test_rejects_a_non_symmetric_matrix(self):
+        w = np.diag([1.0, 2.0, 3.0, 4.0])
+        w[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="expected a symmetric matrix"):
+            matrix_value_and_derivative(S24, 1.0, w)
 
     def test_spectrum_outside_cone_rejected(self):
         with pytest.raises(ConeDomainError):
@@ -623,7 +696,7 @@ class TestRadialKernel:
         rows = radial_rows(n, du, d2u)
         for spec in all_specs(n):
             for t in (0.0, 0.3, 0.99, 1.0):
-                scores = spec.margin_scores_t(t, rows)
+                scores = spec.margin_scores(rows, t)
                 inside = scores > spec.margin
                 assert 0 < inside.sum() < inside.size
                 # the mixed batch: one verdict, f_t on the rows inside
@@ -631,22 +704,22 @@ class TestRadialKernel:
                 assert np.array_equal(ev.scores, scores)
                 assert np.array_equal(ev.outside, np.flatnonzero(~inside))
                 assert np.isnan(ev.value[~inside]).all()
-                assert np.array_equal(ev.value[inside], spec.value_t_many(t, rows[inside]))
-                for call, row_path in ((ev.gradient, spec.grad_t_many),
-                                       (ev.inside_value, spec.value_t_many)):
+                assert np.array_equal(ev.value[inside], spec.value_many(rows[inside], t))
+                for call, row_path in ((ev.gradient, spec.grad_many),
+                                       (ev.inside_value, spec.value_many)):
                     with pytest.raises(ConeDomainError) as exc:
                         call()
                     with pytest.raises(ConeDomainError) as expected:
-                        row_path(t, rows)
+                        row_path(rows, t)
                     assert str(exc.value) == str(expected.value)
                     assert exc.value.min_score == expected.value.min_score
 
                 ev = spec.radial_eval(t, a[inside], s[inside])
-                g = spec.grad_t_many(t, rows[inside])
+                g = spec.grad_many(rows[inside], t)
                 grad_axis, grad_sphere = ev.gradient()
                 assert np.array_equal(ev.scores, scores[inside])
                 assert ev.outside.size == 0
-                assert np.array_equal(ev.inside_value(), spec.value_t_many(t, rows[inside]))
+                assert np.array_equal(ev.inside_value(), spec.value_many(rows[inside], t))
                 assert np.array_equal(grad_axis, g[:, 0])
                 assert np.array_equal(grad_sphere, g[:, 1:].sum(axis=1))
 
@@ -709,8 +782,8 @@ class TestRadialKernel:
             for t in (0.2, 1.0):
                 ev = spec.radial_eval(t, a, s)
                 grad_axis, grad_sphere = ev.gradient()
-                g = spec.grad_t_many(t, rows)
-                assert np.allclose(ev.value, spec.value_t_many(t, rows), rtol=1e-13, atol=0)
+                g = spec.grad_many(rows, t)
+                assert np.allclose(ev.value, spec.value_many(rows, t), rtol=1e-13, atol=0)
                 assert np.allclose(grad_axis, g[:, 2], rtol=1e-12, atol=0)
                 assert np.allclose(grad_sphere, g.sum(axis=1) - g[:, 2], rtol=1e-12, atol=0)
 
@@ -736,9 +809,9 @@ class TestSuiteCallCounts:
         calls = []
         score = SymFuncSpec.margin_scores
 
-        def counting(self, values):
+        def counting(self, values, t=None):
             calls.append(len(values))
-            return score(self, values)
+            return score(self, values, t)
 
         monkeypatch.setattr(SymFuncSpec, "margin_scores", counting)
         return calls
@@ -768,6 +841,14 @@ class TestSuiteCallCounts:
 
 
 class TestSpecValidation:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown kind 'sigma_k'"):
+            SymFuncSpec("sigma_k", n=4, k=2)
+
+    def test_dimension_at_least_three(self):
+        with pytest.raises(ValueError, match="dimension must be at least 3"):
+            SymFuncSpec("sigma_k_root", n=2, k=1)
+
     def test_quotient_requires_l(self):
         with pytest.raises(ValueError):
             SymFuncSpec("quotient", n=4, k=2)

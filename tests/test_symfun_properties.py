@@ -42,7 +42,7 @@ class TestRandomizedInvariants:
         pts = sample_cone(spec, 400, rng)
         f_e = spec.f_at_ones()
         for t in T_GRID:
-            sums = spec.grad_t_many(t, pts).sum(axis=1)
+            sums = spec.grad_many(pts, t).sum(axis=1)
             assert sums.min() >= f_e - 1e-10
 
     def test_linear_upper_bound(self, spec):
@@ -70,7 +70,7 @@ class TestRandomizedInvariants:
         rng = np.random.default_rng(104)
         pts = np.sort(sample_cone(spec, 400, rng), axis=1)
         for t in (0.0, 0.5, 1.0):
-            g = spec.grad_t_many(t, pts)
+            g = spec.grad_many(pts, t)
             assert np.all(np.diff(g, axis=1) <= 1e-12)
 
     def test_axis_ball_inside_interpolated_cones(self, spec):
@@ -82,17 +82,17 @@ class TestRandomizedInvariants:
             r = 0.99 * (1.0 - t) / (2.0 * spec.n)
             vs = rng.standard_normal((1000, spec.n))
             vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-            assert np.all(spec.margin_scores_t(t, axis + r * vs) > spec.margin)
+            assert np.all(spec.margin_scores(axis + r * vs, t) > spec.margin)
             corner = np.full(spec.n, -(1.0 - t) / (2.0 * spec.n))
             corner[-1] += 1.0
-            assert spec.value_t(t, corner) >= 0.5 * (1.0 - t) * f_e - 1e-12 * f_e
+            assert spec.value(corner, t) >= 0.5 * (1.0 - t) * f_e - 1e-12 * f_e
 
     def test_interpolated_value_dominates(self, spec):
         rng = np.random.default_rng(106)
         pts = sample_cone(spec, 500, rng)
         base = spec.value_many(pts)
         for t in T_GRID:
-            assert np.all(spec.value_t_many(t, pts) >= base - 1e-11 * np.abs(base))
+            assert np.all(spec.value_many(pts, t) >= base - 1e-11 * np.abs(base))
 
 
 class TestHypothesisProperties:
@@ -122,4 +122,4 @@ class TestHypothesisProperties:
     def test_cone_points_in_every_interpolated_cone(self, lam, t):
         spec = SPECS[1]
         assume(spec.contains(lam))
-        assert spec.in_cone_t(t, lam)
+        assert spec.contains(lam, t)
