@@ -53,14 +53,18 @@ nodes, its interior nodes at t = 0.5), where the gradient's passes cost
 about n * k.  The ESP kernels (`_esp` on the (m, n) rows, `_esp` on the
 radial columns (a, s, ..., s) and `_esp_removed`) are timed on standard
 normal tuples at 64, 1000 and 4001 rows, for the orders of the checked
-sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).
+sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).  Next to them
+stands the row path of the cone scores, `_cone_scores` (one `_esp` pass
+over the rows and their absolute values), on standard normal tuples at 64
+and 1000 rows for sigma_2 at n = 4 and sigma_5 at n = 5.
 The structure suites of `yamabe check` are timed on sigma_2 at n = 4 in
 the benchmark's shape: `verify_structure` on 1000 samples, its boundary
 decay check alone on 1000 cone samples, `concavity_margin_suite` on 200
 separated pairs, its kernel `concavity_margin_many` alone on one 256-row
 batch drawn as the suite draws its cone rows, and
 `interpolation_ball_report` on 1000 directions, all seed 0 (median of 20
-calls).  The JSON document goes to standard output.
+calls), and the `margin_scores` calls of one decay check (its direction
+search and its bisection).  The JSON document goes to standard output.
 """
 
 from __future__ import annotations
@@ -104,6 +108,8 @@ SOLVE_CONFIG = {
 }
 KERNEL_ROWS = (64, 1000, 4001)
 KERNEL_ORDERS = ((4, 2), (5, 4))    # (n, k)
+CONE_SCORE_ROWS = (64, 1000)
+CONE_SCORE_ORDERS = ((4, 2), (5, 5))    # (n, k)
 SUITE_REPEATS = 20
 
 
@@ -179,6 +185,32 @@ def kernel_times():
     return times
 
 
+def cone_score_times():
+    rng = np.random.default_rng(0)
+    times = {}
+    for n, k in CONE_SCORE_ORDERS:
+        for m in CONE_SCORE_ROWS:
+            values = rng.standard_normal((m, n))
+            times[f"n{n}_k{k}_m{m}"] = _median_ms(lambda: symfun._cone_scores(values, k))
+    return times
+
+
+def decay_check_margin_calls(spec, pts):
+    """The `margin_scores` calls of one decay check on pts, seed 0."""
+    score, calls = symfun.SymFuncSpec.margin_scores, []
+
+    def counted(self, values, t=None):
+        calls.append(len(values))
+        return score(self, values, t)
+
+    symfun.SymFuncSpec.margin_scores = counted
+    try:
+        symfun._boundary_decay_check(spec, pts, np.random.default_rng(0))
+    finally:
+        symfun.SymFuncSpec.margin_scores = score
+    return {"calls": len(calls), "rows": sum(calls)}
+
+
 def suite_times():
     spec = symfun.SymFuncSpec("sigma_k_root", n=4, k=2)
     pts = symfun.sample_cone(spec, 1000, np.random.default_rng(0))
@@ -194,7 +226,8 @@ def suite_times():
         "concavity_margin_many_256": lambda: symfun.concavity_margin_many(spec, ts, mus, lams, 0.2),
         "interpolation_ball_report": lambda: symfun.interpolation_ball_report(spec, seed=0),
     }
-    return {name: _median_ms(call, SUITE_REPEATS) for name, call in suites.items()}
+    times = {name: _median_ms(call, SUITE_REPEATS) for name, call in suites.items()}
+    return times, decay_check_margin_calls(spec, pts)
 
 
 def continuation(node_count, tol=CONTINUATION_TOL):
@@ -307,6 +340,7 @@ def main():
     # the largest RSS of any child this process has waited for: the writers
     solves["children_max_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     solves["self_max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    suites, decay_calls = suite_times()
     doc = {
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -318,7 +352,9 @@ def main():
         "layers_ms": {**{str(m): layer_times(m) for m in NODES},
                       "blowup_example1_1001": blowup_layer_times()},
         "esp_kernels_ms": kernel_times(),
-        "structure_suites_ms": suite_times(),
+        "cone_scores_ms": cone_score_times(),
+        "structure_suites_ms": suites,
+        "boundary_decay_check_margin_scores": decay_calls,
         "continuation": runs,
         "continuation_blowup_example1_1001": blowup_continuation(),
         "construction_blowup_example1_1001": blowup_construction(),

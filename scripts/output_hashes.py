@@ -131,6 +131,10 @@ CONFIGS = [
     ("check sigma_10 at n = 10", ("check", {"function": {"kind": "sigma_k_root", "n": 10, "k": 10}})),
     ("check sigma_8 at n = 8", ("check", {"function": {"kind": "sigma_k_root", "n": 8, "k": 8}})),
     ("check sigma_1 at n = 3", ("check", {"function": {"kind": "sigma_k_root", "n": 3, "k": 1}})),
+    # beyond n = 5 in the benchmark's shape: the degree-8 decay bound, and a
+    # quotient whose ESP columns run past its order
+    *((f"n{n} {_function_name(f)} check", _check(n, f)) for n, f in (
+        (8, {"kind": "sigma_k_root", "k": 8}), (6, {"kind": "quotient", "k": 4, "l": 2}))),
 ]
 
 

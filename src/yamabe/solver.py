@@ -180,13 +180,18 @@ def _radial_eval(problem, t, du, d2u):
 
 
 def _inside_cone(problem, t, profile):
-    return _radial_eval(problem, t, profile.du, profile.d2u).outside.size == 0
+    """The kernel's evaluation of profile at t when every interior node is
+    inside the cone, else None."""
+    evaluation = _radial_eval(problem, t, profile.du, profile.d2u)
+    return None if evaluation.outside.size else evaluation
 
 
-def _residual(problem, t, grid, u, du, d2u):
+def _residual(problem, t, grid, u, du, d2u, evaluation=None):
     """Residual vector and the kernel's evaluation from nodal values and
-    their stencil derivatives; raises when a node leaves the cone."""
-    evaluation = _radial_eval(problem, t, du, d2u)
+    their stencil derivatives; raises when a node leaves the cone.  An
+    evaluation the caller already holds for du, d2u at t is used as is."""
+    if evaluation is None:
+        evaluation = _radial_eval(problem, t, du, d2u)
     if evaluation.outside.size:
         node = int(evaluation.outside[0]) + 1
         raise ConeViolationError(
@@ -338,7 +343,7 @@ def _rounding_floor(problem, profile, evaluation, gradient):
     return float(np.finfo(float).eps * terms.max())
 
 
-def newton_solve(problem, t, init, opts=None):
+def newton_solve(problem, t, init, opts=None, _evaluation=None):
     """Damped Newton iteration at fixed t.
 
     A trial step is accepted only when every interior node keeps a positive
@@ -351,12 +356,14 @@ def newton_solve(problem, t, init, opts=None):
     ConeViolationError when the initial profile leaves the cone,
     StepFailureError when no damped step is acceptable above F and
     NonconvergenceError when the iteration budget runs out; the last two
-    carry the best state reached.
+    carry the best state reached.  `_evaluation`, the radial kernel's
+    evaluation of init at t when the caller holds it, saves evaluating
+    init again.
     """
     opts = opts or NewtonOptions()
     grid = _grid_for(problem, init)
     profile = init
-    res, evaluation = _residual(problem, t, grid, init.u, init.du, init.d2u)
+    res, evaluation = _residual(problem, t, grid, init.u, init.du, init.d2u, _evaluation)
     norm = float(np.abs(res).max())
     increments = []
     for iteration in range(opts.max_iter + 1):
@@ -474,19 +481,22 @@ def _restore_feasibility(problem, t, profile, anchor):
     can sit slightly outside the next cone.  The anchor (subsolution or the
     run's start profile) lies in the t = 1 cone with a real margin, hence in
     every interpolated cone; the smallest blend restoring a positive margin
-    wins.  Returns None when no blend does.
+    wins.  Returns it with its radial kernel evaluation at t, or None when
+    no blend restores the margin.
     """
     ladder = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
     for i, theta in enumerate(ladder):
         blend = profile.with_values((1.0 - theta) * profile.u + theta * anchor.u)
-        if _inside_cone(problem, t, blend):
+        evaluation = _inside_cone(problem, t, blend)
+        if evaluation is not None:
             # take one more rung for headroom; the blend at the first feasible
             # theta can sit arbitrarily close to the cone boundary
             for theta2 in ladder[i + 1:i + 2]:
                 blend2 = profile.with_values((1.0 - theta2) * profile.u + theta2 * anchor.u)
-                if _inside_cone(problem, t, blend2):
-                    return blend2
-            return blend
+                evaluation2 = _inside_cone(problem, t, blend2)
+                if evaluation2 is not None:
+                    return blend2, evaluation2
+            return blend, evaluation
     return None
 
 
@@ -536,10 +546,11 @@ def _continuation(problem, schedule, opts, current, anchor):
             try:
                 state = newton_solve(problem, t, current, opts)
             except ConeViolationError:
-                start = _restore_feasibility(problem, t, current, anchor)
-                if start is None:
+                restored = _restore_feasibility(problem, t, current, anchor)
+                if restored is None:
                     raise
-                state = newton_solve(problem, t, start, opts)
+                start, evaluation = restored
+                state = newton_solve(problem, t, start, opts, _evaluation=evaluation)
         except (NumericalError, ConeViolationError) as exc:
             raise ContinuationError(
                 f"continuation failed at t={t}: {exc}",

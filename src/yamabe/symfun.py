@@ -75,13 +75,14 @@ def _esp(columns, kmax):
     """All elementary symmetric polynomials e_0..e_kmax of m tuples at once.
 
     columns: the entries of the tuples in order, as n vectors of length m
-    (the transpose of an (m, n) array, or a sequence such as the radial
-    (a, s, ..., s)); returns a C-ordered (kmax + 1, m) array.  Uses the
-    standard one-pass recurrence e_j <- e_j + x * e_{j-1} over the entries
-    in order, each step on contiguous rows of length m; it is exact in exact
-    arithmetic and stable for the small n used here.  Before entry col, e_j
-    is zero for j > col + 1 and the full recurrence adds only x * 0 to it,
-    so the recurrence skips those rows; on finite entries no bit changes.
+    (the rows of an (n, m) array, best C-ordered so that each is contiguous,
+    or a sequence such as the radial (a, s, ..., s)); returns a C-ordered
+    (kmax + 1, m) array.  Uses the standard one-pass recurrence
+    e_j <- e_j + x * e_{j-1} over the entries in order, each step on
+    contiguous rows of length m; it is exact in exact arithmetic and stable
+    for the small n used here.  Before entry col, e_j is zero for
+    j > col + 1 and the full recurrence adds only x * 0 to it, so the
+    recurrence skips those rows; on finite entries no bit changes.
     """
     # an array knows m even with no entries (the empty tuple has e_0 = 1)
     m = columns.shape[1] if isinstance(columns, np.ndarray) else len(columns[0])
@@ -125,10 +126,19 @@ def _cone_scores(values, order):
 
     Zero rows score -inf (the origin is not in the open cone); rows with a
     vanishing sigma_j(|lam|) (too few nonzero entries) score at most zero.
-    One `_esp` pass runs over lam and |lam| stacked.
+    One `_esp` pass runs over one C-ordered (n, 2m) array, the entries of
+    the rows in its left half and their absolute values in its right, so
+    that every column the recurrence reads is contiguous.
     """
-    absolute = np.abs(values)
-    return _stacked_scores(np.concatenate([values, absolute]).T, absolute.max(axis=1) > 0.0, order)
+    m, n = values.shape
+    columns = np.empty((n, 2 * m))
+    columns[:, :m] = values.T
+    absolute = np.abs(values.T, out=columns[:, m:])
+    return _stacked_scores(columns, absolute.max(axis=0) > 0.0, order)
+
+
+# the floor of the score denominators sigma_j(|lam|)
+_TINY = np.finfo(float).tiny
 
 
 def _stacked_scores(columns, nonzero, order):
@@ -138,10 +148,11 @@ def _stacked_scores(columns, nonzero, order):
     m = nonzero.shape[0]
     both = _esp(columns, order)
     e, scale = both[:, :m], both[:, m:]
+    ratios = e[1:] / np.maximum(scale[1:], _TINY)
+    # folded j = 1..order from +-inf, so that signed zeros and NaN keep their bits
     scores = np.where(nonzero, np.inf, -np.inf)
-    tiny = np.finfo(float).tiny
-    for j in range(1, order + 1):
-        scores = np.minimum(scores, e[j] / np.maximum(scale[j], tiny))
+    for ratio in ratios:
+        np.minimum(scores, ratio, out=scores)
     return scores, e
 
 
@@ -471,10 +482,13 @@ def matrix_value_and_derivative(spec, t, w):
     if not np.allclose(w, w.T, atol=1e-12 * max(1.0, np.abs(w).max())):
         raise ValueError("expected a symmetric matrix")
     lam, q = np.linalg.eigh(w)
-    if not spec.contains(lam, t):
+    # one cone pass serves the test, the value and the gradient
+    mapped = spec._validated(lam, True, t)
+    scores, e = _cone_scores(mapped, spec.k)
+    if spec._outside(scores).size:
         raise ConeDomainError("matrix spectrum outside the interpolated cone")
-    value = spec.value(lam, t)
-    g = spec.grad(lam, t)
+    value, g = spec._value_and_grad_from(mapped, e, t)
+    value, g = float(value[0]), g[0]
 
     scale = max(1.0, float(np.abs(lam).max()))
     start = 0
@@ -544,6 +558,14 @@ def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
 # stays inside the cone, and the rays after it in its round are drawn again
 _DECAY_ROUND = 8
 
+# bisection steps per cone call of the decay check: each call tests the
+# 2^L - 1 midpoints the next L steps can reach; on 64 rays the bisection
+# took 5.8, 4.9, 4.6, 4.7 and 5.4 ms with L = 1..5
+_BISECT_LEVELS = 3
+
+# the decay check's bisection stops at its fixed point or after this many steps
+_BISECT_STEPS = 100
+
 
 def _boundary_decay_check(spec, samples, rng):
     """f must vanish continuously on the cone boundary along straight rays,
@@ -564,7 +586,7 @@ def _boundary_decay_check(spec, samples, rng):
         state = rng.bit_generator.state
         drawn = rng.standard_normal((min(count - first, _DECAY_ROUND), n))
         for direction in drawn:
-            direction /= np.linalg.norm(direction)
+            direction /= math.sqrt(direction.dot(direction))
         window = slice(first, first + len(drawn))
         probes = pts[window, None, :] + reach[window, :, None] * drawn[:, None, :]
         outside = (spec.margin_scores(probes.reshape(-1, n)) <= 0.0).reshape(len(drawn), -1)
@@ -581,21 +603,52 @@ def _boundary_decay_check(spec, samples, rng):
             tries += 1
             if tries == 40:
                 raise NumericalError("could not find an exiting ray for the decay check")
-    lo = np.zeros_like(hi)
-    # bisection to the fixed point: a step that moves no end repeats forever
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        inside = spec.margin_scores(pts + mid[:, None] * directions) > 0.0
-        new_lo = np.where(inside, mid, lo)
-        new_hi = np.where(inside, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
+    lo, hi = _bisect_exits(spec, pts, directions, hi)
     boundary = pts + (0.5 * (lo + hi))[:, None] * directions
     probes = pts + (1.0 - fractions) * (boundary - pts)
     vals = spec.value_many(probes.reshape(-1, pts.shape[1])).reshape(probes.shape[:2])
     ordered = bool(np.all((vals[0] > vals[1]) & (vals[1] > vals[2])))
     return ordered, max(0.0, float((vals[2] / vals[0]).max()))
+
+
+def _bisect_exits(spec, pts, directions, hi):
+    """Bisect each ray pts + r * directions, r in [0, hi], towards where it
+    leaves the cone, and return the ends (lo, hi) of its last step.
+
+    The steps are those of a plain bisection, mid = 0.5 * (lo + hi) and the
+    end on its side moves to it, to the fixed point (a step that moves no
+    end repeats forever) or _BISECT_STEPS steps.  A cone call tests, per
+    ray, the midpoint tree of the next _BISECT_LEVELS steps, built level by
+    level from the same ends (node b's children 2b and 2b + 1 follow an
+    inside and an outside midpoint), and a walk down it takes the steps.
+    """
+    count = hi.shape[0]
+    rays = np.arange(count)
+    lo = np.zeros_like(hi)
+    step = 0
+    while step < _BISECT_STEPS:
+        levels = min(_BISECT_LEVELS, _BISECT_STEPS - step)
+        ends_lo, ends_hi = lo[None], hi[None]
+        mids = [0.5 * (ends_lo + ends_hi)]
+        for _ in range(levels - 1):
+            ends_lo = np.stack([mids[-1], ends_lo], axis=1).reshape(-1, count)
+            ends_hi = np.stack([ends_hi, mids[-1]], axis=1).reshape(-1, count)
+            mids.append(0.5 * (ends_lo + ends_hi))
+        mids = np.concatenate(mids)
+        probes = pts + mids[:, :, None] * directions
+        inside = (spec.margin_scores(probes.reshape(-1, pts.shape[1])) > 0.0).reshape(mids.shape)
+        node = np.zeros(count, dtype=np.intp)
+        for level in range(levels):
+            at = (1 << level) - 1 + node
+            mid, ins = mids[at, rays], inside[at, rays]
+            new_lo = np.where(ins, mid, lo)
+            new_hi = np.where(ins, hi, mid)
+            step += 1
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                return lo, hi
+            lo, hi = new_lo, new_hi
+            node = 2 * node + ~ins
+    return lo, hi
 
 
 def verify_structure(spec, sample_count=1000, seed=0):

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it validates: elementary
 symmetric polynomials come from subset enumeration (and, for bit-exact
-comparisons, from the recurrence on a tuple-per-row layout), their
-gradients from deleting one coordinate at a time, other gradients from
+comparisons, from the recurrence on a tuple-per-row layout), the cone
+scores, for bit-exact comparisons, from a frozen copy of the row kernel on
+strided columns, their gradients from deleting one coordinate at a time, other gradients from
 central differences, the structure suites from one sample and one bisection
 step at a time, Jacobian columns from bumping one nodal value of the
 residual, the conformal curvature from the general transformation law, the
@@ -67,6 +68,29 @@ def esp_gradient_by_deletion(values, j):
             e[:, 1:] = e[:, 1:] + reduced[:, col:col + 1] * e[:, :-1]
         grad[:, i] = e[:, j - 1]
     return grad
+
+
+def cone_scores_by_strided_columns(values, order):
+    """The cone scores and e_0..e_order of (m, n) rows, as the row kernel
+    computed them before its columns were made contiguous: one recurrence
+    over the strided columns of the (2m, n) stack of the rows on their
+    absolute values, and the min over j of e_j / max(e_j(|lam|), tiny),
+    folded in order from +inf (-inf on zero rows).  A frozen copy, which
+    the contiguous kernel must match bit for bit."""
+    absolute = np.abs(values)
+    columns = np.concatenate([values, absolute]).T
+    m = values.shape[0]
+    both = np.zeros((order + 1, 2 * m))
+    both[0] = 1.0
+    for col, x in enumerate(columns):
+        top = min(col, order - 1) + 2
+        both[1:top] += x * both[:top - 1]
+    e, scale = both[:, :m], both[:, m:]
+    scores = np.where(absolute.max(axis=1) > 0.0, np.inf, -np.inf)
+    tiny = np.finfo(float).tiny
+    for j in range(1, order + 1):
+        scores = np.minimum(scores, e[j] / np.maximum(scale[j], tiny))
+    return scores, e
 
 
 class BrokenHomogeneitySpec:
@@ -395,18 +419,26 @@ def boundary_decay_by_loop(spec, samples, rng, rays=64):
             break
         else:
             raise NumericalError("no exiting ray")
-        lo = 0.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if spec.margin_scores((lam + mid * direction)[None, :])[0] > 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = bisect_exit_by_loop(spec, lam, direction, hi)
         boundary = lam + 0.5 * (lo + hi) * direction
         vals = [spec.value(lam + (1.0 - frac) * (boundary - lam)) for frac in (1e-2, 1e-4, 1e-6)]
         ordered = ordered and vals[0] > vals[1] > vals[2]
         worst_ratio = max(worst_ratio, vals[2] / vals[0])
     return ordered, worst_ratio
+
+
+def bisect_exit_by_loop(spec, lam, direction, hi):
+    """The ends (lo, hi) after 100 plain bisection steps of the ray
+    lam + r * direction, r in [0, hi], towards where it leaves the cone,
+    one cone test per step."""
+    lo = 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if spec.margin_scores((lam + mid * direction)[None, :])[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def write_profile_by_rows(path, resolved, comments, columns):

@@ -427,8 +427,15 @@ class TestRoundingFloor:
                 return fn(*args)
             return call
 
+        evaluate = solver._residual
+
+        def residual_evaluating(*args):
+            # a restored start comes with the evaluation its screen made
+            calls["residual"] += len(args) == 6 or args[6] is None
+            return evaluate(*args)
+
         monkeypatch.setattr(solver, "_radial_eval", counted("kernel", solver._radial_eval))
-        monkeypatch.setattr(solver, "_residual", counted("residual", solver._residual))
+        monkeypatch.setattr(solver, "_residual", residual_evaluating)
         monkeypatch.setattr(solver, "_inside_cone", counted("screen", solver._inside_cone))
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
@@ -455,16 +462,23 @@ class TestRoundingFloor:
         assert calls["gradient"] == calls["jacobian"] > 0
 
     def test_no_state_is_evaluated_twice(self, monkeypatch):
-        # a stalled line search ends at its first step that moves no node
-        evaluate, seen = solver._residual, []
+        # a stalled line search ends at its first step that moves no node,
+        # and Newton takes a restored start's evaluation from the blend ladder
+        evaluate, restore, seen, restored = solver._radial_eval, solver._restore_feasibility, [], []
 
-        def recorded(problem, t, grid, u, du, d2u):
-            seen.append((t, u.tobytes()))
-            return evaluate(problem, t, grid, u, du, d2u)
+        def recorded(problem, t, du, d2u):
+            seen.append((t, du.tobytes(), d2u.tobytes()))
+            return evaluate(problem, t, du, d2u)
 
-        monkeypatch.setattr(solver, "_residual", recorded)
+        def recorded_restore(*args):
+            restored.append(restore(*args))
+            return restored[-1]
+
+        monkeypatch.setattr(solver, "_radial_eval", recorded)
+        monkeypatch.setattr(solver, "_restore_feasibility", recorded_restore)
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
+        assert restored and all(r is not None for r in restored)
         assert len(set(seen)) == len(seen)
 
 
@@ -893,7 +907,7 @@ class TestContinuation:
     def test_exhausted_blend_ladder_ends_the_run(self, monkeypatch):
         # the warm start of t = 0.4 leaves its cone (see the call counts of
         # test_feasible_warm_starts_are_not_screened); no blend is let back in
-        monkeypatch.setattr(solver, "_inside_cone", lambda problem, t, profile: False)
+        monkeypatch.setattr(solver, "_inside_cone", lambda problem, t, profile: None)
         with pytest.raises(ContinuationError) as err:
             continuation_run(subsolution_benchmark(node_count=401))
         assert err.value.t_failed == 0.4
@@ -908,16 +922,21 @@ class TestContinuation:
         sub = problem.subsolution
         rungs = []
 
+        inside = solver._inside_cone
+
         def anchor_only(problem, t, profile):
             rungs.append(t)
-            return np.array_equal(profile.u, sub.u)
+            return inside(problem, t, profile) if np.array_equal(profile.u, sub.u) else None
 
         monkeypatch.setattr(solver, "_inside_cone", anchor_only)
         states = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:5]).states
         assert rungs == [0.4] * 9
+        # Newton took the anchor's evaluation from the ladder: the same state
         expected = newton_solve(problem, 0.4, sub)
         assert np.array_equal(states[-1].profile.u, expected.profile.u)
-        assert states[-1].newton_iters == expected.newton_iters
+        assert np.array_equal(states[-1].residual, expected.residual)
+        assert (states[-1].newton_iters, states[-1].cone_margin, states[-1].increment_norms) == (
+            expected.newton_iters, expected.cone_margin, expected.increment_norms)
 
     def test_check_t_schedule_returns_floats(self):
         assert check_t_schedule(None) == DEFAULT_T_SCHEDULE

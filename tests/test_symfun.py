@@ -10,7 +10,9 @@ from yamabe.geometry import radial_w_eigenvalues
 from yamabe import symfun
 from yamabe.symfun import (
     SymFuncSpec,
+    _bisect_exits,
     _boundary_decay_check,
+    _cone_scores,
     _esp,
     _esp_removed,
     _row_sum,
@@ -28,7 +30,9 @@ from yamabe.symfun import (
 from oracles import (
     BrokenHomogeneitySpec,
     all_specs,
+    bisect_exit_by_loop,
     boundary_decay_by_loop,
+    cone_scores_by_strided_columns,
     esp_by_columns,
     esp_gradient_by_deletion,
     gradient_by_differences,
@@ -172,6 +176,39 @@ class TestConeMembership:
 
     def test_zero_vector_outside(self):
         assert not S23.contains(np.zeros(3))
+
+
+class TestConeScoresKernel:
+    """_cone_scores on contiguous (n, 2m) columns against the frozen kernel on
+    strided columns: the same bits, signed zeros and NaN included."""
+
+    @staticmethod
+    def _rows(rng, m, n):
+        values = rng.standard_normal((m, n)) + rng.uniform(-0.5, 2.0, size=(m, 1))
+        special = [np.zeros(n), np.full(n, -0.0), np.full(n, np.nan), np.full(n, 1e-310),
+                   np.r_[np.zeros(n - 1), 2.0], np.r_[np.nan, np.ones(n - 1)],
+                   np.r_[-0.0, np.ones(n - 1)], np.r_[np.inf, np.ones(n - 1)]]
+        if m >= 64:
+            for row, tuple_ in zip(values[::7], special):
+                row[:] = tuple_
+        return values
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_bit_identical_to_the_strided_kernel(self, n):
+        rng = np.random.default_rng(60 + n)
+        for m in (0, 1, 64, 1000):
+            values = self._rows(rng, m, n)
+            for order in range(1, n + 1):
+                with np.errstate(invalid="ignore"):
+                    scores, e = _cone_scores(values, order)
+                    want_scores, want_e = cone_scores_by_strided_columns(values, order)
+                assert scores.tobytes() == want_scores.tobytes(), (m, order)
+                assert np.ascontiguousarray(e).tobytes() == np.ascontiguousarray(want_e).tobytes()
+
+    def test_special_rows_are_covered(self):
+        with np.errstate(invalid="ignore"):
+            scores, _ = _cone_scores(self._rows(np.random.default_rng(0), 64, 4), 2)
+        assert np.isneginf(scores[[0, 7]]).all() and np.isnan(scores[[14, 35]]).all()
 
 
 class TestValueAndGradient:
@@ -499,8 +536,40 @@ class TestMatrixFunction:
             matrix_value_and_derivative(S24, 1.0, w)
 
     def test_spectrum_outside_cone_rejected(self):
-        with pytest.raises(ConeDomainError):
+        with pytest.raises(ConeDomainError, match="matrix spectrum outside the interpolated cone"):
             matrix_value_and_derivative(S24, 1.0, np.diag([-1.0, 0.1, 0.1, 0.1]))
+
+    @pytest.mark.parametrize("lam", [[0.3, 0.5, 1.0, 2.0], [1.0, 1.0, 1.0, 2.0]],
+                             ids=["distinct", "repeated"])
+    def test_one_cone_pass(self, monkeypatch, lam):
+        # the value and the derivative from one cone pass, as from the cone
+        # test, value and gradient of the spectrum taken one by one
+        rng = np.random.default_rng(16)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        w = (q * np.array(lam)) @ q.T
+        w = 0.5 * (w + w.T)
+        calls = []
+        cone_scores = symfun._cone_scores
+
+        def counting(values, order):
+            calls.append(values.shape)
+            return cone_scores(values, order)
+
+        monkeypatch.setattr(symfun, "_cone_scores", counting)
+        value, deriv = matrix_value_and_derivative(S24, 0.6, w)
+        assert calls == [(1, 4)]
+        spectrum, vectors = np.linalg.eigh(w)
+        assert S24.contains(spectrum, 0.6)
+        g = S24.grad(spectrum, 0.6)
+        scale = max(1.0, float(np.abs(spectrum).max()))
+        start = 0
+        for i in range(1, 5):
+            if i == 4 or spectrum[i] - spectrum[start] > 1e-12 * scale:
+                g[start:i] = g[start:i].mean()
+                start = i
+        expected = (vectors * g) @ vectors.T
+        assert value == S24.value(spectrum, 0.6)
+        assert np.array_equal(deriv, 0.5 * (expected + expected.T))
 
 
 class TestVerifyStructure:
@@ -542,6 +611,49 @@ class TestVerifyStructure:
         assert _boundary_decay_check(spec, pts, rng_batched) == boundary_decay_by_loop(
             spec, pts, rng_loop)
         assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
+
+    @pytest.mark.parametrize("spec", CHECK_SPECS, ids=lambda s: s.label)
+    def test_level_bisection_matches_the_step_loop(self, spec):
+        # each cone call tests the midpoint tree of _BISECT_LEVELS steps; the
+        # walk down it ends at the loop's ends, bit for bit, after its fixed
+        # point (the loop takes all 100 steps, which move no end from there)
+        rng = np.random.default_rng(38)
+        pts = sample_cone(spec, 64, rng)
+        directions = rng.standard_normal(pts.shape)
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        reach = 64.0 * np.abs(pts).max()
+        lo, hi = _bisect_exits(spec, pts, directions, np.full(64, reach))
+        for i in range(64):
+            assert (lo[i], hi[i]) == bisect_exit_by_loop(spec, pts[i], directions[i], reach)
+
+    def test_decay_check_at_the_step_cap(self, monkeypatch):
+        # the margin flips sign from octave to octave of the distance to the
+        # ray starts below 2^-46 and is negative above: the ends move at
+        # every step, and the cap of 100 ends the bisection inside a call
+        calls = []
+
+        def flapping(self, values):
+            calls.append(len(values))
+            r = np.abs(values - 1.0).max(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                even = np.floor(np.log2(r)) % 2 == 0
+            return np.where((r < 2.0 ** -46) & even, 1.0, -1.0)
+
+        monkeypatch.setattr(SymFuncSpec, "margin_scores", flapping)
+        pts = np.ones((64, 4))
+        for seed in (40, 41):
+            calls.clear()
+            rng_batched = np.random.default_rng(seed)
+            rng_loop = np.random.default_rng(seed)
+            batched = _boundary_decay_check(S24, pts, rng_batched)
+            # 8 exit rounds of 8 rays by 60 reaches, then full calls of
+            # _BISECT_LEVELS steps and one of the steps left up to 100
+            levels = symfun._BISECT_LEVELS
+            full, last = divmod(100, levels)
+            bisection = [64 * (2 ** levels - 1)] * full + [64 * (2 ** last - 1)] * (last > 0)
+            assert calls == [480] * 8 + bisection
+            assert batched == boundary_decay_by_loop(S24, pts, rng_loop)
+            assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
 
     def test_decay_check_without_an_exiting_ray_raises(self, monkeypatch):
         pts = sample_cone(S24, 100, np.random.default_rng(31))
@@ -835,7 +947,8 @@ class TestSuiteCallCounts:
             verify_structure(S24, sample_count=samples, seed=0)
             counts.append(len(calls))
         # flat up to the cone sampler's rejection rounds; the decay check's
-        # 64 rays bisect in lockstep (at most 100 calls, not 6400)
+        # 64 rays bisect in lockstep, three steps per call (at most 34
+        # calls, not 6400)
         assert counts[1] < counts[0] + 20
         assert counts[0] < 400
 
