@@ -11,10 +11,11 @@ t = 0.5 and reports the median wall time per call (plain
 time.perf_counter, after one warm-up call) of the residual with its cone
 test, the Jacobian as a caller without an evaluation builds it (kernel and
 gradient) and as Newton builds it from the gradient it holds for the
-state (assembly only), the cone screen of the feasibility restore, the
-banded solve, the directional Jacobian check, the radial kernel
-`SymFuncSpec.radial_eval` on the state's eigenvalues and the gradient of
-its evaluation, and the grid derivatives: the free
+state (assembly only), the cone test of the feasibility restore, the
+banded solve (`solver.solve_banded`, LAPACK's dgtsv), the directional
+Jacobian check, the radial kernel `SymFuncSpec.radial_eval` on the state's
+eigenvalues and the gradient of its evaluation, and the grid derivatives:
+the free
 `first_derivative`/`second_derivative` on the grid's `GridStencils`, built
 once, `du`/`d2u` of a new state of the profile family, which reuses the
 profile's, and the profile writer: one profile CSV of the state
@@ -57,6 +58,17 @@ sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).  Next to them
 stands the row path of the cone scores, `_cone_scores` (one `_esp` pass
 over the rows and their absolute values), on standard normal tuples at 64
 and 1000 rows for sigma_2 at n = 4 and sigma_5 at n = 5.
+The gradient of a Newton state, `RadialEvaluation.gradient`, is timed with
+the kernel pass before it and the `_esp` calls it makes counted, at
+(n, k) = (4, 2) on the 3999 interior nodes of the 4001-node subsolution
+benchmark and at (5, 4) on the 999 interior nodes of the blow-up start,
+both at t = 0.5.  Newton's banded solve `solver.solve_banded` is timed
+against `scipy.linalg.solve_banded((1, 1), ...)`, with and without its
+finiteness check, on the state's Jacobian and residual at 401, 1001 and
+4001 nodes.  The 4001-node README continuation (Newton tolerance 1e-7)
+runs once more with the radial kernel's calls counted: the full-size
+passes (every interior node), the one-node tests of the feasibility
+restore, the kernel rows of both and the restores.
 The structure suites of `yamabe check` are timed on sigma_2 at n = 4 in
 the benchmark's shape: `verify_structure` on 1000 samples, its boundary
 decay check alone on 1000 cone samples, `concavity_margin_suite` on 200
@@ -85,7 +97,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-from scipy.linalg import solve_banded  # noqa: E402
+from scipy.linalg import solve_banded as scipy_solve_banded  # noqa: E402
 
 from yamabe import _format, cli, solver, symfun  # noqa: E402
 from yamabe.benchmarks import example_boundary_problem, subsolution_benchmark  # noqa: E402
@@ -140,7 +152,7 @@ def layer_times(node_count):
         "jacobian": lambda: solver.jacobian(problem, T, prof),
         "jacobian_held": lambda: solver.jacobian(problem, T, prof, gradient),
         "inside_cone": lambda: solver._inside_cone(problem, T, prof),
-        "solve_banded": lambda: solve_banded((1, 1), ab, -res),
+        "solve_banded": lambda: solver.solve_banded(ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
         **_radial_layers(spec, axis, sphere),
         "first_derivative": lambda: first_derivative(stencils, prof.u),
@@ -161,6 +173,78 @@ def _radial_layers(spec, axis, sphere):
     held = spec.radial_eval(T, axis, sphere)
     return {"radial_eval": lambda: spec.radial_eval(T, axis, sphere),
             "radial_eval_gradient": held.gradient}
+
+
+def gradient_times():
+    """The kernel pass and the gradient of a Newton state, and the `_esp`
+    calls of one gradient, at (4, 2) on 3999 rows and (5, 4) on 999 rows."""
+    problem_42 = subsolution_benchmark(node_count=4001)
+    problem_54, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
+    times = {}
+    for problem, prof in ((problem_42, problem_42.subsolution), (problem_54, init)):
+        spec = problem.spec
+        axis, sphere = radial_w_eigenvalues(prof.du[1:-1], prof.d2u[1:-1])
+        held = spec.radial_eval(T, axis, sphere)
+        esp, calls = symfun._esp, []
+
+        def counted(columns, kmax):
+            calls.append(len(columns))
+            return esp(columns, kmax)
+
+        symfun._esp = counted
+        try:
+            held.gradient()
+        finally:
+            symfun._esp = esp
+        times[f"n{spec.n}_k{spec.k}_m{axis.size}"] = {
+            "radial_eval_ms": _median_ms(lambda: spec.radial_eval(T, axis, sphere)),
+            "gradient_ms": _median_ms(held.gradient),
+            "esp_calls_per_gradient": len(calls),
+        }
+    return times
+
+
+def banded_solve_times():
+    """Newton's banded solve against scipy's, on the subsolution state's
+    Jacobian and residual at t = 0.5."""
+    times = {}
+    for m in (401, 1001, 4001):
+        problem = subsolution_benchmark(node_count=m)
+        prof = problem.subsolution
+        ab, rhs = solver.jacobian(problem, T, prof), -solver.residual(problem, T, prof)
+        times[str(m)] = {
+            "solver_solve_banded_ms": _median_ms(lambda: solver.solve_banded(ab, rhs)),
+            "scipy_solve_banded_ms": _median_ms(lambda: scipy_solve_banded((1, 1), ab, rhs)),
+            "scipy_solve_banded_unchecked_ms": _median_ms(
+                lambda: scipy_solve_banded((1, 1), ab, rhs, check_finite=False)),
+        }
+    return times
+
+
+def kernel_passes(node_count=4001):
+    """The radial kernel calls of one README continuation at node_count
+    nodes, Newton tolerance CONTINUATION_TOL: full-size passes, one-node
+    tests (a window of three nodes around the tested one) and their rows,
+    and the feasibility restores."""
+    problem = subsolution_benchmark(node_count=node_count)
+    evaluate, restore = solver._radial_eval, solver._restore_feasibility
+    counts = {"full_passes": 0, "one_node_tests": 0, "rows": 0, "restores": 0}
+
+    def counted(problem, t, du, d2u):
+        counts["full_passes" if du.size == node_count else "one_node_tests"] += 1
+        counts["rows"] += du.size - 2
+        return evaluate(problem, t, du, d2u)
+
+    def counted_restore(*args):
+        counts["restores"] += 1
+        return restore(*args)
+
+    solver._radial_eval, solver._restore_feasibility = counted, counted_restore
+    try:
+        solver.continuation_run(problem, opts=solver.NewtonOptions(tol=CONTINUATION_TOL))
+    finally:
+        solver._radial_eval, solver._restore_feasibility = evaluate, restore
+    return counts
 
 
 def blowup_layer_times():
@@ -353,6 +437,9 @@ def main():
                       "blowup_example1_1001": blowup_layer_times()},
         "esp_kernels_ms": kernel_times(),
         "cone_scores_ms": cone_score_times(),
+        "gradient": gradient_times(),
+        "banded_solve_ms": banded_solve_times(),
+        "kernel_passes_4001": kernel_passes(),
         "structure_suites_ms": suites,
         "boundary_decay_check_margin_scores": decay_calls,
         "continuation": runs,

@@ -135,6 +135,10 @@ CONFIGS = [
     # quotient whose ESP columns run past its order
     *((f"n{n} {_function_name(f)} check", _check(n, f)) for n, f in (
         (8, {"kind": "sigma_k_root", "k": 8}), (6, {"kind": "quotient", "k": 4, "l": 2}))),
+    # a homogeneity gap of 1.17e-12 near the cone boundary, within its
+    # sample's bound; it failed the fixed bound 1e-12 (exit 1)
+    ("n4 quotient(2,1) check, seed 776354507",
+     ("check", {**_check(4, {"kind": "quotient", "k": 2, "l": 1})[1], "seed": 776354507})),
 ]
 
 

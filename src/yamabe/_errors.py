@@ -17,11 +17,16 @@ class ConeDomainError(YamabeError, ValueError):
 
 
 class ConeViolationError(ConeDomainError):
-    """Cone membership failed at a specific grid node."""
+    """Cone membership failed at a specific grid node.
 
-    def __init__(self, message, node=None):
+    node is the first grid node outside the cone, lowest the node with the
+    lowest margin score (a NaN score counts as lowest).
+    """
+
+    def __init__(self, message, node=None, lowest=None):
         super().__init__(message)
         self.node = node
+        self.lowest = lowest
 
 
 class NumericalError(YamabeError, RuntimeError):

@@ -16,14 +16,16 @@ Newton evaluates each state once: one residual call runs the spec's
 two-value kernel `radial_eval` on the (axis, sphere) eigenvalue vectors and
 supplies the residual vector and the state's evaluation (a trial outside the
 cone raises there).  Newton takes that evaluation's gradient once per state,
-for the Jacobian (which adds only the gradient's ESP pass) and for the
-rounding floor; the floor's f_t and the state's cone margin are read from
-the evaluation.  The kernel and its gradient are bit-identical to the
-spec's `margin_scores`, `value_many` and `grad_many` with the same t on the
-full (m, n) eigenvalue rows.  The kernel also makes the one cone test: its
-evaluation records the nodes outside the cone (a node with a NaN entry
-among them), and the residual, the gradient, the feasibility restore and
-`check_subsolution` read that record.
+for the Jacobian (which adds only the gradient's one ESP pass; the kernel's
+pass held the rest) and for the rounding floor; the floor's f_t and the
+state's cone margin are read from the evaluation.  The kernel and its
+gradient are bit-identical to the spec's `margin_scores`, `value_many` and
+`grad_many` with the same t on the full (m, n) eigenvalue rows.  The kernel
+also makes the one cone test: its evaluation records the nodes outside the
+cone (a node with a NaN entry among them), and the residual, the gradient,
+the feasibility restore and `check_subsolution` read that record.  The
+Newton step solves the tridiagonal system with LAPACK's dgtsv
+(`solve_banded`), bit-identical to scipy's banded solver.
 
 The residual cannot fall below its rounding floor F, which grows like
 eps/h^2 and lies above the default tolerance on fine grids.  When no damped
@@ -45,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from ._errors import (
     ConeViolationError,
@@ -179,11 +181,33 @@ def _radial_eval(problem, t, du, d2u):
     return problem.spec.radial_eval(t, axis, sphere)
 
 
+def _require_inside(evaluation, grid):
+    """Raise ConeViolationError when an interior node of the kernel's
+    evaluation on grid is outside the cone."""
+    if evaluation.outside.size:
+        node = int(evaluation.outside[0]) + 1
+        raise ConeViolationError(
+            f"eigenvalues at node {node} (x={grid[node]:.6g}) left the cone "
+            f"(margin score {evaluation.scores[node - 1]:.3e})",
+            node=node,
+            lowest=int(np.argmin(evaluation.scores)) + 1,
+        )
+
+
 def _inside_cone(problem, t, profile):
-    """The kernel's evaluation of profile at t when every interior node is
-    inside the cone, else None."""
+    """The kernel's evaluation of profile at t; raises ConeViolationError
+    when an interior node is outside the cone."""
     evaluation = _radial_eval(problem, t, profile.du, profile.d2u)
-    return None if evaluation.outside.size else evaluation
+    _require_inside(evaluation, profile.grid)
+    return evaluation
+
+
+def _node_inside(problem, t, profile, node):
+    """Whether interior grid node `node` of profile is inside the cone at t,
+    from the kernel on that node's one row.  The kernel is elementwise, so
+    the verdict is that of a pass over every node."""
+    window = slice(node - 1, node + 2)
+    return _radial_eval(problem, t, profile.du[window], profile.d2u[window]).outside.size == 0
 
 
 def _residual(problem, t, grid, u, du, d2u, evaluation=None):
@@ -192,13 +216,7 @@ def _residual(problem, t, grid, u, du, d2u, evaluation=None):
     evaluation the caller already holds for du, d2u at t is used as is."""
     if evaluation is None:
         evaluation = _radial_eval(problem, t, du, d2u)
-    if evaluation.outside.size:
-        node = int(evaluation.outside[0]) + 1
-        raise ConeViolationError(
-            f"eigenvalues at node {node} (x={grid[node]:.6g}) left the cone "
-            f"(margin score {evaluation.scores[node - 1]:.3e})",
-            node=node,
-        )
+    _require_inside(evaluation, grid)
     out = np.empty(grid.size)
     out[0] = u[0] - problem.phi_left
     out[-1] = u[-1] - problem.phi_right
@@ -248,6 +266,24 @@ def jacobian(problem, t, profile, gradient=None):
     ab[0, 2:] = upper          # ab[0, j] holds A[j-1, j]
     ab[2, :-2] = lower         # ab[2, j] holds A[j+1, j]
     return ab
+
+
+def solve_banded(ab, b):
+    """The solution of J x = b for the tridiagonal J in banded (3, m) storage.
+
+    LAPACK's dgtsv (Gaussian elimination with partial pivoting), called as
+    scipy.linalg.solve_banded((1, 1), ab, b) calls it, so x is bit-identical
+    to it, without that wrapper's generic validation.  As there, non-finite
+    entries in ab or b raise ValueError and a singular J raises LinAlgError.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv/gtsv")
+    return x
 
 
 def _check_jacobian(problem, t, profile, ab):
@@ -352,8 +388,10 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
     moves no node, since each half of it moves none either.  When no damped
     step is acceptable at a residual at or below its rounding floor F
     (`_rounding_floor`), which no step can improve on, the state is returned
-    as converged with F recorded on it; F is computed only then.  Raises
-    ConeViolationError when the initial profile leaves the cone,
+    as converged with F recorded on it; F is computed only then.  The step
+    solves the tridiagonal Jacobian with `solve_banded`.  Raises
+    ConeViolationError when the initial profile leaves the cone (its
+    `lowest` node starts the feasibility restore's one-node tests),
     StepFailureError when no damped step is acceptable above F and
     NonconvergenceError when the iteration budget runs out; the last two
     carry the best state reached.  `_evaluation`, the radial kernel's
@@ -379,7 +417,7 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
         if opts.jacobian_check and iteration == 0:
             _check_jacobian(problem, t, profile, ab)
         try:
-            delta = solve_banded((1, 1), ab, -res)
+            delta = solve_banded(ab, -res)
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(
                 f"singular Jacobian at t={t}",
@@ -474,7 +512,7 @@ class ContinuationReport:
         return [(s.t, (1.0 - s.t) * s.monitors[2]) for s in self.states]
 
 
-def _restore_feasibility(problem, t, profile, anchor):
+def _restore_feasibility(problem, t, profile, anchor, node):
     """Blend a warm start that left the cone of t towards the anchor.
 
     The cones shrink as t grows, so the converged profile of the previous t
@@ -483,20 +521,37 @@ def _restore_feasibility(problem, t, profile, anchor):
     every interpolated cone; the smallest blend restoring a positive margin
     wins.  Returns it with its radial kernel evaluation at t, or None when
     no blend restores the margin.
+
+    Each blend is first tested on one node (`_node_inside`): the node with
+    the lowest margin score of the last evaluation that failed, which for
+    the first blend is `node`, the `lowest` of the ConeViolationError that
+    profile's own evaluation at t raised.  A blend whose test node is
+    outside is infeasible, so the test changes no decision; only a blend
+    that passes it takes the full `_inside_cone` pass.
     """
     ladder = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
-    for i, theta in enumerate(ladder):
+
+    def inside(theta):
+        nonlocal node
         blend = profile.with_values((1.0 - theta) * profile.u + theta * anchor.u)
-        evaluation = _inside_cone(problem, t, blend)
-        if evaluation is not None:
+        if not _node_inside(problem, t, blend, node):
+            return None
+        try:
+            return blend, _inside_cone(problem, t, blend)
+        except ConeViolationError as exc:
+            node = exc.lowest
+            return None
+
+    for i, theta in enumerate(ladder):
+        restored = inside(theta)
+        if restored is not None:
             # take one more rung for headroom; the blend at the first feasible
             # theta can sit arbitrarily close to the cone boundary
             for theta2 in ladder[i + 1:i + 2]:
-                blend2 = profile.with_values((1.0 - theta2) * profile.u + theta2 * anchor.u)
-                evaluation2 = _inside_cone(problem, t, blend2)
-                if evaluation2 is not None:
-                    return blend2, evaluation2
-            return blend, evaluation
+                headroom = inside(theta2)
+                if headroom is not None:
+                    return headroom
+            return restored
     return None
 
 
@@ -525,9 +580,10 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     when given, else the problem's subsolution.  A warm start that
     falls outside the shrunken cone of the next t (Newton's first
     evaluation raises ConeViolationError) is pulled back by blending
-    towards the subsolution (or the start profile).  Any failure, Newton's
-    and the Jacobian check's alike, surfaces as ContinuationError carrying
-    the failing t, the states yielded so far and the cause.
+    towards the subsolution (or the start profile); see
+    `_restore_feasibility`.  Any failure, Newton's and the Jacobian check's
+    alike, surfaces as ContinuationError carrying the failing t, the states
+    yielded so far and the cause.
     """
     schedule = check_t_schedule(t_schedule)
     current = init if init is not None else problem.subsolution
@@ -545,8 +601,8 @@ def _continuation(problem, schedule, opts, current, anchor):
         try:
             try:
                 state = newton_solve(problem, t, current, opts)
-            except ConeViolationError:
-                restored = _restore_feasibility(problem, t, current, anchor)
+            except ConeViolationError as exc:
+                restored = _restore_feasibility(problem, t, current, anchor, exc.lowest)
                 if restored is None:
                     raise
                 start, evaluation = restored

@@ -89,9 +89,15 @@ def _esp(columns, kmax):
     out = np.zeros((kmax + 1, m))
     out[0] = 1.0
     for col, x in enumerate(columns):
-        top = min(col, kmax - 1) + 2
-        out[1:top] += x * out[:top - 1]
+        _esp_step(out, col, x)
     return out
+
+
+def _esp_step(out, col, x):
+    """One step of the `_esp` recurrence in place: x, entry col of the
+    tuples, enters the (kmax + 1, m) array out of e_0..e_kmax."""
+    top = min(col, out.shape[0] - 2) + 2
+    out[1:top] += x * out[:top - 1]
 
 
 def _esp_removed(values, kmax):
@@ -134,19 +140,18 @@ def _cone_scores(values, order):
     columns = np.empty((n, 2 * m))
     columns[:, :m] = values.T
     absolute = np.abs(values.T, out=columns[:, m:])
-    return _stacked_scores(columns, absolute.max(axis=0) > 0.0, order)
+    return _stacked_scores(_esp(columns, order), absolute.max(axis=0) > 0.0)
 
 
 # the floor of the score denominators sigma_j(|lam|)
 _TINY = np.finfo(float).tiny
 
 
-def _stacked_scores(columns, nonzero, order):
-    """The scores and e_0..e_order of `_cone_scores` from one `_esp` pass over
-    columns that stack the entries of m tuples on those of their absolute
-    values; nonzero flags the tuples with a nonzero entry."""
+def _stacked_scores(both, nonzero):
+    """The scores and e_0..e_order of `_cone_scores` from the (order + 1, 2m)
+    `_esp` array of m tuples stacked on their absolute values; nonzero flags
+    the tuples with a nonzero entry."""
     m = nonzero.shape[0]
-    both = _esp(columns, order)
     e, scale = both[:, :m], both[:, m:]
     ratios = e[1:] / np.maximum(scale[1:], _TINY)
     # folded j = 1..order from +-inf, so that signed zeros and NaN keep their bits
@@ -197,17 +202,23 @@ def _pairwise_sum(head, tail, n):
 
 class RadialEvaluation(NamedTuple):
     """What one `SymFuncSpec.radial_eval` pass found: the margin scores, the
-    indices of the rows outside the cone, f_t (NaN on those rows) and the
-    t-mapped axis and sphere vectors, each an (m,) array of its own.  "rows"
-    below are the (m, n) tuples (a, s, ..., s) before the t-map."""
+    indices of the rows outside the cone, f_t (NaN on those rows), the
+    t-mapped sphere vector and the ESP rows the gradient reads, each an
+    (m,) array of its own: e_k (and e_l) of the t-mapped tuple, and
+    e_{k-1} (and e_{l-1}) of its cut, the tuple without one sphere slot;
+    e_l and cut_l are None for roots.  "rows" below are the (m, n) tuples
+    (a, s, ..., s) before the t-map."""
 
     spec: SymFuncSpec
     t: float
     scores: np.ndarray
     outside: np.ndarray
     value: np.ndarray
-    axis: np.ndarray
     sphere: np.ndarray
+    e_k: np.ndarray
+    cut_k: np.ndarray
+    e_l: np.ndarray | None
+    cut_l: np.ndarray | None
 
     def inside_value(self):
         """f_t, when every row is inside the cone; else the ConeDomainError of
@@ -219,24 +230,21 @@ class RadialEvaluation(NamedTuple):
         """(axis slot of Df_t, sum of its n - 1 sphere slots), bit-identical
         to grad_many(rows, t); outside the cone raises its ConeDomainError.
 
-        d sigma_j is e_{j-1} of the tuple without that slot: (s, ..., s) for
-        the axis slot (rest), (a, s, ..., s) for a sphere slot (cut), each
-        one `_esp` pass of m columns.  e_j of the whole tuple is
-        cut[j] + s * cut[j-1], the last step of the pass in `radial_eval`.
+        d sigma_j is e_{j-1} of the tuple without that slot: of the cut
+        (a, s, ..., s) of length n - 1 for a sphere slot, which the pass of
+        `radial_eval` held before its last step, and of rest = (s, ..., s)
+        of length n - 1 for the axis slot, the one `_esp` pass made here.
         """
         spec, t, f, s = self.spec, self.t, self.inside_value(), self.sphere
         n, k = spec.n, spec.k
-        cut = _esp((self.axis, *[s] * (n - 2)), k)
         rest = _esp([s] * (n - 1), k - 1)
-        e_k = cut[k] + s * cut[k - 1]
         if spec.kind == "sigma_k_root":
-            g_a = (f / k) * rest[k - 1] / e_k
-            g_s = (f / k) * cut[k - 1] / e_k
+            g_a = (f / k) * rest[k - 1] / self.e_k
+            g_s = (f / k) * self.cut_k / self.e_k
         else:
             l = spec.l
-            e_l = cut[l] + s * cut[l - 1]
-            g_a = (f / (k - l)) * (rest[k - 1] / e_k - rest[l - 1] / e_l)
-            g_s = (f / (k - l)) * (cut[k - 1] / e_k - cut[l - 1] / e_l)
+            g_a = (f / (k - l)) * (rest[k - 1] / self.e_k - rest[l - 1] / self.e_l)
+            g_s = (f / (k - l)) * (self.cut_k / self.e_k - self.cut_l / self.e_l)
         shift = (1.0 - t) * _row_sum(g_a, g_s, n)
         g_s = t * g_s + shift
         return t * g_a + shift, _row_sum(g_s, g_s, n - 1)
@@ -408,26 +416,34 @@ class SymFuncSpec:
 
         One `_esp` pass over the t-mapped columns (a, s, ..., s) and their
         absolute values, stacked as in `_cone_scores`, serves the scores and
-        f_t; the gradient takes two more over m columns each.  Each result
-        repeats the additions and multiplications of margin_scores(rows, t)
-        and value_many(rows, t) on the (m, n) rows (a, s, ..., s) in their
-        order, numpy's row sums included, so it is bit-identical to them on
-        the rows inside the cone.
+        f_t.  Before its last step, the pass holds e_j of the cut
+        (a, s, ..., s) of length n - 1, and the rows the gradient reads are
+        copied then; the gradient takes one more pass over m columns.  Each
+        result repeats the additions and multiplications of
+        margin_scores(rows, t) and value_many(rows, t) on the (m, n) rows
+        (a, s, ..., s) in their order, numpy's row sums included, so it is
+        bit-identical to them on the rows inside the cone.
         """
-        n, k = self.n, self.k
+        n, k, l = self.n, self.k, self.l
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
         shift = (1.0 - t) * _row_sum(a, s, n)
         a, s = t * a + shift, t * s + shift
+        m = a.shape[0]
         abs_a, abs_s = np.abs(a), np.abs(s)
-        columns = (np.concatenate([a, abs_a]), *[np.concatenate([s, abs_s])] * (n - 1))
-        scores, e = _stacked_scores(columns, np.maximum(abs_a, abs_s) > 0.0, k)
+        stacked_s = np.concatenate([s, abs_s])
+        both = _esp((np.concatenate([a, abs_a]), *[stacked_s] * (n - 2)), k)
+        cut_k = both[k - 1, :m].copy()
+        cut_l = None if l is None else both[l - 1, :m].copy()
+        _esp_step(both, n - 1, stacked_s)
+        scores, e = _stacked_scores(both, np.maximum(abs_a, abs_s) > 0.0)
         outside = self._outside(scores)
         # only rows outside the cone can warn, and they are set to NaN
         with np.errstate(invalid="ignore", divide="ignore"):
             value = self._value_from(e)
         value[outside] = np.nan
-        return RadialEvaluation(self, t, scores, outside, value, a, s)
+        e_l = None if l is None else e[l].copy()
+        return RadialEvaluation(self, t, scores, outside, value, s, e[k].copy(), cut_k, e_l, cut_l)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +667,32 @@ def _bisect_exits(spec, pts, directions, hi):
     return lo, hi
 
 
+def _homogeneity_row(spec, pts, hom):
+    """The f4_homogeneity row of the relative gaps hom = |f(s x) - s f(x)| /
+    (s f(x)) at the samples x of pts.
+
+    Each sample's bound is max(1e-12, C eps / score), with its margin score
+    and C = 5 n / degree.  sigma_j from the recurrence over the n entries
+    is off by at most about (n + j) u sigma_j(|x|), u = eps / 2, and the
+    rounded entries of s x add j u sigma_j(|x|): relative to sigma_j(x),
+    at most (n + 2j) u / score.  So f = (sigma_k / sigma_l)^(1/degree)
+    (sigma_0 = 1 for roots) at x and at s x is off by at most
+    (4n + 3(k + l)) u / (degree score), plus a few u, which is below
+    C eps / score as k + l < 2n.  Near the cone boundary this exceeds
+    1e-12.  While every gap is within 1e-12, the row holds the largest gap
+    and 1e-12, and no cone scores are computed; else it holds the sample
+    with the largest ratio of gap to bound (a NaN gap first) and that
+    bound.
+    """
+    if hom.max() <= 1e-12:
+        return CheckResult("f4_homogeneity", True, float(hom.max()), 1e-12)
+    c = 5.0 * spec.n / spec.degree
+    bound = np.maximum(1e-12, c * np.finfo(float).eps / spec.margin_scores(pts))
+    worst = int(np.argmax(hom / bound))
+    return CheckResult("f4_homogeneity", bool(hom[worst] <= bound[worst]),
+                       float(hom[worst]), float(bound[worst]))
+
+
 def verify_structure(spec, sample_count=1000, seed=0):
     """Randomized verification of the structural conditions of (f, Gamma).
 
@@ -689,7 +731,7 @@ def verify_structure(spec, sample_count=1000, seed=0):
 
     s = 10.0 ** rng.uniform(-2.0, 2.0, size=pts.shape[0])
     hom = np.abs(spec.value_many(s[:, None] * pts) - s * vals) / (s * vals)
-    checks.append(CheckResult("f4_homogeneity", bool(hom.max() <= 1e-12), float(hom.max()), 1e-12))
+    checks.append(_homogeneity_row(spec, pts, hom))
 
     worst_f5 = math.inf
     for t in (0.0, 0.25, 0.5, 0.75, 0.99, 1.0):

@@ -4,13 +4,15 @@ Everything here deliberately avoids the code paths it validates: elementary
 symmetric polynomials come from subset enumeration (and, for bit-exact
 comparisons, from the recurrence on a tuple-per-row layout), the cone
 scores, for bit-exact comparisons, from a frozen copy of the row kernel on
-strided columns, their gradients from deleting one coordinate at a time, other gradients from
-central differences, the structure suites from one sample and one bisection
-step at a time, Jacobian columns from bumping one nodal value of the
-residual, the conformal curvature from the general transformation law, the
-stopping time of the radial problem from integrating the second-order
-equation itself (never its first integral), and profile CSVs from Python's
-own '%.17g', one row at a time.  `BrokenHomogeneitySpec` is a cone function
+strided columns, their gradients from deleting one coordinate at a time,
+the radial gradient, bit for bit, from a frozen copy of its two-pass form,
+other gradients from central differences, the feasibility restore's blends
+from a frozen copy of its ladder with a full pass per rung, the structure
+suites from one sample and one bisection step at a time, Jacobian columns
+from bumping one nodal value of the residual, the conformal curvature from
+the general transformation law, the stopping time of the radial problem
+from integrating the second-order equation itself (never its first
+integral), and profile CSVs from Python's own '%.17g', one row at a time.  `BrokenHomogeneitySpec` is a cone function
 built to fail a structure check.
 """
 
@@ -22,6 +24,7 @@ import numpy as np
 from scipy import integrate
 
 from yamabe._errors import ConeDomainError, ConeViolationError, NumericalError
+from yamabe.geometry import radial_w_eigenvalues
 from yamabe.solver import residual
 from yamabe.symfun import CONE_MARGIN, SymFuncSpec, sample_cone
 
@@ -78,19 +81,84 @@ def cone_scores_by_strided_columns(values, order):
     folded in order from +inf (-inf on zero rows).  A frozen copy, which
     the contiguous kernel must match bit for bit."""
     absolute = np.abs(values)
-    columns = np.concatenate([values, absolute]).T
     m = values.shape[0]
-    both = np.zeros((order + 1, 2 * m))
-    both[0] = 1.0
-    for col, x in enumerate(columns):
-        top = min(col, order - 1) + 2
-        both[1:top] += x * both[:top - 1]
+    both = _skipping_recurrence(np.concatenate([values, absolute]).T, order)
     e, scale = both[:, :m], both[:, m:]
     scores = np.where(absolute.max(axis=1) > 0.0, np.inf, -np.inf)
     tiny = np.finfo(float).tiny
     for j in range(1, order + 1):
         scores = np.minimum(scores, e[j] / np.maximum(scale[j], tiny))
     return scores, e
+
+
+def _skipping_recurrence(columns, kmax):
+    """e_0..e_kmax of the tuples whose entries are the vectors of columns, as
+    a (kmax + 1, m) array: e_j <- e_j + x e_{j-1} over the entries in
+    order, on the rows e_1..e_{col+1} that entry col can reach."""
+    out = np.zeros((kmax + 1, len(columns[0])))
+    out[0] = 1.0
+    for col, x in enumerate(columns):
+        top = min(col, kmax - 1) + 2
+        out[1:top] += x * out[:top - 1]
+    return out
+
+
+def radial_gradient_by_two_passes(spec, t, a, s):
+    """(axis slot of Df_t, sum of its sphere slots) on the radial rows
+    (a, s, ..., s), as the radial kernel's gradient computed it with two
+    ESP passes of its own over the t-mapped a and s: cut = e(a, s^(n-2))
+    and rest = e(s^(n-1)), with e_k (and e_l) as cut[k] + s cut[k-1].  A
+    frozen copy, which the one-pass gradient must match bit for bit.  t is
+    a number or a vector of one t per row; the row sums are numpy's on the
+    (m, n) rows, and f_t is value_many of the rows, which raises the
+    ConeDomainError of grad_many on rows outside the cone."""
+    n, k = spec.n, spec.k
+    rows = np.column_stack([a] + [s] * (n - 1))
+    f = spec.value_many(rows, t if np.ndim(t) == 0 else np.reshape(t, (-1, 1)))
+    shift = (1.0 - t) * rows.sum(axis=1)
+    a, s = t * a + shift, t * s + shift
+    cut = _skipping_recurrence((a, *[s] * (n - 2)), k)
+    rest = _skipping_recurrence([s] * (n - 1), k - 1)
+    e_k = cut[k] + s * cut[k - 1]
+    if spec.kind == "sigma_k_root":
+        g_a = (f / k) * rest[k - 1] / e_k
+        g_s = (f / k) * cut[k - 1] / e_k
+    else:
+        l = spec.l
+        e_l = cut[l] + s * cut[l - 1]
+        g_a = (f / (k - l)) * (rest[k - 1] / e_k - rest[l - 1] / e_l)
+        g_s = (f / (k - l)) * (cut[k - 1] / e_k - cut[l - 1] / e_l)
+    shift = (1.0 - t) * np.column_stack([g_a] + [g_s] * (n - 1)).sum(axis=1)
+    g_s = t * g_s + shift
+    return t * g_a + shift, np.column_stack([g_s] * (n - 1)).sum(axis=1)
+
+
+def restore_by_full_passes(problem, t, profile, anchor):
+    """The feasibility restore's blend ladder with one full kernel pass per
+    rung, as it ran before each rung was tested on one node first: the
+    smallest feasible blend towards the anchor, or the rung after it when
+    that is feasible too.  A frozen copy; returns ((blend, evaluation) or
+    None, the number of full passes)."""
+    ladder = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
+    passes = 0
+
+    def inside(theta):
+        nonlocal passes
+        passes += 1
+        blend = profile.with_values((1.0 - theta) * profile.u + theta * anchor.u)
+        axis, sphere = radial_w_eigenvalues(blend.du[1:-1], blend.d2u[1:-1])
+        evaluation = problem.spec.radial_eval(t, axis, sphere)
+        return None if evaluation.outside.size else (blend, evaluation)
+
+    for i, theta in enumerate(ladder):
+        restored = inside(theta)
+        if restored is not None:
+            for theta2 in ladder[i + 1:i + 2]:
+                headroom = inside(theta2)
+                if headroom is not None:
+                    return headroom, passes
+            return restored, passes
+    return None, passes
 
 
 class BrokenHomogeneitySpec:

@@ -122,6 +122,17 @@ class TestCheckCommand:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         assert "structure.f4_homogeneity" in failed
 
+    def test_homogeneity_near_the_cone_boundary_passes(self, tmp_path):
+        # the largest homogeneity gap of these samples, 1.17e-12, sits near
+        # the cone boundary: within that sample's own bound, not within 1e-12
+        cfg = write_config(tmp_path / "c.json", {
+            "function": {"kind": "quotient", "n": 4, "k": 2, "l": 1}, "samples": 1000,
+            "separation": {"samples": 200}, "seed": 776354507, "out": str(tmp_path / "out")})
+        assert run_cli(["check", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        [row] = [c for c in report["checks"] if c["name"] == "structure.f4_homogeneity"]
+        assert row["status"] == "pass" and 1e-12 < row["value"] <= row["threshold"]
+
     @pytest.mark.parametrize("n, k", [(10, 10), (8, 8)])
     def test_roots_of_high_degree_pass(self, tmp_path, n, k):
         # the growth probe of sigma_10 and the decay ratio 0.318 of sigma_8
@@ -576,7 +587,7 @@ class TestSolveRobustness:
         assert lines[1].startswith("continuation ") and len(lines) == 2
 
     def test_singular_jacobian_is_partial_convergence(self, tmp_path, capsys, monkeypatch):
-        def singular(l_and_u, ab, b):
+        def singular(ab, b):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(cli.solver, "solve_banded", singular)

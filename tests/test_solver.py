@@ -40,9 +40,15 @@ from yamabe.solver import (
     newton_solve,
     residual,
 )
-from yamabe.symfun import RadialEvaluation, SymFuncSpec
+from yamabe.symfun import CONE_MARGIN, RadialEvaluation, SymFuncSpec
 
-from oracles import all_specs, banded_to_dense, fd_jacobian_column, radial_rows
+from oracles import (
+    all_specs,
+    banded_to_dense,
+    fd_jacobian_column,
+    radial_rows,
+    restore_by_full_passes,
+)
 
 
 class TestProblemValidation:
@@ -351,7 +357,7 @@ class TestNewton:
             newton_solve(problem, 0.5, steep)
 
     def test_singular_jacobian_raises_with_the_state(self, monkeypatch):
-        def singular(l_and_u, ab, b):
+        def singular(ab, b):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(solver, "solve_banded", singular)
@@ -371,6 +377,57 @@ class TestNewton:
             newton_solve(problem, 0.5, init, NewtonOptions(tol=1e-16, max_iter=2))
         assert err.value.state is not None
         assert err.value.state.residual_norm < 1.0
+
+
+class TestTridiagonalSolve:
+    """solver.solve_banded calls LAPACK's dgtsv as scipy's
+    solve_banded((1, 1), ...) does: the same bits and the same errors."""
+
+    @staticmethod
+    def _system(rng, m, dominant):
+        ab = rng.standard_normal((3, m))
+        if dominant:
+            ab[1] = np.sign(ab[1]) * (np.abs(ab[0]) + np.abs(ab[2]) + 1.0)
+        return ab, rng.standard_normal(m)
+
+    @pytest.mark.parametrize("m", [2, 3, 401, 4001])
+    @pytest.mark.parametrize("dominant", [True, False], ids=["dominant", "pivoting"])
+    def test_bit_identical_to_scipy(self, m, dominant):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            ab, b = self._system(rng, m, dominant)
+            kept = ab.copy(), b.copy()
+            x = solver.solve_banded(ab, b)
+            assert np.array_equal(x, solve_banded((1, 1), ab, b))
+            assert np.array_equal(ab, kept[0]) and np.array_equal(b, kept[1])
+        if not dominant and m > 3:
+            # some sub-diagonal entries outweigh their diagonal ones, so
+            # partial pivoting exchanges rows
+            ab, b = self._system(np.random.default_rng(m), m, dominant)
+            assert np.any(np.abs(ab[2, :-1]) > np.abs(ab[1, :-1]))
+
+    def test_singular(self):
+        ab, b = np.ones((3, 4)), np.ones(4)
+        ab[1, 0] = ab[2, 0] = 0.0
+        for solve in (lambda: solver.solve_banded(ab, b), lambda: solve_banded((1, 1), ab, b)):
+            with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+                solve()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["ab", "b", "unused corner"])
+    def test_non_finite_entries(self, bad, where):
+        ab, b = self._system(np.random.default_rng(7), 6, True)
+        if where == "ab":
+            ab[1, 3] = bad
+        elif where == "b":
+            b[2] = bad
+        else:
+            ab[0, 0] = bad     # scipy checks every entry of ab
+        with pytest.raises(ValueError) as expected:
+            solve_banded((1, 1), ab, b)
+        with pytest.raises(ValueError) as err:
+            solver.solve_banded(ab, b)
+        assert str(err.value) == str(expected.value) == "array must not contain infs or NaNs"
 
 
 class TestRoundingFloor:
@@ -419,7 +476,7 @@ class TestRoundingFloor:
 
     def test_floor_reads_the_state_evaluation(self, monkeypatch):
         # the same (5, 3) solve: the floor rule makes no kernel call of its own
-        calls = {"kernel": 0, "residual": 0, "screen": 0}
+        calls = {"kernel": 0, "residual": 0, "screen": 0, "node": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -437,9 +494,11 @@ class TestRoundingFloor:
         monkeypatch.setattr(solver, "_radial_eval", counted("kernel", solver._radial_eval))
         monkeypatch.setattr(solver, "_residual", residual_evaluating)
         monkeypatch.setattr(solver, "_inside_cone", counted("screen", solver._inside_cone))
+        monkeypatch.setattr(solver, "_node_inside", counted("node", solver._node_inside))
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
-        assert calls["kernel"] == calls["residual"] + calls["screen"]
+        assert calls["node"] > calls["screen"] > 0
+        assert calls["kernel"] == calls["residual"] + calls["screen"] + calls["node"]
 
     def test_each_state_takes_one_gradient(self, monkeypatch):
         # the same (5, 3) solve: the floor rule reads the gradient that the
@@ -515,8 +574,12 @@ class TestOneConeRule:
         with pytest.raises(ConeViolationError) as err:
             solver._residual(problem, 0.5, exact.grid, exact.u, exact.du, d2u)
         assert err.value.node == 40 and "node 40 " in str(err.value)
-        assert not solver._inside_cone(problem, 0.5, exact.with_values(
-            np.where(np.arange(101) == 40, np.nan, exact.u)))
+        # a NaN score counts as the lowest
+        assert err.value.lowest == 40
+        with pytest.raises(ConeViolationError) as err:
+            solver._inside_cone(problem, 0.5, exact.with_values(
+                np.where(np.arange(101) == 40, np.nan, exact.u)))
+        assert err.value.node == err.value.lowest == 39
 
 
 class TestStateEvaluation:
@@ -546,8 +609,8 @@ class TestStateEvaluation:
 
     def test_one_margin_evaluation_per_state(self, monkeypatch):
         # the radial kernel is the solver's only cone evaluation: one _esp
-        # pass per residual call, and a Jacobian adds only its gradient's two
-        # passes, over the evaluation its state's residual made
+        # pass per residual call, and a Jacobian adds only its gradient's
+        # one pass, over the evaluation its state's residual made
         problem = subsolution_benchmark(node_count=401)
         calls = {"passes": 0, "kernels": 0, "gradients": 0, "residual": 0}
         esp = symfun._esp
@@ -570,7 +633,7 @@ class TestStateEvaluation:
         assert calls["residual"] > state.newton_iters
         assert calls["kernels"] == calls["residual"]
         assert calls["gradients"] == state.newton_iters
-        assert calls["passes"] == calls["residual"] + 2 * state.newton_iters
+        assert calls["passes"] == calls["residual"] + state.newton_iters
 
     def test_newton_never_builds_eigen_rows(self, monkeypatch):
         # every ESP pass inside newton_solve runs on the radial columns
@@ -822,19 +885,28 @@ class TestContinuation:
 
     def test_feasible_warm_starts_are_not_screened(self, monkeypatch):
         # Newton's first evaluation is the cone screen of a warm start; only
-        # the blend ladder of an infeasible one calls _inside_cone.  The
-        # counts per t were one higher when every warm start was screened,
+        # the blend ladder of an infeasible one tests blends.  Every rung is
+        # tested on one node first, and only the feasible rung and its
+        # headroom rung take the full _inside_cone pass.  The one-node
+        # counts per t are the full passes the ladder made without that
+        # test, and were one higher when every warm start was screened,
         # with the same Newton iterations.
-        calls = {}
-        inside = solver._inside_cone
+        full, node = {}, {}
+        inside, node_inside = solver._inside_cone, solver._node_inside
 
         def counted(problem, t, profile):
-            calls[t] = calls.get(t, 0) + 1
+            full[t] = full.get(t, 0) + 1
             return inside(problem, t, profile)
 
+        def counted_node(problem, t, profile, lowest):
+            node[t] = node.get(t, 0) + 1
+            return node_inside(problem, t, profile, lowest)
+
         monkeypatch.setattr(solver, "_inside_cone", counted)
+        monkeypatch.setattr(solver, "_node_inside", counted_node)
         report = continuation_run(subsolution_benchmark(node_count=401))
-        assert [calls.get(s.t, 0) for s in report.states] == [0, 0, 0, 0, 4, 5, 6, 6, 7, 7, 6, 0, 0]
+        assert [node.get(s.t, 0) for s in report.states] == [0, 0, 0, 0, 4, 5, 6, 6, 7, 7, 6, 0, 0]
+        assert [full.get(s.t, 0) for s in report.states] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0]
         assert [s.newton_iters for s in report.states] == [5, 3, 4, 4, 4, 4, 5, 5, 6, 5, 3, 4, 4]
 
     def test_jacobian_check_failure_carries_partial_states(self, monkeypatch):
@@ -906,8 +978,13 @@ class TestContinuation:
 
     def test_exhausted_blend_ladder_ends_the_run(self, monkeypatch):
         # the warm start of t = 0.4 leaves its cone (see the call counts of
-        # test_feasible_warm_starts_are_not_screened); no blend is let back in
-        monkeypatch.setattr(solver, "_inside_cone", lambda problem, t, profile: None)
+        # test_feasible_warm_starts_are_not_screened); no blend is let back
+        # in, each on its one-node test, so no full pass is made
+        def no_full_pass(problem, t, profile):
+            raise AssertionError("a blend outside on its test node took a full pass")
+
+        monkeypatch.setattr(solver, "_node_inside", lambda problem, t, profile, node: False)
+        monkeypatch.setattr(solver, "_inside_cone", no_full_pass)
         with pytest.raises(ContinuationError) as err:
             continuation_run(subsolution_benchmark(node_count=401))
         assert err.value.t_failed == 0.4
@@ -916,27 +993,89 @@ class TestContinuation:
         assert [s.t for s in err.value.states] == [0.0, 0.1, 0.2, 0.3]
 
     def test_last_rung_of_the_ladder_is_the_anchor(self, monkeypatch):
-        # only the full blend counts as inside: it has no rung after it, and
-        # the solve at t = 0.4 starts from the subsolution itself
+        # only the full blend passes its one-node test: it has no rung after
+        # it, and the solve at t = 0.4 starts from the subsolution itself
         problem = subsolution_benchmark(node_count=401)
         sub = problem.subsolution
-        rungs = []
+        rungs, full = [], []
+        inside, node_inside = solver._inside_cone, solver._node_inside
 
-        inside = solver._inside_cone
-
-        def anchor_only(problem, t, profile):
+        def anchor_only(problem, t, profile, node):
             rungs.append(t)
-            return inside(problem, t, profile) if np.array_equal(profile.u, sub.u) else None
+            return np.array_equal(profile.u, sub.u) and node_inside(problem, t, profile, node)
 
-        monkeypatch.setattr(solver, "_inside_cone", anchor_only)
+        def counted(problem, t, profile):
+            full.append(t)
+            return inside(problem, t, profile)
+
+        monkeypatch.setattr(solver, "_node_inside", anchor_only)
+        monkeypatch.setattr(solver, "_inside_cone", counted)
         states = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:5]).states
-        assert rungs == [0.4] * 9
+        assert rungs == [0.4] * 9 and full == [0.4]
         # Newton took the anchor's evaluation from the ladder: the same state
         expected = newton_solve(problem, 0.4, sub)
         assert np.array_equal(states[-1].profile.u, expected.profile.u)
         assert np.array_equal(states[-1].residual, expected.residual)
         assert (states[-1].newton_iters, states[-1].cone_margin, states[-1].increment_norms) == (
             expected.newton_iters, expected.cone_margin, expected.increment_norms)
+
+    @pytest.mark.parametrize("kind", ["401-node benchmark", "(5, 3) floor run"])
+    def test_ladder_matches_full_passes(self, monkeypatch, kind):
+        # every restore returns the blend and evaluation of the ladder that
+        # made a full pass per rung, with fewer full passes
+        problem = (subsolution_benchmark(node_count=401) if kind == "401-node benchmark"
+                   else subsolution_benchmark(n=5, k=3))
+        restore, inside, calls, full = solver._restore_feasibility, solver._inside_cone, [], []
+
+        def recorded(*args):
+            full.append(0)
+            calls.append((args, restore(*args), full[-1]))
+            return calls[-1][1]
+
+        def counted(*args):
+            full[-1] += 1
+            return inside(*args)
+
+        monkeypatch.setattr(solver, "_restore_feasibility", recorded)
+        monkeypatch.setattr(solver, "_inside_cone", counted)
+        continuation_run(problem)
+        assert len(calls) == (7 if kind == "401-node benchmark" else 11)
+        fewer = 0
+        for (prob, t, profile, anchor, _), restored, passes in calls:
+            expected, expected_passes = restore_by_full_passes(prob, t, profile, anchor)
+            (blend, evaluation), (want_blend, want) = restored, expected
+            assert np.array_equal(blend.u, want_blend.u)
+            for got, wanted in zip(evaluation, want):
+                if isinstance(got, np.ndarray):
+                    assert np.array_equal(got, wanted, equal_nan=True)
+                else:
+                    assert got == wanted
+            assert passes <= expected_passes
+            fewer += passes < expected_passes
+        assert fewer == len(calls)
+
+    def test_failed_full_pass_names_the_next_test_node(self, monkeypatch):
+        # a blend that passes its one-node test but fails the full pass hands
+        # the node of its lowest margin score to the next rung's test.  The
+        # warm start of t = 0.4 (see test_feasible_warm_starts_are_not_screened)
+        # leaves the cone in the middle of the grid, not at node 1.
+        problem = subsolution_benchmark(node_count=401)
+        warm = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:4]).states[-1].profile
+        node_inside, tested = solver._node_inside, []
+
+        def recorded(problem, t, profile, node):
+            tested.append((profile, node))
+            return node_inside(problem, t, profile, node)
+
+        monkeypatch.setattr(solver, "_node_inside", recorded)
+        blend, evaluation = solver._restore_feasibility(problem, 0.4, warm, problem.subsolution, 1)
+        first = tested[0][0]
+        scores = solver._radial_eval(problem, 0.4, first.du, first.d2u).scores
+        assert (scores <= CONE_MARGIN).any() and scores[0] > CONE_MARGIN
+        assert [node for _, node in tested[:2]] == [1, int(np.argmin(scores)) + 1]
+        (want_blend, want), _ = restore_by_full_passes(problem, 0.4, warm, problem.subsolution)
+        assert np.array_equal(blend.u, want_blend.u)
+        assert np.array_equal(evaluation.scores, want.scores)
 
     def test_check_t_schedule_returns_floats(self):
         assert check_t_schedule(None) == DEFAULT_T_SCHEDULE

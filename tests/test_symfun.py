@@ -37,6 +37,7 @@ from oracles import (
     esp_gradient_by_deletion,
     gradient_by_differences,
     matrix_derivative_by_differences,
+    radial_gradient_by_two_passes,
     radial_rows,
     separation_margin_by_loop,
     sigma_by_enumeration,
@@ -585,6 +586,28 @@ class TestVerifyStructure:
         report = verify_structure(BrokenHomogeneitySpec(n=4), sample_count=300, seed=0)
         assert not report.passed
         assert "f4_homogeneity" in report.failed_names()
+        # the row shows the bound its sample failed
+        row = report.checks[4]
+        assert row.name == "f4_homogeneity" and 1e-12 <= row.threshold < row.worst
+
+    # seeds whose homogeneity row failed the fixed bound 1e-12: a sample
+    # near the cone boundary, where sigma_j rounds to about eps / score
+    @pytest.mark.parametrize("spec, seed", [
+        *((SymFuncSpec("quotient", n=3, k=2, l=1), seed) for seed in (21, 121)),
+        *((Q21, seed) for seed in (70, 95, 273)),
+        (SymFuncSpec("quotient", n=5, k=2, l=1), 19),
+        *((S24, seed) for seed in (70, 95)),
+    ], ids=lambda v: v.label if isinstance(v, SymFuncSpec) else str(v))
+    def test_homogeneity_bound_follows_the_margin_score(self, spec, seed):
+        report = verify_structure(spec, sample_count=1000, seed=seed)
+        row = report.checks[4]
+        assert row.name == "f4_homogeneity" and report.passed
+        assert 1e-12 < row.worst <= row.threshold
+
+    def test_homogeneity_row_within_the_fixed_bound(self):
+        # every gap within 1e-12: the row holds the largest and 1e-12
+        row = verify_structure(S24, sample_count=1000, seed=0).checks[4]
+        assert row.passed and row.worst <= 1e-12 and row.threshold == 1e-12
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_boundary_decay_of_every_function(self, n):
@@ -835,6 +858,37 @@ class TestRadialKernel:
                 assert np.array_equal(grad_axis, g[:, 0])
                 assert np.array_equal(grad_sphere, g[:, 1:].sum(axis=1))
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_gradient_matches_the_two_pass_form(self, n):
+        # the gradient reads the rows of the cut and e_k (e_l) that the
+        # kernel's pass held, and matches the two passes it used to make, bit
+        # for bit; t is a number or one per row (the radial form of the row
+        # path's (m, 1) column)
+        rng = np.random.default_rng(200 + n)
+        du = rng.uniform(-0.8, 0.8, 300)
+        d2u = rng.uniform(-0.5, 3.0, 300)
+        a, s = radial_w_eigenvalues(du, d2u)
+        outside_seen = 0
+        for spec in all_specs(n):
+            for t in (0.0, 0.37, 1.0, rng.uniform(0.0, 1.0, 300)):
+                ev = spec.radial_eval(t, a, s)
+                if ev.outside.size:
+                    outside_seen += 1
+                    with pytest.raises(ConeDomainError) as exc:
+                        ev.gradient()
+                    with pytest.raises(ConeDomainError) as expected:
+                        radial_gradient_by_two_passes(spec, t, a, s)
+                    assert str(exc.value) == str(expected.value)
+                    assert exc.value.min_score == expected.value.min_score
+                inside = np.setdiff1d(np.arange(300), ev.outside)
+                t_in = t if np.ndim(t) == 0 else t[inside]
+                grad = spec.radial_eval(t_in, a[inside], s[inside]).gradient()
+                expected = radial_gradient_by_two_passes(spec, t_in, a[inside], s[inside])
+                for got, want in zip(grad, expected):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert outside_seen
+
     @pytest.mark.parametrize("n", range(3, 10))
     def test_radial_columns_match_the_row_recurrence(self, n):
         # _esp skips the rows that are still zero; on the radial columns of
@@ -851,24 +905,28 @@ class TestRadialKernel:
                 assert np.array_equal(np.signbit(e), np.signbit(expected))
 
     def test_one_esp_pass_for_scores_and_values(self, monkeypatch):
-        # (a, s) and (|a|, |s|) go through _esp stacked; the gradient adds
-        # the two passes over the tuples without one slot
-        calls = []
-        esp = symfun._esp
+        # (a, s) and (|a|, |s|) go through one recurrence stacked, whose
+        # first n - 1 steps are the sphere slot's cut; the gradient adds
+        # only the pass over the tuple without the axis slot.  A pass is
+        # counted by the entries its steps take in.
+        passes = []
+        step = symfun._esp_step
 
-        def counting(columns, kmax):
-            calls.append(len(columns))
-            return esp(columns, kmax)
+        def counting(out, col, x):
+            if col == 0:
+                passes.append(0)
+            passes[-1] += 1
+            step(out, col, x)
 
-        monkeypatch.setattr(symfun, "_esp", counting)
+        monkeypatch.setattr(symfun, "_esp_step", counting)
         a, s = radial_w_eigenvalues(np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
         for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
-            calls.clear()
+            passes.clear()
             ev = spec.radial_eval(0.5, a, s)
             assert ev.outside.size == 0
-            assert calls == [4]
+            assert passes == [4]
             ev.gradient()
-            assert calls == [4, 3, 3]
+            assert passes == [4, 3]
 
     def test_evaluation_holds_only_vector_copies(self):
         # an evaluation holds (m,) arrays of its own and the indices of the
@@ -878,8 +936,14 @@ class TestRadialKernel:
         a, s = radial_w_eigenvalues(du, np.full(50, 1.0))
         for spec in (SymFuncSpec("sigma_k_root", n=5, k=3), SymFuncSpec("quotient", n=5, k=4, l=2)):
             ev = spec.radial_eval(0.5, a, s)
-            assert ev._fields == ("spec", "t", "scores", "outside", "value", "axis", "sphere")
-            for v in (ev.scores, ev.value, ev.axis, ev.sphere):
+            assert ev._fields == ("spec", "t", "scores", "outside", "value", "sphere",
+                                  "e_k", "cut_k", "e_l", "cut_l")
+            vectors = [ev.scores, ev.value, ev.sphere, ev.e_k, ev.cut_k]
+            if spec.kind == "quotient":
+                vectors += [ev.e_l, ev.cut_l]
+            else:
+                assert ev.e_l is None and ev.cut_l is None
+            for v in vectors:
                 assert v.shape == (50,) and v.base is None
             assert ev.outside.tolist() == [3, 17] and ev.outside.base.size == 2
 
