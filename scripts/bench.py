@@ -37,8 +37,13 @@ criterion's floor tolerance and its Jacobian check.  Beside it stands the
 cost of building that data, as the median wall time of BLOWUP_REPEATS calls
 after one warm-up: `example1.half_length` at (5, 4, -0.5), which is the
 slope-parametrized initial value problem alone (its end is the half length),
-and the whole `example_boundary_problem(5, 4, -0.5, 1001)` (that initial
-value problem, the profile on the grid and the Dirichlet problem).  Last, at 201, 401 and
+the whole `example_boundary_problem(5, 4, -0.5, 1001)` (that initial
+value problem, the profile on the grid and the Dirichlet problem) and
+`example1.solve_profile` at (5, 4, -0.5) on 1001 and 8001 nodes (the
+initial value problem and the profile).  The inversion of the orbit,
+`example1._orbit`, is timed alone (its coefficient table built once) on the
+999 and 7999 interior nodes of those grids, with the sweeps it takes and
+the slopes each sweep evaluates.  Last, at 201, 401 and
 4001 nodes it times whole `yamabe solve` runs of the same benchmark (default schedule, Newton tolerance
 1e-7, through `cli.main`, output to a temporary directory, median of 20
 after one warm-up): the wall time, the seconds in the continuation and
@@ -99,9 +104,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 from scipy.linalg import solve_banded as scipy_solve_banded  # noqa: E402
 
-from yamabe import _format, cli, solver, symfun  # noqa: E402
+from yamabe import _format, cli, example1, solver, symfun  # noqa: E402
 from yamabe.benchmarks import example_boundary_problem, subsolution_benchmark  # noqa: E402
-from yamabe.example1 import ExampleParams, half_length  # noqa: E402
+from yamabe.example1 import ExampleParams, half_length, solve_profile  # noqa: E402
 from yamabe.geometry import (  # noqa: E402
     GridStencils, first_derivative, radial_w_eigenvalues, second_derivative)
 
@@ -111,6 +116,7 @@ SOLVE_NODES = (201, 401, 4001)
 REPEATS = 200
 SOLVE_REPEATS = 20
 BLOWUP_REPEATS = 20
+PROFILE_NODES = (1001, 8001)
 CONTINUATION_TOL = 1e-7
 # the README solve config, the subsolution benchmark's data
 SOLVE_CONFIG = {
@@ -371,7 +377,40 @@ def blowup_construction():
         "half_length_ms": _median_ms(lambda: half_length(params), BLOWUP_REPEATS),
         "example_boundary_problem_ms": _median_ms(
             lambda: example_boundary_problem(5, 4, -0.5, node_count=1001), BLOWUP_REPEATS),
+        **{f"solve_profile_{m}_ms": _median_ms(lambda: solve_profile(params, m), BLOWUP_REPEATS)
+           for m in PROFILE_NODES},
     }
+
+
+def orbit_inversion():
+    """`example1._orbit` alone at (5, 4, -0.5) on the interior nodes of the
+    PROFILE_NODES grids, from one coefficient table: the median wall time,
+    the sweeps and the slopes each sweep evaluates."""
+    params = ExampleParams(5, 4, -0.5)
+    dense = example1._DenseOrbit(example1._slope_orbit(params))
+    evaluate, sizes = example1._DenseOrbit.__call__, []
+
+    def counted(self, v):
+        sizes.append(v.size)
+        return evaluate(self, v)
+
+    times = {}
+    for m in PROFILE_NODES:
+        grid = solve_profile(params, m).profile.grid
+        interior = grid[np.abs(grid) < dense.ends[-1]]
+        example1._DenseOrbit.__call__ = counted
+        try:
+            example1._orbit(params, dense, interior)
+        finally:
+            example1._DenseOrbit.__call__ = evaluate
+        times[str(interior.size)] = {
+            "orbit_ms": _median_ms(lambda: example1._orbit(params, dense, interior),
+                                   BLOWUP_REPEATS),
+            "sweeps": len(sizes),
+            "slopes_per_sweep": sizes.copy(),
+        }
+        sizes.clear()
+    return times
 
 
 def solve_times(node_count, writers=None):
@@ -445,6 +484,7 @@ def main():
         "continuation": runs,
         "continuation_blowup_example1_1001": blowup_continuation(),
         "construction_blowup_example1_1001": blowup_construction(),
+        "orbit_inversion_example1": orbit_inversion(),
         "solve": {"files": len(solver.DEFAULT_T_SCHEDULE) + 2,
                   "rows_per_writer": cli._ROWS_PER_WRITER,
                   "repeats": SOLVE_REPEATS, **solves},

@@ -139,6 +139,10 @@ CONFIGS = [
     # sample's bound; it failed the fixed bound 1e-12 (exit 1)
     ("n4 quotient(2,1) check, seed 776354507",
      ("check", {**_check(4, {"kind": "quotient", "k": 2, "l": 1})[1], "seed": 776354507})),
+    # an orbit of 109 integrator steps near the separatrix, whose
+    # verification fails (exit 1)
+    ("example1 (5, 3, 3.0) on 4001 nodes",
+     ("example1", {"n": 5, "k": 3, "c": 3.0, "grid_size": 4001})),
 ]
 
 

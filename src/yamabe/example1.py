@@ -214,23 +214,61 @@ def _slope_orbit(params):
     return orbit
 
 
+class _DenseOrbit:
+    """The DOP853 dense output of a slope orbit, evaluated in one pass.
+
+    scipy's `OdeSolution` sorts the points, groups them by integrator step
+    and calls one `Dop853DenseOutput` per step.  This keeps the same
+    interpolant as one table, the F rows of every step in reversed order as
+    a (7, 2, nseg) array with t_old, h and y_old per step, and runs scipy's
+    Horner loop on all points at once: each point gets the operations
+    scipy applies, in scipy's order, so the values agree bit for bit.  The
+    table reads the private attributes of scipy's interpolants.
+    """
+
+    def __init__(self, orbit):
+        steps = orbit.sol.interpolants
+        self.ts = orbit.sol.ts          # the knots, ascending from v = 0 to 1
+        self.ends = orbit.y[0]          # X at the knots
+        self.t_old = np.array([s.t_old for s in steps])
+        self.h = np.array([s.h for s in steps])
+        self.y_old = np.stack([s.y_old for s in steps], axis=1)
+        self.coeffs = np.stack([s.F[::-1] for s in steps], axis=2)
+
+    def __call__(self, v):
+        """(X, U) at the slopes v, shape (2, v.size)."""
+        # OdeSolution's segment rule for ascending knots: a knot belongs to
+        # the step that ends there
+        seg = np.clip(np.searchsorted(self.ts, v, side="left") - 1, 0, self.h.size - 1)
+        x = (v - self.t_old.take(seg)) / self.h.take(seg)
+        one_minus = 1 - x
+        y = np.zeros((2, v.size))
+        for j, f in enumerate(self.coeffs):
+            y += f.take(seg, axis=1)
+            y *= one_minus if j % 2 else x
+        y += self.y_old.take(seg, axis=1)
+        return y
+
+
 _MAX_SWEEPS = 100   # safeguarded Newton; bisection alone needs about 60
 
 
-def _orbit(params, t_max, orbit, times):
+def _orbit(params, dense, times):
     """(u, |u'|) at times in [-T, T] from the slope-parametrized orbit.
 
     X(v) = |t| is solved by Newton steps in v with X' = 1/u'', safeguarded
     by bisection inside the integrator step that brackets the root (closed,
-    since t = 0 has its root at v = 0).  A time stops at |X(v) - |t|| <=
-    4 eps T or at a step within 4 ulp of v; times beyond the orbit's end
-    X(1) take v = 1.
+    since t = 0 has its root at v = 0).  Each sweep evaluates the orbit at
+    the open times in one pass of the _DenseOrbit table.  A time stops at
+    |X(v) - |t|| <= 4 eps T or at a step within 4 ulp of v; times beyond the
+    orbit's end X(1) = T take v = 1.
     """
+    knots, ends = dense.ts, dense.ends
+    t_max = ends[-1]
     times = np.abs(np.asarray(times, dtype=float))
     if np.any(times > t_max * (1.0 + 1e-12)):
         raise ValueError("evaluation time outside [-T, T]")
-    knots, ends = orbit.t, orbit.y[0]
-    x = np.minimum(times.ravel(), ends[-1])
+    x = np.minimum(times.ravel(), t_max)
     seg = np.clip(np.searchsorted(ends, x, side="right") - 1, 0, knots.size - 2)
     lo, hi = knots[seg], knots[seg + 1]
     v = lo + (hi - lo) * (x - ends[seg]) / (ends[seg + 1] - ends[seg])
@@ -240,7 +278,7 @@ def _orbit(params, t_max, orbit, times):
         idx = np.flatnonzero(~done)
         if idx.size == 0:
             return u.reshape(times.shape), v.reshape(times.shape)
-        xv[idx], u[idx] = orbit.sol(v[idx])
+        xv[idx], u[idx] = dense(v[idx])
         gap = xv - x
         lo = np.where(gap < 0.0, v, lo)
         hi = np.where(gap > 0.0, v, hi)
@@ -260,7 +298,9 @@ class ExampleSolution:
     The profile stores u on the grid (derivatives on the grid are stencil
     based, as for any profile).  `at` gives the underlying smooth solution at
     arbitrary points of [-T, T], which the verification report uses at
-    sub-grid distances from the ends.
+    sub-grid distances from the ends; it inverts the same _DenseOrbit table
+    that sampled the profile, so at an interior node it gives the profile's
+    u bit for bit.
     """
 
     params: ExampleParams
@@ -282,16 +322,17 @@ def solve_profile(params, node_count=401):
     """Integrate the orbit in the slope and sample it on a uniform grid.
 
     One run of _slope_orbit gives the half length T = X(1) and the dense
-    solution; the grid is uniform on [-T, T].  At each interior node
-    X(v) = |x| is inverted (see _orbit), which gives u = U(v) and |u'| = v;
-    the end nodes take the boundary value x* = c.
+    solution, whose coefficient table (_DenseOrbit) is built once and serves
+    both the grid and the solution's `at`; the grid is uniform on [-T, T].
+    At each interior node X(v) = |x| is inverted (see _orbit), which gives
+    u = U(v) and |u'| = v; the end nodes take the boundary value x* = c.
     """
     if node_count < 5:
         raise ValueError("node_count must be at least 5")
     orbit = _slope_orbit(params)
     t_max = float(orbit.y[0, -1])
 
-    eval_uv = functools.partial(_orbit, params, t_max, orbit)
+    eval_uv = functools.partial(_orbit, params, _DenseOrbit(orbit))
 
     def u_of(grid):
         u = np.full(grid.size, params.boundary_value)

@@ -240,6 +240,48 @@ class TestSolveProfile:
             solve_profile(P420, node_count=3)
 
 
+class _ScipyDense:
+    """The orbit's dense output through scipy's `OdeSolution`, in the shape
+    of example1._DenseOrbit: the reference the table is held to."""
+
+    def __init__(self, orbit):
+        self.ts, self.ends, self.sol = orbit.t, orbit.y[0], orbit.sol
+
+    def __call__(self, v):
+        return self.sol(v)
+
+
+class TestDenseOrbit:
+    """_DenseOrbit reads scipy's private interpolant attributes; these tests
+    fail when a scipy release changes them, instead of the profile moving."""
+
+    # EDGE_DATA's (5, 3, 3.0) takes 109 integrator steps; two more with k = n
+    DATA = ORBIT_DATA + EDGE_DATA + [(5, 5, -1.0), (3, 3, -3.0)]
+
+    @pytest.mark.parametrize("n,k,c", DATA)
+    def test_matches_scipy_bit_for_bit(self, n, k, c):
+        # at every knot (each belongs to the step that ends there, as in
+        # OdeSolution), at the ends and at seeded random slopes in no order
+        orbit = example1._slope_orbit(ExampleParams(n, k, c))
+        dense = example1._DenseOrbit(orbit)
+        assert dense.ts.tobytes() == orbit.t.tobytes()
+        v = np.concatenate([orbit.t, [0.0, 1.0], np.random.default_rng(29).random(5000)])
+        got = dense(v)
+        assert got.shape == (2, v.size)
+        assert got.tobytes() == orbit.sol(v).tobytes()
+
+    @pytest.mark.parametrize("n,k,c", DATA)
+    def test_inversion_matches_scipy_bit_for_bit(self, n, k, c):
+        p = ExampleParams(n, k, c)
+        orbit = example1._slope_orbit(p)
+        dense, scipy_dense = example1._DenseOrbit(orbit), _ScipyDense(orbit)
+        for m in (101, 1001, 4001):
+            grid = np.linspace(-1.0, 1.0, m)[1:-1] * orbit.y[0, -1]
+            got = example1._orbit(p, dense, grid)
+            want = example1._orbit(p, scipy_dense, grid)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 class TestAt:
     """ExampleSolution.at: (u, u', u'') in the shape of x from one inversion."""
 
@@ -248,12 +290,17 @@ class TestAt:
         xs = sol.t_max * np.array([[-1.0, -0.5, 0.0], [0.25, 1.0 - 1e-9, 1.0]])
         u, du, d2u = sol.at(xs)
         assert u.shape == du.shape == d2u.shape == xs.shape
-        orbit = example1._slope_orbit(P420)
+        dense = example1._DenseOrbit(example1._slope_orbit(P420))
         for x, got in zip(xs.ravel(), zip(u.ravel(), du.ravel(), d2u.ravel())):
-            u_x, v_x = example1._orbit(P420, sol.t_max, orbit, x)
+            u_x, v_x = example1._orbit(P420, dense, x)
             with np.errstate(divide="ignore"):
                 acc = example1._acceleration(P420, u_x, v_x)
             assert got == (u_x, np.sign(x) * v_x, acc)
+
+    @pytest.mark.parametrize("n,k,c", [(4, 2, 0.0), (5, 3, 3.0)])
+    def test_interior_nodes_give_the_profile(self, n, k, c):
+        sol = solve_profile(ExampleParams(n, k, c), node_count=1001)
+        assert sol.at(sol.profile.grid[1:-1])[0].tobytes() == sol.profile.u[1:-1].tobytes()
 
     def test_scalar(self):
         sol = solve_profile(P420, node_count=101)
