@@ -1,87 +1,28 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the Newton solver on the subsolution benchmark, of
-the ESP kernels and of the structure suites, and timings of whole solves.
+"""Per-layer timings of the Newton solver, the ESP kernels and the
+structure suites, and timings of whole continuations and solves.
 
     python3 scripts/bench.py
 
-Imports the package from `src/` of the checkout the script lives in.  For
-each node count m it builds the subsolution benchmark (n = 4, sigma_2 root,
-cosh amplitude 0.3, theta 0.5), takes the subsolution as the state at
-t = 0.5 and reports the median wall time per call (plain
-time.perf_counter, after one warm-up call) of the residual with its cone
-test, the Jacobian as a caller without an evaluation builds it (kernel and
-gradient) and as Newton builds it from the gradient it holds for the
-state (assembly only), the cone test of the feasibility restore, the
-banded solve (`solver.solve_banded`, LAPACK's dgtsv), the directional
-Jacobian check, the radial kernel `SymFuncSpec.radial_eval` on the state's
-eigenvalues and the gradient of its evaluation, and the grid derivatives:
-the free
-`first_derivative`/`second_derivative` on the grid's `GridStencils`, built
-once, `du`/`d2u` of a new state of the profile family, which reuses the
-profile's, and the profile writer: one profile CSV of the state
-(its columns u, du, d2u and residual, the grid's cells formatted once, as
-`yamabe solve` does) formatted and written to a temporary directory.  It
-then runs one full continuation over the default
-schedule (Newton tolerance 1e-7) and records its wall time, the Newton
-iterations per t (so that algorithmic and constant-factor changes can be
-told apart), the `_residual` calls it made (the line-search trials and
-the Jacobian check's) and the `RadialEvaluation.gradient` calls (one per
-Newton state that takes a step or meets its rounding floor).  One more continuation of the 4001-node benchmark
-runs at the default tolerance 1e-10, which lies below the residual's
-rounding floor at every t there, so it shows what a stalled line search
-costs.  The same figures, as the median wall time of
-BLOWUP_REPEATS runs after one warm-up, come from the continuation of
-acceptance criterion 9: the Example 1 data (n = 5, k = 4, c = -0.5) at 1001
-nodes over the default schedule from the closed-form start, with the
-criterion's floor tolerance and its Jacobian check.  Beside it stands the
-cost of building that data, as the median wall time of BLOWUP_REPEATS calls
-after one warm-up: `example1.half_length` at (5, 4, -0.5), which is the
-slope-parametrized initial value problem alone (its end is the half length),
-the whole `example_boundary_problem(5, 4, -0.5, 1001)` (that initial
-value problem, the profile on the grid and the Dirichlet problem) and
-`example1.solve_profile` at (5, 4, -0.5) on 1001 and 8001 nodes (the
-initial value problem and the profile).  The inversion of the orbit,
-`example1._orbit`, is timed alone (its coefficient table built once) on the
-999 and 7999 interior nodes of those grids, with the sweeps it takes and
-the slopes each sweep evaluates.  Last, at 201, 401 and
-4001 nodes it times whole `yamabe solve` runs of the same benchmark (default schedule, Newton tolerance
-1e-7, through `cli.main`, output to a temporary directory, median of 20
-after one warm-up): the wall time, the seconds in the continuation and
-after the last t as `--verbose` prints them, and the mean CPU time of
-this process and of the profile writers it forked.  Each size runs as `yamabe solve` does
-(one writer per cli._ROWS_PER_WRITER rows, at most one per available core,
-so one process at 201 nodes) and with `cli._writer_count` cut to one writer, which
-writes every profile in this process.  The writers' CPU time and peak RSS
-come from RUSAGE_CHILDREN: the solving process's own CPU time leaves out
-what its children did.  The radial kernel and its gradient are timed
-again on the blow-up data (n = 5, k = 4, the closed-form start at 1001
-nodes, its interior nodes at t = 0.5), where the gradient's passes cost
-about n * k.  The ESP kernels (`_esp` on the (m, n) rows, `_esp` on the
-radial columns (a, s, ..., s) and `_esp_removed`) are timed on standard
-normal tuples at 64, 1000 and 4001 rows, for the orders of the checked
-sigma_2 at n = 4 and of the blow-up data (n = 5, k = 4).  Next to them
-stands the row path of the cone scores, `_cone_scores` (one `_esp` pass
-over the rows and their absolute values), on standard normal tuples at 64
-and 1000 rows for sigma_2 at n = 4 and sigma_5 at n = 5.
-The gradient of a Newton state, `RadialEvaluation.gradient`, is timed with
-the kernel pass before it and the `_esp` calls it makes counted, at
-(n, k) = (4, 2) on the 3999 interior nodes of the 4001-node subsolution
-benchmark and at (5, 4) on the 999 interior nodes of the blow-up start,
-both at t = 0.5.  Newton's banded solve `solver.solve_banded` is timed
-against `scipy.linalg.solve_banded((1, 1), ...)`, with and without its
-finiteness check, on the state's Jacobian and residual at 401, 1001 and
-4001 nodes.  The 4001-node README continuation (Newton tolerance 1e-7)
-runs once more with the radial kernel's calls counted: the full-size
-passes (every interior node), the one-node tests of the feasibility
-restore, the kernel rows of both and the restores.
-The structure suites of `yamabe check` are timed on sigma_2 at n = 4 in
-the benchmark's shape: `verify_structure` on 1000 samples, its boundary
-decay check alone on 1000 cone samples, `concavity_margin_suite` on 200
-separated pairs, its kernel `concavity_margin_many` alone on one 256-row
-batch drawn as the suite draws its cone rows, and
-`interpolation_ball_report` on 1000 directions, all seed 0 (median of 20
-calls), and the `margin_scores` calls of one decay check (its direction
-search and its bisection).  The JSON document goes to standard output.
+Imports the package from `src/` of the checkout the script lives in and
+prints one JSON document.  Times are medians of plain time.perf_counter
+wall times after one warm-up call, in ms unless a key says otherwise.  Its
+keys, each from the function named:
+
+    layers_ms                 solver layers at t = 0.5 (layer_times,
+                              blowup_layer_times)
+    esp_kernels_ms            the ESP kernels (kernel_times)
+    cone_scores_ms            the row path of the cone scores (cone_score_times)
+    gradient                  a Newton state's gradient (gradient_times)
+    banded_solve_ms           solve_banded against scipy (banded_solve_times)
+    kernel_passes_4001        radial kernel calls of one solve (kernel_passes)
+    structure_suites_ms       the suites of `yamabe check` (suite_times)
+    boundary_decay_check_margin_scores  (decay_check_margin_calls)
+    continuation              subsolution continuations (continuation)
+    continuation_blowup_example1_1001   (blowup_continuation)
+    construction_blowup_example1_1001   (blowup_construction)
+    orbit_inversion_example1  (orbit_inversion)
+    solve                     whole `yamabe solve` runs (solve_times)
 """
 
 from __future__ import annotations
@@ -132,6 +73,7 @@ SUITE_REPEATS = 20
 
 
 def _median_ms(call, repeats=REPEATS):
+    """Median wall time of `repeats` calls after one warm-up, in ms."""
     call()
     times = []
     for _ in range(repeats):
@@ -142,6 +84,15 @@ def _median_ms(call, repeats=REPEATS):
 
 
 def layer_times(node_count):
+    """The solver layers on the subsolution benchmark (n = 4, sigma_2 root,
+    cosh amplitude 0.3, theta 0.5) at node_count nodes, its subsolution
+    taken as the state at t = 0.5: the residual with its cone test, the
+    Jacobian as a caller without an evaluation builds it and as Newton
+    builds it from the gradient it holds, the feasibility restore's cone
+    test, the banded solve, the Jacobian check, the radial kernel and its
+    gradient, the grid derivatives (free, and of a new state of the profile
+    family) and one profile CSV formatted and written as `yamabe solve`
+    does."""
     problem = subsolution_benchmark(node_count=node_count)
     prof = problem.subsolution
     grid = prof.grid
@@ -176,6 +127,7 @@ def layer_times(node_count):
 
 
 def _radial_layers(spec, axis, sphere):
+    """The radial kernel and the gradient of its evaluation, as calls."""
     held = spec.radial_eval(T, axis, sphere)
     return {"radial_eval": lambda: spec.radial_eval(T, axis, sphere),
             "radial_eval_gradient": held.gradient}
@@ -254,6 +206,8 @@ def kernel_passes(node_count=4001):
 
 
 def blowup_layer_times():
+    """The radial kernel and its gradient on the blow-up data (n = 5, k = 4,
+    the closed-form start at 1001 nodes, its interior nodes at t = 0.5)."""
     problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
     axis, sphere = radial_w_eigenvalues(init.du[1:-1], init.d2u[1:-1])
     return {name: _median_ms(call)
@@ -261,6 +215,8 @@ def blowup_layer_times():
 
 
 def kernel_times():
+    """`_esp` on the (m, n) rows and on the radial columns (a, s, ..., s),
+    and `_esp_removed`, on standard normal tuples of KERNEL_ROWS rows."""
     rng = np.random.default_rng(0)
     times = {}
     for n, k in KERNEL_ORDERS:
@@ -276,6 +232,7 @@ def kernel_times():
 
 
 def cone_score_times():
+    """`_cone_scores` on standard normal tuples of CONE_SCORE_ROWS rows."""
     rng = np.random.default_rng(0)
     times = {}
     for n, k in CONE_SCORE_ORDERS:
@@ -302,6 +259,11 @@ def decay_check_margin_calls(spec, pts):
 
 
 def suite_times():
+    """The structure suites on sigma_2 at n = 4, seed 0 (SUITE_REPEATS
+    calls): `verify_structure` on 1000 samples, its decay check alone,
+    `concavity_margin_suite` on 200 pairs, `concavity_margin_many` on one
+    256-row batch drawn as the suite draws it and `interpolation_ball_report`
+    on 1000 directions; and the decay check's `margin_scores` calls."""
     spec = symfun.SymFuncSpec("sigma_k_root", n=4, k=2)
     pts = symfun.sample_cone(spec, 1000, np.random.default_rng(0))
     rng = np.random.default_rng(0)
@@ -354,6 +316,9 @@ def continuation(node_count, tol=CONTINUATION_TOL):
 
 
 def blowup_continuation():
+    """The continuation of acceptance criterion 9: Example 1 data (5, 4,
+    -0.5) at 1001 nodes from the closed-form start, with the criterion's
+    floor tolerance and its Jacobian check (BLOWUP_REPEATS runs)."""
     problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
     h = 2 * problem.geom.half_length / 1000
     opts = solver.NewtonOptions(tol=max(1e-7, 100 * 2.2e-16 * 1.5 * 2.0 / h ** 2))
@@ -371,6 +336,9 @@ def blowup_continuation():
 
 
 def blowup_construction():
+    """Building the Example 1 data at (5, 4, -0.5): `half_length` (the
+    initial value problem alone), `example_boundary_problem` at 1001 nodes
+    and `solve_profile` at PROFILE_NODES (BLOWUP_REPEATS calls)."""
     params = ExampleParams(5, 4, -0.5)
     return {
         "repeats": BLOWUP_REPEATS,

@@ -16,9 +16,14 @@ factor covers 0.9 <= t < 1.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from yamabe.benchmarks import example_boundary_problem
-from yamabe.solver import DEFAULT_T_SCHEDULE, NewtonOptions, continuation_run
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from yamabe.benchmarks import example_boundary_problem  # noqa: E402
+from yamabe.solver import DEFAULT_T_SCHEDULE, NewtonOptions, continuation_run  # noqa: E402
 
 
 def main():

@@ -9,8 +9,12 @@ half length T, the center curvature and the curvature sampled near the ends
 import argparse
 import csv
 import sys
+from pathlib import Path
 
-from yamabe.example1 import ExampleParams, solve_profile, verify_example
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from yamabe.example1 import ExampleParams, solve_profile, verify_example  # noqa: E402
 
 
 def main():

@@ -8,11 +8,16 @@ first solve.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from yamabe.benchmarks import subsolution_benchmark
-from yamabe.solver import check_subsolution, continuation_run
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from yamabe.benchmarks import subsolution_benchmark  # noqa: E402
+from yamabe.solver import check_subsolution, continuation_run  # noqa: E402
 
 
 def main():

@@ -11,9 +11,8 @@ interesting regimes:
   convergence studies (psi is built per t so the same profile solves every
   member of the family);
 * the boundary data of the explicit non-smooth construction, where sup|u''|
-  grows without bound as t approaches 1.  Measured, it grows like
-  (1-t)^(-p) with p between about 0.45 and 0.58 on t in [0.9, 0.999], more
-  slowly than 1/(1-t).
+  grows without bound as t approaches 1 (see
+  `ContinuationReport.curvature_scaled`).
 """
 
 from __future__ import annotations

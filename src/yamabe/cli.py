@@ -9,19 +9,13 @@ Three subcommands, each taking a single JSON config path:
 Exit codes: 0 pass, 1 domain/check failure, 2 config error, 3 partial
 convergence.  --out, --seed and --verbose override the config.  A command
 checks its whole config (unknown keys rejected) before it makes the output
-directory or computes anything; `solve` then builds its problem from the
-values read (_parse_solve, _build_solve).  _out_dir removes the files of an
-earlier run of any command.  Output files embed the resolved config and a
-format version line, use 17 significant digits and LF line endings, so
-identical configs produce byte-identical files.  The profile rows come from
-one vectorized kernel (_format), exact to the byte against '%.17g': a
-4001-row profile takes 5-8 ms to format and write against 10-19 ms with
-Python's per-row formatting (2-core Xeon); the grid column is formatted once
-per solve.  `solve` puts each converged state in a table shared with its
-writer processes, one per 13000 rows (the 13 profiles of a 1000-node solve)
-and at most one per available core, which write the profiles while the
-continuation goes on (see _ProfileStream); the bytes do not depend on their
-count.  With --verbose it prints the line of each t as that t converges.
+directory or computes anything (_parse_solve, _build_solve), and _out_dir
+removes the files of an earlier run.  Output files embed the resolved config
+and a format version line, use 17 significant digits and LF line endings, so
+identical configs produce byte-identical files.  `solve` writes its profiles
+while the continuation goes on, in writer processes whose count changes no
+byte (_ProfileStream), and with --verbose prints the line of each t as that
+t converges.
 """
 
 from __future__ import annotations
@@ -177,7 +171,9 @@ def _config_comment(resolved):
 
 def _write_profile_rows(path, resolved, comments, grid_cells, columns):
     """One row per node: the grid, from its Cells (_format.cells), then the
-    columns u, du, d2u and residual, each value as '%.17g' formats it."""
+    columns u, du, d2u and residual, each value as '%.17g' formats it.  A
+    4001-row profile takes 5-8 ms to format and write against 10-19 ms with
+    Python's per-row formatting (2-core Xeon)."""
     head = [f"# format {FORMAT_VERSION} profile", f"# config {_config_comment(resolved)}",
             *comments, "x,u,du,d2u,residual"]
     with open(path, "wb") as f:
@@ -197,9 +193,8 @@ _ROWS_PER_WRITER = 13000
 
 
 def _writer_count(rows):
-    """The writer processes for `rows` profile rows: one per
-    _ROWS_PER_WRITER rows, at least one and at most the cores this process
-    may run on; one where os.fork or CPU affinity is missing."""
+    """The writer processes for `rows` profile rows, at most one per core
+    this process may run on; one where os.fork or CPU affinity is missing."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(len(os.sched_getaffinity(0)), max(1, rows // _ROWS_PER_WRITER))

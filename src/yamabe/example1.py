@@ -45,7 +45,7 @@ from scipy import integrate, optimize
 
 from ._errors import ConeDomainError, NumericalError
 from .geometry import RadialProfile, radial_w_eigenvalues
-from .symfun import CheckResult
+from .symfun import CheckResult, _Verdict
 
 __all__ = [
     "ExampleParams",
@@ -184,17 +184,10 @@ def _slope_rate(params, u, v):
 
 
 def _slope_orbit(params):
-    """The half orbit as one initial value problem in the slope.
-
-    With v = |u'| in [0, 1] as the independent variable and w = 1 - v^2:
-
-        dx/dv = 1/u'' = w^(k-1) / ((n/2k) e^(-2ku) - ((n-2k)/2k) w^k),
-        du/dv = v dx/dv,       (x, u)(0) = (0, d).
-
-    It is regular on the whole of [0, 1] (u''(0) > 0, and 1/u'' vanishes at
-    v = 1), so one DOP853 run with dense output reaches the degenerate end,
-    and its end X(1) is the half length T.
-    """
+    """The half orbit as one initial value problem in the slope v, the
+    system of the module docstring from (x, u)(0) = (0, d): it is regular on
+    [0, 1], so one DOP853 run with dense output reaches the degenerate end,
+    and its end X(1) is the half length T."""
     def rhs(v, y):
         rate = _slope_rate(params, y[1], v)
         return [rate, v * rate]
@@ -295,12 +288,10 @@ def _orbit(params, dense, times):
 class ExampleSolution:
     """Computed radial solution: grid profile plus a dense evaluator.
 
-    The profile stores u on the grid (derivatives on the grid are stencil
-    based, as for any profile).  `at` gives the underlying smooth solution at
-    arbitrary points of [-T, T], which the verification report uses at
-    sub-grid distances from the ends; it inverts the same _DenseOrbit table
-    that sampled the profile, so at an interior node it gives the profile's
-    u bit for bit.
+    `at` gives the smooth solution at any points of [-T, T], which the
+    verification report uses at sub-grid distances from the ends.  It
+    inverts the _DenseOrbit table that sampled the profile, so at an
+    interior node it gives the profile's u bit for bit.
     """
 
     params: ExampleParams
@@ -322,10 +313,9 @@ def solve_profile(params, node_count=401):
     """Integrate the orbit in the slope and sample it on a uniform grid.
 
     One run of _slope_orbit gives the half length T = X(1) and the dense
-    solution, whose coefficient table (_DenseOrbit) is built once and serves
-    both the grid and the solution's `at`; the grid is uniform on [-T, T].
-    At each interior node X(v) = |x| is inverted (see _orbit), which gives
-    u = U(v) and |u'| = v; the end nodes take the boundary value x* = c.
+    solution.  At each interior node of the grid on [-T, T], X(v) = |x| is
+    inverted (_orbit), which gives u = U(v) and |u'| = v; the end nodes take
+    the boundary value x* = c.
     """
     if node_count < 5:
         raise ValueError("node_count must be at least 5")
@@ -357,7 +347,7 @@ D2U_FRACTIONS = (1e-2, 1e-3, 1e-4)
 
 
 @dataclass
-class ExampleReport:
+class ExampleReport(_Verdict):
     """Verification record for a computed radial solution."""
 
     thresholds: VerifyThresholds
@@ -393,11 +383,6 @@ class ExampleReport:
             CheckResult("curvature_floor", self.d2u_samples[-1] > th.d2u_floor,
                         self.d2u_samples[-1], th.d2u_floor),
         ]
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
 
 def _signed_root(values, k):
     """Odd extension of x -> x^(1/k), so out-of-cone residuals stay reportable."""

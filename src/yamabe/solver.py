@@ -8,30 +8,12 @@ The unknown is a radial profile u on [-L, L]; the discrete system is
 with the eigenvalues coming from the two radial expressions (axis and sphere
 directions), so each interior row couples only to the three-point stencil and
 the Jacobian is tridiagonal.  The Jacobian is assembled analytically through
-the chain rule in (u_i, u'_i, u''_i).  On every solve it is checked once
-against a Richardson finite difference of the residual along one smooth
-probe direction, in O(m) memory and with a fixed relative tolerance.
-
-Newton evaluates each state once: one residual call runs the spec's
-two-value kernel `radial_eval` on the (axis, sphere) eigenvalue vectors and
-supplies the residual vector and the state's evaluation (a trial outside the
-cone raises there).  Newton takes that evaluation's gradient once per state,
-for the Jacobian (which adds only the gradient's one ESP pass; the kernel's
-pass held the rest) and for the rounding floor; the floor's f_t and the
-state's cone margin are read from the evaluation.  The kernel and its
-gradient are bit-identical to the spec's `margin_scores`, `value_many` and
-`grad_many` with the same t on the full (m, n) eigenvalue rows.  The kernel
-also makes the one cone test: its evaluation records the nodes outside the
-cone (a node with a NaN entry among them), and the residual, the gradient,
-the feasibility restore and `check_subsolution` read that record.  The
-Newton step solves the tridiagonal system with LAPACK's dgtsv
-(`solve_banded`), bit-identical to scipy's banded solver.
-
-The residual cannot fall below its rounding floor F, which grows like
-eps/h^2 and lies above the default tolerance on fine grids.  When no damped
-step is acceptable at a residual at or below F, Newton returns the state as
-converged and records F on it.  A line search ends at a step that moves no
-node, since no smaller step moves one.
+the chain rule in (u_i, u'_i, u''_i) and checked once per solve against a
+finite difference (`_check_jacobian`).  Each state is evaluated once, by the
+spec's radial kernel `radial_eval`, whose record of the nodes outside the
+cone is the one cone test that the residual, the gradient, the feasibility
+restore and `check_subsolution` read.  `newton_solve` says how a Newton step
+is taken and when a state counts as converged.
 
 Continuation walks an ascending t schedule, warm-starting each solve from the
 previous profile, and records per-t monitors: sup norms of u and its first
@@ -62,7 +44,7 @@ from .geometry import (
     radial_w_eigenvalues,
     second_derivative,
 )
-from .symfun import CONE_MARGIN, CheckResult
+from .symfun import CONE_MARGIN, CheckResult, _Verdict
 
 __all__ = [
     "DirichletProblem",
@@ -388,10 +370,8 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
     moves no node, since each half of it moves none either.  When no damped
     step is acceptable at a residual at or below its rounding floor F
     (`_rounding_floor`), which no step can improve on, the state is returned
-    as converged with F recorded on it; F is computed only then.  The step
-    solves the tridiagonal Jacobian with `solve_banded`.  Raises
-    ConeViolationError when the initial profile leaves the cone (its
-    `lowest` node starts the feasibility restore's one-node tests),
+    as converged with F recorded on it; F is computed only then.  Raises
+    ConeViolationError when the initial profile leaves the cone,
     StepFailureError when no damped step is acceptable above F and
     NonconvergenceError when the iteration budget runs out; the last two
     carry the best state reached.  `_evaluation`, the radial kernel's
@@ -577,13 +557,11 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     schedule, and the start profile's grid, which must span [-L, L] and,
     when a subsolution anchors the run, be the subsolution's.  The returned
     generator does the solving.  The start profile is the explicit init
-    when given, else the problem's subsolution.  A warm start that
-    falls outside the shrunken cone of the next t (Newton's first
-    evaluation raises ConeViolationError) is pulled back by blending
-    towards the subsolution (or the start profile); see
-    `_restore_feasibility`.  Any failure, Newton's and the Jacobian check's
-    alike, surfaces as ContinuationError carrying the failing t, the states
-    yielded so far and the cause.
+    when given, else the problem's subsolution.  A warm start outside the
+    cone of the next t is pulled back by `_restore_feasibility`.  Any
+    failure, Newton's and the Jacobian check's alike, surfaces as
+    ContinuationError carrying the failing t, the states yielded so far and
+    the cause.
     """
     schedule = check_t_schedule(t_schedule)
     current = init if init is not None else problem.subsolution
@@ -624,7 +602,7 @@ def continuation_run(problem, t_schedule=None, opts=None, init=None):
 
 
 @dataclass
-class SubsolutionReport:
+class SubsolutionReport(_Verdict):
     """Nodewise margins of the subsolution inequality f(W[u]) >= psi."""
 
     margins: np.ndarray          # NaN where the cone is violated
@@ -640,11 +618,6 @@ class SubsolutionReport:
         margin_ok = not self.cone_violations and self.min_margin >= SUBSOLUTION_TOL
         return [CheckResult("margin", margin_ok, self.min_margin, SUBSOLUTION_TOL),
                 cone_margin_check(self.min_cone_margin)]
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
 
 def cone_margin_check(min_score):
     """The cone_margin row of a subsolution whose minimum margin score is

@@ -166,15 +166,11 @@ def _stacked_scores(both, nonzero):
 # ---------------------------------------------------------------------------
 
 def _row_sum(head, tail, n):
-    """numpy's sum of each length-n row (head, tail, ..., tail), head and tail (m,).
-
-    numpy adds the pairwise sum of a row to a 0.0 start.  Repeating its
-    additions keeps the two-value path bit-identical to the row sums of the
-    (m, n) path.  Summing the built rows instead is bit-identical on any
-    numpy but makes the Jacobian kernel about 1.7x slower at 4001 nodes;
-    tests compare this order with ndarray.sum, so a numpy that changes its
-    order fails them.
-    """
+    """numpy's sum of each length-n row (head, tail, ..., tail), head and tail
+    (m,): its pairwise sum added to a 0.0 start, in numpy's order.  Summing
+    the built rows instead makes the Jacobian kernel about 1.7x slower at
+    4001 nodes; tests compare this order with ndarray.sum, so a numpy that
+    changes its order fails them."""
     return 0.0 + _pairwise_sum(head, tail, n)
 
 
@@ -227,13 +223,12 @@ class RadialEvaluation(NamedTuple):
         return self.value
 
     def gradient(self):
-        """(axis slot of Df_t, sum of its n - 1 sphere slots), bit-identical
-        to grad_many(rows, t); outside the cone raises its ConeDomainError.
+        """The axis slot of Df_t = grad_many(rows, t) and the sum of its n - 1
+        sphere slots; outside the cone raises its ConeDomainError.
 
-        d sigma_j is e_{j-1} of the tuple without that slot: of the cut
-        (a, s, ..., s) of length n - 1 for a sphere slot, which the pass of
-        `radial_eval` held before its last step, and of rest = (s, ..., s)
-        of length n - 1 for the axis slot, the one `_esp` pass made here.
+        d sigma_j is e_{j-1} of the tuple without that slot: of the cut for a
+        sphere slot, and of rest = (s, ..., s) of length n - 1 for the axis
+        slot, the one `_esp` pass made here.
         """
         spec, t, f, s = self.spec, self.t, self.inside_value(), self.sphere
         n, k = spec.n, spec.k
@@ -256,10 +251,7 @@ class RadialEvaluation(NamedTuple):
 
 def _t_map(t, v):
     """Rows of v sent to t*lam + (1-t)*sigma_1(lam)*e; t is a scalar or an (m, 1) column.
-
-    The map is symmetric, so it also carries gradients back (the chain rule
-    of the t-family).
-    """
+    The map is symmetric, so it also carries gradients back (the chain rule)."""
     return t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
 
 
@@ -328,7 +320,7 @@ class SymFuncSpec:
     # -- membership and evaluation ------------------------------------------------
     #
     # Each method evaluates f for t=None and f_t for t given, a number or an
-    # (m, 1) column (see _t_map); gradients of f_t carry the chain rule.
+    # (m, 1) column (see _t_map).
 
     def margin_scores(self, values, t=None):
         """min over j <= k of sigma_j(lam) / sigma_j(|lam|), per row (see _cone_scores)."""
@@ -352,34 +344,26 @@ class SymFuncSpec:
         return self._outside(scores).size == 0
 
     def value(self, lam, t=None):
-        return float(self._values(self._validated(lam, True, t))[0])
+        return float(self._value_from(self._inside_esp(self._validated(lam, True, t)))[0])
 
     def grad(self, lam, t=None):
-        return self._grads(self._validated(lam, True, t), t)[0]
+        return self.value_and_grad_many(_as_batch(lam, single=True), t)[1][0]
 
     def value_many(self, values, t=None):
-        return self._values(self._validated(values, t=t))
+        return self._value_from(self._inside_esp(self._validated(values, t=t)))
 
     def grad_many(self, values, t=None):
-        return self._grads(self._validated(values, t=t), t)
+        return self.value_and_grad_many(values, t)[1]
 
     def value_and_grad_many(self, values, t=None):
         """(value_many, grad_many) of the rows, from one pass of each ESP kernel."""
         values = self._validated(values, t=t)
         return self._value_and_grad_from(values, self._inside_esp(values), t)
 
-    def _values(self, v):
-        """f of rows that passed `_validated`."""
-        return self._value_from(self._inside_esp(v))
-
-    def _grads(self, v, t):
-        """Df_t of rows that passed `_validated` with t."""
-        return self._value_and_grad_from(v, self._inside_esp(v), t)[1]
-
     def _value_and_grad_from(self, values, e, t=None):
         """f and Df of the (m, n) rows inside the cone, given their ESP vectors
         e_0..e_k; with t, the rows are the t-mapped tuples and Df is carried
-        back through the map (the chain rule of the t-family)."""
+        back through the map."""
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
         removed = _esp_removed(values, self.k - 1)
         gk = removed[self.k - 1].T.copy()
@@ -416,13 +400,12 @@ class SymFuncSpec:
 
         One `_esp` pass over the t-mapped columns (a, s, ..., s) and their
         absolute values, stacked as in `_cone_scores`, serves the scores and
-        f_t.  Before its last step, the pass holds e_j of the cut
-        (a, s, ..., s) of length n - 1, and the rows the gradient reads are
-        copied then; the gradient takes one more pass over m columns.  Each
-        result repeats the additions and multiplications of
-        margin_scores(rows, t) and value_many(rows, t) on the (m, n) rows
-        (a, s, ..., s) in their order, numpy's row sums included, so it is
-        bit-identical to them on the rows inside the cone.
+        f_t.  Before its last step, the pass holds e_j of the cut (a, s, ...,
+        s) of length n - 1, and the rows the gradient reads are copied then.
+        Each result, the gradient's too, repeats the additions and
+        multiplications of margin_scores, value_many and grad_many(rows, t)
+        on the (m, n) rows (a, s, ..., s) in their order, numpy's row sums
+        included (_row_sum), so it is bit-identical to them inside the cone.
         """
         n, k, l = self.n, self.k, self.l
         a = np.asarray(a, dtype=float)
@@ -530,19 +513,22 @@ class CheckResult:
     passed: bool
     worst: float
     threshold: float
-    note: str = ""
 
 
-@dataclass
-class StructureReport:
-    label: str
-    sample_count: int
-    seed: int
-    checks: list
+class _Verdict:
+    """A report of CheckResult rows, `checks`, passes when each row does."""
 
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
+
+
+@dataclass
+class StructureReport(_Verdict):
+    label: str
+    sample_count: int
+    seed: int
+    checks: list
 
     def failed_names(self):
         return [c.name for c in self.checks if not c.passed]
@@ -570,14 +556,9 @@ def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
     return out
 
 
-# rays per round of the decay check's direction search: one draw in 5 to 20
-# stays inside the cone, and the rays after it in its round are drawn again
+# rays per round of the decay check's direction search (one draw in 5 to 20
+# stays inside the cone)
 _DECAY_ROUND = 8
-
-# doublings of a ray's reach tested first: drawn rays leave the cone by the
-# 8th (at most the 8th on sigma_2 at n = 4, the 4th on sigma_5 and sigma_8),
-# and only a draw still inside is tested at the remaining ones
-_DECAY_EARLY = 8
 
 # bisection steps per cone call of the decay check: each call tests the
 # 2^L - 1 midpoints the next L steps can reach; on 64 rays the bisection
@@ -594,58 +575,36 @@ def _boundary_decay_check(spec, samples, rng):
     fractions = np.array([1e-2, 1e-4, 1e-6])[:, None, None]
     pts = samples[rng.choice(samples.shape[0], size=min(64, samples.shape[0]), replace=False)]
     count, n = pts.shape
+    # a ray's 60 doublings of its reach test in the same call
     reach = np.maximum(1.0, np.abs(pts).max(axis=1))[:, None] * 2.0 ** np.arange(60)
     directions = np.empty_like(pts)
     hi = np.empty(count)
     first = tries = 0
-    held = None     # (ray, direction): a draw inside at its early reaches
     while first < count:
-        # Directions are drawn ray by ray until one leaves the cone within
-        # 60 doublings of its reach.  A round draws one for each of the next
-        # _DECAY_ROUND rays as if each exits, and tests their first
-        # _DECAY_EARLY reaches; the rays up to the first draw still inside
-        # are kept, that draw is held, and the generator restarts after it.
-        # The next round assumes that the held draw stays inside and tests
-        # its remaining reaches in the same cone call; if it leaves the
-        # cone there after all, its ray is kept and the round is drawn again
-        # for the rays after it.  So the draws are those of a ray-by-ray loop.
+        # Directions are drawn ray by ray until one leaves the cone.  A round
+        # draws one for each of the next _DECAY_ROUND pending rays as if each
+        # exits; the rays up to the first that does not are kept, with the
+        # draws they used, and the generator restarts after that ray's draw.
         state = rng.bit_generator.state
         drawn = rng.standard_normal((min(count - first, _DECAY_ROUND), n))
         for direction in drawn:
             direction /= math.sqrt(direction.dot(direction))
         window = slice(first, first + len(drawn))
-        probes = pts[window, None, :] + reach[window, :_DECAY_EARLY, None] * drawn[:, None, :]
-        probes = probes.reshape(-1, n)
-        if held is not None:
-            # the held draw's remaining reaches, after the round's rows
-            ray, direction = held
-            tail = pts[ray] + reach[ray, _DECAY_EARLY:, None] * direction
-            probes = np.concatenate([probes, tail])
-        outside = spec.margin_scores(probes) <= 0.0
-        if held is not None:
-            held, late = None, outside[len(drawn) * _DECAY_EARLY:]
-            if late.any():
-                directions[ray] = direction
-                hi[ray] = reach[ray, _DECAY_EARLY + late.argmax()]
-                first, tries = ray + 1, 0
-                rng.bit_generator.state = state
-                continue
-            tries += 1      # failed draws of ray `first`
-            if tries == 40:
-                rng.bit_generator.state = state
-                raise NumericalError("could not find an exiting ray for the decay check")
-        outside = outside[:len(drawn) * _DECAY_EARLY].reshape(len(drawn), _DECAY_EARLY)
+        probes = pts[window, None, :] + reach[window, :, None] * drawn[:, None, :]
+        outside = (spec.margin_scores(probes.reshape(-1, n)) <= 0.0).reshape(len(drawn), -1)
         exits = outside.any(axis=1)
         kept = len(drawn) if exits.all() else int(np.argmin(exits))
         rows = slice(first, first + kept)
         directions[rows] = drawn[:kept]
         hi[rows] = reach[rows][np.arange(kept), outside[:kept].argmax(axis=1)]
         first += kept
-        tries = tries if kept == 0 else 0
+        tries = tries if kept == 0 else 0     # failed draws of ray `first`
         if kept < len(drawn):
-            held = first, drawn[kept]
             rng.bit_generator.state = state
             rng.standard_normal((kept + 1, n))
+            tries += 1
+            if tries == 40:
+                raise NumericalError("could not find an exiting ray for the decay check")
     lo, hi = _bisect_exits(spec, pts, directions, hi)
     boundary = pts + (0.5 * (lo + hi))[:, None] * directions
     probes = pts + (1.0 - fractions) * (boundary - pts)
@@ -744,10 +703,7 @@ def verify_structure(spec, sample_count=1000, seed=0):
     # about (1e-4)^(1/degree)
     ordered, ratio = _boundary_decay_check(spec, pts, rng)
     bound = max(0.3, 1.1 * 1e-4 ** (1.0 / spec.degree))
-    checks.append(CheckResult(
-        "f1_boundary_decay", bool(ordered and ratio <= bound), float(ratio), bound,
-        "max of f(nearest)/f(farthest) along rays to the boundary",
-    ))
+    checks.append(CheckResult("f1_boundary_decay", bool(ordered and ratio <= bound), float(ratio), bound))
 
     checks.append(CheckResult("f2_gradient_positive", bool(grads.min() > 0.0), float(grads.min()), 0.0))
 
@@ -764,8 +720,7 @@ def verify_structure(spec, sample_count=1000, seed=0):
     for t in (0.0, 0.25, 0.5, 0.75, 0.99, 1.0):
         sums = spec.grad_many(pts, t).sum(axis=1)
         worst_f5 = min(worst_f5, float(sums.min() - f_e))
-    checks.append(CheckResult("f5_gradient_sum", bool(worst_f5 >= -1e-10), worst_f5, -1e-10,
-                              "min over t grid of sum_i d_i f_t - f(e)"))
+    checks.append(CheckResult("f5_gradient_sum", bool(worst_f5 >= -1e-10), worst_f5, -1e-10))
 
     f6_gap = vals - pts.sum(axis=1) * f_e / spec.n
     checks.append(CheckResult("f6_linear_bound", bool(f6_gap.max() <= 1e-10),
@@ -783,7 +738,7 @@ _BALL_RADIUS_FRACTION = 0.99
 
 
 @dataclass
-class BallInclusionReport:
+class BallInclusionReport(_Verdict):
     label: str
     directions: int
     rows: list  # (t, worst membership score, corner bound margin)
@@ -795,10 +750,6 @@ class BallInclusionReport:
         worst_corner = min(row[2] for row in self.rows)
         return [CheckResult("membership", worst_score > 0.0, worst_score, 0.0),
                 CheckResult("value_bound", worst_corner >= 0.0, worst_corner, 0.0)]
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
 
 
 def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
@@ -877,7 +828,7 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
 
 
 @dataclass
-class SeparationReport:
+class SeparationReport(_Verdict):
     label: str
     beta: float
     kept: int
@@ -887,10 +838,6 @@ class SeparationReport:
     def checks(self):
         return [CheckResult("margin_positive", self.kept > 0 and self.min_margin > 0.0,
                             self.min_margin, 0.0)]
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
 
 
 def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):

@@ -1,7 +1,9 @@
-"""Smoke tests of the experiment scripts: each runs on a small grid and
-prints its table."""
+"""Smoke tests of the scripts: each experiment script runs on a small grid
+and prints its table, and loc.py's line counts add up."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import pytest
 
 from yamabe.solver import DEFAULT_T_SCHEDULE
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(name, args, monkeypatch, capsys):
@@ -53,3 +56,33 @@ def test_blowup_scan_rejects_t_max_outside_the_range(t_max, monkeypatch, capsys)
         _run("blowup_scan", ["--grid", "101", "--t-max", t_max], monkeypatch, capsys)
     assert exit_.value.code == 2
     assert "--t-max must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_script_imports_its_own_checkout(tmp_path):
+    # run as a file from elsewhere, with no PYTHONPATH: the script finds the
+    # package in src/ next to it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "example1_sweep.py"), "--grid", "101", "--pairs", "4,2",
+         "--c", "0.0"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "udd_near_end" in done.stdout.split()
+
+
+def test_loc_rows_add_up(monkeypatch, capsys):
+    header, *rows = (line.split() for line in _run("loc", [], monkeypatch, capsys))
+    assert header == ["module", "total", "docstring", "comment", "blank", "code"]
+    counts = {name: list(map(int, values)) for name, *values in rows}
+    modules = {path.name for path in (ROOT / "src" / "yamabe").glob("*.py")}
+    assert set(counts) == modules | {"total"}
+    for total, *parts in counts.values():
+        assert sum(parts) == total
+    assert counts.pop("total") == [sum(column) for column in zip(*counts.values())]
+
+
+def test_loc_sorts_the_lines_of_a_module():
+    spec = importlib.util.spec_from_file_location("loc", SCRIPTS / "loc.py")
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    source = '"""Doc\n\nstring."""\n# comment\n\nx = 1  # trailing\n\n\ndef f():\n    """Doc."""\n    return "#"\n'
+    assert loc.counts(source) == {"total": 11, "docstring": 4, "comment": 1, "blank": 3, "code": 3}

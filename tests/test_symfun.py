@@ -669,35 +669,26 @@ class TestVerifyStructure:
             rng_batched = np.random.default_rng(seed)
             rng_loop = np.random.default_rng(seed)
             batched = _boundary_decay_check(S24, pts, rng_batched)
-            # 8 exit rounds of 8 rays by their first _DECAY_EARLY reaches
-            # (every ray exits at the first), then full calls of
+            # 8 exit rounds of 8 rays by 60 reaches, then full calls of
             # _BISECT_LEVELS steps and one of the steps left up to 100
             levels = symfun._BISECT_LEVELS
             full, last = divmod(100, levels)
             bisection = [64 * (2 ** levels - 1)] * full + [64 * (2 ** last - 1)] * (last > 0)
-            assert calls == [8 * symfun._DECAY_EARLY] * 8 + bisection
+            assert calls == [8 * 60] * 8 + bisection
             assert batched == boundary_decay_by_loop(S24, pts, rng_loop)
             assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
 
-    def test_decay_check_tests_late_reaches_of_held_draws(self, monkeypatch):
+    def test_decay_check_keeps_late_exits(self, monkeypatch):
         # a direction with d_0 > 0 leaves the cone at once, one with
-        # d_0 <= 0 < d_1 only beyond the reach 2^12 (after the early
-        # doublings), and the rest never: a draw inside at its early
-        # reaches is held, its late reaches ride with the next round's cone
-        # call, and both outcomes keep the result and the draws of the
-        # per-ray reference (f falls with the distance from the ray starts,
-        # which leaves sigma_2's cone)
-        early, late = symfun._DECAY_EARLY, 60 - symfun._DECAY_EARLY
-        held = []
-
+        # d_0 <= 0 < d_1 only beyond the reach 2^12, and the rest never:
+        # each ray's bisection starts at its first reach outside, and the
+        # result and the draws are those of the per-ray reference (f falls
+        # with the distance from the ray starts, which leaves sigma_2's cone)
         def late_exits(self, values):
             offset = values - 1.0
             r = np.abs(offset).max(axis=1)
-            scores = np.where((offset[:, 0] > 0.0) | ((offset[:, 1] > 0.0) & (r > 2.0 ** 12)),
-                              -1.0, 1.0)
-            if len(values) % early:     # a round's early reaches and a held draw's late ones
-                held.append((len(values) % early, bool((scores[-late:] <= 0.0).any())))
-            return scores
+            return np.where((offset[:, 0] > 0.0) | ((offset[:, 1] > 0.0) & (r > 2.0 ** 12)),
+                            -1.0, 1.0)
 
         def falling(self, values):
             return 1.0 / (1.0 + np.abs(values - 1.0).max(axis=-1))
@@ -715,13 +706,9 @@ class TestVerifyStructure:
         pts = np.ones((64, 4))
         reach = 2.0 ** np.arange(60)
         for seed in (42, 43):
-            held.clear()
             rng_batched = np.random.default_rng(seed)
             rng_loop = np.random.default_rng(seed)
             batched = _boundary_decay_check(S24, pts, rng_batched)
-            assert {rows for rows, _ in held} == {late % early}
-            assert {exits for _, exits in held} == {False, True}
-            # each ray's bisection starts at its first reach outside
             probes = pts[:, None, :] + reach[:, None] * found["directions"][:, None, :]
             outside = late_exits(S24, probes.reshape(-1, 4)).reshape(64, 60) <= 0.0
             assert outside.any(axis=1).all()
