@@ -28,6 +28,7 @@ keys, each from the function named:
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -108,7 +109,7 @@ def layer_times(node_count):
         "residual": lambda: solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u),
         "jacobian": lambda: solver.jacobian(problem, T, prof),
         "jacobian_held": lambda: solver.jacobian(problem, T, prof, gradient),
-        "inside_cone": lambda: solver._inside_cone(problem, T, prof),
+        "inside_cone": lambda: solver._radial_eval(problem, T, prof.du, prof.d2u),
         "solve_banded": lambda: solver.solve_banded(ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
         **_radial_layers(spec, axis, sphere),
@@ -181,15 +182,14 @@ def banded_solve_times():
 
 def kernel_passes(node_count=4001):
     """The radial kernel calls of one README continuation at node_count
-    nodes, Newton tolerance CONTINUATION_TOL: full-size passes, one-node
-    tests (a window of three nodes around the tested one) and their rows,
+    nodes, Newton tolerance CONTINUATION_TOL: full passes and their rows,
     and the feasibility restores."""
     problem = subsolution_benchmark(node_count=node_count)
     evaluate, restore = solver._radial_eval, solver._restore_feasibility
-    counts = {"full_passes": 0, "one_node_tests": 0, "rows": 0, "restores": 0}
+    counts = {"full_passes": 0, "rows": 0, "restores": 0}
 
     def counted(problem, t, du, d2u):
-        counts["full_passes" if du.size == node_count else "one_node_tests"] += 1
+        counts["full_passes"] += 1
         counts["rows"] += du.size - 2
         return evaluate(problem, t, du, d2u)
 
@@ -242,8 +242,16 @@ def cone_score_times():
     return times
 
 
-def decay_check_margin_calls(spec, pts):
-    """The `margin_scores` calls of one decay check on pts, seed 0."""
+def decay_check_inputs(spec):
+    """The samples and the generator that `verify_structure` (1000 samples,
+    seed 0) hands its decay check: the generator as sampling left it."""
+    rng = np.random.default_rng(0)
+    return symfun.sample_cone(spec, 1000, rng), rng
+
+
+def decay_check_margin_calls(spec, pts, rng):
+    """The `margin_scores` calls of one decay check on pts, drawing from a
+    copy of rng."""
     score, calls = symfun.SymFuncSpec.margin_scores, []
 
     def counted(self, values, t=None):
@@ -252,7 +260,7 @@ def decay_check_margin_calls(spec, pts):
 
     symfun.SymFuncSpec.margin_scores = counted
     try:
-        symfun._boundary_decay_check(spec, pts, np.random.default_rng(0))
+        symfun._boundary_decay_check(spec, pts, copy.deepcopy(rng))
     finally:
         symfun.SymFuncSpec.margin_scores = score
     return {"calls": len(calls), "rows": sum(calls)}
@@ -260,12 +268,13 @@ def decay_check_margin_calls(spec, pts):
 
 def suite_times():
     """The structure suites on sigma_2 at n = 4, seed 0 (SUITE_REPEATS
-    calls): `verify_structure` on 1000 samples, its decay check alone,
+    calls): `verify_structure` on 1000 samples, its decay check alone on
+    the samples and generator state it gets there,
     `concavity_margin_suite` on 200 pairs, `concavity_margin_many` on one
     256-row batch drawn as the suite draws it and `interpolation_ball_report`
     on 1000 directions; and the decay check's `margin_scores` calls."""
     spec = symfun.SymFuncSpec("sigma_k_root", n=4, k=2)
-    pts = symfun.sample_cone(spec, 1000, np.random.default_rng(0))
+    pts, decay_rng = decay_check_inputs(spec)
     rng = np.random.default_rng(0)
     lams = symfun.sample_cone(spec, 256, rng, scale_low=-1.0, scale_high=1.5)
     ts = rng.uniform(0.0, 1.0, size=256)
@@ -273,13 +282,13 @@ def suite_times():
     suites = {
         "verify_structure": lambda: symfun.verify_structure(spec, sample_count=1000, seed=0),
         "boundary_decay_check": lambda: symfun._boundary_decay_check(
-            spec, pts, np.random.default_rng(0)),
+            spec, pts, copy.deepcopy(decay_rng)),
         "concavity_margin_suite": lambda: symfun.concavity_margin_suite(spec, samples=200, seed=0),
         "concavity_margin_many_256": lambda: symfun.concavity_margin_many(spec, ts, mus, lams, 0.2),
         "interpolation_ball_report": lambda: symfun.interpolation_ball_report(spec, seed=0),
     }
     times = {name: _median_ms(call, SUITE_REPEATS) for name, call in suites.items()}
-    return times, decay_check_margin_calls(spec, pts)
+    return times, decay_check_margin_calls(spec, pts, decay_rng)
 
 
 def continuation(node_count, tol=CONTINUATION_TOL):

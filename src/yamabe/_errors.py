@@ -19,14 +19,12 @@ class ConeDomainError(YamabeError, ValueError):
 class ConeViolationError(ConeDomainError):
     """Cone membership failed at a specific grid node.
 
-    node is the first grid node outside the cone, lowest the node with the
-    lowest margin score (a NaN score counts as lowest).
+    node is the first grid node outside the cone.
     """
 
-    def __init__(self, message, node=None, lowest=None):
+    def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-        self.lowest = lowest
 
 
 class NumericalError(YamabeError, RuntimeError):
@@ -53,14 +51,14 @@ class ContinuationError(NumericalError):
     """A continuation run failed at some parameter value.
 
     Carries the converged states collected before the failure so that a
-    partial report can still be produced.
+    partial report can still be produced; the error that stopped the run
+    is its __cause__.
     """
 
-    def __init__(self, message, t_failed, states, cause=None):
+    def __init__(self, message, t_failed, states):
         super().__init__(message)
         self.t_failed = t_failed
         self.states = states
-        self.cause = cause
 
 
 class ConfigError(YamabeError, ValueError):

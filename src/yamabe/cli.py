@@ -627,7 +627,7 @@ def cmd_solve(config):
         except ContinuationError as exc:
             failure = exc
             if verbose:
-                print(f"t={exc.t_failed:.6g} failed: {exc.cause}", file=sys.stderr)
+                print(f"t={exc.t_failed:.6g} failed: {exc.__cause__}", file=sys.stderr)
         solved = time.perf_counter()
         _write_monitors_csv(out / "monitors.csv", resolved, states)
         stream.finish()
@@ -638,11 +638,11 @@ def cmd_solve(config):
     # Newton giving up, or a warm start no blend brings back into the cone,
     # is partial convergence (exit 3); any other cause, a failed Jacobian
     # check, is an error (exit 1), reported with the states solved before it
-    partial = failure is None or isinstance(failure.cause, (NewtonError, ConeViolationError))
+    partial = failure is None or isinstance(failure.__cause__, (NewtonError, ConeViolationError))
     extra = {"failed_t": failed_t}
     if not partial:
-        extra["error"] = str(failure.cause)
-        print(f"error: {failure.cause}", file=sys.stderr)
+        extra["error"] = str(failure.__cause__)
+        print(f"error: {failure.__cause__}", file=sys.stderr)
     if states:
         extra["monitor_growth"] = list(report.monitor_growth())
         extra["monitor_spread"] = list(report.monitor_spread())

@@ -163,42 +163,18 @@ def _radial_eval(problem, t, du, d2u):
     return problem.spec.radial_eval(t, axis, sphere)
 
 
-def _require_inside(evaluation, grid):
-    """Raise ConeViolationError when an interior node of the kernel's
-    evaluation on grid is outside the cone."""
-    if evaluation.outside.size:
-        node = int(evaluation.outside[0]) + 1
-        raise ConeViolationError(
-            f"eigenvalues at node {node} (x={grid[node]:.6g}) left the cone "
-            f"(margin score {evaluation.scores[node - 1]:.3e})",
-            node=node,
-            lowest=int(np.argmin(evaluation.scores)) + 1,
-        )
-
-
-def _inside_cone(problem, t, profile):
-    """The kernel's evaluation of profile at t; raises ConeViolationError
-    when an interior node is outside the cone."""
-    evaluation = _radial_eval(problem, t, profile.du, profile.d2u)
-    _require_inside(evaluation, profile.grid)
-    return evaluation
-
-
-def _node_inside(problem, t, profile, node):
-    """Whether interior grid node `node` of profile is inside the cone at t,
-    from the kernel on that node's one row.  The kernel is elementwise, so
-    the verdict is that of a pass over every node."""
-    window = slice(node - 1, node + 2)
-    return _radial_eval(problem, t, profile.du[window], profile.d2u[window]).outside.size == 0
-
-
 def _residual(problem, t, grid, u, du, d2u, evaluation=None):
     """Residual vector and the kernel's evaluation from nodal values and
     their stencil derivatives; raises when a node leaves the cone.  An
     evaluation the caller already holds for du, d2u at t is used as is."""
     if evaluation is None:
         evaluation = _radial_eval(problem, t, du, d2u)
-    _require_inside(evaluation, grid)
+    if evaluation.outside.size:
+        node = int(evaluation.outside[0]) + 1
+        raise ConeViolationError(
+            f"eigenvalues at node {node} (x={grid[node]:.6g}) left the cone "
+            f"(margin score {evaluation.scores[node - 1]:.3e})",
+            node=node)
     out = np.empty(grid.size)
     out[0] = u[0] - problem.phi_left
     out[-1] = u[-1] - problem.phi_right
@@ -492,35 +468,22 @@ class ContinuationReport:
         return [(s.t, (1.0 - s.t) * s.monitors[2]) for s in self.states]
 
 
-def _restore_feasibility(problem, t, profile, anchor, node):
+def _restore_feasibility(problem, t, profile, anchor):
     """Blend a warm start that left the cone of t towards the anchor.
 
     The cones shrink as t grows, so the converged profile of the previous t
     can sit slightly outside the next cone.  The anchor (subsolution or the
     run's start profile) lies in the t = 1 cone with a real margin, hence in
     every interpolated cone; the smallest blend restoring a positive margin
-    wins.  Returns it with its radial kernel evaluation at t, or None when
-    no blend restores the margin.
-
-    Each blend is first tested on one node (`_node_inside`): the node with
-    the lowest margin score of the last evaluation that failed, which for
-    the first blend is `node`, the `lowest` of the ConeViolationError that
-    profile's own evaluation at t raised.  A blend whose test node is
-    outside is infeasible, so the test changes no decision; only a blend
-    that passes it takes the full `_inside_cone` pass.
+    wins.  Each blend is tested by one radial kernel pass at t.  Returns the
+    blend with that evaluation, or None when no blend restores the margin.
     """
     ladder = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
 
     def inside(theta):
-        nonlocal node
         blend = profile.with_values((1.0 - theta) * profile.u + theta * anchor.u)
-        if not _node_inside(problem, t, blend, node):
-            return None
-        try:
-            return blend, _inside_cone(problem, t, blend)
-        except ConeViolationError as exc:
-            node = exc.lowest
-            return None
+        evaluation = _radial_eval(problem, t, blend.du, blend.d2u)
+        return None if evaluation.outside.size else (blend, evaluation)
 
     for i, theta in enumerate(ladder):
         restored = inside(theta)
@@ -560,8 +523,8 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     when given, else the problem's subsolution.  A warm start outside the
     cone of the next t is pulled back by `_restore_feasibility`.  Any
     failure, Newton's and the Jacobian check's alike, surfaces as
-    ContinuationError carrying the failing t, the states yielded so far and
-    the cause.
+    ContinuationError carrying the failing t and the states yielded so far,
+    with the cause as its __cause__.
     """
     schedule = check_t_schedule(t_schedule)
     current = init if init is not None else problem.subsolution
@@ -579,17 +542,15 @@ def _continuation(problem, schedule, opts, current, anchor):
         try:
             try:
                 state = newton_solve(problem, t, current, opts)
-            except ConeViolationError as exc:
-                restored = _restore_feasibility(problem, t, current, anchor, exc.lowest)
+            except ConeViolationError:
+                restored = _restore_feasibility(problem, t, current, anchor)
                 if restored is None:
                     raise
                 start, evaluation = restored
                 state = newton_solve(problem, t, start, opts, _evaluation=evaluation)
         except (NumericalError, ConeViolationError) as exc:
-            raise ContinuationError(
-                f"continuation failed at t={t}: {exc}",
-                t_failed=t, states=states, cause=exc,
-            ) from exc
+            raise ContinuationError(f"continuation failed at t={t}: {exc}",
+                                    t_failed=t, states=states) from exc
         states.append(state)
         yield state
         current = state.profile

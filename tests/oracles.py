@@ -135,10 +135,9 @@ def radial_gradient_by_two_passes(spec, t, a, s):
 
 def restore_by_full_passes(problem, t, profile, anchor):
     """The feasibility restore's blend ladder with one full kernel pass per
-    rung, as it ran before each rung was tested on one node first: the
-    smallest feasible blend towards the anchor, or the rung after it when
-    that is feasible too.  A frozen copy; returns ((blend, evaluation) or
-    None, the number of full passes)."""
+    rung: the smallest feasible blend towards the anchor, or the rung after
+    it when that is feasible too.  A frozen copy; returns ((blend,
+    evaluation) or None, the number of full passes)."""
     ladder = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
     passes = 0
 

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts: each experiment script runs on a small grid
-and prints its table, and loc.py's line counts add up."""
+and prints its table, loc.py's line counts add up and bench.py counts what
+the code it measures does."""
 
 import importlib.util
 import os
@@ -9,17 +10,25 @@ from pathlib import Path
 
 import pytest
 
+from yamabe import symfun
 from yamabe.solver import DEFAULT_T_SCHEDULE
+from yamabe.symfun import SymFuncSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
-def _run(name, args, monkeypatch, capsys):
-    """main() of scripts/<name>.py on the command line args; its output lines."""
+def _load(name):
+    """scripts/<name>.py as a module."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _run(name, args, monkeypatch, capsys):
+    """main() of scripts/<name>.py on the command line args; its output lines."""
+    module = _load(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     module.main()
     return capsys.readouterr().out.splitlines()
@@ -81,8 +90,32 @@ def test_loc_rows_add_up(monkeypatch, capsys):
 
 
 def test_loc_sorts_the_lines_of_a_module():
-    spec = importlib.util.spec_from_file_location("loc", SCRIPTS / "loc.py")
-    loc = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(loc)
+    loc = _load("loc")
     source = '"""Doc\n\nstring."""\n# comment\n\nx = 1  # trailing\n\n\ndef f():\n    """Doc."""\n    return "#"\n'
     assert loc.counts(source) == {"total": 11, "docstring": 4, "comment": 1, "blank": 3, "code": 3}
+
+
+def test_bench_counts_the_decay_check_of_verify_structure(monkeypatch):
+    # bench.py's decay check draws from the generator state that sampling
+    # leaves, as inside `verify_structure`, so it makes the same cone calls
+    bench = _load("bench")
+    spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+    counted = bench.decay_check_margin_calls(spec, *bench.decay_check_inputs(spec))
+    score, check, rows, checking = SymFuncSpec.margin_scores, symfun._boundary_decay_check, [], []
+
+    def decay_check(*args):
+        checking.append(True)
+        try:
+            return check(*args)
+        finally:
+            checking.pop()
+
+    def scores(self, values, t=None):
+        if checking:
+            rows.append(len(values))
+        return score(self, values, t)
+
+    monkeypatch.setattr(symfun, "_boundary_decay_check", decay_check)
+    monkeypatch.setattr(SymFuncSpec, "margin_scores", scores)
+    symfun.verify_structure(spec, sample_count=1000, seed=0)
+    assert counted == {"calls": len(rows), "rows": sum(rows)}

@@ -40,7 +40,7 @@ from yamabe.solver import (
     newton_solve,
     residual,
 )
-from yamabe.symfun import CONE_MARGIN, RadialEvaluation, SymFuncSpec
+from yamabe.symfun import RadialEvaluation, SymFuncSpec
 
 from oracles import (
     all_specs,
@@ -430,6 +430,30 @@ class TestTridiagonalSolve:
         assert str(err.value) == str(expected.value) == "array must not contain infs or NaNs"
 
 
+def _restore_passes(monkeypatch, kernel=None):
+    """The t of each radial kernel pass that `_restore_feasibility` makes, in
+    a list the run fills.  `kernel`, when given, takes the kernel's place
+    inside the restore only."""
+    evaluate, restore, passes, restoring = solver._radial_eval, solver._restore_feasibility, [], []
+
+    def counted(problem, t, du, d2u):
+        if not restoring:
+            return evaluate(problem, t, du, d2u)
+        passes.append(t)
+        return (kernel or evaluate)(problem, t, du, d2u)
+
+    def counted_restore(*args):
+        restoring.append(args)
+        try:
+            return restore(*args)
+        finally:
+            restoring.pop()
+
+    monkeypatch.setattr(solver, "_radial_eval", counted)
+    monkeypatch.setattr(solver, "_restore_feasibility", counted_restore)
+    return passes
+
+
 class TestRoundingFloor:
     """Newton returns a state whose residual sits at or below its rounding
     floor F as converged, when no damped step is acceptable."""
@@ -476,29 +500,25 @@ class TestRoundingFloor:
 
     def test_floor_reads_the_state_evaluation(self, monkeypatch):
         # the same (5, 3) solve: the floor rule makes no kernel call of its own
-        calls = {"kernel": 0, "residual": 0, "screen": 0, "node": 0}
+        calls = {"kernel": 0, "residual": 0}
+        restore_passes = _restore_passes(monkeypatch)
+        kernel, evaluate = solver._radial_eval, solver._residual
 
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        evaluate = solver._residual
+        def counted(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
 
         def residual_evaluating(*args):
-            # a restored start comes with the evaluation its screen made
+            # a restored start comes with the evaluation its ladder made
             calls["residual"] += len(args) == 6 or args[6] is None
             return evaluate(*args)
 
-        monkeypatch.setattr(solver, "_radial_eval", counted("kernel", solver._radial_eval))
+        monkeypatch.setattr(solver, "_radial_eval", counted)
         monkeypatch.setattr(solver, "_residual", residual_evaluating)
-        monkeypatch.setattr(solver, "_inside_cone", counted("screen", solver._inside_cone))
-        monkeypatch.setattr(solver, "_node_inside", counted("node", solver._node_inside))
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
-        assert calls["node"] > calls["screen"] > 0
-        assert calls["kernel"] == calls["residual"] + calls["screen"] + calls["node"]
+        assert restore_passes
+        assert calls["kernel"] == calls["residual"] + len(restore_passes)
 
     def test_each_state_takes_one_gradient(self, monkeypatch):
         # the same (5, 3) solve: the floor rule reads the gradient that the
@@ -574,12 +594,10 @@ class TestOneConeRule:
         with pytest.raises(ConeViolationError) as err:
             solver._residual(problem, 0.5, exact.grid, exact.u, exact.du, d2u)
         assert err.value.node == 40 and "node 40 " in str(err.value)
-        # a NaN score counts as the lowest
-        assert err.value.lowest == 40
+        nan_u = exact.with_values(np.where(np.arange(101) == 40, np.nan, exact.u))
         with pytest.raises(ConeViolationError) as err:
-            solver._inside_cone(problem, 0.5, exact.with_values(
-                np.where(np.arange(101) == 40, np.nan, exact.u)))
-        assert err.value.node == err.value.lowest == 39
+            solver._residual(problem, 0.5, nan_u.grid, nan_u.u, nan_u.du, nan_u.d2u)
+        assert err.value.node == 39
 
 
 class TestStateEvaluation:
@@ -885,28 +903,12 @@ class TestContinuation:
 
     def test_feasible_warm_starts_are_not_screened(self, monkeypatch):
         # Newton's first evaluation is the cone screen of a warm start; only
-        # the blend ladder of an infeasible one tests blends.  Every rung is
-        # tested on one node first, and only the feasible rung and its
-        # headroom rung take the full _inside_cone pass.  The one-node
-        # counts per t are the full passes the ladder made without that
-        # test, and were one higher when every warm start was screened,
-        # with the same Newton iterations.
-        full, node = {}, {}
-        inside, node_inside = solver._inside_cone, solver._node_inside
-
-        def counted(problem, t, profile):
-            full[t] = full.get(t, 0) + 1
-            return inside(problem, t, profile)
-
-        def counted_node(problem, t, profile, lowest):
-            node[t] = node.get(t, 0) + 1
-            return node_inside(problem, t, profile, lowest)
-
-        monkeypatch.setattr(solver, "_inside_cone", counted)
-        monkeypatch.setattr(solver, "_node_inside", counted_node)
+        # the blend ladder of an infeasible one tests blends, one kernel pass
+        # per rung.  The counts per t were one higher when every warm start
+        # was screened, with the same Newton iterations.
+        passes = _restore_passes(monkeypatch)
         report = continuation_run(subsolution_benchmark(node_count=401))
-        assert [node.get(s.t, 0) for s in report.states] == [0, 0, 0, 0, 4, 5, 6, 6, 7, 7, 6, 0, 0]
-        assert [full.get(s.t, 0) for s in report.states] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0]
+        assert [passes.count(s.t) for s in report.states] == [0, 0, 0, 0, 4, 5, 6, 6, 7, 7, 6, 0, 0]
         assert [s.newton_iters for s in report.states] == [5, 3, 4, 4, 4, 4, 5, 5, 6, 5, 3, 4, 4]
 
     def test_jacobian_check_failure_carries_partial_states(self, monkeypatch):
@@ -918,7 +920,7 @@ class TestContinuation:
         with pytest.raises(ContinuationError) as err:
             continuation_run(problem, t_schedule=(0.0, 0.5))
         assert err.value.t_failed == 0.0 and err.value.states == []
-        assert str(err.value.cause) == "alarm at t=0.0"
+        assert str(err.value.__cause__) == "alarm at t=0.0"
 
     def test_manufactured_t_family_shares_solution(self):
         # psi is built per t from the DISCRETE curvature of one grid profile,
@@ -979,39 +981,35 @@ class TestContinuation:
     def test_exhausted_blend_ladder_ends_the_run(self, monkeypatch):
         # the warm start of t = 0.4 leaves its cone (see the call counts of
         # test_feasible_warm_starts_are_not_screened); no blend is let back
-        # in, each on its one-node test, so no full pass is made
-        def no_full_pass(problem, t, profile):
-            raise AssertionError("a blend outside on its test node took a full pass")
+        # in, so every rung takes its pass and the run ends there
+        evaluate = solver._radial_eval
 
-        monkeypatch.setattr(solver, "_node_inside", lambda problem, t, profile, node: False)
-        monkeypatch.setattr(solver, "_inside_cone", no_full_pass)
+        def outside(problem, t, du, d2u):
+            return evaluate(problem, t, du, d2u)._replace(outside=np.array([0]))
+
+        passes = _restore_passes(monkeypatch, outside)
         with pytest.raises(ContinuationError) as err:
             continuation_run(subsolution_benchmark(node_count=401))
-        assert err.value.t_failed == 0.4
-        assert isinstance(err.value.cause, ConeViolationError)
-        assert err.value.__cause__ is err.value.cause
+        assert err.value.t_failed == 0.4 and passes == [0.4] * 9
+        assert isinstance(err.value.__cause__, ConeViolationError)
         assert [s.t for s in err.value.states] == [0.0, 0.1, 0.2, 0.3]
 
     def test_last_rung_of_the_ladder_is_the_anchor(self, monkeypatch):
-        # only the full blend passes its one-node test: it has no rung after
-        # it, and the solve at t = 0.4 starts from the subsolution itself
+        # only the full blend is let back in: it has no rung after it, and
+        # the solve at t = 0.4 starts from the subsolution itself
         problem = subsolution_benchmark(node_count=401)
         sub = problem.subsolution
-        rungs, full = [], []
-        inside, node_inside = solver._inside_cone, solver._node_inside
+        evaluate = solver._radial_eval
 
-        def anchor_only(problem, t, profile, node):
-            rungs.append(t)
-            return np.array_equal(profile.u, sub.u) and node_inside(problem, t, profile, node)
+        def anchor_only(problem, t, du, d2u):
+            evaluation = evaluate(problem, t, du, d2u)
+            if np.array_equal(du, sub.du):
+                return evaluation
+            return evaluation._replace(outside=np.array([0]))
 
-        def counted(problem, t, profile):
-            full.append(t)
-            return inside(problem, t, profile)
-
-        monkeypatch.setattr(solver, "_node_inside", anchor_only)
-        monkeypatch.setattr(solver, "_inside_cone", counted)
+        passes = _restore_passes(monkeypatch, anchor_only)
         states = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:5]).states
-        assert rungs == [0.4] * 9 and full == [0.4]
+        assert passes == [0.4] * 9
         # Newton took the anchor's evaluation from the ladder: the same state
         expected = newton_solve(problem, 0.4, sub)
         assert np.array_equal(states[-1].profile.u, expected.profile.u)
@@ -1021,27 +1019,23 @@ class TestContinuation:
 
     @pytest.mark.parametrize("kind", ["401-node benchmark", "(5, 3) floor run"])
     def test_ladder_matches_full_passes(self, monkeypatch, kind):
-        # every restore returns the blend and evaluation of the ladder that
-        # made a full pass per rung, with fewer full passes
+        # every restore returns the blend, the evaluation and the pass count
+        # of the frozen ladder
         problem = (subsolution_benchmark(node_count=401) if kind == "401-node benchmark"
                    else subsolution_benchmark(n=5, k=3))
-        restore, inside, calls, full = solver._restore_feasibility, solver._inside_cone, [], []
+        kernel_passes = _restore_passes(monkeypatch)
+        restore, calls = solver._restore_feasibility, []
 
         def recorded(*args):
-            full.append(0)
-            calls.append((args, restore(*args), full[-1]))
-            return calls[-1][1]
-
-        def counted(*args):
-            full[-1] += 1
-            return inside(*args)
+            before = len(kernel_passes)
+            restored = restore(*args)
+            calls.append((args, restored, len(kernel_passes) - before))
+            return restored
 
         monkeypatch.setattr(solver, "_restore_feasibility", recorded)
-        monkeypatch.setattr(solver, "_inside_cone", counted)
         continuation_run(problem)
         assert len(calls) == (7 if kind == "401-node benchmark" else 11)
-        fewer = 0
-        for (prob, t, profile, anchor, _), restored, passes in calls:
+        for (prob, t, profile, anchor), restored, passes in calls:
             expected, expected_passes = restore_by_full_passes(prob, t, profile, anchor)
             (blend, evaluation), (want_blend, want) = restored, expected
             assert np.array_equal(blend.u, want_blend.u)
@@ -1050,32 +1044,7 @@ class TestContinuation:
                     assert np.array_equal(got, wanted, equal_nan=True)
                 else:
                     assert got == wanted
-            assert passes <= expected_passes
-            fewer += passes < expected_passes
-        assert fewer == len(calls)
-
-    def test_failed_full_pass_names_the_next_test_node(self, monkeypatch):
-        # a blend that passes its one-node test but fails the full pass hands
-        # the node of its lowest margin score to the next rung's test.  The
-        # warm start of t = 0.4 (see test_feasible_warm_starts_are_not_screened)
-        # leaves the cone in the middle of the grid, not at node 1.
-        problem = subsolution_benchmark(node_count=401)
-        warm = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:4]).states[-1].profile
-        node_inside, tested = solver._node_inside, []
-
-        def recorded(problem, t, profile, node):
-            tested.append((profile, node))
-            return node_inside(problem, t, profile, node)
-
-        monkeypatch.setattr(solver, "_node_inside", recorded)
-        blend, evaluation = solver._restore_feasibility(problem, 0.4, warm, problem.subsolution, 1)
-        first = tested[0][0]
-        scores = solver._radial_eval(problem, 0.4, first.du, first.d2u).scores
-        assert (scores <= CONE_MARGIN).any() and scores[0] > CONE_MARGIN
-        assert [node for _, node in tested[:2]] == [1, int(np.argmin(scores)) + 1]
-        (want_blend, want), _ = restore_by_full_passes(problem, 0.4, warm, problem.subsolution)
-        assert np.array_equal(blend.u, want_blend.u)
-        assert np.array_equal(evaluation.scores, want.scores)
+            assert passes == expected_passes
 
     def test_check_t_schedule_returns_floats(self):
         assert check_t_schedule(None) == DEFAULT_T_SCHEDULE
@@ -1108,7 +1077,7 @@ class TestContinuation:
             for state in continuation_states(subsolution_benchmark(node_count=101),
                                              t_schedule=(0.0, 0.2, 0.5, 0.9)):
                 yielded.append(state)
-        assert err.value.t_failed == 0.5 and str(err.value.cause) == "alarm at t=0.5"
+        assert err.value.t_failed == 0.5 and str(err.value.__cause__) == "alarm at t=0.5"
         assert [s.t for s in yielded] == [0.0, 0.2]
         assert len(err.value.states) == 2
         assert all(a is b for a, b in zip(err.value.states, yielded))
