@@ -16,6 +16,7 @@ keys, each from the function named:
     gradient                  a Newton state's gradient (gradient_times)
     banded_solve_ms           solve_banded against scipy (banded_solve_times)
     kernel_passes_4001        radial kernel calls of one solve (kernel_passes)
+    kernel_passes_401         the same at 401 nodes
     structure_suites_ms       the suites of `yamabe check` (suite_times)
     boundary_decay_check_margin_scores  (decay_check_margin_calls)
     continuation              subsolution continuations (continuation)
@@ -93,9 +94,14 @@ def layer_times(node_count):
     test, the banded solve, the Jacobian check, the radial kernel and its
     gradient, the grid derivatives (free, and of a new state of the profile
     family) and one profile CSV formatted and written as `yamabe solve`
-    does."""
+    does.  `restore` and `restore_pretest` are the feasibility restore and
+    its pre-test alone at t = 0.4, on the warm start there: the state of
+    t = 0.3 of the continuation at tol CONTINUATION_TOL."""
     problem = subsolution_benchmark(node_count=node_count)
     prof = problem.subsolution
+    warm = solver.continuation_run(problem, t_schedule=solver.DEFAULT_T_SCHEDULE[:4],
+                                   opts=solver.NewtonOptions(tol=CONTINUATION_TOL)).states[-1].profile
+    restore_args = (problem, 0.4, warm, prof, solver._radial_eval(problem, 0.4, warm.du, warm.d2u))
     grid = prof.grid
     res, evaluation = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
     gradient = evaluation.gradient()
@@ -112,6 +118,8 @@ def layer_times(node_count):
         "inside_cone": lambda: solver._radial_eval(problem, T, prof.du, prof.d2u),
         "solve_banded": lambda: solver.solve_banded(ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
+        "restore": lambda: solver._restore_feasibility(*restore_args),
+        "restore_pretest": lambda: solver._rungs_outside(*restore_args),
         **_radial_layers(spec, axis, sphere),
         "first_derivative": lambda: first_derivative(stencils, prof.u),
         "second_derivative": lambda: second_derivative(stencils, prof.u),
@@ -135,7 +143,7 @@ def _radial_layers(spec, axis, sphere):
 
 
 def gradient_times():
-    """The kernel pass and the gradient of a Newton state, and the `_esp`
+    """The kernel pass and the gradient of a Newton state, and the `_esp_rows`
     calls of one gradient, at (4, 2) on 3999 rows and (5, 4) on 999 rows."""
     problem_42 = subsolution_benchmark(node_count=4001)
     problem_54, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
@@ -144,17 +152,17 @@ def gradient_times():
         spec = problem.spec
         axis, sphere = radial_w_eigenvalues(prof.du[1:-1], prof.d2u[1:-1])
         held = spec.radial_eval(T, axis, sphere)
-        esp, calls = symfun._esp, []
+        esp, calls = symfun._esp_rows, []
 
         def counted(columns, kmax):
             calls.append(len(columns))
             return esp(columns, kmax)
 
-        symfun._esp = counted
+        symfun._esp_rows = counted
         try:
             held.gradient()
         finally:
-            symfun._esp = esp
+            symfun._esp_rows = esp
         times[f"n{spec.n}_k{spec.k}_m{axis.size}"] = {
             "radial_eval_ms": _median_ms(lambda: spec.radial_eval(T, axis, sphere)),
             "gradient_ms": _median_ms(held.gradient),
@@ -183,10 +191,13 @@ def banded_solve_times():
 def kernel_passes(node_count=4001):
     """The radial kernel calls of one README continuation at node_count
     nodes, Newton tolerance CONTINUATION_TOL: full passes and their rows,
-    and the feasibility restores."""
+    the feasibility restores, and the kernel calls of their pre-tests
+    (`solver._rungs_outside`) and those calls' rows."""
     problem = subsolution_benchmark(node_count=node_count)
-    evaluate, restore = solver._radial_eval, solver._restore_feasibility
-    counts = {"full_passes": 0, "rows": 0, "restores": 0}
+    evaluate, restore, pretest = solver._radial_eval, solver._restore_feasibility, solver._rungs_outside
+    kernel = symfun.SymFuncSpec.radial_eval
+    counts = {"full_passes": 0, "rows": 0, "restores": 0, "pretest_calls": 0, "pretest_rows": 0}
+    pretesting = []
 
     def counted(problem, t, du, d2u):
         counts["full_passes"] += 1
@@ -197,11 +208,26 @@ def kernel_passes(node_count=4001):
         counts["restores"] += 1
         return restore(*args)
 
+    def counted_pretest(*args):
+        pretesting.append(True)
+        try:
+            return pretest(*args)
+        finally:
+            pretesting.pop()
+
+    def counted_kernel(spec, t, a, s):
+        if pretesting:
+            counts["pretest_calls"] += 1
+            counts["pretest_rows"] += a.size
+        return kernel(spec, t, a, s)
+
     solver._radial_eval, solver._restore_feasibility = counted, counted_restore
+    solver._rungs_outside, symfun.SymFuncSpec.radial_eval = counted_pretest, counted_kernel
     try:
         solver.continuation_run(problem, opts=solver.NewtonOptions(tol=CONTINUATION_TOL))
     finally:
         solver._radial_eval, solver._restore_feasibility = evaluate, restore
+        solver._rungs_outside, symfun.SymFuncSpec.radial_eval = pretest, kernel
     return counts
 
 
@@ -216,7 +242,8 @@ def blowup_layer_times():
 
 def kernel_times():
     """`_esp` on the (m, n) rows and on the radial columns (a, s, ..., s),
-    and `_esp_removed`, on standard normal tuples of KERNEL_ROWS rows."""
+    `_esp_rows` (the radial kernel's pass) on the same columns, and
+    `_esp_removed`, on standard normal tuples of KERNEL_ROWS rows."""
     rng = np.random.default_rng(0)
     times = {}
     for n, k in KERNEL_ORDERS:
@@ -226,6 +253,7 @@ def kernel_times():
             times[f"n{n}_k{k}_m{m}"] = {
                 "esp": _median_ms(lambda: symfun._esp(values.T, k)),
                 "esp_radial_columns": _median_ms(lambda: symfun._esp(radial, k)),
+                "esp_rows_radial_columns": _median_ms(lambda: symfun._esp_rows(radial, k)),
                 "esp_removed": _median_ms(lambda: symfun._esp_removed(values, k - 1)),
             }
     return times
@@ -456,6 +484,7 @@ def main():
         "gradient": gradient_times(),
         "banded_solve_ms": banded_solve_times(),
         "kernel_passes_4001": kernel_passes(),
+        "kernel_passes_401": kernel_passes(401),
         "structure_suites_ms": suites,
         "boundary_decay_check_margin_scores": decay_calls,
         "continuation": runs,

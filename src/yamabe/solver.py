@@ -8,8 +8,9 @@ The unknown is a radial profile u on [-L, L]; the discrete system is
 with the eigenvalues coming from the two radial expressions (axis and sphere
 directions), so each interior row couples only to the three-point stencil and
 the Jacobian is tridiagonal.  The Jacobian is assembled analytically through
-the chain rule in (u_i, u'_i, u''_i) and checked once per solve against a
-finite difference (`_check_jacobian`).  Each state is evaluated once, by the
+the chain rule in (u_i, u'_i, u''_i) and checked against a finite
+difference (`_check_jacobian`) once per Newton solve, at its first
+iteration, so once per t.  Each state is evaluated once, by the
 spec's radial kernel `radial_eval`, whose record of the nodes outside the
 cone is the one cone test that the residual, the gradient, the feasibility
 restore and `check_subsolution` read.  `newton_solve` says how a Newton step
@@ -165,8 +166,9 @@ def _radial_eval(problem, t, du, d2u):
 
 def _residual(problem, t, grid, u, du, d2u, evaluation=None):
     """Residual vector and the kernel's evaluation from nodal values and
-    their stencil derivatives; raises when a node leaves the cone.  An
-    evaluation the caller already holds for du, d2u at t is used as is."""
+    their stencil derivatives; raises ConeViolationError, carrying the
+    evaluation, when a node leaves the cone.  An evaluation the caller
+    already holds for du, d2u at t is used as is."""
     if evaluation is None:
         evaluation = _radial_eval(problem, t, du, d2u)
     if evaluation.outside.size:
@@ -174,7 +176,7 @@ def _residual(problem, t, grid, u, du, d2u, evaluation=None):
         raise ConeViolationError(
             f"eigenvalues at node {node} (x={grid[node]:.6g}) left the cone "
             f"(margin score {evaluation.scores[node - 1]:.3e})",
-            node=node)
+            node=node, evaluation=evaluation)
     out = np.empty(grid.size)
     out[0] = u[0] - problem.phi_left
     out[-1] = u[-1] - problem.phi_right
@@ -468,34 +470,77 @@ class ContinuationReport:
         return [(s.t, (1.0 - s.t) * s.monitors[2]) for s in self.states]
 
 
-def _restore_feasibility(problem, t, profile, anchor):
+# the blends (1 - theta) u + theta anchor that the feasibility restore tries
+_LADDER = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
+
+# entries of the warm start's outside record that the restore's pre-test takes
+_PRETEST_NODES = 8
+
+
+def _restore_feasibility(problem, t, profile, anchor, evaluation):
     """Blend a warm start that left the cone of t towards the anchor.
 
     The cones shrink as t grows, so the converged profile of the previous t
     can sit slightly outside the next cone.  The anchor (subsolution or the
     run's start profile) lies in the t = 1 cone with a real margin, hence in
     every interpolated cone; the smallest blend restoring a positive margin
-    wins.  Each blend is tested by one radial kernel pass at t.  Returns the
-    blend with that evaluation, or None when no blend restores the margin.
+    wins.  `evaluation` is the radial kernel's evaluation of profile at t.
+    Each blend that `_rungs_outside` does not rule out is tested by one
+    radial kernel pass at t.  Returns the blend with that evaluation, or
+    None when no blend restores the margin.
     """
-    ladder = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
+    ruled_out = _rungs_outside(problem, t, profile, anchor, evaluation)
 
-    def inside(theta):
-        blend = profile.with_values((1.0 - theta) * profile.u + theta * anchor.u)
-        evaluation = _radial_eval(problem, t, blend.du, blend.d2u)
-        return None if evaluation.outside.size else (blend, evaluation)
+    def inside(i):
+        if ruled_out[i]:
+            return None
+        blend = profile.with_values((1.0 - _LADDER[i]) * profile.u + _LADDER[i] * anchor.u)
+        full = _radial_eval(problem, t, blend.du, blend.d2u)
+        return None if full.outside.size else (blend, full)
 
-    for i, theta in enumerate(ladder):
-        restored = inside(theta)
+    for i in range(len(_LADDER)):
+        restored = inside(i)
         if restored is not None:
             # take one more rung for headroom; the blend at the first feasible
             # theta can sit arbitrarily close to the cone boundary
-            for theta2 in ladder[i + 1:i + 2]:
-                headroom = inside(theta2)
+            if i + 1 < len(_LADDER):
+                headroom = inside(i + 1)
                 if headroom is not None:
                     return headroom
             return restored
     return None
+
+
+def _rungs_outside(problem, t, profile, anchor, evaluation):
+    """Per rung of the ladder, whether its blend leaves the cone of t at a
+    few interior nodes: the lowest-scoring node of `evaluation`, the kernel's evaluation of
+    profile at t, and up to _PRETEST_NODES evenly spaced nodes of its
+    outside record, all rungs in one kernel call.
+
+    At those nodes each blend, its u' and its u'' are formed with the
+    operations of `(1 - theta) u + theta anchor` and of the interior
+    stencils, in their order, and the kernel's results are elementwise, so
+    a rung outside the cone here is outside in its full pass, bit for bit.
+    """
+    record = evaluation.outside
+    step = math.ceil(record.size / _PRETEST_NODES) or 1
+    nodes = np.append(np.argmin(evaluation.scores), record[::step])
+    # the grid nodes of each interior node's stencil
+    stencil = nodes[:, None] + np.arange(3)
+    theta = np.array(_LADDER)[:, None, None]
+    blends = (1.0 - theta) * profile.u[stencil] + theta * anchor.u[stencil]
+
+    def derivative(weights):
+        wm, w0, wp = (w[nodes] for w in weights.inner)
+        return wm * blends[..., 0] + w0 * blends[..., 1] + wp * blends[..., 2]
+
+    stencils = profile.stencils
+    axis, sphere = radial_w_eigenvalues(derivative(stencils.first), derivative(stencils.second))
+    outside = problem.spec.radial_eval(t, axis.ravel(), sphere.ravel()).outside
+    ruled_out = np.zeros(len(_LADDER), dtype=bool)
+    # the kernel's rows run over the nodes of each rung in turn
+    ruled_out[outside // nodes.size] = True
+    return ruled_out
 
 
 def check_t_schedule(t_schedule):
@@ -542,8 +587,8 @@ def _continuation(problem, schedule, opts, current, anchor):
         try:
             try:
                 state = newton_solve(problem, t, current, opts)
-            except ConeViolationError:
-                restored = _restore_feasibility(problem, t, current, anchor)
+            except ConeViolationError as exc:
+                restored = _restore_feasibility(problem, t, current, anchor, exc.evaluation)
                 if restored is None:
                     raise
                 start, evaluation = restored

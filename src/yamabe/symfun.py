@@ -89,15 +89,32 @@ def _esp(columns, kmax):
     out = np.zeros((kmax + 1, m))
     out[0] = 1.0
     for col, x in enumerate(columns):
-        _esp_step(out, col, x)
+        top = min(col, kmax - 1) + 2
+        out[1:top] += x * out[:top - 1]
     return out
 
 
-def _esp_step(out, col, x):
-    """One step of the `_esp` recurrence in place: x, entry col of the
-    tuples, enters the (kmax + 1, m) array out of e_0..e_kmax."""
-    top = min(col, out.shape[0] - 2) + 2
-    out[1:top] += x * out[:top - 1]
+def _esp_rows(columns, kmax):
+    """e_1..e_kmax of the tuples whose entries are the vectors of columns,
+    as a C-ordered (kmax, m) array: `_esp` without its row e_0 = 1.
+
+    Each step makes the additions and multiplications of a step of `_esp`
+    on the rows it keeps, so every row is bit-identical to that of `_esp`.
+    """
+    out = np.zeros((kmax, len(columns[0])))
+    for col, x in enumerate(columns if kmax else ()):
+        _esp_rows_step(out, col, x)
+    return out
+
+
+def _esp_rows_step(out, col, x):
+    """One step of `_esp_rows` in place: x, entry col of the tuples, enters
+    the (kmax, m) array out of e_1..e_kmax.  Rows 2 and up are updated
+    first, from the old rows; e_1 gains x, which is x * e_0 exactly."""
+    top = min(col + 1, out.shape[0])
+    if top > 1:
+        out[1:top] += x * out[:top - 1]
+    out[0] += x
 
 
 def _esp_removed(values, kmax):
@@ -140,25 +157,24 @@ def _cone_scores(values, order):
     columns = np.empty((n, 2 * m))
     columns[:, :m] = values.T
     absolute = np.abs(values.T, out=columns[:, m:])
-    return _stacked_scores(_esp(columns, order), absolute.max(axis=0) > 0.0)
+    both = _esp(columns, order)
+    return _scores(both[1:, :m], both[1:, m:], absolute.max(axis=0) > 0.0), both[:, :m]
 
 
 # the floor of the score denominators sigma_j(|lam|)
 _TINY = np.finfo(float).tiny
 
 
-def _stacked_scores(both, nonzero):
-    """The scores and e_0..e_order of `_cone_scores` from the (order + 1, 2m)
-    `_esp` array of m tuples stacked on their absolute values; nonzero flags
-    the tuples with a nonzero entry."""
-    m = nonzero.shape[0]
-    e, scale = both[:, :m], both[:, m:]
-    ratios = e[1:] / np.maximum(scale[1:], _TINY)
+def _scores(e, scale, nonzero):
+    """The scores of `_cone_scores` from the (order, m) rows e_1..e_order of
+    m tuples and of their absolute values; nonzero flags the tuples with a
+    nonzero entry."""
+    ratios = e / np.maximum(scale, _TINY)
     # folded j = 1..order from +-inf, so that signed zeros and NaN keep their bits
     scores = np.where(nonzero, np.inf, -np.inf)
     for ratio in ratios:
         np.minimum(scores, ratio, out=scores)
-    return scores, e
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +244,11 @@ class RadialEvaluation(NamedTuple):
 
         d sigma_j is e_{j-1} of the tuple without that slot: of the cut for a
         sphere slot, and of rest = (s, ..., s) of length n - 1 for the axis
-        slot, the one `_esp` pass made here.
+        slot, the one `_esp_rows` pass made here (e_0 = 1 is not stored).
         """
         spec, t, f, s = self.spec, self.t, self.inside_value(), self.sphere
         n, k = spec.n, spec.k
-        rest = _esp([s] * (n - 1), k - 1)
+        rest = (1.0, *_esp_rows([s] * (n - 1), k - 1))
         if spec.kind == "sigma_k_root":
             g_a = (f / k) * rest[k - 1] / self.e_k
             g_s = (f / k) * self.cut_k / self.e_k
@@ -384,9 +400,13 @@ class SymFuncSpec:
 
     def _value_from(self, e):
         """f from the ESP vectors e_0..e_k of the tuples."""
+        return self._value_of(e[self.k], None if self.l is None else e[self.l])
+
+    def _value_of(self, e_k, e_l):
+        """f from e_k (and e_l, None for roots) of the tuples."""
         if self.kind == "sigma_k_root":
-            return e[self.k] ** (1.0 / self.k)
-        return (e[self.k] / e[self.l]) ** (1.0 / (self.k - self.l))
+            return e_k ** (1.0 / self.k)
+        return (e_k / e_l) ** (1.0 / (self.k - self.l))
 
     # -- the radial kernel -------------------------------------------------------
 
@@ -398,11 +418,14 @@ class SymFuncSpec:
         geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.  The
         cone test is made here, once: callers read its `outside` rows.
 
-        One `_esp` pass over the t-mapped columns (a, s, ..., s) and their
-        absolute values, stacked as in `_cone_scores`, serves the scores and
-        f_t.  Before its last step, the pass holds e_j of the cut (a, s, ...,
-        s) of length n - 1, and the rows the gradient reads are copied then.
-        Each result, the gradient's too, repeats the additions and
+        One `_esp_rows` pass over the t-mapped columns (a, s, ..., s) and
+        their absolute values, stacked as in `_cone_scores`, serves the
+        scores and f_t.  When every t-mapped entry is above zero, none has
+        its sign bit set, the absolute values are the entries bit for bit,
+        and the pass runs on the m signed columns alone, each score dividing
+        e_j by itself.  Before its last step, the pass holds e_j of the cut
+        (a, s, ..., s) of length n - 1, and the rows the gradient reads are
+        copied then.  Each result, the gradient's too, repeats the additions and
         multiplications of margin_scores, value_many and grad_many(rows, t)
         on the (m, n) rows (a, s, ..., s) in their order, numpy's row sums
         included (_row_sum), so it is bit-identical to them inside the cone.
@@ -410,23 +433,41 @@ class SymFuncSpec:
         n, k, l = self.n, self.k, self.l
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
-        shift = (1.0 - t) * _row_sum(a, s, n)
-        a, s = t * a + shift, t * s + shift
         m = a.shape[0]
-        abs_a, abs_s = np.abs(a), np.abs(s)
-        stacked_s = np.concatenate([s, abs_s])
-        both = _esp((np.concatenate([a, abs_a]), *[stacked_s] * (n - 2)), k)
-        cut_k = both[k - 1, :m].copy()
-        cut_l = None if l is None else both[l - 1, :m].copy()
-        _esp_step(both, n - 1, stacked_s)
-        scores, e = _stacked_scores(both, np.maximum(abs_a, abs_s) > 0.0)
+        shift = (1.0 - t) * _row_sum(a, s, n)
+        # the t-mapped a and s on the left, and their absolute values right
+        stacked = np.empty((2, 2 * m))
+        signed = stacked[:, :m]
+        np.multiply(t, a, out=signed[0])
+        np.multiply(t, s, out=signed[1])
+        np.add(signed, shift, out=signed)
+        # above zero, an entry has no sign bit (NaN and -0.0 fail the test)
+        if signed.min(initial=np.inf) > 0.0:
+            stacked = signed
+        else:
+            np.abs(signed, out=stacked[:, m:])
+        lead, other = stacked
+        rows = _esp_rows((lead, *[other] * (n - 2)), k)
+        cut_k = _row_copy(rows, k - 1, m)
+        cut_l = None if l is None else _row_copy(rows, l - 1, m)
+        _esp_rows_step(rows, n - 1, other)
+        # the last m columns hold the absolute values on either path
+        scores = _scores(rows[:, :m], rows[:, -m:], np.maximum(lead[-m:], other[-m:]) > 0.0)
         outside = self._outside(scores)
+        e_k = _row_copy(rows, k, m)
+        e_l = None if l is None else _row_copy(rows, l, m)
         # only rows outside the cone can warn, and they are set to NaN
         with np.errstate(invalid="ignore", divide="ignore"):
-            value = self._value_from(e)
+            value = self._value_of(e_k, e_l)
         value[outside] = np.nan
-        e_l = None if l is None else e[l].copy()
-        return RadialEvaluation(self, t, scores, outside, value, s, e[k].copy(), cut_k, e_l, cut_l)
+        return RadialEvaluation(self, t, scores, outside, value, other[:m].copy(),
+                                e_k, cut_k, e_l, cut_l)
+
+
+def _row_copy(rows, j, m):
+    """e_j of the first m tuples of the `_esp_rows` array rows, as an (m,)
+    array of its own; e_0 = 1."""
+    return rows[j - 1, :m].copy() if j else np.ones(m)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ symmetric polynomials come from subset enumeration (and, for bit-exact
 comparisons, from the recurrence on a tuple-per-row layout), the cone
 scores, for bit-exact comparisons, from a frozen copy of the row kernel on
 strided columns, their gradients from deleting one coordinate at a time,
-the radial gradient, bit for bit, from a frozen copy of its two-pass form,
+the radial kernel and its gradient, bit for bit, from frozen copies of the
+kernel's stacked pass with the row e_0 and of the gradient's two-pass form,
 other gradients from central differences, the feasibility restore's blends
 from a frozen copy of its ladder with a full pass per rung, the structure
 suites from one sample and one bisection step at a time, Jacobian columns
@@ -131,6 +132,32 @@ def radial_gradient_by_two_passes(spec, t, a, s):
     shift = (1.0 - t) * np.column_stack([g_a] + [g_s] * (n - 1)).sum(axis=1)
     g_s = t * g_s + shift
     return t * g_a + shift, np.column_stack([g_s] * (n - 1)).sum(axis=1)
+
+
+def radial_eval_by_stacked_pass(spec, t, a, s):
+    """The fields scores, outside, value, sphere, e_k, cut_k, e_l and cut_l
+    of the radial kernel's evaluation at a number t, as the kernel computed
+    them with the full recurrence, its row e_0 included, over the t-mapped
+    columns (a, s, ..., s) stacked on their absolute values, whatever their
+    signs, as a dict.  A frozen copy, which the kernel must match."""
+    n, k, l = spec.n, spec.k, spec.l
+    m = len(a)
+    shift = (1.0 - t) * np.column_stack([a] + [s] * (n - 1)).sum(axis=1)
+    a, s = t * a + shift, t * s + shift
+    lead, other = np.concatenate([a, np.abs(a)]), np.concatenate([s, np.abs(s)])
+    cut = _skipping_recurrence((lead, *[other] * (n - 2)), k)[:, :m]
+    both = _skipping_recurrence((lead, *[other] * (n - 1)), k)
+    e = both[:, :m]
+    scores = np.where(np.maximum(np.abs(a), np.abs(s)) > 0.0, np.inf, -np.inf)
+    for ratio in e[1:] / np.maximum(both[1:, m:], np.finfo(float).tiny):
+        np.minimum(scores, ratio, out=scores)
+    outside = np.flatnonzero(~(scores > spec.margin))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value = e[k] ** (1.0 / k) if l is None else (e[k] / e[l]) ** (1.0 / (k - l))
+    value[outside] = np.nan
+    return {"scores": scores, "outside": outside, "value": value, "sphere": s,
+            "e_k": e[k], "cut_k": cut[k - 1], "e_l": None if l is None else e[l],
+            "cut_l": None if l is None else cut[l - 1]}
 
 
 def restore_by_full_passes(problem, t, profile, anchor):

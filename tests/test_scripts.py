@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from yamabe import symfun
+from yamabe import solver, symfun
 from yamabe.solver import DEFAULT_T_SCHEDULE
 from yamabe.symfun import SymFuncSpec
 
@@ -119,3 +119,17 @@ def test_bench_counts_the_decay_check_of_verify_structure(monkeypatch):
     monkeypatch.setattr(SymFuncSpec, "margin_scores", scores)
     symfun.verify_structure(spec, sample_count=1000, seed=0)
     assert counted == {"calls": len(rows), "rows": sum(rows)}
+
+
+def test_bench_counts_the_kernel_calls_of_a_continuation():
+    # the README continuation at tol 1e-7 restores 7 warm starts, each with
+    # one pre-test call on 9 nodes of all 9 blends and two full passes
+    bench = _load("bench")
+    counted = (solver._radial_eval, solver._restore_feasibility, solver._rungs_outside,
+               SymFuncSpec.radial_eval)
+    counts = bench.kernel_passes(401)
+    assert counts == {"full_passes": 129, "rows": 129 * 399, "restores": 7,
+                      "pretest_calls": 7, "pretest_rows": 7 * 81}
+    # the counters are taken off again
+    assert counted == (solver._radial_eval, solver._restore_feasibility, solver._rungs_outside,
+                       SymFuncSpec.radial_eval)

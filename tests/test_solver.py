@@ -430,11 +430,13 @@ class TestTridiagonalSolve:
         assert str(err.value) == str(expected.value) == "array must not contain infs or NaNs"
 
 
-def _restore_passes(monkeypatch, kernel=None):
-    """The t of each radial kernel pass that `_restore_feasibility` makes, in
-    a list the run fills.  `kernel`, when given, takes the kernel's place
-    inside the restore only."""
+def _restore_passes(monkeypatch, kernel=None, pretest=None):
+    """The t of each full radial kernel pass that `_restore_feasibility`
+    makes, and the t of each of its pre-tests (`_rungs_outside`), in two
+    lists the run fills.  `kernel`, when given, takes the kernel's place
+    inside the restore only, and `pretest` the pre-test's."""
     evaluate, restore, passes, restoring = solver._radial_eval, solver._restore_feasibility, [], []
+    rungs_outside, pretests = solver._rungs_outside, []
 
     def counted(problem, t, du, d2u):
         if not restoring:
@@ -449,9 +451,14 @@ def _restore_passes(monkeypatch, kernel=None):
         finally:
             restoring.pop()
 
+    def counted_pretest(problem, t, *args):
+        pretests.append(t)
+        return (pretest or rungs_outside)(problem, t, *args)
+
     monkeypatch.setattr(solver, "_radial_eval", counted)
     monkeypatch.setattr(solver, "_restore_feasibility", counted_restore)
-    return passes
+    monkeypatch.setattr(solver, "_rungs_outside", counted_pretest)
+    return passes, pretests
 
 
 class TestRoundingFloor:
@@ -501,7 +508,7 @@ class TestRoundingFloor:
     def test_floor_reads_the_state_evaluation(self, monkeypatch):
         # the same (5, 3) solve: the floor rule makes no kernel call of its own
         calls = {"kernel": 0, "residual": 0}
-        restore_passes = _restore_passes(monkeypatch)
+        restore_passes, _ = _restore_passes(monkeypatch)
         kernel, evaluate = solver._radial_eval, solver._residual
 
         def counted(*args):
@@ -626,12 +633,12 @@ class TestStateEvaluation:
         assert len(state.increment_norms) == state.newton_iters >= 1
 
     def test_one_margin_evaluation_per_state(self, monkeypatch):
-        # the radial kernel is the solver's only cone evaluation: one _esp
+        # the radial kernel is the solver's only cone evaluation: one ESP
         # pass per residual call, and a Jacobian adds only its gradient's
         # one pass, over the evaluation its state's residual made
         problem = subsolution_benchmark(node_count=401)
         calls = {"passes": 0, "kernels": 0, "gradients": 0, "residual": 0}
-        esp = symfun._esp
+        esp = symfun._esp_rows
         radial_eval = SymFuncSpec.radial_eval
         gradient = symfun.RadialEvaluation.gradient
         evaluate = solver._residual
@@ -642,7 +649,7 @@ class TestStateEvaluation:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(symfun, "_esp", counted("passes", esp))
+        monkeypatch.setattr(symfun, "_esp_rows", counted("passes", esp))
         monkeypatch.setattr(SymFuncSpec, "radial_eval", counted("kernels", radial_eval))
         monkeypatch.setattr(symfun.RadialEvaluation, "gradient", counted("gradients", gradient))
         monkeypatch.setattr(solver, "_residual", counted("residual", evaluate))
@@ -655,11 +662,12 @@ class TestStateEvaluation:
 
     def test_newton_never_builds_eigen_rows(self, monkeypatch):
         # every ESP pass inside newton_solve runs on the radial columns
-        # (a, s, ..., s), never on an (n, m) array of eigenvalue rows
+        # (a, s, ..., s), never on an (n, m) array of eigenvalue rows, and
+        # without the row e_0 that the row path's `_esp` keeps
         def forbidden(*args):
             raise AssertionError("the (m, n) ESP path ran inside newton_solve")
 
-        esp = symfun._esp
+        esp = symfun._esp_rows
         columns_seen = []
 
         def radial_only(columns, kmax):
@@ -670,7 +678,8 @@ class TestStateEvaluation:
             return esp(columns, kmax)
 
         problem = subsolution_benchmark(node_count=401)
-        monkeypatch.setattr(symfun, "_esp", radial_only)
+        monkeypatch.setattr(symfun, "_esp_rows", radial_only)
+        monkeypatch.setattr(symfun, "_esp", forbidden)
         monkeypatch.setattr(symfun, "_esp_removed", forbidden)
         monkeypatch.setattr(symfun, "_cone_scores", forbidden)
         state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
@@ -903,12 +912,13 @@ class TestContinuation:
 
     def test_feasible_warm_starts_are_not_screened(self, monkeypatch):
         # Newton's first evaluation is the cone screen of a warm start; only
-        # the blend ladder of an infeasible one tests blends, one kernel pass
-        # per rung.  The counts per t were one higher when every warm start
-        # was screened, with the same Newton iterations.
-        passes = _restore_passes(monkeypatch)
+        # the blend ladder of an infeasible one tests blends: one pre-test
+        # of every rung, then one full kernel pass per rung it lets through,
+        # up to the first feasible rung and its headroom rung
+        passes, pretests = _restore_passes(monkeypatch)
         report = continuation_run(subsolution_benchmark(node_count=401))
-        assert [passes.count(s.t) for s in report.states] == [0, 0, 0, 0, 4, 5, 6, 6, 7, 7, 6, 0, 0]
+        assert [passes.count(s.t) for s in report.states] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0]
+        assert pretests == [s.t for s in report.states if passes.count(s.t)]
         assert [s.newton_iters for s in report.states] == [5, 3, 4, 4, 4, 4, 5, 5, 6, 5, 3, 4, 4]
 
     def test_jacobian_check_failure_carries_partial_states(self, monkeypatch):
@@ -978,21 +988,37 @@ class TestContinuation:
         with pytest.raises(ValueError, match=r"span exactly \[-L, L\]"):
             continuation_states(free, init=RadialProfile.uniform(2.0, 101, cosh))
 
+    @staticmethod
+    def _lets_every_rung_through(problem, t, profile, anchor, evaluation):
+        return np.zeros(len(solver._LADDER), dtype=bool)
+
     def test_exhausted_blend_ladder_ends_the_run(self, monkeypatch):
         # the warm start of t = 0.4 leaves its cone (see the call counts of
-        # test_feasible_warm_starts_are_not_screened); no blend is let back
-        # in, so every rung takes its pass and the run ends there
+        # test_feasible_warm_starts_are_not_screened); the pre-test lets
+        # every rung through but no blend is let back in, so every rung
+        # takes its pass and the run ends there
         evaluate = solver._radial_eval
 
         def outside(problem, t, du, d2u):
             return evaluate(problem, t, du, d2u)._replace(outside=np.array([0]))
 
-        passes = _restore_passes(monkeypatch, outside)
+        passes, pretests = _restore_passes(monkeypatch, outside, self._lets_every_rung_through)
         with pytest.raises(ContinuationError) as err:
             continuation_run(subsolution_benchmark(node_count=401))
-        assert err.value.t_failed == 0.4 and passes == [0.4] * 9
+        assert err.value.t_failed == 0.4 and passes == [0.4] * 9 and pretests == [0.4]
         assert isinstance(err.value.__cause__, ConeViolationError)
         assert [s.t for s in err.value.states] == [0.0, 0.1, 0.2, 0.3]
+
+    def test_pretest_can_rule_out_every_rung(self, monkeypatch):
+        # a ladder whose pre-test rules out every rung makes no full pass
+        def rules_out_all(problem, t, profile, anchor, evaluation):
+            return np.ones(len(solver._LADDER), dtype=bool)
+
+        passes, pretests = _restore_passes(monkeypatch, pretest=rules_out_all)
+        with pytest.raises(ContinuationError) as err:
+            continuation_run(subsolution_benchmark(node_count=401))
+        assert err.value.t_failed == 0.4 and passes == [] and pretests == [0.4]
+        assert isinstance(err.value.__cause__, ConeViolationError)
 
     def test_last_rung_of_the_ladder_is_the_anchor(self, monkeypatch):
         # only the full blend is let back in: it has no rung after it, and
@@ -1007,9 +1033,9 @@ class TestContinuation:
                 return evaluation
             return evaluation._replace(outside=np.array([0]))
 
-        passes = _restore_passes(monkeypatch, anchor_only)
+        passes, pretests = _restore_passes(monkeypatch, anchor_only, self._lets_every_rung_through)
         states = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:5]).states
-        assert passes == [0.4] * 9
+        assert passes == [0.4] * 9 and pretests == [0.4]
         # Newton took the anchor's evaluation from the ladder: the same state
         expected = newton_solve(problem, 0.4, sub)
         assert np.array_equal(states[-1].profile.u, expected.profile.u)
@@ -1017,34 +1043,73 @@ class TestContinuation:
         assert (states[-1].newton_iters, states[-1].cone_margin, states[-1].increment_norms) == (
             expected.newton_iters, expected.cone_margin, expected.increment_norms)
 
+    @staticmethod
+    def _assert_restored_as(restored, expected):
+        (blend, evaluation), (want_blend, want) = restored, expected
+        assert np.array_equal(blend.u, want_blend.u)
+        for got, wanted in zip(evaluation, want):
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, wanted, equal_nan=True)
+            else:
+                assert got == wanted
+
     @pytest.mark.parametrize("kind", ["401-node benchmark", "(5, 3) floor run"])
     def test_ladder_matches_full_passes(self, monkeypatch, kind):
-        # every restore returns the blend, the evaluation and the pass count
-        # of the frozen ladder
+        # every restore returns the blend and the evaluation of the frozen
+        # ladder, which takes one full pass per rung; the pre-test, one
+        # kernel call, leaves two full passes: the first feasible rung and
+        # its headroom rung
         problem = (subsolution_benchmark(node_count=401) if kind == "401-node benchmark"
                    else subsolution_benchmark(n=5, k=3))
-        kernel_passes = _restore_passes(monkeypatch)
+        kernel_passes, pretests = _restore_passes(monkeypatch)
         restore, calls = solver._restore_feasibility, []
 
         def recorded(*args):
-            before = len(kernel_passes)
+            before = len(kernel_passes), len(pretests)
             restored = restore(*args)
-            calls.append((args, restored, len(kernel_passes) - before))
+            calls.append((args, restored, len(kernel_passes) - before[0], len(pretests) - before[1]))
             return restored
 
         monkeypatch.setattr(solver, "_restore_feasibility", recorded)
         continuation_run(problem)
         assert len(calls) == (7 if kind == "401-node benchmark" else 11)
-        for (prob, t, profile, anchor), restored, passes in calls:
+        for (prob, t, profile, anchor, _), restored, passes, pretest_calls in calls:
             expected, expected_passes = restore_by_full_passes(prob, t, profile, anchor)
-            (blend, evaluation), (want_blend, want) = restored, expected
-            assert np.array_equal(blend.u, want_blend.u)
-            for got, wanted in zip(evaluation, want):
-                if isinstance(got, np.ndarray):
-                    assert np.array_equal(got, wanted, equal_nan=True)
-                else:
-                    assert got == wanted
-            assert passes == expected_passes
+            self._assert_restored_as(restored, expected)
+            assert (passes, pretest_calls) == (2, 1) and expected_passes > 2
+
+    def test_rung_that_passes_the_pretest_can_fail_its_full_pass(self, monkeypatch):
+        # a stub kernel marks one more node outside in the full pass of the
+        # first feasible rung of t = 0.4, where the pre-test's few nodes
+        # cannot see it: the ladder moves on to the next rung exactly as the
+        # frozen ladder does under the same stub
+        problem = subsolution_benchmark(node_count=401)
+        warm = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:4]).states[-1].profile
+        sub = problem.subsolution
+        evaluation = solver._radial_eval(problem, 0.4, warm.du, warm.d2u)
+        (unstubbed, _), _ = restore_by_full_passes(problem, 0.4, warm, sub)
+        blends = [warm.with_values((1.0 - theta) * warm.u + theta * sub.u) for theta in solver._LADDER]
+        first = next(b for b in blends
+                     if not solver._radial_eval(problem, 0.4, b.du, b.d2u).outside.size)
+        target = radial_w_eigenvalues(first.du[1:-1], first.d2u[1:-1])[0]
+        radial_eval, stubbed = SymFuncSpec.radial_eval, []
+
+        def one_more_outside(spec, t, a, s):
+            full = radial_eval(spec, t, a, s)
+            if np.array_equal(a, target):
+                stubbed.append(t)
+                return full._replace(outside=np.array([int(np.argmin(full.scores))]))
+            return full
+
+        monkeypatch.setattr(SymFuncSpec, "radial_eval", one_more_outside)
+        passes, pretests = _restore_passes(monkeypatch)
+        restored = solver._restore_feasibility(problem, 0.4, warm, sub, evaluation)
+        assert stubbed == [0.4] and pretests == [0.4]
+        expected, expected_passes = restore_by_full_passes(problem, 0.4, warm, sub)
+        assert stubbed == [0.4] * 2
+        self._assert_restored_as(restored, expected)
+        assert not np.array_equal(restored[0].u, unstubbed.u)
+        assert len(passes) == 3 < expected_passes
 
     def test_check_t_schedule_returns_floats(self):
         assert check_t_schedule(None) == DEFAULT_T_SCHEDULE

@@ -1,5 +1,6 @@
 """Unit tests of the symmetric-function machinery against independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,7 @@ from oracles import (
     esp_gradient_by_deletion,
     gradient_by_differences,
     matrix_derivative_by_differences,
+    radial_eval_by_stacked_pass,
     radial_gradient_by_two_passes,
     radial_rows,
     separation_margin_by_loop,
@@ -942,13 +944,70 @@ class TestRadialKernel:
                 assert np.array_equal(e, expected)
                 assert np.array_equal(np.signbit(e), np.signbit(expected))
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_single_half_pass_matches_the_stacked_pass(self, n, monkeypatch):
+        # where every t-mapped entry is above zero, the pass runs on the m
+        # signed columns alone; one negative row, a signed zero, NaN or inf
+        # switch it to the stacked (a, |a|) columns.  Either way the scores
+        # and the rows outside match the frozen stacked pass on every row,
+        # and the ESP rows, f_t and the gradient on the rows inside, bit for
+        # bit; n >= 8 takes the eight-accumulator row sums
+        widths = []
+        step = symfun._esp_rows_step
+
+        def recorded(out, col, x):
+            if col == 0:
+                widths.append(x.size)
+            step(out, col, x)
+
+        monkeypatch.setattr(symfun, "_esp_rows_step", recorded)
+        rng = np.random.default_rng(300 + n)
+        a, s = rng.uniform(0.05, 3.0, 64), rng.uniform(0.05, 1.0, 64)
+        negative = a.copy()
+        negative[7] = -10.0 * n
+        special_a, special_s = a.copy(), s.copy()
+        special_a[:8] = 0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -0.0, 2.0
+        special_s[:8] = -0.0, 0.0, 1.0, 1.0, 1.0, np.nan, -0.0, np.inf
+        batches = {"positive": (a, s), "one negative row": (negative, s),
+                   "zeros, NaN, inf": (special_a, special_s)}
+        for spec, t, (name, (x, y)) in itertools.product(all_specs(n), (0.0, 0.3, 0.99, 1.0),
+                                                         batches.items()):
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                widths.clear()
+                ev = spec.radial_eval(t, x, y)
+                if name != "zeros, NaN, inf":
+                    assert widths[0] == (64 if name == "positive" else 128)
+                want = radial_eval_by_stacked_pass(spec, t, x, y)
+                rows = np.column_stack([x] + [y] * (n - 1))
+                for scores in (want["scores"], spec.margin_scores(rows, t)):
+                    assert np.array_equal(ev.scores, scores, equal_nan=True)
+                assert np.array_equal(ev.outside, want["outside"])
+                assert np.array_equal(ev.sphere, want["sphere"], equal_nan=True)
+                inside = np.setdiff1d(np.arange(64), ev.outside)
+                assert inside.size
+                for field in ("value", "e_k", "cut_k", "e_l", "cut_l"):
+                    got, wanted = getattr(ev, field), want[field]
+                    if wanted is None:
+                        assert got is None
+                        continue
+                    assert np.array_equal(got[inside], wanted[inside])
+                    assert np.array_equal(np.signbit(got[inside]), np.signbit(wanted[inside]))
+                assert np.isnan(ev.value[ev.outside]).all()
+                grad = spec.radial_eval(t, x[inside], y[inside]).gradient()
+                expected = radial_gradient_by_two_passes(spec, t, x[inside], y[inside])
+                g = spec.grad_many(rows[inside], t)
+                for got, wanted, row_path in zip(grad, expected, (g[:, 0], g[:, 1:].sum(axis=1))):
+                    assert np.array_equal(got, wanted)
+                    assert np.array_equal(np.signbit(got), np.signbit(wanted))
+                    assert np.array_equal(got, row_path)
+
     def test_one_esp_pass_for_scores_and_values(self, monkeypatch):
         # (a, s) and (|a|, |s|) go through one recurrence stacked, whose
         # first n - 1 steps are the sphere slot's cut; the gradient adds
         # only the pass over the tuple without the axis slot.  A pass is
         # counted by the entries its steps take in.
         passes = []
-        step = symfun._esp_step
+        step = symfun._esp_rows_step
 
         def counting(out, col, x):
             if col == 0:
@@ -956,7 +1015,7 @@ class TestRadialKernel:
             passes[-1] += 1
             step(out, col, x)
 
-        monkeypatch.setattr(symfun, "_esp_step", counting)
+        monkeypatch.setattr(symfun, "_esp_rows_step", counting)
         a, s = radial_w_eigenvalues(np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
         for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
             passes.clear()
