@@ -74,8 +74,10 @@ CONE_SCORE_ORDERS = ((4, 2), (5, 5))    # (n, k)
 SUITE_REPEATS = 20
 
 
-def _median_ms(call, repeats=REPEATS):
-    """Median wall time of `repeats` calls after one warm-up, in ms."""
+def _median_ms(call, repeats=None):
+    """Median wall time of `repeats` calls (REPEATS unless given) after one
+    warm-up, in ms."""
+    repeats = REPEATS if repeats is None else repeats
     call()
     times = []
     for _ in range(repeats):
@@ -143,8 +145,9 @@ def _radial_layers(spec, axis, sphere):
 
 
 def gradient_times():
-    """The kernel pass and the gradient of a Newton state, and the `_esp_rows`
-    calls of one gradient, at (4, 2) on 3999 rows and (5, 4) on 999 rows."""
+    """The kernel pass and the gradient of a Newton state, and the calls of
+    the one ESP recurrence `_esp` in one gradient, at (4, 2) on 3999 rows
+    and (5, 4) on 999 rows."""
     problem_42 = subsolution_benchmark(node_count=4001)
     problem_54, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
     times = {}
@@ -152,17 +155,17 @@ def gradient_times():
         spec = problem.spec
         axis, sphere = radial_w_eigenvalues(prof.du[1:-1], prof.d2u[1:-1])
         held = spec.radial_eval(T, axis, sphere)
-        esp, calls = symfun._esp_rows, []
+        esp, calls = symfun._esp, []
 
         def counted(columns, kmax):
             calls.append(len(columns))
             return esp(columns, kmax)
 
-        symfun._esp_rows = counted
+        symfun._esp = counted
         try:
             held.gradient()
         finally:
-            symfun._esp_rows = esp
+            symfun._esp = esp
         times[f"n{spec.n}_k{spec.k}_m{axis.size}"] = {
             "radial_eval_ms": _median_ms(lambda: spec.radial_eval(T, axis, sphere)),
             "gradient_ms": _median_ms(held.gradient),
@@ -241,8 +244,8 @@ def blowup_layer_times():
 
 
 def kernel_times():
-    """`_esp` on the (m, n) rows and on the radial columns (a, s, ..., s),
-    `_esp_rows` (the radial kernel's pass) on the same columns, and
+    """The one ESP recurrence `_esp` on the (m, n) rows and on the radial
+    columns (a, s, ..., s), as the radial kernel runs it, and
     `_esp_removed`, on standard normal tuples of KERNEL_ROWS rows."""
     rng = np.random.default_rng(0)
     times = {}
@@ -253,7 +256,6 @@ def kernel_times():
             times[f"n{n}_k{k}_m{m}"] = {
                 "esp": _median_ms(lambda: symfun._esp(values.T, k)),
                 "esp_radial_columns": _median_ms(lambda: symfun._esp(radial, k)),
-                "esp_rows_radial_columns": _median_ms(lambda: symfun._esp_rows(radial, k)),
                 "esp_removed": _median_ms(lambda: symfun._esp_removed(values, k - 1)),
             }
     return times

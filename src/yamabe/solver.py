@@ -294,7 +294,7 @@ def _check_jacobian(problem, t, profile, ab):
         step *= 0.1
     if err is None:
         raise NumericalError(f"could not difference the residual inside the cone at t={t}")
-    if err > JACOBIAN_CHECK_TOL:
+    if not err <= JACOBIAN_CHECK_TOL:   # a NaN deviation fails too
         raise NumericalError(
             f"analytic Jacobian deviates from the directional finite difference "
             f"by {err:.3e} at t={t} (tolerance {JACOBIAN_CHECK_TOL:.0e})"
@@ -350,7 +350,8 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
     (`_rounding_floor`), which no step can improve on, the state is returned
     as converged with F recorded on it; F is computed only then.  Raises
     ConeViolationError when the initial profile leaves the cone,
-    StepFailureError when no damped step is acceptable above F and
+    StepFailureError when no damped step is acceptable above F or the
+    Newton system has no solution (a singular J, or infs or NaNs), and
     NonconvergenceError when the iteration budget runs out; the last two
     carry the best state reached.  `_evaluation`, the radial kernel's
     evaluation of init at t when the caller holds it, saves evaluating
@@ -376,9 +377,11 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
             _check_jacobian(problem, t, profile, ab)
         try:
             delta = solve_banded(ab, -res)
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            # a singular J, or infs or NaNs in J or the residual
+            singular = isinstance(exc, np.linalg.LinAlgError)
             raise StepFailureError(
-                f"singular Jacobian at t={t}",
+                f"singular Jacobian at t={t}" if singular else f"Newton system at t={t}: {exc}",
                 state=_state_from(t, profile, res, evaluation, iteration, False, increments),
             ) from exc
 

@@ -72,66 +72,59 @@ def _as_batch(lam, single=False):
 
 
 def _esp(columns, kmax):
-    """All elementary symmetric polynomials e_0..e_kmax of m tuples at once.
+    """The elementary symmetric polynomials e_1..e_kmax of m tuples at once.
 
     columns: the entries of the tuples in order, as n vectors of length m
     (the rows of an (n, m) array, best C-ordered so that each is contiguous,
     or a sequence such as the radial (a, s, ..., s)); returns a C-ordered
-    (kmax + 1, m) array.  Uses the standard one-pass recurrence
-    e_j <- e_j + x * e_{j-1} over the entries in order, each step on
-    contiguous rows of length m; it is exact in exact arithmetic and stable
-    for the small n used here.  Before entry col, e_j is zero for
-    j > col + 1 and the full recurrence adds only x * 0 to it, so the
-    recurrence skips those rows; on finite entries no bit changes.
+    (kmax, m) array whose row j - 1 is e_j.  e_0 = 1 is not stored: read
+    e_j through `_row_copy`, which gives ones for j = 0.  Uses the standard
+    one-pass recurrence e_j <- e_j + x * e_{j-1} over the entries in order,
+    each step on contiguous rows of length m (`_esp_step`); it is exact in
+    exact arithmetic and stable for the small n used here.
     """
     # an array knows m even with no entries (the empty tuple has e_0 = 1)
     m = columns.shape[1] if isinstance(columns, np.ndarray) else len(columns[0])
-    out = np.zeros((kmax + 1, m))
-    out[0] = 1.0
-    for col, x in enumerate(columns):
-        top = min(col, kmax - 1) + 2
-        out[1:top] += x * out[:top - 1]
-    return out
-
-
-def _esp_rows(columns, kmax):
-    """e_1..e_kmax of the tuples whose entries are the vectors of columns,
-    as a C-ordered (kmax, m) array: `_esp` without its row e_0 = 1.
-
-    Each step makes the additions and multiplications of a step of `_esp`
-    on the rows it keeps, so every row is bit-identical to that of `_esp`.
-    """
-    out = np.zeros((kmax, len(columns[0])))
+    out = np.zeros((kmax, m))
     for col, x in enumerate(columns if kmax else ()):
-        _esp_rows_step(out, col, x)
+        _esp_step(out, col, x)
     return out
 
 
-def _esp_rows_step(out, col, x):
-    """One step of `_esp_rows` in place: x, entry col of the tuples, enters
-    the (kmax, m) array out of e_1..e_kmax.  Rows 2 and up are updated
-    first, from the old rows; e_1 gains x, which is x * e_0 exactly."""
+def _esp_step(out, col, x):
+    """One step of `_esp` in place: x, entry col of the tuples, enters the
+    (kmax, m) array out of e_1..e_kmax.  Before it, e_j is zero for
+    j > col + 1, so the step skips those rows (on finite entries no bit
+    changes); rows 2 and up are updated first, from the old rows, and e_1
+    gains x, which is x * e_0 exactly."""
     top = min(col + 1, out.shape[0])
     if top > 1:
         out[1:top] += x * out[:top - 1]
     out[0] += x
 
 
+def _row_copy(e, j):
+    """e_j from the `_esp` array e (or a view of it), as an array of its
+    own shaped like one of its rows: a copy of row j - 1, ones for e_0 = 1."""
+    return e[j - 1].copy() if j else np.ones(e.shape[1:])
+
+
 def _esp_removed(values, kmax):
-    """e_0..e_kmax of the rows of (m, n) values with one entry removed, as a
-    (kmax + 1, n, m) array: slot [j, i, r] is e_j of row r without entry i.
+    """e_1..e_kmax of the rows of (m, n) values with one entry removed, as a
+    (kmax, n, m) array: slot [j - 1, i, r] is e_j of row r without entry i.
 
     One `_esp` pass runs over the n reduced tuples of every row, stacked
     along the contiguous row axis, so each slot is bit-identical to `_esp`
-    of the reduced tuple.  Callers copy a slot's transpose to C order, so
-    that row sums of the gradient (pairwise from n = 8 on) round as for any
-    C-ordered (m, n) array.
+    of the reduced tuple.  Callers read a slot's transpose through
+    `_row_copy`, which copies it to C order, so that row sums of the
+    gradient (pairwise from n = 8 on) round as for any C-ordered (m, n)
+    array.
     """
     m, n = values.shape
     p = np.arange(n - 1)[:, None]
     # entry p of the tuple without entry i is entry p + (p >= i) of the tuple
     columns = values.T[p + (p >= np.arange(n))].reshape(n - 1, n * m)
-    return _esp(columns, kmax).reshape(kmax + 1, n, m)
+    return _esp(columns, kmax).reshape(kmax, n, m)
 
 
 def sigma(lam, k):
@@ -140,12 +133,12 @@ def sigma(lam, k):
     n = v.shape[1]
     if not 0 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
-    return float(_esp(v.T, k)[k, 0])
+    return float(_row_copy(_esp(v.T, k), k)[0])
 
 
 def _cone_scores(values, order):
     """min over j <= order of sigma_j(lam) / sigma_j(|lam|), per row of (m, n),
-    and the ESP vectors e_0..e_order of the rows as an (order + 1, m) array.
+    and the ESP vectors e_1..e_order of the rows as an (order, m) array.
 
     Zero rows score -inf (the origin is not in the open cone); rows with a
     vanishing sigma_j(|lam|) (too few nonzero entries) score at most zero.
@@ -158,7 +151,7 @@ def _cone_scores(values, order):
     columns[:, :m] = values.T
     absolute = np.abs(values.T, out=columns[:, m:])
     both = _esp(columns, order)
-    return _scores(both[1:, :m], both[1:, m:], absolute.max(axis=0) > 0.0), both[:, :m]
+    return _scores(both[:, :m], both[:, m:], absolute.max(axis=0) > 0.0), both[:, :m]
 
 
 # the floor of the score denominators sigma_j(|lam|)
@@ -244,17 +237,18 @@ class RadialEvaluation(NamedTuple):
 
         d sigma_j is e_{j-1} of the tuple without that slot: of the cut for a
         sphere slot, and of rest = (s, ..., s) of length n - 1 for the axis
-        slot, the one `_esp_rows` pass made here (e_0 = 1 is not stored).
+        slot, the one `_esp` pass made here.
         """
         spec, t, f, s = self.spec, self.t, self.inside_value(), self.sphere
         n, k = spec.n, spec.k
-        rest = (1.0, *_esp_rows([s] * (n - 1), k - 1))
+        rest = _esp([s] * (n - 1), k - 1)
         if spec.kind == "sigma_k_root":
-            g_a = (f / k) * rest[k - 1] / self.e_k
+            g_a = (f / k) * _row_copy(rest, k - 1) / self.e_k
             g_s = (f / k) * self.cut_k / self.e_k
         else:
             l = spec.l
-            g_a = (f / (k - l)) * (rest[k - 1] / self.e_k - rest[l - 1] / self.e_l)
+            g_a = (f / (k - l)) * (_row_copy(rest, k - 1) / self.e_k
+                                   - _row_copy(rest, l - 1) / self.e_l)
             g_s = (f / (k - l)) * (self.cut_k / self.e_k - self.cut_l / self.e_l)
         shift = (1.0 - t) * _row_sum(g_a, g_s, n)
         g_s = t * g_s + shift
@@ -378,29 +372,29 @@ class SymFuncSpec:
 
     def _value_and_grad_from(self, values, e, t=None):
         """f and Df of the (m, n) rows inside the cone, given their ESP vectors
-        e_0..e_k; with t, the rows are the t-mapped tuples and Df is carried
+        e_1..e_k; with t, the rows are the t-mapped tuples and Df is carried
         back through the map."""
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
-        removed = _esp_removed(values, self.k - 1)
-        gk = removed[self.k - 1].T.copy()
+        removed = _esp_removed(values, self.k - 1).transpose(0, 2, 1)
+        gk = _row_copy(removed, self.k - 1)
         f = self._value_from(e)
         if self.kind == "sigma_k_root":
-            g = (f / self.k)[:, None] * gk / e[self.k][:, None]
+            g = (f / self.k)[:, None] * gk / e[self.k - 1][:, None]
         else:
-            gl = removed[self.l - 1].T.copy()
-            log_grad = gk / e[self.k][:, None] - gl / e[self.l][:, None]
+            gl = _row_copy(removed, self.l - 1)
+            log_grad = gk / e[self.k - 1][:, None] - gl / e[self.l - 1][:, None]
             g = (f / (self.k - self.l))[:, None] * log_grad
         return f, g if t is None else _t_map(t, g)
 
     def _inside_esp(self, values):
-        """e_0..e_k of the (m, n) rows, after their cone test."""
+        """e_1..e_k of the (m, n) rows, after their cone test."""
         scores, e = _cone_scores(values, self.k)
         self._require_scores_inside(scores, self._outside(scores))
         return e
 
     def _value_from(self, e):
-        """f from the ESP vectors e_0..e_k of the tuples."""
-        return self._value_of(e[self.k], None if self.l is None else e[self.l])
+        """f from the ESP vectors e_1..e_k of the tuples."""
+        return self._value_of(e[self.k - 1], None if self.l is None else e[self.l - 1])
 
     def _value_of(self, e_k, e_l):
         """f from e_k (and e_l, None for roots) of the tuples."""
@@ -418,7 +412,7 @@ class SymFuncSpec:
         geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.  The
         cone test is made here, once: callers read its `outside` rows.
 
-        One `_esp_rows` pass over the t-mapped columns (a, s, ..., s) and
+        One `_esp` pass over the t-mapped columns (a, s, ..., s) and
         their absolute values, stacked as in `_cone_scores`, serves the
         scores and f_t.  When every t-mapped entry is above zero, none has
         its sign bit set, the absolute values are the entries bit for bit,
@@ -447,27 +441,22 @@ class SymFuncSpec:
         else:
             np.abs(signed, out=stacked[:, m:])
         lead, other = stacked
-        rows = _esp_rows((lead, *[other] * (n - 2)), k)
-        cut_k = _row_copy(rows, k - 1, m)
-        cut_l = None if l is None else _row_copy(rows, l - 1, m)
-        _esp_rows_step(rows, n - 1, other)
+        rows = _esp((lead, *[other] * (n - 2)), k)
+        head = rows[:, :m]      # a view: the signed tuples, after each step
+        cut_k = _row_copy(head, k - 1)
+        cut_l = None if l is None else _row_copy(head, l - 1)
+        _esp_step(rows, n - 1, other)
         # the last m columns hold the absolute values on either path
-        scores = _scores(rows[:, :m], rows[:, -m:], np.maximum(lead[-m:], other[-m:]) > 0.0)
+        scores = _scores(head, rows[:, -m:], np.maximum(lead[-m:], other[-m:]) > 0.0)
         outside = self._outside(scores)
-        e_k = _row_copy(rows, k, m)
-        e_l = None if l is None else _row_copy(rows, l, m)
+        e_k = _row_copy(head, k)
+        e_l = None if l is None else _row_copy(head, l)
         # only rows outside the cone can warn, and they are set to NaN
         with np.errstate(invalid="ignore", divide="ignore"):
             value = self._value_of(e_k, e_l)
         value[outside] = np.nan
         return RadialEvaluation(self, t, scores, outside, value, other[:m].copy(),
                                 e_k, cut_k, e_l, cut_l)
-
-
-def _row_copy(rows, j, m):
-    """e_j of the first m tuples of the `_esp_rows` array rows, as an (m,)
-    array of its own; e_0 = 1."""
-    return rows[j - 1, :m].copy() if j else np.ones(m)
 
 
 # ---------------------------------------------------------------------------

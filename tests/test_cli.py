@@ -586,6 +586,21 @@ class TestSolveRobustness:
         assert lines[0].startswith("t=0 failed: Newton did not reach tol=1.0e-10 in 1 iterations")
         assert lines[1].startswith("continuation ") and len(lines) == 2
 
+    def test_nan_jacobian_deviation_is_an_error_with_a_report(self, tmp_path, capsys):
+        # from the constant start -400 the Jacobian check at t = 0 deviates
+        # by NaN: an error (exit 1) with its report, not a traceback
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", {
+            "n": 5, "function": {"kind": "sigma_k_root", "k": 4}, "half_length": "example1",
+            "grid_size": 101, "psi": {"family": "example1_rhs", "c": -0.5},
+            "phi": {"left": -0.5, "right": -0.5}, "init": {"family": "constant", "value": -400.0},
+            "out": str(out)})
+        assert run_cli(["solve", cfg]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["failed_t"] == 0.0 and report["passed"] is False
+        assert "deviates from the directional finite difference by nan" in report["error"]
+        assert capsys.readouterr().err == f"error: {report['error']}\n"
+
     def test_singular_jacobian_is_partial_convergence(self, tmp_path, capsys, monkeypatch):
         def singular(ab, b):
             raise np.linalg.LinAlgError("singular matrix")

@@ -3,6 +3,7 @@ and prints its table, loc.py's line counts add up and bench.py counts what
 the code it measures does."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -133,3 +134,21 @@ def test_bench_counts_the_kernel_calls_of_a_continuation():
     # the counters are taken off again
     assert counted == (solver._radial_eval, solver._restore_feasibility, solver._rungs_outside,
                        SymFuncSpec.radial_eval)
+
+
+def test_bench_main_prints_one_json_document(monkeypatch, capsys):
+    # every measurement of bench.py at its smallest repeats and sizes, so
+    # that a rename of a name it reaches into fails here
+    bench = _load("bench")
+    # the Jacobian check takes REPEATS // 10 repeats
+    monkeypatch.setattr(bench, "REPEATS", 10)
+    for name in ("SOLVE_REPEATS", "BLOWUP_REPEATS", "SUITE_REPEATS"):
+        monkeypatch.setattr(bench, name, 1)
+    for name in ("NODES", "SOLVE_NODES", "PROFILE_NODES"):
+        monkeypatch.setattr(bench, name, (101,))
+    monkeypatch.setattr(bench, "KERNEL_ROWS", (1,))
+    monkeypatch.setattr(bench, "CONE_SCORE_ROWS", (1,))
+    bench.main()
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["esp_kernels_ms"]["n4_k2_m1"]) == {"esp", "esp_radial_columns", "esp_removed"}
+    assert all(g["esp_calls_per_gradient"] == 1 for g in doc["gradient"].values())

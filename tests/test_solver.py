@@ -279,6 +279,15 @@ class TestJacobianCheck:
         # Newton hands the Jacobian the evaluation of its state
         assert held == [True]
 
+    def test_nan_deviation_is_caught(self):
+        # one NaN entry in J makes J v, and so the deviation, NaN
+        problem = subsolution_benchmark(node_count=401)
+        sub = problem.subsolution
+        ab = jacobian(problem, 0.5, sub)
+        ab[1, 200] = np.nan
+        with pytest.raises(NumericalError, match="deviates from the directional .* by nan"):
+            solver._check_jacobian(problem, 0.5, sub, ab)
+
     def test_cone_exit_of_the_first_step_shrinks_it(self, monkeypatch):
         # a bump in u lowers u'' near x = 0.3 until the state's cone margin
         # at t = 0.5 is 3e-7: the probe's first step 1e-6 leaves the cone
@@ -369,6 +378,25 @@ class TestNewton:
         state = err.value.state
         assert state.profile is sub and state.newton_iters == 0 and not state.converged
         assert np.array_equal(state.residual, residual(problem, 0.5, sub))
+
+    def test_non_finite_jacobian_raises_with_the_state(self, monkeypatch):
+        # solve_banded's ValueError on a NaN in J ends Newton as a step
+        # failure carrying the state, as a singular J does
+        original = solver.jacobian
+
+        def one_nan(problem, t, profile, evaluation=None):
+            ab = original(problem, t, profile, evaluation)
+            ab[1, 50] = np.nan
+            return ab
+
+        monkeypatch.setattr(solver, "jacobian", one_nan)
+        problem = subsolution_benchmark(node_count=101)
+        sub = problem.subsolution
+        with pytest.raises(StepFailureError, match="Newton system at t=0.5: .*NaN") as err:
+            newton_solve(problem, 0.5, sub, NewtonOptions(jacobian_check=False))
+        assert isinstance(err.value.__cause__, ValueError)
+        state = err.value.state
+        assert state.profile is sub and state.newton_iters == 0 and not state.converged
 
     def test_iteration_budget_raises_with_state(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
@@ -638,7 +666,7 @@ class TestStateEvaluation:
         # one pass, over the evaluation its state's residual made
         problem = subsolution_benchmark(node_count=401)
         calls = {"passes": 0, "kernels": 0, "gradients": 0, "residual": 0}
-        esp = symfun._esp_rows
+        esp = symfun._esp
         radial_eval = SymFuncSpec.radial_eval
         gradient = symfun.RadialEvaluation.gradient
         evaluate = solver._residual
@@ -649,7 +677,7 @@ class TestStateEvaluation:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(symfun, "_esp_rows", counted("passes", esp))
+        monkeypatch.setattr(symfun, "_esp", counted("passes", esp))
         monkeypatch.setattr(SymFuncSpec, "radial_eval", counted("kernels", radial_eval))
         monkeypatch.setattr(symfun.RadialEvaluation, "gradient", counted("gradients", gradient))
         monkeypatch.setattr(solver, "_residual", counted("residual", evaluate))
@@ -662,12 +690,11 @@ class TestStateEvaluation:
 
     def test_newton_never_builds_eigen_rows(self, monkeypatch):
         # every ESP pass inside newton_solve runs on the radial columns
-        # (a, s, ..., s), never on an (n, m) array of eigenvalue rows, and
-        # without the row e_0 that the row path's `_esp` keeps
+        # (a, s, ..., s), never on an (n, m) array of eigenvalue rows
         def forbidden(*args):
             raise AssertionError("the (m, n) ESP path ran inside newton_solve")
 
-        esp = symfun._esp_rows
+        esp = symfun._esp
         columns_seen = []
 
         def radial_only(columns, kmax):
@@ -678,8 +705,7 @@ class TestStateEvaluation:
             return esp(columns, kmax)
 
         problem = subsolution_benchmark(node_count=401)
-        monkeypatch.setattr(symfun, "_esp_rows", radial_only)
-        monkeypatch.setattr(symfun, "_esp", forbidden)
+        monkeypatch.setattr(symfun, "_esp", radial_only)
         monkeypatch.setattr(symfun, "_esp_removed", forbidden)
         monkeypatch.setattr(symfun, "_cone_scores", forbidden)
         state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))

@@ -16,6 +16,7 @@ from yamabe.symfun import (
     _cone_scores,
     _esp,
     _esp_removed,
+    _row_copy,
     _row_sum,
     classify_type,
     concavity_margin,
@@ -105,25 +106,55 @@ class TestSigma:
             assert g[i] == pytest.approx(expected, rel=1e-12)
 
 
+def _oracle_rows(values, kmax):
+    """e_1..e_kmax of the (m, n) rows by the oracle, in `_esp`'s (kmax, m)
+    layout: its e_0 column dropped."""
+    return esp_by_columns(values, kmax).T[1:]
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestEsp:
+    """The one ESP recurrence against the oracle on (m, n) rows; the radial
+    columns are TestRadialKernel's."""
+
     def test_equals_the_tuple_per_row_recurrence_exactly(self):
         rng = np.random.default_rng(20)
         for n in range(1, 8):
             for m in (1, 2, 64, 4001):
                 values = 2.0 * rng.standard_normal((m, n))
                 for kmax in range(n + 1):
-                    assert np.array_equal(_esp(values.T, kmax),
-                                          esp_by_columns(values, kmax).T), (n, m, kmax)
+                    e = _esp(values.T, kmax)
+                    assert e.shape == (kmax, m) and e.flags.c_contiguous
+                    _assert_same_bits(e, _oracle_rows(values, kmax))
 
     def test_strided_input(self):
         values = np.random.default_rng(24).standard_normal((9, 12))[::2, 1::3]
-        assert np.array_equal(_esp(values.T, 3), esp_by_columns(values, 3).T)
+        assert np.array_equal(_esp(values.T, 3), _oracle_rows(values, 3))
+
+    def test_an_array_knows_m_without_entries(self):
+        # the empty tuple: no column to read m from, e_0 = 1 through the accessor
+        e = _esp(np.zeros((0, 3)), 0)
+        assert e.shape == (0, 3)
+        assert np.array_equal(_row_copy(e, 0), np.ones(3))
+
+    def test_row_copy_is_e_j_with_e_0_one(self):
+        values = np.random.default_rng(25).standard_normal((5, 4))
+        e = _esp(values.T, 3)
+        oracle = esp_by_columns(values, 3).T
+        for j in range(4):
+            row = _row_copy(e, j)
+            assert np.array_equal(row, oracle[j]) and not np.shares_memory(row, e)
 
 
 def _sigma_gradient(values, j):
     """Gradient of sigma_j, j >= 1, from the slot of _esp_removed that
-    grad_many reads: entry i is e_{j-1} of the tuple without entry i."""
-    return _esp_removed(values, j - 1)[j - 1].T
+    grad_many reads: entry i is e_{j-1} of the tuple without entry i (the
+    accessor's ones for j = 1)."""
+    return _row_copy(_esp_removed(values, j - 1).transpose(0, 2, 1), j - 1)
 
 
 class TestEspGradient:
@@ -154,10 +185,18 @@ class TestEspGradient:
             spec = SymFuncSpec("quotient", n=n, k=k, l=l)
             values = sample_cone(spec, 500, rng)
             e = _esp(values.T, k)
-            log_grad = (esp_gradient_by_deletion(values, k) / e[k][:, None]
-                        - esp_gradient_by_deletion(values, l) / e[l][:, None])
+            log_grad = (esp_gradient_by_deletion(values, k) / e[k - 1][:, None]
+                        - esp_gradient_by_deletion(values, l) / e[l - 1][:, None])
             expected = (spec.value_many(values) / (k - l))[:, None] * log_grad
             assert np.array_equal(spec.grad_many(values), expected)
+
+    def test_sigma_1_root_gradient_reads_e_0(self):
+        # Df = (f / 1) e_0 / e_1 with e_0 = 1 of each reduced tuple
+        spec = SymFuncSpec("sigma_k_root", n=4, k=1)
+        values = sample_cone(spec, 200, np.random.default_rng(26))
+        f = spec.value_many(values)
+        expected = f[:, None] * esp_gradient_by_deletion(values, 1) / f[:, None]
+        assert np.array_equal(spec.grad_many(values), expected)
 
 
 class TestConeMembership:
@@ -206,7 +245,8 @@ class TestConeScoresKernel:
                     scores, e = _cone_scores(values, order)
                     want_scores, want_e = cone_scores_by_strided_columns(values, order)
                 assert scores.tobytes() == want_scores.tobytes(), (m, order)
-                assert np.ascontiguousarray(e).tobytes() == np.ascontiguousarray(want_e).tobytes()
+                # the kernel keeps e_1..e_order, the frozen one e_0 too
+                assert np.ascontiguousarray(e).tobytes() == np.ascontiguousarray(want_e[1:]).tobytes()
 
     def test_special_rows_are_covered(self):
         with np.errstate(invalid="ignore"):
@@ -940,7 +980,7 @@ class TestRadialKernel:
         rows = np.column_stack([a] + [s] * (n - 1))
         for kmax in range(n + 1):
             e = _esp((a, *[s] * (n - 1)), kmax)
-            for expected in (_esp(rows.T, kmax), esp_by_columns(rows, kmax).T):
+            for expected in (_esp(rows.T, kmax), _oracle_rows(rows, kmax)):
                 assert np.array_equal(e, expected)
                 assert np.array_equal(np.signbit(e), np.signbit(expected))
 
@@ -953,14 +993,14 @@ class TestRadialKernel:
         # and the ESP rows, f_t and the gradient on the rows inside, bit for
         # bit; n >= 8 takes the eight-accumulator row sums
         widths = []
-        step = symfun._esp_rows_step
+        step = symfun._esp_step
 
         def recorded(out, col, x):
             if col == 0:
                 widths.append(x.size)
             step(out, col, x)
 
-        monkeypatch.setattr(symfun, "_esp_rows_step", recorded)
+        monkeypatch.setattr(symfun, "_esp_step", recorded)
         rng = np.random.default_rng(300 + n)
         a, s = rng.uniform(0.05, 3.0, 64), rng.uniform(0.05, 1.0, 64)
         negative = a.copy()
@@ -1007,7 +1047,7 @@ class TestRadialKernel:
         # only the pass over the tuple without the axis slot.  A pass is
         # counted by the entries its steps take in.
         passes = []
-        step = symfun._esp_rows_step
+        step = symfun._esp_step
 
         def counting(out, col, x):
             if col == 0:
@@ -1015,7 +1055,7 @@ class TestRadialKernel:
             passes[-1] += 1
             step(out, col, x)
 
-        monkeypatch.setattr(symfun, "_esp_rows_step", counting)
+        monkeypatch.setattr(symfun, "_esp_step", counting)
         a, s = radial_w_eigenvalues(np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
         for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
             passes.clear()
