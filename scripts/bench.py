@@ -428,29 +428,31 @@ def solve_times(node_count, writers=None):
     if writers is not None:
         cli._writer_count = lambda rows: writers
     walls, phases, own, children = [], [], 0.0, 0.0
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "solve.json"
-        config.write_text(json.dumps({**SOLVE_CONFIG, "grid_size": node_count,
-                                      "out": str(Path(tmp) / "out")}))
-        for i in range(SOLVE_REPEATS + 1):
-            kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-            err = io.StringIO()
-            cpu, start = time.process_time(), time.perf_counter()
-            with contextlib.redirect_stderr(err):
-                code = cli.main(["solve", str(config), "--verbose"])
-            wall = time.perf_counter() - start
-            if code != 0:
-                raise RuntimeError(f"yamabe solve exited {code}: {err.getvalue()}")
-            if i == 0:      # warm-up
-                continue
-            walls.append(wall)
-            own += time.process_time() - cpu
-            after = resource.getrusage(resource.RUSAGE_CHILDREN)
-            children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
-            # "continuation <s> s, output <s> s after the last t"
-            words = err.getvalue().splitlines()[-1].split()
-            phases.append((float(words[1]), float(words[4])))
-    cli._writer_count = default
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "solve.json"
+            config.write_text(json.dumps({**SOLVE_CONFIG, "grid_size": node_count,
+                                          "out": str(Path(tmp) / "out")}))
+            for i in range(SOLVE_REPEATS + 1):
+                kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+                err = io.StringIO()
+                cpu, start = time.process_time(), time.perf_counter()
+                with contextlib.redirect_stderr(err):
+                    code = cli.main(["solve", str(config), "--verbose"])
+                wall = time.perf_counter() - start
+                if code != 0:
+                    raise RuntimeError(f"yamabe solve exited {code}: {err.getvalue()}")
+                if i == 0:      # warm-up
+                    continue
+                walls.append(wall)
+                own += time.process_time() - cpu
+                after = resource.getrusage(resource.RUSAGE_CHILDREN)
+                children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
+                # "continuation <s> s, output <s> s after the last t"
+                words = err.getvalue().splitlines()[-1].split()
+                phases.append((float(words[1]), float(words[4])))
+    finally:
+        cli._writer_count = default
     return {
         "processes": writers or default(len(solver.DEFAULT_T_SCHEDULE) * node_count),
         "wall_ms": 1e3 * statistics.median(walls),

@@ -143,6 +143,10 @@ CONFIGS = [
     # verification fails (exit 1)
     ("example1 (5, 3, 3.0) on 4001 nodes",
      ("example1", {"n": 5, "k": 3, "c": 3.0, "grid_size": 4001})),
+    # psi = e^800 overflows at the constant start -400: a start whose
+    # residual is not finite is an error (exit 1), reported at t = 0
+    ("criterion 9 data on 101 nodes, constant init -400",
+     _example1_solve(5, 4, -0.5, 101, init={"family": "constant", "value": -400.0})),
 ]
 
 

@@ -17,16 +17,11 @@ class ConeDomainError(YamabeError, ValueError):
 
 
 class ConeViolationError(ConeDomainError):
-    """Cone membership failed at a specific grid node.
+    """Cone membership failed at `node`, the first grid node outside the cone."""
 
-    node is the first grid node outside the cone; evaluation, when given,
-    is the radial kernel's evaluation that found it.
-    """
-
-    def __init__(self, message, node=None, evaluation=None):
+    def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-        self.evaluation = evaluation
 
 
 class NumericalError(YamabeError, RuntimeError):

@@ -9,7 +9,7 @@ Three subcommands, each taking a single JSON config path:
 Exit codes: 0 pass, 1 domain/check failure, 2 config error, 3 partial
 convergence.  --out, --seed and --verbose override the config.  A command
 checks its whole config (unknown keys rejected) before it makes the output
-directory or computes anything (_parse_solve, _build_solve), and _out_dir
+directory or computes anything (_parse_solve), and _out_dir
 removes the files of an earlier run.  Output files embed the resolved config
 and a format version line, use 17 significant digits and LF line endings, so
 identical configs produce byte-identical files.  `solve` writes its profiles
@@ -165,8 +165,10 @@ def _example_params(n, k, c, context):
 # output writers
 # ---------------------------------------------------------------------------
 
-def _config_comment(resolved):
-    return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+def _header(kind, resolved):
+    """The format and config lines that open a CSV file of this kind."""
+    config = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    return [f"# format {FORMAT_VERSION} {kind}", f"# config {config}"]
 
 
 def _write_profile_rows(path, resolved, comments, grid_cells, columns):
@@ -174,8 +176,7 @@ def _write_profile_rows(path, resolved, comments, grid_cells, columns):
     columns u, du, d2u and residual, each value as '%.17g' formats it.  A
     4001-row profile takes 5-8 ms to format and write against 10-19 ms with
     Python's per-row formatting (2-core Xeon)."""
-    head = [f"# format {FORMAT_VERSION} profile", f"# config {_config_comment(resolved)}",
-            *comments, "x,u,du,d2u,residual"]
+    head = [*_header("profile", resolved), *comments, "x,u,du,d2u,residual"]
     with open(path, "wb") as f:
         f.write(("\n".join(head) + "\n").encode())
         for chunk in _format.csv_rows(grid_cells, columns):
@@ -280,8 +281,8 @@ class _ProfileStream:
 
 
 def _write_monitors_csv(path, resolved, states):
-    lines = [f"# format {FORMAT_VERSION} monitors", f"# config {_config_comment(resolved)}"]
-    lines.append("t,sup_u,sup_du,sup_d2u,residual_norm,cone_margin,newton_iters")
+    lines = [*_header("monitors", resolved),
+             "t,sup_u,sup_du,sup_d2u,residual_norm,cone_margin,newton_iters"]
     lines += ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
               % (s.t, *s.monitors, s.residual_norm, s.cone_margin, s.newton_iters) for s in states]
     path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -446,8 +447,11 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
 
 def _parse_solve(config):
     """Read a solve config: check every key and raise every ConfigError,
-    before any computation.  Returns the resolved document and the keyword
-    arguments of _build_solve."""
+    before any computation.  Returns the resolved document and `build`, which
+    computes the DirichletProblem (benchmarks.dirichlet_problem) and the init
+    profile (or None).  build raises ConeDomainError, with the minimum cone
+    margin score, when psi is built on a subsolution that leaves the cone,
+    and ConfigError when the problem's own checks reject its data."""
     _check_keys(config, _SOLVE_KEYS, "config")
     n = _as_int(_need(config, "n", "config"), "n", lo=3)
     function = _need(config, "function", "config")
@@ -456,30 +460,36 @@ def _parse_solve(config):
         raise ConfigError("function.n: must equal n")
     grid_size = _as_int(config.get("grid_size", 401), "grid_size", lo=5)
 
+    # psi_of(L) is the pair (psi, psi_z) on [-L, L], of the subsolution read below
     psi_cfg = _need(config, "psi", "config")
     psi_family = _family(psi_cfg, _PSI_KEYS, "psi")
     if psi_family == "subsolution_scaled":
-        psi_value = _as_real(psi_cfg.get("theta", 0.5), "psi.theta")
-        if not 0.0 < psi_value < 1.0:
+        theta = _as_real(psi_cfg.get("theta", 0.5), "psi.theta")
+        if not 0.0 < theta < 1.0:
             raise ConfigError("psi.theta must lie in (0, 1)")
+        psi_of = lambda ell: benchmarks.subsolution_scaled_psi(spec, subsolution, ell, theta)
     elif psi_family == "example1_rhs":
         c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
         if spec.k < 2:
             raise ConfigError("psi: the closed form requires 2 <= k <= n")
-        psi_value = _example_params(n, spec.k, c, "psi.c")
+        example = _example_params(n, spec.k, c, "psi.c")
+        psi_of = lambda ell: benchmarks.example1_rhs_psi(example)
     else:
-        psi_value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
-        if not psi_value > 0:
+        value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
+        if not value > 0:
             raise ConfigError("psi.value must be positive")
+        psi_of = lambda ell: benchmarks.constant_psi(value)
 
     half_length = _need(config, "half_length", "config")
     if half_length == "example1":
         if psi_family != "example1_rhs":
             raise ConfigError("half_length: 'example1' requires psi.family example1_rhs")
+        ell_of = lambda: example1.half_length(example)
     else:
         half_length = _as_real(half_length, "half_length")
         if not half_length > 0:
             raise ConfigError("half_length must be positive")
+        ell_of = lambda: half_length
 
     subsolution = None
     if "subsolution" in config:
@@ -500,16 +510,22 @@ def _parse_solve(config):
         boundary = (_as_real(_need(phi, "left", "phi"), "phi.left"),
                     _as_real(_need(phi, "right", "phi"), "phi.right"))
 
-    init = None
+    # start() is the half length and the init profile on it (None without init)
+    start = lambda: (ell_of(), None)
     if "init" in config:
         init_cfg = config["init"]
         if _family(init_cfg, {**_PROFILE_KEYS, "example1_profile": {"c"}}, "init") == "example1_profile":
-            if half_length != "example1" or _as_real(_need(init_cfg, "c", "init"), "init.c") != psi_value.c:
+            if half_length != "example1" or _as_real(_need(init_cfg, "c", "init"), "init.c") != example.c:
                 raise ConfigError("init example1_profile requires half_length 'example1' "
                                   "and init.c equal to psi.c")
-            init = "example1_profile"
+            def start():    # its half length comes with the profile
+                solution = example1.solve_profile(example, node_count=grid_size)
+                return solution.t_max, solution.profile
         else:
-            init = _profile_family(init_cfg, "init")
+            init_u = _profile_family(init_cfg, "init")[0]
+            def start():
+                ell = ell_of()
+                return ell, RadialProfile.uniform(ell, grid_size, init_u)
     elif subsolution is None:
         raise ConfigError("solve needs a subsolution or an init profile")
 
@@ -540,47 +556,24 @@ def _parse_solve(config):
         "uniformity_factor": factor,
         **_run_keys(config, "results/solve"),
     }
-    return resolved, {"spec": spec, "grid_size": grid_size, "half_length": half_length,
-                      "psi": (psi_family, psi_value), "subsolution": subsolution,
-                      "boundary": boundary, "init": init}
 
+    def build():
+        ell, init = start()
+        psi = psi_of(ell)       # outside the try: a ConeDomainError is a ValueError
+        try:
+            problem = benchmarks.dirichlet_problem(spec, ell, grid_size, psi, subsolution, boundary)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return problem, init
 
-def _build_solve(spec, grid_size, half_length, psi, subsolution, boundary, init):
-    """The DirichletProblem (benchmarks.dirichlet_problem) and the init
-    profile (or None) of the values _parse_solve read; the psi value of
-    example1_rhs is its ExampleParams.  Raises
-    ConeDomainError, with the minimum cone margin score, when psi is built on
-    a subsolution that leaves the cone; the problem's own checks of the
-    computed psi raise ConfigError."""
-    family, value = psi
-    example = value if family == "example1_rhs" else None
-    if init == "example1_profile":      # its half length comes with the profile
-        solution = example1.solve_profile(example, node_count=grid_size)
-        half_length, init = solution.t_max, solution.profile
-    else:
-        if half_length == "example1":
-            half_length = example1.half_length(example)
-        if init is not None:
-            init = RadialProfile.uniform(half_length, grid_size, init[0])
-
-    if family == "subsolution_scaled":
-        psi = benchmarks.subsolution_scaled_psi(spec, subsolution, half_length, value)
-    elif family == "example1_rhs":
-        psi = benchmarks.example1_rhs_psi(example)
-    else:
-        psi = benchmarks.constant_psi(value)
-    try:
-        problem = benchmarks.dirichlet_problem(spec, half_length, grid_size, psi, subsolution, boundary)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return problem, init
+    return resolved, build
 
 
 def cmd_solve(config):
-    resolved, values = _parse_solve(config)
+    resolved, build = _parse_solve(config)
     outside = problem = init_profile = None
     try:
-        problem, init_profile = _build_solve(**values)
+        problem, init_profile = build()
     except ConeDomainError as exc:      # psi is f on the subsolution, outside the cone
         outside = exc
     schedule, verbose = resolved["t_schedule"], resolved["verbose"]

@@ -80,10 +80,9 @@ class ExampleParams:
         object.__setattr__(self, "d", d_from_c(self.n, self.k, self.c))
         if not self.d < 0:
             raise ValueError("the center value d must be negative")
-        implied = -math.log(abs(_h_at_rest(self.n, self.k, self.d))) / self.n
-        if abs(implied - self.c) > 1e-10:
+        if abs(self.boundary_value - self.c) > 1e-10:
             raise ValueError(
-                f"inconsistent (c, d): c={self.c!r} but d implies {implied!r}"
+                f"inconsistent (c, d): c={self.c!r} but d implies {self.boundary_value!r}"
             )
 
     @property

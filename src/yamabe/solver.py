@@ -96,8 +96,7 @@ class DirichletProblem:
         zs = [self.phi_left, self.phi_right]
         if self.subsolution is not None:
             sub = self.subsolution
-            if sub.grid[0] != -self.geom.half_length or sub.grid[-1] != self.geom.half_length:
-                raise ValueError("subsolution grid must span exactly [-L, L]")
+            _grid_for(self, sub)
             # in the `not ... <=` form, a NaN end is a mismatch
             if not (abs(sub.u[0] - self.phi_left) <= 1e-12
                     and abs(sub.u[-1] - self.phi_right) <= 1e-12):
@@ -166,9 +165,9 @@ def _radial_eval(problem, t, du, d2u):
 
 def _residual(problem, t, grid, u, du, d2u, evaluation=None):
     """Residual vector and the kernel's evaluation from nodal values and
-    their stencil derivatives; raises ConeViolationError, carrying the
-    evaluation, when a node leaves the cone.  An evaluation the caller
-    already holds for du, d2u at t is used as is."""
+    their stencil derivatives; raises ConeViolationError when a node leaves
+    the cone.  An evaluation the caller already holds for du, d2u at t is
+    used as is."""
     if evaluation is None:
         evaluation = _radial_eval(problem, t, du, d2u)
     if evaluation.outside.size:
@@ -176,7 +175,7 @@ def _residual(problem, t, grid, u, du, d2u, evaluation=None):
         raise ConeViolationError(
             f"eigenvalues at node {node} (x={grid[node]:.6g}) left the cone "
             f"(margin score {evaluation.scores[node - 1]:.3e})",
-            node=node, evaluation=evaluation)
+            node=node)
     out = np.empty(grid.size)
     out[0] = u[0] - problem.phi_left
     out[-1] = u[-1] - problem.phi_right
@@ -350,6 +349,7 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
     (`_rounding_floor`), which no step can improve on, the state is returned
     as converged with F recorded on it; F is computed only then.  Raises
     ConeViolationError when the initial profile leaves the cone,
+    NumericalError when its residual is not finite (psi overflows there),
     StepFailureError when no damped step is acceptable above F or the
     Newton system has no solution (a singular J, or infs or NaNs), and
     NonconvergenceError when the iteration budget runs out; the last two
@@ -361,6 +361,12 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
     grid = _grid_for(problem, init)
     profile = init
     res, evaluation = _residual(problem, t, grid, init.u, init.du, init.d2u, _evaluation)
+    bad = np.flatnonzero(~np.isfinite(res[1:-1]))
+    if bad.size:
+        node = int(bad[0]) + 1
+        psi = float(problem.psi(grid[node], init.u[node]))
+        raise NumericalError(f"residual of the start at t={t} is not finite at node {node} "
+                             f"(x={grid[node]:.6g}, psi {psi:.3e})")
     norm = float(np.abs(res).max())
     increments = []
     for iteration in range(opts.max_iter + 1):
@@ -568,8 +574,9 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     schedule, and the start profile's grid, which must span [-L, L] and,
     when a subsolution anchors the run, be the subsolution's.  The returned
     generator does the solving.  The start profile is the explicit init
-    when given, else the problem's subsolution.  A warm start outside the
-    cone of the next t is pulled back by `_restore_feasibility`.  Any
+    when given, else the problem's subsolution.  A warm start is evaluated
+    here, pulled back by `_restore_feasibility` when it is outside the cone
+    of the next t, and Newton starts from its evaluation.  Any
     failure, Newton's and the Jacobian check's alike, surfaces as
     ContinuationError carrying the failing t and the states yielded so far,
     with the cause as its __cause__.
@@ -588,14 +595,12 @@ def _continuation(problem, schedule, opts, current, anchor):
     states = []
     for t in schedule:
         try:
-            try:
-                state = newton_solve(problem, t, current, opts)
-            except ConeViolationError as exc:
-                restored = _restore_feasibility(problem, t, current, anchor, exc.evaluation)
-                if restored is None:
-                    raise
-                start, evaluation = restored
-                state = newton_solve(problem, t, start, opts, _evaluation=evaluation)
+            evaluation = _radial_eval(problem, t, current.du, current.d2u)
+            if evaluation.outside.size:
+                restored = _restore_feasibility(problem, t, current, anchor, evaluation)
+                if restored is not None:    # else Newton's first residual raises
+                    current, evaluation = restored
+            state = newton_solve(problem, t, current, opts, _evaluation=evaluation)
         except (NumericalError, ConeViolationError) as exc:
             raise ContinuationError(f"continuation failed at t={t}: {exc}",
                                     t_failed=t, states=states) from exc

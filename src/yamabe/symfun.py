@@ -366,14 +366,10 @@ class SymFuncSpec:
         return self.value_and_grad_many(values, t)[1]
 
     def value_and_grad_many(self, values, t=None):
-        """(value_many, grad_many) of the rows, from one pass of each ESP kernel."""
+        """(value_many, grad_many) of the rows, from one pass of each ESP
+        kernel; with t, Df is carried back through the t-map."""
         values = self._validated(values, t=t)
-        return self._value_and_grad_from(values, self._inside_esp(values), t)
-
-    def _value_and_grad_from(self, values, e, t=None):
-        """f and Df of the (m, n) rows inside the cone, given their ESP vectors
-        e_1..e_k; with t, the rows are the t-mapped tuples and Df is carried
-        back through the map."""
+        e = self._inside_esp(values)
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
         removed = _esp_removed(values, self.k - 1).transpose(0, 2, 1)
         gk = _row_copy(removed, self.k - 1)
@@ -511,12 +507,10 @@ def matrix_value_and_derivative(spec, t, w):
     if not np.allclose(w, w.T, atol=1e-12 * max(1.0, np.abs(w).max())):
         raise ValueError("expected a symmetric matrix")
     lam, q = np.linalg.eigh(w)
-    # one cone pass serves the test, the value and the gradient
-    mapped = spec._validated(lam, True, t)
-    scores, e = _cone_scores(mapped, spec.k)
-    if spec._outside(scores).size:
-        raise ConeDomainError("matrix spectrum outside the interpolated cone")
-    value, g = spec._value_and_grad_from(mapped, e, t)
+    try:
+        value, g = spec.value_and_grad_many(lam, t)
+    except ConeDomainError:
+        raise ConeDomainError("matrix spectrum outside the interpolated cone") from None
     value, g = float(value[0]), g[0]
 
     scale = max(1.0, float(np.abs(lam).max()))
@@ -841,13 +835,11 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
     lams = spec._validated(lams)
     if spec._outside(spec.margin_scores(mus)).size:
         raise ConeDomainError("mu must lie in the cone")
-    mapped_lam = _t_map(ts, lams)
-    # one cone test of the mapped lams serves the check and their values
-    scores, e = _cone_scores(mapped_lam, spec.k)
-    if spec._outside(scores).size:
-        raise ConeDomainError("lam must lie in the interpolated cone")
+    try:
+        f_lam, g_lam = spec.value_and_grad_many(lams, ts)
+    except ConeDomainError:
+        raise ConeDomainError("lam must lie in the interpolated cone") from None
     f_mu, g_mu = spec.value_and_grad_many(mus, ts)
-    f_lam, g_lam = spec._value_and_grad_from(mapped_lam, e, ts)
     nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)
     nu_lam = g_lam / np.linalg.norm(g_lam, axis=1, keepdims=True)
     separated = np.linalg.norm(nu_mu - nu_lam, axis=1) > beta

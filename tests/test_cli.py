@@ -587,8 +587,9 @@ class TestSolveRobustness:
         assert lines[1].startswith("continuation ") and len(lines) == 2
 
     def test_nan_jacobian_deviation_is_an_error_with_a_report(self, tmp_path, capsys):
-        # from the constant start -400 the Jacobian check at t = 0 deviates
-        # by NaN: an error (exit 1) with its report, not a traceback
+        # from the constant start -400, psi = e^800 overflows, so the start's
+        # residual is -inf (its Jacobian check would deviate by NaN): an
+        # error (exit 1) under that cause, with its report
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "s.json", {
             "n": 5, "function": {"kind": "sigma_k_root", "k": 4}, "half_length": "example1",
@@ -598,7 +599,8 @@ class TestSolveRobustness:
         assert run_cli(["solve", cfg]) == 1
         report = json.loads((out / "report.json").read_text())
         assert report["failed_t"] == 0.0 and report["passed"] is False
-        assert "deviates from the directional finite difference by nan" in report["error"]
+        assert report["error"] == ("residual of the start at t=0.0 is not finite at node 1 "
+                                   "(x=-0.0127731, psi inf)")
         assert capsys.readouterr().err == f"error: {report['error']}\n"
 
     def test_singular_jacobian_is_partial_convergence(self, tmp_path, capsys, monkeypatch):
@@ -748,15 +750,13 @@ class TestOneConstructor:
             assert np.array_equal(mine, getattr(reference, name)(profile.grid, profile.u))
 
     def test_readme_solve_is_the_subsolution_benchmark(self):
-        _, values = cli._parse_solve(dict(README_SOLVE))
-        problem, init = cli._build_solve(**values)
+        problem, init = cli._parse_solve(dict(README_SOLVE))[1]()
         assert init is None
         reference = benchmarks.subsolution_benchmark()
         self._assert_same(problem, problem.subsolution, reference, reference.subsolution)
 
     def test_readme_example1_solve_is_the_boundary_problem(self):
-        _, values = cli._parse_solve(dict(README_EXAMPLE1_SOLVE))
-        problem, init = cli._build_solve(**values)
+        problem, init = cli._parse_solve(dict(README_EXAMPLE1_SOLVE))[1]()
         assert problem.subsolution is None
         reference, _, reference_init = benchmarks.example_boundary_problem(4, 2, 0.0, 401)
         self._assert_same(problem, init, reference, reference_init)
@@ -784,11 +784,9 @@ class TestOneConstructor:
 
     def test_both_example1_branches_take_the_same_half_length(self):
         # with or without the Example 1 init, T is the end of the same orbit
-        _, values = cli._parse_solve(dict(README_EXAMPLE1_SOLVE))
-        profile_problem, _ = cli._build_solve(**values)
-        _, values = cli._parse_solve({**README_EXAMPLE1_SOLVE,
-                                      "init": {"family": "constant", "value": 0.0}})
-        constant_problem, init = cli._build_solve(**values)
+        profile_problem, _ = cli._parse_solve(dict(README_EXAMPLE1_SOLVE))[1]()
+        constant_problem, init = cli._parse_solve({**README_EXAMPLE1_SOLVE,
+                                                   "init": {"family": "constant", "value": 0.0}})[1]()
         assert constant_problem.geom.half_length == profile_problem.geom.half_length
         assert init.grid[-1] == profile_problem.geom.half_length
 

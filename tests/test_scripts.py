@@ -136,6 +136,15 @@ def test_bench_counts_the_kernel_calls_of_a_continuation():
                        SymFuncSpec.radial_eval)
 
 
+def test_bench_solve_times_takes_its_writer_count_off_a_failed_solve(monkeypatch):
+    bench = _load("bench")
+    count = bench.cli._writer_count
+    monkeypatch.setattr(bench.cli, "main", lambda argv: 1)
+    with pytest.raises(RuntimeError, match="yamabe solve exited 1"):
+        bench.solve_times(101, writers=1)
+    assert bench.cli._writer_count is count
+
+
 def test_bench_main_prints_one_json_document(monkeypatch, capsys):
     # every measurement of bench.py at its smallest repeats and sizes, so
     # that a rename of a name it reaches into fails here

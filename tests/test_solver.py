@@ -12,6 +12,7 @@ from yamabe._errors import (
     ConeDomainError,
     ConeViolationError,
     ContinuationError,
+    NewtonError,
     NonconvergenceError,
     NumericalError,
     StepFailureError,
@@ -398,6 +399,23 @@ class TestNewton:
         state = err.value.state
         assert state.profile is sub and state.newton_iters == 0 and not state.converged
 
+    def test_non_finite_start_residual_is_its_own_cause(self, monkeypatch):
+        # psi = e^800 overflows at the constant start -400 on the (5, 4)
+        # Example 1 data, so the residual is -inf at every interior node:
+        # Newton names the first, before its Jacobian check would deviate
+        # by NaN, as a NumericalError that carries no state
+        def unreached(*args):
+            raise AssertionError("the Jacobian check ran")
+
+        monkeypatch.setattr(solver, "_check_jacobian", unreached)
+        problem, _, _ = example_boundary_problem(5, 4, -0.5, node_count=101)
+        start = RadialProfile.uniform(problem.geom.half_length, 101, lambda x: np.full_like(x, -400.0))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+            newton_solve(problem, 0.0, start)
+        assert str(err.value) == ("residual of the start at t=0.0 is not finite at node 1 "
+                                  f"(x={start.grid[1]:.6g}, psi inf)")
+        assert not isinstance(err.value, NewtonError)
+
     def test_iteration_budget_raises_with_state(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
         init = exact.with_values(exact.u + 1e-3 * np.cos(np.pi * exact.grid / 2))
@@ -544,7 +562,8 @@ class TestRoundingFloor:
             return kernel(*args)
 
         def residual_evaluating(*args):
-            # a restored start comes with the evaluation its ladder made
+            # a start comes with the evaluation the continuation or the
+            # restore's ladder made
             calls["residual"] += len(args) == 6 or args[6] is None
             return evaluate(*args)
 
@@ -553,7 +572,8 @@ class TestRoundingFloor:
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
         assert restore_passes
-        assert calls["kernel"] == calls["residual"] + len(restore_passes)
+        # one pass more per warm start, which the continuation evaluates
+        assert calls["kernel"] == calls["residual"] + len(restore_passes) + len(report.states)
 
     def test_each_state_takes_one_gradient(self, monkeypatch):
         # the same (5, 3) solve: the floor rule reads the gradient that the
@@ -937,7 +957,7 @@ class TestContinuation:
         assert [c.name for c in ContinuationReport([], 0.0).checks(2.0)] == ["full_schedule"]
 
     def test_feasible_warm_starts_are_not_screened(self, monkeypatch):
-        # Newton's first evaluation is the cone screen of a warm start; only
+        # the continuation's evaluation is the cone screen of a warm start; only
         # the blend ladder of an infeasible one tests blends: one pre-test
         # of every rung, then one full kernel pass per rung it lets through,
         # up to the first feasible rung and its headroom rung
@@ -1041,10 +1061,16 @@ class TestContinuation:
             return np.ones(len(solver._LADDER), dtype=bool)
 
         passes, pretests = _restore_passes(monkeypatch, pretest=rules_out_all)
+        problem = subsolution_benchmark(node_count=401)
         with pytest.raises(ContinuationError) as err:
-            continuation_run(subsolution_benchmark(node_count=401))
+            continuation_run(problem)
         assert err.value.t_failed == 0.4 and passes == [] and pretests == [0.4]
-        assert isinstance(err.value.__cause__, ConeViolationError)
+        # the cause is the warm start's own cone exit, as Newton names it
+        cause = err.value.__cause__
+        with pytest.raises(ConeViolationError) as direct:
+            newton_solve(problem, 0.4, err.value.states[-1].profile)
+        assert (type(cause), str(cause), cause.node) == (
+            ConeViolationError, str(direct.value), direct.value.node)
 
     def test_last_rung_of_the_ladder_is_the_anchor(self, monkeypatch):
         # only the full blend is let back in: it has no rung after it, and
