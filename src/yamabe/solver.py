@@ -472,9 +472,10 @@ class ContinuationReport:
     def curvature_scaled(self):
         """(1 - t) * sup|u''| per state.
 
-        On the non-smooth Example 1 data sup|u''| grows like (1-t)^(-p), with
-        p measured between about 0.45 and 0.58 on t in [0.9, 0.999], so this
-        product falls as t approaches 1 rather than staying in a band.
+        On the non-smooth Example 1 data sup|u''| grows like (1-t)^(-p) with
+        p < 1, so this product falls as t approaches 1 rather than staying in
+        a band; the `blowup_tail` row of CLAIMS.json (scripts/claims.py)
+        records the local exponents on the default schedule's tail.
         """
         return [(s.t, (1.0 - s.t) * s.monitors[2]) for s in self.states]
 

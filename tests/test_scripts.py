@@ -1,6 +1,6 @@
-"""Smoke tests of the scripts: each experiment script runs on a small grid
-and prints its table, loc.py's line counts add up and bench.py counts what
-the code it measures does."""
+"""Tests of the scripts: the claims ledger reproduces CLAIMS.json to the
+digits each row promises, loc.py's line counts add up and bench.py counts
+what the code it measures does."""
 
 import importlib.util
 import json
@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 from yamabe import solver, symfun
-from yamabe.solver import DEFAULT_T_SCHEDULE
 from yamabe.symfun import SymFuncSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+CLAIMS = ROOT / "CLAIMS.json"
 
 
 def _load(name):
@@ -35,48 +35,58 @@ def _run(name, args, monkeypatch, capsys):
     return capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("name, args, header", [
-    ("uniformity_benchmark", ["--grid", "101"], "sup|d2u|"),
-    ("blowup_scan", ["--grid", "101"], "(1-t)sup|d2u|"),
-    ("example1_sweep", ["--grid", "101", "--pairs", "4,2", "--c", "0.0"], "udd_near_end"),
-])
-def test_script_prints_its_table(name, args, header, monkeypatch, capsys):
-    lines = _run(name, args, monkeypatch, capsys)
-    assert any(header in line.split() for line in lines)
+def _agree(value, pinned, digits):
+    """value matches pinned to `digits` significant digits; numbers below
+    1e-9 in both are at rounding level and held to their bound only."""
+    if isinstance(value, dict):
+        assert value.keys() == pinned.keys()
+        for key in value:
+            _agree(value[key], pinned[key], digits)
+    elif isinstance(value, list):
+        assert len(value) == len(pinned)
+        for item, pinned_item in zip(value, pinned):
+            _agree(item, pinned_item, digits)
+    elif max(abs(value), abs(pinned)) >= 1e-9:
+        assert value == pytest.approx(pinned, rel=10.0 ** -digits)
 
 
-@pytest.mark.parametrize("t_max, schedule", [
-    ("0.99", DEFAULT_T_SCHEDULE),
-    ("0.95", (*DEFAULT_T_SCHEDULE[:10], 0.95)),
-    ("0.9", DEFAULT_T_SCHEDULE[:10]),
-    ("1.0", (*DEFAULT_T_SCHEDULE, 1.0)),
-])
-def test_blowup_scan_schedule(t_max, schedule, monkeypatch, capsys):
-    # the default schedule up to --t-max; t = 1 stays out of the band factor
-    lines = _run("blowup_scan", ["--grid", "101", "--t-max", t_max], monkeypatch, capsys)
-    start = next(i for i, line in enumerate(lines) if "(1-t)sup|d2u|" in line.split())
-    rows = [line.split() for line in lines[start + 1:] if not line.startswith("tail")]
-    assert [float(row[0]) for row in rows] == [float(f"{t:.4f}") for t in schedule]
-    assert lines[-1].startswith("tail band factor (0.9 <= t < 1): ")
-
-
-@pytest.mark.parametrize("t_max", ["0", "-0.5", "1.5", "nan"])
-def test_blowup_scan_rejects_t_max_outside_the_range(t_max, monkeypatch, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        _run("blowup_scan", ["--grid", "101", "--t-max", t_max], monkeypatch, capsys)
-    assert exit_.value.code == 2
-    assert "--t-max must lie in (0, 1]" in capsys.readouterr().err
+def test_claims_ledger_matches_the_committed_file():
+    rows = _load("claims").ledger()
+    committed = json.loads(CLAIMS.read_text())
+    assert [row["name"] for row in rows] == [row["name"] for row in committed]
+    for row, pinned in zip(rows, committed):
+        assert row["passed"], row["name"]
+        assert {**row, "measured": None} == {**pinned, "measured": None}
+        _agree(row["measured"], pinned["measured"], row["digits"])
+    # the figures the experiment scripts the ledger replaced printed
+    table, uniformity, blowup = (row["measured"] for row in rows)
+    entry = next(e for e in table["table"] if (e["n"], e["k"], e["c"]) == (4, 2, 0.0))
+    assert [f"{entry[key]:.6g}" for key in ("T", "udd_near_end", "curvature_ratio")] == [
+        "0.409741", "78.2885", "9.68955"]
+    assert f"{uniformity['min_margin']:.4f}" == "0.3354"
+    assert [f"{v:.3f}" for v in uniformity["spread"]] == ["1.819", "36.433", "31.924"]
+    assert f"{blowup['band']:.3f}" == "2.605"
+    tail = [(f"{e['sup_d2u']:.5f}", e["newton_iters"]) for e in blowup["table"] if e["t"] >= 0.9]
+    assert tail == [("4.14828", 4), ("6.56364", 8), ("9.85757", 5), ("15.92712", 8),
+                    ("2411.14002", 14)]
 
 
 def test_script_imports_its_own_checkout(tmp_path):
     # run as a file from elsewhere, with no PYTHONPATH: the script finds the
-    # package in src/ next to it
+    # package in src/ next to it, and writes no file here or in the checkout
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "example1_sweep.py"), "--grid", "101", "--pairs", "4,2",
-         "--c", "0.0"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+    def listing():
+        return sorted(ROOT.iterdir()), sorted(SCRIPTS.iterdir()), CLAIMS.stat().st_mtime_ns
+
+    before = listing()
+    done = subprocess.run([sys.executable, str(SCRIPTS / "claims.py")], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "udd_near_end" in done.stdout.split()
+    assert [row["name"] for row in json.loads(done.stdout)] == [
+        "closed_form_table", "subsolution_uniformity", "blowup_tail"]
+    assert list(tmp_path.iterdir()) == []
+    assert listing() == before
 
 
 def test_loc_rows_add_up(monkeypatch, capsys):

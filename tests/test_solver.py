@@ -21,11 +21,13 @@ from yamabe.benchmarks import (
     constant_psi,
     cosh_profile,
     dirichlet_problem,
+    example1_rhs_psi,
     example_boundary_problem,
     manufactured_problem,
     radial_curvature_value,
     subsolution_benchmark,
 )
+from yamabe.example1 import ExampleParams
 from yamabe.geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
 from yamabe.solver import (
     DEFAULT_T_SCHEDULE,
@@ -1233,3 +1235,17 @@ class TestGridConvergence:
             errs.append(np.abs(state.profile.u - exact.u).max())
         order = math.log(errs[0] / errs[-1]) / math.log(4.0)
         assert order >= 1.9
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 3)])
+    def test_smooth_exact_order_at_t_one(self, n, k):
+        # u = log cosh x solves Example 1's equation on [-L, L] with c = log cosh L
+        c = math.log(math.cosh(1.0))
+        spec, psi = SymFuncSpec("sigma_k_root", n=n, k=k), example1_rhs_psi(ExampleParams(n, k, c))
+        errs = []
+        for m in (201, 401, 801, 1601):
+            problem = dirichlet_problem(spec, 1.0, m, psi, boundary=(c, c))
+            exact = RadialProfile.uniform(1.0, m, lambda x: np.log(np.cosh(x)))
+            init = exact.with_values(exact.u + 1e-3 * np.cos(np.pi * exact.grid / 2))
+            state = newton_solve(problem, 1.0, init)
+            errs.append(np.abs(state.profile.u - exact.u).max())
+        assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)
