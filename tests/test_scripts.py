@@ -50,25 +50,57 @@ def _agree(value, pinned, digits):
         assert value == pytest.approx(pinned, rel=10.0 ** -digits)
 
 
-def test_claims_ledger_matches_the_committed_file():
-    rows = _load("claims").ledger()
-    committed = json.loads(CLAIMS.read_text())
-    assert [row["name"] for row in rows] == [row["name"] for row in committed]
-    for row, pinned in zip(rows, committed):
-        assert row["passed"], row["name"]
-        assert {**row, "measured": None} == {**pinned, "measured": None}
-        _agree(row["measured"], pinned["measured"], row["digits"])
-    # the figures the experiment scripts the ledger replaced printed
-    table, uniformity, blowup = (row["measured"] for row in rows)
-    entry = next(e for e in table["table"] if (e["n"], e["k"], e["c"]) == (4, 2, 0.0))
-    assert [f"{entry[key]:.6g}" for key in ("T", "udd_near_end", "curvature_ratio")] == [
-        "0.409741", "78.2885", "9.68955"]
-    assert f"{uniformity['min_margin']:.4f}" == "0.3354"
-    assert [f"{v:.3f}" for v in uniformity["spread"]] == ["1.819", "36.433", "31.924"]
-    assert f"{blowup['band']:.3f}" == "2.605"
-    tail = [(f"{e['sup_d2u']:.5f}", e["newton_iters"]) for e in blowup["table"] if e["t"] >= 0.9]
-    assert tail == [("4.14828", 4), ("6.56364", 8), ("9.85757", 5), ("15.92712", 8),
-                    ("2411.14002", 14)]
+ROWS = ("closed_form_table", "subsolution_uniformity", "blowup_tail")
+
+
+@pytest.fixture(scope="module")
+def ledger():
+    """The ledger built in-process once, and CLAIMS.json, each as a list of rows."""
+    return _load("claims").ledger(), json.loads(CLAIMS.read_text())
+
+
+def _rows(ledger, name):
+    """The row `name` of the built ledger and of the committed file."""
+    return tuple(next(row for row in rows if row["name"] == name) for rows in ledger)
+
+
+def test_claims_ledger_has_the_rows_of_the_committed_file(ledger):
+    built, committed = ledger
+    assert [row["name"] for row in built] == [row["name"] for row in committed] == list(ROWS)
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_claims_row_passes(name, ledger):
+    built, pinned = _rows(ledger, name)
+    assert built["passed"] and pinned["passed"]
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_claims_row_matches_the_committed_file(name, ledger):
+    built, pinned = _rows(ledger, name)
+    assert {**built, "measured": None} == {**pinned, "measured": None}
+    _agree(built["measured"], pinned["measured"], built["digits"])
+
+
+def _old_figures(name, measured):
+    """What the deleted experiment script of row `name` printed, at its digits."""
+    if name == "closed_form_table":
+        entry = next(e for e in measured["table"] if (e["n"], e["k"], e["c"]) == (4, 2, 0.0))
+        return [f"{entry[key]:.6g}" for key in ("T", "udd_near_end", "curvature_ratio")]
+    if name == "subsolution_uniformity":
+        return [f"{measured['min_margin']:.4f}", *(f"{v:.3f}" for v in measured["spread"])]
+    tail = [(f"{e['sup_d2u']:.5f}", e["newton_iters"]) for e in measured["table"] if e["t"] >= 0.9]
+    return [f"{measured['band']:.3f}", *tail]
+
+
+@pytest.mark.parametrize("name, figures", [
+    ("closed_form_table", ["0.409741", "78.2885", "9.68955"]),
+    ("subsolution_uniformity", ["0.3354", "1.819", "36.433", "31.924"]),
+    ("blowup_tail", ["2.605", ("4.14828", 4), ("6.56364", 8), ("9.85757", 5), ("15.92712", 8),
+                     ("2411.14002", 14)]),
+])
+def test_claims_row_keeps_the_figures_the_old_script_printed(name, figures, ledger):
+    assert _old_figures(name, _rows(ledger, name)[0]["measured"]) == figures
 
 
 def test_script_imports_its_own_checkout(tmp_path):
@@ -83,8 +115,7 @@ def test_script_imports_its_own_checkout(tmp_path):
     done = subprocess.run([sys.executable, str(SCRIPTS / "claims.py")], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert [row["name"] for row in json.loads(done.stdout)] == [
-        "closed_form_table", "subsolution_uniformity", "blowup_tail"]
+    assert [row["name"] for row in json.loads(done.stdout)] == list(ROWS)
     assert list(tmp_path.iterdir()) == []
     assert listing() == before
 
