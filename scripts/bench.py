@@ -6,11 +6,11 @@ structure suites, and timings of whole continuations and solves.
 
 Imports the package from `src/` of the checkout the script lives in and
 prints one JSON document.  Times are medians of plain time.perf_counter
-wall times after one warm-up call, in ms unless a key says otherwise.  Its
-keys, each from the function named:
+wall times after one warm-up call, in ms unless a key says otherwise.
+Calls are counted by `unittest.mock` spies (_spy) in runs of their own,
+never in a timed one.  Its keys, each from the function named:
 
-    layers_ms                 solver layers at t = 0.5 (layer_times,
-                              blowup_layer_times)
+    layers_ms                 solver layers at t = 0.5 (layer_times)
     esp_kernels_ms            the ESP kernels (kernel_times)
     cone_scores_ms            the row path of the cone scores (cone_score_times)
     gradient                  a Newton state's gradient (gradient_times)
@@ -40,6 +40,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -74,6 +75,13 @@ CONE_SCORE_ORDERS = ((4, 2), (5, 5))    # (n, k)
 SUITE_REPEATS = 20
 
 
+def _spy(owner, name):
+    """A context manager that puts a mock with the signature of owner.name
+    in its place, calling the original and keeping call_count and
+    call_args_list."""
+    return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
+
+
 def _median_ms(call, repeats=None):
     """Median wall time of `repeats` calls (REPEATS unless given) after one
     warm-up, in ms."""
@@ -93,12 +101,13 @@ def layer_times(node_count):
     taken as the state at t = 0.5: the residual with its cone test, the
     Jacobian as a caller without an evaluation builds it and as Newton
     builds it from the gradient it holds, the feasibility restore's cone
-    test, the banded solve, the Jacobian check, the radial kernel and its
-    gradient, the grid derivatives (free, and of a new state of the profile
-    family) and one profile CSV formatted and written as `yamabe solve`
-    does.  `restore` and `restore_pretest` are the feasibility restore and
-    its pre-test alone at t = 0.4, on the warm start there: the state of
-    t = 0.3 of the continuation at tol CONTINUATION_TOL."""
+    test, the banded solve, the Jacobian check, the grid derivatives (free,
+    and of a new state of the profile family) and one profile CSV formatted
+    and written as `yamabe solve` does (gradient_times times the radial
+    kernel and its gradient).  `restore` and `restore_pretest` are the
+    feasibility restore and its pre-test alone at t = 0.4, on the warm
+    start there: the state of t = 0.3 of the continuation at tol
+    CONTINUATION_TOL."""
     problem = subsolution_benchmark(node_count=node_count)
     prof = problem.subsolution
     warm = solver.continuation_run(problem, t_schedule=solver.DEFAULT_T_SCHEDULE[:4],
@@ -108,8 +117,6 @@ def layer_times(node_count):
     res, evaluation = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
     gradient = evaluation.gradient()
     ab = solver.jacobian(problem, T, prof)
-    spec = problem.spec
-    axis, sphere = radial_w_eigenvalues(prof.du, prof.d2u)
     grid_cells = _format.cells(grid)
     columns = np.array([prof.u, prof.du, prof.d2u, res])
     stencils = GridStencils(grid)
@@ -122,7 +129,6 @@ def layer_times(node_count):
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
         "restore": lambda: solver._restore_feasibility(*restore_args),
         "restore_pretest": lambda: solver._rungs_outside(*restore_args),
-        **_radial_layers(spec, axis, sphere),
         "first_derivative": lambda: first_derivative(stencils, prof.u),
         "second_derivative": lambda: second_derivative(stencils, prof.u),
         "state_du": lambda: prof.with_values(prof.u).du,
@@ -137,39 +143,26 @@ def layer_times(node_count):
                 for name, call in layers.items()}
 
 
-def _radial_layers(spec, axis, sphere):
-    """The radial kernel and the gradient of its evaluation, as calls."""
-    held = spec.radial_eval(T, axis, sphere)
-    return {"radial_eval": lambda: spec.radial_eval(T, axis, sphere),
-            "radial_eval_gradient": held.gradient}
-
-
 def gradient_times():
-    """The kernel pass and the gradient of a Newton state, and the calls of
-    the one ESP recurrence `_esp` in one gradient, at (4, 2) on 3999 rows
-    and (5, 4) on 999 rows."""
-    problem_42 = subsolution_benchmark(node_count=4001)
-    problem_54, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
+    """The radial kernel pass and the gradient of a Newton state at its
+    interior nodes, and the calls of the one ESP recurrence `_esp` in one
+    gradient: the subsolution of the subsolution benchmark, (4, 2), at
+    NODES nodes, and the closed-form start of the blow-up data, (5, 4), at
+    1001 nodes."""
+    states = [(problem, problem.subsolution)
+              for problem in (subsolution_benchmark(node_count=m) for m in NODES)]
+    blowup, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
     times = {}
-    for problem, prof in ((problem_42, problem_42.subsolution), (problem_54, init)):
+    for problem, prof in [*states, (blowup, init)]:
         spec = problem.spec
         axis, sphere = radial_w_eigenvalues(prof.du[1:-1], prof.d2u[1:-1])
         held = spec.radial_eval(T, axis, sphere)
-        esp, calls = symfun._esp, []
-
-        def counted(columns, kmax):
-            calls.append(len(columns))
-            return esp(columns, kmax)
-
-        symfun._esp = counted
-        try:
+        with _spy(symfun, "_esp") as esp:
             held.gradient()
-        finally:
-            symfun._esp = esp
         times[f"n{spec.n}_k{spec.k}_m{axis.size}"] = {
             "radial_eval_ms": _median_ms(lambda: spec.radial_eval(T, axis, sphere)),
             "gradient_ms": _median_ms(held.gradient),
-            "esp_calls_per_gradient": len(calls),
+            "esp_calls_per_gradient": esp.call_count,
         }
     return times
 
@@ -193,54 +186,19 @@ def banded_solve_times():
 
 def kernel_passes(node_count=4001):
     """The radial kernel calls of one README continuation at node_count
-    nodes, Newton tolerance CONTINUATION_TOL: full passes and their rows,
-    the feasibility restores, and the kernel calls of their pre-tests
-    (`solver._rungs_outside`) and those calls' rows."""
+    nodes, Newton tolerance CONTINUATION_TOL: full passes
+    (`solver._radial_eval`) and their rows, the feasibility restores, and
+    the kernel calls of their pre-tests (`solver._rungs_outside`) and those
+    calls' rows.  A pre-test's call is the one kernel call of a
+    continuation outside a full pass."""
     problem = subsolution_benchmark(node_count=node_count)
-    evaluate, restore, pretest = solver._radial_eval, solver._restore_feasibility, solver._rungs_outside
-    kernel = symfun.SymFuncSpec.radial_eval
-    counts = {"full_passes": 0, "rows": 0, "restores": 0, "pretest_calls": 0, "pretest_rows": 0}
-    pretesting = []
-
-    def counted(problem, t, du, d2u):
-        counts["full_passes"] += 1
-        counts["rows"] += du.size - 2
-        return evaluate(problem, t, du, d2u)
-
-    def counted_restore(*args):
-        counts["restores"] += 1
-        return restore(*args)
-
-    def counted_pretest(*args):
-        pretesting.append(True)
-        try:
-            return pretest(*args)
-        finally:
-            pretesting.pop()
-
-    def counted_kernel(spec, t, a, s):
-        if pretesting:
-            counts["pretest_calls"] += 1
-            counts["pretest_rows"] += a.size
-        return kernel(spec, t, a, s)
-
-    solver._radial_eval, solver._restore_feasibility = counted, counted_restore
-    solver._rungs_outside, symfun.SymFuncSpec.radial_eval = counted_pretest, counted_kernel
-    try:
+    with _spy(solver, "_radial_eval") as full, _spy(solver, "_restore_feasibility") as restore, \
+            _spy(symfun.SymFuncSpec, "radial_eval") as kernel:
         solver.continuation_run(problem, opts=solver.NewtonOptions(tol=CONTINUATION_TOL))
-    finally:
-        solver._radial_eval, solver._restore_feasibility = evaluate, restore
-        solver._rungs_outside, symfun.SymFuncSpec.radial_eval = pretest, kernel
-    return counts
-
-
-def blowup_layer_times():
-    """The radial kernel and its gradient on the blow-up data (n = 5, k = 4,
-    the closed-form start at 1001 nodes, its interior nodes at t = 0.5)."""
-    problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
-    axis, sphere = radial_w_eigenvalues(init.du[1:-1], init.d2u[1:-1])
-    return {name: _median_ms(call)
-            for name, call in _radial_layers(problem.spec, axis, sphere).items()}
+    rows = sum(call.args[2].size - 2 for call in full.call_args_list)
+    kernel_rows = sum(call.args[2].size for call in kernel.call_args_list)
+    return {"full_passes": full.call_count, "rows": rows, "restores": restore.call_count,
+            "pretest_calls": kernel.call_count - full.call_count, "pretest_rows": kernel_rows - rows}
 
 
 def kernel_times():
@@ -282,18 +240,9 @@ def decay_check_inputs(spec):
 def decay_check_margin_calls(spec, pts, rng):
     """The `margin_scores` calls of one decay check on pts, drawing from a
     copy of rng."""
-    score, calls = symfun.SymFuncSpec.margin_scores, []
-
-    def counted(self, values, t=None):
-        calls.append(len(values))
-        return score(self, values, t)
-
-    symfun.SymFuncSpec.margin_scores = counted
-    try:
+    with _spy(symfun.SymFuncSpec, "margin_scores") as scores:
         symfun._boundary_decay_check(spec, pts, copy.deepcopy(rng))
-    finally:
-        symfun.SymFuncSpec.margin_scores = score
-    return {"calls": len(calls), "rows": sum(calls)}
+    return {"calls": scores.call_count, "rows": sum(len(call.args[1]) for call in scores.call_args_list)}
 
 
 def suite_times():
@@ -323,34 +272,23 @@ def suite_times():
 
 def continuation(node_count, tol=CONTINUATION_TOL):
     """One continuation of the subsolution benchmark: its wall time, the
-    Newton iterations, the `_residual` calls (line-search trials and the
-    Jacobian check's) and the `RadialEvaluation.gradient` calls."""
+    Newton iterations and, counted in a second run, the `_residual` calls
+    (line-search trials and the Jacobian check's) and the
+    `RadialEvaluation.gradient` calls."""
     problem = subsolution_benchmark(node_count=node_count)
-    evaluate, gradient = solver._residual, symfun.RadialEvaluation.gradient
-    calls = {"residual": 0, "gradient": 0}
-
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
-
-    solver._residual = counted("residual", evaluate)
-    symfun.RadialEvaluation.gradient = counted("gradient", gradient)
-    try:
-        start = time.perf_counter()
-        report = solver.continuation_run(problem, opts=solver.NewtonOptions(tol=tol))
-        wall = time.perf_counter() - start
-    finally:
-        solver._residual = evaluate
-        symfun.RadialEvaluation.gradient = gradient
+    opts = solver.NewtonOptions(tol=tol)
+    start = time.perf_counter()
+    report = solver.continuation_run(problem, opts=opts)
+    wall = time.perf_counter() - start
+    with _spy(solver, "_residual") as residual, _spy(symfun.RadialEvaluation, "gradient") as gradient:
+        solver.continuation_run(problem, opts=opts)
     return {
         "tol": tol,
         "wall_s": wall,
         "newton_iters_per_t": {repr(s.t): s.newton_iters for s in report.states},
         "newton_iters_total": sum(s.newton_iters for s in report.states),
-        "residual_calls": calls["residual"],
-        "gradient_calls": calls["gradient"],
+        "residual_calls": residual.call_count,
+        "gradient_calls": gradient.call_count,
     }
 
 
@@ -395,28 +333,18 @@ def orbit_inversion():
     the sweeps and the slopes each sweep evaluates."""
     params = ExampleParams(5, 4, -0.5)
     dense = example1._DenseOrbit(example1._slope_orbit(params))
-    evaluate, sizes = example1._DenseOrbit.__call__, []
-
-    def counted(self, v):
-        sizes.append(v.size)
-        return evaluate(self, v)
-
     times = {}
     for m in PROFILE_NODES:
         grid = solve_profile(params, m).profile.grid
         interior = grid[np.abs(grid) < dense.ends[-1]]
-        example1._DenseOrbit.__call__ = counted
-        try:
+        with _spy(example1._DenseOrbit, "__call__") as sweeps:
             example1._orbit(params, dense, interior)
-        finally:
-            example1._DenseOrbit.__call__ = evaluate
         times[str(interior.size)] = {
             "orbit_ms": _median_ms(lambda: example1._orbit(params, dense, interior),
                                    BLOWUP_REPEATS),
-            "sweeps": len(sizes),
-            "slopes_per_sweep": sizes.copy(),
+            "sweeps": sweeps.call_count,
+            "slopes_per_sweep": [call.args[1].size for call in sweeps.call_args_list],
         }
-        sizes.clear()
     return times
 
 
@@ -424,37 +352,34 @@ def solve_times(node_count, writers=None):
     """`yamabe solve` on the subsolution benchmark, with cli._writer_count()
     set to `writers` unless it is None: median wall time and verbose phase
     times, mean CPU time of this process and of its children, per solve."""
-    default = cli._writer_count
-    if writers is not None:
-        cli._writer_count = lambda rows: writers
+    processes = writers or cli._writer_count(len(solver.DEFAULT_T_SCHEDULE) * node_count)
+    writer_count = (contextlib.nullcontext() if writers is None
+                    else mock.patch.object(cli, "_writer_count", return_value=writers))
     walls, phases, own, children = [], [], 0.0, 0.0
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            config = Path(tmp) / "solve.json"
-            config.write_text(json.dumps({**SOLVE_CONFIG, "grid_size": node_count,
-                                          "out": str(Path(tmp) / "out")}))
-            for i in range(SOLVE_REPEATS + 1):
-                kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-                err = io.StringIO()
-                cpu, start = time.process_time(), time.perf_counter()
-                with contextlib.redirect_stderr(err):
-                    code = cli.main(["solve", str(config), "--verbose"])
-                wall = time.perf_counter() - start
-                if code != 0:
-                    raise RuntimeError(f"yamabe solve exited {code}: {err.getvalue()}")
-                if i == 0:      # warm-up
-                    continue
-                walls.append(wall)
-                own += time.process_time() - cpu
-                after = resource.getrusage(resource.RUSAGE_CHILDREN)
-                children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
-                # "continuation <s> s, output <s> s after the last t"
-                words = err.getvalue().splitlines()[-1].split()
-                phases.append((float(words[1]), float(words[4])))
-    finally:
-        cli._writer_count = default
+    with writer_count, tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "solve.json"
+        config.write_text(json.dumps({**SOLVE_CONFIG, "grid_size": node_count,
+                                      "out": str(Path(tmp) / "out")}))
+        for i in range(SOLVE_REPEATS + 1):
+            kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+            err = io.StringIO()
+            cpu, start = time.process_time(), time.perf_counter()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["solve", str(config), "--verbose"])
+            wall = time.perf_counter() - start
+            if code != 0:
+                raise RuntimeError(f"yamabe solve exited {code}: {err.getvalue()}")
+            if i == 0:      # warm-up
+                continue
+            walls.append(wall)
+            own += time.process_time() - cpu
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
+            # "continuation <s> s, output <s> s after the last t"
+            words = err.getvalue().splitlines()[-1].split()
+            phases.append((float(words[1]), float(words[4])))
     return {
-        "processes": writers or default(len(solver.DEFAULT_T_SCHEDULE) * node_count),
+        "processes": processes,
         "wall_ms": 1e3 * statistics.median(walls),
         "continuation_ms": 1e3 * statistics.median(p[0] for p in phases),
         "after_last_t_ms": 1e3 * statistics.median(p[1] for p in phases),
@@ -481,8 +406,7 @@ def main():
         },
         "t": T,
         "repeats": REPEATS,
-        "layers_ms": {**{str(m): layer_times(m) for m in NODES},
-                      "blowup_example1_1001": blowup_layer_times()},
+        "layers_ms": {str(m): layer_times(m) for m in NODES},
         "esp_kernels_ms": kernel_times(),
         "cone_scores_ms": cone_score_times(),
         "gradient": gradient_times(),

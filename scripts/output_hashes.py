@@ -147,6 +147,10 @@ CONFIGS = [
     # residual is not finite is an error (exit 1), reported at t = 0
     ("criterion 9 data on 101 nodes, constant init -400",
      _example1_solve(5, 4, -0.5, 101, init={"family": "constant", "value": -400.0})),
+    # grids too fine for finite stencil weights: config errors, no output
+    ("README solve, half length 1e-300", _solve(half_length=1e-300)),
+    ("Example 1 solve c = -100 at (4, 2)", _example1_solve(4, 2, -100.0, 401)),
+    ("example1 c = -100 at (4, 2)", ("example1", {"n": 4, "k": 2, "c": -100.0, "grid_size": 401})),
 ]
 
 

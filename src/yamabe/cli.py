@@ -39,6 +39,7 @@ from ._errors import (
     ConfigError,
     ContinuationError,
     NewtonError,
+    NumericalError,
     YamabeError,
 )
 from . import _format, benchmarks, example1, solver, symfun
@@ -411,9 +412,12 @@ def cmd_example1(config):
         **_run_keys(config, "results/example1"),
     }
     params = _example_params(n, k, c, "c")
+    try:
+        solution = example1.solve_profile(params, node_count=grid_size)
+    except NumericalError as exc:     # as in `yamabe solve`'s build (_parse_solve)
+        raise ConfigError(str(exc)) from exc
     out = _out_dir(resolved)
 
-    solution = example1.solve_profile(params, node_count=grid_size)
     report = example1.verify_example(solution, thresholds=thresholds)
 
     derived = {
@@ -451,7 +455,9 @@ def _parse_solve(config):
     computes the DirichletProblem (benchmarks.dirichlet_problem) and the init
     profile (or None).  build raises ConeDomainError, with the minimum cone
     margin score, when psi is built on a subsolution that leaves the cone,
-    and ConfigError when the problem's own checks reject its data."""
+    and ConfigError when the problem's own checks reject its data or its
+    grid, or the init profile's, is too fine for finite stencil weights
+    (a NumericalError)."""
     _check_keys(config, _SOLVE_KEYS, "config")
     n = _as_int(_need(config, "n", "config"), "n", lo=3)
     function = _need(config, "function", "config")
@@ -558,11 +564,13 @@ def _parse_solve(config):
     }
 
     def build():
-        ell, init = start()
-        psi = psi_of(ell)       # outside the try: a ConeDomainError is a ValueError
         try:
+            ell, init = start()
+            psi = psi_of(ell)
             problem = benchmarks.dirichlet_problem(spec, ell, grid_size, psi, subsolution, boundary)
-        except ValueError as exc:
+        except ConeDomainError:     # a ValueError, which cmd_solve reports
+            raise
+        except (ValueError, NumericalError) as exc:
             raise ConfigError(str(exc)) from exc
         return problem, init
 

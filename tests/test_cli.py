@@ -269,17 +269,6 @@ class TestExample1Command:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_grid_too_fine_for_its_stencils_is_an_error(self, tmp_path, capsys):
-        # at c = -80 the half length is 9e-140: the end stencils' systems
-        # underflow on a 101-node grid
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path / "e.json", {"n": 3, "k": 2, "c": -80.0, "grid_size": 101,
-                                                 "out": str(out)})
-        assert run_cli(["example1", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: no finite stencil weights") and "Traceback" not in err
-        assert list(out.iterdir()) == []
-
     def test_verbose_prints_d_and_the_half_length(self, example1_config, tmp_path, capsys):
         assert run_cli(["example1", example1_config, "--verbose"]) == 0
         derived = json.loads((tmp_path / "out" / "report.json").read_text())["derived"]
@@ -521,25 +510,16 @@ def _solve_payload(out, **changes):
     return payload
 
 
+def _solve_without(key, **changes):
+    """_solve_payload("out", **changes) without `key`."""
+    return {name: value for name, value in _solve_payload("out", **changes).items() if name != key}
+
+
 def _output_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
 class TestSolveRobustness:
-    @pytest.mark.parametrize("init", [{"family": "example1_profile", "c": -80.0},
-                                      {"family": "constant", "value": -80.0}],
-                             ids=["example1-profile", "constant"])
-    def test_example1_grid_too_fine_for_its_stencils_is_an_error(self, tmp_path, capsys, init):
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path / "s.json", {
-            "n": 3, "function": {"kind": "sigma_k_root", "k": 2}, "half_length": "example1",
-            "grid_size": 101, "psi": {"family": "example1_rhs", "c": -80.0},
-            "phi": {"left": -80.0, "right": -80.0}, "init": init, "out": str(out)})
-        assert run_cli(["solve", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: no finite stencil weights") and "Traceback" not in err
-        assert not out.exists()
-
     def test_draw_near_the_cone_boundary_passes_the_jacobian_check(self, tmp_path):
         # the Newton start at t = 0.3 has cone margin 1.9e-5; the check's
         # first step 1e-6 is too coarse there and deviated by 1.4e-5
@@ -703,20 +683,13 @@ class TestSolveRobustness:
         assert [text.split()[0] for text in printed[1:]] == ["t=0", "t=0.5"]
         assert capsys.readouterr().err.startswith("t=0.9 ")
 
-    def test_one_solve_builds_its_stencils_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = geometry.stencil_weights
-
-        def counted(offsets, order):
-            calls.append(order)
-            return original(offsets, order)
-
-        monkeypatch.setattr(geometry, "stencil_weights", counted)
+    def test_one_solve_builds_its_stencils_once(self, tmp_path, spy):
+        weights = spy(geometry, "stencil_weights")
         cfg = write_config(tmp_path / "s.json", _solve_payload(
             tmp_path / "out", grid_size=4001, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE),
             newton={"tol": 1e-7}))
         assert run_cli(["solve", cfg]) == 0
-        assert len(calls) <= 8
+        assert weights.call_count <= 8
 
 
 README_SOLVE = {
@@ -761,26 +734,15 @@ class TestOneConstructor:
         reference, _, reference_init = benchmarks.example_boundary_problem(4, 2, 0.0, 401)
         self._assert_same(problem, init, reference, reference_init)
 
-    def test_example1_solve_computes_the_half_length_once(self, tmp_path, monkeypatch):
+    def test_example1_solve_computes_the_half_length_once(self, tmp_path, spy):
         # the half length is the end of the one profile construction;
         # half_length does not integrate the orbit a second time
-        calls = {"half_length": 0, "solve_profile": 0}
-
-        def counted(name):
-            original = getattr(example1, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(example1, name, counted(name))
+        calls = [spy(example1, name) for name in ("half_length", "solve_profile")]
         cfg = write_config(tmp_path / "s.json", {
             **README_EXAMPLE1_SOLVE, "grid_size": 201, "t_schedule": [0.0],
             "out": str(tmp_path / "out")})
         assert run_cli(["solve", cfg]) == 0
-        assert calls == {"half_length": 0, "solve_profile": 1}
+        assert [call.call_count for call in calls] == [0, 1]
 
     def test_both_example1_branches_take_the_same_half_length(self):
         # with or without the Example 1 init, T is the end of the same orbit
@@ -922,22 +884,16 @@ class TestProfileWriters:
         assert sum(pids != [parent] for pids in written) <= 1
 
     @pytest.mark.parametrize("rows, writers", [(None, 1), (101, 3), (303, 1), (151, 2)])
-    def test_writers_by_row_count(self, tmp_path, monkeypatch, rows, writers):
+    def test_writers_by_row_count(self, tmp_path, monkeypatch, spy, rows, writers):
         # 3 profiles of 101 nodes: 303 rows, below the default rows per writer
         if rows is not None:
             monkeypatch.setattr(cli, "_ROWS_PER_WRITER", rows)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        used = []
-
-        class Recorded(cli._ProfileStream):
-            def __init__(self, write, count, shape):
-                used.append(count)
-                super().__init__(write, 1, shape)
-
-        monkeypatch.setattr(cli, "_ProfileStream", Recorded)
+        stream = cli._ProfileStream
+        streams = spy(cli, "_ProfileStream", lambda write, count, shape: stream(write, 1, shape))
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
         assert run_cli(["solve", cfg]) == 0
-        assert used == [writers]
+        assert [call.args[1] for call in streams.call_args_list] == [writers]
 
     def test_occupied_profile_path_fails_without_a_passing_report(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -1051,6 +1007,66 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("payload, message", [
+        (_solve_without("psi"), "config: missing required key 'psi'"),
+        (_solve_payload("out", grid_size=401.5), "grid_size: expected an integer, got 401.5"),
+        (_solve_payload("out", function={"kind": "sigma_k_root", "k": 5}),
+         "function.k: must be <= 4, got 5"),
+        ([], "top level must be an object"),
+        (_solve_payload("out", function={"kind": "sigma_k_root", "k": 2, "l": 1}),
+         "function: l is only for the quotient kind"),
+        (_solve_payload("out", psi={"family": "subsolution_scaled", "theta": 1.0}),
+         "psi.theta must lie in (0, 1)"),
+        (_solve_payload("out", psi={"family": "constant", "value": 0.0}),
+         "psi.value must be positive"),
+        (_solve_payload("out", half_length="example1"),
+         "half_length: 'example1' requires psi.family example1_rhs"),
+        (_solve_payload("out", half_length=-1.0), "half_length must be positive"),
+        (_solve_without("subsolution", init={"family": "constant", "value": 0.0}),
+         "psi.family subsolution_scaled requires a subsolution"),
+        (_solve_without("subsolution", psi={"family": "constant", "value": 1.0}),
+         "phi: 'subsolution' requires a subsolution"),
+        (_solve_payload("out", t_schedule=0.5), "t_schedule: expected a list of numbers"),
+    ], ids=["missing-key", "non-integer", "above-hi", "top-level-list", "root-with-l",
+            "theta-one", "psi-value-zero", "example1-length-other-psi", "negative-length",
+            "scaled-psi-without-subsolution", "phi-without-subsolution", "schedule-number"])
+    def test_config_errors_exit_2(self, tmp_path, capsys, monkeypatch, payload, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert run_cli(["solve", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", _solve_payload("out", half_length=1e-300)),
+        ("solve", {"n": 4, "function": {"kind": "sigma_k_root", "k": 2}, "half_length": "example1",
+                   "grid_size": 401, "psi": {"family": "example1_rhs", "c": -100.0},
+                   "phi": {"left": -100.0, "right": -100.0},
+                   "init": {"family": "example1_profile", "c": -100.0}, "out": "out"}),
+        ("example1", {"n": 4, "k": 2, "c": -100.0, "grid_size": 401, "out": "out"}),
+        # at c = -80 the half length is 9e-140
+        ("solve", {"n": 3, "function": {"kind": "sigma_k_root", "k": 2}, "half_length": "example1",
+                   "grid_size": 101, "psi": {"family": "example1_rhs", "c": -80.0},
+                   "phi": {"left": -80.0, "right": -80.0},
+                   "init": {"family": "constant", "value": -80.0}, "out": "out"}),
+    ], ids=["solve-length-1e-300", "example1-solve-c-100", "example1-c-100",
+            "example1-solve-constant-init-c-80"])
+    def test_grid_without_finite_stencils_leaves_the_last_run(self, tmp_path, capsys,
+                                                              monkeypatch, command, payload):
+        # a grid too fine for finite stencil weights is a config error, met
+        # before the output of the last run into the same out is removed
+        monkeypatch.chdir(tmp_path)
+        passing = {"solve": _solve_payload("out"),
+                   "example1": {"n": 4, "k": 2, "c": 0.0, "grid_size": 101, "out": "out"}}[command]
+        assert run_cli([command, write_config(tmp_path / "ok.json", passing)]) == 0
+        files = {path: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+        capsys.readouterr()
+        assert run_cli([command, write_config(tmp_path / "c.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no finite stencil weights") and "Traceback" not in err
+        assert {path: path.read_bytes() for path in (tmp_path / "out").iterdir()} == files
 
     def test_out_override(self, tmp_path):
         cfg = write_config(tmp_path / "e.json", {

@@ -185,30 +185,27 @@ class TestSolveProfile:
         assert np.abs(mine - ref).max() <= 1e-9
 
     @pytest.mark.parametrize("n,k,c", ORBIT_DATA)
-    def test_one_slope_ivp_ends_at_the_half_length(self, n, k, c, monkeypatch):
+    def test_one_slope_ivp_ends_at_the_half_length(self, n, k, c, monkeypatch, spy):
         # u, |u'| and T come from one run of the slope system, and no first
         # integral enters them; its end X(1) is half_length, and agrees with
         # the equation's own stopping time
         p = ExampleParams(n, k, c)
         t_half = half_length(p)
         t_ivp = stopping_time_by_ivp(p)
-        runs = []
-
-        def recorded(*args, **kwargs):
-            runs.append(solve_ivp(*args, **kwargs))
-            return runs[-1]
 
         def forbidden(*args):
             raise AssertionError("the first integral entered the profile")
 
-        monkeypatch.setattr(example1.integrate, "solve_ivp", recorded)
+        ivp = spy(example1.integrate, "solve_ivp")
         monkeypatch.setattr(example1, "half_length", forbidden)
         monkeypatch.setattr(example1, "first_integral", forbidden)
         sol = solve_profile(p, node_count=101)
         sol.at(sol.t_max * (1.0 - np.array([1e-2, 1e-6])))
-        assert len(runs) == 1
-        assert runs[0].t[0] == 0.0 and runs[0].t[-1] == 1.0
-        assert sol.t_max == runs[0].y[0, -1] == sol.profile.grid[-1]
+        assert ivp.call_count == 1
+        # the one run again, on the arguments it was given
+        run = solve_ivp(*ivp.call_args.args, **ivp.call_args.kwargs)
+        assert run.t[0] == 0.0 and run.t[-1] == 1.0
+        assert sol.t_max == run.y[0, -1] == sol.profile.grid[-1]
         assert t_half == sol.t_max
         assert abs(sol.t_max - t_ivp) <= 1e-11 * sol.t_max
 
@@ -324,20 +321,14 @@ class TestAt:
         with pytest.raises(ValueError, match=r"outside \[-T, T\]"):
             sol.at(factor * sol.t_max)
 
-    def test_verify_example_inverts_the_orbit_once(self, monkeypatch):
-        sizes = []
-        orbit = example1._orbit
-
-        def counted(*args):
-            sizes.append(np.size(args[-1]))
-            return orbit(*args)
-
-        # solve_profile binds _orbit into the solution, so the wrapper goes in first
-        monkeypatch.setattr(example1, "_orbit", counted)
+    def test_verify_example_inverts_the_orbit_once(self, spy):
+        # solve_profile binds _orbit into the solution, so the spy goes in first
+        orbit = spy(example1, "_orbit")
         sol = solve_profile(P420, node_count=401)
-        sizes.clear()
+        orbit.reset_mock()
         verify_example(sol)
-        assert sizes == [399 + len(example1.D2U_FRACTIONS)]
+        assert [np.size(call.args[-1]) for call in orbit.call_args_list] == [
+            399 + len(example1.D2U_FRACTIONS)]
 
 
 class TestVerifyExample:

@@ -90,21 +90,15 @@ class TestGridStencils:
             assert np.array_equal(p.du, first_derivative(stencils, p.u))
             assert np.array_equal(p.d2u, second_derivative(stencils, p.u))
 
-    def test_one_bundle_per_profile_family(self, monkeypatch):
-        calls = []
-        original = geometry.stencil_weights
-
-        def counted(offsets, order):
-            calls.append(order)
-            return original(offsets, order)
-
-        monkeypatch.setattr(geometry, "stencil_weights", counted)
+    def test_one_bundle_per_profile_family(self, spy):
+        weights = spy(geometry, "stencil_weights")
         prof = RadialProfile(self.GRID, np.cos(self.GRID))
         family = [prof.with_values(prof.u * (1.0 + 0.1 * i)) for i in range(5)]
         for p in [prof] + family:
             p.du, p.d2u
         assert all(p.stencils is prof.stencils and p.grid is prof.grid for p in family)
-        assert sorted(calls) == [1, 1, 2, 2]  # one-sided stencils at both ends, once
+        # one-sided stencils at both ends, once
+        assert sorted(call.args[1] for call in weights.call_args_list) == [1, 1, 2, 2]
 
     def test_stencils_of_another_grid_rejected(self):
         stencils = GridStencils(self.GRID)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -137,29 +138,21 @@ def test_loc_sorts_the_lines_of_a_module():
     assert loc.counts(source) == {"total": 11, "docstring": 4, "comment": 1, "blank": 3, "code": 3}
 
 
-def test_bench_counts_the_decay_check_of_verify_structure(monkeypatch):
+def test_bench_counts_the_decay_check_of_verify_structure(spy):
     # bench.py's decay check draws from the generator state that sampling
-    # leaves, as inside `verify_structure`, so it makes the same cone calls
+    # leaves, as inside `verify_structure`, so it makes the same cone calls:
+    # those from the check's start up to the homogeneity row, which follows it
     bench = _load("bench")
     spec = SymFuncSpec("sigma_k_root", n=4, k=2)
     counted = bench.decay_check_margin_calls(spec, *bench.decay_check_inputs(spec))
-    score, check, rows, checking = SymFuncSpec.margin_scores, symfun._boundary_decay_check, [], []
-
-    def decay_check(*args):
-        checking.append(True)
-        try:
-            return check(*args)
-        finally:
-            checking.pop()
-
-    def scores(self, values, t=None):
-        if checking:
-            rows.append(len(values))
-        return score(self, values, t)
-
-    monkeypatch.setattr(symfun, "_boundary_decay_check", decay_check)
-    monkeypatch.setattr(SymFuncSpec, "margin_scores", scores)
+    calls = mock.Mock()
+    calls.attach_mock(spy(symfun, "_boundary_decay_check"), "check")
+    calls.attach_mock(spy(symfun, "_homogeneity_row"), "homogeneity")
+    calls.attach_mock(spy(SymFuncSpec, "margin_scores"), "scores")
     symfun.verify_structure(spec, sample_count=1000, seed=0)
+    names = [name for name, _, _ in calls.mock_calls]
+    window = calls.mock_calls[names.index("check"):names.index("homogeneity")]
+    rows = [len(args[1]) for name, args, _ in window if name == "scores"]
     assert counted == {"calls": len(rows), "rows": sum(rows)}
 
 
@@ -200,5 +193,10 @@ def test_bench_main_prints_one_json_document(monkeypatch, capsys):
     monkeypatch.setattr(bench, "CONE_SCORE_ROWS", (1,))
     bench.main()
     doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == [
+        "machine", "t", "repeats", "layers_ms", "esp_kernels_ms", "cone_scores_ms", "gradient",
+        "banded_solve_ms", "kernel_passes_4001", "kernel_passes_401", "structure_suites_ms",
+        "boundary_decay_check_margin_scores", "continuation", "continuation_blowup_example1_1001",
+        "construction_blowup_example1_1001", "orbit_inversion_example1", "solve"]
     assert set(doc["esp_kernels_ms"]["n4_k2_m1"]) == {"esp", "esp_radial_columns", "esp_removed"}
     assert all(g["esp_calls_per_gradient"] == 1 for g in doc["gradient"].values())

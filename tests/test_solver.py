@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,25 +214,19 @@ class TestJacobian:
                 assert np.array_equal(jacobian(problem, t, prof, evaluation.gradient()),
                                       jacobian(problem, t, prof))
 
-    def test_newton_path_jacobian_on_example1_data(self, monkeypatch):
+    def test_newton_path_jacobian_on_example1_data(self, spy):
         problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
         h = 2 * problem.geom.half_length / 1000
         tol = max(1e-7, 100 * 2.2e-16 * 1.5 * 2.0 / h ** 2)   # criterion 9's
-        original = solver.jacobian
-        built = []
-
-        def compared(problem, t, profile, evaluation=None):
-            ab = original(problem, t, profile, evaluation)
-            built.append(evaluation is not None
-                         and np.array_equal(ab, original(problem, t, profile)))
-            return ab
-
-        monkeypatch.setattr(solver, "jacobian", compared)
+        jacobians = spy(solver, "jacobian")
         report = continuation_run(problem, t_schedule=(0.0, 0.3, 0.99, 1.0), init=init,
                                   opts=NewtonOptions(tol=tol))
         assert [s.t for s in report.states] == [0.0, 0.3, 0.99, 1.0]
-        assert len(built) == sum(s.newton_iters for s in report.states) > 4
-        assert all(built)
+        assert jacobians.call_count == sum(s.newton_iters for s in report.states) > 4
+        for call in jacobians.call_args_list:
+            _, t, profile, gradient = call.args
+            assert gradient is not None
+            assert np.array_equal(jacobian(*call.args), jacobian(problem, t, profile))
 
     def test_boundary_rows_identity(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
@@ -259,7 +255,7 @@ class TestJacobianCheck:
     @pytest.mark.parametrize("corrupt", [
         _swap_bands, _wrong_boundary_row, _drop_psi_z, _perturb_one_diagonal_entry,
     ])
-    def test_wrong_jacobian_is_caught(self, corrupt, monkeypatch):
+    def test_wrong_jacobian_is_caught(self, corrupt, spy):
         if corrupt is _drop_psi_z:
             # psi_z vanishes on the subsolution benchmark
             problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
@@ -267,20 +263,17 @@ class TestJacobianCheck:
         else:
             problem = subsolution_benchmark(node_count=401)
             init, t = problem.subsolution, 0.5
-        original = solver.jacobian
-        held = []
 
-        def corrupted(problem, t, profile, evaluation=None):
-            held.append(evaluation is not None)
-            ab = original(problem, t, profile, evaluation)
+        def corrupted(problem, t, profile, gradient=None):
+            ab = jacobian(problem, t, profile, gradient)
             corrupt(ab, problem, profile)
             return ab
 
-        monkeypatch.setattr(solver, "jacobian", corrupted)
+        jacobians = spy(solver, "jacobian", corrupted)
         with pytest.raises(NumericalError, match="deviates from the directional"):
             newton_solve(problem, t, init)
-        # Newton hands the Jacobian the evaluation of its state
-        assert held == [True]
+        # Newton hands the Jacobian the gradient of its state
+        assert [call.args[3] is not None for call in jacobians.call_args_list] == [True]
 
     def test_nan_deviation_is_caught(self):
         # one NaN entry in J makes J v, and so the deviation, NaN
@@ -291,7 +284,7 @@ class TestJacobianCheck:
         with pytest.raises(NumericalError, match="deviates from the directional .* by nan"):
             solver._check_jacobian(problem, 0.5, sub, ab)
 
-    def test_cone_exit_of_the_first_step_shrinks_it(self, monkeypatch):
+    def test_cone_exit_of_the_first_step_shrinks_it(self, spy):
         # a bump in u lowers u'' near x = 0.3 until the state's cone margin
         # at t = 0.5 is 3e-7: the probe's first step 1e-6 leaves the cone
         problem = subsolution_benchmark(node_count=401)
@@ -310,21 +303,14 @@ class TestJacobianCheck:
             lo, hi = (mid, hi) if margin(mid) > 3e-7 else (lo, mid)
         state = sub.with_values(sub.u - lo * bump)
         assert 3e-7 < margin(lo) < 3.1e-7
-        steps = []
-        original = solver._residual
-
-        def recorded(problem, t, grid, u, du, d2u):
-            steps.append(np.abs(u - state.u).max())
-            try:
-                return original(problem, t, grid, u, du, d2u)
-            except ConeViolationError:
-                steps[-1] = -steps[-1]      # a cone exit, marked by its sign
-                raise
-
-        monkeypatch.setattr(solver, "_residual", recorded)
+        residuals = spy(solver, "_residual")
         solver._check_jacobian(problem, 0.5, state, jacobian(problem, 0.5, state))
-        assert steps[0] < 0.0 < steps[1]
-        assert steps[1] == pytest.approx(-0.1 * steps[0], rel=1e-6)
+        first, second = residuals.call_args_list[:2]
+        exits = [solver._radial_eval(problem, 0.5, *call.args[4:6]).outside.size > 0
+                 for call in (first, second)]
+        steps = [np.abs(call.args[3] - state.u).max() for call in (first, second)]
+        assert exits == [True, False]
+        assert steps[1] == pytest.approx(0.1 * steps[0], rel=1e-6)
 
     def test_fine_grid_continuation_passes(self):
         # a draw the dense column check rejected as a false alarm
@@ -478,35 +464,40 @@ class TestTridiagonalSolve:
         assert str(err.value) == str(expected.value) == "array must not contain infs or NaNs"
 
 
-def _restore_passes(monkeypatch, kernel=None, pretest=None):
-    """The t of each full radial kernel pass that `_restore_feasibility`
-    makes, and the t of each of its pre-tests (`_rungs_outside`), in two
-    lists the run fills.  `kernel`, when given, takes the kernel's place
-    inside the restore only, and `pretest` the pre-test's."""
-    evaluate, restore, passes, restoring = solver._radial_eval, solver._restore_feasibility, [], []
-    rungs_outside, pretests = solver._rungs_outside, []
+def _spy_restores(spy, kernel=None, pretest=None):
+    """Spies on the full radial kernel pass `_radial_eval` (`kernel` in its
+    place when given), the feasibility restore, its pre-test
+    `_rungs_outside` (`pretest` in its place when given) and
+    `newton_solve`, attached to one mock whose mock_calls keep their order."""
+    calls = mock.Mock()
+    for name, attribute, side_effect in (
+            ("kernel", "_radial_eval", kernel), ("restore", "_restore_feasibility", None),
+            ("pretest", "_rungs_outside", pretest), ("newton", "newton_solve", None)):
+        calls.attach_mock(spy(solver, attribute, side_effect), name)
+    return calls
 
-    def counted(problem, t, du, d2u):
-        if not restoring:
-            return evaluate(problem, t, du, d2u)
-        passes.append(t)
-        return (kernel or evaluate)(problem, t, du, d2u)
 
-    def counted_restore(*args):
-        restoring.append(args)
-        try:
-            return restore(*args)
-        finally:
-            restoring.pop()
+def _restores(calls):
+    """Per restore of a run spied on by `_spy_restores`: its arguments, and
+    the t of each kernel pass and of each pre-test from its start up to the
+    next `newton_solve`."""
+    restores, current = [], None
+    for name, args, _ in calls.mock_calls:
+        if name == "restore":
+            current = (args, [], [])
+            restores.append(current)
+        elif name == "newton":
+            current = None
+        elif current is not None:
+            current[1 if name == "kernel" else 2].append(args[1])
+    return restores
 
-    def counted_pretest(problem, t, *args):
-        pretests.append(t)
-        return (pretest or rungs_outside)(problem, t, *args)
 
-    monkeypatch.setattr(solver, "_radial_eval", counted)
-    monkeypatch.setattr(solver, "_restore_feasibility", counted_restore)
-    monkeypatch.setattr(solver, "_rungs_outside", counted_pretest)
-    return passes, pretests
+def _restore_passes(calls):
+    """The t of each full kernel pass of the restores of a run spied on by
+    `_spy_restores`, and the t of each pre-test."""
+    return ([t for _, passes, _ in _restores(calls) for t in passes],
+            [call.args[1] for call in calls.pretest.call_args_list])
 
 
 class TestRoundingFloor:
@@ -553,68 +544,39 @@ class TestRoundingFloor:
             else:
                 assert tol < s.residual_norm <= s.rounding_floor
 
-    def test_floor_reads_the_state_evaluation(self, monkeypatch):
+    def test_floor_reads_the_state_evaluation(self, spy):
         # the same (5, 3) solve: the floor rule makes no kernel call of its own
-        calls = {"kernel": 0, "residual": 0}
-        restore_passes, _ = _restore_passes(monkeypatch)
-        kernel, evaluate = solver._radial_eval, solver._residual
-
-        def counted(*args):
-            calls["kernel"] += 1
-            return kernel(*args)
-
-        def residual_evaluating(*args):
-            # a start comes with the evaluation the continuation or the
-            # restore's ladder made
-            calls["residual"] += len(args) == 6 or args[6] is None
-            return evaluate(*args)
-
-        monkeypatch.setattr(solver, "_radial_eval", counted)
-        monkeypatch.setattr(solver, "_residual", residual_evaluating)
+        calls = _spy_restores(spy)
+        residuals = spy(solver, "_residual")
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
+        restore_passes, _ = _restore_passes(calls)
         assert restore_passes
+        # a start comes with the evaluation the continuation or the
+        # restore's ladder made
+        evaluating = sum(len(call.args) == 6 or call.args[6] is None
+                         for call in residuals.call_args_list)
         # one pass more per warm start, which the continuation evaluates
-        assert calls["kernel"] == calls["residual"] + len(restore_passes) + len(report.states)
+        assert calls.kernel.call_count == evaluating + len(restore_passes) + len(report.states)
 
-    def test_each_state_takes_one_gradient(self, monkeypatch):
+    def test_each_state_takes_one_gradient(self, spy):
         # the same (5, 3) solve: the floor rule reads the gradient that the
         # state's Jacobian took, so no gradient pass is made beside them
-        calls = {"gradient": 0, "jacobian": 0}
-        gradient, assemble = RadialEvaluation.gradient, solver.jacobian
-
-        def counted_gradient(evaluation):
-            calls["gradient"] += 1
-            return gradient(evaluation)
-
-        def counted_jacobian(*args):
-            calls["jacobian"] += 1
-            return assemble(*args)
-
-        monkeypatch.setattr(RadialEvaluation, "gradient", counted_gradient)
-        monkeypatch.setattr(solver, "jacobian", counted_jacobian)
+        gradients, jacobians = spy(RadialEvaluation, "gradient"), spy(solver, "jacobian")
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
-        assert calls["gradient"] == calls["jacobian"] > 0
+        assert gradients.call_count == jacobians.call_count > 0
 
-    def test_no_state_is_evaluated_twice(self, monkeypatch):
+    def test_no_state_is_evaluated_twice(self, spy):
         # a stalled line search ends at its first step that moves no node,
         # and Newton takes a restored start's evaluation from the blend ladder
-        evaluate, restore, seen, restored = solver._radial_eval, solver._restore_feasibility, [], []
-
-        def recorded(problem, t, du, d2u):
-            seen.append((t, du.tobytes(), d2u.tobytes()))
-            return evaluate(problem, t, du, d2u)
-
-        def recorded_restore(*args):
-            restored.append(restore(*args))
-            return restored[-1]
-
-        monkeypatch.setattr(solver, "_radial_eval", recorded)
-        monkeypatch.setattr(solver, "_restore_feasibility", recorded_restore)
+        kernel, restore = spy(solver, "_radial_eval"), spy(solver, "_restore_feasibility")
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
-        assert restored and all(r is not None for r in restored)
+        # a restore that brought no blend back would have ended the run
+        assert restore.call_count
+        seen = [(t, du.tobytes(), d2u.tobytes()) for _, t, du, d2u in
+                (call.args for call in kernel.call_args_list)]
         assert len(set(seen)) == len(seen)
 
 
@@ -682,57 +644,37 @@ class TestStateEvaluation:
         assert isinstance(state.increment_norms, tuple)
         assert len(state.increment_norms) == state.newton_iters >= 1
 
-    def test_one_margin_evaluation_per_state(self, monkeypatch):
+    def test_one_margin_evaluation_per_state(self, spy):
         # the radial kernel is the solver's only cone evaluation: one ESP
         # pass per residual call, and a Jacobian adds only its gradient's
         # one pass, over the evaluation its state's residual made
         problem = subsolution_benchmark(node_count=401)
-        calls = {"passes": 0, "kernels": 0, "gradients": 0, "residual": 0}
-        esp = symfun._esp
-        radial_eval = SymFuncSpec.radial_eval
-        gradient = symfun.RadialEvaluation.gradient
-        evaluate = solver._residual
-
-        def counted(name, fn):
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(symfun, "_esp", counted("passes", esp))
-        monkeypatch.setattr(SymFuncSpec, "radial_eval", counted("kernels", radial_eval))
-        monkeypatch.setattr(symfun.RadialEvaluation, "gradient", counted("gradients", gradient))
-        monkeypatch.setattr(solver, "_residual", counted("residual", evaluate))
+        passes, kernels = spy(symfun, "_esp"), spy(SymFuncSpec, "radial_eval")
+        gradients, residuals = spy(RadialEvaluation, "gradient"), spy(solver, "_residual")
         state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
         assert state.converged
-        assert calls["residual"] > state.newton_iters
-        assert calls["kernels"] == calls["residual"]
-        assert calls["gradients"] == state.newton_iters
-        assert calls["passes"] == calls["residual"] + state.newton_iters
+        assert residuals.call_count > state.newton_iters
+        assert kernels.call_count == residuals.call_count
+        assert gradients.call_count == state.newton_iters
+        assert passes.call_count == residuals.call_count + state.newton_iters
 
-    def test_newton_never_builds_eigen_rows(self, monkeypatch):
+    def test_newton_never_builds_eigen_rows(self, monkeypatch, spy):
         # every ESP pass inside newton_solve runs on the radial columns
         # (a, s, ..., s), never on an (n, m) array of eigenvalue rows
         def forbidden(*args):
             raise AssertionError("the (m, n) ESP path ran inside newton_solve")
 
-        esp = symfun._esp
-        columns_seen = []
-
-        def radial_only(columns, kmax):
-            assert isinstance(columns, tuple | list)
-            assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in columns)
-            assert all(x is columns[1] for x in columns[2:])
-            columns_seen.append(len(columns))
-            return esp(columns, kmax)
-
         problem = subsolution_benchmark(node_count=401)
-        monkeypatch.setattr(symfun, "_esp", radial_only)
+        esp = spy(symfun, "_esp")
         monkeypatch.setattr(symfun, "_esp_removed", forbidden)
         monkeypatch.setattr(symfun, "_cone_scores", forbidden)
         state = newton_solve(problem, 0.5, problem.subsolution, NewtonOptions(tol=1e-9))
         assert state.converged and state.newton_iters >= 1
-        assert columns_seen
+        assert esp.call_count
+        for columns, _ in (call.args for call in esp.call_args_list):
+            assert isinstance(columns, tuple | list)
+            assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in columns)
+            assert all(x is columns[1] for x in columns[2:])
 
     def test_cone_exit_in_line_search_is_damped(self):
         # at t = 0 the undamped first Newton step from the subsolution leaves
@@ -748,6 +690,12 @@ class TestStateEvaluation:
 
 
 class TestMonitors:
+    def test_growth_from_a_zero_monitor(self):
+        # a first value below 1e-14 counts as zero: a monitor that stays
+        # there grows by 1, one that leaves it without bound
+        states = [SimpleNamespace(monitors=m) for m in ((0.0, 1e-15, 1.0), (1e-15, 0.5, 2.0))]
+        assert ContinuationReport(states, None).monitor_growth() == (1.0, math.inf, 2.0)
+
     def test_constant(self):
         prof = RadialProfile.uniform(1.0, 101, lambda x: np.full_like(x, 3.0))
         # derivative crumbs come from the 1/h^2 stencil weights times rounding
@@ -832,17 +780,10 @@ class TestSubsolutionCheck:
         assert report.min_margin == pytest.approx(float(expected.min()), rel=1e-13)
         assert not report.passed
 
-    def test_one_kernel_call_with_nodes_outside(self, monkeypatch):
+    def test_one_kernel_call_with_nodes_outside(self, spy):
         # the margins inside the cone come from the one evaluation of every
         # node, bit for bit the row path's f minus psi
-        calls = []
-        radial_eval = SymFuncSpec.radial_eval
-
-        def counted(spec, *args):
-            calls.append(args[0])
-            return radial_eval(spec, *args)
-
-        monkeypatch.setattr(SymFuncSpec, "radial_eval", counted)
+        kernel = spy(SymFuncSpec, "radial_eval")
         spec = SymFuncSpec("quotient", n=5, k=3, l=1)
         sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
         psi = lambda x, z: 0.1 + 0.05 * np.asarray(x, float) * np.ones_like(np.asarray(z, float))
@@ -852,7 +793,7 @@ class TestSubsolutionCheck:
             phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
         )
         report = check_subsolution(problem)
-        assert calls == [1.0]
+        assert [call.args[1] for call in kernel.call_args_list] == [1.0]
         rows = radial_rows(5, sub.du, sub.d2u)
         inside = spec.margin_scores(rows) > spec.margin
         assert 0 < inside.sum() < inside.size
@@ -958,13 +899,14 @@ class TestContinuation:
         assert (stopped.name, stopped.passed, stopped.worst) == ("full_schedule", False, 0.5)
         assert [c.name for c in ContinuationReport([], 0.0).checks(2.0)] == ["full_schedule"]
 
-    def test_feasible_warm_starts_are_not_screened(self, monkeypatch):
+    def test_feasible_warm_starts_are_not_screened(self, spy):
         # the continuation's evaluation is the cone screen of a warm start; only
         # the blend ladder of an infeasible one tests blends: one pre-test
         # of every rung, then one full kernel pass per rung it lets through,
         # up to the first feasible rung and its headroom rung
-        passes, pretests = _restore_passes(monkeypatch)
+        calls = _spy_restores(spy)
         report = continuation_run(subsolution_benchmark(node_count=401))
+        passes, pretests = _restore_passes(calls)
         assert [passes.count(s.t) for s in report.states] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0]
         assert pretests == [s.t for s in report.states if passes.count(s.t)]
         assert [s.newton_iters for s in report.states] == [5, 3, 4, 4, 4, 4, 5, 5, 6, 5, 3, 4, 4]
@@ -1040,32 +982,35 @@ class TestContinuation:
     def _lets_every_rung_through(problem, t, profile, anchor, evaluation):
         return np.zeros(len(solver._LADDER), dtype=bool)
 
-    def test_exhausted_blend_ladder_ends_the_run(self, monkeypatch):
+    def test_exhausted_blend_ladder_ends_the_run(self, spy):
         # the warm start of t = 0.4 leaves its cone (see the call counts of
         # test_feasible_warm_starts_are_not_screened); the pre-test lets
-        # every rung through but no blend is let back in, so every rung
-        # takes its pass and the run ends there
+        # every rung through but no kernel pass at t = 0.4, where the run
+        # ends, lets a blend back in, so every rung takes its pass
         evaluate = solver._radial_eval
 
         def outside(problem, t, du, d2u):
-            return evaluate(problem, t, du, d2u)._replace(outside=np.array([0]))
+            evaluation = evaluate(problem, t, du, d2u)
+            return evaluation._replace(outside=np.array([0])) if t == 0.4 else evaluation
 
-        passes, pretests = _restore_passes(monkeypatch, outside, self._lets_every_rung_through)
+        calls = _spy_restores(spy, outside, self._lets_every_rung_through)
         with pytest.raises(ContinuationError) as err:
             continuation_run(subsolution_benchmark(node_count=401))
+        passes, pretests = _restore_passes(calls)
         assert err.value.t_failed == 0.4 and passes == [0.4] * 9 and pretests == [0.4]
         assert isinstance(err.value.__cause__, ConeViolationError)
         assert [s.t for s in err.value.states] == [0.0, 0.1, 0.2, 0.3]
 
-    def test_pretest_can_rule_out_every_rung(self, monkeypatch):
+    def test_pretest_can_rule_out_every_rung(self, spy):
         # a ladder whose pre-test rules out every rung makes no full pass
         def rules_out_all(problem, t, profile, anchor, evaluation):
             return np.ones(len(solver._LADDER), dtype=bool)
 
-        passes, pretests = _restore_passes(monkeypatch, pretest=rules_out_all)
+        calls = _spy_restores(spy, pretest=rules_out_all)
         problem = subsolution_benchmark(node_count=401)
         with pytest.raises(ContinuationError) as err:
             continuation_run(problem)
+        passes, pretests = _restore_passes(calls)
         assert err.value.t_failed == 0.4 and passes == [] and pretests == [0.4]
         # the cause is the warm start's own cone exit, as Newton names it
         cause = err.value.__cause__
@@ -1074,22 +1019,18 @@ class TestContinuation:
         assert (type(cause), str(cause), cause.node) == (
             ConeViolationError, str(direct.value), direct.value.node)
 
-    def test_last_rung_of_the_ladder_is_the_anchor(self, monkeypatch):
-        # only the full blend is let back in: it has no rung after it, and
-        # the solve at t = 0.4 starts from the subsolution itself
+    def test_last_rung_of_the_ladder_is_the_anchor(self, spy):
+        # the pre-test lets only the full blend through: it has no rung
+        # after it, and the solve at t = 0.4 starts from the subsolution itself
         problem = subsolution_benchmark(node_count=401)
         sub = problem.subsolution
-        evaluate = solver._radial_eval
 
-        def anchor_only(problem, t, du, d2u):
-            evaluation = evaluate(problem, t, du, d2u)
-            if np.array_equal(du, sub.du):
-                return evaluation
-            return evaluation._replace(outside=np.array([0]))
+        def anchor_only(problem, t, profile, anchor, evaluation):
+            return np.arange(len(solver._LADDER)) < len(solver._LADDER) - 1
 
-        passes, pretests = _restore_passes(monkeypatch, anchor_only, self._lets_every_rung_through)
+        calls = _spy_restores(spy, pretest=anchor_only)
         states = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:5]).states
-        assert passes == [0.4] * 9 and pretests == [0.4]
+        assert _restore_passes(calls) == ([0.4], [0.4])
         # Newton took the anchor's evaluation from the ladder: the same state
         expected = newton_solve(problem, 0.4, sub)
         assert np.array_equal(states[-1].profile.u, expected.profile.u)
@@ -1108,31 +1049,25 @@ class TestContinuation:
                 assert got == wanted
 
     @pytest.mark.parametrize("kind", ["401-node benchmark", "(5, 3) floor run"])
-    def test_ladder_matches_full_passes(self, monkeypatch, kind):
+    def test_ladder_matches_full_passes(self, spy, kind):
         # every restore returns the blend and the evaluation of the frozen
         # ladder, which takes one full pass per rung; the pre-test, one
         # kernel call, leaves two full passes: the first feasible rung and
         # its headroom rung
         problem = (subsolution_benchmark(node_count=401) if kind == "401-node benchmark"
                    else subsolution_benchmark(n=5, k=3))
-        kernel_passes, pretests = _restore_passes(monkeypatch)
-        restore, calls = solver._restore_feasibility, []
-
-        def recorded(*args):
-            before = len(kernel_passes), len(pretests)
-            restored = restore(*args)
-            calls.append((args, restored, len(kernel_passes) - before[0], len(pretests) - before[1]))
-            return restored
-
-        monkeypatch.setattr(solver, "_restore_feasibility", recorded)
+        restore = solver._restore_feasibility
+        calls = _spy_restores(spy)
         continuation_run(problem)
-        assert len(calls) == (7 if kind == "401-node benchmark" else 11)
-        for (prob, t, profile, anchor, _), restored, passes, pretest_calls in calls:
-            expected, expected_passes = restore_by_full_passes(prob, t, profile, anchor)
-            self._assert_restored_as(restored, expected)
-            assert (passes, pretest_calls) == (2, 1) and expected_passes > 2
+        restores = _restores(calls)
+        assert len(restores) == (7 if kind == "401-node benchmark" else 11)
+        for args, passes, pretests in restores:
+            expected, expected_passes = restore_by_full_passes(*args[:4])
+            # a restore returns the same on the same arguments
+            self._assert_restored_as(restore(*args), expected)
+            assert (len(passes), len(pretests)) == (2, 1) and expected_passes > 2
 
-    def test_rung_that_passes_the_pretest_can_fail_its_full_pass(self, monkeypatch):
+    def test_rung_that_passes_the_pretest_can_fail_its_full_pass(self, spy):
         # a stub kernel marks one more node outside in the full pass of the
         # first feasible rung of t = 0.4, where the pre-test's few nodes
         # cannot see it: the ladder moves on to the next rung exactly as the
@@ -1146,21 +1081,25 @@ class TestContinuation:
         first = next(b for b in blends
                      if not solver._radial_eval(problem, 0.4, b.du, b.d2u).outside.size)
         target = radial_w_eigenvalues(first.du[1:-1], first.d2u[1:-1])[0]
-        radial_eval, stubbed = SymFuncSpec.radial_eval, []
+        radial_eval = SymFuncSpec.radial_eval
 
         def one_more_outside(spec, t, a, s):
             full = radial_eval(spec, t, a, s)
             if np.array_equal(a, target):
-                stubbed.append(t)
                 return full._replace(outside=np.array([int(np.argmin(full.scores))]))
             return full
 
-        monkeypatch.setattr(SymFuncSpec, "radial_eval", one_more_outside)
-        passes, pretests = _restore_passes(monkeypatch)
+        def stubbed():
+            return [t for _, t, a, _ in (call.args for call in kernel.call_args_list)
+                    if np.array_equal(a, target)]
+
+        kernel = spy(SymFuncSpec, "radial_eval", one_more_outside)
+        calls = _spy_restores(spy)
         restored = solver._restore_feasibility(problem, 0.4, warm, sub, evaluation)
-        assert stubbed == [0.4] and pretests == [0.4]
+        passes, pretests = _restore_passes(calls)
+        assert stubbed() == [0.4] and pretests == [0.4]
         expected, expected_passes = restore_by_full_passes(problem, 0.4, warm, sub)
-        assert stubbed == [0.4] * 2
+        assert stubbed() == [0.4] * 2
         self._assert_restored_as(restored, expected)
         assert not np.array_equal(restored[0].u, unstubbed.u)
         assert len(passes) == 3 < expected_passes

@@ -584,23 +584,16 @@ class TestMatrixFunction:
 
     @pytest.mark.parametrize("lam", [[0.3, 0.5, 1.0, 2.0], [1.0, 1.0, 1.0, 2.0]],
                              ids=["distinct", "repeated"])
-    def test_one_cone_pass(self, monkeypatch, lam):
+    def test_one_cone_pass(self, spy, lam):
         # the value and the derivative from one cone pass, as from the cone
         # test, value and gradient of the spectrum taken one by one
         rng = np.random.default_rng(16)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         w = (q * np.array(lam)) @ q.T
         w = 0.5 * (w + w.T)
-        calls = []
-        cone_scores = symfun._cone_scores
-
-        def counting(values, order):
-            calls.append(values.shape)
-            return cone_scores(values, order)
-
-        monkeypatch.setattr(symfun, "_cone_scores", counting)
+        cone_scores = spy(symfun, "_cone_scores")
         value, deriv = matrix_value_and_derivative(S24, 0.6, w)
-        assert calls == [(1, 4)]
+        assert [call.args[0].shape for call in cone_scores.call_args_list] == [(1, 4)]
         spectrum, vectors = np.linalg.eigh(w)
         assert S24.contains(spectrum, 0.6)
         g = S24.grad(spectrum, 0.6)
@@ -691,23 +684,20 @@ class TestVerifyStructure:
         for i in range(64):
             assert (lo[i], hi[i]) == bisect_exit_by_loop(spec, pts[i], directions[i], reach)
 
-    def test_decay_check_at_the_step_cap(self, monkeypatch):
+    def test_decay_check_at_the_step_cap(self, spy):
         # the margin flips sign from octave to octave of the distance to the
         # ray starts below 2^-46 and is negative above: the ends move at
         # every step, and the cap of 100 ends the bisection inside a call
-        calls = []
-
-        def flapping(self, values):
-            calls.append(len(values))
+        def flapping(self, values, t=None):
             r = np.abs(values - 1.0).max(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 even = np.floor(np.log2(r)) % 2 == 0
             return np.where((r < 2.0 ** -46) & even, 1.0, -1.0)
 
-        monkeypatch.setattr(SymFuncSpec, "margin_scores", flapping)
+        scores = spy(SymFuncSpec, "margin_scores", flapping)
         pts = np.ones((64, 4))
         for seed in (40, 41):
-            calls.clear()
+            scores.reset_mock()
             rng_batched = np.random.default_rng(seed)
             rng_loop = np.random.default_rng(seed)
             batched = _boundary_decay_check(S24, pts, rng_batched)
@@ -716,11 +706,11 @@ class TestVerifyStructure:
             levels = symfun._BISECT_LEVELS
             full, last = divmod(100, levels)
             bisection = [64 * (2 ** levels - 1)] * full + [64 * (2 ** last - 1)] * (last > 0)
-            assert calls == [8 * 60] * 8 + bisection
+            assert [len(call.args[1]) for call in scores.call_args_list] == [8 * 60] * 8 + bisection
             assert batched == boundary_decay_by_loop(S24, pts, rng_loop)
             assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
 
-    def test_decay_check_keeps_late_exits(self, monkeypatch):
+    def test_decay_check_keeps_late_exits(self, monkeypatch, spy):
         # a direction with d_0 > 0 leaves the cone at once, one with
         # d_0 <= 0 < d_1 only beyond the reach 2^12, and the rest never:
         # each ray's bisection starts at its first reach outside, and the
@@ -735,26 +725,21 @@ class TestVerifyStructure:
         def falling(self, values):
             return 1.0 / (1.0 + np.abs(values - 1.0).max(axis=-1))
 
-        bisect, found = symfun._bisect_exits, {}
-
-        def recorded(spec, pts, directions, hi):
-            found.update(directions=directions.copy(), hi=hi.copy())
-            return bisect(spec, pts, directions, hi)
-
         monkeypatch.setattr(SymFuncSpec, "margin_scores", late_exits)
         monkeypatch.setattr(SymFuncSpec, "value", falling)
         monkeypatch.setattr(SymFuncSpec, "value_many", falling)
-        monkeypatch.setattr(symfun, "_bisect_exits", recorded)
+        bisect = spy(symfun, "_bisect_exits")
         pts = np.ones((64, 4))
         reach = 2.0 ** np.arange(60)
         for seed in (42, 43):
             rng_batched = np.random.default_rng(seed)
             rng_loop = np.random.default_rng(seed)
             batched = _boundary_decay_check(S24, pts, rng_batched)
-            probes = pts[:, None, :] + reach[:, None] * found["directions"][:, None, :]
+            _, _, directions, hi = bisect.call_args.args
+            probes = pts[:, None, :] + reach[:, None] * directions[:, None, :]
             outside = late_exits(S24, probes.reshape(-1, 4)).reshape(64, 60) <= 0.0
             assert outside.any(axis=1).all()
-            assert np.array_equal(found["hi"], reach[outside.argmax(axis=1)])
+            assert np.array_equal(hi, reach[outside.argmax(axis=1)])
             assert batched == boundary_decay_by_loop(S24, pts, rng_loop)
             assert rng_batched.bit_generator.state == rng_loop.bit_generator.state
 
@@ -883,19 +868,12 @@ class TestConcavityMargin:
         with pytest.raises(ConeDomainError, match="lam"):
             concavity_margin(S23, 0.2, np.ones(3), lams[2], 0.2)
 
-    def test_batched_kernel_tests_each_stack_once(self, monkeypatch):
+    def test_batched_kernel_tests_each_stack_once(self, spy):
         # the mus, the t-mapped mus and the t-mapped lams: one cone test each
-        calls = []
-        cone_scores = symfun._cone_scores
-
-        def counting(values, order):
-            calls.append(values.shape)
-            return cone_scores(values, order)
-
-        monkeypatch.setattr(symfun, "_cone_scores", counting)
+        cone_scores = spy(symfun, "_cone_scores")
         lams = np.ones((3, 3)) + np.diag([0.0, 0.5, 1.0])
         concavity_margin_many(S23, [1.0, 0.5, 0.2], np.ones((3, 3)), lams, 0.2)
-        assert calls == [(3, 3)] * 3
+        assert [call.args[0].shape for call in cone_scores.call_args_list] == [(3, 3)] * 3
 
 
 class TestRadialKernel:
@@ -985,22 +963,14 @@ class TestRadialKernel:
                 assert np.array_equal(np.signbit(e), np.signbit(expected))
 
     @pytest.mark.parametrize("n", range(3, 10))
-    def test_single_half_pass_matches_the_stacked_pass(self, n, monkeypatch):
+    def test_single_half_pass_matches_the_stacked_pass(self, n, spy):
         # where every t-mapped entry is above zero, the pass runs on the m
         # signed columns alone; one negative row, a signed zero, NaN or inf
         # switch it to the stacked (a, |a|) columns.  Either way the scores
         # and the rows outside match the frozen stacked pass on every row,
         # and the ESP rows, f_t and the gradient on the rows inside, bit for
         # bit; n >= 8 takes the eight-accumulator row sums
-        widths = []
-        step = symfun._esp_step
-
-        def recorded(out, col, x):
-            if col == 0:
-                widths.append(x.size)
-            step(out, col, x)
-
-        monkeypatch.setattr(symfun, "_esp_step", recorded)
+        step = spy(symfun, "_esp_step")
         rng = np.random.default_rng(300 + n)
         a, s = rng.uniform(0.05, 3.0, 64), rng.uniform(0.05, 1.0, 64)
         negative = a.copy()
@@ -1013,10 +983,11 @@ class TestRadialKernel:
         for spec, t, (name, (x, y)) in itertools.product(all_specs(n), (0.0, 0.3, 0.99, 1.0),
                                                          batches.items()):
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                widths.clear()
+                step.reset_mock()
                 ev = spec.radial_eval(t, x, y)
                 if name != "zeros, NaN, inf":
-                    assert widths[0] == (64 if name == "positive" else 128)
+                    _, col, first = step.call_args_list[0].args
+                    assert col == 0 and first.size == (64 if name == "positive" else 128)
                 want = radial_eval_by_stacked_pass(spec, t, x, y)
                 rows = np.column_stack([x] + [y] * (n - 1))
                 for scores in (want["scores"], spec.margin_scores(rows, t)):
@@ -1041,29 +1012,20 @@ class TestRadialKernel:
                     assert np.array_equal(np.signbit(got), np.signbit(wanted))
                     assert np.array_equal(got, row_path)
 
-    def test_one_esp_pass_for_scores_and_values(self, monkeypatch):
+    def test_one_esp_pass_for_scores_and_values(self, spy):
         # (a, s) and (|a|, |s|) go through one recurrence stacked, whose
         # first n - 1 steps are the sphere slot's cut; the gradient adds
         # only the pass over the tuple without the axis slot.  A pass is
-        # counted by the entries its steps take in.
-        passes = []
-        step = symfun._esp_step
-
-        def counting(out, col, x):
-            if col == 0:
-                passes.append(0)
-            passes[-1] += 1
-            step(out, col, x)
-
-        monkeypatch.setattr(symfun, "_esp_step", counting)
+        # told by the entries its steps take in, the columns 0, 1, ...
+        step = spy(symfun, "_esp_step")
         a, s = radial_w_eigenvalues(np.linspace(-0.5, 0.5, 50), np.full(50, 1.0))
         for spec in (S24, SymFuncSpec("quotient", n=4, k=3, l=1)):
-            passes.clear()
+            step.reset_mock()
             ev = spec.radial_eval(0.5, a, s)
             assert ev.outside.size == 0
-            assert passes == [4]
+            assert [call.args[1] for call in step.call_args_list] == [0, 1, 2, 3]
             ev.gradient()
-            assert passes == [4, 3]
+            assert [call.args[1] for call in step.call_args_list] == [0, 1, 2, 3, 0, 1, 2]
 
     def test_evaluation_holds_only_vector_copies(self):
         # an evaluation holds (m,) arrays of its own and the indices of the
@@ -1117,36 +1079,24 @@ class TestSuiteCallCounts:
     """The structure suites evaluate in batches: one cone test per sampling
     round and per bisection step, not per sample or per ray."""
 
-    @staticmethod
-    def _counted(monkeypatch):
-        calls = []
-        score = SymFuncSpec.margin_scores
-
-        def counting(self, values, t=None):
-            calls.append(len(values))
-            return score(self, values, t)
-
-        monkeypatch.setattr(SymFuncSpec, "margin_scores", counting)
-        return calls
-
-    def test_separation_suite(self, monkeypatch):
-        calls = self._counted(monkeypatch)
+    def test_separation_suite(self, spy):
+        scores = spy(SymFuncSpec, "margin_scores")
         counts = []
         for samples in (500, 5000):
-            calls.clear()
+            scores.reset_mock()
             concavity_margin_suite(S23, samples=samples, beta=0.2, seed=0)
-            counts.append(len(calls))
+            counts.append(scores.call_count)
         # only the number of sampling rounds grows, like log(samples)
         assert counts[1] < 3 * counts[0]
         assert counts[1] < 5000 // 10
 
-    def test_verify_structure(self, monkeypatch):
-        calls = self._counted(monkeypatch)
+    def test_verify_structure(self, spy):
+        scores = spy(SymFuncSpec, "margin_scores")
         counts = []
         for samples in (200, 2000):
-            calls.clear()
+            scores.reset_mock()
             verify_structure(S24, sample_count=samples, seed=0)
-            counts.append(len(calls))
+            counts.append(scores.call_count)
         # flat up to the cone sampler's rejection rounds; the decay check's
         # 64 rays bisect in lockstep, three steps per call (at most 34
         # calls, not 6400)
