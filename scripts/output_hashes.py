@@ -28,6 +28,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -186,12 +187,8 @@ def _run(command, config):
 
 def _run_in_one_process(command, config):
     """_run with cli._writer_count() cut to one writer."""
-    count = cli._writer_count
-    cli._writer_count = lambda rows: 1
-    try:
+    with mock.patch.object(cli, "_writer_count", return_value=1):
         return _run(command, config)
-    finally:
-        cli._writer_count = count
 
 
 def main():

@@ -394,6 +394,10 @@ _EXAMPLE_KEYS = {"n", "k", "c", "grid_size", "thresholds", "out", "seed", "verbo
 
 
 def cmd_example1(config):
+    """Run `yamabe example1`.  Any NumericalError while building the profile
+    (a grid too fine for finite stencil weights, or the integration or slope
+    inversion failing on (n, k, c)) is a ConfigError, met before the output
+    directory is touched."""
     _check_keys(config, _EXAMPLE_KEYS, "config")
     n = _as_int(_need(config, "n", "config"), "n", lo=3)
     k = _as_int(_need(config, "k", "config"), "k", lo=2, hi=n)
@@ -455,9 +459,10 @@ def _parse_solve(config):
     computes the DirichletProblem (benchmarks.dirichlet_problem) and the init
     profile (or None).  build raises ConeDomainError, with the minimum cone
     margin score, when psi is built on a subsolution that leaves the cone,
-    and ConfigError when the problem's own checks reject its data or its
-    grid, or the init profile's, is too fine for finite stencil weights
-    (a NumericalError)."""
+    and ConfigError when the problem's own checks reject its data or any
+    NumericalError meets the start profile, psi or the problem: a grid too
+    fine for finite stencil weights, or the Example 1 profile's integration,
+    slope inversion or half-length bracket failing on the config's data."""
     _check_keys(config, _SOLVE_KEYS, "config")
     n = _as_int(_need(config, "n", "config"), "n", lo=3)
     function = _need(config, "function", "config")

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -140,19 +139,20 @@ def test_loc_sorts_the_lines_of_a_module():
 
 def test_bench_counts_the_decay_check_of_verify_structure(spy):
     # bench.py's decay check draws from the generator state that sampling
-    # leaves, as inside `verify_structure`, so it makes the same cone calls:
-    # those from the check's start up to the homogeneity row, which follows it
+    # leaves, as inside `verify_structure`, so it makes the same cone calls
     bench = _load("bench")
     spec = SymFuncSpec("sigma_k_root", n=4, k=2)
     counted = bench.decay_check_margin_calls(spec, *bench.decay_check_inputs(spec))
-    calls = mock.Mock()
-    calls.attach_mock(spy(symfun, "_boundary_decay_check"), "check")
-    calls.attach_mock(spy(symfun, "_homogeneity_row"), "homogeneity")
-    calls.attach_mock(spy(SymFuncSpec, "margin_scores"), "scores")
+    check, scores, rows = symfun._boundary_decay_check, spy(SymFuncSpec, "margin_scores"), []
+
+    def checking(*args):
+        first = scores.call_count
+        result = check(*args)
+        rows.extend(len(call.args[1]) for call in scores.call_args_list[first:])
+        return result
+
+    spy(symfun, "_boundary_decay_check", checking)
     symfun.verify_structure(spec, sample_count=1000, seed=0)
-    names = [name for name, _, _ in calls.mock_calls]
-    window = calls.mock_calls[names.index("check"):names.index("homogeneity")]
-    rows = [len(args[1]) for name, args, _ in window if name == "scores"]
     assert counted == {"calls": len(rows), "rows": sum(rows)}
 
 

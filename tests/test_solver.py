@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -465,39 +464,33 @@ class TestTridiagonalSolve:
 
 
 def _spy_restores(spy, kernel=None, pretest=None):
-    """Spies on the full radial kernel pass `_radial_eval` (`kernel` in its
-    place when given), the feasibility restore, its pre-test
-    `_rungs_outside` (`pretest` in its place when given) and
-    `newton_solve`, attached to one mock whose mock_calls keep their order."""
-    calls = mock.Mock()
-    for name, attribute, side_effect in (
-            ("kernel", "_radial_eval", kernel), ("restore", "_restore_feasibility", None),
-            ("pretest", "_rungs_outside", pretest), ("newton", "newton_solve", None)):
-        calls.attach_mock(spy(solver, attribute, side_effect), name)
-    return calls
+    """Spies on the full radial kernel pass `_radial_eval`, the feasibility
+    restore and its pre-test `_rungs_outside` (`pretest` in its place when
+    given); `kernel`, when given, takes the kernel's place while a restore
+    runs.  Returns the kernel spy and a list that gets, per restore, its
+    arguments and the t of each kernel pass and of each pre-test made
+    inside it."""
+    evaluate, restore, restores = solver._radial_eval, solver._restore_feasibility, []
+    passes, pretests = spy(solver, "_radial_eval"), spy(solver, "_rungs_outside", pretest)
+
+    def restoring(*args):
+        kernel_calls, pretest_calls = passes.call_count, pretests.call_count
+        passes.side_effect = kernel or evaluate
+        restored = restore(*args)
+        passes.side_effect = evaluate
+        restores.append((args, [call.args[1] for call in passes.call_args_list[kernel_calls:]],
+                         [call.args[1] for call in pretests.call_args_list[pretest_calls:]]))
+        return restored
+
+    spy(solver, "_restore_feasibility", restoring)
+    return passes, restores
 
 
-def _restores(calls):
-    """Per restore of a run spied on by `_spy_restores`: its arguments, and
-    the t of each kernel pass and of each pre-test from its start up to the
-    next `newton_solve`."""
-    restores, current = [], None
-    for name, args, _ in calls.mock_calls:
-        if name == "restore":
-            current = (args, [], [])
-            restores.append(current)
-        elif name == "newton":
-            current = None
-        elif current is not None:
-            current[1 if name == "kernel" else 2].append(args[1])
-    return restores
-
-
-def _restore_passes(calls):
-    """The t of each full kernel pass of the restores of a run spied on by
-    `_spy_restores`, and the t of each pre-test."""
-    return ([t for _, passes, _ in _restores(calls) for t in passes],
-            [call.args[1] for call in calls.pretest.call_args_list])
+def _restore_passes(restores):
+    """The t of each full kernel pass of the restores `_spy_restores`
+    recorded, and the t of each pre-test."""
+    return ([t for _, passes, _ in restores for t in passes],
+            [t for _, _, pretests in restores for t in pretests])
 
 
 class TestRoundingFloor:
@@ -546,18 +539,18 @@ class TestRoundingFloor:
 
     def test_floor_reads_the_state_evaluation(self, spy):
         # the same (5, 3) solve: the floor rule makes no kernel call of its own
-        calls = _spy_restores(spy)
+        kernel, restores = _spy_restores(spy)
         residuals = spy(solver, "_residual")
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
-        restore_passes, _ = _restore_passes(calls)
+        restore_passes, _ = _restore_passes(restores)
         assert restore_passes
         # a start comes with the evaluation the continuation or the
         # restore's ladder made
         evaluating = sum(len(call.args) == 6 or call.args[6] is None
                          for call in residuals.call_args_list)
         # one pass more per warm start, which the continuation evaluates
-        assert calls.kernel.call_count == evaluating + len(restore_passes) + len(report.states)
+        assert kernel.call_count == evaluating + len(restore_passes) + len(report.states)
 
     def test_each_state_takes_one_gradient(self, spy):
         # the same (5, 3) solve: the floor rule reads the gradient that the
@@ -904,9 +897,9 @@ class TestContinuation:
         # the blend ladder of an infeasible one tests blends: one pre-test
         # of every rung, then one full kernel pass per rung it lets through,
         # up to the first feasible rung and its headroom rung
-        calls = _spy_restores(spy)
+        _, restores = _spy_restores(spy)
         report = continuation_run(subsolution_benchmark(node_count=401))
-        passes, pretests = _restore_passes(calls)
+        passes, pretests = _restore_passes(restores)
         assert [passes.count(s.t) for s in report.states] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0]
         assert pretests == [s.t for s in report.states if passes.count(s.t)]
         assert [s.newton_iters for s in report.states] == [5, 3, 4, 4, 4, 4, 5, 5, 6, 5, 3, 4, 4]
@@ -985,18 +978,17 @@ class TestContinuation:
     def test_exhausted_blend_ladder_ends_the_run(self, spy):
         # the warm start of t = 0.4 leaves its cone (see the call counts of
         # test_feasible_warm_starts_are_not_screened); the pre-test lets
-        # every rung through but no kernel pass at t = 0.4, where the run
-        # ends, lets a blend back in, so every rung takes its pass
+        # every rung through but no blend is let back in, so every rung
+        # takes its pass and the run ends there
         evaluate = solver._radial_eval
 
         def outside(problem, t, du, d2u):
-            evaluation = evaluate(problem, t, du, d2u)
-            return evaluation._replace(outside=np.array([0])) if t == 0.4 else evaluation
+            return evaluate(problem, t, du, d2u)._replace(outside=np.array([0]))
 
-        calls = _spy_restores(spy, outside, self._lets_every_rung_through)
+        _, restores = _spy_restores(spy, outside, self._lets_every_rung_through)
         with pytest.raises(ContinuationError) as err:
             continuation_run(subsolution_benchmark(node_count=401))
-        passes, pretests = _restore_passes(calls)
+        passes, pretests = _restore_passes(restores)
         assert err.value.t_failed == 0.4 and passes == [0.4] * 9 and pretests == [0.4]
         assert isinstance(err.value.__cause__, ConeViolationError)
         assert [s.t for s in err.value.states] == [0.0, 0.1, 0.2, 0.3]
@@ -1006,11 +998,11 @@ class TestContinuation:
         def rules_out_all(problem, t, profile, anchor, evaluation):
             return np.ones(len(solver._LADDER), dtype=bool)
 
-        calls = _spy_restores(spy, pretest=rules_out_all)
+        _, restores = _spy_restores(spy, pretest=rules_out_all)
         problem = subsolution_benchmark(node_count=401)
         with pytest.raises(ContinuationError) as err:
             continuation_run(problem)
-        passes, pretests = _restore_passes(calls)
+        passes, pretests = _restore_passes(restores)
         assert err.value.t_failed == 0.4 and passes == [] and pretests == [0.4]
         # the cause is the warm start's own cone exit, as Newton names it
         cause = err.value.__cause__
@@ -1020,17 +1012,22 @@ class TestContinuation:
             ConeViolationError, str(direct.value), direct.value.node)
 
     def test_last_rung_of_the_ladder_is_the_anchor(self, spy):
-        # the pre-test lets only the full blend through: it has no rung
-        # after it, and the solve at t = 0.4 starts from the subsolution itself
+        # only the full blend is let back in: it has no rung after it, and
+        # the solve at t = 0.4 starts from the subsolution itself
         problem = subsolution_benchmark(node_count=401)
         sub = problem.subsolution
+        evaluate = solver._radial_eval
 
-        def anchor_only(problem, t, profile, anchor, evaluation):
-            return np.arange(len(solver._LADDER)) < len(solver._LADDER) - 1
+        def anchor_only(problem, t, du, d2u):
+            evaluation = evaluate(problem, t, du, d2u)
+            if np.array_equal(du, sub.du):
+                return evaluation
+            return evaluation._replace(outside=np.array([0]))
 
-        calls = _spy_restores(spy, pretest=anchor_only)
+        _, restores = _spy_restores(spy, anchor_only, self._lets_every_rung_through)
         states = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:5]).states
-        assert _restore_passes(calls) == ([0.4], [0.4])
+        passes, pretests = _restore_passes(restores)
+        assert passes == [0.4] * 9 and pretests == [0.4]
         # Newton took the anchor's evaluation from the ladder: the same state
         expected = newton_solve(problem, 0.4, sub)
         assert np.array_equal(states[-1].profile.u, expected.profile.u)
@@ -1057,9 +1054,8 @@ class TestContinuation:
         problem = (subsolution_benchmark(node_count=401) if kind == "401-node benchmark"
                    else subsolution_benchmark(n=5, k=3))
         restore = solver._restore_feasibility
-        calls = _spy_restores(spy)
+        _, restores = _spy_restores(spy)
         continuation_run(problem)
-        restores = _restores(calls)
         assert len(restores) == (7 if kind == "401-node benchmark" else 11)
         for args, passes, pretests in restores:
             expected, expected_passes = restore_by_full_passes(*args[:4])
@@ -1094,9 +1090,9 @@ class TestContinuation:
                     if np.array_equal(a, target)]
 
         kernel = spy(SymFuncSpec, "radial_eval", one_more_outside)
-        calls = _spy_restores(spy)
+        _, restores = _spy_restores(spy)
         restored = solver._restore_feasibility(problem, 0.4, warm, sub, evaluation)
-        passes, pretests = _restore_passes(calls)
+        passes, pretests = _restore_passes(restores)
         assert stubbed() == [0.4] and pretests == [0.4]
         expected, expected_passes = restore_by_full_passes(problem, 0.4, warm, sub)
         assert stubbed() == [0.4] * 2
