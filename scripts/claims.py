@@ -106,10 +106,11 @@ def blowup_tail():
     problem, params, init = example_boundary_problem(n, k, c, node_count=nodes)
     report = continuation_run(problem, t_schedule=schedule, init=init)
     tail = [(s.t, s.monitors[2]) for s in report.states if 0.9 <= s.t]
+    scaled = report.curvature_scaled()
     # (1 - t) sup|u''| vanishes at t = 1, so the band and the exponents leave it out
     below_one = [(t, d2u) for t, d2u in tail if t < 1.0]
-    scaled = [(1.0 - t) * d2u for t, d2u in below_one]
-    band = max(scaled) / min(scaled)
+    band_values = [value for t, value in scaled if 0.9 <= t < 1.0]
+    band = max(band_values) / min(band_values)
     exponents = [math.log(b / a) / math.log((1.0 - s) / (1.0 - t))
                  for (s, a), (t, b) in zip(below_one, below_one[1:])]
     bound = {"band": 3.0, "exponent": [0.0, 1.0]}
@@ -118,8 +119,8 @@ def blowup_tail():
         {"n": n, "k": k, "c": c, "node_count": nodes, "newton_tol": NewtonOptions().tol,
          "t_schedule": list(schedule)},
         {"T": problem.geom.half_length, "d": params.d,
-         "table": [{**entry, "scaled_d2u": (1.0 - entry["t"]) * entry["sup_d2u"]}
-                   for entry in _monitor_table(report)],
+         "table": [{**entry, "scaled_d2u": value}
+                   for entry, (_, value) in zip(_monitor_table(report), scaled)],
          "band": band, "exponents": exponents},
         "Without a subsolution sup|u''_t| is not bounded in t: it is nondecreasing on "
         "0.9 <= t <= 1 and grows like (1 - t)^(-p) with each local exponent p in (0, 1), "

@@ -643,11 +643,13 @@ def cmd_solve(config):
 
     # Newton giving up, or a warm start no blend brings back into the cone,
     # is partial convergence (exit 3); any other cause, a failed Jacobian
-    # check, is an error (exit 1), reported with the states solved before it
+    # check, is an error (exit 1), reported with the states solved before it.
+    # Either way the report names the cause.
     partial = failure is None or isinstance(failure.__cause__, (NewtonError, ConeViolationError))
     extra = {"failed_t": failed_t}
-    if not partial:
+    if failure is not None:
         extra["error"] = str(failure.__cause__)
+    if not partial:
         print(f"error: {failure.__cause__}", file=sys.stderr)
     if states:
         extra["monitor_growth"] = list(report.monitor_growth())

@@ -37,6 +37,7 @@ __all__ = [
     "second_derivative",
     "stencil_weights",
     "radial_w_eigenvalues",
+    "radial_w_linearization",
 ]
 
 
@@ -215,3 +216,15 @@ def radial_w_eigenvalues(du, d2u):
     sphere = 0.5 * (1.0 - du ** 2)
     axis = d2u - sphere
     return axis, sphere
+
+
+def radial_w_linearization(g_axis, g_sphere, du):
+    """The u'' and u' coefficients of the linearization of f_t(axis, sphere)
+    in a radial profile, where g_axis is the axis slot of Df_t and g_sphere
+    the sum of its n - 1 sphere slots at the nodes of du.
+
+    The chain rule through `radial_w_eigenvalues` reads d axis/du'' = 1,
+    d sphere/du'' = 0, d axis/du' = u' and d sphere/du' = -u', so the
+    coefficients are g_axis and (g_axis - g_sphere) u'.
+    """
+    return g_axis, (g_axis - g_sphere) * du

@@ -43,6 +43,7 @@ from .geometry import (
     RadialProfile,
     first_derivative,
     radial_w_eigenvalues,
+    radial_w_linearization,
     second_derivative,
 )
 from .symfun import CONE_MARGIN, CheckResult, _Verdict
@@ -192,31 +193,30 @@ def residual(problem, t, profile):
 def jacobian(problem, t, profile, gradient=None):
     """Tridiagonal Jacobian in banded (3, m) storage (solve_banded layout).
 
-    Interior rows follow from the chain rule: with a = axis eigenvalue,
-    s = sphere eigenvalue, da/du'' = 1, da/du' = u', ds/du' = -u', so
+    Interior rows follow from the chain rule in (u_i, u'_i, u''_i):
 
-        dG_i/du_j = g_a c2_ij + (g_a - g_s) u'_i c1_ij - psi_z delta_ij,
+        dG_i/du_j = b2_i c2_ij + b1_i c1_ij - psi_z delta_ij,
 
-    where g_a is the f_t gradient in the axis slot, g_s the summed sphere
-    slots and c1, c2 the interior stencil weights of u' and u'', which the
-    profile's GridStencils holds.  Boundary rows are identity rows.  The
-    pair (g_a, g_s) is `gradient` when the caller holds the gradient of
-    this profile's evaluation at this t; else the kernel evaluates it.
+    where b2 and b1 are the u'' and u' coefficients that
+    `geometry.radial_w_linearization` takes from the pair (g_a, g_s) of
+    Df_t (axis slot, summed sphere slots), and c1, c2 the interior stencil
+    weights of u' and u'', which the profile's GridStencils holds.
+    Boundary rows are identity rows.  The pair (g_a, g_s) is `gradient`
+    when the caller holds the gradient of this profile's evaluation at
+    this t; else the kernel evaluates it.
     """
     grid = _grid_for(problem, profile)
     m = grid.size
     if gradient is None:
         gradient = _radial_eval(problem, t, profile.du, profile.d2u).gradient()
-    g_axis, g_sphere = gradient
-    du = profile.du[1:-1]
+    b2, b1 = radial_w_linearization(*gradient, profile.du[1:-1])
     psi_z = np.asarray(problem.psi_z(grid[1:-1], profile.u[1:-1]), dtype=float)
     c1 = profile.stencils.first.inner
     c2 = profile.stencils.second.inner
 
-    coeff = (g_axis - g_sphere) * du
-    lower = g_axis * c2[0] + coeff * c1[0]
-    diag = g_axis * c2[1] + coeff * c1[1] - psi_z
-    upper = g_axis * c2[2] + coeff * c1[2]
+    lower = b2 * c2[0] + b1 * c1[0]
+    diag = b2 * c2[1] + b1 * c1[1] - psi_z
+    upper = b2 * c2[2] + b1 * c1[2]
 
     ab = np.zeros((3, m))
     ab[1, 0] = 1.0
@@ -318,22 +318,23 @@ def _rounding_floor(problem, profile, evaluation, gradient):
     """F, the rounding floor of the residual at profile: eps times the
     largest interior sum of the magnitudes its rounding scales with,
 
-        |g_a| sum_j |c2_ij u_j| + |g_a - g_s| |u'_i| sum_j |c1_ij u_j| + |f_t| + |psi|,
+        |b2_i| sum_j |c2_ij u_j| + |b1_i| sum_j |c1_ij u_j| + |f_t| + |psi|,
 
-    with f_t of the state's evaluation, its gradient (the pair Newton's
-    Jacobian took) and the stencil weights of its GridStencils.  It grows
-    like eps/h^2, so on fine grids it can lie above a fixed Newton tolerance.
+    with f_t of the state's evaluation, b2 and b1 the u'' and u'
+    coefficients of Newton's Jacobian (`geometry.radial_w_linearization`
+    of its gradient, the pair that Jacobian took) and the stencil weights
+    of its GridStencils.  It grows like eps/h^2, so on fine grids it can
+    lie above a fixed Newton tolerance.
     """
     grid, u = profile.grid, np.abs(profile.u)
-    g_axis, g_sphere = gradient
+    b2, b1 = radial_w_linearization(*gradient, profile.du[1:-1])
 
     def spread(weights):
         wm, w0, wp = weights.inner
         return np.abs(wm) * u[:-2] + np.abs(w0) * u[1:-1] + np.abs(wp) * u[2:]
 
     psi = np.asarray(problem.psi(grid[1:-1], profile.u[1:-1]), dtype=float)
-    terms = (np.abs(g_axis) * spread(profile.stencils.second)
-             + np.abs(g_axis - g_sphere) * np.abs(profile.du[1:-1]) * spread(profile.stencils.first)
+    terms = (np.abs(b2) * spread(profile.stencils.second) + np.abs(b1) * spread(profile.stencils.first)
              + np.abs(evaluation.value) + np.abs(psi))
     return float(np.finfo(float).eps * terms.max())
 

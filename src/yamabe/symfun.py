@@ -240,16 +240,11 @@ class RadialEvaluation(NamedTuple):
         slot, the one `_esp` pass made here.
         """
         spec, t, f, s = self.spec, self.t, self.inside_value(), self.sphere
-        n, k = spec.n, spec.k
+        n, k, l = spec.n, spec.k, spec.l
         rest = _esp([s] * (n - 1), k - 1)
-        if spec.kind == "sigma_k_root":
-            g_a = (f / k) * _row_copy(rest, k - 1) / self.e_k
-            g_s = (f / k) * self.cut_k / self.e_k
-        else:
-            l = spec.l
-            g_a = (f / (k - l)) * (_row_copy(rest, k - 1) / self.e_k
-                                   - _row_copy(rest, l - 1) / self.e_l)
-            g_s = (f / (k - l)) * (self.cut_k / self.e_k - self.cut_l / self.e_l)
+        rest_l = None if l is None else _row_copy(rest, l - 1)
+        g_a = spec._grad_of(f, _row_copy(rest, k - 1), self.e_k, rest_l, self.e_l)
+        g_s = spec._grad_of(f, self.cut_k, self.e_k, self.cut_l, self.e_l)
         shift = (1.0 - t) * _row_sum(g_a, g_s, n)
         g_s = t * g_s + shift
         return t * g_a + shift, _row_sum(g_s, g_s, n - 1)
@@ -371,15 +366,11 @@ class SymFuncSpec:
         values = self._validated(values, t=t)
         e = self._inside_esp(values)
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
-        removed = _esp_removed(values, self.k - 1).transpose(0, 2, 1)
-        gk = _row_copy(removed, self.k - 1)
+        k, l = self.k, self.l
+        removed = _esp_removed(values, k - 1).transpose(0, 2, 1)
+        gl, el = (None, None) if l is None else (_row_copy(removed, l - 1), e[l - 1][:, None])
         f = self._value_from(e)
-        if self.kind == "sigma_k_root":
-            g = (f / self.k)[:, None] * gk / e[self.k - 1][:, None]
-        else:
-            gl = _row_copy(removed, self.l - 1)
-            log_grad = gk / e[self.k - 1][:, None] - gl / e[self.l - 1][:, None]
-            g = (f / (self.k - self.l))[:, None] * log_grad
+        g = self._grad_of(f[:, None], _row_copy(removed, k - 1), e[k - 1][:, None], gl, el)
         return f, g if t is None else _t_map(t, g)
 
     def _inside_esp(self, values):
@@ -397,6 +388,15 @@ class SymFuncSpec:
         if self.kind == "sigma_k_root":
             return e_k ** (1.0 / self.k)
         return (e_k / e_l) ** (1.0 / (self.k - self.l))
+
+    def _grad_of(self, f, d_k, e_k, d_l, e_l):
+        """Df from f, e_k (and e_l) of the tuples and d_k (and d_l), the
+        matching entries of d sigma_k (and d sigma_l); d_l and e_l are None
+        for roots.  f is the `degree`-th root of sigma_k (over sigma_l), so
+        Df is f / degree times d_k / e_k (minus d_l / e_l)."""
+        if self.kind == "sigma_k_root":
+            return (f / self.k) * d_k / e_k
+        return (f / (self.k - self.l)) * (d_k / e_k - d_l / e_l)
 
     # -- the radial kernel -------------------------------------------------------
 

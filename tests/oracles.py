@@ -10,11 +10,13 @@ kernel's stacked pass with the row e_0 and of the gradient's two-pass form,
 other gradients from central differences, the feasibility restore's blends
 from a frozen copy of its ladder with a full pass per rung, the structure
 suites from one sample and one bisection step at a time, Jacobian columns
-from bumping one nodal value of the residual, the conformal curvature from
-the general transformation law, the stopping time of the radial problem
-from integrating the second-order equation itself (never its first
-integral), and profile CSVs from Python's own '%.17g', one row at a time.  `BrokenHomogeneitySpec` is a cone function
-built to fail a structure check.
+from bumping one nodal value of the residual, the rounding floor node by
+node from the general stencil weights and central differences, the
+conformal curvature from the general transformation law, the stopping time
+of the radial problem from integrating the second-order equation itself
+(never its first integral), and profile CSVs from Python's own '%.17g', one
+row at a time.  `BrokenHomogeneitySpec` is a cone function built to fail a
+structure check.
 """
 
 import itertools
@@ -25,7 +27,7 @@ import numpy as np
 from scipy import integrate
 
 from yamabe._errors import ConeDomainError, ConeViolationError, NumericalError
-from yamabe.geometry import radial_w_eigenvalues
+from yamabe.geometry import radial_w_eigenvalues, stencil_weights
 from yamabe.solver import residual
 from yamabe.symfun import CONE_MARGIN, SymFuncSpec, sample_cone
 
@@ -276,6 +278,31 @@ def gradient_by_differences(func, x, step=1e-6):
         e[i] = h
         out[i] = (func(x + e) - func(x - e)) / (2 * h)
     return out
+
+
+def rounding_floor_by_nodes(problem, t, profile):
+    """The rounding floor F of `solver._rounding_floor`, node by node: eps
+    times the largest interior
+
+        |g_a| sum_j |w2_j u_j| + |g_a - g_s| |u'| sum_j |w1_j u_j| + |f_t| + |psi|,
+
+    with w1, w2 the three-point weights of `stencil_weights` at the node,
+    u' and u'' taken with them, and g_a and g_s the axis slot and the summed
+    sphere slots of a central-difference gradient of spec.value(., t) on the
+    node's row (a, s, ..., s)."""
+    spec, grid, u = problem.spec, profile.grid, profile.u
+    terms = []
+    for i in range(1, grid.size - 1):
+        offsets = grid[i - 1:i + 2] - grid[i]
+        w1, w2 = stencil_weights(offsets, 1), stencil_weights(offsets, 2)
+        near = u[i - 1:i + 2]
+        [row] = radial_rows(spec.n, [w1 @ near], [w2 @ near])
+        g = gradient_by_differences(lambda x: spec.value(x, t), row)
+        g_a, g_s = g[0], g[1:].sum()
+        terms.append(abs(g_a) * (np.abs(w2) @ np.abs(near))
+                     + abs(g_a - g_s) * abs(w1 @ near) * (np.abs(w1) @ np.abs(near))
+                     + abs(spec.value(row, t)) + abs(float(problem.psi(grid[i], u[i]))))
+    return np.finfo(float).eps * max(terms)
 
 
 def banded_to_dense(ab):

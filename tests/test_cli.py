@@ -592,8 +592,20 @@ class TestSolveRobustness:
         assert run_cli(["solve", write_config(tmp_path / "s.json", _solve_payload(out))]) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["failed_t"] == 0.0 and report["passed"] is False
-        assert "error" not in report and capsys.readouterr().err == ""
+        assert report["error"] == "singular Jacobian at t=0.0"
+        assert capsys.readouterr().err == ""
         assert not list(out.glob("profile_*.csv"))
+
+    def test_exhausted_newton_budget_names_its_cause(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, t_schedule=[0.0, 0.5], newton={"max_iter": 1}))
+        assert run_cli(["solve", cfg]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["failed_t"] == 0.0 and report["passed"] is False
+        assert report["error"].startswith(
+            "Newton did not reach tol=1.0e-10 in 1 iterations at t=0.0 (residual ")
+        assert capsys.readouterr().err == ""
 
     # the README subsolution with n = 3 and cosh amplitude 0.2 leaves the cone,
     # and a config error follows it

@@ -97,6 +97,10 @@ class TestExampleParams:
         with pytest.raises(ValueError, match="must be negative"):
             ExampleParams(n=4, k=2, c=0.0)
 
+    def test_dimension_at_least_three(self):
+        with pytest.raises(ValueError, match="dimension must be at least 3"):
+            ExampleParams(2, 2, 0.0)
+
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             ExampleParams(4, 1, 0.0)

@@ -13,6 +13,7 @@ from yamabe.geometry import (
     RadialProfile,
     first_derivative,
     radial_w_eigenvalues,
+    radial_w_linearization,
     second_derivative,
     stencil_weights,
 )
@@ -193,6 +194,26 @@ class TestRadialEigenvalues:
         flat = RadialProfile.uniform(1.0, 21, np.zeros_like)
         scores = spec.radial_eval(1.0, *radial_w_eigenvalues(flat.du, flat.d2u)).scores
         assert not np.any(scores > spec.margin)  # base spectrum sits on the cone boundary
+
+    def test_linearization_is_the_chain_rule_of_the_general_law(self):
+        # g_a times the axis entry of the general law plus g_s times the
+        # mean of its sphere entries, differenced in u'' and in u'; the law
+        # is quadratic in u', so central differences are exact but for rounding
+        n, h = 4, 1e-4
+        du, d2u, g_axis, g_sphere = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 10))
+        b2, b1 = radial_w_linearization(g_axis, g_sphere, du)
+
+        def form(i, first, second):
+            grad, hess = np.zeros(n), np.zeros((n, n))
+            grad[0], hess[0, 0] = first, second
+            w = conformal_schouten(grad, hess, schouten_matrix(n))
+            return g_axis[i] * w[0, 0] + g_sphere[i] * np.diag(w)[1:].mean()
+
+        for i in range(du.size):
+            by_d2u = (form(i, du[i], d2u[i] + h) - form(i, du[i], d2u[i] - h)) / (2 * h)
+            by_du = (form(i, du[i] + h, d2u[i]) - form(i, du[i] - h, d2u[i])) / (2 * h)
+            assert by_d2u == pytest.approx(b2[i], rel=1e-9, abs=1e-10)
+            assert by_du == pytest.approx(b1[i], rel=1e-9, abs=1e-10)
 
 
 class TestConformalSchouten:

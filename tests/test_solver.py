@@ -52,6 +52,7 @@ from oracles import (
     fd_jacobian_column,
     radial_rows,
     restore_by_full_passes,
+    rounding_floor_by_nodes,
 )
 
 
@@ -67,16 +68,29 @@ class TestProblemValidation:
                 phi_left=0.0, phi_right=0.0,
             )
 
-    def test_rejects_increasing_psi_in_z(self):
+    # psi = e^z, with its true psi_z, or with psi_z declared 0, which only
+    # the sampled derivative contradicts
+    @pytest.mark.parametrize("psi_z, message", [
+        (lambda x, z: np.exp(np.asarray(z, float)) * np.ones_like(np.asarray(x, float)),
+         "psi_z must be nonpositive on the working range"),
+        (lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
+         "sampled z-derivative of psi contradicts the declared psi_z"),
+    ], ids=["declared", "sampled"])
+    def test_rejects_increasing_psi_in_z(self, psi_z, message):
         geom = CylinderGeometry(half_length=1.0)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             DirichletProblem(
                 geom=geom, spec=spec,
                 psi=lambda x, z: np.exp(np.asarray(z, float)) * np.ones_like(np.asarray(x, float)),
-                psi_z=lambda x, z: np.exp(np.asarray(z, float)) * np.ones_like(np.asarray(x, float)),
+                psi_z=psi_z,
                 phi_left=0.0, phi_right=0.0,
             )
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_subsolution_benchmark_rejects_theta_outside_the_open_interval(self, theta):
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
+            subsolution_benchmark(theta=theta)
 
     def test_rejects_subsolution_boundary_mismatch(self):
         geom = CylinderGeometry(half_length=1.0)
@@ -523,6 +537,20 @@ class TestRoundingFloor:
         assert state.residual_norm > floor
         assert f"rounding floor {floor:.3e}" in str(err.value)
         assert not state.converged and state.rounding_floor is None
+
+    @pytest.mark.parametrize("case", ["subsolution", "example1"])
+    def test_floor_agrees_with_the_node_by_node_oracle(self, case):
+        if case == "subsolution":
+            t, problem = 0.5, subsolution_benchmark(node_count=401)
+            profile = problem.subsolution
+        else:
+            t, (problem, _, profile) = 0.9, example_boundary_problem(5, 4, -0.5, node_count=1001)
+        _, evaluation = solver._residual(problem, t, profile.grid, profile.u, profile.du,
+                                         profile.d2u)
+        floor = solver._rounding_floor(problem, profile, evaluation, evaluation.gradient())
+        # F is about 1e-11 on the subsolution, so approx's default abs 1e-12 is off
+        assert floor == pytest.approx(rounding_floor_by_nodes(problem, t, profile),
+                                      rel=1e-6, abs=0.0)
 
     def test_floor_recorded_only_where_the_rule_fired(self):
         # the README-shaped (5, 3) solve stops at its rounding floor at

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1124,3 +1125,9 @@ class TestSpecValidation:
     def test_root_rejects_l(self):
         with pytest.raises(ValueError):
             SymFuncSpec("sigma_k_root", n=4, k=2, l=1)
+
+    def test_sampling_stalls_on_an_empty_cone(self):
+        # every candidate scores 0, so no round of draws keeps one
+        stub = SimpleNamespace(n=3, label="stub", margin_scores=lambda cand: np.zeros(len(cand)))
+        with pytest.raises(NumericalError, match="stub: cone sampling stalled"):
+            sample_cone(stub, 1, np.random.default_rng(0))
