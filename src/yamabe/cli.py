@@ -362,23 +362,23 @@ def cmd_check(config):
     seed = resolved["seed"]
     out = _out_dir(resolved)
 
-    # row name prefix -> report, in row order; a suite that raises ends the
-    # run with the rows of those before it, an error entry and passed false
-    reports, extra = {}, {"label": spec.label}
+    # a suite that raises ends the run with the rows of those before it, an
+    # error entry and passed false
+    checks, extra = [], {"label": spec.label}
     try:
-        reports["structure."] = symfun.verify_structure(spec, sample_count=samples, seed=seed)
+        checks += _check_rows("structure.", symfun.verify_structure(spec, sample_count=samples,
+                                                                    seed=seed))
         classification = symfun.classify_type(spec)
         extra["classification"] = {"cone_type": classification.cone_type,
                                    "f_type": classification.f_type}
-        reports["ball."] = symfun.interpolation_ball_report(spec, t_values=t_values,
-                                                            directions=directions, seed=seed)
-        reports["separation."] = symfun.concavity_margin_suite(spec, samples=sep_samples,
-                                                               beta=beta, seed=seed)
+        checks += _check_rows("ball.", symfun.interpolation_ball_report(
+            spec, t_values=t_values, directions=directions, seed=seed))
+        checks += _check_rows("separation.", symfun.concavity_margin_suite(
+            spec, samples=sep_samples, beta=beta, seed=seed))
     except YamabeError as exc:
         extra["error"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)
-    checks = [row for prefix, r in reports.items() for row in _check_rows(prefix, r.checks)]
-    passed = "error" not in extra and all(r.passed for r in reports.values())
+    passed = "error" not in extra and all(c["status"] == "pass" for c in checks)
     _write_report(out / "report.json", resolved, checks, passed, extra=extra)
     if resolved["verbose"]:
         for c in checks:

@@ -35,9 +35,6 @@ __all__ = [
     "SymFuncSpec",
     "Classification",
     "CheckResult",
-    "StructureReport",
-    "BallInclusionReport",
-    "SeparationReport",
     "RadialEvaluation",
     "sigma",
     "matrix_value_and_derivative",
@@ -547,17 +544,6 @@ class _Verdict:
         return all(c.passed for c in self.checks)
 
 
-@dataclass
-class StructureReport(_Verdict):
-    label: str
-    sample_count: int
-    seed: int
-    checks: list
-
-    def failed_names(self):
-        return [c.name for c in self.checks if not c.passed]
-
-
 def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
     """Rejection-sample `count` points of the cone, spread over magnitudes."""
     n = spec.n
@@ -709,8 +695,8 @@ def verify_structure(spec, sample_count=1000, seed=0):
     Checks, over seeded cone samples: positivity of f and its decay towards
     the cone boundary, strict positivity of the gradient, midpoint concavity,
     degree-one homogeneity, the lower bound sum_i d_i f_t >= f(e) along a t
-    grid, and the upper bound f <= sigma_1 f(e)/n.  Failures land in the
-    report, not in exceptions.
+    grid, and the upper bound f <= sigma_1 f(e)/n.  Returns one CheckResult
+    row per check; failures land in the rows, not in exceptions.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
@@ -750,7 +736,7 @@ def verify_structure(spec, sample_count=1000, seed=0):
     checks.append(CheckResult("f6_linear_bound", bool(f6_gap.max() <= 1e-10),
                               float(f6_gap.max()), 1e-10))
 
-    return StructureReport(label=spec.label, sample_count=sample_count, seed=seed, checks=checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -759,21 +745,6 @@ def verify_structure(spec, sample_count=1000, seed=0):
 
 # the share of the guaranteed ball radius (1-t)/(2n) that the ball is probed at
 _BALL_RADIUS_FRACTION = 0.99
-
-
-@dataclass
-class BallInclusionReport(_Verdict):
-    label: str
-    directions: int
-    rows: list  # (t, worst membership score, corner bound margin)
-
-    @property
-    def checks(self):
-        """Every probe inside Gamma_t, and the corner bound met at every t."""
-        worst_score = min(row[1] for row in self.rows)
-        worst_corner = min(row[2] for row in self.rows)
-        return [CheckResult("membership", worst_score > 0.0, worst_score, 0.0),
-                CheckResult("value_bound", worst_corner >= 0.0, worst_corner, 0.0)]
 
 
 def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
@@ -785,24 +756,31 @@ def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
     lam_hat = (-(1-t)/(2n), ..., -(1-t)/(2n), 1-(1-t)/(2n)) the interpolated
     function is at least (1-t) f(e) / 2.  Probed at 0.99 of the guaranteed
     radius; the corner bound is checked with a relative slack of 1e-12
-    since it is an equality at t = 0.
+    since it is an equality at t = 0.  Returns the rows `membership` (the
+    worst score of a probe over every t) and `value_bound` (the worst
+    corner margin).
     """
+    if directions < 1:
+        raise ValueError("directions must be positive")
+    if len(t_values) == 0 or not all(0.0 <= t < 1.0 for t in t_values):
+        raise ValueError(f"t_values must be non-empty and lie in [0, 1), got {list(t_values)}")
     rng = np.random.default_rng(seed)
     n = spec.n
     axis = np.zeros(n)
     axis[-1] = 1.0
     f_e = spec.f_at_ones()
-    rows = []
+    scores, corner_margins = [], []
     for t in t_values:
         r = _BALL_RADIUS_FRACTION * (1.0 - t) / (2.0 * n)
         vs = rng.standard_normal((directions, n))
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-        scores = spec.margin_scores(axis + r * vs, t)
+        scores.append(float(spec.margin_scores(axis + r * vs, t).min()))
         corner = np.full(n, -(1.0 - t) / (2.0 * n))
         corner[-1] += 1.0
-        corner_margin = spec.value(corner, t) - 0.5 * (1.0 - t) * f_e + 1e-12 * f_e
-        rows.append((float(t), float(scores.min()), float(corner_margin)))
-    return BallInclusionReport(label=spec.label, directions=directions, rows=rows)
+        corner_margins.append(float(spec.value(corner, t) - 0.5 * (1.0 - t) * f_e + 1e-12 * f_e))
+    worst_score, worst_corner = min(scores), min(corner_margins)
+    return [CheckResult("membership", worst_score > 0.0, worst_score, 0.0),
+            CheckResult("value_bound", worst_corner >= 0.0, worst_corner, 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -849,19 +827,6 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
     return np.where(separated, eps, np.nan)
 
 
-@dataclass
-class SeparationReport(_Verdict):
-    label: str
-    beta: float
-    kept: int
-    min_margin: float
-
-    @property
-    def checks(self):
-        return [CheckResult("margin_positive", self.kept > 0 and self.min_margin > 0.0,
-                            self.min_margin, 0.0)]
-
-
 def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
     """Randomized positivity check of :func:`concavity_margin`.
 
@@ -869,8 +834,13 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
     cone used here), lam from a broad mixture of cone samples and points near
     the axis ball, t uniformly in [0, 1].  Only pairs with normal separation
     beyond beta contribute; NumericalError is raised when 200 * max(samples,
-    256) drawn pairs have not yielded samples of them.
+    256) drawn pairs have not yielded samples of them.  Returns the one row
+    `margin_positive`, whose worst is the least margin of the pairs.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if not 0.0 <= beta < 2.0:   # unit normals are at most 2 apart: no pair would count
+        raise ValueError(f"beta must lie in [0, 2), got {beta}")
     rng = np.random.default_rng(seed)
     n = spec.n
     axis = np.zeros(n)
@@ -901,4 +871,4 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
         eps = eps[~np.isnan(eps)][: samples - kept]
         kept += eps.size
         min_margin = float(np.min(eps, initial=min_margin))
-    return SeparationReport(label=spec.label, beta=beta, kept=kept, min_margin=float(min_margin))
+    return [CheckResult("margin_positive", min_margin > 0.0, min_margin, 0.0)]

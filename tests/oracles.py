@@ -14,7 +14,8 @@ from bumping one nodal value of the residual, the rounding floor node by
 node from the general stencil weights and central differences, the
 conformal curvature from the general transformation law, the stopping time
 of the radial problem from integrating the second-order equation itself
-(never its first integral), and profile CSVs from Python's own '%.17g', one
+(never its first integral), the t = 0 solution for constant psi from its
+closed form in v = e^(-p u), and profile CSVs from Python's own '%.17g', one
 row at a time.  `BrokenHomogeneitySpec` is a cone function built to fail a
 structure check.
 """
@@ -463,6 +464,30 @@ def reference_profile_by_first_integral(params, times):
             continue
         out[i] = optimize.brentq(shifted, lo, hi, xtol=1e-14, rtol=8.9e-16)
     return out
+
+
+def semilinear_solution(n, k, l, psi, half_length, x):
+    """The closed-form solution u at x of the t = 0 problem with constant
+    psi and u(-L) = u(L) = 0, for f = (sigma_k / sigma_l)^(1/(k - l))
+    (l = 0 for the root sigma_k^(1/k)).
+
+    At t = 0 the equation is the classical Yamabe equation in v = e^(-p u),
+    p = (n - 2)/2, and for constant psi it is linear: v'' = omega^2 v with
+    omega^2 = p (p - psi / f(e)), f(e) = (C(n, k) / C(n, l))^(1/(k - l)).
+    So v = cosh(omega x) / cosh(omega L), or cos(|omega| x) / cos(|omega| L)
+    where omega^2 < 0, and u = -log(v) / p.
+    """
+    p = (n - 2) / 2
+    f_e = (math.comb(n, k) / math.comb(n, l)) ** (1.0 / (k - l))
+    omega_sq = p * (p - psi / f_e)
+    x = np.asarray(x, dtype=float)
+    if omega_sq >= 0.0:
+        omega = math.sqrt(omega_sq)
+        v = np.cosh(omega * x) / math.cosh(omega * half_length)
+    else:
+        omega = math.sqrt(-omega_sq)
+        v = np.cos(omega * x) / math.cos(omega * half_length)
+    return -np.log(v) / p
 
 
 def separation_margin_by_loop(spec, samples, beta, seed):

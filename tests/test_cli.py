@@ -40,10 +40,11 @@ def use_broken_fixture(monkeypatch):
     """
     monkeypatch.setattr(cli, "_function_spec", lambda cfg: BrokenHomogeneitySpec(n=cfg["n"]))
     monkeypatch.setattr(symfun, "classify_type", lambda spec: symfun.Classification(2, "unbounded"))
-    monkeypatch.setattr(symfun, "interpolation_ball_report", lambda spec, **kwargs:
-                        symfun.BallInclusionReport(spec.label, 1, [(0.0, 1.0, 1.0)]))
-    monkeypatch.setattr(symfun, "concavity_margin_suite", lambda spec, **kwargs:
-                        symfun.SeparationReport(spec.label, 0.2, 1, 1.0))
+    monkeypatch.setattr(symfun, "interpolation_ball_report", lambda spec, **kwargs: [
+        symfun.CheckResult("membership", True, 1.0, 0.0),
+        symfun.CheckResult("value_bound", True, 1.0, 0.0)])
+    monkeypatch.setattr(symfun, "concavity_margin_suite", lambda spec, **kwargs: [
+        symfun.CheckResult("margin_positive", True, 1.0, 0.0)])
 
 
 @pytest.fixture

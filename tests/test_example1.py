@@ -44,7 +44,7 @@ class TestFirstIntegral:
         p = ExampleParams(5, 3, 0.4)
         for d in (-0.3, -1.0, -2.5):
             expected = math.exp((2 * 3 - 5) * d) - math.exp(-5 * d)
-            assert first_integral(p, d, 0.0) == pytest.approx(expected, rel=1e-15)
+            assert first_integral(p, d, 0.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_unit_slope_rejected(self):
         with pytest.raises(ConeDomainError):
@@ -55,7 +55,7 @@ class TestFirstIntegral:
         ys = np.array([0.0, 0.3, 0.6])
         vals = first_integral(P420, xs, ys)
         assert vals.shape == (3,)
-        assert vals[0] == pytest.approx(first_integral(P420, -0.2, 0.0), rel=1e-15)
+        assert vals[0] == pytest.approx(first_integral(P420, -0.2, 0.0), rel=1e-15, abs=0.0)
 
 
 class TestDFromC:
@@ -112,8 +112,8 @@ class TestExampleParams:
             assert ExampleParams(n, k, c).center_curvature() > 0
 
     def test_rhs_constant(self):
-        assert P420.rhs_constant == pytest.approx(4 / (2 * 4) * math.comb(3, 1), rel=1e-15)
-        assert P420.rhs_root == pytest.approx(math.sqrt(1.5), rel=1e-15)
+        assert P420.rhs_constant == pytest.approx(4 / (2 * 4) * math.comb(3, 1), rel=1e-15, abs=0.0)
+        assert P420.rhs_root == pytest.approx(math.sqrt(1.5), rel=1e-15, abs=0.0)
 
 
 class TestHalfLength:
@@ -121,7 +121,7 @@ class TestHalfLength:
         for d in (-0.1, -0.5, -1.5):
             # n = 4, k = 2: H(d, 0) = 1 - e^(-4d), so c = -ln(e^(-4d) - 1) / 4
             p = ExampleParams(4, 2, -math.log(math.expm1(-4.0 * d)) / 4.0)
-            assert p.d == pytest.approx(d, rel=1e-12)
+            assert p.d == pytest.approx(d, rel=1e-12, abs=0.0)
             assert half_length(p) > 0
 
     # the last three have a small T (4.5e-6 to 3.7e-5): a relative bound

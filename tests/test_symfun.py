@@ -60,6 +60,11 @@ CHECK_SPECS = tuple(
 )
 
 
+def failing(rows):
+    """The names of the CheckResult rows that fail."""
+    return [row.name for row in rows if not row.passed]
+
+
 class TestSigma:
     def test_symmetric_case(self):
         assert sigma((1, 1, 1), 2) == pytest.approx(3.0, abs=0)
@@ -104,7 +109,7 @@ class TestSigma:
         for i in range(5):
             reduced = np.delete(lam, i)
             expected = f / 3 * sigma_by_enumeration(reduced, 2) / sigma_by_enumeration(lam, 3)
-            assert g[i] == pytest.approx(expected, rel=1e-12)
+            assert g[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def _oracle_rows(values, kmax):
@@ -257,11 +262,11 @@ class TestConeScoresKernel:
 
 class TestValueAndGradient:
     def test_value_at_ones(self):
-        assert S23.value((1.0, 1.0, 1.0)) == pytest.approx(math.sqrt(3), rel=1e-15)
-        assert S23.f_at_ones() == pytest.approx(math.sqrt(3), rel=1e-15)
+        assert S23.value((1.0, 1.0, 1.0)) == pytest.approx(math.sqrt(3), rel=1e-15, abs=0.0)
+        assert S23.f_at_ones() == pytest.approx(math.sqrt(3), rel=1e-15, abs=0.0)
 
     def test_value_123(self):
-        assert S23.value((1.0, 2.0, 3.0)) == pytest.approx(math.sqrt(11), rel=1e-15)
+        assert S23.value((1.0, 2.0, 3.0)) == pytest.approx(math.sqrt(11), rel=1e-15, abs=0.0)
 
     def test_gradient_at_ones_is_symmetric(self):
         for spec in (S23, S24, Q21, SymFuncSpec("sigma_k_root", n=5, k=4)):
@@ -302,7 +307,7 @@ class TestValueAndGradient:
     def test_quotient_value(self):
         lam = np.array([1.0, 2.0, 3.0, 4.0])
         expected = sigma_by_enumeration(lam, 2) / sigma_by_enumeration(lam, 1)
-        assert Q21.value(lam) == pytest.approx(expected, rel=1e-14)
+        assert Q21.value(lam) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_quotient_gradient_against_finite_differences(self):
         lam = np.array([0.5, 1.0, 2.0, 3.0])
@@ -335,9 +340,9 @@ class TestValueAndGradient:
 
     def test_accepts_sequences_in_any_order(self):
         expected = S23.value(np.array([1.0, 2.0, 3.0]))
-        assert expected == pytest.approx(math.sqrt(11), rel=1e-14)
+        assert expected == pytest.approx(math.sqrt(11), rel=1e-14, abs=0.0)
         for lam in ((1.0, 2.0, 3.0), [3.0, 1.0, 2.0], (2, 3, 1)):
-            assert S23.value(lam) == pytest.approx(expected, rel=1e-14)
+            assert S23.value(lam) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 # the seven evaluation methods, the single-tuple ones first
@@ -404,12 +409,12 @@ class TestOneEvaluationApi:
 class TestInterpolatedFamily:
     def test_t_one_is_identity(self):
         lam = np.array([1.0, 2.0, 3.0])
-        assert S23.value(lam, 1.0) == pytest.approx(S23.value(lam), rel=1e-15)
+        assert S23.value(lam, 1.0) == pytest.approx(S23.value(lam), rel=1e-15, abs=0.0)
         assert S23.contains((-0.5, 0.5, 0.5), 1.0) == S23.contains((-0.5, 0.5, 0.5))
 
     def test_t_zero_is_trace_times_f_ones(self):
         lam = np.array([1.0, 2.0, 3.0])
-        assert S23.value(lam, 0.0) == pytest.approx(lam.sum() * S23.f_at_ones(), rel=1e-14)
+        assert S23.value(lam, 0.0) == pytest.approx(lam.sum() * S23.f_at_ones(), rel=1e-14, abs=0.0)
 
     def test_cone_points_stay_inside_for_all_t(self):
         rng = np.random.default_rng(3)
@@ -528,7 +533,7 @@ class TestMatrixFunction:
     def test_diagonal_matrix(self):
         w = np.diag([2.0, 0.4, 0.6, 1.0])
         value, _ = matrix_value_and_derivative(S24, 1.0, w)
-        assert value == pytest.approx(S24.value(np.array([0.4, 0.6, 1.0, 2.0])), rel=1e-13)
+        assert value == pytest.approx(S24.value(np.array([0.4, 0.6, 1.0, 2.0])), rel=1e-13, abs=0.0)
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(13)
@@ -611,19 +616,18 @@ class TestMatrixFunction:
 
 class TestVerifyStructure:
     def test_sigma_2_root_passes(self):
-        report = verify_structure(S24, sample_count=1000, seed=0)
-        assert report.passed, report.failed_names()
+        rows = verify_structure(S24, sample_count=1000, seed=0)
+        assert failing(rows) == []
 
     def test_quotient_passes(self):
-        report = verify_structure(Q21, sample_count=1000, seed=0)
-        assert report.passed, report.failed_names()
+        rows = verify_structure(Q21, sample_count=1000, seed=0)
+        assert failing(rows) == []
 
     def test_broken_degree_two_fails_homogeneity(self):
-        report = verify_structure(BrokenHomogeneitySpec(n=4), sample_count=300, seed=0)
-        assert not report.passed
-        assert "f4_homogeneity" in report.failed_names()
+        rows = verify_structure(BrokenHomogeneitySpec(n=4), sample_count=300, seed=0)
+        assert "f4_homogeneity" in failing(rows)
         # the row shows the bound its sample failed
-        row = report.checks[4]
+        row = rows[4]
         assert row.name == "f4_homogeneity" and 1e-12 <= row.threshold < row.worst
 
     # seeds whose homogeneity row failed the fixed bound 1e-12: a sample
@@ -635,14 +639,14 @@ class TestVerifyStructure:
         *((S24, seed) for seed in (70, 95)),
     ], ids=lambda v: v.label if isinstance(v, SymFuncSpec) else str(v))
     def test_homogeneity_bound_follows_the_margin_score(self, spec, seed):
-        report = verify_structure(spec, sample_count=1000, seed=seed)
-        row = report.checks[4]
-        assert row.name == "f4_homogeneity" and report.passed
+        rows = verify_structure(spec, sample_count=1000, seed=seed)
+        row = rows[4]
+        assert row.name == "f4_homogeneity" and failing(rows) == []
         assert 1e-12 < row.worst <= row.threshold
 
     def test_homogeneity_row_within_the_fixed_bound(self):
         # every gap within 1e-12: the row holds the largest and 1e-12
-        row = verify_structure(S24, sample_count=1000, seed=0).checks[4]
+        row = verify_structure(S24, sample_count=1000, seed=0)[4]
         assert row.passed and row.worst <= 1e-12 and row.threshold == 1e-12
 
     @pytest.mark.parametrize("n", range(3, 13))
@@ -650,7 +654,7 @@ class TestVerifyStructure:
         # the ratio is about (1e-4)^(1/degree), 0.318 at degree 8: the bound
         # grows with the degree from there, and is 0.3 below it
         for spec in all_specs(n):
-            row = verify_structure(spec, sample_count=64, seed=0).checks[1]
+            row = verify_structure(spec, sample_count=64, seed=0)[1]
             assert row.name == "f1_boundary_decay"
             assert row.passed, (spec.label, row.worst, row.threshold)
             assert row.threshold == (0.3 if spec.degree <= 7 else 1.1 * 1e-4 ** (1.0 / spec.degree))
@@ -778,23 +782,37 @@ class TestVerifyStructure:
 
 class TestBallInclusion:
     def test_passes_default_grid(self):
-        report = interpolation_ball_report(S24, directions=300, seed=2)
-        assert report.passed
+        rows = interpolation_ball_report(S24, directions=300, seed=2)
+        assert failing(rows) == []
 
     def test_rows_hold_the_worst_t(self):
-        report = interpolation_ball_report(S24, directions=50, seed=2)
-        report.rows[2] = (report.rows[2][0], -1e-3, -2e-3)
-        membership, value_bound = report.checks
+        # probe scores and a corner value that dip at t = 0.5 alone; with
+        # f(e) = 0 the corner margin is the corner value itself
+        stub = SimpleNamespace(
+            n=4, f_at_ones=lambda: 0.0,
+            margin_scores=lambda values, t: np.full(len(values), -1e-3 if t == 0.5 else 1.0),
+            value=lambda lam, t: -2e-3 if t == 0.5 else 1.0)
+        membership, value_bound = interpolation_ball_report(stub, directions=50, seed=2)
         assert (membership.name, membership.passed, membership.worst) == ("membership", False, -1e-3)
         assert (value_bound.name, value_bound.passed, value_bound.worst) == (
             "value_bound", False, -2e-3)
-        assert not report.passed
 
     def test_corner_bound_tight_at_t_zero(self):
-        report = interpolation_ball_report(S24, t_values=(0.0,), directions=10, seed=2)
-        _, _, corner = report.rows[0]
+        _, value_bound = interpolation_ball_report(S24, t_values=(0.0,), directions=10, seed=2)
         # equality case: the slack is the 1e-12 relative epsilon only
-        assert 0.0 <= corner <= 1e-10
+        assert 0.0 <= value_bound.worst <= 1e-10
+
+
+@pytest.mark.parametrize("suite, kwargs, argument", [
+    (interpolation_ball_report, {"directions": 0}, "directions"),
+    (interpolation_ball_report, {"t_values": ()}, "t_values"),
+    (interpolation_ball_report, {"t_values": (1.5,)}, "t_values"),
+    (concavity_margin_suite, {"samples": 0}, "samples"),
+    (concavity_margin_suite, {"beta": -1.0}, "beta"),
+], ids=["no-directions", "no-t", "t-above-one", "no-samples", "beta-negative"])
+def test_suites_reject_bad_inputs(suite, kwargs, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must"):
+        suite(S24, **kwargs)
 
 
 class TestConcavityMargin:
@@ -810,50 +828,47 @@ class TestConcavityMargin:
         g = S23.grad(lam)
         lhs = g @ (mu - lam)
         rhs = S23.value(mu) - S23.value(lam)
-        assert eps == pytest.approx((lhs - rhs) / (g.sum() + 1.0), rel=1e-12)
+        assert eps == pytest.approx((lhs - rhs) / (g.sum() + 1.0), rel=1e-12, abs=0.0)
 
     def test_mu_outside_cone_rejected(self):
         with pytest.raises(ConeDomainError):
             concavity_margin(S23, 1.0, np.array([-1.0, 0.0, 0.5]), np.ones(3), 0.2)
 
     def test_randomized_suite_positive(self):
-        report = concavity_margin_suite(S23, samples=2000, beta=0.2, seed=0)
-        assert report.passed
-        assert report.min_margin > 0
-        [row] = report.checks
-        assert (row.name, row.passed, row.worst, row.threshold) == (
-            "margin_positive", True, report.min_margin, 0.0)
+        [row] = concavity_margin_suite(S23, samples=2000, beta=0.2, seed=0)
+        assert (row.name, row.passed, row.threshold) == ("margin_positive", True, 0.0)
+        assert row.worst > 0
 
     @pytest.mark.parametrize("spec", [S23, SymFuncSpec("sigma_k_root", n=5, k=4),
                                       SymFuncSpec("quotient", n=4, k=2, l=1)],
                              ids=lambda s: s.label)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_suite_matches_per_sample_reference(self, spec, seed):
-        report = concavity_margin_suite(spec, samples=300, beta=0.2, seed=seed)
+        [row] = concavity_margin_suite(spec, samples=300, beta=0.2, seed=seed)
         kept, min_margin = separation_margin_by_loop(spec, 300, 0.2, seed)
-        assert report.kept == kept
-        assert report.min_margin == pytest.approx(min_margin, rel=1e-12)
+        assert kept == 300
+        assert row.worst == pytest.approx(min_margin, rel=1e-12, abs=0.0)
 
     def test_suite_draws_unchanged(self):
         # the pair budget replaced a cap of 60 rounds; runs that finished
         # under the cap draw the same numbers
-        report = concavity_margin_suite(S24, samples=2000, beta=0.2, seed=0)
-        assert report.kept == 2000
-        assert report.min_margin == 0.04686606150077809
+        [row] = concavity_margin_suite(S24, samples=2000, beta=0.2, seed=0)
+        assert row.worst == 0.04686606150077809
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_suite_with_few_separated_pairs_completes(self, seed):
         # about 3.5% of the pairs separate for sigma_2 at n = 5: 60 rounds
-        # of the 256-row floor kept about 1790 of 2000
-        report = concavity_margin_suite(SymFuncSpec("sigma_k_root", n=5, k=2),
-                                        samples=2000, beta=0.2, seed=seed)
-        assert report.kept == 2000
-        assert report.passed
+        # of the 256-row floor kept about 1790 of 2000; the suite returns
+        # only once it has kept all of them
+        [row] = concavity_margin_suite(SymFuncSpec("sigma_k_root", n=5, k=2),
+                                       samples=2000, beta=0.2, seed=seed)
+        assert row.passed
 
     def test_suite_without_separated_pairs_raises(self):
-        # unit normals are at most 2 apart, so no pair separates beyond 2.5
+        # the gradients are positive, so unit normals lie in the positive
+        # orthant, at most sqrt(2) apart: no pair separates beyond 1.5
         with pytest.raises(NumericalError, match="stalled"):
-            concavity_margin_suite(S24, samples=50, beta=2.5, seed=0)
+            concavity_margin_suite(S24, samples=50, beta=1.5, seed=0)
 
     def test_batched_kernel_rejects_mu_outside_cone(self):
         mus = np.ones((3, 3))
