@@ -62,12 +62,13 @@ def closed_form_table():
     for (n, k), c in itertools.product(pairs, cs):
         params = ExampleParams(n, k, c)
         solution = solve_profile(params, node_count=nodes)
-        report = verify_example(solution)
-        increasing.append(report.d2u_increasing)
+        rows = {row.name: row for row in verify_example(solution)[1]}
+        increasing.append(rows["curvature_increasing"].passed)
         table.append({"n": n, "k": k, "c": c, "d": params.d, "H0": params.h0,
                       "T": solution.t_max, "udd_center": params.center_curvature(),
-                      "udd_near_end": report.d2u_samples[-1],
-                      "curvature_ratio": report.d2u_last_over_first, "drift": report.max_drift})
+                      "udd_near_end": rows["curvature_floor"].worst,
+                      "curvature_ratio": rows["curvature_increasing"].worst,
+                      "drift": rows["first_integral_drift"].worst})
     return _row(
         "closed_form_table", {"pairs": pairs, "c": cs, "node_count": nodes}, {"table": table},
         "Example 1 is C^1 but not smooth at the boundary: the first integral H is conserved "
@@ -82,20 +83,21 @@ def subsolution_uniformity():
     inputs = {"n": 4, "k": 2, "half_length": 1.0, "amplitude": 0.3, "theta": 0.5,
               "node_count": 401}
     problem = subsolution_benchmark(**inputs)
-    sub = check_subsolution(problem)
+    sub = {row.name: row for row in check_subsolution(problem)[1]}
     report = continuation_run(problem)
     growth = report.monitor_growth()
     gap = min(float(np.min(s.profile.u - problem.subsolution.u)) for s in report.states)
     bound = {"growth": 2.0, "min_gap": -1e-8}
     return _row(
         "subsolution_uniformity", {**inputs, "t_schedule": list(DEFAULT_T_SCHEDULE)},
-        {"min_margin": sub.min_margin, "min_cone_margin": sub.min_cone_margin,
+        {"min_margin": sub["margin"].worst, "min_cone_margin": sub["cone_margin"].worst,
          "table": _monitor_table(report), "growth": list(growth),
          "spread": list(report.monitor_spread()), "min_gap": gap},
         "A subsolution gives estimates uniform along the t-family: each of sup|u|, sup|u'|, "
         "sup|u''| stays within a factor 2 of its first value (growth), and u_t >= u_sub "
         "at every node",
-        bound, sub.passed and max(growth) <= bound["growth"] and gap >= bound["min_gap"])
+        bound, all(row.passed for row in sub.values()) and max(growth) <= bound["growth"]
+        and gap >= bound["min_gap"])
 
 
 def blowup_tail():

@@ -295,18 +295,22 @@ def _check_rows(prefix, results):
              "value": c.worst, "threshold": c.threshold} for c in results]
 
 
-def _write_report(path, resolved, checks, passed, extra=None):
+def _write_report(path, resolved, checks, extra=None):
+    """Write report.json and return its verdict `passed`, the one rule of
+    every command: no "error" entry in extra, and every row passing."""
+    extra = extra or {}
+    passed = "error" not in extra and all(c["status"] == "pass" for c in checks)
     doc = {
         "format_version": FORMAT_VERSION,
         "config": resolved,
         "checks": checks,
-        "passed": bool(passed),
+        "passed": passed,
+        **extra,
     }
-    if extra:
-        doc.update(extra)
     # NaN and +-inf, which strict JSON lacks, are written as null
     doc = json.loads(json.dumps(doc), parse_constant=lambda name: None)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", newline="\n")
+    return passed
 
 
 _OUTPUT_NAMES = ("report.json", "profile.csv", "monitors.csv", "profile_*_t*.csv")
@@ -349,8 +353,8 @@ def cmd_check(config):
     _check_keys(sep_cfg, {"samples", "beta"}, "separation")
     sep_samples = _as_int(sep_cfg.get("samples", 2000), "separation.samples", lo=1)
     beta = _as_real(sep_cfg.get("beta", 0.2), "separation.beta")
-    if not 0.0 <= beta < 2.0:   # unit normals are at most 2 apart: no pair would count
-        raise ConfigError(f"separation.beta must lie in [0, 2), got {beta}")
+    if not 0.0 <= beta < math.sqrt(2.0):   # as in concavity_margin_suite
+        raise ConfigError(f"separation.beta must lie in [0, sqrt(2)), got {beta}")
     resolved = {
         "command": "check",
         "function": config["function"],
@@ -378,8 +382,7 @@ def cmd_check(config):
     except YamabeError as exc:
         extra["error"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)
-    passed = "error" not in extra and all(c["status"] == "pass" for c in checks)
-    _write_report(out / "report.json", resolved, checks, passed, extra=extra)
+    passed = _write_report(out / "report.json", resolved, checks, extra=extra)
     if resolved["verbose"]:
         for c in checks:
             print(f"{c['name']}: {c['status']} (value {c['value']:.17g})", file=sys.stderr)
@@ -422,7 +425,7 @@ def cmd_example1(config):
         raise ConfigError(str(exc)) from exc
     out = _out_dir(resolved)
 
-    report = example1.verify_example(solution, thresholds=thresholds)
+    residual, rows = example1.verify_example(solution, thresholds=thresholds)
 
     derived = {
         "d": params.d,
@@ -435,14 +438,14 @@ def cmd_example1(config):
     _write_profile_rows(
         out / "profile.csv", resolved,
         ["# derived " + json.dumps({k2: float(v) for k2, v in derived.items()}, sort_keys=True)],
-        _format.cells(profile.grid), (profile.u, profile.du, profile.d2u, report.residual),
+        _format.cells(profile.grid), (profile.u, profile.du, profile.d2u, residual),
     )
 
-    _write_report(out / "report.json", resolved, _check_rows("", report.checks), report.passed,
-                  extra={"derived": derived})
+    passed = _write_report(out / "report.json", resolved, _check_rows("", rows),
+                           extra={"derived": derived})
     if resolved["verbose"]:
         print(f"d={params.d:.17g} T={solution.t_max:.17g}", file=sys.stderr)
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +598,7 @@ def cmd_solve(config):
 
     if outside is not None:
         checks = _check_rows("subsolution.", [solver.cone_margin_check(outside.min_score)])
-        _write_report(out / "report.json", resolved, checks, False, extra={"error": str(outside)})
+        _write_report(out / "report.json", resolved, checks, extra={"error": str(outside)})
         if verbose:
             print(f"subsolution outside the cone: {outside}", file=sys.stderr)
         return 1
@@ -603,10 +606,10 @@ def cmd_solve(config):
     checks = []
     anchored = problem.subsolution is not None
     if anchored:
-        sub_report = solver.check_subsolution(problem)
-        checks = _check_rows("subsolution.", sub_report.checks)
-        if not sub_report.passed:
-            _write_report(out / "report.json", resolved, checks, False)
+        _, rows = solver.check_subsolution(problem)
+        checks = _check_rows("subsolution.", rows)
+        if not all(row.passed for row in rows):
+            _write_report(out / "report.json", resolved, checks)
             return 1
 
     # The profiles are written while the continuation runs: each state goes
@@ -655,11 +658,9 @@ def cmd_solve(config):
         extra["monitor_growth"] = list(report.monitor_growth())
         extra["monitor_spread"] = list(report.monitor_spread())
         extra["curvature_scaled"] = [[t, v] for t, v in report.curvature_scaled()]
-    # a run gets here only with a passing subsolution, or without one
-    results = report.checks(resolved["uniformity_factor"] if anchored else None)
-    checks += _check_rows("continuation.", results)
-    passed = all(c.passed for c in results)
-    _write_report(out / "report.json", resolved, checks, passed, extra=extra)
+    checks += _check_rows("continuation.", report.checks(
+        resolved["uniformity_factor"] if anchored else None))
+    passed = _write_report(out / "report.json", resolved, checks, extra=extra)
     if verbose:
         print(f"continuation {solved - started:.4f} s, output {time.perf_counter() - solved:.4f} s "
               f"after the last t", file=sys.stderr)

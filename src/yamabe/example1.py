@@ -45,12 +45,11 @@ from scipy import integrate, optimize
 
 from ._errors import ConeDomainError, NumericalError
 from .geometry import RadialProfile, radial_w_eigenvalues
-from .symfun import CheckResult, _Verdict
+from .symfun import CheckResult
 
 __all__ = [
     "ExampleParams",
     "ExampleSolution",
-    "ExampleReport",
     "VerifyThresholds",
     "first_integral",
     "d_from_c",
@@ -287,8 +286,8 @@ def _orbit(params, dense, times):
 class ExampleSolution:
     """Computed radial solution: grid profile plus a dense evaluator.
 
-    `at` gives the smooth solution at any points of [-T, T], which the
-    verification report uses at sub-grid distances from the ends.  It
+    `at` gives the smooth solution at any points of [-T, T], which
+    verify_example uses at sub-grid distances from the ends.  It
     inverts the _DenseOrbit table that sampled the profile, so at an
     interior node it gives the profile's u bit for bit.
     """
@@ -345,44 +344,6 @@ class VerifyThresholds:
 D2U_FRACTIONS = (1e-2, 1e-3, 1e-4)
 
 
-@dataclass
-class ExampleReport(_Verdict):
-    """Verification record for a computed radial solution."""
-
-    thresholds: VerifyThresholds
-    residual: np.ndarray        # per node: the equation inside, u - c at the two ends
-    max_interior_residual: float
-    min_one_minus_slope_sq: float
-    boundary_error: float
-    max_drift: float
-    d2u_samples: tuple          # curvature at t_max * (1 - D2U_FRACTIONS)
-
-    @property
-    def d2u_increasing(self):
-        return all(a < b for a, b in zip(self.d2u_samples, self.d2u_samples[1:]))
-
-    @property
-    def d2u_last_over_first(self):
-        return self.d2u_samples[-1] / self.d2u_samples[0]
-
-    @property
-    def checks(self):
-        th = self.thresholds
-        return [
-            CheckResult("interior_residual", self.max_interior_residual <= th.interior_residual,
-                        self.max_interior_residual, th.interior_residual),
-            CheckResult("slope_subunit", self.min_one_minus_slope_sq > 0.0,
-                        self.min_one_minus_slope_sq, 0.0),
-            CheckResult("boundary_error", self.boundary_error <= th.boundary_error,
-                        self.boundary_error, th.boundary_error),
-            CheckResult("first_integral_drift", self.max_drift <= th.drift,
-                        self.max_drift, th.drift),
-            CheckResult("curvature_increasing", self.d2u_increasing,
-                        self.d2u_last_over_first, 1.0),
-            CheckResult("curvature_floor", self.d2u_samples[-1] > th.d2u_floor,
-                        self.d2u_samples[-1], th.d2u_floor),
-        ]
-
 def _signed_root(values, k):
     """Odd extension of x -> x^(1/k), so out-of-cone residuals stay reportable."""
     return np.sign(values) * np.abs(values) ** (1.0 / k)
@@ -410,35 +371,39 @@ def verify_example(solution, thresholds=None):
 
     The equation is evaluated with the solution's dense derivatives at the
     interior nodes, and curvature at the exact sub-grid offsets of
-    D2U_FRACTIONS; one `at` call serves both.  All findings go into the
-    report; nothing raises.
+    D2U_FRACTIONS; one `at` call serves both.  Returns the residual column
+    of profile.csv (the equation inside, u - c at the two ends) and the
+    CheckResult rows of report.json; nothing raises.
     """
     params = solution.params
-    thresholds = thresholds or VerifyThresholds()
+    th = thresholds or VerifyThresholds()
     profile = solution.profile
     t_max = solution.t_max
     interior = np.abs(profile.grid) < t_max
     u = profile.u[interior]
     offsets = np.array([t_max * (1.0 - f) for f in D2U_FRACTIONS])
     _, du, d2u = solution.at(np.concatenate([profile.grid[interior], offsets]))
-    d2u_samples = tuple(float(x) for x in d2u[u.size:])
+    curvature = [float(x) for x in d2u[u.size:]]
     du, d2u = du[:u.size], d2u[:u.size]
 
     column = profile.u - params.c
     column[interior] = equation_residual(params, u, du, d2u)
-    one_minus = 1.0 - du ** 2
+    residual = float(np.abs(column[interior]).max())
+    one_minus = float((1.0 - du ** 2).min())
     safe = np.abs(du) < 1.0
-    drift = np.abs(
+    drift = float(np.abs(
         first_integral(params, u[safe], du[safe]) - params.h0
-    ) if np.any(safe) else np.array([math.inf])
-    boundary_error = max(abs(profile.u[0] - params.c), abs(profile.u[-1] - params.c))
+    ).max()) if np.any(safe) else math.inf
+    boundary_error = float(max(abs(column[0]), abs(column[-1])))
+    increasing = all(a < b for a, b in zip(curvature, curvature[1:]))
 
-    return ExampleReport(
-        thresholds=thresholds,
-        residual=column,
-        max_interior_residual=float(np.abs(column[interior]).max()),
-        min_one_minus_slope_sq=float(one_minus.min()),
-        boundary_error=float(boundary_error),
-        max_drift=float(drift.max()),
-        d2u_samples=d2u_samples,
-    )
+    return column, [
+        CheckResult("interior_residual", residual <= th.interior_residual,
+                    residual, th.interior_residual),
+        CheckResult("slope_subunit", one_minus > 0.0, one_minus, 0.0),
+        CheckResult("boundary_error", boundary_error <= th.boundary_error,
+                    boundary_error, th.boundary_error),
+        CheckResult("first_integral_drift", drift <= th.drift, drift, th.drift),
+        CheckResult("curvature_increasing", increasing, curvature[-1] / curvature[0], 1.0),
+        CheckResult("curvature_floor", curvature[-1] > th.d2u_floor, curvature[-1], th.d2u_floor),
+    ]

@@ -46,14 +46,13 @@ from .geometry import (
     radial_w_linearization,
     second_derivative,
 )
-from .symfun import CONE_MARGIN, CheckResult, _Verdict
+from .symfun import CONE_MARGIN, CheckResult
 
 __all__ = [
     "DirichletProblem",
     "NewtonOptions",
     "ContinuationState",
     "ContinuationReport",
-    "SubsolutionReport",
     "DEFAULT_T_SCHEDULE",
     "residual",
     "jacobian",
@@ -617,24 +616,6 @@ def continuation_run(problem, t_schedule=None, opts=None, init=None):
         states=list(continuation_states(problem, t_schedule, opts, init)), failed_t=None)
 
 
-@dataclass
-class SubsolutionReport(_Verdict):
-    """Nodewise margins of the subsolution inequality f(W[u]) >= psi."""
-
-    margins: np.ndarray          # NaN where the cone is violated
-    min_margin: float
-    min_cone_margin: float
-    cone_violations: tuple
-
-    @property
-    def checks(self):
-        """The rows margin and cone_margin.  The margin row also fails on a
-        cone violation, so it carries the verdict of the whole check (the
-        problem itself holds the subsolution to its boundary values)."""
-        margin_ok = not self.cone_violations and self.min_margin >= SUBSOLUTION_TOL
-        return [CheckResult("margin", margin_ok, self.min_margin, SUBSOLUTION_TOL),
-                cone_margin_check(self.min_cone_margin)]
-
 def cone_margin_check(min_score):
     """The cone_margin row of a subsolution whose minimum margin score is
     min_score: it passes when every node is inside the cone."""
@@ -642,7 +623,11 @@ def cone_margin_check(min_score):
 
 
 def check_subsolution(problem):
-    """Validate the stored subsolution against the t = 1 inequality."""
+    """Validate the stored subsolution against the t = 1 inequality
+    f(W[u]) >= psi.  Returns the nodewise margins, NaN at the nodes outside
+    the cone, and the rows margin and cone_margin.  The margin row also
+    fails on a cone violation, so it carries the verdict of the whole check
+    (the problem itself holds the subsolution to its boundary values)."""
     sub = problem.subsolution
     if sub is None:
         raise ValueError("the problem has no subsolution to check")
@@ -651,9 +636,7 @@ def check_subsolution(problem):
     # f is NaN at the nodes outside the cone, and so is their margin
     margins = evaluation.value - np.asarray(problem.psi(sub.grid, sub.u), dtype=float)
     finite = margins[np.isfinite(margins)]
-    return SubsolutionReport(
-        margins=margins,
-        min_margin=float(finite.min()) if finite.size else math.nan,
-        min_cone_margin=float(evaluation.scores.min()),
-        cone_violations=tuple(int(i) for i in evaluation.outside),
-    )
+    min_margin = float(finite.min()) if finite.size else math.nan
+    margin_ok = evaluation.outside.size == 0 and min_margin >= SUBSOLUTION_TOL
+    return margins, [CheckResult("margin", margin_ok, min_margin, SUBSOLUTION_TOL),
+                     cone_margin_check(float(evaluation.scores.min()))]

@@ -527,21 +527,13 @@ def matrix_value_and_derivative(spec, t, w):
 
 @dataclass
 class CheckResult:
-    """One pass/fail verdict of a report: the worst value met and the
-    threshold it was held against.  These are the rows of `report.json`."""
+    """One pass/fail row of a check: the worst value met and the threshold
+    it was held against.  These are the rows of `report.json`."""
 
     name: str
     passed: bool
     worst: float
     threshold: float
-
-
-class _Verdict:
-    """A report of CheckResult rows, `checks`, passes when each row does."""
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
 
 
 def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
@@ -839,8 +831,10 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not 0.0 <= beta < 2.0:   # unit normals are at most 2 apart: no pair would count
-        raise ValueError(f"beta must lie in [0, 2), got {beta}")
+    # positive gradients have unit normals in the positive orthant, less
+    # than sqrt(2) apart: from sqrt(2) on no pair would count
+    if not 0.0 <= beta < math.sqrt(2.0):
+        raise ValueError(f"beta must lie in [0, sqrt(2)), got {beta}")
     rng = np.random.default_rng(seed)
     n = spec.n
     axis = np.zeros(n)

@@ -1,8 +1,15 @@
-"""The one call-counting seam of the tests."""
+"""The one call-counting seam of the tests, and the hypothesis profile
+that makes every run draw the same examples."""
 
 from unittest import mock
 
 import pytest
+from hypothesis import settings
+
+# a fixed example sequence and no example database: two runs test the same
+# inputs; the tests' own max_examples still apply
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

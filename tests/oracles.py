@@ -15,7 +15,8 @@ node from the general stencil weights and central differences, the
 conformal curvature from the general transformation law, the stopping time
 of the radial problem from integrating the second-order equation itself
 (never its first integral), the t = 0 solution for constant psi from its
-closed form in v = e^(-p u), and profile CSVs from Python's own '%.17g', one
+closed form in v = e^(-p u), its half length for Example 1's psi by
+quadrature of the first integral in v, and profile CSVs from Python's own '%.17g', one
 row at a time.  `BrokenHomogeneitySpec` is a cone function built to fail a
 structure check.
 """
@@ -488,6 +489,44 @@ def semilinear_solution(n, k, l, psi, half_length, x):
         omega = math.sqrt(-omega_sq)
         v = np.cos(omega * x) / math.cos(omega * half_length)
     return -np.log(v) / p
+
+
+def semilinear_travel_time(n, k, c, d):
+    """tau_0(d): the half length L on which the t = 0 problem of Example 1's
+    data (f = sigma_k^(1/k), psi = R e^(-2u), u(-L) = u(L) = c) has the
+    even solution with u(0) = d.
+
+    At t = 0 the equation is the classical Yamabe equation in v = e^(-p u),
+    p = (n - 2)/2: v'' = V'(v) with V(v) = p^2 v^2/2 - (p R/f(e))
+    v^(q+1)/(q+1), q = (n + 2)/(n - 2), R = (n/(k 2^k) C(n-1, k-1))^(1/k)
+    and f(e) = C(n, k)^(1/k).  From the turning point v0 = e^(-p d), energy
+    conservation gives tau_0(d) as the integral from v0 to e^(-p c) of
+    dv / sqrt(2 (V(v) - V(v0))).  The substitution v = v0 + s sigma^2, s the
+    direction of travel, takes out the turning point's singularity: the
+    integrand is sqrt(2 / D) with D = (V(v) - V(v0)) / sigma^2, whose
+    differences are formed without cancellation.  V rises and then falls,
+    so where the orbit turns back before it reaches c, D < 0 at the far
+    end, and a ValueError says so.
+    """
+    p, q = (n - 2) / 2, (n + 2) / (n - 2)
+    rhs_root = (n / (k * 2.0 ** k) * math.comb(n - 1, k - 1)) ** (1.0 / k)
+    a = p * rhs_root / math.comb(n, k) ** (1.0 / k)
+    v0, v1 = math.exp(-p * d), math.exp(-p * c)
+    s = math.copysign(1.0, v1 - v0)
+
+    def scaled_gap(sigma):
+        x = s * sigma * sigma
+        power_gap = v0 ** (q + 1) * math.expm1((q + 1) * math.log1p(x / v0))
+        return 0.5 * p * p * s * (2.0 * v0 + x) - a / (q + 1) * power_gap / sigma ** 2
+
+    end = math.sqrt(abs(v1 - v0))
+    if end == 0.0:
+        return 0.0
+    if not scaled_gap(end) > 0.0:
+        raise ValueError(f"the t = 0 orbit from u(0) = {d} turns back before it reaches u = {c}")
+    tau, _ = integrate.quad(lambda sigma: math.sqrt(2.0 / scaled_gap(sigma)), 0.0, end,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return tau
 
 
 def separation_margin_by_loop(spec, samples, beta, seed):

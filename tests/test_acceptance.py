@@ -80,17 +80,20 @@ def test_criterion_03_non_smoothness_witness():
     start = time.perf_counter()
     params = ExampleParams(5, 3, 0.0)
     solution = solve_profile(params, node_count=401)
-    rep = verify_example(solution)
-    ratio = rep.d2u_last_over_first
-    ok = (rep.max_drift <= 1e-8
-          and rep.min_one_minus_slope_sq > 0.0
-          and rep.boundary_error <= 1e-6
-          and rep.d2u_increasing
+    rows = {row.name: row for row in verify_example(solution)[1]}
+    drift = rows["first_integral_drift"].worst
+    slope = rows["slope_subunit"].worst
+    boundary = rows["boundary_error"].worst
+    ratio = rows["curvature_increasing"].worst
+    ok = (drift <= 1e-8
+          and slope > 0.0
+          and boundary <= 1e-6
+          and rows["curvature_increasing"].passed
           and ratio > 10.0)
     elapsed = time.perf_counter() - start
     report(3, ok, 5.0, elapsed,
-           f"drift = {rep.max_drift:.2e}, min(1-u'^2) = {rep.min_one_minus_slope_sq:.3f}, "
-           f"boundary = {rep.boundary_error:.2e}, curvature ratio = {ratio:.2f}")
+           f"drift = {drift:.2e}, min(1-u'^2) = {slope:.3f}, "
+           f"boundary = {boundary:.2e}, curvature ratio = {ratio:.2f}")
 
 
 def test_criterion_04_structural_suite():
@@ -172,7 +175,7 @@ def test_criterion_08_uniformity_monitor():
     start = time.perf_counter()
     problem = subsolution_benchmark(n=4, k=2, half_length=1.0, amplitude=0.3,
                                     theta=0.5, node_count=401)
-    sub_ok = check_subsolution(problem).passed
+    sub_ok = all(row.passed for row in check_subsolution(problem)[1])
     rep = continuation_run(problem)
     growth = rep.monitor_growth()
     above = min(np.min(s.profile.u - problem.subsolution.u) for s in rep.states)

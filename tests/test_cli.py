@@ -202,11 +202,12 @@ class TestCheckCommand:
         {"ball": {"t_values": [1.5]}},
         {"ball": {"t_values": [-0.1]}},
         {"ball": {"t_values": ["0.5"]}},
+        {"separation": {"beta": 1.5}},
         {"separation": {"beta": 2.0}},
         {"separation": {"beta": 2.5}},
         {"separation": {"beta": -0.1}},
     ], ids=["t-scalar", "t-empty", "t-one", "t-above-one", "t-negative", "t-string",
-            "beta-two", "beta-above-two", "beta-negative"])
+            "beta-no-pair", "beta-two", "beta-above-two", "beta-negative"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, changes):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.json", {
@@ -1156,8 +1157,22 @@ class TestStrictReport:
 
     def test_infinities_are_null_at_any_depth(self, tmp_path):
         path = tmp_path / "report.json"
-        cli._write_report(path, {"command": "solve"}, [{"name": "a", "value": -math.inf}], False,
+        cli._write_report(path, {"command": "solve"},
+                          [{"name": "a", "status": "fail", "value": -math.inf}],
                           extra={"monitor_growth": [1.0, math.inf, math.nan], "tol": 1e-10})
         report = _strict_json(path.read_text())
         assert report["checks"][0]["value"] is None
         assert report["monitor_growth"] == [1.0, None, None] and report["tol"] == 1e-10
+
+    @pytest.mark.parametrize("statuses, extra, verdict", [
+        (["pass", "pass"], None, True),
+        ([], {"label": "x"}, True),
+        (["pass", "fail"], None, False),
+        (["pass", "pass"], {"error": "stalled"}, False),
+    ], ids=["rows-pass", "no-rows", "a-row-fails", "error-entry"])
+    def test_one_verdict_rule(self, tmp_path, statuses, extra, verdict):
+        path = tmp_path / "report.json"
+        rows = [{"name": f"r{i}", "status": s, "value": 0.0, "threshold": 0.0}
+                for i, s in enumerate(statuses)]
+        assert cli._write_report(path, {"command": "check"}, rows, extra=extra) is verdict
+        assert json.loads(path.read_text())["passed"] is verdict

@@ -221,7 +221,7 @@ class TestSolveProfile:
         sol = solve_profile(p, node_count=401)
         gap = 1e-9 * sol.t_max
         assert abs(c - sol.at(sol.t_max - gap)[0] - gap) <= 1e-9
-        failed = [check.name for check in verify_example(sol).checks if not check.passed]
+        failed = [row.name for row in verify_example(sol)[1] if not row.passed]
         assert set(failed) <= {"curvature_floor"}
 
     def test_grid_refinement_improves_residual(self):
@@ -335,49 +335,51 @@ class TestAt:
             399 + len(example1.D2U_FRACTIONS)]
 
 
+def _rows(solution, thresholds=None):
+    """verify_example's rows by name."""
+    return {row.name: row for row in verify_example(solution, thresholds)[1]}
+
+
 class TestVerifyExample:
     def test_exact_profile_passes(self):
-        sol = solve_profile(P420, node_count=401)
-        report = verify_example(sol)
-        assert report.max_interior_residual <= 1e-7
-        assert report.boundary_error <= 1e-6
-        assert report.min_one_minus_slope_sq > 0
-        assert report.max_drift <= 1e-8
-        assert report.passed
+        rows = _rows(solve_profile(P420, node_count=401))
+        assert rows["interior_residual"].worst <= 1e-7
+        assert rows["boundary_error"].worst <= 1e-6
+        assert rows["slope_subunit"].worst > 0
+        assert rows["first_integral_drift"].worst <= 1e-8
+        assert all(row.passed for row in rows.values())
 
     def test_residual_column_and_rows(self):
         sol = solve_profile(P420, node_count=101)
-        report = verify_example(sol)
+        residual, rows = verify_example(sol)
         grid, u = sol.profile.grid, sol.profile.u
-        assert report.residual[[0, -1]].tolist() == (u[[0, -1]] - P420.c).tolist()
+        assert residual[[0, -1]].tolist() == (u[[0, -1]] - P420.c).tolist()
         xs = grid[1:-1]
         _, du, d2u = sol.at(xs)
         inner = equation_residual(P420, u[1:-1], du, d2u)
-        assert np.array_equal(report.residual[1:-1], inner)
-        assert report.max_interior_residual == float(np.abs(inner).max())
-        assert [c.name for c in report.checks] == [
+        assert np.array_equal(residual[1:-1], inner)
+        assert [row.name for row in rows] == [
             "interior_residual", "slope_subunit", "boundary_error", "first_integral_drift",
             "curvature_increasing", "curvature_floor"]
-        assert report.passed is all(c.passed for c in report.checks) is True
+        assert rows[0].worst == float(np.abs(inner).max())
+        assert all(row.passed for row in rows)
 
     def test_curvature_samples_increase(self):
         sol = solve_profile(P420, node_count=401)
-        report = verify_example(sol)
-        assert report.d2u_increasing
-        assert report.d2u_samples[-1] > 10.0
+        rows = _rows(sol)
+        _, _, d2u = sol.at(sol.t_max * (1.0 - np.array(example1.D2U_FRACTIONS)))
+        assert rows["curvature_increasing"].passed
+        assert rows["curvature_floor"].worst == d2u[-1] > 10.0
         # k = 2 is the marginal case: the two-decade ratio approaches 10 from
         # below (the rate is delta^(-1/2)), so only a weaker bound can hold
-        assert report.d2u_last_over_first > 9.0
+        assert rows["curvature_increasing"].worst == d2u[-1] / d2u[0] > 9.0
 
     def test_curvature_ratio_exceeds_ten_for_k3(self):
-        p = ExampleParams(5, 3, 0.0)
-        sol = solve_profile(p, node_count=401)
-        report = verify_example(sol)
-        assert report.d2u_increasing
-        assert report.d2u_last_over_first > 10.0
+        rows = _rows(solve_profile(ExampleParams(5, 3, 0.0), node_count=401))
+        assert rows["curvature_increasing"].passed
+        assert rows["curvature_increasing"].worst > 10.0
 
     def test_thresholds_configurable(self):
         sol = solve_profile(P420, node_count=401)
-        strict = verify_example(sol, thresholds=VerifyThresholds(interior_residual=1e-18))
-        assert not strict.passed
-        assert [c.name for c in strict.checks if not c.passed] == ["interior_residual"]
+        strict = _rows(sol, VerifyThresholds(interior_residual=1e-18))
+        assert [name for name, row in strict.items() if not row.passed] == ["interior_residual"]

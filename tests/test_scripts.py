@@ -120,6 +120,14 @@ def test_script_imports_its_own_checkout(tmp_path):
     assert listing() == before
 
 
+def test_output_hashes_lists_every_config_in_order():
+    # a config added to the script without regenerating OUTPUT_HASHES.txt
+    # fails here; loading the script runs no config
+    lines = (ROOT / "OUTPUT_HASHES.txt").read_text().splitlines()
+    names = [line.rsplit(": exit ", 1)[0] for line in lines]
+    assert names == [name for name, _ in _load("output_hashes").CONFIGS]
+
+
 def test_loc_rows_add_up(monkeypatch, capsys):
     header, *rows = (line.split() for line in _run("loc", [], monkeypatch, capsys))
     assert header == ["module", "total", "docstring", "comment", "blank", "code"]

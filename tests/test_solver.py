@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.linalg import solve_banded
 
 from yamabe import solver, symfun
@@ -54,6 +55,7 @@ from oracles import (
     restore_by_full_passes,
     rounding_floor_by_nodes,
     semilinear_solution,
+    semilinear_travel_time,
 )
 
 
@@ -744,10 +746,10 @@ class TestMonitors:
 class TestSubsolutionCheck:
     def test_scaled_problem_passes(self):
         problem = subsolution_benchmark(theta=0.5, node_count=201)
-        report = check_subsolution(problem)
-        assert report.passed
+        margins, (margin, cone) = check_subsolution(problem)
+        assert margin.passed and cone.passed
         # psi = f/2 leaves a margin of about half the curvature values
-        assert report.min_margin > 0.25 * np.nanmin(report.margins + 1)
+        assert margin.worst == margins.min() > 0.25 * np.nanmin(margins + 1)
 
     def test_oversized_psi_fails_everywhere(self):
         problem = subsolution_benchmark(theta=0.5, node_count=201)
@@ -758,9 +760,9 @@ class TestSubsolutionCheck:
             phi_left=problem.phi_left, phi_right=problem.phi_right,
             subsolution=problem.subsolution,
         )
-        report = check_subsolution(doubled)
-        assert not report.passed
-        assert np.nanmax(report.margins) < 0
+        margins, (margin, cone) = check_subsolution(doubled)
+        assert not margin.passed and cone.passed
+        assert np.nanmax(margins) < 0
 
     def test_supersonic_slope_reports_cone_violation(self):
         geom = CylinderGeometry(half_length=1.0)
@@ -773,9 +775,9 @@ class TestSubsolutionCheck:
             psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
             phi_left=-1.2, phi_right=1.2, subsolution=sub,
         )
-        report = check_subsolution(problem)
-        assert report.cone_violations
-        assert not report.passed
+        margins, rows = check_subsolution(problem)
+        assert np.isnan(margins).any()
+        assert not any(row.passed for row in rows)
 
     def test_margins_nan_exactly_at_cone_violations(self):
         # u' exceeds 1 on the left part of the grid, so W leaves Gamma_2 there
@@ -788,19 +790,18 @@ class TestSubsolutionCheck:
             psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
             phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
         )
-        report = check_subsolution(problem)
+        margins, (margin, cone) = check_subsolution(problem)
         rows = radial_rows(4, sub.du, sub.d2u)
         scores = spec.margin_scores(rows)
         outside = np.nonzero(scores <= spec.margin)[0]
         assert 0 < outside.size < 101
-        assert report.cone_violations == tuple(int(i) for i in outside)
-        assert report.min_cone_margin == float(scores.min())
-        assert np.all(np.isnan(report.margins[outside]))
+        assert np.array_equal(np.flatnonzero(np.isnan(margins)), outside)
+        assert cone.worst == float(scores.min())
         inside = scores > spec.margin
         expected = spec.value_many(rows[inside]) - 0.1
-        assert np.allclose(report.margins[inside], expected, rtol=1e-13, atol=1e-15)
-        assert report.min_margin == pytest.approx(float(expected.min()), rel=1e-13, abs=0.0)
-        assert not report.passed
+        assert np.allclose(margins[inside], expected, rtol=1e-13, atol=1e-15)
+        assert margin.worst == pytest.approx(float(expected.min()), rel=1e-13, abs=0.0)
+        assert not margin.passed and not cone.passed
 
     def test_one_kernel_call_with_nodes_outside(self, spy):
         # the margins inside the cone come from the one evaluation of every
@@ -814,15 +815,14 @@ class TestSubsolutionCheck:
             psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
             phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
         )
-        report = check_subsolution(problem)
+        margins, _ = check_subsolution(problem)
         assert [call.args[1] for call in kernel.call_args_list] == [1.0]
         rows = radial_rows(5, sub.du, sub.d2u)
         inside = spec.margin_scores(rows) > spec.margin
         assert 0 < inside.sum() < inside.size
         expected = spec.value_many(rows[inside], 1.0) - psi(sub.grid[inside], sub.u[inside])
-        assert np.array_equal(report.margins[inside], expected)
-        assert np.isnan(report.margins[~inside]).all()
-        assert report.cone_violations == tuple(np.flatnonzero(~inside).tolist())
+        assert np.array_equal(margins[inside], expected)
+        assert np.array_equal(np.isnan(margins), ~inside)
 
     def test_missing_subsolution_raises(self):
         problem, _ = manufactured_problem(0.5, node_count=101)
@@ -830,12 +830,14 @@ class TestSubsolutionCheck:
             check_subsolution(problem)
 
     def test_rows_carry_the_verdict(self):
-        report = check_subsolution(subsolution_benchmark(theta=0.5, node_count=201))
-        margin, cone = report.checks
+        problem = subsolution_benchmark(theta=0.5, node_count=201)
+        margins, (margin, cone) = check_subsolution(problem)
         assert (margin.name, margin.threshold) == ("margin", -1e-10)
         assert (cone.name, cone.threshold) == ("cone_margin", 0.0)
-        assert margin.worst == report.min_margin and cone.worst == report.min_cone_margin
-        assert margin.passed and cone.passed and report.passed
+        sub = problem.subsolution
+        scores = problem.spec.margin_scores(radial_rows(4, sub.du, sub.d2u))
+        assert margin.worst == margins.min() and cone.worst == float(scores.min())
+        assert margin.passed and cone.passed
 
     def test_cone_violation_fails_both_rows(self):
         # the margin row stands for the whole check, so a cone violation
@@ -849,10 +851,9 @@ class TestSubsolutionCheck:
             psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
             phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
         )
-        report = check_subsolution(problem)
-        assert report.min_margin > 0
-        assert [c.passed for c in report.checks] == [False, False]
-        assert not report.passed
+        _, rows = check_subsolution(problem)
+        assert rows[0].worst > 0
+        assert [row.passed for row in rows] == [False, False]
 
 
 class TestRadialCurvatureValue:
@@ -1233,4 +1234,25 @@ class TestGridConvergence:
             exact = semilinear_solution(spec.n, spec.k, spec.l or 0, psi, half_length,
                                         state.profile.grid)
             errs.append(np.abs(state.profile.u - exact).max())
+        assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("n, k, c, bracket", [
+        (4, 2, 0.0, (0.0, 0.1)),
+        (4, 2, 0.1, (0.15, 0.22)),
+    ], ids=["c0", "c0.1"])
+    def test_semilinear_first_root_order(self, n, k, c, bracket):
+        # at t = 0 the continuation from Example 1's t = 1 profile meets the
+        # even solution whose travel time tau_0(d) is the half length: the
+        # root d = 0.0443 (c = 0) and 0.1851 (c = 0.1) in the bracket, the
+        # first root, at order 2 (2.001 and 1.998 measured at c = 0, 2.003
+        # and 2.026 at c = 0.1)
+        errs = []
+        for m in (1001, 2001, 4001):
+            problem, _, init = example_boundary_problem(n, k, c, m)
+            half = problem.geom.half_length
+            root = optimize.brentq(lambda d: semilinear_travel_time(n, k, c, d) - half,
+                                   *bracket, xtol=1e-15, rtol=8.9e-16)
+            [state] = continuation_run(problem, t_schedule=(0.0,), init=init).states
+            assert state.converged
+            errs.append(abs(state.profile.u[m // 2] - root))
         assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)

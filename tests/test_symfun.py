@@ -809,7 +809,8 @@ class TestBallInclusion:
     (interpolation_ball_report, {"t_values": (1.5,)}, "t_values"),
     (concavity_margin_suite, {"samples": 0}, "samples"),
     (concavity_margin_suite, {"beta": -1.0}, "beta"),
-], ids=["no-directions", "no-t", "t-above-one", "no-samples", "beta-negative"])
+    (concavity_margin_suite, {"beta": 1.5}, "beta"),
+], ids=["no-directions", "no-t", "t-above-one", "no-samples", "beta-negative", "beta-no-pair"])
 def test_suites_reject_bad_inputs(suite, kwargs, argument):
     with pytest.raises(ValueError, match=f"^{argument} must"):
         suite(S24, **kwargs)
@@ -865,10 +866,11 @@ class TestConcavityMargin:
         assert row.passed
 
     def test_suite_without_separated_pairs_raises(self):
-        # the gradients are positive, so unit normals lie in the positive
-        # orthant, at most sqrt(2) apart: no pair separates beyond 1.5
+        # each f_t of sigma_1 is a multiple of sigma_1, so every gradient is
+        # parallel to (1, ..., 1) and no two unit normals differ at all
         with pytest.raises(NumericalError, match="stalled"):
-            concavity_margin_suite(S24, samples=50, beta=1.5, seed=0)
+            concavity_margin_suite(SymFuncSpec("sigma_k_root", n=3, k=1),
+                                   samples=50, beta=0.2, seed=0)
 
     def test_batched_kernel_rejects_mu_outside_cone(self):
         mus = np.ones((3, 3))
