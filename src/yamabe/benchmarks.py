@@ -1,7 +1,7 @@
 """Reusable problem constructions for experiments, the CLI and the test suite.
 
 `dirichlet_problem` builds every Dirichlet problem here and in `yamabe solve`,
-on the uniform grid of `RadialProfile.uniform`.  Three families cover the
+on the uniform grid of its `CylinderGeometry`.  Three families cover the
 interesting regimes:
 
 * a subsolution-anchored benchmark where psi is a fixed fraction of the
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .example1 import ExampleParams, solve_profile
-from .geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
+from .geometry import CylinderGeometry, radial_w_eigenvalues
 from .solver import DirichletProblem
 from .symfun import SymFuncSpec
 
@@ -120,16 +120,16 @@ def example1_rhs_psi(params):
     return psi, psi_z
 
 
-def dirichlet_problem(spec, half_length, node_count, psi, subsolution=None, boundary=None):
-    """The DirichletProblem of `spec` on [-half_length, half_length], with
+def dirichlet_problem(spec, geom, psi, subsolution=None, boundary=None):
+    """The DirichletProblem of `spec` on the CylinderGeometry `geom`, with
     `psi` the pair (psi, psi_z) and the subsolution, (u, u', u'') callables,
-    sampled on the uniform grid of node_count nodes.  The boundary values are
-    the pair `boundary`, else the subsolution's end values.  Raises
-    ValueError when the problem rejects its data."""
-    sub = None if subsolution is None else RadialProfile.uniform(half_length, node_count, subsolution[0])
+    sampled on the grid of geom.  The boundary values are the pair
+    `boundary`, else the subsolution's end values.  Raises ValueError when
+    the problem rejects its data."""
+    sub = None if subsolution is None else geom.profile(subsolution[0])
     left, right = boundary if boundary is not None else (float(sub.u[0]), float(sub.u[-1]))
     return DirichletProblem(
-        geom=CylinderGeometry(half_length), spec=spec,
+        geom=geom, spec=spec,
         psi=psi[0], psi_z=psi[1], phi_left=left, phi_right=right, subsolution=sub,
     )
 
@@ -144,11 +144,10 @@ def subsolution_benchmark(n=4, k=2, half_length=1.0, node_count=401,
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     spec = SymFuncSpec("sigma_k_root", n=n, k=k)
+    geom = CylinderGeometry(half_length, node_count)
     funcs = cosh_profile(amplitude)
-    phi = float(funcs[0](half_length))
-    return dirichlet_problem(spec, half_length, node_count,
-                             subsolution_scaled_psi(spec, funcs, half_length, theta),
-                             subsolution=funcs, boundary=(phi, phi))
+    return dirichlet_problem(spec, geom, subsolution_scaled_psi(spec, funcs, half_length, theta),
+                             subsolution=funcs)
 
 
 def manufactured_problem(t, n=4, k=2, half_length=1.0, node_count=401,
@@ -168,9 +167,9 @@ def manufactured_problem(t, n=4, k=2, half_length=1.0, node_count=401,
         return vals.reshape(x.shape) * np.ones_like(np.asarray(z, dtype=float))
 
     phi = float(amplitude * math.cosh(half_length))
-    problem = dirichlet_problem(spec, half_length, node_count, (psi, _no_z_dependence),
-                                boundary=(phi, phi))
-    return problem, RadialProfile.uniform(half_length, node_count, f)
+    problem = dirichlet_problem(spec, CylinderGeometry(half_length, node_count),
+                                (psi, _no_z_dependence), boundary=(phi, phi))
+    return problem, problem.geom.profile(f)
 
 
 def example_boundary_problem(n, k, c, node_count=401):
@@ -183,6 +182,6 @@ def example_boundary_problem(n, k, c, node_count=401):
     """
     params = ExampleParams(n, k, c)
     solution = solve_profile(params, node_count=node_count)
-    problem = dirichlet_problem(SymFuncSpec("sigma_k_root", n=n, k=k), solution.t_max, node_count,
+    problem = dirichlet_problem(SymFuncSpec("sigma_k_root", n=n, k=k), solution.geom,
                                 example1_rhs_psi(params), boundary=(c, c))
     return problem, params, solution.profile

@@ -43,7 +43,7 @@ from ._errors import (
     YamabeError,
 )
 from . import _format, benchmarks, example1, solver, symfun
-from .geometry import RadialProfile
+from .geometry import CylinderGeometry
 
 FORMAT_VERSION = "yamabe/1"
 
@@ -463,9 +463,11 @@ def _parse_solve(config):
     profile (or None).  build raises ConeDomainError, with the minimum cone
     margin score, when psi is built on a subsolution that leaves the cone,
     and ConfigError when the problem's own checks reject its data or any
-    NumericalError meets the start profile, psi or the problem: a grid too
-    fine for finite stencil weights, or the Example 1 profile's integration,
-    slope inversion or half-length bracket failing on the config's data."""
+    NumericalError meets the geometry, the start profile, psi or the
+    problem: a grid too fine for finite stencil weights, or the Example 1
+    profile's integration, slope inversion or half-length bracket failing
+    on the config's data.  The geometry is built first, before psi, so a
+    grid too fine is a ConfigError whatever the subsolution."""
     _check_keys(config, _SOLVE_KEYS, "config")
     n = _as_int(_need(config, "n", "config"), "n", lo=3)
     function = _need(config, "function", "config")
@@ -524,22 +526,22 @@ def _parse_solve(config):
         boundary = (_as_real(_need(phi, "left", "phi"), "phi.left"),
                     _as_real(_need(phi, "right", "phi"), "phi.right"))
 
-    # start() is the half length and the init profile on it (None without init)
-    start = lambda: (ell_of(), None)
+    # start() is the geometry and the init profile on it (None without init)
+    start = lambda: (CylinderGeometry(ell_of(), grid_size), None)
     if "init" in config:
         init_cfg = config["init"]
         if _family(init_cfg, {**_PROFILE_KEYS, "example1_profile": {"c"}}, "init") == "example1_profile":
             if half_length != "example1" or _as_real(_need(init_cfg, "c", "init"), "init.c") != example.c:
                 raise ConfigError("init example1_profile requires half_length 'example1' "
                                   "and init.c equal to psi.c")
-            def start():    # its half length comes with the profile
+            def start():    # its geometry comes with the profile
                 solution = example1.solve_profile(example, node_count=grid_size)
-                return solution.t_max, solution.profile
+                return solution.geom, solution.profile
         else:
             init_u = _profile_family(init_cfg, "init")[0]
             def start():
-                ell = ell_of()
-                return ell, RadialProfile.uniform(ell, grid_size, init_u)
+                geom = CylinderGeometry(ell_of(), grid_size)
+                return geom, geom.profile(init_u)
     elif subsolution is None:
         raise ConfigError("solve needs a subsolution or an init profile")
 
@@ -573,9 +575,9 @@ def _parse_solve(config):
 
     def build():
         try:
-            ell, init = start()
-            psi = psi_of(ell)
-            problem = benchmarks.dirichlet_problem(spec, ell, grid_size, psi, subsolution, boundary)
+            geom, init = start()
+            problem = benchmarks.dirichlet_problem(spec, geom, psi_of(geom.half_length),
+                                                   subsolution, boundary)
         except ConeDomainError:     # a ValueError, which cmd_solve reports
             raise
         except (ValueError, NumericalError) as exc:
@@ -615,8 +617,7 @@ def cmd_solve(config):
     # The profiles are written while the continuation runs: each state goes
     # to the stream as soon as it has converged (see _ProfileStream).
     started = time.perf_counter()
-    start = init_profile if init_profile is not None else problem.subsolution
-    grid_cells = _format.cells(start.grid)
+    grid_cells = _format.cells(problem.geom.stencils.grid)
 
     def write_profile(i, columns):
         t = schedule[i]
@@ -624,8 +625,8 @@ def cmd_solve(config):
                             [f"# t {t:.17g}"], grid_cells, columns)
 
     states, failure = [], None
-    writers = _writer_count(len(schedule) * start.node_count)
-    with _ProfileStream(write_profile, writers, (len(schedule), 4, start.node_count)) as stream:
+    m = problem.geom.node_count
+    with _ProfileStream(write_profile, _writer_count(len(schedule) * m), (len(schedule), 4, m)) as stream:
         try:
             for s in solver.continuation_states(problem, schedule, opts, init_profile):
                 stream.add((s.profile.u, s.profile.du, s.profile.d2u, s.residual))

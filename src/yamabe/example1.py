@@ -44,7 +44,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from ._errors import ConeDomainError, NumericalError
-from .geometry import RadialProfile, radial_w_eigenvalues
+from .geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
 from .symfun import CheckResult
 
 __all__ = [
@@ -284,7 +284,8 @@ def _orbit(params, dense, times):
 
 @dataclass(frozen=True)
 class ExampleSolution:
-    """Computed radial solution: grid profile plus a dense evaluator.
+    """Computed radial solution: its geometry, whose half length is the
+    blow-up time T (`t_max`), the profile on its grid and a dense evaluator.
 
     `at` gives the smooth solution at any points of [-T, T], which
     verify_example uses at sub-grid distances from the ends.  It
@@ -293,9 +294,13 @@ class ExampleSolution:
     """
 
     params: ExampleParams
-    t_max: float
+    geom: CylinderGeometry                  # [-T, T] and the profile's grid
     profile: RadialProfile
     _eval_uv: object = field(repr=False)    # times -> (u, |u'|), see _orbit
+
+    @property
+    def t_max(self):
+        return self.geom.half_length
 
     def at(self, x):
         """(u, u', u'') at the times x, each with the shape of x, from one
@@ -313,10 +318,9 @@ def solve_profile(params, node_count=401):
     One run of _slope_orbit gives the half length T = X(1) and the dense
     solution.  At each interior node of the grid on [-T, T], X(v) = |x| is
     inverted (_orbit), which gives u = U(v) and |u'| = v; the end nodes take
-    the boundary value x* = c.
+    the boundary value x* = c.  The grid is the CylinderGeometry of [-T, T]
+    with node_count nodes, which raises ValueError below 5 nodes.
     """
-    if node_count < 5:
-        raise ValueError("node_count must be at least 5")
     orbit = _slope_orbit(params)
     t_max = float(orbit.y[0, -1])
 
@@ -328,8 +332,8 @@ def solve_profile(params, node_count=401):
         u[interior], _ = eval_uv(grid[interior])
         return u
 
-    profile = RadialProfile.uniform(t_max, node_count, u_of)
-    return ExampleSolution(params=params, t_max=t_max, profile=profile, _eval_uv=eval_uv)
+    geom = CylinderGeometry(t_max, node_count)
+    return ExampleSolution(params=params, geom=geom, profile=geom.profile(u_of), _eval_uv=eval_uv)
 
 
 @dataclass(frozen=True)

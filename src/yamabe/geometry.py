@@ -15,7 +15,8 @@ and for a radial profile u = u(t) its eigenvalues with respect to g are
 Profiles are plain grid functions; first and second differences are derived
 from the values with second-order stencils (central inside, one-sided at the
 two end nodes) and are recomputed rather than stored.  The stencil weights
-depend on the grid alone and are built once per grid (GridStencils).
+depend on the grid alone and are built once per grid (GridStencils), by the
+CylinderGeometry that owns it.
 """
 
 from __future__ import annotations
@@ -39,18 +40,6 @@ __all__ = [
     "radial_w_eigenvalues",
     "radial_w_linearization",
 ]
-
-
-@dataclass(frozen=True)
-class CylinderGeometry:
-    """The cylinder [-half_length, half_length] x S^(n-1); the dimension n
-    is the symmetric function's (`DirichletProblem.spec.n`)."""
-
-    half_length: float
-
-    def __post_init__(self):
-        if not self.half_length > 0:
-            raise ValueError("half_length must be positive")
 
 
 def stencil_weights(offsets, order):
@@ -115,8 +104,9 @@ class GridStencils:
     """The first and second derivative weights of one grid.
 
     The grid is validated and frozen here.  Profiles on one grid share one
-    bundle (`RadialProfile.with_values` passes it on), so a continuation
-    builds its weights once however many states and derivatives it takes.
+    bundle (`CylinderGeometry.profile` hands out its own, and
+    `RadialProfile.with_values` passes it on), so a continuation builds
+    its weights once however many states and derivatives it takes.
     A grid too fine for floating point, where the powers of the spacing in
     the one-sided systems underflow or the weights overflow, raises
     NumericalError.
@@ -184,19 +174,8 @@ class RadialProfile:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "stencils", stencils)
 
-    @classmethod
-    def uniform(cls, half_length, node_count, func):
-        """The profile of func, a callable on grid arrays, on node_count
-        uniform nodes of [-half_length, half_length]."""
-        grid = np.linspace(-half_length, half_length, node_count)
-        return cls(grid, np.asarray(func(grid), dtype=float))
-
     def with_values(self, u):
         return RadialProfile(self.grid, u, self.stencils)
-
-    @property
-    def node_count(self):
-        return self.grid.size
 
     @cached_property
     def du(self):
@@ -205,6 +184,30 @@ class RadialProfile:
     @cached_property
     def d2u(self):
         return second_derivative(self.stencils, self.u)
+
+
+@dataclass(frozen=True)
+class CylinderGeometry:
+    """The cylinder [-half_length, half_length] x S^(n-1) and its grid of
+    node_count uniform nodes; the dimension n is the symmetric function's
+    (`DirichletProblem.spec.n`).  The grid's GridStencils are built here,
+    once, and every profile of the problem shares them (`profile`); a grid
+    too fine for finite weights raises NumericalError."""
+
+    half_length: float
+    node_count: int
+    stencils: GridStencils = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.half_length > 0:
+            raise ValueError("half_length must be positive")
+        grid = np.linspace(-self.half_length, self.half_length, self.node_count)
+        object.__setattr__(self, "stencils", GridStencils(grid))
+
+    def profile(self, func):
+        """The RadialProfile of func, a callable on grid arrays, on the grid."""
+        grid = self.stencils.grid
+        return RadialProfile(grid, np.asarray(func(grid), dtype=float), self.stencils)
 
 
 def radial_w_eigenvalues(du, d2u):

@@ -151,9 +151,11 @@ def estimate_monitors(profile):
 
 
 def _grid_for(problem, profile):
-    ell = problem.geom.half_length
-    if profile.grid[0] != -ell or profile.grid[-1] != ell:
-        raise ValueError("profile grid must span exactly [-L, L]")
+    """The profile's grid, which must be the problem's (`problem.geom`):
+    the same GridStencils, else equal nodes."""
+    stencils = problem.geom.stencils
+    if profile.stencils is not stencils and not np.array_equal(profile.grid, stencils.grid):
+        raise ValueError("profile must lie on the problem's grid")
     return profile.grid
 
 
@@ -572,8 +574,8 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     state as soon as it has converged.
 
     The arguments are checked here, before the first t (ValueError): the
-    schedule, and the start profile's grid, which must span [-L, L] and,
-    when a subsolution anchors the run, be the subsolution's.  The returned
+    schedule, and the start profile's grid, which must be the problem's
+    (the subsolution's, when one anchors the run).  The returned
     generator does the solving.  The start profile is the explicit init
     when given, else the problem's subsolution.  A warm start is evaluated
     here, pulled back by `_restore_feasibility` when it is outside the cone
@@ -586,9 +588,8 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     current = init if init is not None else problem.subsolution
     if current is None:
         raise ValueError("continuation needs a subsolution or an explicit init profile")
+    _grid_for(problem, current)
     anchor = problem.subsolution if problem.subsolution is not None else current
-    if not np.array_equal(_grid_for(problem, current), anchor.grid):
-        raise ValueError("init must lie on the subsolution's grid")
     return _continuation(problem, schedule, opts, current, anchor)
 
 

@@ -16,7 +16,8 @@ conformal curvature from the general transformation law, the stopping time
 of the radial problem from integrating the second-order equation itself
 (never its first integral), the t = 0 solution for constant psi from its
 closed form in v = e^(-p u), its half length for Example 1's psi by
-quadrature of the first integral in v, and profile CSVs from Python's own '%.17g', one
+quadrature of the first integral in v and its even solution by a shot in
+v, and profile CSVs from Python's own '%.17g', one
 row at a time.  `BrokenHomogeneitySpec` is a cone function built to fail a
 structure check.
 """
@@ -491,6 +492,16 @@ def semilinear_solution(n, k, l, psi, half_length, x):
     return -np.log(v) / p
 
 
+def _semilinear_constants(n, k):
+    """(p, q, a) of the t = 0 equation v'' = p^2 v - a v^q of Example 1's
+    data in v = e^(-p u): p = (n - 2)/2, q = (n + 2)/(n - 2) and
+    a = p R / f(e), with R = (n/(k 2^k) C(n-1, k-1))^(1/k) and
+    f(e) = C(n, k)^(1/k)."""
+    p = (n - 2) / 2
+    rhs_root = (n / (k * 2.0 ** k) * math.comb(n - 1, k - 1)) ** (1.0 / k)
+    return p, (n + 2) / (n - 2), p * rhs_root / math.comb(n, k) ** (1.0 / k)
+
+
 def semilinear_travel_time(n, k, c, d):
     """tau_0(d): the half length L on which the t = 0 problem of Example 1's
     data (f = sigma_k^(1/k), psi = R e^(-2u), u(-L) = u(L) = c) has the
@@ -508,9 +519,7 @@ def semilinear_travel_time(n, k, c, d):
     so where the orbit turns back before it reaches c, D < 0 at the far
     end, and a ValueError says so.
     """
-    p, q = (n - 2) / 2, (n + 2) / (n - 2)
-    rhs_root = (n / (k * 2.0 ** k) * math.comb(n - 1, k - 1)) ** (1.0 / k)
-    a = p * rhs_root / math.comb(n, k) ** (1.0 / k)
+    p, q, a = _semilinear_constants(n, k)
     v0, v1 = math.exp(-p * d), math.exp(-p * c)
     s = math.copysign(1.0, v1 - v0)
 
@@ -527,6 +536,27 @@ def semilinear_travel_time(n, k, c, d):
     tau, _ = integrate.quad(lambda sigma: math.sqrt(2.0 / scaled_gap(sigma)), 0.0, end,
                             epsabs=0.0, epsrel=1e-13, limit=200)
     return tau
+
+
+def semilinear_even_orbit(n, k, d):
+    """The even solution u of the t = 0 problem of Example 1's data with
+    u(0) = d, as a callable on arrays of x, by a shot in v = e^(-p u):
+    v'' = p^2 v - a v^q (`_semilinear_constants`) from v(0) = e^(-p d),
+    v'(0) = 0, integrated by DOP853 at rtol 1e-13 with dense output, and
+    u = -log(v) / p at |x|.  Where d is a root of tau_0(d) = L
+    (`semilinear_travel_time`), it solves the problem on [-L, L]."""
+    p, q, a = _semilinear_constants(n, k)
+
+    def rhs(x, y):
+        return [y[1], p * p * y[0] - a * y[0] ** q]
+
+    def u(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        orbit = integrate.solve_ivp(rhs, (0.0, x.max()), [math.exp(-p * d), 0.0],
+                                    method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
+        return -np.log(orbit.sol(x)[0]) / p
+
+    return u
 
 
 def separation_margin_by_loop(spec, samples, beta, seed):

@@ -698,12 +698,26 @@ class TestSolveRobustness:
         assert capsys.readouterr().err.startswith("t=0.9 ")
 
     def test_one_solve_builds_its_stencils_once(self, tmp_path, spy):
+        # the problem's geometry builds the one grid of an op, and every
+        # profile on it shares its GridStencils
         weights = spy(geometry, "stencil_weights")
+        builds = spy(geometry, "GridStencils")
         cfg = write_config(tmp_path / "s.json", _solve_payload(
             tmp_path / "out", grid_size=4001, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE),
             newton={"tol": 1e-7}))
         assert run_cli(["solve", cfg]) == 0
         assert weights.call_count <= 8
+        assert builds.call_count == 1
+        for init in ({"family": "example1_profile", "c": 0.0}, {"family": "constant", "value": 0.0}):
+            builds.reset_mock()
+            cfg = write_config(tmp_path / "e.json", {
+                **README_EXAMPLE1_SOLVE, "init": init, "t_schedule": [0.0],
+                "out": str(tmp_path / "example1")})
+            assert run_cli(["solve", cfg]) == 0
+            assert builds.call_count == 1
+        builds.reset_mock()
+        benchmarks.example_boundary_problem(5, 4, -0.5, node_count=1001)
+        assert builds.call_count == 1
 
 
 README_SOLVE = {
@@ -1055,6 +1069,10 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("command, payload", [
         ("solve", _solve_payload("out", half_length=1e-300)),
+        # the grid is built before psi, so a subsolution outside the cone
+        # does not hide it
+        ("solve", _solve_payload("out", half_length=1e-300,
+                                 subsolution={"family": "linear", "slope": 2.0})),
         ("solve", {"n": 4, "function": {"kind": "sigma_k_root", "k": 2}, "half_length": "example1",
                    "grid_size": 401, "psi": {"family": "example1_rhs", "c": -100.0},
                    "phi": {"left": -100.0, "right": -100.0},
@@ -1065,7 +1083,7 @@ class TestEntryPoint:
                    "grid_size": 101, "psi": {"family": "example1_rhs", "c": -80.0},
                    "phi": {"left": -80.0, "right": -80.0},
                    "init": {"family": "constant", "value": -80.0}, "out": "out"}),
-    ], ids=["solve-length-1e-300", "example1-solve-c-100", "example1-c-100",
+    ], ids=["solve-length-1e-300", "solve-length-1e-300-outside-cone", "example1-solve-c-100", "example1-c-100",
             "example1-solve-constant-init-c-80"])
     def test_grid_without_finite_stencils_leaves_the_last_run(self, tmp_path, capsys,
                                                               monkeypatch, command, payload):

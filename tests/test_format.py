@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yamabe import _format, cli
-from yamabe.geometry import RadialProfile
+from yamabe.geometry import CylinderGeometry
 
 from oracles import write_profile_by_rows
 
@@ -112,7 +112,7 @@ def test_written_profile_equals_the_row_oracle(tmp_path):
     """A 4001-node profile as the solve and example1 writers write it,
     against a plain per-row writer."""
     rng = np.random.default_rng(4001)
-    profile = RadialProfile.uniform(1.3, 4001, lambda x: 0.3 * np.cosh(x) - 0.1)
+    profile = CylinderGeometry(1.3, 4001).profile(lambda x: 0.3 * np.cosh(x) - 0.1)
     residual = rng.standard_normal(4001) * 10.0 ** rng.uniform(-14, -6, 4001)
     residual[[0, -1]] = 0.0
     resolved = {"command": "solve", "grid_size": 4001}

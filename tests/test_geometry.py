@@ -37,7 +37,7 @@ class TestSchoutenBase:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CylinderGeometry(half_length=0.0)
+            CylinderGeometry(half_length=0.0, node_count=11)
 
 
 class TestStencils:
@@ -118,6 +118,18 @@ class TestGridStencils:
             GridStencils(np.linspace(-half_length, half_length, 101))
 
 
+class TestCylinderGeometry:
+    def test_profiles_share_the_grid_stencils(self):
+        geom = CylinderGeometry(1.0, 11)
+        cos, sin = geom.profile(np.cos), geom.profile(np.sin)
+        assert cos.stencils is sin.stencils is geom.stencils
+        assert cos.grid is geom.stencils.grid
+        assert (cos.grid[0], cos.grid[-1]) == (-1.0, 1.0)
+        assert np.array_equal(sin.u, np.sin(np.linspace(-1.0, 1.0, 11)))
+        # the grid follows from (half_length, node_count), so it is not compared
+        assert geom == CylinderGeometry(1.0, 11) != CylinderGeometry(1.0, 21)
+
+
 class TestRadialProfile:
     def test_requires_increasing_grid(self):
         with pytest.raises(ValueError):
@@ -134,14 +146,14 @@ class TestRadialProfile:
         assert np.allclose(q.d2u, 3.0 * p.d2u, atol=1e-9)
 
     def test_arrays_read_only(self):
-        p = RadialProfile.uniform(1.0, 11, np.zeros_like)
+        p = CylinderGeometry(1.0, 11).profile(np.zeros_like)
         with pytest.raises(ValueError):
             p.u[0] = 1.0
 
 
 class TestRadialEigenvalues:
     def test_constant_profile_reproduces_base(self):
-        prof = RadialProfile.uniform(1.0, 21, lambda x: np.full_like(x, 3.0))
+        prof = CylinderGeometry(1.0, 21).profile(lambda x: np.full_like(x, 3.0))
         axis, sphere = radial_w_eigenvalues(prof.du, prof.d2u)
         base = schouten_eigenvalues(4)
         assert np.allclose(axis, base[0], atol=1e-12)
@@ -150,7 +162,7 @@ class TestRadialEigenvalues:
     def test_linear_profile(self):
         # u = a t: one eigenvalue -(1 - a^2)/2, the rest (1 - a^2)/2
         a = 0.4
-        prof = RadialProfile.uniform(1.0, 21, lambda x: a * x)
+        prof = CylinderGeometry(1.0, 21).profile(lambda x: a * x)
         axis, sphere = radial_w_eigenvalues(prof.du, prof.d2u)
         half = 0.5 * (1.0 - a * a)
         assert np.allclose(axis, -half, atol=1e-10)
@@ -188,10 +200,10 @@ class TestRadialEigenvalues:
 
     def test_cone_flags(self):
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        prof = RadialProfile.uniform(1.0, 21, lambda x: 0.3 * np.cosh(x))
+        prof = CylinderGeometry(1.0, 21).profile(lambda x: 0.3 * np.cosh(x))
         scores = spec.radial_eval(0.5, *radial_w_eigenvalues(prof.du, prof.d2u)).scores
         assert np.all(scores > spec.margin)
-        flat = RadialProfile.uniform(1.0, 21, np.zeros_like)
+        flat = CylinderGeometry(1.0, 21).profile(np.zeros_like)
         scores = spec.radial_eval(1.0, *radial_w_eigenvalues(flat.du, flat.d2u)).scores
         assert not np.any(scores > spec.margin)  # base spectrum sits on the cone boundary
 

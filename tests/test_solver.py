@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import optimize
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from yamabe import solver, symfun
 from yamabe._errors import (
@@ -54,6 +54,7 @@ from oracles import (
     radial_rows,
     restore_by_full_passes,
     rounding_floor_by_nodes,
+    semilinear_even_orbit,
     semilinear_solution,
     semilinear_travel_time,
 )
@@ -61,7 +62,7 @@ from oracles import (
 
 class TestProblemValidation:
     def test_rejects_nonpositive_psi(self):
-        geom = CylinderGeometry(half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0, node_count=11)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         with pytest.raises(ValueError):
             DirichletProblem(
@@ -80,7 +81,7 @@ class TestProblemValidation:
          "sampled z-derivative of psi contradicts the declared psi_z"),
     ], ids=["declared", "sampled"])
     def test_rejects_increasing_psi_in_z(self, psi_z, message):
-        geom = CylinderGeometry(half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0, node_count=11)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         with pytest.raises(ValueError, match=message):
             DirichletProblem(
@@ -96,9 +97,9 @@ class TestProblemValidation:
             subsolution_benchmark(theta=theta)
 
     def test_rejects_subsolution_boundary_mismatch(self):
-        geom = CylinderGeometry(half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0, node_count=11)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        sub = RadialProfile.uniform(1.0, 11, lambda x: 0.3 * np.cosh(x))
+        sub = geom.profile(lambda x: 0.3 * np.cosh(x))
         with pytest.raises(ValueError):
             DirichletProblem(
                 geom=geom, spec=spec,
@@ -115,7 +116,8 @@ class TestProblemValidation:
         psi, psi_z = constant_psi(1.0)
         with pytest.raises(ValueError, match="match the boundary values"):
             DirichletProblem(
-                geom=CylinderGeometry(half_length=1.0), spec=SymFuncSpec("sigma_k_root", n=4, k=2),
+                geom=CylinderGeometry(half_length=1.0, node_count=11),
+                spec=SymFuncSpec("sigma_k_root", n=4, k=2),
                 psi=psi, psi_z=psi_z, phi_left=float(u[0]), phi_right=float(u[0]),
                 subsolution=RadialProfile(grid, u),
             )
@@ -125,15 +127,16 @@ class TestProblemValidation:
         psi, psi_z = constant_psi(1.0)
         with pytest.raises(ValueError, match="boundary values must be finite"):
             DirichletProblem(
-                geom=CylinderGeometry(half_length=1.0), spec=SymFuncSpec("sigma_k_root", n=4, k=2),
+                geom=CylinderGeometry(half_length=1.0, node_count=11),
+                spec=SymFuncSpec("sigma_k_root", n=4, k=2),
                 psi=psi, psi_z=psi_z, phi_left=phi_left, phi_right=0.0,
             )
 
     def test_subsolution_grid_outside_cylinder_rejected(self):
-        geom = CylinderGeometry(half_length=0.5)
+        geom = CylinderGeometry(half_length=0.5, node_count=11)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        sub = RadialProfile.uniform(1.0, 11, np.zeros_like)
-        with pytest.raises(ValueError, match="span exactly"):
+        sub = CylinderGeometry(half_length=1.0, node_count=11).profile(np.zeros_like)
+        with pytest.raises(ValueError, match="problem's grid"):
             DirichletProblem(
                 geom=geom, spec=spec,
                 psi=lambda x, z: np.ones_like(np.asarray(x, float) * np.asarray(z, float)),
@@ -144,9 +147,9 @@ class TestProblemValidation:
     def test_profile_grid_outside_cylinder_rejected(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
         wide = RadialProfile(np.linspace(-2.0, 2.0, 101), exact.u)
-        with pytest.raises(ValueError, match="span exactly"):
+        with pytest.raises(ValueError, match="problem's grid"):
             residual(problem, 0.5, wide)
-        with pytest.raises(ValueError, match="span exactly"):
+        with pytest.raises(ValueError, match="problem's grid"):
             jacobian(problem, 0.5, wide)
 
 
@@ -220,7 +223,7 @@ class TestJacobian:
         # interpolated cone; the residual's evaluation of it builds the
         # same Jacobian as a fresh evaluation
         for spec in all_specs(n):
-            problem = dirichlet_problem(spec, 1.0, 101, constant_psi(1.0),
+            problem = dirichlet_problem(spec, CylinderGeometry(1.0, 101), constant_psi(1.0),
                                         subsolution=cosh_profile(0.8))
             sub = problem.subsolution
             prof = sub.with_values(sub.u + 0.01 * np.sin(2.0 * sub.grid))
@@ -413,7 +416,7 @@ class TestNewton:
 
         monkeypatch.setattr(solver, "_check_jacobian", unreached)
         problem, _, _ = example_boundary_problem(5, 4, -0.5, node_count=101)
-        start = RadialProfile.uniform(problem.geom.half_length, 101, lambda x: np.full_like(x, -400.0))
+        start = problem.geom.profile(lambda x: np.full_like(x, -400.0))
         with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
             newton_solve(problem, 0.0, start)
         assert str(err.value) == ("residual of the start at t=0.0 is not finite at node 1 "
@@ -721,13 +724,13 @@ class TestMonitors:
         assert ContinuationReport(states, None).monitor_growth() == (1.0, math.inf, 2.0)
 
     def test_constant(self):
-        prof = RadialProfile.uniform(1.0, 101, lambda x: np.full_like(x, 3.0))
+        prof = CylinderGeometry(1.0, 101).profile(lambda x: np.full_like(x, 3.0))
         # derivative crumbs come from the 1/h^2 stencil weights times rounding
         assert estimate_monitors(prof) == pytest.approx((3.0, 0.0, 0.0), abs=1e-10)
 
     def test_linear(self):
         a = 0.7
-        prof = RadialProfile.uniform(2.0, 101, lambda x: a * x)
+        prof = CylinderGeometry(2.0, 101).profile(lambda x: a * x)
         m = estimate_monitors(prof)
         assert m[0] == pytest.approx(a * 2.0, rel=1e-14, abs=0.0)
         assert m[1] == pytest.approx(a, rel=1e-12, abs=0.0)
@@ -735,7 +738,7 @@ class TestMonitors:
 
     def test_sine_against_analytic(self):
         for m_nodes in (201, 401):
-            prof = RadialProfile.uniform(1.0, m_nodes, lambda x: np.sin(x) / 4)
+            prof = CylinderGeometry(1.0, m_nodes).profile(lambda x: np.sin(x) / 4)
             sup_u, sup_du, sup_d2u = estimate_monitors(prof)
             h = 2.0 / (m_nodes - 1)
             assert sup_u == pytest.approx(math.sin(1.0) / 4, abs=1e-10)
@@ -765,7 +768,7 @@ class TestSubsolutionCheck:
         assert np.nanmax(margins) < 0
 
     def test_supersonic_slope_reports_cone_violation(self):
-        geom = CylinderGeometry(half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0, node_count=101)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         grid = np.linspace(-1, 1, 101)
         sub = RadialProfile(grid, 1.2 * grid)
@@ -781,9 +784,9 @@ class TestSubsolutionCheck:
 
     def test_margins_nan_exactly_at_cone_violations(self):
         # u' exceeds 1 on the left part of the grid, so W leaves Gamma_2 there
-        geom = CylinderGeometry(half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0, node_count=101)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
+        sub = geom.profile(lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
         problem = DirichletProblem(
             geom=geom, spec=spec,
             psi=lambda x, z: 0.1 * np.ones_like(np.asarray(x, float) * np.asarray(z, float)),
@@ -808,10 +811,11 @@ class TestSubsolutionCheck:
         # node, bit for bit the row path's f minus psi
         kernel = spy(SymFuncSpec, "radial_eval")
         spec = SymFuncSpec("quotient", n=5, k=3, l=1)
-        sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
+        geom = CylinderGeometry(half_length=1.0, node_count=101)
+        sub = geom.profile(lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
         psi = lambda x, z: 0.1 + 0.05 * np.asarray(x, float) * np.ones_like(np.asarray(z, float))
         problem = DirichletProblem(
-            geom=CylinderGeometry(half_length=1.0), spec=spec, psi=psi,
+            geom=geom, spec=spec, psi=psi,
             psi_z=lambda x, z: np.zeros_like(np.asarray(x, float) * np.asarray(z, float)),
             phi_left=float(sub.u[0]), phi_right=float(sub.u[-1]), subsolution=sub,
         )
@@ -842,9 +846,9 @@ class TestSubsolutionCheck:
     def test_cone_violation_fails_both_rows(self):
         # the margin row stands for the whole check, so a cone violation
         # fails it even where every margin inside the cone is positive
-        geom = CylinderGeometry(half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0, node_count=101)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        sub = RadialProfile.uniform(1.0, 101, lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
+        sub = geom.profile(lambda x: 0.6 * np.sinh(x) + 0.3 * np.cosh(x))
         problem = DirichletProblem(
             geom=geom, spec=spec,
             psi=lambda x, z: 1e-9 * np.ones_like(np.asarray(x, float) * np.asarray(z, float)),
@@ -949,7 +953,7 @@ class TestContinuation:
         # psi is built per t from the DISCRETE curvature of one grid profile,
         # so that same grid function is the exact discrete solution of every
         # family member and the recovered states coincide to solver tolerance
-        geom = CylinderGeometry(half_length=1.0)
+        geom = CylinderGeometry(half_length=1.0, node_count=201)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
         grid = np.linspace(-1.0, 1.0, 201)
         star = RadialProfile(grid, 0.3 * np.cosh(grid))
@@ -991,15 +995,15 @@ class TestContinuation:
     def test_states_check_the_init_grid_before_the_first_t(self):
         problem = subsolution_benchmark(node_count=401)
         cosh = cosh_profile(0.3)[0]
-        with pytest.raises(ValueError, match=r"span exactly \[-L, L\]"):
-            continuation_states(problem, init=RadialProfile.uniform(2.0, 401, cosh))
-        # on [-L, L] but not on the subsolution's nodes, the blend towards it
-        # cannot be formed: the run solved t = 0 to 0.3 and then failed
-        with pytest.raises(ValueError, match="subsolution's grid"):
-            continuation_states(problem, init=RadialProfile.uniform(1.0, 201, cosh))
+        with pytest.raises(ValueError, match="problem's grid"):
+            continuation_states(problem, init=CylinderGeometry(2.0, 401).profile(cosh))
+        # on [-L, L] but not on the problem's nodes, the blend towards the
+        # subsolution cannot be formed: the run solved t = 0 to 0.3 and then failed
+        with pytest.raises(ValueError, match="problem's grid"):
+            continuation_states(problem, init=CylinderGeometry(1.0, 201).profile(cosh))
         free, _ = manufactured_problem(0.5, node_count=101)
-        with pytest.raises(ValueError, match=r"span exactly \[-L, L\]"):
-            continuation_states(free, init=RadialProfile.uniform(2.0, 101, cosh))
+        with pytest.raises(ValueError, match="problem's grid"):
+            continuation_states(free, init=CylinderGeometry(2.0, 101).profile(cosh))
 
     @staticmethod
     def _lets_every_rung_through(problem, t, profile, anchor, evaluation):
@@ -1208,8 +1212,8 @@ class TestGridConvergence:
         spec, psi = SymFuncSpec("sigma_k_root", n=n, k=k), example1_rhs_psi(ExampleParams(n, k, c))
         errs = []
         for m in (201, 401, 801, 1601):
-            problem = dirichlet_problem(spec, 1.0, m, psi, boundary=(c, c))
-            exact = RadialProfile.uniform(1.0, m, lambda x: np.log(np.cosh(x)))
+            problem = dirichlet_problem(spec, CylinderGeometry(1.0, m), psi, boundary=(c, c))
+            exact = problem.geom.profile(lambda x: np.log(np.cosh(x)))
             init = exact.with_values(exact.u + 1e-3 * np.cos(np.pi * exact.grid / 2))
             state = newton_solve(problem, 1.0, init)
             errs.append(np.abs(state.profile.u - exact.u).max())
@@ -1226,9 +1230,9 @@ class TestGridConvergence:
         # v = e^(-p u) at order 2 (2.000 measured, in 4 to 6 Newton steps)
         errs = []
         for m in (101, 201, 401, 801):
-            problem = dirichlet_problem(spec, half_length, m, constant_psi(psi),
+            problem = dirichlet_problem(spec, CylinderGeometry(half_length, m), constant_psi(psi),
                                         boundary=(0.0, 0.0))
-            init = RadialProfile.uniform(half_length, m, np.zeros_like)
+            init = problem.geom.profile(np.zeros_like)
             [state] = continuation_run(problem, t_schedule=(0.0,), init=init).states
             assert state.converged
             exact = semilinear_solution(spec.n, spec.k, spec.l or 0, psi, half_length,
@@ -1256,3 +1260,35 @@ class TestGridConvergence:
             assert state.converged
             errs.append(abs(state.profile.u[m // 2] - root))
         assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("n, k, c, bracket", [
+        (4, 2, 0.0, (-1.9, -1.6)),
+        (3, 2, 0.0, (-2.0, -1.7)),
+    ], ids=["n4", "n3"])
+    def test_semilinear_second_root_order(self, n, k, c, bracket):
+        # the second root of tau_0(d) = L, d = -1.75807 on (4, 2, 0) and
+        # -1.84924 on (3, 2, 0), is the even solution of Morse index 1:
+        # Newton from its sampled shot meets it at order 2 (2.000 measured,
+        # sup errors 1.9e-6 to 1.2e-7 and 4.4e-7 to 2.8e-8 on 1001-4001
+        # nodes), and -J has one negative eigenvalue there (-57.514 and
+        # -42.092, the next 80.506 and 44.738, to three decimals on every grid)
+        errs, spectra = [], []
+        for m in (1001, 2001, 4001):
+            problem, _, _ = example_boundary_problem(n, k, c, m)
+            half = problem.geom.half_length
+            root = optimize.brentq(lambda d: semilinear_travel_time(n, k, c, d) - half,
+                                   *bracket, xtol=1e-15, rtol=8.9e-16)
+            exact = problem.geom.profile(semilinear_even_orbit(n, k, root))
+            state = newton_solve(problem, 0.0, exact)
+            errs.append(np.abs(state.profile.u - exact.u).max())
+            # the interior block of -J, symmetrized by its diagonal similarity
+            # (until the solver reports the spectrum itself)
+            ab = jacobian(problem, 0.0, state.profile)
+            products = ab[0, 2:-1] * ab[2, 1:-2]
+            assert np.all(products > 0.0)
+            spectrum = eigvalsh_tridiagonal(-ab[1, 1:-1], np.sqrt(products), select="i",
+                                            select_range=(0, 1))
+            assert spectrum[0] < 0.0 < spectrum[1]
+            spectra.append(spectrum)
+        assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)
+        assert np.ptp(spectra, axis=0).max() <= 1e-3

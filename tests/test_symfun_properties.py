@@ -113,9 +113,13 @@ class TestHypothesisProperties:
     @settings(max_examples=200, deadline=None)
     @given(lam=cone_tuples(SPECS[1]))
     def test_value_invariant_under_permutation(self, lam):
+        # entries of magnitude 1e-150 or more keep the products in sigma_2
+        # normal floats; a subnormal sigma_2 cannot hold a relative error
+        # of 1e-12 in any implementation
+        assume(np.all((lam == 0.0) | (np.abs(lam) >= 1e-150)))
         spec = SPECS[1]
         assert spec.value(np.sort(lam)[::-1].copy()) == pytest.approx(
-            spec.value(lam), rel=1e-12)
+            spec.value(lam), rel=1e-12, abs=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(lam=cone_tuples(SPECS[1]), t=st.floats(min_value=0.0, max_value=1.0))
