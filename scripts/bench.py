@@ -52,7 +52,7 @@ from yamabe import _format, cli, example1, solver, symfun  # noqa: E402
 from yamabe.benchmarks import example_boundary_problem, subsolution_benchmark  # noqa: E402
 from yamabe.example1 import ExampleParams, half_length, solve_profile  # noqa: E402
 from yamabe.geometry import (  # noqa: E402
-    GridStencils, first_derivative, radial_w_eigenvalues, second_derivative)
+    first_derivative, radial_w_eigenvalues, second_derivative)
 
 T = 0.5
 NODES = (401, 4001)
@@ -114,14 +114,14 @@ def layer_times(node_count):
                                    opts=solver.NewtonOptions(tol=CONTINUATION_TOL)).states[-1].profile
     restore_args = (problem, 0.4, warm, prof, solver._radial_eval(problem, 0.4, warm.du, warm.d2u))
     grid = prof.grid
-    res, evaluation = solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u)
+    res, evaluation = solver._residual(problem, T, prof.u, prof.du, prof.d2u)
     gradient = evaluation.gradient()
     ab = solver.jacobian(problem, T, prof)
     grid_cells = _format.cells(grid)
     columns = np.array([prof.u, prof.du, prof.d2u, res])
-    stencils = GridStencils(grid)
+    stencils = problem.geom.stencils
     layers = {
-        "residual": lambda: solver._residual(problem, T, grid, prof.u, prof.du, prof.d2u),
+        "residual": lambda: solver._residual(problem, T, prof.u, prof.du, prof.d2u),
         "jacobian": lambda: solver.jacobian(problem, T, prof),
         "jacobian_held": lambda: solver.jacobian(problem, T, prof, gradient),
         "inside_cone": lambda: solver._radial_eval(problem, T, prof.du, prof.d2u),

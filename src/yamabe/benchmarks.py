@@ -182,6 +182,6 @@ def example_boundary_problem(n, k, c, node_count=401):
     """
     params = ExampleParams(n, k, c)
     solution = solve_profile(params, node_count=node_count)
-    problem = dirichlet_problem(SymFuncSpec("sigma_k_root", n=n, k=k), solution.geom,
+    problem = dirichlet_problem(SymFuncSpec("sigma_k_root", n=n, k=k), solution.profile.geom,
                                 example1_rhs_psi(params), boundary=(c, c))
     return problem, params, solution.profile

@@ -536,7 +536,7 @@ def _parse_solve(config):
                                   "and init.c equal to psi.c")
             def start():    # its geometry comes with the profile
                 solution = example1.solve_profile(example, node_count=grid_size)
-                return solution.geom, solution.profile
+                return solution.profile.geom, solution.profile
         else:
             init_u = _profile_family(init_cfg, "init")[0]
             def start():

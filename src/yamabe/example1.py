@@ -284,8 +284,8 @@ def _orbit(params, dense, times):
 
 @dataclass(frozen=True)
 class ExampleSolution:
-    """Computed radial solution: its geometry, whose half length is the
-    blow-up time T (`t_max`), the profile on its grid and a dense evaluator.
+    """Computed radial solution: the profile, whose geometry's half length
+    is the blow-up time T (`t_max`), and a dense evaluator.
 
     `at` gives the smooth solution at any points of [-T, T], which
     verify_example uses at sub-grid distances from the ends.  It
@@ -294,13 +294,12 @@ class ExampleSolution:
     """
 
     params: ExampleParams
-    geom: CylinderGeometry                  # [-T, T] and the profile's grid
-    profile: RadialProfile
+    profile: RadialProfile                  # on the geometry of [-T, T]
     _eval_uv: object = field(repr=False)    # times -> (u, |u'|), see _orbit
 
     @property
     def t_max(self):
-        return self.geom.half_length
+        return self.profile.geom.half_length
 
     def at(self, x):
         """(u, u', u'') at the times x, each with the shape of x, from one
@@ -333,7 +332,7 @@ def solve_profile(params, node_count=401):
         return u
 
     geom = CylinderGeometry(t_max, node_count)
-    return ExampleSolution(params=params, geom=geom, profile=geom.profile(u_of), _eval_uv=eval_uv)
+    return ExampleSolution(params=params, profile=geom.profile(u_of), _eval_uv=eval_uv)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ and for a radial profile u = u(t) its eigenvalues with respect to g are
     u'' - (1 - u'^2)/2          once (axis direction),
     (1 - u'^2)/2                with multiplicity n - 1 (sphere directions).
 
-Profiles are plain grid functions; first and second differences are derived
-from the values with second-order stencils (central inside, one-sided at the
-two end nodes) and are recomputed rather than stored.  The stencil weights
-depend on the grid alone and are built once per grid (GridStencils), by the
-CylinderGeometry that owns it.
+Profiles are values on a CylinderGeometry's grid; first and second
+differences are derived from the values with second-order stencils (central
+inside, one-sided at the two end nodes) and are recomputed rather than
+stored.  The stencil weights depend on the grid alone and are built once per
+grid (GridStencils), by the CylinderGeometry that owns it.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ def _apply(weights, u):
 class GridStencils:
     """The first and second derivative weights of one grid.
 
-    The grid is validated and frozen here.  Profiles on one grid share one
-    bundle (`CylinderGeometry.profile` hands out its own, and
-    `RadialProfile.with_values` passes it on), so a continuation builds
-    its weights once however many states and derivatives it takes.
+    The grid is validated and frozen here.  A CylinderGeometry builds the
+    bundle of its grid once, and every RadialProfile on the geometry reads
+    it, so a continuation builds its weights once however many states and
+    derivatives it takes.
     A grid too fine for floating point, where the powers of the spacing in
     the one-sided systems underflow or the weights overflow, raises
     NumericalError.
@@ -148,42 +148,38 @@ def second_derivative(stencils, u):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A grid function on a strictly increasing coordinate grid.
+    """A grid function: the values u at the nodes of its CylinderGeometry.
 
-    du and d2u are derived from u with the declared stencils on first access;
-    they cannot be set independently.  The stencil weights live in the
-    grid's GridStencils, which `with_values` hands on to the new profile.
+    The grid and its stencil weights are the geometry's (`geom.stencils`),
+    which `with_values` hands on to the new profile.  du and d2u are derived
+    from u with those stencils on first access; they cannot be set
+    independently.
     """
 
-    grid: np.ndarray
+    geom: CylinderGeometry
     u: np.ndarray
-    stencils: GridStencils | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.stencils is None:
-            stencils = GridStencils(self.grid)
-        elif self.grid is self.stencils.grid:
-            stencils = self.stencils
-        else:
-            raise ValueError("the stencils belong to another grid")
         u = np.ascontiguousarray(np.asarray(self.u, dtype=float))
-        if u.shape != stencils.grid.shape:
+        if u.shape != (self.geom.node_count,):
             raise ValueError("u must match the grid shape")
         u.flags.writeable = False
-        object.__setattr__(self, "grid", stencils.grid)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "stencils", stencils)
+
+    @property
+    def grid(self):
+        return self.geom.stencils.grid
 
     def with_values(self, u):
-        return RadialProfile(self.grid, u, self.stencils)
+        return RadialProfile(self.geom, u)
 
     @cached_property
     def du(self):
-        return first_derivative(self.stencils, self.u)
+        return first_derivative(self.geom.stencils, self.u)
 
     @cached_property
     def d2u(self):
-        return second_derivative(self.stencils, self.u)
+        return second_derivative(self.geom.stencils, self.u)
 
 
 @dataclass(frozen=True)
@@ -191,8 +187,8 @@ class CylinderGeometry:
     """The cylinder [-half_length, half_length] x S^(n-1) and its grid of
     node_count uniform nodes; the dimension n is the symmetric function's
     (`DirichletProblem.spec.n`).  The grid's GridStencils are built here,
-    once, and every profile of the problem shares them (`profile`); a grid
-    too fine for finite weights raises NumericalError."""
+    once, and every profile on the geometry reads them; a grid too fine
+    for finite weights raises NumericalError."""
 
     half_length: float
     node_count: int
@@ -206,8 +202,7 @@ class CylinderGeometry:
 
     def profile(self, func):
         """The RadialProfile of func, a callable on grid arrays, on the grid."""
-        grid = self.stencils.grid
-        return RadialProfile(grid, np.asarray(func(grid), dtype=float), self.stencils)
+        return RadialProfile(self, func(self.stencils.grid))
 
 
 def radial_w_eigenvalues(du, d2u):

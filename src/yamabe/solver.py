@@ -40,6 +40,7 @@ from ._errors import (
     StepFailureError,
 )
 from .geometry import (
+    CylinderGeometry,
     RadialProfile,
     first_derivative,
     radial_w_eigenvalues,
@@ -82,7 +83,7 @@ class DirichletProblem:
     window from 2 below to 2 above them and the subsolution's range.
     """
 
-    geom: object
+    geom: CylinderGeometry
     spec: object
     psi: object
     psi_z: object
@@ -151,12 +152,12 @@ def estimate_monitors(profile):
 
 
 def _grid_for(problem, profile):
-    """The profile's grid, which must be the problem's (`problem.geom`):
-    the same GridStencils, else equal nodes."""
-    stencils = problem.geom.stencils
-    if profile.stencils is not stencils and not np.array_equal(profile.grid, stencils.grid):
+    """The problem's grid, on which the profile must lie: its geometry
+    equals `problem.geom`, so its (half_length, node_count) and nodes are
+    the problem's."""
+    if profile.geom != problem.geom:
         raise ValueError("profile must lie on the problem's grid")
-    return profile.grid
+    return problem.geom.stencils.grid
 
 
 def _radial_eval(problem, t, du, d2u):
@@ -165,11 +166,12 @@ def _radial_eval(problem, t, du, d2u):
     return problem.spec.radial_eval(t, axis, sphere)
 
 
-def _residual(problem, t, grid, u, du, d2u, evaluation=None):
-    """Residual vector and the kernel's evaluation from nodal values and
-    their stencil derivatives; raises ConeViolationError when a node leaves
-    the cone.  An evaluation the caller already holds for du, d2u at t is
-    used as is."""
+def _residual(problem, t, u, du, d2u, evaluation=None):
+    """Residual vector and the kernel's evaluation from nodal values on the
+    problem's grid and their stencil derivatives; raises ConeViolationError
+    when a node leaves the cone.  An evaluation the caller already holds for
+    du, d2u at t is used as is."""
+    grid = problem.geom.stencils.grid
     if evaluation is None:
         evaluation = _radial_eval(problem, t, du, d2u)
     if evaluation.outside.size:
@@ -187,8 +189,8 @@ def _residual(problem, t, grid, u, du, d2u, evaluation=None):
 
 def residual(problem, t, profile):
     """Per-node residual vector; raises when a node leaves the cone."""
-    grid = _grid_for(problem, profile)
-    return _residual(problem, t, grid, profile.u, profile.du, profile.d2u)[0]
+    _grid_for(problem, profile)
+    return _residual(problem, t, profile.u, profile.du, profile.d2u)[0]
 
 
 def jacobian(problem, t, profile, gradient=None):
@@ -201,7 +203,7 @@ def jacobian(problem, t, profile, gradient=None):
     where b2 and b1 are the u'' and u' coefficients that
     `geometry.radial_w_linearization` takes from the pair (g_a, g_s) of
     Df_t (axis slot, summed sphere slots), and c1, c2 the interior stencil
-    weights of u' and u'', which the profile's GridStencils holds.
+    weights of u' and u'', which the grid's GridStencils holds.
     Boundary rows are identity rows.  The pair (g_a, g_s) is `gradient`
     when the caller holds the gradient of this profile's evaluation at
     this t; else the kernel evaluates it.
@@ -212,8 +214,8 @@ def jacobian(problem, t, profile, gradient=None):
         gradient = _radial_eval(problem, t, profile.du, profile.d2u).gradient()
     b2, b1 = radial_w_linearization(*gradient, profile.du[1:-1])
     psi_z = np.asarray(problem.psi_z(grid[1:-1], profile.u[1:-1]), dtype=float)
-    c1 = profile.stencils.first.inner
-    c2 = profile.stencils.second.inner
+    c1 = problem.geom.stencils.first.inner
+    c2 = problem.geom.stencils.second.inner
 
     lower = b2 * c2[0] + b1 * c1[0]
     diag = b2 * c2[1] + b1 * c1[1] - psi_z
@@ -260,19 +262,18 @@ def _check_jacobian(problem, t, profile, ab):
     or while the central differences at s and s/2 disagree by more than the
     tolerance.
     """
-    grid = profile.grid
-    ell = problem.geom.half_length
-    v = np.cos(np.pi * grid / (3.0 * ell)) + grid / (4.0 * ell)
-    dv = first_derivative(profile.stencils, v)
-    d2v = second_derivative(profile.stencils, v)
+    stencils, ell = problem.geom.stencils, problem.geom.half_length
+    v = np.cos(np.pi * stencils.grid / (3.0 * ell)) + stencils.grid / (4.0 * ell)
+    dv = first_derivative(stencils, v)
+    d2v = second_derivative(stencils, v)
     jv = ab[1] * v
     jv[:-1] += ab[0, 1:] * v[1:]
     jv[1:] += ab[2, :-1] * v[:-1]
 
     def central(s):
-        plus = _residual(problem, t, grid, profile.u + s * v, profile.du + s * dv,
+        plus = _residual(problem, t, profile.u + s * v, profile.du + s * dv,
                          profile.d2u + s * d2v)[0]
-        minus = _residual(problem, t, grid, profile.u - s * v, profile.du - s * dv,
+        minus = _residual(problem, t, profile.u - s * v, profile.du - s * dv,
                           profile.d2u - s * d2v)[0]
         return (plus - minus) / (2.0 * s)
 
@@ -324,18 +325,18 @@ def _rounding_floor(problem, profile, evaluation, gradient):
     with f_t of the state's evaluation, b2 and b1 the u'' and u'
     coefficients of Newton's Jacobian (`geometry.radial_w_linearization`
     of its gradient, the pair that Jacobian took) and the stencil weights
-    of its GridStencils.  It grows like eps/h^2, so on fine grids it can
-    lie above a fixed Newton tolerance.
+    of the grid's GridStencils.  It grows like eps/h^2, so on fine grids it
+    can lie above a fixed Newton tolerance.
     """
-    grid, u = profile.grid, np.abs(profile.u)
+    stencils, u = problem.geom.stencils, np.abs(profile.u)
     b2, b1 = radial_w_linearization(*gradient, profile.du[1:-1])
 
     def spread(weights):
         wm, w0, wp = weights.inner
         return np.abs(wm) * u[:-2] + np.abs(w0) * u[1:-1] + np.abs(wp) * u[2:]
 
-    psi = np.asarray(problem.psi(grid[1:-1], profile.u[1:-1]), dtype=float)
-    terms = (np.abs(b2) * spread(profile.stencils.second) + np.abs(b1) * spread(profile.stencils.first)
+    psi = np.asarray(problem.psi(stencils.grid[1:-1], profile.u[1:-1]), dtype=float)
+    terms = (np.abs(b2) * spread(stencils.second) + np.abs(b1) * spread(stencils.first)
              + np.abs(evaluation.value) + np.abs(psi))
     return float(np.finfo(float).eps * terms.max())
 
@@ -362,7 +363,7 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
     opts = opts or NewtonOptions()
     grid = _grid_for(problem, init)
     profile = init
-    res, evaluation = _residual(problem, t, grid, init.u, init.du, init.d2u, _evaluation)
+    res, evaluation = _residual(problem, t, init.u, init.du, init.d2u, _evaluation)
     bad = np.flatnonzero(~np.isfinite(res[1:-1]))
     if bad.size:
         node = int(bad[0]) + 1
@@ -400,7 +401,7 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
                 break   # each half of this step moves no node either
             trial = profile.with_values(u)
             try:
-                trial_res, trial_evaluation = _residual(problem, t, grid, u, trial.du, trial.d2u)
+                trial_res, trial_evaluation = _residual(problem, t, u, trial.du, trial.d2u)
             except ConeViolationError:
                 pass
             else:
@@ -546,7 +547,7 @@ def _rungs_outside(problem, t, profile, anchor, evaluation):
         wm, w0, wp = (w[nodes] for w in weights.inner)
         return wm * blends[..., 0] + w0 * blends[..., 1] + wp * blends[..., 2]
 
-    stencils = profile.stencils
+    stencils = problem.geom.stencils
     axis, sphere = radial_w_eigenvalues(derivative(stencils.first), derivative(stencils.second))
     outside = problem.spec.radial_eval(t, axis.ravel(), sphere.ravel()).outside
     ruled_out = np.zeros(len(_LADDER), dtype=bool)

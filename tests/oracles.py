@@ -17,8 +17,9 @@ of the radial problem from integrating the second-order equation itself
 (never its first integral), the t = 0 solution for constant psi from its
 closed form in v = e^(-p u), its half length for Example 1's psi by
 quadrature of the first integral in v and its even solution by a shot in
-v, and profile CSVs from Python's own '%.17g', one
-row at a time.  `BrokenHomogeneitySpec` is a cone function built to fail a
+v, the even solution of the radial problem at any t for psi free of z by a
+shot in u whose axis eigenvalue is a polynomial root found in plain floats,
+and profile CSVs from Python's own '%.17g', one row at a time.  `BrokenHomogeneitySpec` is a cone function built to fail a
 structure check.
 """
 
@@ -555,6 +556,103 @@ def semilinear_even_orbit(n, k, d):
         orbit = integrate.solve_ivp(rhs, (0.0, x.max()), [math.exp(-p * d), 0.0],
                                     method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
         return -np.log(orbit.sol(x)[0]) / p
+
+    return u
+
+
+def _radial_sigma_k_polynomial(n, k, t, s, rhs):
+    """Coefficients, lowest first, of P(a) = sigma_k(T(a, s, ..., s)) - rhs
+    with n - 1 entries s, T the t-mapping lam -> t lam + (1 - t) sigma_1(lam) e.
+
+    T(a, s, ..., s) = (a + alpha, beta a + gamma, ..., beta a + gamma) with
+    alpha = (1 - t)(n - 1) s, beta = 1 - t and gamma = (t + (1 - t)(n - 1)) s,
+    and sigma_k of (A, S, ..., S) is C(n-1, k-1) A S^(k-1) + C(n-1, k) S^k.
+    Zero leading coefficients are dropped (at t = 1 the degree is 1).
+    """
+    alpha, beta, gamma = (1.0 - t) * (n - 1) * s, 1.0 - t, (t + (1.0 - t) * (n - 1)) * s
+
+    def power(j):   # (beta a + gamma)^j
+        return [math.comb(j, i) * beta ** i * gamma ** (j - i) for i in range(j + 1)]
+
+    low, top = power(k - 1), power(k)
+    coeffs = [math.comb(n - 1, k) * c for c in top]
+    for i, c in enumerate(low):     # C(n-1, k-1) (a + alpha) (beta a + gamma)^(k-1)
+        coeffs[i] += math.comb(n - 1, k - 1) * alpha * c
+        coeffs[i + 1] += math.comb(n - 1, k - 1) * c
+    coeffs[0] -= rhs
+    while coeffs[-1] == 0.0:
+        coeffs.pop()
+    return coeffs
+
+
+def _taylor_coefficients(coeffs, x):
+    """The coefficients, lowest first, of P(x + h) in h (repeated synthetic
+    division); the first is P(x), the second P'(x)."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += x * c[j + 1]
+    return c
+
+
+def _largest_root(coeffs, start):
+    """The largest real root of P by Newton from `start`, a point where
+    every derivative of P is positive.
+
+    sigma_k on the line a -> T(a, s, ..., s) is real-rooted (Garding: the
+    line's direction (1, 1 - t, ..., 1 - t) lies in the positive cone), so
+    the roots of all its derivatives lie below its largest root, and
+    P = sigma_k - psi^k has its largest root above that one.  From start
+    on, P is convex and increasing, so Newton's first step lands above the
+    root and from there it falls monotonically onto it; it stops where
+    rounding no longer lets it fall.
+    """
+    a = start
+    for i in range(200):
+        value, slope = _taylor_coefficients(coeffs, a)[:2]
+        if i and not a - value / slope < a:
+            return a
+        a -= value / slope
+    raise RuntimeError(f"Newton found no root of {coeffs} from {start}")
+
+
+def even_shot(n, k, t, psi, half_length, phi):
+    """The even solution u on [-L, L] of the radial problem of
+    f_t = sigma_k^(1/k) with u(-L) = u(L) = phi, as a callable on arrays of
+    x, by one shot in plain floats.
+
+    The axis eigenvalue a = u'' - s and the sphere one s = (1 - u'^2)/2
+    satisfy sigma_k(T(a, s, ..., s)) = psi^k, and a is its largest real
+    root (`_largest_root`), the one in the cone.  Newton starts from the
+    previous a where the Taylor coefficients of P there past the first are
+    all positive, and from the Cauchy bound 1 + max |c_i / c_d| on the
+    roots of P, which lies above those of its derivatives, otherwise.  y = (u, u') is integrated with u'' = a + s from
+    (0, 0) at x = 0 by DOP853 at rtol 1e-12 and shifted so that u(L) = phi.
+    psi(x, z), a callable on arrays like `DirichletProblem.psi`, must be
+    even in x and must not depend on z: the shot holds only then.
+    """
+    previous = [None]
+
+    def axis(x, s):
+        coeffs = _radial_sigma_k_polynomial(n, k, t, s, float(psi(x, 0.0)) ** k)
+        a = previous[0]
+        if a is None or not all(c > 0.0 for c in _taylor_coefficients(coeffs, a)[1:]):
+            a = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
+        previous[0] = a = _largest_root(coeffs, a)
+        return a
+
+    def rhs(x, y):
+        s = 0.5 * (1.0 - y[1] * y[1])
+        return [y[1], axis(x, s) + s]
+
+    orbit = integrate.solve_ivp(rhs, (0.0, half_length), [0.0, 0.0], method="DOP853",
+                                rtol=1e-12, atol=1e-14, dense_output=True)
+    if not orbit.success:
+        raise RuntimeError(f"the shot failed: {orbit.message}")
+    shift = phi - orbit.y[0, -1]
+
+    def u(x):
+        return orbit.sol(np.abs(np.asarray(x, dtype=float)))[0] + shift
 
     return u
 

@@ -15,7 +15,7 @@ import pytest
 
 from yamabe import _format, benchmarks, cli, example1, geometry, symfun
 from yamabe.cli import main
-from yamabe.geometry import RadialProfile
+from yamabe.geometry import CylinderGeometry, RadialProfile
 
 from oracles import BrokenHomogeneitySpec, radial_rows
 
@@ -966,7 +966,7 @@ class TestProfileCsv:
     def test_rows_equal_the_per_value_format(self, tmp_path):
         special = np.array(self.SPECIAL)
         with np.errstate(all="ignore"):
-            profile = RadialProfile(np.linspace(-1.0, 1.0, special.size), special[::-1])
+            profile = RadialProfile(CylinderGeometry(1.0, special.size), special[::-1])
             columns = (profile.grid, profile.u, profile.du, profile.d2u, special)
             cli._write_profile_rows(tmp_path / "p.csv", {"command": "test"}, [],
                                     _format.cells(profile.grid), columns[1:])

@@ -50,6 +50,7 @@ from yamabe.symfun import RadialEvaluation, SymFuncSpec
 from oracles import (
     all_specs,
     banded_to_dense,
+    even_shot,
     fd_jacobian_column,
     radial_rows,
     restore_by_full_passes,
@@ -110,16 +111,15 @@ class TestProblemValidation:
 
     def test_rejects_a_nan_subsolution_end(self):
         # abs(nan - phi) > 1e-12 is False: the comparison must count NaN as a mismatch
-        grid = np.linspace(-1.0, 1.0, 11)
-        u = 0.3 * np.cosh(grid)
+        geom = CylinderGeometry(half_length=1.0, node_count=11)
+        u = 0.3 * np.cosh(geom.stencils.grid)
         u[-1] = math.nan
         psi, psi_z = constant_psi(1.0)
         with pytest.raises(ValueError, match="match the boundary values"):
             DirichletProblem(
-                geom=CylinderGeometry(half_length=1.0, node_count=11),
-                spec=SymFuncSpec("sigma_k_root", n=4, k=2),
+                geom=geom, spec=SymFuncSpec("sigma_k_root", n=4, k=2),
                 psi=psi, psi_z=psi_z, phi_left=float(u[0]), phi_right=float(u[0]),
-                subsolution=RadialProfile(grid, u),
+                subsolution=RadialProfile(geom, u),
             )
 
     @pytest.mark.parametrize("phi_left", [math.inf, -math.inf, math.nan])
@@ -146,11 +146,25 @@ class TestProblemValidation:
 
     def test_profile_grid_outside_cylinder_rejected(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
-        wide = RadialProfile(np.linspace(-2.0, 2.0, 101), exact.u)
+        wide = RadialProfile(CylinderGeometry(2.0, 101), exact.u)
         with pytest.raises(ValueError, match="problem's grid"):
             residual(problem, 0.5, wide)
         with pytest.raises(ValueError, match="problem's grid"):
             jacobian(problem, 0.5, wide)
+
+    def test_profile_on_an_equal_geometry_accepted(self):
+        # a geometry built apart but equal to the problem's has the same
+        # nodes and weights, so a profile on it is the problem's bit for bit
+        problem, exact = manufactured_problem(0.5, node_count=101)
+        twin = RadialProfile(CylinderGeometry(1.0, 101), exact.u)
+        assert twin.geom is not problem.geom and twin.geom == problem.geom
+        assert np.array_equal(residual(problem, 0.5, twin), residual(problem, 0.5, exact))
+        assert np.array_equal(jacobian(problem, 0.5, twin), jacobian(problem, 0.5, exact))
+        init = twin.with_values(twin.u + 1e-3 * np.cos(np.pi * twin.grid / 2))
+        state = newton_solve(problem, 0.5, init)
+        reference = newton_solve(problem, 0.5, exact.with_values(init.u))
+        assert state.converged and state.newton_iters == reference.newton_iters
+        assert np.array_equal(state.profile.u, reference.profile.u)
 
 
 class TestResidual:
@@ -228,8 +242,7 @@ class TestJacobian:
             sub = problem.subsolution
             prof = sub.with_values(sub.u + 0.01 * np.sin(2.0 * sub.grid))
             for t in (0.0, 0.3, 0.99, 1.0):
-                _, evaluation = solver._residual(problem, t, prof.grid, prof.u,
-                                                 prof.du, prof.d2u)
+                _, evaluation = solver._residual(problem, t, prof.u, prof.du, prof.d2u)
                 assert np.array_equal(jacobian(problem, t, prof, evaluation.gradient()),
                                       jacobian(problem, t, prof))
 
@@ -325,9 +338,9 @@ class TestJacobianCheck:
         residuals = spy(solver, "_residual")
         solver._check_jacobian(problem, 0.5, state, jacobian(problem, 0.5, state))
         first, second = residuals.call_args_list[:2]
-        exits = [solver._radial_eval(problem, 0.5, *call.args[4:6]).outside.size > 0
+        exits = [solver._radial_eval(problem, 0.5, *call.args[3:5]).outside.size > 0
                  for call in (first, second)]
-        steps = [np.abs(call.args[3] - state.u).max() for call in (first, second)]
+        steps = [np.abs(call.args[2] - state.u).max() for call in (first, second)]
         assert exits == [True, False]
         assert steps[1] == pytest.approx(0.1 * steps[0], rel=1e-6, abs=0.0)
 
@@ -538,7 +551,7 @@ class TestRoundingFloor:
             newton_solve(problem, 0.5, init, NewtonOptions(jacobian_check=False))
         state = err.value.state
         prof = state.profile
-        _, evaluation = solver._residual(problem, 0.5, prof.grid, prof.u, prof.du, prof.d2u)
+        _, evaluation = solver._residual(problem, 0.5, prof.u, prof.du, prof.d2u)
         floor = solver._rounding_floor(problem, prof, evaluation, evaluation.gradient())
         assert state.residual_norm > floor
         assert f"rounding floor {floor:.3e}" in str(err.value)
@@ -551,8 +564,7 @@ class TestRoundingFloor:
             profile = problem.subsolution
         else:
             t, (problem, _, profile) = 0.9, example_boundary_problem(5, 4, -0.5, node_count=1001)
-        _, evaluation = solver._residual(problem, t, profile.grid, profile.u, profile.du,
-                                         profile.d2u)
+        _, evaluation = solver._residual(problem, t, profile.u, profile.du, profile.d2u)
         floor = solver._rounding_floor(problem, profile, evaluation, evaluation.gradient())
         # F is about 1e-11 on the subsolution, so approx's default abs 1e-12 is off
         assert floor == pytest.approx(rounding_floor_by_nodes(problem, t, profile),
@@ -581,7 +593,7 @@ class TestRoundingFloor:
         assert restore_passes
         # a start comes with the evaluation the continuation or the
         # restore's ladder made
-        evaluating = sum(len(call.args) == 6 or call.args[6] is None
+        evaluating = sum(len(call.args) == 5 or call.args[5] is None
                          for call in residuals.call_args_list)
         # one pass more per warm start, which the continuation evaluates
         assert kernel.call_count == evaluating + len(restore_passes) + len(report.states)
@@ -638,11 +650,11 @@ class TestOneConeRule:
         d2u = exact.d2u.copy()
         d2u[40] = np.nan
         with pytest.raises(ConeViolationError) as err:
-            solver._residual(problem, 0.5, exact.grid, exact.u, exact.du, d2u)
+            solver._residual(problem, 0.5, exact.u, exact.du, d2u)
         assert err.value.node == 40 and "node 40 " in str(err.value)
         nan_u = exact.with_values(np.where(np.arange(101) == 40, np.nan, exact.u))
         with pytest.raises(ConeViolationError) as err:
-            solver._residual(problem, 0.5, nan_u.grid, nan_u.u, nan_u.du, nan_u.d2u)
+            solver._residual(problem, 0.5, nan_u.u, nan_u.du, nan_u.d2u)
         assert err.value.node == 39
 
 
@@ -770,8 +782,7 @@ class TestSubsolutionCheck:
     def test_supersonic_slope_reports_cone_violation(self):
         geom = CylinderGeometry(half_length=1.0, node_count=101)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        grid = np.linspace(-1, 1, 101)
-        sub = RadialProfile(grid, 1.2 * grid)
+        sub = geom.profile(lambda x: 1.2 * x)
         problem = DirichletProblem(
             geom=geom, spec=spec,
             psi=lambda x, z: np.ones_like(np.asarray(x, float) * np.asarray(z, float)),
@@ -955,8 +966,8 @@ class TestContinuation:
         # family member and the recovered states coincide to solver tolerance
         geom = CylinderGeometry(half_length=1.0, node_count=201)
         spec = SymFuncSpec("sigma_k_root", n=4, k=2)
-        grid = np.linspace(-1.0, 1.0, 201)
-        star = RadialProfile(grid, 0.3 * np.cosh(grid))
+        star = geom.profile(lambda x: 0.3 * np.cosh(x))
+        grid = star.grid
         results = []
         for t in (0.0, 0.5, 0.99):
             nodal = radial_curvature_value(spec, t, star.du, star.d2u)
@@ -1193,6 +1204,40 @@ class TestContinuation:
         assert len(scaled) == len(schedule)
 
 
+ORACLE_TS = (0.0, 0.5, 0.99)
+
+
+@pytest.fixture(scope="module")
+def subsolution_oracle_errors():
+    """Per t of ORACLE_TS, the sup distance of the default continuation's
+    state of the subsolution benchmark from its even shot, on 201, 401,
+    801 and 1601 nodes: one continuation per grid, one shot per t."""
+    reference = subsolution_benchmark()
+    shots = {t: even_shot(4, 2, t, reference.psi, 1.0, reference.phi_right) for t in ORACLE_TS}
+    errs = {t: [] for t in ORACLE_TS}
+    for m in (201, 401, 801, 1601):
+        for state in continuation_run(subsolution_benchmark(node_count=m)).states:
+            if state.t in shots:
+                errs[state.t].append(np.abs(state.profile.u - shots[state.t](state.profile.grid)).max())
+    return errs
+
+
+def _first_root_errors(n, k, c, bracket):
+    """|u_h(0) - d| of the default continuation's t = 0 state on Example 1's
+    data on 1001, 2001 and 4001 nodes, d the root of tau_0(d) = L that
+    brentq finds in the bracket."""
+    errs = []
+    for m in (1001, 2001, 4001):
+        problem, _, init = example_boundary_problem(n, k, c, m)
+        half = problem.geom.half_length
+        root = optimize.brentq(lambda d: semilinear_travel_time(n, k, c, d) - half,
+                               *bracket, xtol=1e-15, rtol=8.9e-16)
+        [state] = continuation_run(problem, t_schedule=(0.0,), init=init).states
+        assert state.converged
+        errs.append(abs(state.profile.u[m // 2] - root))
+    return errs
+
+
 class TestGridConvergence:
     @pytest.mark.parametrize("t", [0.0, 0.5, 0.99])
     def test_manufactured_order(self, t):
@@ -1250,16 +1295,35 @@ class TestGridConvergence:
         # root d = 0.0443 (c = 0) and 0.1851 (c = 0.1) in the bracket, the
         # first root, at order 2 (2.001 and 1.998 measured at c = 0, 2.003
         # and 2.026 at c = 0.1)
-        errs = []
-        for m in (1001, 2001, 4001):
-            problem, _, init = example_boundary_problem(n, k, c, m)
-            half = problem.geom.half_length
-            root = optimize.brentq(lambda d: semilinear_travel_time(n, k, c, d) - half,
-                                   *bracket, xtol=1e-15, rtol=8.9e-16)
-            [state] = continuation_run(problem, t_schedule=(0.0,), init=init).states
-            assert state.converged
-            errs.append(abs(state.profile.u[m // 2] - root))
+        errs = _first_root_errors(n, k, c, bracket)
         assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("n, k, c, bracket", [
+        (4, 2, -0.5, (-0.52, -0.5000001)),
+        (4, 3, -0.5, (-0.51, -0.5000001)),
+        (5, 4, -0.5, (-0.49999, -0.4999)),
+    ], ids=["n4k2", "n4k3", "n5k4"])
+    def test_semilinear_first_root_bound(self, n, k, c, bracket):
+        # every state stops at its rounding floor, and u_h(0) lies within
+        # 2e-11 of the root (-0.50123737244, -0.50025029887 and
+        # -0.49998803325) on every grid with no trend in h, so a bound
+        # holds and not an order
+        assert max(_first_root_errors(n, k, c, bracket)) <= 1e-10
+
+    @pytest.mark.parametrize("t", ORACLE_TS)
+    def test_subsolution_oracle_order(self, t, subsolution_oracle_errors):
+        # FD minus the even shot falls at order 2 (2.000/1.999/2.001 at
+        # t = 0, 1.999/1.998/2.002 at 0.5, 1.990/1.962/2.004 at 0.99)
+        errs = subsolution_oracle_errors[t]
+        assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("psi", [1.0, 4.0], ids=["cosh", "cos"])
+    def test_shot_reproduces_the_semilinear_closed_form(self, psi):
+        # the shot knows nothing of v = e^(-p u); at t = 0 with constant
+        # psi it meets item 20's closed form (6e-13 measured)
+        x = np.linspace(-1.0, 1.0, 201)
+        shot = even_shot(4, 2, 0.0, constant_psi(psi)[0], 1.0, 0.0)
+        assert np.abs(shot(x) - semilinear_solution(4, 2, 0, psi, 1.0, x)).max() <= 1e-10
 
     @pytest.mark.parametrize("n, k, c, bracket", [
         (4, 2, 0.0, (-1.9, -1.6)),
