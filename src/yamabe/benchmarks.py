@@ -95,8 +95,11 @@ SCALED_PSI_NODES = 4001
 def subsolution_scaled_psi(spec, funcs, half_length, theta):
     """(psi, psi_z) with psi = theta * f(W[u]) for u given as (u, u', u'') callables,
     sampled on SCALED_PSI_NODES points of [-L, L] and interpolated linearly in x;
-    no z dependence.
+    no z dependence.  theta must lie in (0, 1): then u is a strict subsolution,
+    with margin (1 - theta) f.
     """
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must lie in (0, 1), got {theta}")
     dense = np.linspace(-half_length, half_length, SCALED_PSI_NODES)
     f_values = theta * radial_curvature_value(spec, 1.0, funcs[1](dense), funcs[2](dense))
 
@@ -141,8 +144,6 @@ def subsolution_benchmark(n=4, k=2, half_length=1.0, node_count=401,
     The profile is then a strict subsolution with margin (1-theta) f, and the
     boundary data match it (see subsolution_scaled_psi).
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
     spec = SymFuncSpec("sigma_k_root", n=n, k=k)
     geom = CylinderGeometry(half_length, node_count)
     funcs = cosh_profile(amplitude)

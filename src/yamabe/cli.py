@@ -8,8 +8,9 @@ Three subcommands, each taking a single JSON config path:
 
 Exit codes: 0 pass, 1 domain/check failure, 2 config error, 3 partial
 convergence.  --out, --seed and --verbose override the config.  A command
-checks its whole config (unknown keys rejected) before it makes the output
-directory or computes anything (_parse_solve), and _out_dir
+reads the types of its whole config (unknown keys rejected), and reports a
+ValueError of the library, which states every rule of the data once, as a
+config error, before it makes the output directory (_parse_solve); _out_dir
 removes the files of an earlier run.  Output files embed the resolved config
 and a format version line, use 17 significant digits and LF line endings, so
 identical configs produce byte-identical files.  `solve` writes its profiles
@@ -66,13 +67,11 @@ def _need(mapping, key, context):
     return mapping[key]
 
 
-def _as_int(value, context, lo=None, hi=None):
+def _as_int(value, context, lo=None):
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{context}: expected an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(f"{context}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{context}: must be <= {hi}, got {value}")
     return value
 
 
@@ -80,6 +79,15 @@ def _as_real(value, context):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _checked(context, check, *args, **kwargs):
+    """check(*args, **kwargs), the library's rule for these inputs, with its
+    ValueError a ConfigError naming context."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _run_keys(config, out):
@@ -109,19 +117,13 @@ def _load_config(path):
 
 
 def _function_spec(cfg):
+    """The SymFuncSpec of a function entry; the spec checks the kind and the
+    ranges of n, k and l."""
     _check_keys(cfg, {"kind", "n", "k", "l"}, "function")
     kind = _need(cfg, "kind", "function")
-    n = _as_int(_need(cfg, "n", "function"), "function.n", lo=3)
-    if kind == "sigma_k_root":
-        k = _as_int(_need(cfg, "k", "function"), "function.k", lo=1, hi=n)
-        if "l" in cfg:
-            raise ConfigError("function: l is only for the quotient kind")
-        return symfun.SymFuncSpec("sigma_k_root", n=n, k=k)
-    if kind == "quotient":
-        k = _as_int(_need(cfg, "k", "function"), "function.k", lo=2, hi=n)
-        l = _as_int(_need(cfg, "l", "function"), "function.l", lo=1, hi=k - 1)
-        return symfun.SymFuncSpec("quotient", n=n, k=k, l=l)
-    raise ConfigError(f"function.kind: unknown kind {kind!r}")
+    n = _as_int(_need(cfg, "n", "function"), "function.n")
+    k, l = (_as_int(cfg[key], f"function.{key}") if key in cfg else None for key in ("k", "l"))
+    return _checked("function", symfun.SymFuncSpec, kind, n, k, l)
 
 
 # the keys each family reads beside "family"
@@ -153,12 +155,13 @@ def _profile_family(cfg, context):
 
 
 def _example_params(n, k, c, context):
-    """Example 1's ExampleParams of boundary value c; a ConfigError on c where
-    d has no floating-point value (from about n c = 16, or c below -128)."""
+    """Example 1's ExampleParams of (n, k, c); a ConfigError naming context
+    where ExampleParams rejects them, c included where d has no
+    floating-point value (from about n c = 16, or c below -128)."""
     try:
         return example1.ExampleParams(n, k, c)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{context}: no Example 1 data for c = {c!r} at (n, k) = ({n}, {k}): "
+        raise ConfigError(f"{context}: no Example 1 data at (n, k, c) = ({n}, {k}, {c!r}): "
                           f"{exc}") from exc
 
 
@@ -339,22 +342,22 @@ _CHECK_KEYS = {"function", "samples", "seed", "ball", "separation", "out", "verb
 def cmd_check(config):
     _check_keys(config, _CHECK_KEYS, "config")
     spec = _function_spec(_need(config, "function", "config"))
-    samples = _as_int(config.get("samples", 1000), "samples", lo=1)
+    samples = _as_int(config.get("samples", 1000), "samples")
     ball_cfg = config.get("ball", {})
     _check_keys(ball_cfg, {"t_values", "directions"}, "ball")
-    t_values = ball_cfg.get("t_values", [0.0, 0.25, 0.5, 0.9, 0.99])
-    if not isinstance(t_values, list) or not t_values:
-        raise ConfigError("ball.t_values: expected a non-empty list of numbers")
+    t_values = ball_cfg.get("t_values", list(symfun.DEFAULT_BALL_T_VALUES))
+    if not isinstance(t_values, list):
+        raise ConfigError("ball.t_values: expected a list of numbers")
     t_values = tuple(_as_real(t, "ball.t_values") for t in t_values)
-    if not all(0.0 <= t < 1.0 for t in t_values):   # the ball's radius is (1 - t)/(2n)
-        raise ConfigError(f"ball.t_values must lie in [0, 1), got {list(t_values)}")
-    directions = _as_int(ball_cfg.get("directions", 1000), "ball.directions", lo=1)
+    directions = _as_int(ball_cfg.get("directions", 1000), "ball.directions")
     sep_cfg = config.get("separation", {})
     _check_keys(sep_cfg, {"samples", "beta"}, "separation")
-    sep_samples = _as_int(sep_cfg.get("samples", 2000), "separation.samples", lo=1)
+    sep_samples = _as_int(sep_cfg.get("samples", 2000), "separation.samples")
     beta = _as_real(sep_cfg.get("beta", 0.2), "separation.beta")
-    if not 0.0 <= beta < math.sqrt(2.0):   # as in concavity_margin_suite
-        raise ConfigError(f"separation.beta must lie in [0, sqrt(2)), got {beta}")
+    # each suite's own input check, before any work
+    _checked("samples", symfun.check_suite_inputs, sample_count=samples)
+    _checked("ball", symfun.check_suite_inputs, t_values=t_values, directions=directions)
+    _checked("separation", symfun.check_suite_inputs, samples=sep_samples, beta=beta)
     resolved = {
         "command": "check",
         "function": config["function"],
@@ -397,15 +400,16 @@ _EXAMPLE_KEYS = {"n", "k", "c", "grid_size", "thresholds", "out", "seed", "verbo
 
 
 def cmd_example1(config):
-    """Run `yamabe example1`.  Any NumericalError while building the profile
-    (a grid too fine for finite stencil weights, or the integration or slope
-    inversion failing on (n, k, c)) is a ConfigError, met before the output
-    directory is touched."""
+    """Run `yamabe example1`.  ExampleParams checks (n, k, c), and any
+    ValueError or NumericalError while building the profile (a grid of
+    fewer than 5 nodes or too fine for finite stencil weights, or the
+    integration or slope inversion failing on (n, k, c)) is a ConfigError,
+    met before the output directory is touched."""
     _check_keys(config, _EXAMPLE_KEYS, "config")
-    n = _as_int(_need(config, "n", "config"), "n", lo=3)
-    k = _as_int(_need(config, "k", "config"), "k", lo=2, hi=n)
+    n = _as_int(_need(config, "n", "config"), "n")
+    k = _as_int(_need(config, "k", "config"), "k")
     c = _as_real(_need(config, "c", "config"), "c")
-    grid_size = _as_int(config.get("grid_size", 401), "grid_size", lo=5)
+    grid_size = _as_int(config.get("grid_size", 401), "grid_size")
     th_cfg = config.get("thresholds", {})
     names = [f.name for f in dataclasses.fields(example1.VerifyThresholds)]
     _check_keys(th_cfg, names, "thresholds")
@@ -418,10 +422,10 @@ def cmd_example1(config):
         "thresholds": dataclasses.asdict(thresholds),
         **_run_keys(config, "results/example1"),
     }
-    params = _example_params(n, k, c, "c")
+    params = _example_params(n, k, c, "config")
     try:
         solution = example1.solve_profile(params, node_count=grid_size)
-    except NumericalError as exc:     # as in `yamabe solve`'s build (_parse_solve)
+    except (ValueError, NumericalError) as exc:     # as in `yamabe solve`'s build (_parse_solve)
         raise ConfigError(str(exc)) from exc
     out = _out_dir(resolved)
 
@@ -457,43 +461,47 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
 
 
 def _parse_solve(config):
-    """Read a solve config: check every key and raise every ConfigError,
+    """Read a solve config: check every key's type and presence, and raise
+    the ConfigErrors of SymFuncSpec, ExampleParams and check_t_schedule,
     before any computation.  Returns the resolved document and `build`, which
     computes the DirichletProblem (benchmarks.dirichlet_problem) and the init
-    profile (or None).  build raises ConeDomainError, with the minimum cone
-    margin score, when psi is built on a subsolution that leaves the cone,
-    and ConfigError when the problem's own checks reject its data or any
-    NumericalError meets the geometry, the start profile, psi or the
-    problem: a grid too fine for finite stencil weights, or the Example 1
-    profile's integration, slope inversion or half-length bracket failing
-    on the config's data.  The geometry is built first, before psi, so a
-    grid too fine is a ConfigError whatever the subsolution."""
+    profile (or None).
+
+    build raises ConeDomainError, with the minimum cone margin score, when
+    psi is built on a subsolution that leaves the cone, and ConfigError when
+    a ValueError or NumericalError meets the geometry, the start profile,
+    psi or the problem.  These are the library's own checks of its data:
+    - CylinderGeometry: half_length not positive, grid_size below 5, or a
+      grid too fine for finite stencil weights;
+    - subsolution_scaled_psi: psi.theta outside (0, 1);
+    - DirichletProblem: psi not positive on the working range (psi.value
+      not positive, e^(-2z) underflowing), psi_z positive, boundary values
+      not finite, or a subsolution off them;
+    - example1.solve_profile and half_length: the integration, slope
+      inversion or half-length bracket failing on the config's data.
+    The geometry is built first, then psi, so a grid error is a ConfigError
+    whatever the subsolution, and so is theta, checked before psi samples
+    the subsolution."""
     _check_keys(config, _SOLVE_KEYS, "config")
-    n = _as_int(_need(config, "n", "config"), "n", lo=3)
+    n = _as_int(_need(config, "n", "config"), "n")
     function = _need(config, "function", "config")
     spec = _function_spec({"n": n, **function} if isinstance(function, dict) else function)
     if spec.n != n:
         raise ConfigError("function.n: must equal n")
-    grid_size = _as_int(config.get("grid_size", 401), "grid_size", lo=5)
+    grid_size = _as_int(config.get("grid_size", 401), "grid_size")
 
     # psi_of(L) is the pair (psi, psi_z) on [-L, L], of the subsolution read below
     psi_cfg = _need(config, "psi", "config")
     psi_family = _family(psi_cfg, _PSI_KEYS, "psi")
     if psi_family == "subsolution_scaled":
         theta = _as_real(psi_cfg.get("theta", 0.5), "psi.theta")
-        if not 0.0 < theta < 1.0:
-            raise ConfigError("psi.theta must lie in (0, 1)")
         psi_of = lambda ell: benchmarks.subsolution_scaled_psi(spec, subsolution, ell, theta)
     elif psi_family == "example1_rhs":
         c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
-        if spec.k < 2:
-            raise ConfigError("psi: the closed form requires 2 <= k <= n")
-        example = _example_params(n, spec.k, c, "psi.c")
+        example = _example_params(n, spec.k, c, "psi")
         psi_of = lambda ell: benchmarks.example1_rhs_psi(example)
     else:
         value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
-        if not value > 0:
-            raise ConfigError("psi.value must be positive")
         psi_of = lambda ell: benchmarks.constant_psi(value)
 
     half_length = _need(config, "half_length", "config")
@@ -503,8 +511,6 @@ def _parse_solve(config):
         ell_of = lambda: example1.half_length(example)
     else:
         half_length = _as_real(half_length, "half_length")
-        if not half_length > 0:
-            raise ConfigError("half_length must be positive")
         ell_of = lambda: half_length
 
     subsolution = None
@@ -550,10 +556,7 @@ def _parse_solve(config):
         if not isinstance(schedule, list):
             raise ConfigError("t_schedule: expected a list of numbers")
         schedule = [_as_real(t, "t_schedule") for t in schedule]
-    try:
-        schedule = solver.check_t_schedule(schedule)
-    except ValueError as exc:
-        raise ConfigError(f"t_schedule: {exc}") from exc
+    schedule = _checked("t_schedule", solver.check_t_schedule, schedule)
     factor = _as_real(config.get("uniformity_factor", 2.0), "uniformity_factor")
     if not factor >= 1.0:   # each monitor's growth is at least 1, its first value's
         raise ConfigError(f"uniformity_factor must be >= 1, got {factor}")

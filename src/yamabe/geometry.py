@@ -115,7 +115,7 @@ class GridStencils:
     def __init__(self, grid):
         grid = np.ascontiguousarray(np.asarray(grid, dtype=float))
         if grid.ndim != 1 or grid.size < 5:
-            raise ValueError("grid must be one-dimensional with at least 5 nodes")
+            raise ValueError(f"grid must be one-dimensional with at least 5 nodes, got shape {grid.shape}")
         if not np.all(np.diff(grid) > 0):
             raise ValueError("grid must be strictly increasing")
         grid.flags.writeable = False
@@ -196,7 +196,7 @@ class CylinderGeometry:
 
     def __post_init__(self):
         if not self.half_length > 0:
-            raise ValueError("half_length must be positive")
+            raise ValueError(f"half_length must be positive, got {self.half_length}")
         grid = np.linspace(-self.half_length, self.half_length, self.node_count)
         object.__setattr__(self, "stencils", GridStencils(grid))
 

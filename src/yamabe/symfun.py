@@ -32,6 +32,7 @@ from ._errors import ConeDomainError, NumericalError
 
 __all__ = [
     "CONE_MARGIN",
+    "DEFAULT_BALL_T_VALUES",
     "SymFuncSpec",
     "Classification",
     "CheckResult",
@@ -44,6 +45,7 @@ __all__ = [
     "concavity_margin_suite",
     "interpolation_ball_report",
     "verify_structure",
+    "check_suite_inputs",
     "sample_cone",
 ]
 
@@ -283,6 +285,8 @@ class SymFuncSpec:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n < 3:
             raise ValueError("dimension must be at least 3")
+        if self.k is None:
+            raise ValueError("k is required")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k={self.k} out of range for n={self.n}")
         if self.kind == "quotient":
@@ -536,6 +540,25 @@ class CheckResult:
     threshold: float
 
 
+def check_suite_inputs(sample_count=None, t_values=None, directions=None, samples=None,
+                       beta=None):
+    """Raise ValueError naming the first input of the structure suites out
+    of its range; an input left None is not checked.  `verify_structure`
+    passes sample_count, `interpolation_ball_report` t_values and
+    directions, `concavity_margin_suite` samples and beta."""
+    for name, count in (("sample_count", sample_count), ("directions", directions),
+                        ("samples", samples)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be positive, got {count}")
+    # the ball of radius (1-t)/(2n) exists only for t < 1
+    if t_values is not None and not (len(t_values) and all(0.0 <= t < 1.0 for t in t_values)):
+        raise ValueError(f"t_values must be non-empty and lie in [0, 1), got {list(t_values)}")
+    # positive gradients have unit normals in the positive orthant, less
+    # than sqrt(2) apart: from sqrt(2) on no pair would count
+    if beta is not None and not 0.0 <= beta < math.sqrt(2.0):
+        raise ValueError(f"beta must lie in [0, sqrt(2)), got {beta}")
+
+
 def sample_cone(spec, count, rng, scale_low=-1.0, scale_high=1.0):
     """Rejection-sample `count` points of the cone, spread over magnitudes."""
     n = spec.n
@@ -690,8 +713,7 @@ def verify_structure(spec, sample_count=1000, seed=0):
     grid, and the upper bound f <= sigma_1 f(e)/n.  Returns one CheckResult
     row per check; failures land in the rows, not in exceptions.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
+    check_suite_inputs(sample_count=sample_count)
     rng = np.random.default_rng(seed)
     pts = sample_cone(spec, sample_count, rng)
     f_e = spec.f_at_ones()
@@ -738,9 +760,11 @@ def verify_structure(spec, sample_count=1000, seed=0):
 # the share of the guaranteed ball radius (1-t)/(2n) that the ball is probed at
 _BALL_RADIUS_FRACTION = 0.99
 
+# the t values at which interpolation_ball_report probes the ball by default
+DEFAULT_BALL_T_VALUES = (0.0, 0.25, 0.5, 0.9, 0.99)
 
-def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
-                              directions=1000, seed=0):
+
+def interpolation_ball_report(spec, t_values=DEFAULT_BALL_T_VALUES, directions=1000, seed=0):
     """Check the guaranteed ball around the last coordinate axis inside Gamma_t.
 
     For each t the ball of radius (1-t)/(2n) about (0, ..., 0, 1) lies in
@@ -752,10 +776,7 @@ def interpolation_ball_report(spec, t_values=(0.0, 0.25, 0.5, 0.9, 0.99),
     worst score of a probe over every t) and `value_bound` (the worst
     corner margin).
     """
-    if directions < 1:
-        raise ValueError("directions must be positive")
-    if len(t_values) == 0 or not all(0.0 <= t < 1.0 for t in t_values):
-        raise ValueError(f"t_values must be non-empty and lie in [0, 1), got {list(t_values)}")
+    check_suite_inputs(t_values=t_values, directions=directions)
     rng = np.random.default_rng(seed)
     n = spec.n
     axis = np.zeros(n)
@@ -829,12 +850,7 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
     256) drawn pairs have not yielded samples of them.  Returns the one row
     `margin_positive`, whose worst is the least margin of the pairs.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    # positive gradients have unit normals in the positive orthant, less
-    # than sqrt(2) apart: from sqrt(2) on no pair would count
-    if not 0.0 <= beta < math.sqrt(2.0):
-        raise ValueError(f"beta must lie in [0, sqrt(2)), got {beta}")
+    check_suite_inputs(samples=samples, beta=beta)
     rng = np.random.default_rng(seed)
     n = spec.n
     axis = np.zeros(n)

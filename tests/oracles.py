@@ -17,10 +17,12 @@ of the radial problem from integrating the second-order equation itself
 (never its first integral), the t = 0 solution for constant psi from its
 closed form in v = e^(-p u), its half length for Example 1's psi by
 quadrature of the first integral in v and its even solution by a shot in
-v, the even solution of the radial problem at any t for psi free of z by a
-shot in u whose axis eigenvalue is a polynomial root found in plain floats,
-and profile CSVs from Python's own '%.17g', one row at a time.  `BrokenHomogeneitySpec` is a cone function built to fail a
-structure check.
+v, the even solution of the radial problem at any t by a shot in u whose
+axis eigenvalue is a polynomial root found in plain floats (for psi free of
+z, or from a given u(0)), the subsolution benchmark's psi from the closed
+form of sigma_k on (a, s, ..., s) in plain floats, and profile CSVs from
+Python's own '%.17g', one row at a time.  `BrokenHomogeneitySpec` is a cone
+function built to fail a structure check.
 """
 
 import itertools
@@ -616,25 +618,29 @@ def _largest_root(coeffs, start):
     raise RuntimeError(f"Newton found no root of {coeffs} from {start}")
 
 
-def even_shot(n, k, t, psi, half_length, phi):
+def even_shot(n, k, t, psi, half_length, phi=None, d=None):
     """The even solution u on [-L, L] of the radial problem of
-    f_t = sigma_k^(1/k) with u(-L) = u(L) = phi, as a callable on arrays of
-    x, by one shot in plain floats.
+    f_t = sigma_k^(1/k) with u(-L) = u(L) = phi, or with u(0) = d where d is
+    given, as a callable on arrays of x, by one shot in plain floats.
 
     The axis eigenvalue a = u'' - s and the sphere one s = (1 - u'^2)/2
     satisfy sigma_k(T(a, s, ..., s)) = psi^k, and a is its largest real
     root (`_largest_root`), the one in the cone.  Newton starts from the
     previous a where the Taylor coefficients of P there past the first are
     all positive, and from the Cauchy bound 1 + max |c_i / c_d| on the
-    roots of P, which lies above those of its derivatives, otherwise.  y = (u, u') is integrated with u'' = a + s from
-    (0, 0) at x = 0 by DOP853 at rtol 1e-12 and shifted so that u(L) = phi.
-    psi(x, z), a callable on arrays like `DirichletProblem.psi`, must be
-    even in x and must not depend on z: the shot holds only then.
+    roots of P, which lies above those of its derivatives, otherwise.
+
+    psi(x, z) is a callable on arrays like `DirichletProblem.psi`, even in
+    x.  Without d, psi must not depend on z: y = (u, u') is integrated with
+    u'' = a + s from (0, 0) at x = 0 by DOP853 at rtol 1e-12, with psi read
+    at z = 0, and shifted so that u(L) = phi.  With d, psi may depend on z:
+    the shot starts from (d, 0), reads psi at z = u and is not shifted.
+    The callable's `derivative=1` gives u' (odd in x) in place of u.
     """
     previous = [None]
 
-    def axis(x, s):
-        coeffs = _radial_sigma_k_polynomial(n, k, t, s, float(psi(x, 0.0)) ** k)
+    def axis(x, s, z):
+        coeffs = _radial_sigma_k_polynomial(n, k, t, s, float(psi(x, z)) ** k)
         a = previous[0]
         if a is None or not all(c > 0.0 for c in _taylor_coefficients(coeffs, a)[1:]):
             a = 1.0 + max(abs(c / coeffs[-1]) for c in coeffs[:-1])
@@ -643,18 +649,40 @@ def even_shot(n, k, t, psi, half_length, phi):
 
     def rhs(x, y):
         s = 0.5 * (1.0 - y[1] * y[1])
-        return [y[1], axis(x, s) + s]
+        return [y[1], axis(x, s, 0.0 if d is None else y[0]) + s]
 
-    orbit = integrate.solve_ivp(rhs, (0.0, half_length), [0.0, 0.0], method="DOP853",
-                                rtol=1e-12, atol=1e-14, dense_output=True)
+    orbit = integrate.solve_ivp(rhs, (0.0, half_length), [0.0 if d is None else d, 0.0],
+                                method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
     if not orbit.success:
         raise RuntimeError(f"the shot failed: {orbit.message}")
-    shift = phi - orbit.y[0, -1]
+    shift = phi - orbit.y[0, -1] if d is None else 0.0
 
-    def u(x):
-        return orbit.sol(np.abs(np.asarray(x, dtype=float)))[0] + shift
+    def u(x, derivative=0):
+        x = np.asarray(x, dtype=float)
+        y = orbit.sol(np.abs(x))
+        return y[0] + shift if derivative == 0 else np.sign(x) * y[1]
 
     return u
+
+
+def scaled_psi_by_closed_form(n, k, l, amplitude, theta, xs):
+    """theta f(W[u]) at the points xs for u = amplitude cosh(x) and
+    f = (sigma_k / sigma_l)^(1/(k - l)) (l = 0 for the root sigma_k^(1/k)),
+    one point at a time in plain floats.
+
+    u' = A sinh x and u'' = A cosh x give the sphere eigenvalue
+    s = (1 - u'^2)/2, n - 1 times, and the axis one a = u'' - s, and
+    sigma_j(a, s, ..., s) = C(n-1, j) s^j + C(n-1, j-1) a s^(j-1).
+    """
+    def sigma(j, a, s):
+        return math.comb(n - 1, j) * s ** j + (math.comb(n - 1, j - 1) * a * s ** (j - 1) if j else 0.0)
+
+    out = []
+    for x in xs:
+        s = 0.5 * (1.0 - (amplitude * math.sinh(x)) ** 2)
+        a = amplitude * math.cosh(x) - s
+        out.append(theta * (sigma(k, a, s) / sigma(l, a, s)) ** (1.0 / (k - l)))
+    return out
 
 
 def separation_margin_by_loop(spec, samples, beta, seed):

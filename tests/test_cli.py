@@ -206,8 +206,18 @@ class TestCheckCommand:
         {"separation": {"beta": 2.0}},
         {"separation": {"beta": 2.5}},
         {"separation": {"beta": -0.1}},
+        {"samples": 0},
+        {"ball": {"directions": 0}},
+        {"separation": {"samples": 0}},
+        {"function": {"kind": "sigma_k_root", "n": 2, "k": 2}},
+        {"function": {"kind": "sigma_k_root", "n": 4, "k": 5}},
+        {"function": {"kind": "quotient", "n": 4, "k": 2, "l": 2}},
+        {"function": {"kind": "quotient", "n": 4, "k": 2}},
+        {"function": {"kind": "sigma_k_root", "n": 4, "k": 2, "l": 1}},
     ], ids=["t-scalar", "t-empty", "t-one", "t-above-one", "t-negative", "t-string",
-            "beta-no-pair", "beta-two", "beta-above-two", "beta-negative"])
+            "beta-no-pair", "beta-two", "beta-above-two", "beta-negative", "no-samples",
+            "no-directions", "no-separation-samples", "n-two", "k-above-n", "l-equal-k",
+            "quotient-without-l", "root-with-l"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, changes):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.json", {
@@ -259,6 +269,22 @@ class TestExample1Command:
         })
         assert run_cli(["example1", cfg]) == 2
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"n": 2, "k": 2}, "config: no Example 1 data at (n, k, c) = (2, 2, 0.0): "
+                           "dimension must be at least 3"),
+        ({"k": 5}, "config: no Example 1 data at (n, k, c) = (4, 5, 0.0): "
+                   "the construction requires 2 <= k <= n"),
+        ({"grid_size": 4}, "grid must be one-dimensional with at least 5 nodes"),
+    ], ids=["n-two", "k-above-n", "grid-size-four"])
+    def test_rules_of_the_library_are_config_errors(self, tmp_path, capsys, changes, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "e.json", {"n": 4, "k": 2, "c": 0.0, "out": str(out),
+                                                 **changes})
+        assert run_cli(["example1", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, k, c", [(6, 3, 3.0), (3, 2, 20.0), (3, 2, -200.0)],
                              ids=["inconsistent-d", "domain-error", "overflow"])
     def test_unresolvable_c_is_a_config_error(self, tmp_path, capsys, n, k, c):
@@ -267,7 +293,8 @@ class TestExample1Command:
         cfg = write_config(tmp_path / "e.json", {"n": n, "k": k, "c": c, "out": str(out)})
         assert run_cli(["example1", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: c: no Example 1 data for c = {c!r}")
+        assert err.startswith(f"config error: config: no Example 1 data at (n, k, c) = "
+                              f"({n}, {k}, {c!r})")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -409,7 +436,8 @@ class TestSolveCommand:
         ({"function": {"kind": "sigma_k_root", "n": 5, "k": 2}}, "function.n: must equal n"),
         ({"function": {"kind": "sigma_k_root", "k": 1}, "half_length": 1.0,
           "psi": {"family": "example1_rhs", "c": 0.0}, "phi": {"left": 0.0, "right": 0.0}},
-         "psi: the closed form requires 2 <= k <= n"),
+         "psi: no Example 1 data at (n, k, c) = (4, 1, 0.0): "
+         "the construction requires 2 <= k <= n"),
         ({"psi": {"family": "example1_rhs", "c": 0.0}, "half_length": 1.0,
           "phi": {"left": 0.0, "right": 0.0}, "init": {"family": "example1_profile", "c": 0.0}},
          "init example1_profile requires half_length 'example1'"),
@@ -422,10 +450,10 @@ class TestSolveCommand:
         ({"n": 6, "function": {"kind": "sigma_k_root", "k": 3}, "half_length": "example1",
           "psi": {"family": "example1_rhs", "c": 3.0}, "phi": {"left": 3.0, "right": 3.0},
           "init": {"family": "example1_profile", "c": 3.0}},
-         "psi.c: no Example 1 data for c = 3.0 at (n, k) = (6, 3)"),
+         "psi: no Example 1 data at (n, k, c) = (6, 3, 3.0)"),
         ({"n": 3, "half_length": 1.0, "psi": {"family": "example1_rhs", "c": 20.0},
           "phi": {"left": 0.0, "right": 0.0}, "init": {"family": "constant", "value": 0.0}},
-         "psi.c: no Example 1 data for c = 20.0 at (n, k) = (3, 2)"),
+         "psi: no Example 1 data at (n, k, c) = (3, 2, 20.0)"),
         ({"newton": {"tol": 0.0}}, "newton.tol must be positive"),
         ({"newton": {"tol": -1.0}}, "newton.tol must be positive"),
     ], ids=["function-string", "function-n", "example1-rhs-k1", "example1-init-numeric-length",
@@ -616,7 +644,12 @@ class TestSolveRobustness:
         {"phi": {"left": 0.0, "bogus": 1}},
         {"init": {"family": "bogus"}},
         {"phi": {"left": 0.0, "right": 0.0}},
-    ], ids=["phi-list", "phi-unknown-key", "init-unknown-family", "phi-with-subsolution"])
+        # rules that the library checks as the problem is built
+        {"psi": {"family": "subsolution_scaled", "theta": 1.0}},
+        {"grid_size": 4},
+        {"half_length": -1.0},
+    ], ids=["phi-list", "phi-unknown-key", "init-unknown-family", "phi-with-subsolution",
+            "theta-one", "grid-size-four", "negative-length"])
     def test_config_error_behind_an_outside_cone_subsolution(self, tmp_path, capsys, changes):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "s.json", _solve_payload(
@@ -1040,14 +1073,14 @@ class TestEntryPoint:
         (_solve_without("psi"), "config: missing required key 'psi'"),
         (_solve_payload("out", grid_size=401.5), "grid_size: expected an integer, got 401.5"),
         (_solve_payload("out", function={"kind": "sigma_k_root", "k": 5}),
-         "function.k: must be <= 4, got 5"),
+         "function: k=5 out of range for n=4"),
         ([], "top level must be an object"),
         (_solve_payload("out", function={"kind": "sigma_k_root", "k": 2, "l": 1}),
-         "function: l is only for the quotient kind"),
+         "function: l is only meaningful for the quotient kind"),
         (_solve_payload("out", psi={"family": "subsolution_scaled", "theta": 1.0}),
-         "psi.theta must lie in (0, 1)"),
+         "theta must lie in (0, 1), got 1.0"),
         (_solve_payload("out", psi={"family": "constant", "value": 0.0}),
-         "psi.value must be positive"),
+         "psi must be positive on the working range"),
         (_solve_payload("out", half_length="example1"),
          "half_length: 'example1' requires psi.family example1_rhs"),
         (_solve_payload("out", half_length=-1.0), "half_length must be positive"),
@@ -1056,9 +1089,14 @@ class TestEntryPoint:
         (_solve_without("subsolution", psi={"family": "constant", "value": 1.0}),
          "phi: 'subsolution' requires a subsolution"),
         (_solve_payload("out", t_schedule=0.5), "t_schedule: expected a list of numbers"),
+        (_solve_payload("out", n=2), "function: dimension must be at least 3"),
+        (_solve_payload("out", grid_size=4), "grid must be one-dimensional with at least 5 nodes"),
+        (_solve_payload("out", function={"kind": "quotient", "k": 2, "l": 2}),
+         "function: quotient requires 1 <= l < k"),
     ], ids=["missing-key", "non-integer", "above-hi", "top-level-list", "root-with-l",
             "theta-one", "psi-value-zero", "example1-length-other-psi", "negative-length",
-            "scaled-psi-without-subsolution", "phi-without-subsolution", "schedule-number"])
+            "scaled-psi-without-subsolution", "phi-without-subsolution", "schedule-number",
+            "n-two", "grid-size-four", "l-equal-k"])
     def test_config_errors_exit_2(self, tmp_path, capsys, monkeypatch, payload, message):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.json", payload)

@@ -20,7 +20,7 @@ from yamabe.example1 import (
     verify_example,
 )
 
-from oracles import reference_profile_by_first_integral, stopping_time_by_ivp
+from oracles import even_shot, reference_profile_by_first_integral, stopping_time_by_ivp
 
 
 P420 = ExampleParams(4, 2, 0.0)
@@ -324,6 +324,21 @@ class TestAt:
         sol = solve_profile(P420, node_count=101)
         with pytest.raises(ValueError, match=r"outside \[-T, T\]"):
             sol.at(factor * sol.t_max)
+
+    @pytest.mark.parametrize("n, k, c", [(4, 2, 0.0), (4, 3, -0.5), (5, 4, -0.5)])
+    def test_the_shot_from_d_reproduces_u_and_its_slope(self, n, k, c):
+        # the t = 1 equation sigma_k^(1/k) = R e^(-2u) shot from u(0) = d in
+        # plain floats, R = (n/(k 2^k) C(n-1, k-1))^(1/k): on [0, 0.9 T] it
+        # meets `at` within 2.9e-13, 1.2e-13 and 5.5e-14 in u and 1.7e-12,
+        # 1.2e-12 and 3.9e-12 in u' (measured)
+        root = (n / (k * 2.0 ** k) * math.comb(n - 1, k - 1)) ** (1.0 / k)
+        sol = solve_profile(ExampleParams(n, k, c), node_count=101)
+        shot = even_shot(n, k, 1.0, lambda x, z: root * math.exp(-2.0 * z), 0.9 * sol.t_max,
+                         d=d_from_c(n, k, c))
+        x = np.linspace(0.0, 0.9 * sol.t_max, 401)
+        u, du, _ = sol.at(x)
+        assert np.abs(shot(x) - u).max() <= 1e-10
+        assert np.abs(shot(x, derivative=1) - du).max() <= 1e-10
 
     def test_verify_example_inverts_the_orbit_once(self, spy):
         # solve_profile binds _orbit into the solution, so the spy goes in first

@@ -20,14 +20,17 @@ from yamabe._errors import (
     StepFailureError,
 )
 from yamabe.benchmarks import (
+    SCALED_PSI_NODES,
     constant_psi,
     cosh_profile,
     dirichlet_problem,
     example1_rhs_psi,
     example_boundary_problem,
+    linear_profile,
     manufactured_problem,
     radial_curvature_value,
     subsolution_benchmark,
+    subsolution_scaled_psi,
 )
 from yamabe.example1 import ExampleParams
 from yamabe.geometry import CylinderGeometry, RadialProfile, radial_w_eigenvalues
@@ -55,6 +58,7 @@ from oracles import (
     radial_rows,
     restore_by_full_passes,
     rounding_floor_by_nodes,
+    scaled_psi_by_closed_form,
     semilinear_even_orbit,
     semilinear_solution,
     semilinear_travel_time,
@@ -907,6 +911,28 @@ class TestRadialCurvatureValue:
             radial_curvature_value(spec, 1.0, du, d2u)
         scores = spec.margin_scores(radial_rows(4, du, d2u))
         assert exc.value.min_score == float(scores.min()) < 0.0
+
+
+class TestSubsolutionScaledPsi:
+    @pytest.mark.parametrize("spec", [SymFuncSpec("sigma_k_root", n=4, k=2),
+                                      SymFuncSpec("quotient", n=6, k=4, l=2)],
+                             ids=lambda s: s.label)
+    def test_nodes_match_the_closed_form_in_plain_floats(self, spec):
+        # psi = theta f(W[u_sub]) of the README subsolution 0.3 cosh x; the
+        # 401 nodes are nodes of psi's sampling grid, so the interpolation
+        # adds nothing (relative gaps of 3.3e-16 and 1.0e-15 measured)
+        assert (SCALED_PSI_NODES - 1) % 400 == 0
+        grid = CylinderGeometry(1.0, 401).stencils.grid
+        psi, _ = subsolution_scaled_psi(spec, cosh_profile(0.3), 1.0, 0.5)
+        reference = scaled_psi_by_closed_form(spec.n, spec.k, spec.l or 0, 0.3, 0.5, grid)
+        assert psi(grid, 0.0) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_rejects_theta_before_it_samples_the_subsolution(self, theta):
+        # a subsolution of slope 2 leaves the cone, and theta is named first
+        spec = SymFuncSpec("sigma_k_root", n=4, k=2)
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\)"):
+            subsolution_scaled_psi(spec, linear_profile(2.0), 1.0, theta)
 
 
 class TestContinuation:
