@@ -351,27 +351,31 @@ def orbit_inversion():
 def solve_times(node_count, writers=None):
     """`yamabe solve` on the subsolution benchmark, with cli._writer_count()
     set to `writers` unless it is None: median wall time and verbose phase
-    times, mean CPU time of this process and of its children, per solve."""
+    times, mean CPU time of this process and of its children, and the
+    median of this process's minor page faults (ru_minflt), per solve."""
     processes = writers or cli._writer_count(len(solver.DEFAULT_T_SCHEDULE) * node_count)
     writer_count = (contextlib.nullcontext() if writers is None
                     else mock.patch.object(cli, "_writer_count", return_value=writers))
-    walls, phases, own, children = [], [], 0.0, 0.0
+    walls, phases, faults, own, children = [], [], [], 0.0, 0.0
     with writer_count, tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "solve.json"
         config.write_text(json.dumps({**SOLVE_CONFIG, "grid_size": node_count,
                                       "out": str(Path(tmp) / "out")}))
         for i in range(SOLVE_REPEATS + 1):
             kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             err = io.StringIO()
             cpu, start = time.process_time(), time.perf_counter()
             with contextlib.redirect_stderr(err):
                 code = cli.main(["solve", str(config), "--verbose"])
             wall = time.perf_counter() - start
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
             if code != 0:
                 raise RuntimeError(f"yamabe solve exited {code}: {err.getvalue()}")
             if i == 0:      # warm-up
                 continue
             walls.append(wall)
+            faults.append(minflt)
             own += time.process_time() - cpu
             after = resource.getrusage(resource.RUSAGE_CHILDREN)
             children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
@@ -385,6 +389,7 @@ def solve_times(node_count, writers=None):
         "after_last_t_ms": 1e3 * statistics.median(p[1] for p in phases),
         "cpu_ms_self": 1e3 * own / SOLVE_REPEATS,
         "cpu_ms_children": 1e3 * children / SOLVE_REPEATS,
+        "minor_faults_self": statistics.median(faults),
     }
 
 

@@ -109,8 +109,14 @@ def subsolution_scaled_psi(spec, funcs, half_length, theta):
     return psi, _no_z_dependence
 
 
-def example1_rhs_psi(params):
-    """psi(x, z) = (n/(k 2^k) C(n-1,k-1))^(1/k) e^(-2z) and psi_z = -2 psi."""
+def example1_rhs_psi(spec, params):
+    """psi(x, z) = (n/(k 2^k) C(n-1,k-1))^(1/k) e^(-2z) and psi_z = -2 psi,
+    Example 1's right-hand side for f = sigma_k^(1/k) at the (n, k) of
+    `params`.  Raises ValueError for any other `spec`: these data pose no
+    problem of Example 1 for it."""
+    if (spec.kind, spec.n, spec.k) != ("sigma_k_root", params.n, params.k):
+        raise ValueError(f"Example 1's data at (n, k) = ({params.n}, {params.k}) are for "
+                         f"sigma_{params.k}_root(n={params.n}), not {spec.label}")
     root = params.rhs_root
 
     def psi(x, z):
@@ -182,7 +188,8 @@ def example_boundary_problem(n, k, c, node_count=401):
     lies inside every interpolated cone.
     """
     params = ExampleParams(n, k, c)
+    spec = SymFuncSpec("sigma_k_root", n=n, k=k)
     solution = solve_profile(params, node_count=node_count)
-    problem = dirichlet_problem(SymFuncSpec("sigma_k_root", n=n, k=k), solution.profile.geom,
-                                example1_rhs_psi(params), boundary=(c, c))
+    problem = dirichlet_problem(spec, solution.profile.geom, example1_rhs_psi(spec, params),
+                                boundary=(c, c))
     return problem, params, solution.profile

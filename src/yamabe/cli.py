@@ -187,8 +187,12 @@ def _write_profile_rows(path, resolved, comments, grid_cells, columns):
             f.write(chunk)
 
 
-# Profile rows per writer process.  A fork and the copy-on-write faults it
-# brings slow the continuation by 17 to 21 ms on a 2-core Xeon.  The README
+# Profile rows per writer process.  A fork costs the parent copy-on-write
+# faults on its own working set, not contention between cores: on the README
+# solve at 4001 nodes (Newton tol 1e-7, 2-core Xeon) the parent took about
+# 2800 minor faults per solve with a writer child against 410 alone, and its
+# continuation 52 against 42 ms (medians of 10 runs of scripts/bench.py, its
+# `minor_faults_self` and `continuation_ms`).  The README
 # solve (13 profiles, Newton tol 1e-7, medians of 8 alternating rounds of 20
 # solves, 6 at 1201 to 2401 nodes) took 59.0 ms in one process and 84.2 ms
 # in two at 201 nodes, 69.4 and 89.8 ms at 401, 85.9 and 103.5 at 801, 111
@@ -462,10 +466,10 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
 
 def _parse_solve(config):
     """Read a solve config: check every key's type and presence, and raise
-    the ConfigErrors of SymFuncSpec, ExampleParams and check_t_schedule,
-    before any computation.  Returns the resolved document and `build`, which
-    computes the DirichletProblem (benchmarks.dirichlet_problem) and the init
-    profile (or None).
+    the ConfigErrors of SymFuncSpec, ExampleParams, example1_rhs_psi and
+    check_t_schedule, before any computation.  Returns the resolved
+    document and `build`, which computes the DirichletProblem
+    (benchmarks.dirichlet_problem) and the init profile (or None).
 
     build raises ConeDomainError, with the minimum cone margin score, when
     psi is built on a subsolution that leaves the cone, and ConfigError when
@@ -499,7 +503,8 @@ def _parse_solve(config):
     elif psi_family == "example1_rhs":
         c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
         example = _example_params(n, spec.k, c, "psi")
-        psi_of = lambda ell: benchmarks.example1_rhs_psi(example)
+        example_psi = _checked("psi", benchmarks.example1_rhs_psi, spec, example)
+        psi_of = lambda ell: example_psi
     else:
         value = _as_real(_need(psi_cfg, "value", "psi"), "psi.value")
         psi_of = lambda ell: benchmarks.constant_psi(value)

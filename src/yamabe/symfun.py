@@ -139,8 +139,8 @@ def _cone_scores(values, order):
     """min over j <= order of sigma_j(lam) / sigma_j(|lam|), per row of (m, n),
     and the ESP vectors e_1..e_order of the rows as an (order, m) array.
 
-    Zero rows score -inf (the origin is not in the open cone); rows with a
-    vanishing sigma_j(|lam|) (too few nonzero entries) score at most zero.
+    Zero rows score -inf (see _scores); rows with a vanishing
+    sigma_j(|lam|) (fewer than j entries off zero) score at most zero.
     One `_esp` pass runs over one C-ordered (n, 2m) array, the entries of
     the rows in its left half and their absolute values in its right, so
     that every column the recurrence reads is contiguous.
@@ -148,24 +148,30 @@ def _cone_scores(values, order):
     m, n = values.shape
     columns = np.empty((n, 2 * m))
     columns[:, :m] = values.T
-    absolute = np.abs(values.T, out=columns[:, m:])
+    np.abs(values.T, out=columns[:, m:])
     both = _esp(columns, order)
-    return _scores(both[:, :m], both[:, m:], absolute.max(axis=0) > 0.0), both[:, :m]
+    return _scores(both[:, :m], both[:, m:]), both[:, :m]
 
 
 # the floor of the score denominators sigma_j(|lam|)
 _TINY = np.finfo(float).tiny
 
 
-def _scores(e, scale, nonzero):
+def _scores(e, scale):
     """The scores of `_cone_scores` from the (order, m) rows e_1..e_order of
-    m tuples and of their absolute values; nonzero flags the tuples with a
-    nonzero entry."""
-    ratios = e / np.maximum(scale, _TINY)
-    # folded j = 1..order from +-inf, so that signed zeros and NaN keep their bits
-    scores = np.where(nonzero, np.inf, -np.inf)
-    for ratio in ratios:
+    m tuples and of their absolute values.
+
+    The zero tuple lies in no open cone and scores -inf.  scale[0] is
+    sigma_1(|lam|), a sum of absolute values, so it is zero exactly on the
+    zero tuples; on a row with a NaN entry it is NaN, not zero, and the row
+    keeps the NaN its ratios carry.  The min over j is folded into +inf,
+    and min(+inf, r) is r bit for bit, so signed zeros and NaN keep their
+    bits (np.minimum.reduce returns a NaN without its sign).
+    """
+    scores = np.full(e.shape[1], np.inf)
+    for ratio in e / np.maximum(scale, _TINY):
         np.minimum(scores, ratio, out=scores)
+    scores[scale[0] == 0.0] = -np.inf
     return scores
 
 
@@ -334,7 +340,7 @@ class SymFuncSpec:
 
     def _outside(self, scores):
         """The cone test: rows whose score is not above the margin, NaN included."""
-        return np.flatnonzero(~(scores > self.margin))
+        return np.where(~(scores > self.margin))[0]
 
     def _require_scores_inside(self, scores, bad):
         """Raise ConeDomainError naming the first of the `_outside` rows bad."""
@@ -444,7 +450,7 @@ class SymFuncSpec:
         cut_l = None if l is None else _row_copy(head, l - 1)
         _esp_step(rows, n - 1, other)
         # the last m columns hold the absolute values on either path
-        scores = _scores(head, rows[:, -m:], np.maximum(lead[-m:], other[-m:]) > 0.0)
+        scores = _scores(head, rows[:, -m:])
         outside = self._outside(scores)
         e_k = _row_copy(head, k)
         e_l = None if l is None else _row_copy(head, l)

@@ -1093,10 +1093,16 @@ class TestEntryPoint:
         (_solve_payload("out", grid_size=4), "grid must be one-dimensional with at least 5 nodes"),
         (_solve_payload("out", function={"kind": "quotient", "k": 2, "l": 2}),
          "function: quotient requires 1 <= l < k"),
+        ({"n": 4, "function": {"kind": "quotient", "k": 2, "l": 1}, "half_length": "example1",
+          "grid_size": 201, "psi": {"family": "example1_rhs", "c": 0.0},
+          "phi": {"left": 0.0, "right": 0.0}, "init": {"family": "example1_profile", "c": 0.0},
+          "out": "out"},
+         "psi: Example 1's data at (n, k) = (4, 2) are for sigma_2_root(n=4), "
+         "not quotient(2,1)(n=4)"),
     ], ids=["missing-key", "non-integer", "above-hi", "top-level-list", "root-with-l",
             "theta-one", "psi-value-zero", "example1-length-other-psi", "negative-length",
             "scaled-psi-without-subsolution", "phi-without-subsolution", "schedule-number",
-            "n-two", "grid-size-four", "l-equal-k"])
+            "n-two", "grid-size-four", "l-equal-k", "example1-quotient"])
     def test_config_errors_exit_2(self, tmp_path, capsys, monkeypatch, payload, message):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.json", payload)

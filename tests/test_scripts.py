@@ -208,3 +208,5 @@ def test_bench_main_prints_one_json_document(monkeypatch, capsys):
         "construction_blowup_example1_1001", "orbit_inversion_example1", "solve"]
     assert set(doc["esp_kernels_ms"]["n4_k2_m1"]) == {"esp", "esp_radial_columns", "esp_removed"}
     assert all(g["esp_calls_per_gradient"] == 1 for g in doc["gradient"].values())
+    for mode in ("every_core", "one_process"):
+        assert doc["solve"]["101"][mode]["minor_faults_self"] >= 0

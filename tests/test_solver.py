@@ -935,6 +935,19 @@ class TestSubsolutionScaledPsi:
             subsolution_scaled_psi(spec, linear_profile(2.0), 1.0, theta)
 
 
+@pytest.mark.parametrize("spec", [SymFuncSpec("quotient", n=4, k=2, l=1),
+                                  SymFuncSpec("sigma_k_root", n=4, k=3),
+                                  SymFuncSpec("sigma_k_root", n=5, k=2)],
+                         ids=lambda s: s.label)
+def test_example1_rhs_psi_takes_only_its_own_sigma_k_root(spec):
+    # Example 1's psi poses sigma_2^(1/2) data at n = 4, no other problem
+    params = ExampleParams(4, 2, 0.0)
+    with pytest.raises(ValueError, match=r"are for sigma_2_root\(n=4\), not "):
+        example1_rhs_psi(spec, params)
+    psi, psi_z = example1_rhs_psi(SymFuncSpec("sigma_k_root", n=4, k=2), params)
+    assert psi_z(0.0, 0.5) == -2.0 * psi(0.0, 0.5)
+
+
 class TestContinuation:
     def test_benchmark_full_schedule(self):
         problem = subsolution_benchmark(node_count=201)
@@ -1280,7 +1293,8 @@ class TestGridConvergence:
     def test_smooth_exact_order_at_t_one(self, n, k):
         # u = log cosh x solves Example 1's equation on [-L, L] with c = log cosh L
         c = math.log(math.cosh(1.0))
-        spec, psi = SymFuncSpec("sigma_k_root", n=n, k=k), example1_rhs_psi(ExampleParams(n, k, c))
+        spec = SymFuncSpec("sigma_k_root", n=n, k=k)
+        psi = example1_rhs_psi(spec, ExampleParams(n, k, c))
         errs = []
         for m in (201, 401, 801, 1601):
             problem = dirichlet_problem(spec, CylinderGeometry(1.0, m), psi, boundary=(c, c))
