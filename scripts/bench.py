@@ -23,7 +23,8 @@ never in a timed one.  Its keys, each from the function named:
     continuation_blowup_example1_1001   (blowup_continuation)
     construction_blowup_example1_1001   (blowup_construction)
     orbit_inversion_example1  (orbit_inversion)
-    solve                     whole `yamabe solve` runs (solve_times)
+    solve                     whole `yamabe solve` runs with the writer child
+                              and without it (solve_times)
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import platform
 import resource
@@ -348,42 +350,46 @@ def orbit_inversion():
     return times
 
 
-def solve_times(node_count, writers=None):
-    """`yamabe solve` on the subsolution benchmark, with cli._writer_count()
-    set to `writers` unless it is None: median wall time and verbose phase
-    times, mean CPU time of this process and of its children, and the
-    median of this process's minor page faults (ru_minflt), per solve."""
-    processes = writers or cli._writer_count(len(solver.DEFAULT_T_SCHEDULE) * node_count)
-    writer_count = (contextlib.nullcontext() if writers is None
-                    else mock.patch.object(cli, "_writer_count", return_value=writers))
+def solve_times(node_count, fork):
+    """`yamabe solve` on the subsolution benchmark, with cli._FORK_ROWS set
+    so that each solve forks its writer child (fork true, where this process
+    may run on two or more cores) or none: the processes of the warm-up
+    solve, median wall time and verbose phase times, mean CPU time of this
+    process and of its children, and the median of this process's minor
+    page faults (ru_minflt), per solve."""
     walls, phases, faults, own, children = [], [], [], 0.0, 0.0
-    with writer_count, tempfile.TemporaryDirectory() as tmp:
+    with mock.patch.object(cli, "_FORK_ROWS", 0 if fork else math.inf), \
+            tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "solve.json"
         config.write_text(json.dumps({**SOLVE_CONFIG, "grid_size": node_count,
                                       "out": str(Path(tmp) / "out")}))
-        for i in range(SOLVE_REPEATS + 1):
-            kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        def solve():
+            """The verbose stderr of one solve, which must exit 0."""
             err = io.StringIO()
-            cpu, start = time.process_time(), time.perf_counter()
             with contextlib.redirect_stderr(err):
                 code = cli.main(["solve", str(config), "--verbose"])
-            wall = time.perf_counter() - start
-            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
             if code != 0:
                 raise RuntimeError(f"yamabe solve exited {code}: {err.getvalue()}")
-            if i == 0:      # warm-up
-                continue
-            walls.append(wall)
-            faults.append(minflt)
+            return err.getvalue()
+
+        with _spy(os, "fork") as forks:     # the warm-up, untimed
+            solve()
+        for _ in range(SOLVE_REPEATS):
+            kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+            minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            cpu, start = time.process_time(), time.perf_counter()
+            err = solve()
+            walls.append(time.perf_counter() - start)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
             own += time.process_time() - cpu
             after = resource.getrusage(resource.RUSAGE_CHILDREN)
             children += (after.ru_utime + after.ru_stime) - (kids.ru_utime + kids.ru_stime)
             # "continuation <s> s, output <s> s after the last t"
-            words = err.getvalue().splitlines()[-1].split()
+            words = err.splitlines()[-1].split()
             phases.append((float(words[1]), float(words[4])))
     return {
-        "processes": processes,
+        "processes": 1 + forks.call_count,
         "wall_ms": 1e3 * statistics.median(walls),
         "continuation_ms": 1e3 * statistics.median(p[0] for p in phases),
         "after_last_t_ms": 1e3 * statistics.median(p[1] for p in phases),
@@ -397,7 +403,7 @@ def main():
     runs = {str(m): continuation(m) for m in NODES}
     # the default tol lies below the rounding floor at every t on this grid
     runs["4001_default_tol"] = continuation(4001, solver.NewtonOptions().tol)
-    solves = {str(m): {"every_core": solve_times(m), "one_process": solve_times(m, 1)}
+    solves = {str(m): {"fork": solve_times(m, True), "no_fork": solve_times(m, False)}
               for m in SOLVE_NODES}
     # the largest RSS of any child this process has waited for: the writers
     solves["children_max_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
@@ -425,7 +431,7 @@ def main():
         "construction_blowup_example1_1001": blowup_construction(),
         "orbit_inversion_example1": orbit_inversion(),
         "solve": {"files": len(solver.DEFAULT_T_SCHEDULE) + 2,
-                  "rows_per_writer": cli._ROWS_PER_WRITER,
+                  "fork_rows": cli._FORK_ROWS,
                   "repeats": SOLVE_REPEATS, **solves},
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")

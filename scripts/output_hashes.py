@@ -11,9 +11,10 @@ name, the exit code and the first 16 hex digits of sha256 over the sorted
 `sha256sum` listing of its output directory (paths relative to it), with
 the number of files.  Running it on two commits and diffing the output
 checks that the CLI output is byte-identical between them.  Each `solve`
-config runs a second time with `cli._writer_count` cut to one writer, which
-writes every profile in this process; only when that run's exit code or
-digest differs does its line end in ", one-core differs".
+config runs a second time with `cli._FORK_ROWS` out of reach, so that no
+writer child is forked and every profile is written in this process; only
+when that run's exit code or digest differs does its line end in
+", one-core differs".
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import sys
@@ -186,8 +188,8 @@ def _run(command, config):
 
 
 def _run_in_one_process(command, config):
-    """_run with cli._writer_count() cut to one writer."""
-    with mock.patch.object(cli, "_writer_count", return_value=1):
+    """_run with no writer child: no stream reaches cli._FORK_ROWS."""
+    with mock.patch.object(cli, "_FORK_ROWS", math.inf):
         return _run(command, config)
 
 

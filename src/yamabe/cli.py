@@ -14,14 +14,15 @@ config error, before it makes the output directory (_parse_solve); _out_dir
 removes the files of an earlier run.  Output files embed the resolved config
 and a format version line, use 17 significant digits and LF line endings, so
 identical configs produce byte-identical files.  `solve` writes its profiles
-while the continuation goes on, in writer processes whose count changes no
-byte (_ProfileStream), and with --verbose prints the line of each t as that
-t converges.
+while the continuation goes on, in a forked writer or in this process,
+which changes no byte (_ProfileStream), and with --verbose prints the line
+of each t as that t converges.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -187,26 +188,20 @@ def _write_profile_rows(path, resolved, comments, grid_cells, columns):
             f.write(chunk)
 
 
-# Profile rows per writer process.  A fork costs the parent copy-on-write
-# faults on its own working set, not contention between cores: on the README
-# solve at 4001 nodes (Newton tol 1e-7, 2-core Xeon) the parent took about
-# 2800 minor faults per solve with a writer child against 410 alone, and its
-# continuation 52 against 42 ms (medians of 10 runs of scripts/bench.py, its
-# `minor_faults_self` and `continuation_ms`).  The README
-# solve (13 profiles, Newton tol 1e-7, medians of 8 alternating rounds of 20
-# solves, 6 at 1201 to 2401 nodes) took 59.0 ms in one process and 84.2 ms
-# in two at 201 nodes, 69.4 and 89.8 ms at 401, 85.9 and 103.5 at 801, 111
-# and 116 at 1201, 126 and 130 at 1601, 169 and 141 at 2401, 241 and 165 at
-# 4001: a second writer pays from about 2000 nodes, 26000 rows.
-_ROWS_PER_WRITER = 13000
-
-
-def _writer_count(rows):
-    """The writer processes for `rows` profile rows, at most one per core
-    this process may run on; one where os.fork or CPU affinity is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), max(1, rows // _ROWS_PER_WRITER))
+# Profile rows from which the stream forks its writer child.  A fork costs
+# the parent copy-on-write faults on its own working set, not contention
+# between cores: on the README solve at 4001 nodes (Newton tol 1e-7, 2-core
+# Xeon) the parent took about 2800 minor faults per solve with a writer child
+# against 410 alone, and its continuation 52 against 42 ms (medians of 10
+# runs of scripts/bench.py, its `minor_faults_self` and `continuation_ms`).
+# The README solve (13 profiles, Newton tol 1e-7, medians of 8 alternating
+# rounds of 20 solves, 6 at 1201 to 2401 nodes) took 59.0 ms in one process
+# and 84.2 ms in two at 201 nodes, 69.4 and 89.8 ms at 401, 85.9 and 103.5
+# at 801, 111 and 116 at 1201, 126 and 130 at 1601, 169 and 141 at 2401, 241
+# and 165 at 4001: a second writer pays from about 2000 nodes, 26000 rows.
+# Every timing comes from a 2-core host, so the stream forks one child or
+# none: a second child was never measured.
+_FORK_ROWS = 26000
 
 
 class _ProfileStream:
@@ -216,37 +211,36 @@ class _ProfileStream:
     The table is an anonymous shared mmap of `shape`, one slot of 4 columns
     per state.  add() fills the next slot and writes its index (4 bytes) to
     a pipe without blocking, or writes the job here when the pipe is full.
-    `writers - 1` children are forked at once, and each reads an index
+    One writer child is forked at once where os.fork and CPU affinity exist,
+    this process may run on two or more cores and the table holds at least
+    _FORK_ROWS rows (shape[0] * shape[2]).  The child reads an index
     whenever it is free: it makes no BLAS call and takes no lock that
     another thread may hold at the fork.  finish() closes the write end,
-    drains the pipe here beside the children and waits for them; if one
-    failed, every job is written again here, so that its error surfaces
-    with its own message.  With no child (one writer, no fork) every job is
-    written here.  As a context manager, the stream waits for its children
-    on error paths too.
+    drains the pipe here beside the child and waits for it; if it failed,
+    every job is written again here, so that its error surfaces with its
+    own message.  With no child every job is written here.  As a context
+    manager, the stream waits for its child on error paths too.
     """
 
-    def __init__(self, write, writers, shape):
+    def __init__(self, write, shape):
         self.write, self.added = write, 0
         self.table = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
         self.read_end, self.write_end = os.pipe()
         os.set_blocking(self.write_end, False)
-        self.pids = []
-        for _ in range(writers - 1):
-            try:
-                pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
+        self.child = None
+        if (shape[0] * shape[2] >= _FORK_ROWS and hasattr(os, "fork")
+                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+            with contextlib.suppress(OSError):
+                self.child = os.fork()
+            if self.child == 0:
                 try:
                     # the parent alone keeps the write end, so that the
-                    # children read the end of the pipe once it closes or dies
+                    # child reads the end of the pipe once it closes or dies
                     os.close(self.write_end)
                     self._drain()
                     os._exit(0)
                 finally:
                     os._exit(1)
-            self.pids.append(pid)
 
     def __enter__(self):
         return self
@@ -273,7 +267,7 @@ class _ProfileStream:
             self.write(i, self.table[i])
 
     def finish(self):
-        """Write every added job and wait for the children."""
+        """Write every added job and wait for the child."""
         os.close(self.write_end)        # the readers drain the pipe and stop
         self.write_end = None
         self._drain()
@@ -282,10 +276,9 @@ class _ProfileStream:
                 self.write(i, self.table[i])
 
     def _wait(self):
-        """Wait for the children; true if one of them failed."""
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in self.pids]
-        self.pids = []
-        return any(codes)
+        """Wait for the child; true if it failed."""
+        child, self.child = self.child, None
+        return child is not None and os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) != 0
 
 
 def _write_monitors_csv(path, resolved, states):
@@ -466,9 +459,9 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
 
 def _parse_solve(config):
     """Read a solve config: check every key's type and presence, and raise
-    the ConfigErrors of SymFuncSpec, ExampleParams, example1_rhs_psi and
-    check_t_schedule, before any computation.  Returns the resolved
-    document and `build`, which computes the DirichletProblem
+    the ConfigErrors of SymFuncSpec, ExampleParams, example1_rhs_psi,
+    check_t_schedule and NewtonOptions, before any computation.  Returns the
+    resolved document and `build`, which computes the DirichletProblem
     (benchmarks.dirichlet_problem) and the init profile (or None).
 
     build raises ConeDomainError, with the minimum cone margin score, when
@@ -568,15 +561,13 @@ def _parse_solve(config):
     newton_cfg = config.get("newton", {})
     _check_keys(newton_cfg, {"tol", "max_iter"}, "newton")
     defaults = solver.NewtonOptions()
-    tol = _as_real(newton_cfg.get("tol", defaults.tol), "newton.tol")
-    if not tol > 0:
-        raise ConfigError("newton.tol must be positive")
+    newton = {"tol": _as_real(newton_cfg.get("tol", defaults.tol), "newton.tol"),
+              "max_iter": _as_int(newton_cfg.get("max_iter", defaults.max_iter), "newton.max_iter")}
+    _checked("newton", solver.NewtonOptions, **newton)
     resolved = {
         "command": "solve", "n": n, "function": function, "half_length": half_length,
         "grid_size": grid_size, "t_schedule": list(schedule), "psi": psi_cfg, "phi": phi,
-        "subsolution": config.get("subsolution"), "init": config.get("init"),
-        "newton": {"tol": tol, "max_iter": _as_int(newton_cfg.get("max_iter", defaults.max_iter),
-                                                   "newton.max_iter", lo=1)},
+        "subsolution": config.get("subsolution"), "init": config.get("init"), "newton": newton,
         "uniformity_factor": factor,
         **_run_keys(config, "results/solve"),
     }
@@ -634,7 +625,7 @@ def cmd_solve(config):
 
     states, failure = [], None
     m = problem.geom.node_count
-    with _ProfileStream(write_profile, _writer_count(len(schedule) * m), (len(schedule), 4, m)) as stream:
+    with _ProfileStream(write_profile, (len(schedule), 4, m)) as stream:
         try:
             for s in solver.continuation_states(problem, schedule, opts, init_profile):
                 stream.add((s.profile.u, s.profile.du, s.profile.d2u, s.residual))

@@ -118,9 +118,18 @@ class DirichletProblem:
 
 @dataclass(frozen=True)
 class NewtonOptions:
+    """tol, a finite positive bound on the residual's sup norm, and
+    max_iter, an integer of at least 1, for `newton_solve`."""
+
     tol: float = 1e-10
     max_iter: int = 50
     jacobian_check: bool = True   # False only in perfbench's blow-up workload, kept for it
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:     # a NaN tol fails too
+            raise ValueError(f"tol must be a finite positive number, got {self.tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

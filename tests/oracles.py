@@ -14,8 +14,10 @@ from bumping one nodal value of the residual, the rounding floor node by
 node from the general stencil weights and central differences, the
 conformal curvature from the general transformation law, the stopping time
 of the radial problem from integrating the second-order equation itself
-(never its first integral), the t = 0 solution for constant psi from its
-closed form in v = e^(-p u), its half length for Example 1's psi by
+(never its first integral), the t = 0 residual on Example 1's psi in long
+double from the float state and stencil weights, the t = 0 solution for
+constant psi from its closed form in v = e^(-p u), its half length for
+Example 1's psi by
 quadrature of the first integral in v and its even solution by a shot in
 v, the even solution of the radial problem at any t by a shot in u whose
 axis eigenvalue is a polynomial root found in plain floats (for psi free of
@@ -309,6 +311,30 @@ def rounding_floor_by_nodes(problem, t, profile):
                      + abs(g_a - g_s) * abs(w1 @ near) * (np.abs(w1) @ np.abs(near))
                      + abs(spec.value(row, t)) + abs(float(problem.psi(grid[i], u[i]))))
     return np.finfo(float).eps * max(terms)
+
+
+def example1_t0_residual_in_long_double(n, k, u, first, second):
+    """The t = 0 residual of sigma_k_root at the interior nodes, on Example
+    1's psi, in np.longdouble:
+
+        f(e) (u'' + (n - 2)(1 - u'^2)/2) - psi,   f(e) = C(n, k)^(1/k),
+
+    psi = (n/(k 2^k) C(n-1, k-1))^(1/k) e^(-2u), with u' and u'' the
+    three-point sums of the interior weights `first` and `second` (each the
+    triple (w_minus, w_center, w_plus) of (m-2,) arrays).  The float values
+    u and the float weights are taken as exact, so what it differs by from
+    the float residual is the float evaluation's own rounding."""
+    ld = np.longdouble
+    u = np.asarray(u, dtype=ld)
+
+    def derivative(weights):
+        wm, w0, wp = (np.asarray(w, dtype=ld) for w in weights)
+        return wm * u[:-2] + w0 * u[1:-1] + wp * u[2:]
+
+    du, d2u = derivative(first), derivative(second)
+    f_e = ld(math.comb(n, k)) ** (1 / ld(k))
+    rhs_root = (ld(n) / (k * 2 ** k) * math.comb(n - 1, k - 1)) ** (1 / ld(k))
+    return f_e * (d2u + (n - 2) * (1 - du * du) / 2) - rhs_root * np.exp(-2 * u[1:-1])
 
 
 def banded_to_dense(ab):

@@ -454,12 +454,13 @@ class TestSolveCommand:
         ({"n": 3, "half_length": 1.0, "psi": {"family": "example1_rhs", "c": 20.0},
           "phi": {"left": 0.0, "right": 0.0}, "init": {"family": "constant", "value": 0.0}},
          "psi: no Example 1 data at (n, k, c) = (3, 2, 20.0)"),
-        ({"newton": {"tol": 0.0}}, "newton.tol must be positive"),
-        ({"newton": {"tol": -1.0}}, "newton.tol must be positive"),
+        ({"newton": {"tol": 0.0}}, "newton: tol must be a finite positive number, got 0.0"),
+        ({"newton": {"tol": -1.0}}, "newton: tol must be a finite positive number, got -1.0"),
+        ({"newton": {"max_iter": 0}}, "newton: max_iter must be an integer >= 1, got 0"),
     ], ids=["function-string", "function-n", "example1-rhs-k1", "example1-init-numeric-length",
             "example1-init-other-c", "infinite-half-length", "nan-factor", "factor-below-one",
             "example1-c-inconsistent-d", "example1-c-domain-error", "zero-tol",
-            "negative-tol"])
+            "negative-tol", "zero-max-iter"])
     def test_malformed_entries_exit_2(self, tmp_path, capsys, changes, message):
         out = tmp_path / "out"
         payload = {**_solve_payload(out), **changes}
@@ -478,7 +479,7 @@ class TestSolveCommand:
     ])
     def test_invalid_schedule_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch,
                                                        schedule, message):
-        def no_stream(write, writers, shape):
+        def no_stream(write, shape):
             raise AssertionError("a writer was started")
 
         monkeypatch.setattr(cli, "_ProfileStream", no_stream)
@@ -814,14 +815,14 @@ class TestOneConstructor:
         assert init.grid[-1] == profile_problem.geom.half_length
 
 
-def _stream(write, writers, count, pause=0.0):
-    """Add `count` jobs to a _ProfileStream of `writers` processes one by
-    one, `pause` seconds apart as the states of a continuation come, and
-    finish it.  Job i holds i in each of its 4 columns of 3 rows."""
-    with cli._ProfileStream(write, writers, (count, 4, 3)) as stream:
+def _stream(write, count, pause=0.0, nodes=3):
+    """Add `count` jobs to a _ProfileStream one by one, `pause` seconds
+    apart as the states of a continuation come, and finish it.  Job i holds
+    i in each of its 4 columns of `nodes` rows."""
+    with cli._ProfileStream(write, (count, 4, nodes)) as stream:
         for i in range(count):
             time.sleep(pause)
-            stream.add(np.full((4, 3), float(i)))
+            stream.add(np.full((4, nodes), float(i)))
         stream.finish()
 
 
@@ -841,53 +842,77 @@ def _writers(tmp_path, count):
     return [[int(pid) for pid in (tmp_path / f"{i}.txt").read_text().split()] for i in range(count)]
 
 
+def _slow_child(record, parent):
+    """record, taking 0.1 s per job in any process but `parent`: a child
+    that holds one job at a time cannot drain jobs added 5 ms apart."""
+    def write(i, columns):
+        if os.getpid() != parent:
+            time.sleep(0.1)
+        record(i, columns)
+    return write
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Every stream forks its writer child: two cores, and no row count
+    below cli._FORK_ROWS."""
+    monkeypatch.setattr(cli, "_FORK_ROWS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 class TestProfileWriters:
     """Profiles are written while the continuation runs, by this process
-    and forked children, one writer per _ROWS_PER_WRITER rows and at most
-    one per available core, same bytes."""
+    and, from cli._FORK_ROWS rows on with two or more cores, one forked
+    child, same bytes."""
 
-    def test_output_independent_of_the_core_count(self, tmp_path, monkeypatch):
-        # one writer per 101-node profile, so the small solve forks
-        monkeypatch.setattr(cli, "_ROWS_PER_WRITER", 101)
+    def test_output_independent_of_the_fork(self, tmp_path, monkeypatch, forking):
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
         assert run_cli(["solve", cfg]) == 0
-        every_core = _output_bytes(tmp_path / "out")
-        assert len(every_core) == 5
+        forked = _output_bytes(tmp_path / "out")
+        assert len(forked) == 5
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert run_cli(["solve", cfg]) == 0
-        assert _output_bytes(tmp_path / "out") == every_core
+        assert _output_bytes(tmp_path / "out") == forked
         monkeypatch.undo()
         assert run_cli(["solve", cfg]) == 0
-        assert _output_bytes(tmp_path / "out") == every_core
+        assert _output_bytes(tmp_path / "out") == forked
         monkeypatch.delattr(os, "fork")
         assert run_cli(["solve", cfg]) == 0
-        assert _output_bytes(tmp_path / "out") == every_core
+        assert _output_bytes(tmp_path / "out") == forked
 
-    @pytest.mark.parametrize("crowded", [False, True])
-    def test_every_job_written_once_children_exit(self, tmp_path, crowded):
-        # crowded: six writers, more processes than cores.  A child takes
-        # 0.1 s per job and holds one at a time, so the children cannot
-        # drain the 23 jobs added 5 ms apart: every writer, this process
-        # included, writes some.
+    def test_one_child_on_four_cores(self, tmp_path, monkeypatch):
+        # 13 profiles of 4001 nodes, the 52013 rows of the benchmark solve:
+        # one child however many cores, and this process writes some jobs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         parent = os.getpid()
-        count = 6 if crowded else len(os.sched_getaffinity(0))
-        record = _record(tmp_path)
+        _stream(_slow_child(_record(tmp_path), parent), 13, pause=0.005, nodes=4001)
+        written = _writers(tmp_path, 13)
+        assert all(len(pids) == 1 for pids in written)
+        assert len({pids[0] for pids in written} - {parent}) == 1
+        assert [parent] in written
 
-        def write(i, columns):
-            if os.getpid() != parent:
-                time.sleep(0.1)
-            record(i, columns)
+    @pytest.mark.parametrize("host", ["one-core", "no-fork", "no-affinity"])
+    def test_no_fork_without_a_second_core_or_fork(self, tmp_path, monkeypatch, host):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if host == "one-core" else {0, 1, 2, 3})
+        if host != "one-core":
+            monkeypatch.delattr(os, "fork" if host == "no-fork" else "sched_getaffinity")
+        _stream(_record(tmp_path), 13, nodes=4001)
+        assert _writers(tmp_path, 13) == [[os.getpid()]] * 13
 
-        _stream(write, count, 23, pause=0.005)
+    def test_every_job_written_once_child_exits(self, tmp_path, forking):
+        # the child cannot drain the 23 jobs, so both processes write some
+        parent = os.getpid()
+        _stream(_slow_child(_record(tmp_path), parent), 23, pause=0.005)
         assert os.getpid() == parent
         written = _writers(tmp_path, 23)
         assert all(len(pids) == 1 for pids in written)
         writers = {pids[0] for pids in written}
-        assert len(writers) == count and parent in writers
+        assert len(writers) == 2 and parent in writers
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failed_child_share_is_written_again_here(self, tmp_path):
+    def test_failed_child_share_is_written_again_here(self, tmp_path, forking):
         parent = os.getpid()
 
         def write(i, columns):
@@ -895,36 +920,36 @@ class TestProfileWriters:
                 raise OSError("a child cannot write")
             (tmp_path / f"{i}.txt").write_text("")
 
-        _stream(write, 2, 5, pause=0.005)
+        _stream(write, 5, pause=0.005)
         assert sorted(p.name for p in tmp_path.iterdir()) == [f"{j}.txt" for j in range(5)]
 
-    def test_no_cpu_affinity_call(self, tmp_path, monkeypatch):
+    def test_no_cpu_affinity_call(self, tmp_path, monkeypatch, forking):
         # the writers run wherever the scheduler puts them: a process that
         # may not change its CPU affinity writes every job exactly once
         def refused(pid, cpus):
             raise PermissionError("sched_setaffinity refused")
 
         monkeypatch.setattr(os, "sched_setaffinity", refused)
-        _stream(_record(tmp_path), 2, 5, pause=0.005)
+        _stream(_record(tmp_path), 5, pause=0.005)
         assert all(len(pids) == 1 for pids in _writers(tmp_path, 5))
 
-    def test_failed_fork_leaves_every_job_here(self, tmp_path, monkeypatch):
+    def test_failed_fork_leaves_every_job_here(self, tmp_path, monkeypatch, forking):
         def no_fork():
             raise OSError("no fork")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        _stream(_record(tmp_path), 3, 4)
+        _stream(_record(tmp_path), 4)
         assert _writers(tmp_path, 4) == [[os.getpid()]] * 4
 
-    def test_full_pipe_leaves_the_job_here(self, tmp_path, monkeypatch):
+    def test_full_pipe_leaves_the_job_here(self, tmp_path, monkeypatch, forking):
         def full(fd, data):
             raise BlockingIOError
 
         monkeypatch.setattr(os, "write", full)
-        _stream(_record(tmp_path), 2, 5)
+        _stream(_record(tmp_path), 5)
         assert _writers(tmp_path, 5) == [[os.getpid()]] * 5
 
-    def test_busy_child_takes_no_second_job(self, tmp_path):
+    def test_busy_child_takes_no_second_job(self, tmp_path, forking):
         # a child reads the next index only once it is free: of 3 jobs added
         # at once, one that takes 0.5 s per job leaves at least two to finish()
         parent = os.getpid()
@@ -935,7 +960,7 @@ class TestProfileWriters:
                 time.sleep(0.5)
             record(i, columns)
 
-        with cli._ProfileStream(write, 2, (3, 4, 3)) as stream:
+        with cli._ProfileStream(write, (3, 4, 3)) as stream:
             time.sleep(0.2)     # the child waits for its first job
             for i in range(3):
                 stream.add(np.full((4, 3), float(i)))
@@ -944,21 +969,27 @@ class TestProfileWriters:
         assert all(len(pids) == 1 for pids in written)
         assert sum(pids != [parent] for pids in written) <= 1
 
-    @pytest.mark.parametrize("rows, writers", [(None, 1), (101, 3), (303, 1), (151, 2)])
-    def test_writers_by_row_count(self, tmp_path, monkeypatch, spy, rows, writers):
-        # 3 profiles of 101 nodes: 303 rows, below the default rows per writer
+    @pytest.mark.parametrize("rows, forks", [(None, 0), (303, 1), (304, 0)])
+    def test_fork_by_row_count(self, tmp_path, monkeypatch, rows, forks):
+        # 3 profiles of 101 nodes: 303 rows, below the default fork rows; the
+        # fork that is tried fails, so every job is written here
         if rows is not None:
-            monkeypatch.setattr(cli, "_ROWS_PER_WRITER", rows)
+            monkeypatch.setattr(cli, "_FORK_ROWS", rows)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        stream = cli._ProfileStream
-        streams = spy(cli, "_ProfileStream", lambda write, count, shape: stream(write, 1, shape))
+        tried = []
+
+        def no_fork():
+            tried.append(None)
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
         assert run_cli(["solve", cfg]) == 0
-        assert [call.args[1] for call in streams.call_args_list] == [writers]
+        assert len(tried) == forks
 
     def test_occupied_profile_path_fails_without_a_passing_report(self, tmp_path, capsys,
                                                                  monkeypatch):
-        monkeypatch.setattr(cli, "_ROWS_PER_WRITER", 101)
+        monkeypatch.setattr(cli, "_FORK_ROWS", 0)
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "s.json", _solve_payload(out))
         assert run_cli(["solve", cfg]) == 0
@@ -971,7 +1002,7 @@ class TestProfileWriters:
         assert not (out / "report.json").exists()
 
     def test_no_child_left_behind(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_ROWS_PER_WRITER", 101)
+        monkeypatch.setattr(cli, "_FORK_ROWS", 0)
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "s.json", _solve_payload(out))
         assert run_cli(["solve", cfg]) == 0

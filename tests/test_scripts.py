@@ -178,13 +178,14 @@ def test_bench_counts_the_kernel_calls_of_a_continuation():
                        SymFuncSpec.radial_eval)
 
 
-def test_bench_solve_times_takes_its_writer_count_off_a_failed_solve(monkeypatch):
+@pytest.mark.parametrize("fork", [True, False])
+def test_bench_solve_times_restores_the_fork_rows_after_a_failed_solve(monkeypatch, fork):
     bench = _load("bench")
-    count = bench.cli._writer_count
+    rows, fork_call = bench.cli._FORK_ROWS, os.fork
     monkeypatch.setattr(bench.cli, "main", lambda argv: 1)
     with pytest.raises(RuntimeError, match="yamabe solve exited 1"):
-        bench.solve_times(101, writers=1)
-    assert bench.cli._writer_count is count
+        bench.solve_times(101, fork)
+    assert bench.cli._FORK_ROWS == rows and os.fork is fork_call
 
 
 def test_bench_main_prints_one_json_document(monkeypatch, capsys):
@@ -208,5 +209,10 @@ def test_bench_main_prints_one_json_document(monkeypatch, capsys):
         "construction_blowup_example1_1001", "orbit_inversion_example1", "solve"]
     assert set(doc["esp_kernels_ms"]["n4_k2_m1"]) == {"esp", "esp_radial_columns", "esp_removed"}
     assert all(g["esp_calls_per_gradient"] == 1 for g in doc["gradient"].values())
-    for mode in ("every_core", "one_process"):
-        assert doc["solve"]["101"][mode]["minor_faults_self"] >= 0
+    solves = doc["solve"]["101"]
+    assert list(solves) == ["fork", "no_fork"]
+    assert all(solve["minor_faults_self"] >= 0 for solve in solves.values())
+    # the forced fork needs a second core
+    assert solves["fork"]["processes"] == min(2, doc["machine"]["nproc"])
+    assert solves["no_fork"]["processes"] == 1
+    assert doc["solve"]["fork_rows"] == bench.cli._FORK_ROWS

@@ -54,6 +54,7 @@ from oracles import (
     all_specs,
     banded_to_dense,
     even_shot,
+    example1_t0_residual_in_long_double,
     fd_jacobian_column,
     radial_rows,
     restore_by_full_passes,
@@ -264,6 +265,28 @@ class TestJacobian:
             assert gradient is not None
             assert np.array_equal(jacobian(*call.args), jacobian(problem, t, profile))
 
+    @pytest.mark.parametrize("m", [201, 401, 4001])
+    def test_newton_path_jacobian_is_monotone(self, spy, m):
+        # every Jacobian of the subsolution benchmark's continuation to t = 1
+        # has positive interior off-diagonals, a negative diagonal, a cell
+        # Peclet number below 0.01, and zero row sums to rounding, as psi_z
+        # is 0 on these data
+        matrices, assemble = [], solver.jacobian
+
+        def record(*args):
+            matrices.append(assemble(*args))
+            return matrices[-1]
+
+        spy(solver, "jacobian", record)
+        report = continuation_run(subsolution_benchmark(node_count=m),
+                                  t_schedule=DEFAULT_T_SCHEDULE + (1.0,))
+        assert report.failed_t is None and matrices
+        for ab in matrices:
+            lower, diag, upper = ab[2, :-2], ab[1, 1:-1], ab[0, 2:]
+            assert (lower > 0).all() and (upper > 0).all() and (diag < 0).all()
+            assert (np.abs(upper - lower) / (upper + lower)).max() < 0.01
+            assert (np.abs(lower + diag + upper) <= 1e-14 * np.abs(diag)).all()
+
     def test_boundary_rows_identity(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
         dense = banded_to_dense(jacobian(problem, 0.5, exact))
@@ -440,6 +463,16 @@ class TestNewton:
                                   f"(x={start.grid[1]:.6g}, psi inf)")
         assert not isinstance(err.value, NewtonError)
 
+    @pytest.mark.parametrize("options", [
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+        {"max_iter": 0}, {"max_iter": 1.5}, {"max_iter": True},
+    ], ids=["tol-0", "tol-negative", "tol-nan", "tol-inf", "max-iter-0", "max-iter-float",
+            "max-iter-bool"])
+    def test_options_outside_their_ranges_rejected(self, options):
+        [name] = options
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            NewtonOptions(**options)
+
     def test_iteration_budget_raises_with_state(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
         init = exact.with_values(exact.u + 1e-3 * np.cos(np.pi * exact.grid / 2))
@@ -573,6 +606,22 @@ class TestRoundingFloor:
         # F is about 1e-11 on the subsolution, so approx's default abs 1e-12 is off
         assert floor == pytest.approx(rounding_floor_by_nodes(problem, t, profile),
                                       rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("n, k, c", [(4, 2, -0.5), (4, 3, -0.5), (5, 4, -0.5)])
+    def test_t0_evaluation_rounding_against_long_double(self, n, k, c):
+        # the float residual of a t = 0 state differs from its long-double
+        # value, on the same float state and weights, by the evaluation's
+        # own rounding, which F does not count; it stays below F here
+        assert np.finfo(np.longdouble).eps < 1e-18
+        for m in (1001, 2001, 4001):
+            problem, _, init = example_boundary_problem(n, k, c, m)
+            [state] = continuation_run(problem, t_schedule=(0.0,), init=init).states
+            prof, stencils = state.profile, problem.geom.stencils
+            _, evaluation = solver._residual(problem, 0.0, prof.u, prof.du, prof.d2u)
+            floor = solver._rounding_floor(problem, prof, evaluation, evaluation.gradient())
+            exact = example1_t0_residual_in_long_double(n, k, prof.u, stencils.first.inner,
+                                                        stencils.second.inner)
+            assert np.abs(state.residual[1:-1] - exact).max() <= floor
 
     def test_floor_recorded_only_where_the_rule_fired(self):
         # the README-shaped (5, 3) solve stops at its rounding floor at
