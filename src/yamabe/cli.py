@@ -9,9 +9,9 @@ Three subcommands, each taking a single JSON config path:
 Exit codes: 0 pass, 1 domain/check failure, 2 config error, 3 partial
 convergence.  --out, --seed and --verbose override the config.  A command
 reads the types of its whole config (unknown keys rejected), and reports a
-ValueError of the library, which states every rule of the data once, as a
-config error, before it makes the output directory (_parse_solve); _out_dir
-removes the files of an earlier run.  Output files embed the resolved config
+ValueError or NumericalError of the library, which states every rule of the
+data once, as a config error (_checked), before it makes the output
+directory; _out_dir removes the files of an earlier run.  Output files embed the resolved config
 and a format version line, use 17 significant digits and LF line endings, so
 identical configs produce byte-identical files.  `solve` writes its profiles
 while the continuation goes on, in a forked writer or in this process,
@@ -82,12 +82,16 @@ def _as_real(value, context):
     return float(value)
 
 
-def _checked(context, check, *args, **kwargs):
-    """check(*args, **kwargs), the library's rule for these inputs, with its
-    ValueError a ConfigError naming context."""
+def _checked(context, call, *args, **kwargs):
+    """call(*args, **kwargs), a library call on config data, with its
+    ValueError or NumericalError a ConfigError naming context: the one place
+    where a library error becomes a config error.  A ConeDomainError passes
+    through, for cmd_solve to report."""
     try:
-        return check(*args, **kwargs)
-    except ValueError as exc:
+        return call(*args, **kwargs)
+    except ConeDomainError:
+        raise
+    except (NumericalError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -153,17 +157,6 @@ def _profile_family(cfg, context):
         off = _as_real(cfg.get("offset", 0.0), f"{context}.offset")
         return benchmarks.linear_profile(slope, off)
     return benchmarks.constant_profile(_as_real(_need(cfg, "value", context), f"{context}.value"))
-
-
-def _example_params(n, k, c, context):
-    """Example 1's ExampleParams of (n, k, c); a ConfigError naming context
-    where ExampleParams rejects them, c included where d has no
-    floating-point value (from about n c = 16, or c below -128)."""
-    try:
-        return example1.ExampleParams(n, k, c)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{context}: no Example 1 data at (n, k, c) = ({n}, {k}, {c!r}): "
-                          f"{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +390,9 @@ _EXAMPLE_KEYS = {"n", "k", "c", "grid_size", "thresholds", "out", "seed", "verbo
 
 
 def cmd_example1(config):
-    """Run `yamabe example1`.  ExampleParams checks (n, k, c), and any
-    ValueError or NumericalError while building the profile (a grid of
-    fewer than 5 nodes or too fine for finite stencil weights, or the
-    integration or slope inversion failing on (n, k, c)) is a ConfigError,
-    met before the output directory is touched."""
+    """Run `yamabe example1`.  The library's errors on (n, k, c) and while
+    building the profile are config errors (_checked), met before the
+    output directory is touched."""
     _check_keys(config, _EXAMPLE_KEYS, "config")
     n = _as_int(_need(config, "n", "config"), "n")
     k = _as_int(_need(config, "k", "config"), "k")
@@ -419,11 +410,8 @@ def cmd_example1(config):
         "thresholds": dataclasses.asdict(thresholds),
         **_run_keys(config, "results/example1"),
     }
-    params = _example_params(n, k, c, "config")
-    try:
-        solution = example1.solve_profile(params, node_count=grid_size)
-    except (ValueError, NumericalError) as exc:     # as in `yamabe solve`'s build (_parse_solve)
-        raise ConfigError(str(exc)) from exc
+    params = _checked("config", example1.ExampleParams, n, k, c)
+    solution = _checked("config", example1.solve_profile, params, node_count=grid_size)
     out = _out_dir(resolved)
 
     residual, rows = example1.verify_example(solution, thresholds=thresholds)
@@ -459,26 +447,14 @@ _SOLVE_KEYS = {"n", "function", "half_length", "grid_size", "t_schedule", "psi",
 
 def _parse_solve(config):
     """Read a solve config: check every key's type and presence, and raise
-    the ConfigErrors of SymFuncSpec, ExampleParams, example1_rhs_psi,
-    check_t_schedule and NewtonOptions, before any computation.  Returns the
-    resolved document and `build`, which computes the DirichletProblem
-    (benchmarks.dirichlet_problem) and the init profile (or None).
-
-    build raises ConeDomainError, with the minimum cone margin score, when
-    psi is built on a subsolution that leaves the cone, and ConfigError when
-    a ValueError or NumericalError meets the geometry, the start profile,
-    psi or the problem.  These are the library's own checks of its data:
-    - CylinderGeometry: half_length not positive, grid_size below 5, or a
-      grid too fine for finite stencil weights;
-    - subsolution_scaled_psi: psi.theta outside (0, 1);
-    - DirichletProblem: psi not positive on the working range (psi.value
-      not positive, e^(-2z) underflowing), psi_z positive, boundary values
-      not finite, or a subsolution off them;
-    - example1.solve_profile and half_length: the integration, slope
-      inversion or half-length bracket failing on the config's data.
-    The geometry is built first, then psi, so a grid error is a ConfigError
-    whatever the subsolution, and so is theta, checked before psi samples
-    the subsolution."""
+    the config errors of the library's rules that need no computation.
+    Returns the resolved document and `build`, which computes the
+    DirichletProblem (benchmarks.dirichlet_problem) and the init profile
+    (or None); cmd_solve calls it through _checked.  build raises
+    ConeDomainError, with the minimum cone margin score, when psi is built
+    on a subsolution that leaves the cone.  The geometry is built first,
+    then psi, so a grid error is a config error whatever the subsolution,
+    and so is theta, checked before psi samples the subsolution."""
     _check_keys(config, _SOLVE_KEYS, "config")
     n = _as_int(_need(config, "n", "config"), "n")
     function = _need(config, "function", "config")
@@ -495,7 +471,7 @@ def _parse_solve(config):
         psi_of = lambda ell: benchmarks.subsolution_scaled_psi(spec, subsolution, ell, theta)
     elif psi_family == "example1_rhs":
         c = _as_real(_need(psi_cfg, "c", "psi"), "psi.c")
-        example = _example_params(n, spec.k, c, "psi")
+        example = _checked("psi", example1.ExampleParams, n, spec.k, c)
         example_psi = _checked("psi", benchmarks.example1_rhs_psi, spec, example)
         psi_of = lambda ell: example_psi
     else:
@@ -573,36 +549,27 @@ def _parse_solve(config):
     }
 
     def build():
-        try:
-            geom, init = start()
-            problem = benchmarks.dirichlet_problem(spec, geom, psi_of(geom.half_length),
-                                                   subsolution, boundary)
-        except ConeDomainError:     # a ValueError, which cmd_solve reports
-            raise
-        except (ValueError, NumericalError) as exc:
-            raise ConfigError(str(exc)) from exc
-        return problem, init
+        geom, init = start()
+        return benchmarks.dirichlet_problem(spec, geom, psi_of(geom.half_length),
+                                            subsolution, boundary), init
 
     return resolved, build
 
 
 def cmd_solve(config):
     resolved, build = _parse_solve(config)
-    outside = problem = init_profile = None
-    try:
-        problem, init_profile = build()
-    except ConeDomainError as exc:      # psi is f on the subsolution, outside the cone
-        outside = exc
     schedule, verbose = resolved["t_schedule"], resolved["verbose"]
+    try:
+        problem, init_profile = _checked("config", build)
+    except ConeDomainError as exc:      # psi is f on the subsolution, outside the cone
+        checks = _check_rows("subsolution.", [solver.cone_margin_check(exc.min_score)])
+        _write_report(_out_dir(resolved) / "report.json", resolved, checks,
+                      extra={"error": str(exc)})
+        if verbose:
+            print(f"subsolution outside the cone: {exc}", file=sys.stderr)
+        return 1
     opts = solver.NewtonOptions(**resolved["newton"])
     out = _out_dir(resolved)
-
-    if outside is not None:
-        checks = _check_rows("subsolution.", [solver.cone_margin_check(outside.min_score)])
-        _write_report(out / "report.json", resolved, checks, extra={"error": str(outside)})
-        if verbose:
-            print(f"subsolution outside the cone: {outside}", file=sys.stderr)
-        return 1
 
     checks = []
     anchored = problem.subsolution is not None

@@ -64,7 +64,11 @@ __all__ = [
 class ExampleParams:
     """Dimension n, symmetric-function order k and boundary value c; the
     center value d < 0 follows from c = -(1/n) ln|H(d, 0)| (d_from_c), and
-    the c it implies must agree with c to 1e-10.
+    the c it implies must agree with c to 1e-10.  Any rule the data break
+    raises ValueError naming (n, k, c): n below 3, k outside [2, n], and a c
+    that leaves no floating-point d: c not finite or d too far below 0
+    (d_from_c), or, from about n c = 16 on, H(d, 0), the difference of two
+    numbers within a few ulp of 1, rounding to 0 or implying another c.
     """
 
     n: int
@@ -73,16 +77,22 @@ class ExampleParams:
     c: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("dimension must be at least 3")
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", d_from_c(self.n, self.k, self.c))
-        if not self.d < 0:
-            raise ValueError("the center value d must be negative")
-        if abs(self.boundary_value - self.c) > 1e-10:
-            raise ValueError(
-                f"inconsistent (c, d): c={self.c!r} but d implies {self.boundary_value!r}"
-            )
+        try:
+            if self.n < 3:
+                raise ValueError("dimension must be at least 3")
+            object.__setattr__(self, "d", d_from_c(self.n, self.k, self.c))
+            if not self.d < 0:
+                raise ValueError("the center value d must be negative")
+            if not self.h0 < 0:
+                raise ValueError("no floating-point center value d: H(d, 0) rounds to 0")
+            if abs(self.boundary_value - self.c) > 1e-10:
+                raise ValueError(
+                    f"inconsistent (c, d): c={self.c!r} but d implies {self.boundary_value!r}"
+                )
+        except ValueError as exc:
+            raise ValueError(f"no Example 1 data at (n, k, c) = ({self.n}, {self.k}, {self.c!r}): "
+                             f"{exc}") from exc
 
     @property
     def h0(self):
@@ -109,6 +119,9 @@ class ExampleParams:
         return (self.n * math.exp(-2.0 * self.k * self.d) - (self.n - 2.0 * self.k)) / (2.0 * self.k)
 
 
+_EXP_MAX = 709.0    # math.exp overflows above about 709.78
+
+
 def _h_at_rest(n, k, x):
     return math.exp((2 * k - n) * x) - math.exp(-n * x)
 
@@ -129,10 +142,19 @@ def d_from_c(n, k, c):
 
     H(., 0) increases from -infinity to 0 on (-infinity, 0), so bisection
     brackets are easy to find; a Newton polish pushes the round-trip residual
-    to the rounding level.
+    to the rounding level.  d is sought where e^(-n d) and the center's
+    right-hand side e^(-2k d) stay below e^_EXP_MAX; ValueError is raised
+    where c is not finite or d lies below that range (d < c).
     """
     if not 2 <= k <= n:
         raise ValueError("the construction requires 2 <= k <= n")
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
+    floor = -_EXP_MAX / max(n, 2 * k)
+    no_d = (f"no floating-point center value d: d lies below {floor:.6g}, where "
+            f"e^(-n d) or e^(-2k d) exceeds e^{_EXP_MAX:g}")
+    if c < floor:
+        raise ValueError(no_d)
     target = -math.exp(-n * c)
 
     def g(d):
@@ -143,11 +165,11 @@ def d_from_c(n, k, c):
         hi *= 0.5
         if hi > -1e-300:
             raise NumericalError("bracket search failed near zero")
-    lo = -1.0
+    lo = max(-1.0, floor)
     while g(lo) > 0.0:
-        lo *= 2.0
-        if lo < -1e6:
-            raise NumericalError("bracket search failed towards -infinity")
+        if lo == floor:
+            raise ValueError(no_d)
+        lo = max(2.0 * lo, floor)
     d = optimize.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     for _ in range(3):
         h = _h_at_rest(n, k, d)

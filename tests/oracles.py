@@ -355,7 +355,7 @@ def fd_jacobian_column(problem, t, profile, j):
     tenfold while a bumped profile leaves the cone.
     """
     grid, u = profile.grid, profile.u
-    h_loc = min(grid[j] - grid[j - 1], grid[j + 1] - grid[j])
+    h_loc = np.diff(grid)[max(j - 1, 0):j + 1].min()    # one-sided at the two ends
     step = 1e-4 * h_loc ** 2 * (1.0 + abs(u[j]))
 
     def central(s):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface and its file formats."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -9,11 +10,13 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from yamabe import _format, benchmarks, cli, example1, geometry, symfun
+from yamabe._errors import ConeViolationError
 from yamabe.cli import main
 from yamabe.geometry import CylinderGeometry, RadialProfile
 
@@ -274,7 +277,7 @@ class TestExample1Command:
                            "dimension must be at least 3"),
         ({"k": 5}, "config: no Example 1 data at (n, k, c) = (4, 5, 0.0): "
                    "the construction requires 2 <= k <= n"),
-        ({"grid_size": 4}, "grid must be one-dimensional with at least 5 nodes"),
+        ({"grid_size": 4}, "config: grid must be one-dimensional with at least 5 nodes"),
     ], ids=["n-two", "k-above-n", "grid-size-four"])
     def test_rules_of_the_library_are_config_errors(self, tmp_path, capsys, changes, message):
         out = tmp_path / "out"
@@ -285,17 +288,19 @@ class TestExample1Command:
         assert err.startswith("config error: ") and message in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("n, k, c", [(6, 3, 3.0), (3, 2, 20.0), (3, 2, -200.0)],
-                             ids=["inconsistent-d", "domain-error", "overflow"])
-    def test_unresolvable_c_is_a_config_error(self, tmp_path, capsys, n, k, c):
+    @pytest.mark.parametrize("n, k, c, reason", [
+        (6, 3, 3.0, "inconsistent (c, d): c=3.0 but d implies 3.00000000025064"),
+        (3, 2, 20.0, "no floating-point center value d: H(d, 0) rounds to 0"),
+        (3, 2, -200.0, "no floating-point center value d: d lies below -177.25, "
+                       "where e^(-n d) or e^(-2k d) exceeds e^709"),
+    ], ids=["inconsistent-d", "h-rounds-to-zero", "d-below-the-exponent-range"])
+    def test_unresolvable_c_is_a_config_error(self, tmp_path, capsys, n, k, c, reason):
         # no floating-point center value d exists for these boundary values
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "e.json", {"n": n, "k": k, "c": c, "out": str(out)})
         assert run_cli(["example1", cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: config: no Example 1 data at (n, k, c) = "
-                              f"({n}, {k}, {c!r})")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (f"config error: config: no Example 1 data at "
+                                           f"(n, k, c) = ({n}, {k}, {c!r}): {reason}\n")
         assert not out.exists()
 
     def test_verbose_prints_d_and_the_half_length(self, example1_config, tmp_path, capsys):
@@ -413,7 +418,7 @@ class TestSolveCommand:
         })
         assert run_cli(["solve", cfg]) == 2
         err = capsys.readouterr().err
-        assert "config error: psi must be positive on the working range" in err
+        assert "config error: config: psi must be positive on the working range" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -427,7 +432,7 @@ class TestSolveCommand:
             warnings.simplefilter("error")
             assert run_cli(["solve", cfg]) == 2
         err = capsys.readouterr().err
-        assert "config error: boundary values must be finite" in err
+        assert "config error: config: boundary values must be finite" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -704,6 +709,30 @@ class TestSolveRobustness:
         report = json.loads((out / "report.json").read_text())
         assert report["failed_t"] == 0.5 and report["passed"] is False
         assert report["error"] == "analytic Jacobian deviates at t=0.5"
+
+    def test_probe_outside_the_cone_keeps_the_solved_profiles(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # every step of the Jacobian check's probe leaves the cone at t = 0.5
+        check = cli.solver._check_jacobian
+
+        def probe(problem, t, profile, ab):
+            if t != 0.5:
+                return check(problem, t, profile, ab)
+            with mock.patch.object(cli.solver, "_residual",
+                                   side_effect=ConeViolationError("the probe left the cone")):
+                return check(problem, t, profile, ab)
+
+        monkeypatch.setattr(cli.solver, "_check_jacobian", probe)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, grid_size=201, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE)))
+        assert run_cli(["solve", cfg]) == 1
+        message = "could not difference the residual inside the cone at t=0.5"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in out.glob("profile_*.csv")) == [
+            f"profile_{i:03d}_t{t:.6f}.csv" for i, t in enumerate((0.0, 0.1, 0.2, 0.3, 0.4))]
+        report = json.loads((out / "report.json").read_text())
+        assert (report["failed_t"], report["passed"], report["error"]) == (0.5, False, message)
 
     def test_verbose_prints_each_t_and_the_phase_times(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.json", _solve_payload(tmp_path / "out"))
@@ -1001,6 +1030,25 @@ class TestProfileWriters:
         assert target.name in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_error_before_finish_waits_for_the_child(self, tmp_path, capsys, forking):
+        # monitors.csv cannot be written, so the run leaves the stream before
+        # finish(): its exit closes the pipe, the child writes every profile
+        # and is waited for, and no descriptor stays open
+        out = tmp_path / "out"
+        (out / "monitors.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path / "s.json", _solve_payload(
+            out, t_schedule=list(cli.solver.DEFAULT_T_SCHEDULE)))
+        fds = Path("/proc/self/fd")
+        before = len(list(fds.iterdir())) if fds.is_dir() else None
+        assert run_cli(["solve", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [Errno {errno.EISDIR}] Is a directory")
+        assert len(list(out.glob("profile_*.csv"))) == 13
+        assert not (out / "report.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if before is not None:
+            assert len(list(fds.iterdir())) == before
+
     def test_no_child_left_behind(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_FORK_ROWS", 0)
         out = tmp_path / "out"
@@ -1109,19 +1157,20 @@ class TestEntryPoint:
         (_solve_payload("out", function={"kind": "sigma_k_root", "k": 2, "l": 1}),
          "function: l is only meaningful for the quotient kind"),
         (_solve_payload("out", psi={"family": "subsolution_scaled", "theta": 1.0}),
-         "theta must lie in (0, 1), got 1.0"),
+         "config: theta must lie in (0, 1), got 1.0"),
         (_solve_payload("out", psi={"family": "constant", "value": 0.0}),
-         "psi must be positive on the working range"),
+         "config: psi must be positive on the working range"),
         (_solve_payload("out", half_length="example1"),
          "half_length: 'example1' requires psi.family example1_rhs"),
-        (_solve_payload("out", half_length=-1.0), "half_length must be positive"),
+        (_solve_payload("out", half_length=-1.0), "config: half_length must be positive"),
         (_solve_without("subsolution", init={"family": "constant", "value": 0.0}),
          "psi.family subsolution_scaled requires a subsolution"),
         (_solve_without("subsolution", psi={"family": "constant", "value": 1.0}),
          "phi: 'subsolution' requires a subsolution"),
         (_solve_payload("out", t_schedule=0.5), "t_schedule: expected a list of numbers"),
         (_solve_payload("out", n=2), "function: dimension must be at least 3"),
-        (_solve_payload("out", grid_size=4), "grid must be one-dimensional with at least 5 nodes"),
+        (_solve_payload("out", grid_size=4),
+         "config: grid must be one-dimensional with at least 5 nodes"),
         (_solve_payload("out", function={"kind": "quotient", "k": 2, "l": 2}),
          "function: quotient requires 1 <= l < k"),
         ({"n": 4, "function": {"kind": "quotient", "k": 2, "l": 1}, "half_length": "example1",
@@ -1140,6 +1189,17 @@ class TestEntryPoint:
         assert run_cli(["solve", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("command, payload", [
+        ("check", {"function": {"kind": "sigma_k_root", "n": 4}, "out": "out"}),
+        ("solve", _solve_payload("out", function={"kind": "sigma_k_root"})),
+    ], ids=["check", "solve"])
+    def test_function_without_k_exits_2(self, tmp_path, capsys, monkeypatch, command, payload):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert run_cli([command, cfg]) == 2
+        assert capsys.readouterr().err == "config error: function: k is required\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("command, payload", [
@@ -1172,7 +1232,8 @@ class TestEntryPoint:
         capsys.readouterr()
         assert run_cli([command, write_config(tmp_path / "c.json", payload)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: no finite stencil weights") and "Traceback" not in err
+        assert err.startswith("config error: config: no finite stencil weights")
+        assert "Traceback" not in err
         assert {path: path.read_bytes() for path in (tmp_path / "out").iterdir()} == files
 
     def test_out_override(self, tmp_path):

@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from yamabe import example1
 from yamabe._errors import ConeDomainError
+from yamabe.benchmarks import example_boundary_problem
 from yamabe.example1 import (
     ExampleParams,
     VerifyThresholds,
@@ -106,6 +107,33 @@ class TestExampleParams:
             ExampleParams(4, 1, 0.0)
         with pytest.raises(ValueError):
             ExampleParams(4, 5, 0.0)
+
+    @pytest.mark.parametrize("n, k, c, reason", [
+        (3, 2, -200.0, "d lies below -177.25"),
+        (3, 2, 20.0, "H(d, 0) rounds to 0"),
+        (3, 2, 300.0, "H(d, 0) rounds to 0"),
+        (4, 2, math.nan, "c must be finite"),
+        (4, 2, -math.inf, "c must be finite"),
+        (6, 3, 3.0, "inconsistent (c, d)"),
+    ])
+    def test_c_without_a_floating_point_center_value(self, n, k, c, reason):
+        # a ValueError of its own, naming (n, k, c), from the params and from
+        # the boundary problem built on them: no OverflowError, bare math
+        # error or scipy message
+        for build in (ExampleParams, example_boundary_problem):
+            with pytest.raises(ValueError) as err:
+                build(n, k, c)
+            assert type(err.value) is ValueError
+            assert str(err.value).startswith(f"no Example 1 data at (n, k, c) = ({n}, {k}, {c!r}): ")
+            assert reason in str(err.value)
+
+    def test_c_down_to_the_exponent_range(self):
+        # d_from_c searches d down to -709 / max(n, 2k), where e^(-n d) and
+        # e^(-2k d) are still floats, so the center curvature is finite
+        for n, k, c in ((3, 2, -128.0), (3, 2, -177.0), (6, 3, -100.0)):
+            p = ExampleParams(n, k, c)
+            assert p.d == pytest.approx(c, abs=1e-12) and -709.0 / max(n, 2 * k) <= p.d
+            assert math.isfinite(p.center_curvature())
 
     def test_center_curvature_positive(self):
         for (n, k, c) in ((4, 2, 0.0), (3, 2, 1.0), (5, 3, -0.5)):

@@ -287,6 +287,55 @@ class TestJacobian:
             assert (np.abs(upper - lower) / (upper + lower)).max() < 0.01
             assert (np.abs(lower + diag + upper) <= 1e-14 * np.abs(diag)).all()
 
+    @pytest.mark.parametrize("case", ["subsolution", "example1"])
+    def test_difference_oracle_jacobian_is_an_m_matrix(self, case):
+        # M, the finite-difference J of every column (the two ends too) with
+        # its interior rows negated, is a Z-matrix with a nonnegative
+        # inverse at each state; on Example 1 data psi_z < 0 makes M 1 < 0,
+        # so diagonal dominance fails there, yet M is an M-matrix
+        if case == "subsolution":
+            problem, init, schedule, agree = subsolution_benchmark(node_count=201), None, \
+                (0.0, 0.5, 0.99, 1.0), 1e-7
+        else:
+            (problem, _, init), schedule, agree = \
+                example_boundary_problem(4, 2, -0.5, node_count=201), (0.0, 0.5, 0.99), 1e-5
+        report = continuation_run(problem, t_schedule=schedule, init=init)
+        assert [s.t for s in report.states] == list(schedule)
+        m = problem.geom.node_count
+        for s in report.states:
+            fd = np.column_stack([fd_jacobian_column(problem, s.t, s.profile, j) for j in range(m)])
+            banded = banded_to_dense(jacobian(problem, s.t, s.profile))
+            assert np.abs(fd - banded).max() <= agree * np.abs(banded).max()
+            M = fd.copy()
+            M[1:-1] *= -1.0
+            assert (M[~np.eye(m, dtype=bool)] <= 0).all()
+            inverse = np.linalg.inv(M)
+            assert inverse.min() >= -1e-12 * np.abs(inverse).max()
+            if case == "example1":     # the banded J's interior rows sum to -psi_z
+                assert (banded[1:-1].sum(axis=1) > 0).all()
+
+    @pytest.mark.parametrize("data", [None, (4, 2, -0.5), (5, 4, -0.5), (4, 2, 0.0), (4, 3, -0.5)],
+                             ids=["subsolution", "4-2-c-0.5", "5-4-c-0.5", "4-2-c0", "4-3-c-0.5"])
+    def test_interior_block_has_positive_eigenvalues(self, data):
+        # the interior block of -J, symmetrized by a diagonal similarity
+        # (its off-diagonal pairs have positive products), has a positive
+        # smallest eigenvalue at every continuation state on 201 nodes;
+        # measured minima 5.36 (subsolution), 78.8, 809.7, 2.96 and 159
+        if data is None:
+            problem, init = subsolution_benchmark(node_count=201), None
+            schedule = DEFAULT_T_SCHEDULE + (1.0,)
+        else:
+            (problem, _, init), schedule = example_boundary_problem(*data, node_count=201), None
+        report = continuation_run(problem, t_schedule=schedule, init=init)
+        assert report.failed_t is None and report.states
+        for s in report.states:
+            ab = jacobian(problem, s.t, s.profile)
+            pairs = ab[0, 2:-1] * ab[2, 1:-2]   # J[i, i+1] J[i+1, i] inside
+            assert (pairs > 0).all()
+            [lowest] = eigvalsh_tridiagonal(-ab[1, 1:-1], -np.sqrt(pairs),
+                                            select="i", select_range=(0, 0))
+            assert lowest > 0
+
     def test_boundary_rows_identity(self):
         problem, exact = manufactured_problem(0.5, node_count=101)
         dense = banded_to_dense(jacobian(problem, 0.5, exact))
@@ -622,6 +671,20 @@ class TestRoundingFloor:
             exact = example1_t0_residual_in_long_double(n, k, prof.u, stencils.first.inner,
                                                         stencils.second.inner)
             assert np.abs(state.residual[1:-1] - exact).max() <= floor
+
+    # the rounding floor's known failures (ROADMAP item 22): at t = 0 the
+    # float residual creeps past F on fine grids (32001 nodes: 4.129e-05
+    # against F = 4.085e-05; 64001 nodes: 1.670e-04 against 1.634e-04),
+    # while 16001 nodes converges (9.67e-6 against F = 1.02e-5)
+    @pytest.mark.parametrize("m", [
+        16001,
+        pytest.param(32001, marks=pytest.mark.xfail(strict=True, raises=StepFailureError)),
+        pytest.param(64001, marks=pytest.mark.xfail(strict=True, raises=StepFailureError)),
+    ])
+    def test_fine_grid_t0_solve_converges(self, m):
+        problem, _, init = example_boundary_problem(4, 2, -0.5, node_count=m)
+        state = newton_solve(problem, 0.0, init)
+        assert state.converged
 
     def test_floor_recorded_only_where_the_rule_fired(self):
         # the README-shaped (5, 3) solve stops at its rounding floor at
@@ -1012,6 +1075,22 @@ class TestContinuation:
         ubar = problem.subsolution.u
         for s in report.states:
             assert np.min(s.profile.u - ubar) >= -1e-8
+
+    @pytest.mark.parametrize("m", [201, 401, 4001])
+    def test_subsolution_is_a_lower_barrier(self, m):
+        # the barrier argument's first steps on every state: u_t - u_sub is
+        # 0 at the two ends and positive inside, so its stencil slope is
+        # <= 0 at L and >= 0 at -L; measured: smallest gaps 2.66e-3, 1.34e-3
+        # and 1.34e-4, at t = 1, and end slopes from -+1.02 (t = 0) to -+0.268
+        problem = subsolution_benchmark(node_count=m)
+        sub = problem.subsolution
+        report = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE + (1.0,))
+        assert report.failed_t is None
+        for s in report.states:
+            gap = s.profile.u - sub.u
+            assert gap[0] == 0.0 and gap[-1] == 0.0 and (gap[1:-1] > 0).all()
+            slope = s.profile.du - sub.du
+            assert slope[-1] <= 0.0 <= slope[0]
 
     def test_rows_of_a_run_and_of_a_stopped_one(self):
         states = continuation_run(subsolution_benchmark(node_count=101),
