@@ -274,9 +274,10 @@ def suite_times():
 
 def continuation(node_count, tol=CONTINUATION_TOL):
     """One continuation of the subsolution benchmark: its wall time, the
-    Newton iterations and, counted in a second run, the `_residual` calls
-    (line-search trials and the Jacobian check's) and the
-    `RadialEvaluation.gradient` calls."""
+    Newton iterations, the t values whose state stopped at its rounding
+    floor F and the largest |res|/F among them (None where none did) and,
+    counted in a second run, the `_residual` calls (line-search trials and
+    the Jacobian check's) and the `RadialEvaluation.gradient` calls."""
     problem = subsolution_benchmark(node_count=node_count)
     opts = solver.NewtonOptions(tol=tol)
     start = time.perf_counter()
@@ -284,20 +285,26 @@ def continuation(node_count, tol=CONTINUATION_TOL):
     wall = time.perf_counter() - start
     with _spy(solver, "_residual") as residual, _spy(symfun.RadialEvaluation, "gradient") as gradient:
         solver.continuation_run(problem, opts=opts)
+    floored = [s for s in report.states if s.rounding_floor is not None]
     return {
         "tol": tol,
         "wall_s": wall,
         "newton_iters_per_t": {repr(s.t): s.newton_iters for s in report.states},
         "newton_iters_total": sum(s.newton_iters for s in report.states),
+        "floor_stops_t": [s.t for s in floored],
+        "max_residual_over_floor": max((s.residual_norm / s.rounding_floor for s in floored),
+                                       default=None),
         "residual_calls": residual.call_count,
         "gradient_calls": gradient.call_count,
     }
 
 
 def blowup_continuation():
-    """The continuation of acceptance criterion 9: Example 1 data (5, 4,
-    -0.5) at 1001 nodes from the closed-form start, with the criterion's
-    floor tolerance and its Jacobian check (BLOWUP_REPEATS runs)."""
+    """A continuation on acceptance criterion 9's data: Example 1 (5, 4,
+    -0.5) at 1001 nodes from the closed-form start, with the Jacobian check
+    (BLOWUP_REPEATS runs).  Its tolerance is the one derived by hand in
+    perfbench's blowup_example1_1001 op, which this mirrors; criterion 9
+    itself runs at the default tol and stops at the rounding floor."""
     problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
     h = 2 * problem.geom.half_length / 1000
     opts = solver.NewtonOptions(tol=max(1e-7, 100 * 2.2e-16 * 1.5 * 2.0 / h ** 2))

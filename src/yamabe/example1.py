@@ -115,8 +115,9 @@ class ExampleParams:
         return self.rhs_constant ** (1.0 / self.k)
 
     def center_curvature(self):
-        """u''(0) = (n e^(-2kd) - (n - 2k)) / (2k), positive for d < 0."""
-        return (self.n * math.exp(-2.0 * self.k * self.d) - (self.n - 2.0 * self.k)) / (2.0 * self.k)
+        """u''(0) = (n e^(-2kd) - (n - 2k)) / (2k), positive for d < 0: the
+        second-order equation at (u, u') = (d, 0)."""
+        return _acceleration(self, self.d, 0.0)
 
 
 _EXP_MAX = 709.0    # math.exp overflows above about 709.78

@@ -123,7 +123,7 @@ class NewtonOptions:
 
     tol: float = 1e-10
     max_iter: int = 50
-    jacobian_check: bool = True   # False only in perfbench's blow-up workload, kept for it
+    jacobian_check: bool = True   # set False by perfbench's blow-up workload alone
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:     # a NaN tol fails too

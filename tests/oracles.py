@@ -10,12 +10,13 @@ kernel's stacked pass with the row e_0 and of the gradient's two-pass form,
 other gradients from central differences, the feasibility restore's blends
 from a frozen copy of its ladder with a full pass per rung, the structure
 suites from one sample and one bisection step at a time, Jacobian columns
-from bumping one nodal value of the residual, the rounding floor node by
+from bumping one nodal value of the residual, the spectrum of -J's interior
+block from its symmetrized tridiagonal form, the rounding floor node by
 node from the general stencil weights and central differences, the
 conformal curvature from the general transformation law, the stopping time
 of the radial problem from integrating the second-order equation itself
-(never its first integral), the t = 0 residual on Example 1's psi in long
-double from the float state and stencil weights, the t = 0 solution for
+(never its first integral), the residual at any t on Example 1's psi in
+long double from the float state and stencil weights, the t = 0 solution for
 constant psi from its closed form in v = e^(-p u), its half length for
 Example 1's psi by
 quadrature of the first integral in v and its even solution by a shot in
@@ -33,6 +34,7 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import eigvalsh_tridiagonal
 
 from yamabe._errors import ConeDomainError, ConeViolationError, NumericalError
 from yamabe.geometry import radial_w_eigenvalues, stencil_weights
@@ -313,28 +315,35 @@ def rounding_floor_by_nodes(problem, t, profile):
     return np.finfo(float).eps * max(terms)
 
 
-def example1_t0_residual_in_long_double(n, k, u, first, second):
-    """The t = 0 residual of sigma_k_root at the interior nodes, on Example
+def example1_residual_in_long_double(n, k, t, u, first, second):
+    """The residual of sigma_k_root at t at the interior nodes, on Example
     1's psi, in np.longdouble:
 
-        f(e) (u'' + (n - 2)(1 - u'^2)/2) - psi,   f(e) = C(n, k)^(1/k),
+        sigma_k(A, S, ..., S)^(1/k) - psi,
+        sigma_k(A, S, ..., S) = C(n-1, k) S^k + C(n-1, k-1) A S^(k-1),
 
-    psi = (n/(k 2^k) C(n-1, k-1))^(1/k) e^(-2u), with u' and u'' the
+    with (A, S) = t (a, s) + (1 - t)(a + (n - 1) s), the t-map of the radial
+    tuple (a, s, ..., s), a = u'' - (1 - u'^2)/2, s = (1 - u'^2)/2 and
+    psi = (n/(k 2^k) C(n-1, k-1))^(1/k) e^(-2u); u' and u'' are the
     three-point sums of the interior weights `first` and `second` (each the
     triple (w_minus, w_center, w_plus) of (m-2,) arrays).  The float values
-    u and the float weights are taken as exact, so what it differs by from
-    the float residual is the float evaluation's own rounding."""
+    t, u and the float weights are taken as exact, so what it differs by
+    from the float residual is the float evaluation's own rounding."""
     ld = np.longdouble
-    u = np.asarray(u, dtype=ld)
+    u, t = np.asarray(u, dtype=ld), ld(t)
 
     def derivative(weights):
         wm, w0, wp = (np.asarray(w, dtype=ld) for w in weights)
         return wm * u[:-2] + w0 * u[1:-1] + wp * u[2:]
 
     du, d2u = derivative(first), derivative(second)
-    f_e = ld(math.comb(n, k)) ** (1 / ld(k))
+    s = (1 - du * du) / 2
+    a = d2u - s
+    shift = (1 - t) * (a + (n - 1) * s)
+    big_a, big_s = t * a + shift, t * s + shift
+    sigma_k = math.comb(n - 1, k) * big_s ** k + math.comb(n - 1, k - 1) * big_a * big_s ** (k - 1)
     rhs_root = (ld(n) / (k * 2 ** k) * math.comb(n - 1, k - 1)) ** (1 / ld(k))
-    return f_e * (d2u + (n - 2) * (1 - du * du) / 2) - rhs_root * np.exp(-2 * u[1:-1])
+    return sigma_k ** (1 / ld(k)) - rhs_root * np.exp(-2 * u[1:-1])
 
 
 def banded_to_dense(ab):
@@ -345,6 +354,18 @@ def banded_to_dense(ab):
     dense[np.arange(m - 1), np.arange(1, m)] = ab[0, 1:]
     dense[np.arange(1, m), np.arange(m - 1)] = ab[2, :-1]
     return dense
+
+
+def interior_spectrum(ab, count):
+    """The `count` smallest eigenvalues of the interior block of -J, for J
+    in banded (3, m) storage: each off-diagonal pair J[i, i+1] J[i+1, i]
+    must be positive, so that a diagonal similarity makes the block the
+    symmetric tridiagonal matrix with off-diagonals -sqrt(J[i, i+1] J[i+1, i])."""
+    pairs = ab[0, 2:-1] * ab[2, 1:-2]
+    if not (pairs > 0).all():
+        raise AssertionError("an off-diagonal pair of the interior block is not positive")
+    return eigvalsh_tridiagonal(-ab[1, 1:-1], -np.sqrt(pairs), select="i",
+                                select_range=(0, count - 1))
 
 
 def fd_jacobian_column(problem, t, profile, j):

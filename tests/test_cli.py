@@ -361,7 +361,7 @@ class TestSolveCommand:
         sup = [v / (1 - t) for t, v in table]
         assert sup[-1] > sup[0]  # curvature grows towards t = 1
 
-    def test_criterion_9_data_runs_with_jacobian_check(self, tmp_path):
+    def test_criterion_9_data_passes_check_jacobian(self, tmp_path):
         cfg = write_config(tmp_path / "s.json", {
             "n": 5,
             "function": {"kind": "sigma_k_root", "k": 4},
@@ -370,7 +370,6 @@ class TestSolveCommand:
             "psi": {"family": "example1_rhs", "c": -0.5},
             "phi": {"left": -0.5, "right": -0.5},
             "init": {"family": "example1_profile", "c": -0.5},
-            "newton": {"tol": 1.2e-4},
             "out": str(tmp_path / "out"),
         })
         assert run_cli(["solve", cfg]) == 0
@@ -556,7 +555,7 @@ def _output_bytes(out):
 
 
 class TestSolveRobustness:
-    def test_draw_near_the_cone_boundary_passes_the_jacobian_check(self, tmp_path):
+    def test_draw_near_the_cone_boundary_passes_check_jacobian(self, tmp_path):
         # the Newton start at t = 0.3 has cone margin 1.9e-5; the check's
         # first step 1e-6 is too coarse there and deviated by 1.4e-5
         cfg = write_config(tmp_path / "s.json", _solve_payload(
@@ -685,7 +684,7 @@ class TestSolveRobustness:
         assert run_cli(["solve", outside]) == 1
         assert [p.name for p in out.iterdir()] == ["report.json"]
 
-    def test_jacobian_check_failure_keeps_the_solved_profiles(self, tmp_path, monkeypatch,
+    def test_check_jacobian_failure_keeps_the_solved_profiles(self, tmp_path, monkeypatch,
                                                               capsys):
         check = cli.solver._check_jacobian
 

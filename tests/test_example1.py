@@ -129,8 +129,9 @@ class TestExampleParams:
 
     def test_c_down_to_the_exponent_range(self):
         # d_from_c searches d down to -709 / max(n, 2k), where e^(-n d) and
-        # e^(-2k d) are still floats, so the center curvature is finite
-        for n, k, c in ((3, 2, -128.0), (3, 2, -177.0), (6, 3, -100.0)):
+        # e^(-2k d) are still floats, so the center curvature is finite; at
+        # (6, 3, -118) it is 3.0234e307, where n e^(-2k d) overflows
+        for n, k, c in ((3, 2, -128.0), (3, 2, -177.0), (6, 3, -100.0), (6, 3, -118.0)):
             p = ExampleParams(n, k, c)
             assert p.d == pytest.approx(c, abs=1e-12) and -709.0 / max(n, 2 * k) <= p.d
             assert math.isfinite(p.center_curvature())

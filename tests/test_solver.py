@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import optimize
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import solve_banded
 
 from yamabe import solver, symfun
 from yamabe._errors import (
@@ -54,8 +54,9 @@ from oracles import (
     all_specs,
     banded_to_dense,
     even_shot,
-    example1_t0_residual_in_long_double,
+    example1_residual_in_long_double,
     fd_jacobian_column,
+    interior_spectrum,
     radial_rows,
     restore_by_full_passes,
     rounding_floor_by_nodes,
@@ -252,14 +253,16 @@ class TestJacobian:
                                       jacobian(problem, t, prof))
 
     def test_newton_path_jacobian_on_example1_data(self, spy):
+        # every state stops at its rounding floor, and each floor stop builds
+        # one Jacobian beyond its Newton iterations, for the step no damping
+        # makes acceptable: 29 = 25 + 4
         problem, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
-        h = 2 * problem.geom.half_length / 1000
-        tol = max(1e-7, 100 * 2.2e-16 * 1.5 * 2.0 / h ** 2)   # criterion 9's
         jacobians = spy(solver, "jacobian")
-        report = continuation_run(problem, t_schedule=(0.0, 0.3, 0.99, 1.0), init=init,
-                                  opts=NewtonOptions(tol=tol))
-        assert [s.t for s in report.states] == [0.0, 0.3, 0.99, 1.0]
-        assert jacobians.call_count == sum(s.newton_iters for s in report.states) > 4
+        schedule = (0.0, 0.3, 0.99, 1.0)
+        report = continuation_run(problem, t_schedule=schedule, init=init)
+        assert [s.t for s in report.states if s.rounding_floor is not None] == list(schedule)
+        assert sum(s.newton_iters for s in report.states) == 25
+        assert jacobians.call_count == 25 + 4
         for call in jacobians.call_args_list:
             _, t, profile, gradient = call.args
             assert gradient is not None
@@ -329,11 +332,7 @@ class TestJacobian:
         report = continuation_run(problem, t_schedule=schedule, init=init)
         assert report.failed_t is None and report.states
         for s in report.states:
-            ab = jacobian(problem, s.t, s.profile)
-            pairs = ab[0, 2:-1] * ab[2, 1:-2]   # J[i, i+1] J[i+1, i] inside
-            assert (pairs > 0).all()
-            [lowest] = eigvalsh_tridiagonal(-ab[1, 1:-1], -np.sqrt(pairs),
-                                            select="i", select_range=(0, 0))
+            [lowest] = interior_spectrum(jacobian(problem, s.t, s.profile), 1)
             assert lowest > 0
 
     def test_boundary_rows_identity(self):
@@ -478,7 +477,8 @@ class TestNewton:
 
     def test_non_finite_jacobian_raises_with_the_state(self, monkeypatch):
         # solve_banded's ValueError on a NaN in J ends Newton as a step
-        # failure carrying the state, as a singular J does
+        # failure carrying the state, as a singular J does; the Jacobian
+        # check, which would reject that J first, is taken out
         original = solver.jacobian
 
         def one_nan(problem, t, profile, evaluation=None):
@@ -487,10 +487,11 @@ class TestNewton:
             return ab
 
         monkeypatch.setattr(solver, "jacobian", one_nan)
+        monkeypatch.setattr(solver, "_check_jacobian", lambda *args: None)
         problem = subsolution_benchmark(node_count=101)
         sub = problem.subsolution
         with pytest.raises(StepFailureError, match="Newton system at t=0.5: .*NaN") as err:
-            newton_solve(problem, 0.5, sub, NewtonOptions(jacobian_check=False))
+            newton_solve(problem, 0.5, sub)
         assert isinstance(err.value.__cause__, ValueError)
         state = err.value.state
         assert state.profile is sub and state.newton_iters == 0 and not state.converged
@@ -628,13 +629,15 @@ class TestRoundingFloor:
 
     def test_residual_above_the_floor_still_fails(self, monkeypatch):
         # a Jacobian scaled by 1e-20 makes every damped step overshoot, at a
-        # residual far above F
+        # residual far above F; the Jacobian check, which would reject it
+        # first, is taken out
         assemble = solver.jacobian
         monkeypatch.setattr(solver, "jacobian", lambda *args: 1e-20 * assemble(*args))
+        monkeypatch.setattr(solver, "_check_jacobian", lambda *args: None)
         problem, exact = manufactured_problem(0.5, node_count=101)
         init = exact.with_values(exact.u + 1e-3 * np.cos(np.pi * exact.grid / 2))
         with pytest.raises(StepFailureError) as err:
-            newton_solve(problem, 0.5, init, NewtonOptions(jacobian_check=False))
+            newton_solve(problem, 0.5, init)
         state = err.value.state
         prof = state.profile
         _, evaluation = solver._residual(problem, 0.5, prof.u, prof.du, prof.d2u)
@@ -657,20 +660,26 @@ class TestRoundingFloor:
                                       rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("n, k, c", [(4, 2, -0.5), (4, 3, -0.5), (5, 4, -0.5)])
-    def test_t0_evaluation_rounding_against_long_double(self, n, k, c):
-        # the float residual of a t = 0 state differs from its long-double
-        # value, on the same float state and weights, by the evaluation's
-        # own rounding, which F does not count; it stays below F here
+    def test_evaluation_rounding_against_long_double(self, n, k, c):
+        # the float residual of a state differs from its long-double value,
+        # on the same float state and weights, by the evaluation's own
+        # rounding, which F does not count; it stays below F at every state
+        # of the default continuation on 1001 nodes and at t = 0 on 2001
+        # and 4001 nodes (measured 0.32-0.44 F at every t)
         assert np.finfo(np.longdouble).eps < 1e-18
-        for m in (1001, 2001, 4001):
+        for m, schedule in ((1001, None), (2001, (0.0,)), (4001, (0.0,))):
             problem, _, init = example_boundary_problem(n, k, c, m)
-            [state] = continuation_run(problem, t_schedule=(0.0,), init=init).states
-            prof, stencils = state.profile, problem.geom.stencils
-            _, evaluation = solver._residual(problem, 0.0, prof.u, prof.du, prof.d2u)
-            floor = solver._rounding_floor(problem, prof, evaluation, evaluation.gradient())
-            exact = example1_t0_residual_in_long_double(n, k, prof.u, stencils.first.inner,
-                                                        stencils.second.inner)
-            assert np.abs(state.residual[1:-1] - exact).max() <= floor
+            report = continuation_run(problem, t_schedule=schedule, init=init)
+            assert [s.t for s in report.states] == list(schedule or DEFAULT_T_SCHEDULE)
+            stencils = problem.geom.stencils
+            for state in report.states:
+                prof = state.profile
+                _, evaluation = solver._residual(problem, state.t, prof.u, prof.du, prof.d2u)
+                floor = solver._rounding_floor(problem, prof, evaluation, evaluation.gradient())
+                exact = example1_residual_in_long_double(n, k, state.t, prof.u,
+                                                         stencils.first.inner,
+                                                         stencils.second.inner)
+                assert np.abs(state.residual[1:-1] - exact).max() <= floor
 
     # the rounding floor's known failures (ROADMAP item 22): at t = 0 the
     # float residual creeps past F on fine grids (32001 nodes: 4.129e-05
@@ -1116,7 +1125,7 @@ class TestContinuation:
         assert pretests == [s.t for s in report.states if passes.count(s.t)]
         assert [s.newton_iters for s in report.states] == [5, 3, 4, 4, 4, 4, 5, 5, 6, 5, 3, 4, 4]
 
-    def test_jacobian_check_failure_carries_partial_states(self, monkeypatch):
+    def test_check_jacobian_failure_carries_partial_states(self, monkeypatch):
         def alarm(problem, t, profile, ab):
             raise NumericalError(f"alarm at t={t}")
 
@@ -1513,13 +1522,8 @@ class TestGridConvergence:
             exact = problem.geom.profile(semilinear_even_orbit(n, k, root))
             state = newton_solve(problem, 0.0, exact)
             errs.append(np.abs(state.profile.u - exact.u).max())
-            # the interior block of -J, symmetrized by its diagonal similarity
-            # (until the solver reports the spectrum itself)
-            ab = jacobian(problem, 0.0, state.profile)
-            products = ab[0, 2:-1] * ab[2, 1:-2]
-            assert np.all(products > 0.0)
-            spectrum = eigvalsh_tridiagonal(-ab[1, 1:-1], np.sqrt(products), select="i",
-                                            select_range=(0, 1))
+            # the oracle's spectrum, until the solver reports it itself
+            spectrum = interior_spectrum(jacobian(problem, 0.0, state.profile), 2)
             assert spectrum[0] < 0.0 < spectrum[1]
             spectra.append(spectrum)
         assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)
