@@ -205,8 +205,9 @@ def kernel_passes(node_count=4001):
 
 def kernel_times():
     """The one ESP recurrence `_esp` on the (m, n) rows and on the radial
-    columns (a, s, ..., s), as the radial kernel runs it, and
-    `_esp_removed`, on standard normal tuples of KERNEL_ROWS rows."""
+    columns (a, s, ..., s), as the radial kernel runs it, `_esp_removed`,
+    and the t-map `_t_map` at t = T with its in-order row sum, on standard
+    normal tuples of KERNEL_ROWS rows."""
     rng = np.random.default_rng(0)
     times = {}
     for n, k in KERNEL_ORDERS:
@@ -217,6 +218,7 @@ def kernel_times():
                 "esp": _median_ms(lambda: symfun._esp(values.T, k)),
                 "esp_radial_columns": _median_ms(lambda: symfun._esp(radial, k)),
                 "esp_removed": _median_ms(lambda: symfun._esp_removed(values, k - 1)),
+                "t_map": _median_ms(lambda: symfun._t_map(T, values)),
             }
     return times
 

@@ -37,6 +37,7 @@ from yamabe.solver import (  # noqa: E402
     NewtonOptions,
     check_subsolution,
     continuation_run,
+    jacobian,
 )
 
 DIGITS = 6
@@ -131,9 +132,61 @@ def blowup_tail():
         and all(0.0 < p < 1.0 for p in exponents))
 
 
+def _monotone_entry(problem, report, **data):
+    """The largest cell Peclet number max |upper - lower| / (upper + lower)
+    over the interior rows of `jacobian` at each converged state of a run,
+    the t where it is largest, and the range of psi_z at the interior nodes
+    of those states, after the numbers in data."""
+    peclet, psi_z = [], []
+    states = [s for s in report.states if s.converged]
+    for s in states:
+        ab = jacobian(problem, s.t, s.profile)
+        lower, upper = ab[2, :-2], ab[0, 2:]
+        peclet.append(float((np.abs(upper - lower) / (upper + lower)).max()))
+        psi_z.append(np.asarray(problem.psi_z(s.profile.grid[1:-1], s.profile.u[1:-1]), dtype=float))
+    worst = int(np.argmax(peclet))
+    return {**data, "node_count": problem.geom.node_count, "states": len(states),
+            "max_peclet": peclet[worst], "t": states[worst].t,
+            "psi_z": [min(float(z.min()) for z in psi_z), max(float(z.max()) for z in psi_z)]}
+
+
+def monotone_scheme():
+    """The monotonicity certificate on converged states (the sign of every
+    interior off-diagonal of Newton's Jacobian): the subsolution benchmark
+    to t = 1 on three grids, and Example 1 data from its closed form start
+    on the default schedule at 401 nodes."""
+    sub_nodes, example_nodes = [201, 401, 4001], 401
+    example_data = [[4, 2, -0.5], [5, 4, -0.5], [4, 2, 0.0]]
+    schedule = DEFAULT_T_SCHEDULE + (1.0,)
+    measured, finished = {"subsolution": [], "example1": []}, []
+    for nodes in sub_nodes:
+        problem = subsolution_benchmark(node_count=nodes)
+        report = continuation_run(problem, t_schedule=schedule)
+        measured["subsolution"].append(_monotone_entry(problem, report))
+        finished.append(report.failed_t is None)
+    for n, k, c in example_data:
+        problem, _, init = example_boundary_problem(n, k, c, node_count=example_nodes)
+        report = continuation_run(problem, init=init)
+        measured["example1"].append(_monotone_entry(problem, report, n=n, k=k, c=c))
+        finished.append(report.failed_t is None)
+    bound = {"max_peclet": 1.0}
+    worst = max(e["max_peclet"] for entries in measured.values() for e in entries)
+    return _row(
+        "monotone_scheme",
+        {"subsolution": {"node_count": sub_nodes, "t_schedule": list(schedule)},
+         "example1": {"data": example_data, "node_count": example_nodes,
+                      "t_schedule": list(DEFAULT_T_SCHEDULE)}},
+        {**measured, "max_peclet": worst},
+        "The centred scheme is monotone: on every converged state of each run, every run "
+        "reaching the end of its schedule, the cell Peclet number max |upper - lower| / "
+        "(upper + lower) of the tridiagonal Jacobian's interior rows is below 1, so every "
+        "interior off-diagonal is positive",
+        bound, all(finished) and worst < bound["max_peclet"])
+
+
 def ledger():
     """The rows of the ledger, in the order CLAIMS.json lists them."""
-    return [closed_form_table(), subsolution_uniformity(), blowup_tail()]
+    return [closed_form_table(), subsolution_uniformity(), blowup_tail(), monotone_scheme()]
 
 
 def main():

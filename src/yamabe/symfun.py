@@ -115,9 +115,9 @@ def _esp_removed(values, kmax):
     One `_esp` pass runs over the n reduced tuples of every row, stacked
     along the contiguous row axis, so each slot is bit-identical to `_esp`
     of the reduced tuple.  Callers read a slot's transpose through
-    `_row_copy`, which copies it to C order, so that row sums of the
-    gradient (pairwise from n = 8 on) round as for any C-ordered (m, n)
-    array.
+    `_row_copy`, which copies it to C order: the gradient rows built from
+    it come back C-ordered, and numpy's row sums of their callers (pairwise
+    from n = 8 on, in order on other layouts) keep their bits.
     """
     m, n = values.shape
     p = np.arange(n - 1)[:, None]
@@ -179,35 +179,19 @@ def _scores(e, scale):
 # the radial tuples (a, s, ..., s)
 # ---------------------------------------------------------------------------
 
-def _row_sum(head, tail, n):
-    """numpy's sum of each length-n row (head, tail, ..., tail), head and tail
-    (m,): its pairwise sum added to a 0.0 start, in numpy's order.  Summing
-    the built rows instead makes the Jacobian kernel about 1.7x slower at
-    4001 nodes; tests compare this order with ndarray.sum, so a numpy that
-    changes its order fails them."""
-    return 0.0 + _pairwise_sum(head, tail, n)
-
-
-def _pairwise_sum(head, tail, n):
-    """numpy's pairwise_sum: in order below 8 entries, with eight strided
-    accumulators from 8 on, and by halves at a multiple of 8 above 128."""
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(head, tail, half) + _pairwise_sum(tail, tail, n - half)
-    if n < 8:
-        total = head
-        for _ in range(n - 1):
-            total = total + tail
-        return total
-    first, other = head, tail
-    for _ in range(n // 8 - 1):
-        first = first + tail
-        other = other + tail
-    pair = other + other
-    total = ((first + other) + pair) + (pair + pair)
-    for _ in range(n % 8):
-        total = total + tail
-    return total
+def _row_sum(columns):
+    """The sums of m tuples whose entries are the (m,) vectors of columns
+    (or the rows of an (n, m) array): the entries added left to right, then
+    0.0, so a sum of signed zeros is +0.0.  This is the one row sum of the
+    t-map, on the (m, n) rows (`_t_map`) and on the radial (a, s, ..., s)
+    alike, so the two paths round the same way for every n.  An in-order sum
+    of n entries is off by at most gamma_(n-1) = (n - 1) u / (1 - (n - 1) u)
+    times the sum of their absolute values, u = eps / 2 (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 4); adding 0.0 is exact."""
+    total = columns[0]
+    for x in columns[1:]:
+        total = total + x
+    return total + 0.0
 
 
 class RadialEvaluation(NamedTuple):
@@ -242,7 +226,8 @@ class RadialEvaluation(NamedTuple):
 
         d sigma_j is e_{j-1} of the tuple without that slot: of the cut for a
         sphere slot, and of rest = (s, ..., s) of length n - 1 for the axis
-        slot, the one `_esp` pass made here.
+        slot, the one `_esp` pass made here.  The chain rule through the
+        t-map sums the slots with `_row_sum`, as `_t_map` does on the rows.
         """
         spec, t, f, s = self.spec, self.t, self.inside_value(), self.sphere
         n, k, l = spec.n, spec.k, spec.l
@@ -250,9 +235,9 @@ class RadialEvaluation(NamedTuple):
         rest_l = None if l is None else _row_copy(rest, l - 1)
         g_a = spec._grad_of(f, _row_copy(rest, k - 1), self.e_k, rest_l, self.e_l)
         g_s = spec._grad_of(f, self.cut_k, self.e_k, self.cut_l, self.e_l)
-        shift = (1.0 - t) * _row_sum(g_a, g_s, n)
+        shift = (1.0 - t) * _row_sum((g_a, *[g_s] * (n - 1)))
         g_s = t * g_s + shift
-        return t * g_a + shift, _row_sum(g_s, g_s, n - 1)
+        return t * g_a + shift, _row_sum([g_s] * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +245,10 @@ class RadialEvaluation(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _t_map(t, v):
-    """Rows of v sent to t*lam + (1-t)*sigma_1(lam)*e; t is a scalar or an (m, 1) column.
-    The map is symmetric, so it also carries gradients back (the chain rule)."""
-    return t * v + (1.0 - t) * v.sum(axis=1, keepdims=True)
+    """Rows of v sent to t*lam + (1-t)*sigma_1(lam)*e, sigma_1 by `_row_sum`;
+    t is a scalar or an (m, 1) column.  The map is symmetric, so it also
+    carries gradients back (the chain rule)."""
+    return t * v + (1.0 - t) * _row_sum(v.T)[:, None]
 
 
 @dataclass(frozen=True)
@@ -424,14 +410,15 @@ class SymFuncSpec:
         (a, s, ..., s) of length n - 1, and the rows the gradient reads are
         copied then.  Each result, the gradient's too, repeats the additions and
         multiplications of margin_scores, value_many and grad_many(rows, t)
-        on the (m, n) rows (a, s, ..., s) in their order, numpy's row sums
-        included (_row_sum), so it is bit-identical to them inside the cone.
+        on the (m, n) rows (a, s, ..., s) in their order, the t-map's row
+        sums included (_row_sum), so it is bit-identical to them inside the
+        cone.
         """
         n, k, l = self.n, self.k, self.l
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
         m = a.shape[0]
-        shift = (1.0 - t) * _row_sum(a, s, n)
+        shift = (1.0 - t) * _row_sum((a, *[s] * (n - 1)))
         # the t-mapped a and s on the left, and their absolute values right
         stacked = np.empty((2, 2 * m))
         signed = stacked[:, :m]

@@ -7,6 +7,7 @@ scores, for bit-exact comparisons, from a frozen copy of the row kernel on
 strided columns, their gradients from deleting one coordinate at a time,
 the radial kernel and its gradient, bit for bit, from frozen copies of the
 kernel's stacked pass with the row e_0 and of the gradient's two-pass form,
+with the t-map's row sums in order by np.cumsum,
 other gradients from central differences, the feasibility restore's blends
 from a frozen copy of its ladder with a full pass per rung, the structure
 suites from one sample and one bisection step at a time, Jacobian columns
@@ -116,19 +117,28 @@ def _skipping_recurrence(columns, kmax):
     return out
 
 
+def row_sum_in_order(rows):
+    """The sum of each row of an (m, n) array, its entries added left to
+    right and then 0.0, as the last column of np.cumsum along the rows, an
+    in-order accumulation (ndarray.sum and np.add.reduce add pairwise from
+    8 entries on)."""
+    return np.cumsum(rows, axis=1)[:, -1] + 0.0
+
+
 def radial_gradient_by_two_passes(spec, t, a, s):
     """(axis slot of Df_t, sum of its sphere slots) on the radial rows
     (a, s, ..., s), as the radial kernel's gradient computed it with two
     ESP passes of its own over the t-mapped a and s: cut = e(a, s^(n-2))
     and rest = e(s^(n-1)), with e_k (and e_l) as cut[k] + s cut[k-1].  A
     frozen copy, which the one-pass gradient must match bit for bit.  t is
-    a number or a vector of one t per row; the row sums are numpy's on the
-    (m, n) rows, and f_t is value_many of the rows, which raises the
-    ConeDomainError of grad_many on rows outside the cone."""
+    a number or a vector of one t per row; the row sums add the slots of the
+    (m, n) rows in order (`row_sum_in_order`), and f_t is value_many of the
+    rows, which raises the ConeDomainError of grad_many on rows outside the
+    cone."""
     n, k = spec.n, spec.k
     rows = np.column_stack([a] + [s] * (n - 1))
     f = spec.value_many(rows, t if np.ndim(t) == 0 else np.reshape(t, (-1, 1)))
-    shift = (1.0 - t) * rows.sum(axis=1)
+    shift = (1.0 - t) * row_sum_in_order(rows)
     a, s = t * a + shift, t * s + shift
     cut = _skipping_recurrence((a, *[s] * (n - 2)), k)
     rest = _skipping_recurrence([s] * (n - 1), k - 1)
@@ -141,9 +151,9 @@ def radial_gradient_by_two_passes(spec, t, a, s):
         e_l = cut[l] + s * cut[l - 1]
         g_a = (f / (k - l)) * (rest[k - 1] / e_k - rest[l - 1] / e_l)
         g_s = (f / (k - l)) * (cut[k - 1] / e_k - cut[l - 1] / e_l)
-    shift = (1.0 - t) * np.column_stack([g_a] + [g_s] * (n - 1)).sum(axis=1)
+    shift = (1.0 - t) * row_sum_in_order(np.column_stack([g_a] + [g_s] * (n - 1)))
     g_s = t * g_s + shift
-    return t * g_a + shift, np.column_stack([g_s] * (n - 1)).sum(axis=1)
+    return t * g_a + shift, row_sum_in_order(np.column_stack([g_s] * (n - 1)))
 
 
 def radial_eval_by_stacked_pass(spec, t, a, s):
@@ -154,7 +164,7 @@ def radial_eval_by_stacked_pass(spec, t, a, s):
     signs, as a dict.  A frozen copy, which the kernel must match."""
     n, k, l = spec.n, spec.k, spec.l
     m = len(a)
-    shift = (1.0 - t) * np.column_stack([a] + [s] * (n - 1)).sum(axis=1)
+    shift = (1.0 - t) * row_sum_in_order(np.column_stack([a] + [s] * (n - 1)))
     a, s = t * a + shift, t * s + shift
     lead, other = np.concatenate([a, np.abs(a)]), np.concatenate([s, np.abs(s)])
     cut = _skipping_recurrence((lead, *[other] * (n - 2)), k)[:, :m]

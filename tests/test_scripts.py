@@ -50,7 +50,7 @@ def _agree(value, pinned, digits):
         assert value == pytest.approx(pinned, rel=10.0 ** -digits)
 
 
-ROWS = ("closed_form_table", "subsolution_uniformity", "blowup_tail")
+ROWS = ("closed_form_table", "subsolution_uniformity", "blowup_tail", "monotone_scheme")
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,8 @@ def test_bench_main_prints_one_json_document(monkeypatch, capsys):
         "banded_solve_ms", "kernel_passes_4001", "kernel_passes_401", "structure_suites_ms",
         "boundary_decay_check_margin_scores", "continuation", "continuation_blowup_example1_1001",
         "construction_blowup_example1_1001", "orbit_inversion_example1", "solve"]
-    assert set(doc["esp_kernels_ms"]["n4_k2_m1"]) == {"esp", "esp_radial_columns", "esp_removed"}
+    assert set(doc["esp_kernels_ms"]["n4_k2_m1"]) == {"esp", "esp_radial_columns", "esp_removed",
+                                                        "t_map"}
     # at tol 1e-7 every t meets tol; at the default tol every t of the
     # 4001-node run stops at its rounding floor
     assert doc["continuation"]["101"]["floor_stops_t"] == []

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,6 +209,25 @@ class TestResidual:
         assert str(err.value.node) in str(err.value)
 
 
+@pytest.fixture(scope="module")
+def subsolution_runs_to_one():
+    """Per node count 201, 401 and 4001: the subsolution benchmark, its
+    continuation on the default schedule and t = 1, and every Jacobian
+    Newton built along it, one run per size for the tests that read it."""
+    runs, assemble = {}, solver.jacobian
+    for m in (201, 401, 4001):
+        problem, matrices = subsolution_benchmark(node_count=m), []
+
+        def record(*args, matrices=matrices):
+            matrices.append(assemble(*args))
+            return matrices[-1]
+
+        with mock.patch.object(solver, "jacobian", record):
+            report = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE + (1.0,))
+        runs[m] = problem, report, matrices
+    return runs
+
+
 class TestJacobian:
     def test_banded_against_finite_differences(self):
         problem, exact = manufactured_problem(0.7, node_count=101)
@@ -269,20 +289,12 @@ class TestJacobian:
             assert np.array_equal(jacobian(*call.args), jacobian(problem, t, profile))
 
     @pytest.mark.parametrize("m", [201, 401, 4001])
-    def test_newton_path_jacobian_is_monotone(self, spy, m):
+    def test_newton_path_jacobian_is_monotone(self, m, subsolution_runs_to_one):
         # every Jacobian of the subsolution benchmark's continuation to t = 1
         # has positive interior off-diagonals, a negative diagonal, a cell
         # Peclet number below 0.01, and zero row sums to rounding, as psi_z
         # is 0 on these data
-        matrices, assemble = [], solver.jacobian
-
-        def record(*args):
-            matrices.append(assemble(*args))
-            return matrices[-1]
-
-        spy(solver, "jacobian", record)
-        report = continuation_run(subsolution_benchmark(node_count=m),
-                                  t_schedule=DEFAULT_T_SCHEDULE + (1.0,))
+        _, report, matrices = subsolution_runs_to_one[m]
         assert report.failed_t is None and matrices
         for ab in matrices:
             lower, diag, upper = ab[2, :-2], ab[1, 1:-1], ab[0, 2:]
@@ -1086,14 +1098,13 @@ class TestContinuation:
             assert np.min(s.profile.u - ubar) >= -1e-8
 
     @pytest.mark.parametrize("m", [201, 401, 4001])
-    def test_subsolution_is_a_lower_barrier(self, m):
+    def test_subsolution_is_a_lower_barrier(self, m, subsolution_runs_to_one):
         # the barrier argument's first steps on every state: u_t - u_sub is
         # 0 at the two ends and positive inside, so its stencil slope is
         # <= 0 at L and >= 0 at -L; measured: smallest gaps 2.66e-3, 1.34e-3
         # and 1.34e-4, at t = 1, and end slopes from -+1.02 (t = 0) to -+0.268
-        problem = subsolution_benchmark(node_count=m)
+        problem, report, _ = subsolution_runs_to_one[m]
         sub = problem.subsolution
-        report = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE + (1.0,))
         assert report.failed_t is None
         for s in report.states:
             gap = s.profile.u - sub.u
@@ -1382,19 +1393,28 @@ class TestContinuation:
 
 ORACLE_TS = (0.0, 0.5, 0.99)
 
+# (n, k) of the subsolution benchmark in the order test: the README's sigma_2
+# and the `n5 sigma_3` config of scripts/output_hashes.py
+ORACLE_ORDERS = ((4, 2), (5, 3))
+
 
 @pytest.fixture(scope="module")
 def subsolution_oracle_errors():
-    """Per t of ORACLE_TS, the sup distance of the default continuation's
-    state of the subsolution benchmark from its even shot, on 201, 401,
-    801 and 1601 nodes: one continuation per grid, one shot per t."""
-    reference = subsolution_benchmark()
-    shots = {t: even_shot(4, 2, t, reference.psi, 1.0, reference.phi_right) for t in ORACLE_TS}
-    errs = {t: [] for t in ORACLE_TS}
-    for m in (201, 401, 801, 1601):
-        for state in continuation_run(subsolution_benchmark(node_count=m)).states:
-            if state.t in shots:
-                errs[state.t].append(np.abs(state.profile.u - shots[state.t](state.profile.grid)).max())
+    """Per (n, k) of ORACLE_ORDERS and t of ORACLE_TS, the sup distance of
+    the default continuation's state of the subsolution benchmark from its
+    even shot, on 201, 401, 801 and 1601 nodes: one continuation per grid,
+    one shot per t."""
+    errs = {}
+    for n, k in ORACLE_ORDERS:
+        reference = subsolution_benchmark(n=n, k=k)
+        shots = {t: even_shot(n, k, t, reference.psi, 1.0, reference.phi_right) for t in ORACLE_TS}
+        for t in ORACLE_TS:
+            errs[n, k, t] = []
+        for m in (201, 401, 801, 1601):
+            for state in continuation_run(subsolution_benchmark(n=n, k=k, node_count=m)).states:
+                if state.t in shots:
+                    errs[n, k, state.t].append(
+                        np.abs(state.profile.u - shots[state.t](state.profile.grid)).max())
     return errs
 
 
@@ -1488,10 +1508,13 @@ class TestGridConvergence:
         assert max(_first_root_errors(n, k, c, bracket)) <= 1e-10
 
     @pytest.mark.parametrize("t", ORACLE_TS)
-    def test_subsolution_oracle_order(self, t, subsolution_oracle_errors):
-        # FD minus the even shot falls at order 2 (2.000/1.999/2.001 at
-        # t = 0, 1.999/1.998/2.002 at 0.5, 1.990/1.962/2.004 at 0.99)
-        errs = subsolution_oracle_errors[t]
+    @pytest.mark.parametrize("n, k", ORACLE_ORDERS, ids=["n4_sigma_2", "n5_sigma_3"])
+    def test_subsolution_oracle_order(self, n, k, t, subsolution_oracle_errors):
+        # FD minus the even shot falls at order 2: for sigma_2 at n = 4,
+        # 2.000/1.999/2.001 at t = 0, 1.999/1.998/2.002 at 0.5 and
+        # 1.990/1.962/2.004 at 0.99; for sigma_3 at n = 5, 2.000/2.000/2.000
+        # at t = 0 and 0.5, 1.990/1.962/2.013 at 0.99
+        errs = subsolution_oracle_errors[n, k, t]
         assert np.log2(np.divide(errs[:-1], errs[1:])) == pytest.approx(2.0, abs=0.1)
 
     @pytest.mark.parametrize("psi", [1.0, 4.0], ids=["cosh", "cos"])

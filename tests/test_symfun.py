@@ -19,6 +19,7 @@ from yamabe.symfun import (
     _esp_removed,
     _row_copy,
     _row_sum,
+    _t_map,
     classify_type,
     concavity_margin,
     concavity_margin_many,
@@ -43,6 +44,7 @@ from oracles import (
     radial_eval_by_stacked_pass,
     radial_gradient_by_two_passes,
     radial_rows,
+    row_sum_in_order,
     separation_margin_by_loop,
     sigma_by_enumeration,
 )
@@ -932,7 +934,7 @@ class TestRadialKernel:
                 assert ev.outside.size == 0
                 assert np.array_equal(ev.inside_value(), spec.value_many(rows[inside], t))
                 assert np.array_equal(grad_axis, g[:, 0])
-                assert np.array_equal(grad_sphere, g[:, 1:].sum(axis=1))
+                assert np.array_equal(grad_sphere, row_sum_in_order(g[:, 1:]))
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_gradient_matches_the_two_pass_form(self, n):
@@ -987,7 +989,7 @@ class TestRadialKernel:
         # switch it to the stacked (a, |a|) columns.  Either way the scores
         # and the rows outside match the frozen stacked pass on every row,
         # and the ESP rows, f_t and the gradient on the rows inside, bit for
-        # bit; n >= 8 takes the eight-accumulator row sums
+        # bit; the row sums add in order for every n, 8 and up included
         step = spy(symfun, "_esp_step")
         rng = np.random.default_rng(300 + n)
         a, s = rng.uniform(0.05, 3.0, 64), rng.uniform(0.05, 1.0, 64)
@@ -1025,7 +1027,7 @@ class TestRadialKernel:
                 grad = spec.radial_eval(t, x[inside], y[inside]).gradient()
                 expected = radial_gradient_by_two_passes(spec, t, x[inside], y[inside])
                 g = spec.grad_many(rows[inside], t)
-                for got, wanted, row_path in zip(grad, expected, (g[:, 0], g[:, 1:].sum(axis=1))):
+                for got, wanted, row_path in zip(grad, expected, (g[:, 0], row_sum_in_order(g[:, 1:]))):
                     assert np.array_equal(got, wanted)
                     assert np.array_equal(np.signbit(got), np.signbit(wanted))
                     assert np.array_equal(got, row_path)
@@ -1081,16 +1083,25 @@ class TestRadialKernel:
                 assert np.allclose(grad_sphere, g.sum(axis=1) - g[:, 2], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [*range(2, 40), 127, 128, 129, 200, 517])
-    def test_row_sum_follows_numpy(self, n):
+    def test_row_sum_and_t_map_add_in_order(self, n):
+        # both paths of the t-map sum a tuple's entries left to right, then
+        # add 0.0: on general rows (_t_map) and on the radial columns
+        # (head, tail, ..., tail) alike, so a row of signed zeros sums to +0.0
         rng = np.random.default_rng(n)
-        head = rng.standard_normal(50) * 10.0 ** rng.uniform(-5, 5, 50)
-        tail = rng.standard_normal(50) * 10.0 ** rng.uniform(-5, 5, 50)
-        head[0] = tail[0] = -0.0  # numpy's sum starts from 0.0, so this row sums to +0.0
-        rows = np.concatenate([head[:, None], np.repeat(tail[:, None], n - 1, axis=1)], axis=1)
-        total = _row_sum(head, tail, n)
-        assert np.array_equal(total, rows.sum(axis=1))
-        assert np.array_equal(np.signbit(total), np.signbit(rows.sum(axis=1)))
-        assert np.array_equal(_row_sum(tail, tail, n), np.repeat(tail[:, None], n, axis=1).sum(axis=1))
+        rows = rng.standard_normal((50, n)) * 10.0 ** rng.uniform(-5, 5, (50, n))
+        rows[0] = -0.0
+        head, tail = rows[:, 0].copy(), rows[:, 1].copy()
+        radial = np.column_stack([head] + [tail] * (n - 1))
+        for total, wanted in ((_row_sum(rows.T), row_sum_in_order(rows)),
+                              (_row_sum((head, *[tail] * (n - 1))), row_sum_in_order(radial)),
+                              (_row_sum([tail] * n), row_sum_in_order(np.column_stack([tail] * n)))):
+            assert np.array_equal(total, wanted)
+            assert np.array_equal(np.signbit(total), np.signbit(wanted))
+            assert total[0] == 0.0 and not np.signbit(total[0])
+        for t in (0.0, 0.3, 1.0, rng.uniform(0.0, 1.0, (50, 1))):
+            mapped, wanted = _t_map(t, rows), t * rows + (1.0 - t) * row_sum_in_order(rows)[:, None]
+            assert np.array_equal(mapped, wanted)
+            assert np.array_equal(np.signbit(mapped), np.signbit(wanted))
 
 
 class TestSuiteCallCounts:
