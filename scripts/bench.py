@@ -106,15 +106,15 @@ def layer_times(node_count):
     test, the banded solve, the Jacobian check, the grid derivatives (free,
     and of a new state of the profile family) and one profile CSV formatted
     and written as `yamabe solve` does (gradient_times times the radial
-    kernel and its gradient).  `restore` and `restore_pretest` are the
-    feasibility restore and its pre-test alone at t = 0.4, on the warm
-    start there: the state of t = 0.3 of the continuation at tol
-    CONTINUATION_TOL."""
+    kernel and its gradient).  `restore` is the feasibility restore alone
+    at t = 0.4, on the warm start there, the state of t = 0.3 of the
+    continuation at tol CONTINUATION_TOL: one full kernel pass per rung of
+    its blend ladder, up to the first feasible rung and its headroom rung."""
     problem = subsolution_benchmark(node_count=node_count)
     prof = problem.subsolution
     warm = solver.continuation_run(problem, t_schedule=solver.DEFAULT_T_SCHEDULE[:4],
                                    opts=solver.NewtonOptions(tol=CONTINUATION_TOL)).states[-1].profile
-    restore_args = (problem, 0.4, warm, prof, solver._radial_eval(problem, 0.4, warm.du, warm.d2u))
+    restore_args = (problem, 0.4, warm, prof)
     grid = prof.grid
     res, evaluation = solver._residual(problem, T, prof.u, prof.du, prof.d2u)
     gradient = evaluation.gradient()
@@ -130,7 +130,6 @@ def layer_times(node_count):
         "solve_banded": lambda: solver.solve_banded(ab, -res),
         "check_jacobian": lambda: solver._check_jacobian(problem, T, prof, ab),
         "restore": lambda: solver._restore_feasibility(*restore_args),
-        "restore_pretest": lambda: solver._rungs_outside(*restore_args),
         "first_derivative": lambda: first_derivative(stencils, prof.u),
         "second_derivative": lambda: second_derivative(stencils, prof.u),
         "state_du": lambda: prof.with_values(prof.u).du,
@@ -189,18 +188,13 @@ def banded_solve_times():
 def kernel_passes(node_count=4001):
     """The radial kernel calls of one README continuation at node_count
     nodes, Newton tolerance CONTINUATION_TOL: full passes
-    (`solver._radial_eval`) and their rows, the feasibility restores, and
-    the kernel calls of their pre-tests (`solver._rungs_outside`) and those
-    calls' rows.  A pre-test's call is the one kernel call of a
-    continuation outside a full pass."""
+    (`solver._radial_eval`), the continuation's, Newton's and the
+    feasibility restores' alike, their rows, and the restores."""
     problem = subsolution_benchmark(node_count=node_count)
-    with _spy(solver, "_radial_eval") as full, _spy(solver, "_restore_feasibility") as restore, \
-            _spy(symfun.SymFuncSpec, "radial_eval") as kernel:
+    with _spy(solver, "_radial_eval") as full, _spy(solver, "_restore_feasibility") as restore:
         solver.continuation_run(problem, opts=solver.NewtonOptions(tol=CONTINUATION_TOL))
     rows = sum(call.args[2].size - 2 for call in full.call_args_list)
-    kernel_rows = sum(call.args[2].size for call in kernel.call_args_list)
-    return {"full_passes": full.call_count, "rows": rows, "restores": restore.call_count,
-            "pretest_calls": kernel.call_count - full.call_count, "pretest_rows": kernel_rows - rows}
+    return {"full_passes": full.call_count, "rows": rows, "restores": restore.call_count}
 
 
 def kernel_times():

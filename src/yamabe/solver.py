@@ -13,8 +13,9 @@ difference (`_check_jacobian`) once per Newton solve, at its first
 iteration, so once per t.  Each state is evaluated once, by the
 spec's radial kernel `radial_eval`, whose record of the nodes outside the
 cone is the one cone test that the residual, the gradient, the feasibility
-restore and `check_subsolution` read.  `newton_solve` says how a Newton step
-is taken and when a state counts as converged.
+restore (one pass per blend it tries) and `check_subsolution` read.
+`newton_solve` says how a Newton step is taken and when a state counts as
+converged.
 
 Continuation walks an ascending t schedule, warm-starting each solve from the
 previous profile, and records per-t monitors: sup norms of u and its first
@@ -495,74 +496,34 @@ class ContinuationReport:
 # the blends (1 - theta) u + theta anchor that the feasibility restore tries
 _LADDER = (1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0)
 
-# entries of the warm start's outside record that the restore's pre-test takes
-_PRETEST_NODES = 8
 
-
-def _restore_feasibility(problem, t, profile, anchor, evaluation):
+def _restore_feasibility(problem, t, profile, anchor):
     """Blend a warm start that left the cone of t towards the anchor.
 
     The cones shrink as t grows, so the converged profile of the previous t
     can sit slightly outside the next cone.  The anchor (subsolution or the
     run's start profile) lies in the t = 1 cone with a real margin, hence in
     every interpolated cone; the smallest blend restoring a positive margin
-    wins.  `evaluation` is the radial kernel's evaluation of profile at t.
-    Each blend that `_rungs_outside` does not rule out is tested by one
-    radial kernel pass at t.  Returns the blend with that evaluation, or
-    None when no blend restores the margin.
+    wins.  Each rung is tested by one radial kernel pass at t, up to the
+    first feasible rung and its headroom rung.  Returns the blend with that
+    evaluation, or None when no blend restores the margin.
     """
-    ruled_out = _rungs_outside(problem, t, profile, anchor, evaluation)
+    def inside(theta):
+        blend = profile.with_values((1.0 - theta) * profile.u + theta * anchor.u)
+        evaluation = _radial_eval(problem, t, blend.du, blend.d2u)
+        return None if evaluation.outside.size else (blend, evaluation)
 
-    def inside(i):
-        if ruled_out[i]:
-            return None
-        blend = profile.with_values((1.0 - _LADDER[i]) * profile.u + _LADDER[i] * anchor.u)
-        full = _radial_eval(problem, t, blend.du, blend.d2u)
-        return None if full.outside.size else (blend, full)
-
-    for i in range(len(_LADDER)):
-        restored = inside(i)
+    for i, theta in enumerate(_LADDER):
+        restored = inside(theta)
         if restored is not None:
             # take one more rung for headroom; the blend at the first feasible
             # theta can sit arbitrarily close to the cone boundary
             if i + 1 < len(_LADDER):
-                headroom = inside(i + 1)
+                headroom = inside(_LADDER[i + 1])
                 if headroom is not None:
                     return headroom
             return restored
     return None
-
-
-def _rungs_outside(problem, t, profile, anchor, evaluation):
-    """Per rung of the ladder, whether its blend leaves the cone of t at a
-    few interior nodes: the lowest-scoring node of `evaluation`, the kernel's evaluation of
-    profile at t, and up to _PRETEST_NODES evenly spaced nodes of its
-    outside record, all rungs in one kernel call.
-
-    At those nodes each blend, its u' and its u'' are formed with the
-    operations of `(1 - theta) u + theta anchor` and of the interior
-    stencils, in their order, and the kernel's results are elementwise, so
-    a rung outside the cone here is outside in its full pass, bit for bit.
-    """
-    record = evaluation.outside
-    step = math.ceil(record.size / _PRETEST_NODES) or 1
-    nodes = np.append(np.argmin(evaluation.scores), record[::step])
-    # the grid nodes of each interior node's stencil
-    stencil = nodes[:, None] + np.arange(3)
-    theta = np.array(_LADDER)[:, None, None]
-    blends = (1.0 - theta) * profile.u[stencil] + theta * anchor.u[stencil]
-
-    def derivative(weights):
-        wm, w0, wp = (w[nodes] for w in weights.inner)
-        return wm * blends[..., 0] + w0 * blends[..., 1] + wp * blends[..., 2]
-
-    stencils = problem.geom.stencils
-    axis, sphere = radial_w_eigenvalues(derivative(stencils.first), derivative(stencils.second))
-    outside = problem.spec.radial_eval(t, axis.ravel(), sphere.ravel()).outside
-    ruled_out = np.zeros(len(_LADDER), dtype=bool)
-    # the kernel's rows run over the nodes of each rung in turn
-    ruled_out[outside // nodes.size] = True
-    return ruled_out
 
 
 def check_t_schedule(t_schedule):
@@ -588,8 +549,10 @@ def continuation_states(problem, t_schedule=None, opts=None, init=None):
     (the subsolution's, when one anchors the run).  The returned
     generator does the solving.  The start profile is the explicit init
     when given, else the problem's subsolution.  A warm start is evaluated
-    here, pulled back by `_restore_feasibility` when it is outside the cone
-    of the next t, and Newton starts from its evaluation.  Any
+    here, which tells whether it left the cone of the next t; one that did
+    is pulled back by `_restore_feasibility`.  Newton starts from the
+    evaluation of the profile it is handed, the warm start's or the
+    restored blend's.  Any
     failure, Newton's and the Jacobian check's alike, surfaces as
     ContinuationError carrying the failing t and the states yielded so far,
     with the cause as its __cause__.
@@ -609,7 +572,7 @@ def _continuation(problem, schedule, opts, current, anchor):
         try:
             evaluation = _radial_eval(problem, t, current.du, current.d2u)
             if evaluation.outside.size:
-                restored = _restore_feasibility(problem, t, current, anchor, evaluation)
+                restored = _restore_feasibility(problem, t, current, anchor)
                 if restored is not None:    # else Newton's first residual raises
                     current, evaluation = restored
             state = newton_solve(problem, t, current, opts, _evaluation=evaluation)

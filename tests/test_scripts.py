@@ -37,7 +37,8 @@ def _run(name, args, monkeypatch, capsys):
 
 def _agree(value, pinned, digits):
     """value matches pinned to `digits` significant digits; numbers below
-    1e-9 in both are at rounding level and held to their bound only."""
+    1e-9 in both are at rounding level and held to their bound only.  A
+    str, bool or None leaf, a label or a flag, must equal its pin."""
     if isinstance(value, dict):
         assert value.keys() == pinned.keys()
         for key in value:
@@ -46,8 +47,21 @@ def _agree(value, pinned, digits):
         assert len(value) == len(pinned)
         for item, pinned_item in zip(value, pinned):
             _agree(item, pinned_item, digits)
+    elif any(leaf is None or isinstance(leaf, (str, bool)) for leaf in (value, pinned)):
+        assert (type(value), value) == (type(pinned), pinned)
     elif max(abs(value), abs(pinned)) >= 1e-9:
         assert value == pytest.approx(pinned, rel=10.0 ** -digits)
+
+
+def test_agree_holds_labels_to_equality_and_numbers_to_digits():
+    entry = {"config": "n5 sigma_3", "passed": True, "t": None, "order": 2.0004, "tiny": 1e-12}
+    _agree([entry], [{**entry, "order": 2.0005, "tiny": 3e-12}], 3)
+    for key, other in (("config", "n5 sigma_2"), ("passed", False), ("passed", 1),
+                       ("t", 0.5), ("order", 2.1)):
+        with pytest.raises(AssertionError):
+            _agree([entry], [{**entry, key: other}], 3)
+        with pytest.raises(AssertionError):
+            _agree([{**entry, key: other}], [entry], 3)
 
 
 ROWS = ("closed_form_table", "subsolution_uniformity", "blowup_tail", "monotone_scheme")
@@ -165,17 +179,14 @@ def test_bench_counts_the_decay_check_of_verify_structure(spy):
 
 
 def test_bench_counts_the_kernel_calls_of_a_continuation():
-    # the README continuation at tol 1e-7 restores 7 warm starts, each with
-    # one pre-test call on 9 nodes of all 9 blends and two full passes
+    # the README continuation at tol 1e-7 restores 7 warm starts, with one
+    # full pass per rung up to the first feasible rung and its headroom rung
     bench = _load("bench")
-    counted = (solver._radial_eval, solver._restore_feasibility, solver._rungs_outside,
-               SymFuncSpec.radial_eval)
+    counted = (solver._radial_eval, solver._restore_feasibility)
     counts = bench.kernel_passes(401)
-    assert counts == {"full_passes": 129, "rows": 129 * 399, "restores": 7,
-                      "pretest_calls": 7, "pretest_rows": 7 * 81}
+    assert counts == {"full_passes": 156, "rows": 156 * 399, "restores": 7}
     # the counters are taken off again
-    assert counted == (solver._radial_eval, solver._restore_feasibility, solver._rungs_outside,
-                       SymFuncSpec.radial_eval)
+    assert counted == (solver._radial_eval, solver._restore_feasibility)
 
 
 @pytest.mark.parametrize("fork", [True, False])

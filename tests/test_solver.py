@@ -595,23 +595,20 @@ class TestTridiagonalSolve:
         assert str(err.value) == str(expected.value) == "array must not contain infs or NaNs"
 
 
-def _spy_restores(spy, kernel=None, pretest=None):
-    """Spies on the full radial kernel pass `_radial_eval`, the feasibility
-    restore and its pre-test `_rungs_outside` (`pretest` in its place when
-    given); `kernel`, when given, takes the kernel's place while a restore
-    runs.  Returns the kernel spy and a list that gets, per restore, its
-    arguments and the t of each kernel pass and of each pre-test made
-    inside it."""
+def _spy_restores(spy, kernel=None):
+    """Spies on the full radial kernel pass `_radial_eval` and the
+    feasibility restore; `kernel`, when given, takes the kernel's place
+    while a restore runs.  Returns the kernel spy and a list that gets, per
+    restore, its arguments and the t of each kernel pass made inside it."""
     evaluate, restore, restores = solver._radial_eval, solver._restore_feasibility, []
-    passes, pretests = spy(solver, "_radial_eval"), spy(solver, "_rungs_outside", pretest)
+    passes = spy(solver, "_radial_eval")
 
     def restoring(*args):
-        kernel_calls, pretest_calls = passes.call_count, pretests.call_count
+        kernel_calls = passes.call_count
         passes.side_effect = kernel or evaluate
         restored = restore(*args)
         passes.side_effect = evaluate
-        restores.append((args, [call.args[1] for call in passes.call_args_list[kernel_calls:]],
-                         [call.args[1] for call in pretests.call_args_list[pretest_calls:]]))
+        restores.append((args, [call.args[1] for call in passes.call_args_list[kernel_calls:]]))
         return restored
 
     spy(solver, "_restore_feasibility", restoring)
@@ -620,9 +617,8 @@ def _spy_restores(spy, kernel=None, pretest=None):
 
 def _restore_passes(restores):
     """The t of each full kernel pass of the restores `_spy_restores`
-    recorded, and the t of each pre-test."""
-    return ([t for _, passes, _ in restores for t in passes],
-            [t for _, _, pretests in restores for t in pretests])
+    recorded."""
+    return [t for _, passes in restores for t in passes]
 
 
 class TestRoundingFloor:
@@ -726,7 +722,7 @@ class TestRoundingFloor:
         residuals = spy(solver, "_residual")
         report = continuation_run(subsolution_benchmark(n=5, k=3))
         assert any(s.rounding_floor is not None for s in report.states)
-        restore_passes, _ = _restore_passes(restores)
+        restore_passes = _restore_passes(restores)
         assert restore_passes
         # a start comes with the evaluation the continuation or the
         # restore's ladder made
@@ -1126,15 +1122,32 @@ class TestContinuation:
 
     def test_feasible_warm_starts_are_not_screened(self, spy):
         # the continuation's evaluation is the cone screen of a warm start; only
-        # the blend ladder of an infeasible one tests blends: one pre-test
-        # of every rung, then one full kernel pass per rung it lets through,
-        # up to the first feasible rung and its headroom rung
+        # the blend ladder of an infeasible one tests blends, one full kernel
+        # pass per rung up to the first feasible rung and its headroom rung
         _, restores = _spy_restores(spy)
         report = continuation_run(subsolution_benchmark(node_count=401))
-        passes, pretests = _restore_passes(restores)
-        assert [passes.count(s.t) for s in report.states] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 0]
-        assert pretests == [s.t for s in report.states if passes.count(s.t)]
+        passes = _restore_passes(restores)
+        assert [passes.count(s.t) for s in report.states] == [0, 0, 0, 0, 4, 5, 6, 6, 7, 7, 6, 0, 0]
         assert [s.newton_iters for s in report.states] == [5, 3, 4, 4, 4, 4, 5, 5, 6, 5, 3, 4, 4]
+
+    def test_ladder_carries_a_run_whose_warm_starts_all_leave_the_cone(self, spy, monkeypatch):
+        # (7, 6) data with a small theta, on which the warm start of every t
+        # from 0.1 on leaves its cone: one restore per t carries the run to
+        # t = 1, at a smallest cone margin of 9.2e-9, and without the ladder
+        # the run stops at t = 0.1.  A predictor that would retire the
+        # ladder (ROADMAP item 26) must keep this run going
+        problem = subsolution_benchmark(7, 6, 0.4615056672141719, 201, 0.4388907881068685,
+                                        0.1225692201970556)
+        schedule, opts = DEFAULT_T_SCHEDULE + (1.0,), NewtonOptions(tol=1e-10)
+        _, restores = _spy_restores(spy)
+        report = continuation_run(problem, schedule, opts)
+        assert [s.t for s in report.states] == list(schedule)
+        assert [args[1] for args, _ in restores] == list(schedule[1:])
+        assert all(s.converged and s.cone_margin > 0 for s in report.states)
+        monkeypatch.setattr(solver, "_restore_feasibility", lambda *args: None)
+        with pytest.raises(ContinuationError) as err:
+            continuation_run(problem, schedule, opts)
+        assert err.value.t_failed == 0.1 and isinstance(err.value.__cause__, ConeViolationError)
 
     def test_check_jacobian_failure_carries_partial_states(self, monkeypatch):
         def alarm(problem, t, profile, ab):
@@ -1203,39 +1216,21 @@ class TestContinuation:
         with pytest.raises(ValueError, match="problem's grid"):
             continuation_states(free, init=CylinderGeometry(2.0, 101).profile(cosh))
 
-    @staticmethod
-    def _lets_every_rung_through(problem, t, profile, anchor, evaluation):
-        return np.zeros(len(solver._LADDER), dtype=bool)
-
     def test_exhausted_blend_ladder_ends_the_run(self, spy):
         # the warm start of t = 0.4 leaves its cone (see the call counts of
-        # test_feasible_warm_starts_are_not_screened); the pre-test lets
-        # every rung through but no blend is let back in, so every rung
-        # takes its pass and the run ends there
+        # test_feasible_warm_starts_are_not_screened); no blend is let back
+        # in, so every rung takes its pass and the run ends there
         evaluate = solver._radial_eval
 
         def outside(problem, t, du, d2u):
             return evaluate(problem, t, du, d2u)._replace(outside=np.array([0]))
 
-        _, restores = _spy_restores(spy, outside, self._lets_every_rung_through)
-        with pytest.raises(ContinuationError) as err:
-            continuation_run(subsolution_benchmark(node_count=401))
-        passes, pretests = _restore_passes(restores)
-        assert err.value.t_failed == 0.4 and passes == [0.4] * 9 and pretests == [0.4]
-        assert isinstance(err.value.__cause__, ConeViolationError)
-        assert [s.t for s in err.value.states] == [0.0, 0.1, 0.2, 0.3]
-
-    def test_pretest_can_rule_out_every_rung(self, spy):
-        # a ladder whose pre-test rules out every rung makes no full pass
-        def rules_out_all(problem, t, profile, anchor, evaluation):
-            return np.ones(len(solver._LADDER), dtype=bool)
-
-        _, restores = _spy_restores(spy, pretest=rules_out_all)
+        _, restores = _spy_restores(spy, outside)
         problem = subsolution_benchmark(node_count=401)
         with pytest.raises(ContinuationError) as err:
             continuation_run(problem)
-        passes, pretests = _restore_passes(restores)
-        assert err.value.t_failed == 0.4 and passes == [] and pretests == [0.4]
+        assert err.value.t_failed == 0.4 and _restore_passes(restores) == [0.4] * 9
+        assert [s.t for s in err.value.states] == [0.0, 0.1, 0.2, 0.3]
         # the cause is the warm start's own cone exit, as Newton names it
         cause = err.value.__cause__
         with pytest.raises(ConeViolationError) as direct:
@@ -1256,10 +1251,9 @@ class TestContinuation:
                 return evaluation
             return evaluation._replace(outside=np.array([0]))
 
-        _, restores = _spy_restores(spy, anchor_only, self._lets_every_rung_through)
+        _, restores = _spy_restores(spy, anchor_only)
         states = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:5]).states
-        passes, pretests = _restore_passes(restores)
-        assert passes == [0.4] * 9 and pretests == [0.4]
+        assert _restore_passes(restores) == [0.4] * 9
         # Newton took the anchor's evaluation from the ladder: the same state
         expected = newton_solve(problem, 0.4, sub)
         assert np.array_equal(states[-1].profile.u, expected.profile.u)
@@ -1280,57 +1274,19 @@ class TestContinuation:
     @pytest.mark.parametrize("kind", ["401-node benchmark", "(5, 3) floor run"])
     def test_ladder_matches_full_passes(self, spy, kind):
         # every restore returns the blend and the evaluation of the frozen
-        # ladder, which takes one full pass per rung; the pre-test, one
-        # kernel call, leaves two full passes: the first feasible rung and
-        # its headroom rung
+        # ladder, with as many full passes: one per rung up to the first
+        # feasible rung and its headroom rung
         problem = (subsolution_benchmark(node_count=401) if kind == "401-node benchmark"
                    else subsolution_benchmark(n=5, k=3))
         restore = solver._restore_feasibility
         _, restores = _spy_restores(spy)
         continuation_run(problem)
         assert len(restores) == (7 if kind == "401-node benchmark" else 11)
-        for args, passes, pretests in restores:
-            expected, expected_passes = restore_by_full_passes(*args[:4])
+        for args, passes in restores:
+            expected, expected_passes = restore_by_full_passes(*args)
             # a restore returns the same on the same arguments
             self._assert_restored_as(restore(*args), expected)
-            assert (len(passes), len(pretests)) == (2, 1) and expected_passes > 2
-
-    def test_rung_that_passes_the_pretest_can_fail_its_full_pass(self, spy):
-        # a stub kernel marks one more node outside in the full pass of the
-        # first feasible rung of t = 0.4, where the pre-test's few nodes
-        # cannot see it: the ladder moves on to the next rung exactly as the
-        # frozen ladder does under the same stub
-        problem = subsolution_benchmark(node_count=401)
-        warm = continuation_run(problem, t_schedule=DEFAULT_T_SCHEDULE[:4]).states[-1].profile
-        sub = problem.subsolution
-        evaluation = solver._radial_eval(problem, 0.4, warm.du, warm.d2u)
-        (unstubbed, _), _ = restore_by_full_passes(problem, 0.4, warm, sub)
-        blends = [warm.with_values((1.0 - theta) * warm.u + theta * sub.u) for theta in solver._LADDER]
-        first = next(b for b in blends
-                     if not solver._radial_eval(problem, 0.4, b.du, b.d2u).outside.size)
-        target = radial_w_eigenvalues(first.du[1:-1], first.d2u[1:-1])[0]
-        radial_eval = SymFuncSpec.radial_eval
-
-        def one_more_outside(spec, t, a, s):
-            full = radial_eval(spec, t, a, s)
-            if np.array_equal(a, target):
-                return full._replace(outside=np.array([int(np.argmin(full.scores))]))
-            return full
-
-        def stubbed():
-            return [t for _, t, a, _ in (call.args for call in kernel.call_args_list)
-                    if np.array_equal(a, target)]
-
-        kernel = spy(SymFuncSpec, "radial_eval", one_more_outside)
-        _, restores = _spy_restores(spy)
-        restored = solver._restore_feasibility(problem, 0.4, warm, sub, evaluation)
-        passes, pretests = _restore_passes(restores)
-        assert stubbed() == [0.4] and pretests == [0.4]
-        expected, expected_passes = restore_by_full_passes(problem, 0.4, warm, sub)
-        assert stubbed() == [0.4] * 2
-        self._assert_restored_as(restored, expected)
-        assert not np.array_equal(restored[0].u, unstubbed.u)
-        assert len(passes) == 3 < expected_passes
+            assert len(passes) == expected_passes
 
     def test_check_t_schedule_returns_floats(self):
         assert check_t_schedule(None) == DEFAULT_T_SCHEDULE
