@@ -200,19 +200,24 @@ def kernel_passes(node_count=4001):
 def kernel_times():
     """The one ESP recurrence `_esp` on the (m, n) rows and on the radial
     columns (a, s, ..., s), as the radial kernel runs it, `_esp_removed`,
-    and the t-map `_t_map` at t = T with its in-order row sum, on standard
-    normal tuples of KERNEL_ROWS rows."""
+    the t-map `_t_map` at t = T with its in-order row sum, on standard
+    normal tuples of KERNEL_ROWS rows, and the row path's gradient
+    `SymFuncSpec.value_and_grad_many` of the sigma_k root on their absolute
+    values, which lie in every cone."""
     rng = np.random.default_rng(0)
     times = {}
     for n, k in KERNEL_ORDERS:
+        spec = symfun.SymFuncSpec("sigma_k_root", n=n, k=k)
         for m in KERNEL_ROWS:
             values = rng.standard_normal((m, n))
             radial = (values[:, 0].copy(), *[values[:, 1].copy()] * (n - 1))
+            positive = np.abs(values)
             times[f"n{n}_k{k}_m{m}"] = {
                 "esp": _median_ms(lambda: symfun._esp(values.T, k)),
                 "esp_radial_columns": _median_ms(lambda: symfun._esp(radial, k)),
                 "esp_removed": _median_ms(lambda: symfun._esp_removed(values, k - 1)),
                 "t_map": _median_ms(lambda: symfun._t_map(T, values)),
+                "value_and_grad_many": _median_ms(lambda: spec.value_and_grad_many(positive)),
             }
     return times
 

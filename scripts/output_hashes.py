@@ -96,7 +96,6 @@ CONFIGS = [
     ("README example1", ("example1", {"n": 4, "k": 2, "c": 0.0, "grid_size": 401})),
     ("README solve", _solve()),
     ("README Example 1 solve", _example1_solve(4, 2, 0.0, 401)),
-    ("criterion 9 data", _example1_solve(5, 4, -0.5, 1001, newton={"tol": 1.2e-4})),
     ("4001-node subsolution", _solve(grid_size=4001, newton={"tol": 1e-7})),
     ("n5 sigma_3", _solve(n=5, function={"kind": "sigma_k_root", "k": 3})),
     *((f"n{n} {_function_name(f)}", _solve(n=n, function=f)) for n, f in _FUNCTIONS),
@@ -160,7 +159,7 @@ CONFIGS = [
 # The reports embed the resolved config with its relative `out`, out<number>.
 # The numbers of configs dropped from the list stay unused, so that each
 # remaining config prints the same line as on older commits.
-_DROPPED = (6, 18)
+_DROPPED = (4, 6, 18)
 
 
 def _out_numbers():

@@ -114,10 +114,7 @@ def _esp_removed(values, kmax):
 
     One `_esp` pass runs over the n reduced tuples of every row, stacked
     along the contiguous row axis, so each slot is bit-identical to `_esp`
-    of the reduced tuple.  Callers read a slot's transpose through
-    `_row_copy`, which copies it to C order: the gradient rows built from
-    it come back C-ordered, and numpy's row sums of their callers (pairwise
-    from n = 8 on, in order on other layouts) keep their bits.
+    of the reduced tuple.
     """
     m, n = values.shape
     p = np.arange(n - 1)[:, None]
@@ -182,16 +179,22 @@ def _scores(e, scale):
 def _row_sum(columns):
     """The sums of m tuples whose entries are the (m,) vectors of columns
     (or the rows of an (n, m) array): the entries added left to right, then
-    0.0, so a sum of signed zeros is +0.0.  This is the one row sum of the
-    t-map, on the (m, n) rows (`_t_map`) and on the radial (a, s, ..., s)
-    alike, so the two paths round the same way for every n.  An in-order sum
-    of n entries is off by at most gamma_(n-1) = (n - 1) u / (1 - (n - 1) u)
-    times the sum of their absolute values, u = eps / 2 (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 4); adding 0.0 is exact."""
+    0.0, so a sum of signed zeros is +0.0.  It is the one row sum of symfun:
+    the t-map's, on the rows (`_t_map`) and the radial tuples alike, and the
+    structure suites' (`_row_norm` too), so no result depends on numpy's
+    summation order or memory layout.  An in-order sum of n entries is off
+    by at most gamma_(n-1) = (n - 1) u / (1 - (n - 1) u) times the sum of
+    their absolute values, u = eps / 2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4); adding 0.0 is exact."""
     total = columns[0]
     for x in columns[1:]:
         total = total + x
     return total + 0.0
+
+
+def _row_norm(rows):
+    """The Euclidean norm of each row of an (m, n) array, by `_row_sum`."""
+    return np.sqrt(_row_sum((rows * rows).T))
 
 
 class RadialEvaluation(NamedTuple):
@@ -360,10 +363,10 @@ class SymFuncSpec:
         e = self._inside_esp(values)
         # d sigma_j is e_{j-1} of the reduced tuples: one pass serves k and l
         k, l = self.k, self.l
-        removed = _esp_removed(values, k - 1).transpose(0, 2, 1)
-        gl, el = (None, None) if l is None else (_row_copy(removed, l - 1), e[l - 1][:, None])
+        removed = _esp_removed(values, k - 1)
+        gl, el = (None, None) if l is None else (_row_copy(removed, l - 1).T, e[l - 1][:, None])
         f = self._value_from(e)
-        g = self._grad_of(f[:, None], _row_copy(removed, k - 1), e[k - 1][:, None], gl, el)
+        g = self._grad_of(f[:, None], _row_copy(removed, k - 1).T, e[k - 1][:, None], gl, el)
         return f, g if t is None else _t_map(t, g)
 
     def _inside_esp(self, values):
@@ -735,11 +738,11 @@ def verify_structure(spec, sample_count=1000, seed=0):
 
     worst_f5 = math.inf
     for t in (0.0, 0.25, 0.5, 0.75, 0.99, 1.0):
-        sums = spec.grad_many(pts, t).sum(axis=1)
+        sums = _row_sum(spec.grad_many(pts, t).T)
         worst_f5 = min(worst_f5, float(sums.min() - f_e))
     checks.append(CheckResult("f5_gradient_sum", bool(worst_f5 >= -1e-10), worst_f5, -1e-10))
 
-    f6_gap = vals - pts.sum(axis=1) * f_e / spec.n
+    f6_gap = vals - _row_sum(pts.T) * f_e / spec.n
     checks.append(CheckResult("f6_linear_bound", bool(f6_gap.max() <= 1e-10),
                               float(f6_gap.max()), 1e-10))
 
@@ -779,7 +782,7 @@ def interpolation_ball_report(spec, t_values=DEFAULT_BALL_T_VALUES, directions=1
     for t in t_values:
         r = _BALL_RADIUS_FRACTION * (1.0 - t) / (2.0 * n)
         vs = rng.standard_normal((directions, n))
-        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        vs /= _row_norm(vs)[:, None]
         scores.append(float(spec.margin_scores(axis + r * vs, t).min()))
         corner = np.full(n, -(1.0 - t) / (2.0 * n))
         corner[-1] += 1.0
@@ -824,12 +827,12 @@ def concavity_margin_many(spec, ts, mus, lams, beta):
     except ConeDomainError:
         raise ConeDomainError("lam must lie in the interpolated cone") from None
     f_mu, g_mu = spec.value_and_grad_many(mus, ts)
-    nu_mu = g_mu / np.linalg.norm(g_mu, axis=1, keepdims=True)
-    nu_lam = g_lam / np.linalg.norm(g_lam, axis=1, keepdims=True)
-    separated = np.linalg.norm(nu_mu - nu_lam, axis=1) > beta
-    lhs = (g_lam * (mus - lams)).sum(axis=1)
+    nu_mu = g_mu / _row_norm(g_mu)[:, None]
+    nu_lam = g_lam / _row_norm(g_lam)[:, None]
+    separated = _row_norm(nu_mu - nu_lam) > beta
+    lhs = _row_sum((g_lam * (mus - lams)).T)
     rhs = f_mu - f_lam
-    eps = (lhs - rhs) / (g_lam.sum(axis=1) + 1.0)
+    eps = (lhs - rhs) / (_row_sum(g_lam.T) + 1.0)
     return np.where(separated, eps, np.nan)
 
 
@@ -867,7 +870,7 @@ def concavity_margin_suite(spec, samples=10000, beta=0.2, seed=0):
         # as drawing row by row
         r = _BALL_RADIUS_FRACTION * (1.0 - ts[use_ball]) / (2.0 * n)
         v = rng.standard_normal((r.size, n))
-        lams[use_ball] = axis + r[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)
+        lams[use_ball] = axis + r[:, None] * v / _row_norm(v)[:, None]
         usable = ~use_ball
         usable[use_ball] = spec.margin_scores(lams[use_ball], ts[use_ball][:, None]) > spec.margin
         eps = concavity_margin_many(spec, ts[usable], mus[usable], lams[usable], beta)

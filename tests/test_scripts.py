@@ -219,7 +219,7 @@ def test_bench_main_prints_one_json_document(monkeypatch, capsys):
         "boundary_decay_check_margin_scores", "continuation", "continuation_blowup_example1_1001",
         "construction_blowup_example1_1001", "orbit_inversion_example1", "solve"]
     assert set(doc["esp_kernels_ms"]["n4_k2_m1"]) == {"esp", "esp_radial_columns", "esp_removed",
-                                                        "t_map"}
+                                                        "t_map", "value_and_grad_many"}
     # at tol 1e-7 every t meets tol; at the default tol every t of the
     # 4001-node run stops at its rounding floor
     assert doc["continuation"]["101"]["floor_stops_t"] == []

@@ -61,6 +61,10 @@ CHECK_SPECS = tuple(
     + [SymFuncSpec("quotient", n=n, k=2, l=1) for n in (3, 4, 5)]
 )
 
+# tuples of 8 and more entries, where numpy's pairwise sum and the in-order
+# `_row_sum` round differently
+WIDE_SPECS = (SymFuncSpec("sigma_k_root", n=10, k=5), SymFuncSpec("sigma_k_root", n=8, k=8))
+
 
 def failing(rows):
     """The names of the CheckResult rows that fail."""
@@ -661,6 +665,23 @@ class TestVerifyStructure:
             assert row.passed, (spec.label, row.worst, row.threshold)
             assert row.threshold == (0.3 if spec.degree <= 7 else 1.1 * 1e-4 ** (1.0 / spec.degree))
 
+    # seeds on which numpy's pairwise row sums give another worst f5 (seed
+    # 3; seed 0 at n = 8) or f6 (seed 1 at n = 10, seed 0 at n = 8) than
+    # the in-order sum
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
+    def test_sum_rows_add_in_order(self, spec, seed):
+        # f5's gradient sums and f6's sigma_1 add each tuple's entries left
+        # to right, bit for bit
+        rows = verify_structure(spec, sample_count=1000, seed=seed)
+        pts = sample_cone(spec, 1000, np.random.default_rng(seed))
+        f_e = spec.f_at_ones()
+        f5 = min(float(row_sum_in_order(spec.grad_many(pts, t)).min() - f_e)
+                 for t in (0.0, 0.25, 0.5, 0.75, 0.99, 1.0))
+        f6 = float((spec.value_many(pts) - row_sum_in_order(pts) * f_e / spec.n).max())
+        assert (rows[5].name, rows[5].worst) == ("f5_gradient_sum", f5)
+        assert (rows[6].name, rows[6].worst) == ("f6_linear_bound", f6)
+
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             verify_structure(S24, sample_count=0)
@@ -887,6 +908,27 @@ class TestConcavityMargin:
             concavity_margin_many(S23, [1.0, 0.5, 0.2], np.ones((3, 3)), lams, 0.2)
         with pytest.raises(ConeDomainError, match="lam"):
             concavity_margin(S23, 0.2, np.ones(3), lams[2], 0.2)
+
+    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda s: s.label)
+    def test_batched_kernel_sums_in_order(self, spec):
+        # the margins' dot products, gradient sums and normal lengths add
+        # each tuple's entries left to right, bit for bit
+        rng = np.random.default_rng(7)
+        lams = sample_cone(spec, 500, rng)
+        mus = 1.0 + rng.uniform(-0.45, 0.45, size=lams.shape)
+        ts = rng.uniform(0.0, 1.0, size=(500, 1))
+        f_lam, g_lam = spec.value_and_grad_many(lams, ts)
+        f_mu, g_mu = spec.value_and_grad_many(mus, ts)
+
+        def unit(rows):
+            return rows / np.sqrt(row_sum_in_order(rows * rows))[:, None]
+
+        separated = np.sqrt(row_sum_in_order((unit(g_mu) - unit(g_lam)) ** 2)) > 0.2
+        margin = ((row_sum_in_order(g_lam * (mus - lams)) - (f_mu - f_lam))
+                  / (row_sum_in_order(g_lam) + 1.0))
+        eps = concavity_margin_many(spec, ts.ravel(), mus, lams, 0.2)
+        assert separated.any()
+        assert np.array_equal(eps, np.where(separated, margin, np.nan), equal_nan=True)
 
     def test_batched_kernel_tests_each_stack_once(self, spy):
         # the mus, the t-mapped mus and the t-mapped lams: one cone test each
