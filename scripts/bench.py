@@ -145,11 +145,11 @@ def layer_times(node_count):
 
 
 def gradient_times():
-    """The radial kernel pass and the gradient of a Newton state at its
-    interior nodes, and the calls of the one ESP recurrence `_esp` in one
-    gradient: the subsolution of the subsolution benchmark, (4, 2), at
-    NODES nodes, and the closed-form start of the blow-up data, (5, 4), at
-    1001 nodes."""
+    """The radial kernel pass at t = T and t = 1 and the gradient of a
+    Newton state at its interior nodes, and the calls of the one ESP
+    recurrence `_esp` in one gradient: the subsolution of the subsolution
+    benchmark, (4, 2), at NODES nodes, and the closed-form start of the
+    blow-up data, (5, 4), at 1001 nodes."""
     states = [(problem, problem.subsolution)
               for problem in (subsolution_benchmark(node_count=m) for m in NODES)]
     blowup, _, init = example_boundary_problem(5, 4, -0.5, node_count=1001)
@@ -162,6 +162,7 @@ def gradient_times():
             held.gradient()
         times[f"n{spec.n}_k{spec.k}_m{axis.size}"] = {
             "radial_eval_ms": _median_ms(lambda: spec.radial_eval(T, axis, sphere)),
+            "radial_eval_t1_ms": _median_ms(lambda: spec.radial_eval(1.0, axis, sphere)),
             "gradient_ms": _median_ms(held.gradient),
             "esp_calls_per_gradient": esp.call_count,
         }

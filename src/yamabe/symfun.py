@@ -138,16 +138,23 @@ def _cone_scores(values, order):
 
     Zero rows score -inf (see _scores); rows with a vanishing
     sigma_j(|lam|) (fewer than j entries off zero) score at most zero.
-    One `_esp` pass runs over one C-ordered (n, 2m) array, the entries of
-    the rows in its left half and their absolute values in its right, so
-    that every column the recurrence reads is contiguous.
+    One `_esp` pass runs over the entries of the rows beside their
+    absolute values (`_with_abs`).
     """
-    m, n = values.shape
-    columns = np.empty((n, 2 * m))
-    columns[:, :m] = values.T
-    np.abs(values.T, out=columns[:, m:])
-    both = _esp(columns, order)
+    m = values.shape[0]
+    both = _esp(_with_abs(values.T), order)
     return _scores(both[:, :m], both[:, m:]), both[:, :m]
+
+
+def _with_abs(columns):
+    """The (n, m) columns in the left half of one C-ordered (n, 2m) array
+    and their absolute values in its right, so that every column the
+    `_esp` recurrence reads is contiguous."""
+    n, m = columns.shape
+    both = np.empty((n, 2 * m))
+    both[:, :m] = columns
+    np.abs(columns, out=both[:, m:])
+    return both
 
 
 # the floor of the score denominators sigma_j(|lam|)
@@ -404,43 +411,28 @@ class SymFuncSpec:
         geometry.radial_w_eigenvalues); s fills the n - 1 sphere slots.  The
         cone test is made here, once: callers read its `outside` rows.
 
-        One `_esp` pass over the t-mapped columns (a, s, ..., s) and
-        their absolute values, stacked as in `_cone_scores`, serves the
-        scores and f_t.  When every t-mapped entry is above zero, none has
-        its sign bit set, the absolute values are the entries bit for bit,
-        and the pass runs on the m signed columns alone, each score dividing
-        e_j by itself.  Before its last step, the pass holds e_j of the cut
-        (a, s, ..., s) of length n - 1, and the rows the gradient reads are
-        copied then.  Each result, the gradient's too, repeats the additions and
-        multiplications of margin_scores, value_many and grad_many(rows, t)
-        on the (m, n) rows (a, s, ..., s) in their order, the t-map's row
-        sums included (_row_sum), so it is bit-identical to them inside the
-        cone.
+        One `_esp` pass over the t-mapped columns (a, s, ..., s) beside
+        their absolute values, stacked by `_with_abs` as `_cone_scores`
+        stacks the rows, serves the scores and f_t.  Before its last step,
+        the pass holds e_j of the cut (a, s, ..., s) of length n - 1, and
+        the rows the gradient reads are copied then.  Each result, the
+        gradient's too, repeats the additions and multiplications of
+        margin_scores, value_many and grad_many(rows, t) on the (m, n) rows
+        (a, s, ..., s) in their order, the t-map's row sums included
+        (_row_sum), so it is bit-identical to them inside the cone.
         """
         n, k, l = self.n, self.k, self.l
         a = np.asarray(a, dtype=float)
         s = np.asarray(s, dtype=float)
         m = a.shape[0]
         shift = (1.0 - t) * _row_sum((a, *[s] * (n - 1)))
-        # the t-mapped a and s on the left, and their absolute values right
-        stacked = np.empty((2, 2 * m))
-        signed = stacked[:, :m]
-        np.multiply(t, a, out=signed[0])
-        np.multiply(t, s, out=signed[1])
-        np.add(signed, shift, out=signed)
-        # above zero, an entry has no sign bit (NaN and -0.0 fail the test)
-        if signed.min(initial=np.inf) > 0.0:
-            stacked = signed
-        else:
-            np.abs(signed, out=stacked[:, m:])
-        lead, other = stacked
+        lead, other = _with_abs(t * np.array((a, s)) + shift)
         rows = _esp((lead, *[other] * (n - 2)), k)
         head = rows[:, :m]      # a view: the signed tuples, after each step
         cut_k = _row_copy(head, k - 1)
         cut_l = None if l is None else _row_copy(head, l - 1)
         _esp_step(rows, n - 1, other)
-        # the last m columns hold the absolute values on either path
-        scores = _scores(head, rows[:, -m:])
+        scores = _scores(head, rows[:, m:])
         outside = self._outside(scores)
         e_k = _row_copy(head, k)
         e_l = None if l is None else _row_copy(head, l)
@@ -727,8 +719,8 @@ def verify_structure(spec, sample_count=1000, seed=0):
 
     checks.append(CheckResult("f2_gradient_positive", bool(grads.min() > 0.0), float(grads.min()), 0.0))
 
-    other = pts[rng.permutation(pts.shape[0])]
-    mid_gap = spec.value_many(0.5 * (pts + other)) - 0.5 * (vals + spec.value_many(other))
+    perm = rng.permutation(pts.shape[0])
+    mid_gap = spec.value_many(0.5 * (pts + pts[perm])) - 0.5 * (vals + vals[perm])
     checks.append(CheckResult("f3_concavity_midpoint", bool(mid_gap.min() >= -1e-10),
                               float(mid_gap.min()), -1e-10))
 

@@ -1025,13 +1025,13 @@ class TestRadialKernel:
                 assert np.array_equal(np.signbit(e), np.signbit(expected))
 
     @pytest.mark.parametrize("n", range(3, 10))
-    def test_single_half_pass_matches_the_stacked_pass(self, n, spy):
-        # where every t-mapped entry is above zero, the pass runs on the m
-        # signed columns alone; one negative row, a signed zero, NaN or inf
-        # switch it to the stacked (a, |a|) columns.  Either way the scores
-        # and the rows outside match the frozen stacked pass on every row,
-        # and the ESP rows, f_t and the gradient on the rows inside, bit for
-        # bit; the row sums add in order for every n, 8 and up included
+    def test_every_batch_takes_the_stacked_pass(self, n, spy):
+        # all entries positive, one negative row, or signed zeros, NaN and
+        # inf: the pass always runs on the stacked (a, |a|) columns, 2m
+        # wide.  The scores and the rows outside match the frozen stacked
+        # pass on every row, and the ESP rows, f_t and the gradient on the
+        # rows inside, bit for bit; the row sums add in order for every n,
+        # 8 and up included
         step = spy(symfun, "_esp_step")
         rng = np.random.default_rng(300 + n)
         a, s = rng.uniform(0.05, 3.0, 64), rng.uniform(0.05, 1.0, 64)
@@ -1047,9 +1047,8 @@ class TestRadialKernel:
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 step.reset_mock()
                 ev = spec.radial_eval(t, x, y)
-                if name != "zeros, NaN, inf":
-                    _, col, first = step.call_args_list[0].args
-                    assert col == 0 and first.size == (64 if name == "positive" else 128)
+                _, col, first = step.call_args_list[0].args
+                assert col == 0 and first.size == 128
                 want = radial_eval_by_stacked_pass(spec, t, x, y)
                 rows = np.column_stack([x] + [y] * (n - 1))
                 for scores in (want["scores"], spec.margin_scores(rows, t)):
@@ -1091,7 +1090,7 @@ class TestRadialKernel:
 
     def test_evaluation_holds_only_vector_copies(self):
         # an evaluation holds (m,) arrays of its own and the indices of the
-        # rows outside, so it keeps no stacked (k + 1, 2m) ESP array alive
+        # rows outside, so it keeps no stacked (k, 2m) ESP array alive
         du = np.linspace(-0.5, 0.5, 50)
         du[[3, 17]] = 1.5, np.nan
         a, s = radial_w_eigenvalues(du, np.full(50, 1.0))
@@ -1173,6 +1172,15 @@ class TestSuiteCallCounts:
         # calls, not 6400)
         assert counts[1] < counts[0] + 20
         assert counts[0] < 400
+
+    def test_verify_structure_tests_each_sample_batch_once(self, spy):
+        # one cone pass on the samples (f and Df), the midpoints, the scaled
+        # samples and the six t-maps of the f5 row; the midpoint row reads
+        # the permuted samples' values off the first pass
+        cone_scores = spy(symfun, "_cone_scores")
+        verify_structure(S24, sample_count=200, seed=0)
+        shapes = [call.args[0].shape for call in cone_scores.call_args_list]
+        assert shapes.count((200, 4)) == 9
 
 
 class TestSpecValidation:
