@@ -274,12 +274,23 @@ def suite_times():
     return times, decay_check_margin_calls(spec, pts, decay_rng)
 
 
+def _residual_over_node_floor(problem, state):
+    """max_i |r_i|/(eps T_i) of a state, against `_rounding_floor` at its
+    profile."""
+    prof = state.profile
+    _, evaluation = solver._residual(problem, state.t, prof.u, prof.du, prof.d2u)
+    floor = solver._rounding_floor(problem, prof, evaluation, evaluation.gradient())
+    return float((np.abs(state.residual[1:-1]) / floor).max())
+
+
 def continuation(node_count, tol=CONTINUATION_TOL):
     """One continuation of the subsolution benchmark: its wall time, the
     Newton iterations, the t values whose state stopped at its rounding
-    floor F and the largest |res|/F among them (None where none did) and,
-    counted in a second run, the `_residual` calls (line-search trials and
-    the Jacobian check's) and the `RadialEvaluation.gradient` calls."""
+    floor F, the largest |res|/F among them and the largest
+    max_i |r_i|/(eps T_i) against the node floors of `_rounding_floor`
+    (both None where none did) and, counted in a second run, the
+    `_residual` calls (line-search trials and the Jacobian check's) and the
+    `RadialEvaluation.gradient` calls."""
     problem = subsolution_benchmark(node_count=node_count)
     opts = solver.NewtonOptions(tol=tol)
     start = time.perf_counter()
@@ -296,6 +307,8 @@ def continuation(node_count, tol=CONTINUATION_TOL):
         "floor_stops_t": [s.t for s in floored],
         "max_residual_over_floor": max((s.residual_norm / s.rounding_floor for s in floored),
                                        default=None),
+        "max_residual_over_node_floor": max((_residual_over_node_floor(problem, s)
+                                             for s in floored), default=None),
         "residual_calls": residual.call_count,
         "gradient_calls": gradient.call_count,
     }

@@ -327,16 +327,18 @@ def _state_from(t, profile, res, evaluation, iters, converged, increments, floor
 
 
 def _rounding_floor(problem, profile, evaluation, gradient):
-    """F, the rounding floor of the residual at profile: eps times the
-    largest interior sum of the magnitudes its rounding scales with,
+    """The rounding floor of the residual at profile, node by node: eps
+    times T_i, the sum at interior node i of the magnitudes its rounding
+    scales with,
 
         |b2_i| sum_j |c2_ij u_j| + |b1_i| sum_j |c1_ij u_j| + |f_t| + |psi|,
 
     with f_t of the state's evaluation, b2 and b1 the u'' and u'
     coefficients of Newton's Jacobian (`geometry.radial_w_linearization`
     of its gradient, the pair that Jacobian took) and the stencil weights
-    of the grid's GridStencils.  It grows like eps/h^2, so on fine grids it
-    can lie above a fixed Newton tolerance.
+    of the grid's GridStencils.  Its maximum is the floor F of
+    `newton_solve`, which grows like eps/h^2, so on fine grids it can lie
+    above a fixed Newton tolerance.
     """
     stencils, u = problem.geom.stencils, np.abs(profile.u)
     b2, b1 = radial_w_linearization(*gradient, profile.du[1:-1])
@@ -348,7 +350,7 @@ def _rounding_floor(problem, profile, evaluation, gradient):
     psi = np.asarray(problem.psi(stencils.grid[1:-1], profile.u[1:-1]), dtype=float)
     terms = (np.abs(b2) * spread(stencils.second) + np.abs(b1) * spread(stencils.first)
              + np.abs(evaluation.value) + np.abs(psi))
-    return float(np.finfo(float).eps * terms.max())
+    return np.finfo(float).eps * terms
 
 
 def newton_solve(problem, t, init, opts=None, _evaluation=None):
@@ -358,17 +360,17 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
     cone margin and the residual sup norm decreases; the step is halved up to
     MAX_BACKTRACKS times otherwise, and the search ends early at a step that
     moves no node, since each half of it moves none either.  When no damped
-    step is acceptable at a residual at or below its rounding floor F
-    (`_rounding_floor`), which no step can improve on, the state is returned
-    as converged with F recorded on it; F is computed only then.  Raises
-    ConeViolationError when the initial profile leaves the cone,
-    NumericalError when its residual is not finite (psi overflows there),
-    StepFailureError when no damped step is acceptable above F or the
-    Newton system has no solution (a singular J, or infs or NaNs), and
-    NonconvergenceError when the iteration budget runs out; the last two
-    carry the best state reached.  `_evaluation`, the radial kernel's
-    evaluation of init at t when the caller holds it, saves evaluating
-    init again.
+    step is acceptable at a residual at or below its rounding floor F (the
+    largest node floor of `_rounding_floor`), which no step can improve on,
+    the state is returned as converged with F recorded on it; F is computed
+    only then.  Raises ConeViolationError when the initial profile leaves
+    the cone, NumericalError when its residual is not finite (psi
+    overflows there), StepFailureError when no damped step is acceptable
+    above F or the Newton system has no solution (a singular J, or infs or
+    NaNs), and NonconvergenceError when the iteration budget runs out; the
+    last two carry the best state reached.  `_evaluation`, the radial
+    kernel's evaluation of init at t when the caller holds it, saves
+    evaluating init again.
     """
     opts = opts or NewtonOptions()
     grid = _grid_for(problem, init)
@@ -421,7 +423,7 @@ def newton_solve(problem, t, init, opts=None, _evaluation=None):
                     break
             alpha *= 0.5
         if not accepted:
-            floor = _rounding_floor(problem, profile, evaluation, gradient)
+            floor = float(_rounding_floor(problem, profile, evaluation, gradient).max())
             if norm <= floor:
                 return _state_from(t, profile, res, evaluation, iteration, True, increments, floor)
             raise StepFailureError(

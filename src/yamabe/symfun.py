@@ -699,7 +699,8 @@ def verify_structure(spec, sample_count=1000, seed=0):
     the cone boundary, strict positivity of the gradient, midpoint concavity,
     degree-one homogeneity, the lower bound sum_i d_i f_t >= f(e) along a t
     grid, and the upper bound f <= sigma_1 f(e)/n.  Returns one CheckResult
-    row per check; failures land in the rows, not in exceptions.
+    row per check; failures land in the rows, not in exceptions, and a NaN
+    in a row's sample fails that row.
     """
     check_suite_inputs(sample_count=sample_count)
     rng = np.random.default_rng(seed)
@@ -728,10 +729,10 @@ def verify_structure(spec, sample_count=1000, seed=0):
     hom = np.abs(spec.value_many(s[:, None] * pts) - s * vals) / (s * vals)
     checks.append(_homogeneity_row(spec, pts, hom))
 
-    worst_f5 = math.inf
-    for t in (0.0, 0.25, 0.5, 0.75, 0.99, 1.0):
-        sums = _row_sum(spec.grad_many(pts, t).T)
-        worst_f5 = min(worst_f5, float(sums.min() - f_e))
+    # the t-map at t = 1 adds +0.0 to each entry, so t = 1 reads grads;
+    # np.min keeps a NaN, which fails the row
+    sums = [_row_sum(spec.grad_many(pts, t).T) for t in (0.0, 0.25, 0.5, 0.75, 0.99)]
+    worst_f5 = float(np.min([*sums, _row_sum(grads.T)]) - f_e)
     checks.append(CheckResult("f5_gradient_sum", bool(worst_f5 >= -1e-10), worst_f5, -1e-10))
 
     f6_gap = vals - _row_sum(pts.T) * f_e / spec.n
@@ -762,7 +763,7 @@ def interpolation_ball_report(spec, t_values=DEFAULT_BALL_T_VALUES, directions=1
     radius; the corner bound is checked with a relative slack of 1e-12
     since it is an equality at t = 0.  Returns the rows `membership` (the
     worst score of a probe over every t) and `value_bound` (the worst
-    corner margin).
+    corner margin); a NaN at any t fails its row.
     """
     check_suite_inputs(t_values=t_values, directions=directions)
     rng = np.random.default_rng(seed)
@@ -779,7 +780,7 @@ def interpolation_ball_report(spec, t_values=DEFAULT_BALL_T_VALUES, directions=1
         corner = np.full(n, -(1.0 - t) / (2.0 * n))
         corner[-1] += 1.0
         corner_margins.append(float(spec.value(corner, t) - 0.5 * (1.0 - t) * f_e + 1e-12 * f_e))
-    worst_score, worst_corner = min(scores), min(corner_margins)
+    worst_score, worst_corner = float(np.min(scores)), float(np.min(corner_margins))
     return [CheckResult("membership", worst_score > 0.0, worst_score, 0.0),
             CheckResult("value_bound", worst_corner >= 0.0, worst_corner, 0.0)]
 

@@ -301,8 +301,8 @@ def gradient_by_differences(func, x, step=1e-6):
 
 
 def rounding_floor_by_nodes(problem, t, profile):
-    """The rounding floor F of `solver._rounding_floor`, node by node: eps
-    times the largest interior
+    """The rounding floor of `solver._rounding_floor`, node by node: eps
+    times, at each interior node,
 
         |g_a| sum_j |w2_j u_j| + |g_a - g_s| |u'| sum_j |w1_j u_j| + |f_t| + |psi|,
 
@@ -322,7 +322,7 @@ def rounding_floor_by_nodes(problem, t, profile):
         terms.append(abs(g_a) * (np.abs(w2) @ np.abs(near))
                      + abs(g_a - g_s) * abs(w1 @ near) * (np.abs(w1) @ np.abs(near))
                      + abs(spec.value(row, t)) + abs(float(problem.psi(grid[i], u[i]))))
-    return np.finfo(float).eps * max(terms)
+    return np.finfo(float).eps * np.array(terms)
 
 
 def example1_residual_in_long_double(n, k, t, u, first, second):

@@ -221,12 +221,15 @@ def test_bench_main_prints_one_json_document(monkeypatch, capsys):
     assert set(doc["esp_kernels_ms"]["n4_k2_m1"]) == {"esp", "esp_radial_columns", "esp_removed",
                                                         "t_map", "value_and_grad_many"}
     # at tol 1e-7 every t meets tol; at the default tol every t of the
-    # 4001-node run stops at its rounding floor
+    # 4001-node run stops at its rounding floor F, the largest node floor,
+    # so each node's ratio is at least the ratio to F
     assert doc["continuation"]["101"]["floor_stops_t"] == []
     assert doc["continuation"]["101"]["max_residual_over_floor"] is None
+    assert doc["continuation"]["101"]["max_residual_over_node_floor"] is None
     floored = doc["continuation"]["4001_default_tol"]
     assert floored["floor_stops_t"] == list(solver.DEFAULT_T_SCHEDULE)
     assert 0.0 < floored["max_residual_over_floor"] <= 1.0
+    assert floored["max_residual_over_node_floor"] >= floored["max_residual_over_floor"]
     assert all(g["esp_calls_per_gradient"] == 1 for g in doc["gradient"].values())
     solves = doc["solve"]["101"]
     assert list(solves) == ["fork", "no_fork"]

@@ -682,6 +682,21 @@ class TestVerifyStructure:
         assert (rows[5].name, rows[5].worst) == ("f5_gradient_sum", f5)
         assert (rows[6].name, rows[6].worst) == ("f6_linear_bound", f6)
 
+    def test_gradient_sum_row_fails_on_nan(self, monkeypatch):
+        # one NaN gradient entry at t = 0.5 fails f5, as a NaN fails the
+        # other rows
+        grad_many = SymFuncSpec.grad_many
+
+        def nan_at_half(self, values, t=None):
+            g = grad_many(self, values, t)
+            if t == 0.5:
+                g[3, 1] = np.nan
+            return g
+
+        monkeypatch.setattr(SymFuncSpec, "grad_many", nan_at_half)
+        row = verify_structure(S24, sample_count=200, seed=0)[5]
+        assert row.name == "f5_gradient_sum" and not row.passed and np.isnan(row.worst)
+
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             verify_structure(S24, sample_count=0)
@@ -819,6 +834,28 @@ class TestBallInclusion:
         assert (membership.name, membership.passed, membership.worst) == ("membership", False, -1e-3)
         assert (value_bound.name, value_bound.passed, value_bound.worst) == (
             "value_bound", False, -2e-3)
+
+    def test_membership_fails_on_nan(self, monkeypatch):
+        # one NaN probe score at t = 0.5, after a t with finite scores
+        margin_scores = SymFuncSpec.margin_scores
+
+        def nan_at_half(self, values, t=None):
+            scores = margin_scores(self, values, t)
+            if t == 0.5:
+                scores[7] = np.nan
+            return scores
+
+        monkeypatch.setattr(SymFuncSpec, "margin_scores", nan_at_half)
+        membership, value_bound = interpolation_ball_report(S24, directions=50, seed=2)
+        assert not membership.passed and np.isnan(membership.worst) and value_bound.passed
+
+    def test_value_bound_fails_on_nan(self, monkeypatch):
+        # a NaN corner value at t = 0.5, after a t with a finite one
+        value = SymFuncSpec.value
+        monkeypatch.setattr(SymFuncSpec, "value",
+                            lambda self, lam, t=None: np.nan if t == 0.5 else value(self, lam, t))
+        membership, value_bound = interpolation_ball_report(S24, directions=50, seed=2)
+        assert not value_bound.passed and np.isnan(value_bound.worst) and membership.passed
 
     def test_corner_bound_tight_at_t_zero(self):
         _, value_bound = interpolation_ball_report(S24, t_values=(0.0,), directions=10, seed=2)
@@ -1175,12 +1212,14 @@ class TestSuiteCallCounts:
 
     def test_verify_structure_tests_each_sample_batch_once(self, spy):
         # one cone pass on the samples (f and Df), the midpoints, the scaled
-        # samples and the six t-maps of the f5 row; the midpoint row reads
-        # the permuted samples' values off the first pass
-        cone_scores = spy(symfun, "_cone_scores")
+        # samples and the five t-maps of the f5 row below t = 1; the midpoint
+        # row reads the permuted samples' values off the first pass, and f5
+        # its t = 1 gradients; one gradient pass for Df and each t-map
+        cone_scores, removed = spy(symfun, "_cone_scores"), spy(symfun, "_esp_removed")
         verify_structure(S24, sample_count=200, seed=0)
         shapes = [call.args[0].shape for call in cone_scores.call_args_list]
-        assert shapes.count((200, 4)) == 9
+        assert shapes.count((200, 4)) == 8
+        assert removed.call_count == 6
 
 
 class TestSpecValidation:
